@@ -22,6 +22,10 @@ from .errors import (
     NumericalError,
     OperatorAlgebraError,
     PreconditionFailed,
+    ReducedRankNotDivisible,
+    SectorDimensionMismatch,
+    SectorStructureError,
+    TensorFormDefect,
     ValidationError,
 )
 from .numerics import (
@@ -48,6 +52,7 @@ from .algebra import (
     close,
     commutant,
     contains,
+    generator_commutant,
     generator_set_from_json,
     generator_set_to_json,
     is_commutative,

@@ -52,14 +52,6 @@ class GeneratorSet:
             checked.append(m)
         object.__setattr__(self, "generators", tuple(checked))
 
-    @classmethod
-    def from_matrices(cls, mats) -> "GeneratorSet":
-        mats = list(mats)
-        if not mats:
-            raise ValidationError("a generator set needs at least one generator")
-        first = as_matrix(mats[0])
-        return cls(ambient_dim=first.shape[0], generators=tuple(mats))
-
 
 @dataclass(frozen=True)
 class AlgebraBasis:
@@ -69,11 +61,14 @@ class AlgebraBasis:
     under products and adjoints and contains the identity; `close` and
     `commutant` only ever construct bases with these properties, and the
     test suite verifies them as invariants.
+
+    `_decompositions` memoizes `sectors.block_decomposition` per
+    `Tolerance`; the basis is immutable, so its structure never changes.
     """
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)
-    contains_unit: bool = True
+    _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
@@ -146,10 +141,13 @@ def close(
     Breadth-first over words in the generators and their adjoints: the
     unit is adjoined first, then each round multiplies the newly found
     directions by every generator and adjoint on both sides, extending
-    the orthonormal basis by re-orthogonalized Gram-Schmidt. A round
-    that adds no direction with relative residual above ``rank_tol``
-    terminates the search. The resulting span does not depend on the
-    generator ordering.
+    the orthonormal basis by re-orthogonalized Gram-Schmidt. A candidate
+    ``x g`` or ``g x`` counts as new only if its component outside the
+    span exceeds ``rank_tol * ||g||`` (``x`` has unit norm), so rounding
+    noise in products that vanish is never promoted to a direction; a
+    round that adds nothing terminates the search. The resulting span
+    depends neither on the generator ordering nor on the basis the
+    generators are written in.
 
     Raises
     ------
@@ -164,12 +162,12 @@ def close(
 
     multipliers = []
     for g in gens.generators:
-        multipliers.append(np.asarray(g))
-        multipliers.append(np.asarray(g).conj().T)
+        norm = hs_norm(g)
+        multipliers += [(g, norm), (g.conj().T, norm)]
 
     basis: list[np.ndarray] = []
 
-    def try_extend(candidate: np.ndarray) -> np.ndarray | None:
+    def try_extend(candidate: np.ndarray, ref: float) -> np.ndarray | None:
         scale = hs_norm(candidate)
         if scale == 0.0:
             return None
@@ -178,15 +176,16 @@ def close(
             for b in basis:
                 r = r - hs_inner(b, r) * b
         residual = hs_norm(r)
-        if residual <= tol.rank_tol:
+        if residual * scale <= tol.rank_tol * ref:  # ref: scale of the factors
             return None
         r = r / residual
         basis.append(r)
         return r
 
     frontier: list[np.ndarray] = []
-    for seed_mat in [np.eye(d, dtype=complex), *multipliers]:
-        added = try_extend(seed_mat)
+    unit = np.eye(d, dtype=complex)
+    for seed_mat, norm in [(unit, hs_norm(unit)), *multipliers]:  # seeds: own norm
+        added = try_extend(seed_mat, norm)
         if added is not None:
             frontier.append(added)
 
@@ -199,15 +198,23 @@ def close(
             )
         word_len += 1
         fresh: list[np.ndarray] = []
-        for x in frontier:
-            for g in multipliers:
+        for x in frontier:  # unit HS norm, so the factor scale is ||g||
+            for g, norm in multipliers:
                 for candidate in (x @ g, g @ x):
-                    added = try_extend(candidate)
+                    added = try_extend(candidate, norm)
                     if added is not None:
                         fresh.append(added)
         frontier = fresh
 
-    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis), contains_unit=True)
+    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
+
+
+def _commutant_of(mats, d: int, tol: Tolerance) -> AlgebraBasis:
+    eye = np.eye(d)
+    system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in mats])
+    kernel = null_space(system, tol)
+    basis = [kernel[:, j].reshape(d, d, order="F") for j in range(kernel.shape[1])]
+    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -220,13 +227,21 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     reshaped matrices are Hilbert-Schmidt orthonormal. The result is
     itself unital and *-closed.
     """
-    d = alg.ambient_dim
-    eye = np.eye(d)
-    blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in alg.basis]
-    system = np.vstack(blocks)
-    kernel = null_space(system, tol)
-    mats = [kernel[:, j].reshape(d, d, order="F") for j in range(kernel.shape[1])]
-    return AlgebraBasis(ambient_dim=d, basis=np.stack(mats), contains_unit=True)
+    return _commutant_of(alg.basis, alg.ambient_dim, tol)
+
+
+def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """All of M_d commuting with every generator and its adjoint.
+
+    Equal to ``commutant(close(gens))`` but computed without the closure,
+    so comparing the two checks `close` independently. Generators are
+    scaled to unit norm so the null-space cutoff weighs them alike.
+    """
+    mats = []
+    for g in gens.generators:
+        scale = hs_norm(g) or 1.0
+        mats += [g / scale, g.conj().T / scale]
+    return _commutant_of(mats, gens.ambient_dim, tol)
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -248,7 +263,6 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     orthonormal coefficient kernel to a Hilbert-Schmidt orthonormal
     basis. The center is commutative and contains the identity.
     """
-    k = alg.dim
     cols = []
     for b_j in alg.basis:
         rows_j = np.concatenate([(b_j @ b_i - b_i @ b_j).ravel() for b_i in alg.basis])
@@ -264,7 +278,7 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         stack = np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
     else:
         stack = np.stack(mats)
-    return AlgebraBasis(ambient_dim=alg.ambient_dim, basis=stack, contains_unit=True)
+    return AlgebraBasis(ambient_dim=alg.ambient_dim, basis=stack)
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -72,3 +72,26 @@ class ClosureNotReached(NumericalError):
 
 class CenterDiagonalizationFailed(NumericalError):
     """Joint diagonalization of the center produced ambiguous eigenvalue clusters."""
+
+
+class SectorStructureError(NumericalError):
+    """A block decomposition breaks an identity that every *-algebra satisfies.
+
+    Carries what the failed check measured: a `residual` or integer `counts`.
+    """
+
+    def __init__(self, message, residual=None, counts=None):
+        super().__init__(message)
+        self.residual, self.counts = residual, counts
+
+
+class TensorFormDefect(SectorStructureError):
+    """A transported block deviates from the ``M_n (x) 1_m`` form beyond tolerance."""
+
+
+class SectorDimensionMismatch(SectorStructureError):
+    """The sectors' ``block_size * multiplicity`` do not add up to the ambient dimension."""
+
+
+class ReducedRankNotDivisible(SectorStructureError):
+    """A projector's rank inside a sector is not a multiple of the sector's multiplicity."""

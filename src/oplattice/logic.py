@@ -15,7 +15,6 @@ fidelity cross-check rather than the production path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .numerics import (
     null_space,
     operator_norm,
 )
-from .sectors import SectorDecomposition, block_decomposition, is_factor, mvn_dimension
+from .sectors import block_decomposition, mvn_dimension
 from .seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -190,19 +189,13 @@ def check_distributive(p, q, r, tol: Tolerance = DEFAULT_TOL) -> bool:
     return distributivity_residual(p, q, r, tol) <= LAW_TOL
 
 
-def is_atom(
-    alg: AlgebraBasis,
-    p,
-    tol: Tolerance = DEFAULT_TOL,
-    decomposition: SectorDecomposition | None = None,
-) -> bool:
+def is_atom(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``p`` is a minimal nonzero projector of the algebra.
 
     Equivalently, its dimension vector has a single nonzero entry equal
     to 1 (the zero projector is not an atom).
     """
-    dims = mvn_dimension(alg, p, tol, decomposition=decomposition)
-    nonzero = [x for x in dims if x != 0]
+    nonzero = [x for x in mvn_dimension(alg, p, tol) if x != 0]
     return len(nonzero) == 1 and nonzero[0] == 1
 
 
@@ -254,42 +247,27 @@ class LatticeReport:
             raise ValueError("counterexample must be present exactly when distributive is false")
 
 
-def _map_trials(fn, n: int, workers: int) -> list:
-    if workers <= 1 or n == 0:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def lattice_report(
-    alg: AlgebraBasis,
-    trials: int,
-    seed: int,
-    tol: Tolerance = DEFAULT_TOL,
-    workers: int = 1,
-    decomposition: SectorDecomposition | None = None,
+    alg: AlgebraBasis, trials: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> LatticeReport:
     """Run the law-checking suite on one algebra.
 
     Orthomodularity is sampled on `trials` constrained pairs (the smaller
     projector is forced below the larger by taking a meet), and
     distributivity on `trials` random triples, recording the first
-    counterexample. Atomicity is decided structurally: per sector an
-    explicit reduced-rank-1 projector is transported into the algebra and
-    verified minimal, which certifies that every nonzero projector
-    dominates an atom. Sampling cannot certify that kind of existence
-    claim. The boolean verdict is structural as well (commutativity of
-    the algebra), while `distributive` reports what the sampling saw.
+    counterexample; each trial derives its own sub-seed from `seed` and
+    its index. The boolean verdict is structural (commutativity of the
+    algebra), while `distributive` reports what the sampling saw.
 
-    The hilbertian verdict (lattice of all subspaces of the ambient
-    space) is recorded as implied by a single sector of multiplicity 1.
-
-    Trials derive per-index sub-seeds, so any `workers` count produces
-    identical results.
+    The rest is read off the memoized block decomposition: `factor` is
+    a single sector, `hilbertian` (lattice of all subspaces) a single
+    sector of multiplicity 1. `atomic` is always true: each block
+    ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and
+    `block_decomposition` certifies that form for every sector.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    decomp = decomposition if decomposition is not None else block_decomposition(alg, tol)
+    decomp = block_decomposition(alg, tol)
 
     def om_trial(i: int) -> bool:
         q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i), tol)
@@ -297,7 +275,7 @@ def lattice_report(
         p = meet(r, q, tol)
         return orthomodularity_residual(p, q, tol) <= LAW_TOL
 
-    om_results = _map_trials(om_trial, trials, workers)
+    om_results = [om_trial(i) for i in range(trials)]
     pass_rate = (sum(om_results) / trials) if trials else 1.0
 
     def dist_trial(i: int):
@@ -307,31 +285,18 @@ def lattice_report(
         ok = distributivity_residual(p, q, r, tol) <= LAW_TOL
         return (ok, None if ok else (p, q, r))
 
-    dist_results = _map_trials(dist_trial, trials, workers)
+    dist_results = [dist_trial(i) for i in range(trials)]
     distributive = all(ok for ok, _ in dist_results)
     counterexample = next((triple for ok, triple in dist_results if not ok), None)
 
-    atomic = True
-    for sector in decomp.sectors:
-        n, m = sector.block_size, sector.multiplicity
-        unit = np.zeros((n, n), dtype=complex)
-        unit[0, 0] = 1.0
-        candidate = sector.isometry @ np.kron(unit, np.eye(m)) @ sector.isometry.conj().T
-        candidate = (candidate + candidate.conj().T) / 2.0
-        if not is_atom(alg, candidate, tol, decomposition=decomp):
-            atomic = False
-            break
-
-    factor = is_factor(alg, tol)
-    hilbertian = factor and len(decomp.sectors) == 1 and decomp.sectors[0].multiplicity == 1
-
+    factor = len(decomp.sectors) == 1
     return LatticeReport(
         orthomodular_pass_rate=pass_rate,
         distributive=distributive,
         counterexample=counterexample,
         boolean_lattice=is_commutative(alg, tol),
-        atomic=atomic,
-        hilbertian=hilbertian,
+        atomic=True,
+        hilbertian=factor and decomp.sectors[0].multiplicity == 1,
         factor=factor,
         sector_count=len(decomp.sectors),
         trials=trials,

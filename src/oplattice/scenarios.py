@@ -19,7 +19,6 @@ always complete.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +26,9 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     GeneratorSet,
-    baire_envelope,
-    center,
     close,
     commutant,
+    generator_commutant,
     is_commutative,
     same_span,
 )
@@ -45,7 +43,9 @@ from .seeding import (
     derive_seed,
 )
 from .states import (
+    ORTHOADDITIVITY_TOL,
     LogicalState,
+    check_sigma_orthoadditive,
     dirac_characters,
     is_pure,
     is_separating,
@@ -245,20 +245,21 @@ def _values_match(expect, actual) -> bool:
     return expect == actual
 
 
-def run_scenario(
-    scenario: Scenario, tol: Tolerance = DEFAULT_TOL, workers: int = 1
-) -> ScenarioReport:
+def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     """Build the scenario's algebra and run the full verification battery.
 
-    The generated von Neumann algebra is required to coincide with the
-    closure (a mismatch would mean the closure is broken, so it raises
-    rather than reporting). Everything downstream is seeded from the
-    scenario seed, so identical scenarios give byte-identical JSON
-    reports regardless of the worker count. Errors from the underlying
-    modules are re-raised with the scenario name attached.
+    Two independent checks guard the closure, and each raises rather
+    than reporting: the generated von Neumann algebra (the bicommutant)
+    must coincide with the closed span, which catches a closure that
+    stopped short, and the commutant of the generators and their
+    adjoints must equal the commutant of the closure, which catches one
+    that over-grew. Everything downstream is seeded from the scenario
+    seed, so identical scenarios give byte-identical JSON reports.
+    Errors from the underlying modules are re-raised with the scenario
+    name attached.
     """
     try:
-        return _run_scenario_body(scenario, tol, workers)
+        return _run_scenario_body(scenario, tol)
     except OperatorAlgebraError as exc:
         message = f"scenario {scenario.name!r}: {exc}"
         if isinstance(exc, ConvergenceFailed):
@@ -266,19 +267,24 @@ def run_scenario(
         raise type(exc)(message) from exc
 
 
-def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> ScenarioReport:
+def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     gens = build_generators(scenario)
     alg = close(gens, tol)
-    envelope = baire_envelope(alg, tol)
+    comm = commutant(alg, tol)
+    envelope = commutant(comm, tol)
     if not same_span(alg, envelope, tol):
         raise NumericalError(
             "generated von Neumann algebra differs from the closed span; "
             "the closure is buggy or the tolerances are degenerate"
         )
+    gens_comm = generator_commutant(gens, tol)
+    if not same_span(gens_comm, comm, tol):
+        raise NumericalError(
+            f"the generators' commutant has dimension {gens_comm.dim} but the closure's "
+            f"has {comm.dim}; the closure is buggy or the tolerances are degenerate"
+        )
     decomp = block_decomposition(alg, tol)
-    report = lattice_report(
-        alg, scenario.trials, scenario.seed, tol, workers=workers, decomposition=decomp
-    )
+    report = lattice_report(alg, scenario.trials, scenario.seed, tol)
     commutative = is_commutative(alg, tol)
     characters_entry = None
     if commutative:
@@ -290,8 +296,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> Scen
     ctx = {
         "algebra_dim": alg.dim,
         "envelope_equals_algebra": True,
-        "commutant_dim": commutant(alg, tol).dim,
-        "center_dim": center(alg, tol).dim,
+        "commutant_dim": comm.dim,
+        "center_dim": len(decomp.sectors),
         "report": report,
         "decomp": decomp,
         "commutative": commutative,
@@ -302,7 +308,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> Scen
         {
             "block_size": s.block_size,
             "multiplicity": s.multiplicity,
-            "mvn_dimension": mvn_dimension(alg, s.central_projector, tol, decomposition=decomp),
+            "mvn_dimension": mvn_dimension(alg, s.central_projector, tol),
             "central_projector": matrix_to_json(s.central_projector),
         }
         for s in decomp.sectors
@@ -315,25 +321,24 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> Scen
             f"sector_{i}": logical.value(s.central_projector, tol)
             for i, s in enumerate(decomp.sectors)
         }
-        additive = True
-        for i in range(_STATE_FAMILY_CHECKS):
-            family = random_orthogonal_family(
-                alg, derive_seed(scenario.seed, STREAM_STATE_CHECK, index * 1000 + i), tol
-            )
-            add_res, comp_res = sigma_orthoadditivity_residuals(logical, family, tol)
-            if add_res > 1e-7 or comp_res > 1e-9:
-                additive = False
-                break
+        family_seeds = (
+            derive_seed(scenario.seed, STREAM_STATE_CHECK, index * 1000 + i)
+            for i in range(_STATE_FAMILY_CHECKS)
+        )
+        additive = all(
+            check_sigma_orthoadditive(logical, random_orthogonal_family(alg, s, tol), tol)
+            for s in family_seeds
+        )
         state_entries.append(
             {
                 "index": index,
-                "pure": is_pure(st, alg, tol, decomposition=decomp),
+                "pure": is_pure(st, alg, tol),
                 "values": values,
                 "sigma_orthoadditive": additive,
             }
         )
 
-    orthoadd = _orthoadditivity_sweep(alg, envelope, scenario.trials, scenario.seed, tol, workers)
+    orthoadd = _orthoadditivity_sweep(alg, envelope, scenario.trials, scenario.seed, tol)
 
     verdicts = []
     registry = _expectation_registry(ctx)
@@ -351,14 +356,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> Scen
             }
         )
 
-    echo = {
-        "name": scenario.name,
-        "kind": scenario.kind,
-        "dim": scenario.dim,
-        "parameters": scenario.parameters,
-        "trials": scenario.trials,
-        "seed": scenario.seed,
-    }
+    echo = scenario_to_json(scenario)
+    del echo["states"], echo["expectations"]
     return ScenarioReport(
         scenario=echo,
         algebra_dim=alg.dim,
@@ -376,29 +375,17 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance, workers: int) -> Scen
 
 
 def _orthoadditivity_sweep(
-    alg: AlgebraBasis,
-    envelope: AlgebraBasis,
-    trials: int,
-    seed: int,
-    tol: Tolerance,
-    workers: int,
+    alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
 ) -> dict:
-    def trial(i: int) -> float:
+    residuals = []
+    for i in range(trials):
         rho = random_state(alg.ambient_dim, derive_seed(seed, STREAM_SWEEP_STATE, i))
         logical = LogicalState(underlying=rho, domain=envelope)
         family = random_orthogonal_family(alg, derive_seed(seed, STREAM_SWEEP_FAMILY, i), tol)
-        add_res, comp_res = sigma_orthoadditivity_residuals(logical, family, tol)
-        return max(add_res, comp_res)
-
-    if workers <= 1 or trials == 0:
-        residuals = [trial(i) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residuals = list(pool.map(trial, range(trials)))
-    failures = sum(1 for r in residuals if r > 1e-7)
+        residuals.append(max(sigma_orthoadditivity_residuals(logical, family, tol)))
     return {
         "trials": trials,
-        "failures": failures,
+        "failures": sum(1 for r in residuals if r > ORTHOADDITIVITY_TOL),
         "max_residual": max(residuals) if residuals else 0.0,
     }
 

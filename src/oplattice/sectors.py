@@ -21,7 +21,13 @@ from math import isqrt
 import numpy as np
 
 from .algebra import AlgebraBasis, center, contains
-from .errors import CenterDiagonalizationFailed, NotInAlgebra
+from .errors import (
+    CenterDiagonalizationFailed,
+    NotInAlgebra,
+    ReducedRankNotDivisible,
+    SectorDimensionMismatch,
+    TensorFormDefect,
+)
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -178,16 +184,25 @@ def _tensor_form_defect(isometry: np.ndarray, alg: AlgebraBasis, n: int, m: int)
 def block_decomposition(
     alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> SectorDecomposition:
-    """Full block structure of a closed algebra.
+    """Full block structure of a closed algebra, computed once per tolerance.
 
     Per minimal central projector z: compress the algebra to the range
     of z, read the block size n off the compressed span dimension (which
     is n^2 for a full matrix factor), require the multiplicity
     m = rank(z)/n to be integral, and build the isometry exhibiting the
     ``M_n (x) 1_m`` form. *-closed matrix algebras are always semisimple,
-    so the structural sanity conditions are asserted rather than
-    reported.
+    so a violated structural identity raises a `SectorStructureError`
+    carrying what it measured. The result is memoized on ``alg`` (keyed
+    by ``tol``) and its arrays are read-only, so every structural query
+    on the same algebra shares one decomposition.
     """
+    memo = alg._decompositions
+    if tol not in memo:
+        memo[tol] = _decompose(alg, tol)
+    return memo[tol]
+
+
+def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
     d = alg.ambient_dim
     zs = minimal_central_projectors(alg, tol)
     sectors = []
@@ -195,8 +210,8 @@ def block_decomposition(
         r = int(round(float(np.trace(z).real)))
         w, v = np.linalg.eigh(z)
         q = v[:, d - r :]
-        compressed = np.stack([q.conj().T @ a @ q for a in alg.basis])
-        span_dim = rank_of(compressed.reshape(alg.dim, r * r), tol)
+        flat = np.stack([q.conj().T @ a @ q for a in alg.basis]).reshape(alg.dim, r * r)
+        span_dim = rank_of(flat, tol)
         n = isqrt(span_dim)
         if n * n != span_dim:
             raise CenterDiagonalizationFailed(
@@ -208,29 +223,33 @@ def block_decomposition(
             raise CenterDiagonalizationFailed(
                 f"block rank {r} is not divisible by block size {n}"
             )
-        flat = compressed.reshape(alg.dim, r * r)
         _, s, vh = np.linalg.svd(flat, full_matrices=False)
         keep = s > tol.rank_tol * s[0]
         comp_basis = vh[keep].reshape(-1, r, r)
-        block_cols = _block_isometry(comp_basis, n, m, r, tol)
-        isometry = q @ block_cols
+        isometry = q @ _block_isometry(comp_basis, n, m, r, tol)
         defect = _tensor_form_defect(isometry, alg, n, m)
-        assert defect <= 1e-8, f"transported block deviates from tensor form by {defect:.3e}"
-        sectors.append(
-            Sector(
-                central_projector=z,
-                block_size=n,
-                multiplicity=m,
-                isometry=isometry,
+        if defect > 1e-8:
+            raise TensorFormDefect(
+                f"transported block deviates from tensor form by {defect:.3e}", residual=defect
             )
+        z.setflags(write=False)
+        isometry.setflags(write=False)
+        sectors.append(
+            Sector(central_projector=z, block_size=n, multiplicity=m, isometry=isometry)
         )
-    assert sum(s.block_size * s.multiplicity for s in sectors) == d
+    counts = [(s.block_size, s.multiplicity) for s in sectors]
+    if sum(n * m for n, m in counts) != d:
+        raise SectorDimensionMismatch(
+            f"sector blocks (size, multiplicity) {counts} do not fill dimension {d}",
+            counts=counts,
+        )
     return SectorDecomposition(ambient_dim=d, sectors=tuple(sectors))
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the center consists of multiples of the identity only."""
-    return center(alg, tol).dim == 1
+    """True iff the center consists of multiples of the identity only,
+    i.e. the algebra has exactly one sector."""
+    return len(block_decomposition(alg, tol).sectors) == 1
 
 
 def _validated_projector_in(alg: AlgebraBasis, p, tol: Tolerance) -> np.ndarray:
@@ -247,17 +266,16 @@ def _reduced_ranks(
     for sector in decomp.sectors:
         r = rank_of(sector.central_projector @ p, tol)
         reduced, rem = divmod(r, sector.multiplicity)
-        assert rem == 0, "blockwise rank not divisible by multiplicity"
+        if rem != 0:
+            raise ReducedRankNotDivisible(
+                f"blockwise rank {r} is not divisible by multiplicity {sector.multiplicity}",
+                counts=(r, sector.multiplicity),
+            )
         out.append(int(reduced))
     return out
 
 
-def mvn_dimension(
-    alg: AlgebraBasis,
-    p,
-    tol: Tolerance = DEFAULT_TOL,
-    decomposition: SectorDecomposition | None = None,
-) -> list[int]:
+def mvn_dimension(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     """Per-sector reduced rank of a projector in the algebra.
 
     Entry i is the rank of p compressed to block i divided by that
@@ -267,17 +285,10 @@ def mvn_dimension(
     function to one entry per sector is a convention of this package.
     """
     mat = _validated_projector_in(alg, p, tol)
-    decomp = decomposition if decomposition is not None else block_decomposition(alg, tol)
-    return _reduced_ranks(decomp, mat, tol)
+    return _reduced_ranks(block_decomposition(alg, tol), mat, tol)
 
 
-def projectors_equivalent(
-    alg: AlgebraBasis,
-    p,
-    q,
-    tol: Tolerance = DEFAULT_TOL,
-    decomposition: SectorDecomposition | None = None,
-) -> bool:
+def projectors_equivalent(alg: AlgebraBasis, p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff a partial isometry V in the algebra has V*V = p and VV* = q.
 
     Decided by comparing the per-sector reduced ranks, the complete
@@ -286,7 +297,7 @@ def projectors_equivalent(
     """
     pm = _validated_projector_in(alg, p, tol)
     qm = _validated_projector_in(alg, q, tol)
-    decomp = decomposition if decomposition is not None else block_decomposition(alg, tol)
+    decomp = block_decomposition(alg, tol)
     return _reduced_ranks(decomp, pm, tol) == _reduced_ranks(decomp, qm, tol)
 
 

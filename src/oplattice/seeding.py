@@ -1,8 +1,8 @@
 """Deterministic sub-seed derivation for the sampling sweeps.
 
 Every randomized sweep derives one integer seed per (master seed, stream,
-trial index) triple, so trial results do not depend on execution order or
-on how many workers ran them. Stream identifiers are small integers kept
+trial index) triple, so trial results do not depend on execution order
+or on how many trials run. Stream identifiers are small integers kept
 unique across the package by the `STREAM_*` constants below.
 """
 

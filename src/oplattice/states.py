@@ -40,7 +40,7 @@ from .numerics import (
     operator_norm,
     rank_of,
 )
-from .sectors import SectorDecomposition, block_decomposition, minimal_central_projectors
+from .sectors import SectorDecomposition, block_decomposition
 from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed
 
 # Law-checking thresholds for logical states.
@@ -185,12 +185,7 @@ def _sector_reductions(
     return out
 
 
-def is_pure(
-    state: StateFunctional,
-    alg: AlgebraBasis,
-    tol: Tolerance = DEFAULT_TOL,
-    decomposition: SectorDecomposition | None = None,
-) -> bool:
+def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Purity of the state as a functional on the algebra.
 
     True iff exactly one sector carries weight above ``rank_tol`` and the
@@ -200,10 +195,9 @@ def is_pure(
     """
     if state.dim != alg.ambient_dim:
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
-    decomp = decomposition if decomposition is not None else block_decomposition(alg, tol)
     weighted = [
         (weight, reduced)
-        for weight, reduced in _sector_reductions(state, decomp)
+        for weight, reduced in _sector_reductions(state, block_decomposition(alg, tol))
         if weight > tol.rank_tol
     ]
     if len(weighted) != 1:
@@ -223,13 +217,12 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
     """
     if not is_commutative(alg, tol):
         raise NotCommutative("characters exist only for commutative algebras")
-    # a commutative algebra is its own center, so its minimal projectors
-    # are exactly the joint eigenspace projectors
-    projectors = minimal_central_projectors(alg, tol)
+    # a commutative algebra is its own center, so the central projectors
+    # of its sectors are exactly the joint eigenspace projectors
     out = []
-    for z in projectors:
-        r = float(np.trace(z).real)
-        out.append(make_state(z / r, tol))
+    for sector in block_decomposition(alg, tol).sectors:
+        z = sector.central_projector
+        out.append(make_state(z / float(np.trace(z).real), tol))
     return out
 
 

@@ -8,11 +8,15 @@ from oplattice import (
     GeneratorSet,
     ValidationError,
     baire_envelope,
+    block_decomposition,
+    build_classical,
+    build_sectors,
     build_weyl_finite,
     center,
     close,
     commutant,
     contains,
+    generator_commutant,
     generator_set_from_json,
     generator_set_to_json,
     hs_inner,
@@ -20,7 +24,7 @@ from oplattice import (
     operator_norm,
     same_span,
 )
-from tests.conftest import unit
+from tests.conftest import haar_unitary, two_orthogonal_real_lines, unit
 
 
 def brute_commutant_nullity(mats, d):
@@ -116,8 +120,58 @@ class TestClose:
             assert alg.dim <= alg.ambient_dim**2
             assert commutant(alg).dim >= 1
 
+    def test_rounding_noise_in_a_vanishing_product_is_not_a_direction(self):
+        p, q = two_orthogonal_real_lines()
+        alg = close(GeneratorSet(ambient_dim=3, generators=(p, q)))
+        assert alg.dim == 3
+        assert is_commutative(alg)
+
+
+def random_unitary(kind, d, rng):
+    if kind == "haar":
+        return haar_unitary(d, rng)
+    if kind == "phase":
+        return np.diag(np.exp(2j * np.pi * rng.random(d)))
+    return np.eye(d, dtype=complex)[rng.permutation(d)]
+
+
+def sector_blocks(alg):
+    return sorted((s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors)
+
+
+class TestUnitaryCovariance:
+    """close(U G U*) must be U close(G) U*: same dimension, same sector blocks."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_classical(4),
+            lambda: build_weyl_finite(3),
+            lambda: build_sectors([(2, 1), (3, 1)]),
+            lambda: build_sectors([(2, 2), (1, 1)]),
+        ],
+        ids=["classical-4", "weyl-3", "sectors-2+3", "sectors-2x2+1"],
+    )
+    @pytest.mark.parametrize("kind", ["haar", "phase", "permutation"])
+    def test_conjugated_generators_close_to_the_conjugated_algebra(self, build, kind):
+        gens = build()
+        d = gens.ambient_dim
+        u = random_unitary(kind, d, np.random.default_rng(7))
+        rotated = close(
+            GeneratorSet(ambient_dim=d, generators=tuple(u @ g @ u.conj().T for g in gens.generators))
+        )
+        alg = close(gens)
+        assert rotated.dim == alg.dim
+        assert sector_blocks(rotated) == sector_blocks(alg)
+        conjugated = AlgebraBasis(ambient_dim=d, basis=[u @ b @ u.conj().T for b in alg.basis])
+        assert same_span(rotated, conjugated)
+
 
 class TestCommutant:
+    def test_generator_commutant_matches_closure_commutant(self):
+        for gens in (build_weyl_finite(3), build_sectors([(2, 1), (1, 2)]), build_classical(4)):
+            assert same_span(generator_commutant(gens), commutant(close(gens)))
+
     def test_full_matrix_algebra_has_scalar_commutant(self, full2):
         units = [unit(2, i, j) for i in range(2) for j in range(2)]
         assert brute_commutant_nullity(units, 2) == 1

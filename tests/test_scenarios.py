@@ -3,6 +3,7 @@ import pytest
 
 from oplattice import (
     Expectation,
+    NumericalError,
     Scenario,
     ValidationError,
     block_decomposition,
@@ -21,6 +22,8 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
+from oplattice import scenarios as scenarios_module
+from tests.conftest import two_orthogonal_real_lines
 
 
 class TestBuildClassical:
@@ -250,7 +253,7 @@ class TestDeterminism:
         second = report_to_json(run_scenario(scenario))
         assert first == second
 
-    def test_worker_count_does_not_change_bytes(self):
+    def test_sectors_reports_are_byte_identical(self):
         scenario = Scenario(
             name="sectors",
             kind="sectors",
@@ -259,12 +262,41 @@ class TestDeterminism:
             trials=30,
             seed=11,
         )
-        sequential = report_to_json(run_scenario(scenario, workers=1))
-        parallel = report_to_json(run_scenario(scenario, workers=4))
-        assert sequential == parallel
+        first = report_to_json(run_scenario(scenario))
+        second = report_to_json(run_scenario(scenario))
+        assert first == second
 
     def test_different_seeds_differ(self):
         base = dict(name="weyl2", kind="weyl_finite", dim=2, parameters={"modulus": 2}, trials=30)
         a = report_to_json(run_scenario(Scenario(seed=1, **base)))
         b = report_to_json(run_scenario(Scenario(seed=2, **base)))
         assert a != b
+
+
+class TestClosureChecks:
+    def test_two_orthogonal_lines_give_a_boolean_lattice(self):
+        p, q = two_orthogonal_real_lines()
+        scenario = Scenario(
+            name="two lines",
+            kind="custom",
+            dim=3,
+            parameters={"generators": [matrix_to_json(p), matrix_to_json(q)]},
+            trials=20,
+            seed=3,
+        )
+        report = run_scenario(scenario)
+        assert report.algebra_dim == 3
+        assert report.lattice.boolean_lattice
+        assert report.lattice.distributive
+
+    def test_over_closed_algebra_is_rejected(self, monkeypatch):
+        # M_5 passes the bicommutant check; only the generators' commutant
+        # (dimension 2 for two blocks) can tell it is too big.
+        monkeypatch.setattr(
+            scenarios_module, "close", lambda gens, tol: close(build_weyl_finite(gens.ambient_dim), tol)
+        )
+        scenario = Scenario(
+            name="over-closed", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]}, trials=0
+        )
+        with pytest.raises(NumericalError, match="generators' commutant has dimension 2"):
+            run_scenario(scenario)

@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    DEFAULT_TOL,
     CenterDiagonalizationFailed,
     GeneratorSet,
     NotInAlgebra,
     NotProjector,
+    NumericalError,
+    ReducedRankNotDivisible,
+    SectorDimensionMismatch,
+    TensorFormDefect,
     Tolerance,
     block_decomposition,
+    build_sectors,
     build_weyl_finite,
     close,
     contains,
     equivalence_isometry,
     is_factor,
+    lattice_report,
     meet,
     minimal_central_projectors,
     mvn_dimension,
@@ -21,7 +28,8 @@ from oplattice import (
     projectors_equivalent,
     random_projector,
 )
-from tests.conftest import unit
+from oplattice import sectors as sectors_module
+from tests.conftest import haar_unitary, unit
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +174,7 @@ class TestProjectorEquivalence:
             for i in range(60):
                 p = random_projector(alg, 5000 + i)
                 q = random_projector(alg, 9000 + i)
-                verdict = projectors_equivalent(alg, p, q, decomposition=decomp)
+                verdict = projectors_equivalent(alg, p, q)
                 witness = equivalence_isometry(alg, p, q)
                 assert verdict == (witness is not None)
                 if witness is not None:
@@ -201,9 +209,9 @@ class TestMvnDimension:
             decomp = block_decomposition(alg)
             for i in range(40):
                 p, q = orthogonal_projector_pair(alg, 300 + i)
-                dp = mvn_dimension(alg, p, decomposition=decomp)
-                dq = mvn_dimension(alg, q, decomposition=decomp)
-                dsum = mvn_dimension(alg, p + q, decomposition=decomp)
+                dp = mvn_dimension(alg, p)
+                dq = mvn_dimension(alg, q)
+                dsum = mvn_dimension(alg, p + q)
                 assert [a + b for a, b in zip(dp, dq)] == dsum
 
     def test_monotone_under_subprojection(self, full4):
@@ -211,17 +219,76 @@ class TestMvnDimension:
         for i in range(30):
             q = random_projector(full4, 600 + i)
             p = meet(random_projector(full4, 800 + i), q)
-            dp = mvn_dimension(full4, p, decomposition=decomp)
-            dq = mvn_dimension(full4, q, decomposition=decomp)
+            dp = mvn_dimension(full4, p)
+            dq = mvn_dimension(full4, q)
             assert all(a <= b for a, b in zip(dp, dq))
 
     def test_commutative_algebra_has_boolean_dimensions(self, diag3):
         decomp = block_decomposition(diag3)
         for i in range(30):
             p = random_projector(diag3, 950 + i)
-            dims = mvn_dimension(diag3, p, decomposition=decomp)
+            dims = mvn_dimension(diag3, p)
             assert set(dims) <= {0, 1}
         # the atoms of the boolean lattice are the minimal central projectors
         for z in minimal_central_projectors(diag3):
-            dims = mvn_dimension(diag3, z, decomposition=decomp)
+            dims = mvn_dimension(diag3, z)
             assert sorted(dims) == [0, 0, 1]
+
+
+class TestDecompositionMemo:
+    def test_structure_is_computed_once_per_tolerance(self, monkeypatch):
+        real_center = sectors_module.center
+        calls = []
+
+        def counting_center(alg, tol):
+            calls.append(tol)
+            return real_center(alg, tol)
+
+        monkeypatch.setattr(sectors_module, "center", counting_center)
+        alg = close(build_sectors([(2, 1), (1, 2)]))
+        first = block_decomposition(alg)
+        assert not is_factor(alg)
+        z = first.sectors[0].central_projector
+        assert mvn_dimension(alg, z) == [first.sectors[0].block_size, 0]
+        lattice_report(alg, trials=0, seed=0)
+        assert block_decomposition(alg) is first
+        assert len(calls) == 1
+
+        other = Tolerance(eq_tol=1e-10)
+        second = block_decomposition(alg, other)
+        assert second is not first
+        assert block_decomposition(alg, other) is second
+        assert calls == [DEFAULT_TOL, other]
+
+    def test_shared_arrays_are_read_only(self, two_blocks):
+        for sector in block_decomposition(two_blocks).sectors:
+            assert not sector.central_projector.flags.writeable
+            assert not sector.isometry.flags.writeable
+
+
+class TestStructureChecks:
+    """Violated structural identities raise NumericalError subclasses, not asserts."""
+
+    def test_tensor_form_defect_carries_its_residual(self, monkeypatch):
+        wrong = haar_unitary(4, np.random.default_rng(5))
+        monkeypatch.setattr(sectors_module, "_block_isometry", lambda comp, n, m, r, tol: wrong)
+        with pytest.raises(TensorFormDefect) as info:
+            block_decomposition(close(build_sectors([(2, 2)])))
+        assert isinstance(info.value, NumericalError)
+        assert info.value.residual > 1e-8
+
+    def test_missing_sector_is_a_dimension_mismatch(self, monkeypatch):
+        real = sectors_module.minimal_central_projectors
+        monkeypatch.setattr(
+            sectors_module, "minimal_central_projectors", lambda alg, tol: real(alg, tol)[:1]
+        )
+        with pytest.raises(SectorDimensionMismatch) as info:
+            block_decomposition(close(build_sectors([(2, 1), (1, 1)])))
+        assert info.value.counts in ([(2, 1)], [(1, 1)])
+
+    def test_reduced_rank_must_divide_by_multiplicity(self):
+        scalars_twice = close(build_sectors([(1, 2)]))
+        decomp = block_decomposition(scalars_twice)
+        with pytest.raises(ReducedRankNotDivisible) as info:
+            sectors_module._reduced_ranks(decomp, unit(2, 0, 0), DEFAULT_TOL)
+        assert info.value.counts == (1, 2)
