@@ -18,6 +18,7 @@ from .errors import ClosureNotReached, DimensionMismatch, ValidationError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _as_operators,
     as_matrix,
     hs_inner,
     hs_norm,
@@ -87,28 +88,22 @@ class AlgebraBasis:
         return int(self.basis.shape[0])
 
 
-def hs_coefficients(alg: AlgebraBasis, m) -> np.ndarray:
-    """Coefficients of the Hilbert-Schmidt projection of ``m`` onto the span."""
-    a = np.asarray(m, dtype=complex)
-    return np.tensordot(alg.basis.conj(), a, axes=([1, 2], [0, 1]))
-
-
 def project_onto(alg: AlgebraBasis, m) -> np.ndarray:
-    """Hilbert-Schmidt orthogonal projection of ``m`` onto the span of ``alg``."""
-    coeffs = hs_coefficients(alg, m)
+    """Hilbert-Schmidt orthogonal projection of ``m`` (or of a stack) onto the span of ``alg``."""
+    coeffs = np.tensordot(alg.basis.conj(), np.asarray(m, dtype=complex), axes=([1, 2], [-2, -1]))
     return np.tensordot(coeffs, alg.basis, axes=(0, 0))
 
 
-def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL) -> bool:
+def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
     """True iff ``m`` lies in the span of ``alg``.
 
     Decided by projecting in the Hilbert-Schmidt geometry and comparing
-    the residual against ``eq_tol * (1 + ||m||)``.
+    the residual against ``eq_tol * (1 + ||m||)``, per matrix of an ``(n, d, d)`` stack.
     """
-    a = as_matrix(m)
-    if a.shape[0] != alg.ambient_dim:
+    a = _as_operators(m)
+    if a.shape[-1] != alg.ambient_dim:
         raise DimensionMismatch(
-            f"matrix of dimension {a.shape[0]} vs algebra in M_{alg.ambient_dim}"
+            f"matrix of dimension {a.shape[-1]} vs algebra in M_{alg.ambient_dim}"
         )
     residual = operator_norm(a - project_onto(alg, a))
     return residual <= tol.eq_tol * (1.0 + operator_norm(a))

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraBasis, is_commutative
-from .errors import ConvergenceFailed, DimensionMismatch, PreconditionFailed
+from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, PreconditionFailed
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     ensure_projector,
     gap_clusters,
+    is_projector,
     matrix_to_json,
     null_space,
     operator_norm,
@@ -44,18 +45,57 @@ from .seeding import (
 LAW_TOL = 1e-7
 
 
-def _pair(p, q, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    pm = ensure_projector(p, tol)
-    qm = ensure_projector(q, tol)
-    if pm.shape != qm.shape:
-        raise DimensionMismatch(f"projector shapes differ: {pm.shape} vs {qm.shape}")
-    return pm, qm
+def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
+    ms = [ensure_projector(p, tol) for p in ps]
+    if len({m.shape for m in ms}) > 1:
+        raise DimensionMismatch(f"projector shapes differ: {[m.shape for m in ms]}")
+    return ms
+
+
+def _complement(p: np.ndarray) -> np.ndarray:
+    return np.eye(p.shape[0], dtype=complex) - p
+
+
+def _meet(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
+    kernel = null_space(np.vstack([_complement(p), _complement(q)]), tol)
+    out = kernel @ kernel.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
+    return _complement(_meet(_complement(p), _complement(q), tol))
+
+
+def _leq(p, q, tol: Tolerance):  # elementwise over stacks
+    return operator_norm(q @ p - p) <= tol.eq_tol
+
+
+def _orthomodularity(p, q, tol: Tolerance) -> tuple[float, tuple]:  # residual, projectors derived
+    inner = _meet(_complement(p), q, tol)
+    outer = _join(p, inner, tol)
+    return operator_norm(q - outer), (inner, outer)
+
+
+def _distributivity(p, q, r, tol: Tolerance) -> tuple[float, tuple]:  # residual, projectors derived
+    q_or_r, p_and_q, p_and_r = _join(q, r, tol), _meet(p, q, tol), _meet(p, r, tol)
+    lhs, rhs = _meet(p, q_or_r, tol), _join(p_and_q, p_and_r, tol)
+    return operator_norm(lhs - rhs), (q_or_r, lhs, p_and_q, p_and_r, rhs)
+
+
+def _ensure_projectors(labelled: list, tol: Tolerance) -> None:
+    """One stacked `ensure_projector` over ``(label, matrix)`` pairs; a failure names its label."""
+    if not labelled:
+        return
+    try:
+        ensure_projector(np.stack([m for _, m in labelled]), tol)
+    except NotProjector as exc:
+        label = next((label for label, m in labelled if not is_projector(m, tol)), "stack")
+        raise NotProjector(f"{label}: {exc}") from exc
 
 
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The negation ``1 - p``. Applying it twice returns ``p`` exactly."""
-    pm = ensure_projector(p, tol)
-    return np.eye(pm.shape[0], dtype=complex) - pm
+    return _complement(ensure_projector(p, tol))
 
 
 def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -66,13 +106,7 @@ def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     both complements kill it. Distinct non-orthogonal lines meet at the
     origin, the hallmark separating this lattice from a Boolean one.
     """
-    pm, qm = _pair(p, q, tol)
-    d = pm.shape[0]
-    eye = np.eye(d, dtype=complex)
-    stacked = np.vstack([eye - pm, eye - qm])
-    kernel = null_space(stacked, tol)
-    out = kernel @ kernel.conj().T
-    return (out + out.conj().T) / 2.0
+    return _meet(*_projectors(p, q, tol=tol), tol)
 
 
 def meet_iterative(
@@ -95,7 +129,7 @@ def meet_iterative(
         (ranges meeting at a very small principal angle), or if the
         converged spectrum has no clean gap around 1/2 to round across.
     """
-    pm, qm = _pair(p, q, tol)
+    pm, qm = _projectors(p, q, tol=tol)
     core = pm @ qm @ pm if symmetrized else pm @ qm
     s = core.copy()
     residual = np.inf
@@ -132,8 +166,7 @@ def meet_iterative(
 
 def join(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Projector onto ``range(p) + range(q)``, as the De Morgan dual of meet."""
-    pm, qm = _pair(p, q, tol)
-    return orthocomplement(meet(orthocomplement(pm), orthocomplement(qm), tol), tol)
+    return _join(*_projectors(p, q, tol=tol), tol)
 
 
 def leq(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -142,14 +175,13 @@ def leq(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     Equivalent to ``p = p ∧ q``; decided by the cheaper range-containment
     form ``||q p - p|| <= eq_tol``.
     """
-    pm, qm = _pair(p, q, tol)
-    return operator_norm(qm @ pm - pm) <= tol.eq_tol
+    return _leq(*_projectors(p, q, tol=tol), tol)
 
 
 def orthogonal(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``p <= 1 - q``; symmetric in its arguments."""
-    pm, qm = _pair(p, q, tol)
-    return leq(pm, orthocomplement(qm), tol)
+    pm, qm = _projectors(p, q, tol=tol)
+    return _leq(pm, _complement(qm), tol)
 
 
 def orthomodularity_residual(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -157,9 +189,7 @@ def orthomodularity_residual(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Callers must ensure ``p <= q``.
     """
-    pm, qm = _pair(p, q, tol)
-    inner = meet(orthocomplement(pm), qm, tol)
-    return operator_norm(qm - join(pm, inner, tol))
+    return _orthomodularity(*_projectors(p, q, tol=tol), tol)[0]
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -167,21 +197,15 @@ def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Raises PreconditionFailed when the order relation does not hold.
     """
-    pm, qm = _pair(p, q, tol)
-    if not leq(pm, qm, tol):
+    pm, qm = _projectors(p, q, tol=tol)
+    if not _leq(pm, qm, tol):
         raise PreconditionFailed("orthomodularity is only stated for p <= q")
-    return orthomodularity_residual(pm, qm, tol) <= LAW_TOL
+    return _orthomodularity(pm, qm, tol)[0] <= LAW_TOL
 
 
 def distributivity_residual(p, q, r, tol: Tolerance = DEFAULT_TOL) -> float:
     """Residual ``||p ∧ (q ∨ r) - ((p ∧ q) ∨ (p ∧ r))||``."""
-    pm, qm = _pair(p, q, tol)
-    rm = ensure_projector(r, tol)
-    if rm.shape != pm.shape:
-        raise DimensionMismatch(f"projector shapes differ: {pm.shape} vs {rm.shape}")
-    lhs = meet(pm, join(qm, rm, tol), tol)
-    rhs = join(meet(pm, qm, tol), meet(pm, rm, tol), tol)
-    return operator_norm(lhs - rhs)
+    return _distributivity(*_projectors(p, q, r, tol=tol), tol)[0]
 
 
 def check_distributive(p, q, r, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -256,7 +280,9 @@ def lattice_report(
     projector is forced below the larger by taking a meet), and
     distributivity on `trials` random triples, recording the first
     counterexample; each trial derives its own sub-seed from `seed` and
-    its index. The boolean verdict is structural (commutativity of the
+    its index. Every projector the trials draw or derive is checked in one
+    stacked `ensure_projector` before any verdict (NotProjector names the
+    trial). The boolean verdict is structural (commutativity of the
     algebra), while `distributive` reports what the sampling saw.
 
     The rest is read off the memoized block decomposition: `factor` is
@@ -268,24 +294,23 @@ def lattice_report(
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     decomp = block_decomposition(alg, tol)
-
-    def om_trial(i: int) -> bool:
+    produced, om_results, dist_results = [], [], []  # produced: (trial label, projector)
+    for i in range(trials):
         q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i), tol)
         r = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_R, i), tol)
-        p = meet(r, q, tol)
-        return orthomodularity_residual(p, q, tol) <= LAW_TOL
-
-    om_results = [om_trial(i) for i in range(trials)]
-    pass_rate = (sum(om_results) / trials) if trials else 1.0
-
-    def dist_trial(i: int):
+        p = _meet(r, q, tol)
+        residual, derived = _orthomodularity(p, q, tol)
+        produced.extend((f"orthomodular trial {i}", m) for m in (q, r, p, *derived))
+        om_results.append(residual <= LAW_TOL)
+    for i in range(trials):
         p = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_P, i), tol)
         q = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_Q, i), tol)
         r = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_R, i), tol)
-        ok = distributivity_residual(p, q, r, tol) <= LAW_TOL
-        return (ok, None if ok else (p, q, r))
-
-    dist_results = [dist_trial(i) for i in range(trials)]
+        residual, derived = _distributivity(p, q, r, tol)
+        produced.extend((f"distributive trial {i}", m) for m in (p, q, r, *derived))
+        dist_results.append((residual <= LAW_TOL, (p, q, r)))
+    _ensure_projectors(produced, tol)
+    pass_rate = (sum(om_results) / trials) if trials else 1.0
     distributive = all(ok for ok, _ in dist_results)
     counterexample = next((triple for ok, triple in dist_results if not ok), None)
 

@@ -4,7 +4,7 @@ Every other module funnels its numerical decisions (equality thresholds,
 rank cutoffs, iteration limits) through a `Tolerance` value defined here,
 so the policy lives in a single place instead of scattered magic numbers.
 All matrices are dense ``complex128`` arrays; the scale of interest is
-small (ambient dimension up to a few dozen), so nothing here tries to be
+small (ambient dimension up to about a dozen), so nothing here tries to be
 clever about storage or asymptotics.
 """
 
@@ -73,12 +73,13 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m, square=False).conj().T
 
 
-def operator_norm(m) -> float:
-    """Spectral norm: the square root of the largest eigenvalue of ``m* m``."""
-    a = np.asarray(m, dtype=complex)
+def operator_norm(m):
+    """Spectral norm (largest singular value); per matrix of an ``(n, d, d)`` stack."""
+    a = np.atleast_2d(np.asarray(m, dtype=complex))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, ord=2))
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0]  # as norm(ord=2), without its overhead
+    return float(norms) if a.ndim == 2 else norms
 
 
 def hs_inner(a, b) -> complex:
@@ -136,7 +137,8 @@ def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     `rank_of`.
     """
     a = as_matrix(m, square=False)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # the kernel needs all d columns of V, but never the rows x rows U of a tall system
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = 0
     if s.size and s[0] > tol.rank_tol:
         rank = int(np.count_nonzero(s > tol.rank_tol * s[0]))
@@ -156,16 +158,26 @@ def ensure_projector(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate that ``m`` is an orthogonal projector and return it read-only.
 
     Self-adjointness plus idempotence forces the spectrum into {0, 1},
-    so no separate eigenvalue check is needed.
+    so no separate eigenvalue check is needed. An ``(n, d, d)`` stack is
+    checked matrix by matrix; a failure names the first bad entry.
     """
-    a = as_matrix(m)
-    herm = operator_norm(a - a.conj().T)
-    if herm > tol.eq_tol:
-        raise NotProjector(f"not self-adjoint: ||p - p*|| = {herm:.3e}")
-    idem = operator_norm(a @ a - a)
-    if idem > tol.eq_tol:
-        raise NotProjector(f"not idempotent: ||p^2 - p|| = {idem:.3e}")
+    a = _as_operators(m)
+    herm, idem = a - a.conj().swapaxes(-2, -1), a @ a - a
+    for law, defect in (("self-adjoint: ||p - p*||", herm), ("idempotent: ||p^2 - p||", idem)):
+        norms = np.ravel(operator_norm(defect))
+        if (norms > tol.eq_tol).any():
+            i = int(np.argmax(norms > tol.eq_tol))
+            where = f"stack entry {i} " if a.ndim == 3 else ""
+            raise NotProjector(f"{where}not {law} = {norms[i]:.3e}")
     return a
+
+
+def _as_operators(m) -> np.ndarray:
+    """`as_matrix` for one square matrix, or its checks on an ``(n, d, d)`` stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        return as_matrix(a)
+    return as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), square=False).reshape(a.shape)
 
 
 def gap_clusters(values, threshold: float) -> list[tuple[int, int]]:

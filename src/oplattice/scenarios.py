@@ -45,13 +45,13 @@ from .seeding import (
 from .states import (
     ORTHOADDITIVITY_TOL,
     LogicalState,
+    _orthoadditivity,
     check_sigma_orthoadditive,
     dirac_characters,
     is_pure,
     is_separating,
     random_orthogonal_family,
     random_state,
-    sigma_orthoadditivity_residuals,
     state_from_json,
     state_to_json,
 )
@@ -377,12 +377,11 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 def _orthoadditivity_sweep(
     alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
 ) -> dict:
-    residuals = []
-    for i in range(trials):
-        rho = random_state(alg.ambient_dim, derive_seed(seed, STREAM_SWEEP_STATE, i))
-        logical = LogicalState(underlying=rho, domain=envelope)
-        family = random_orthogonal_family(alg, derive_seed(seed, STREAM_SWEEP_FAMILY, i), tol)
-        residuals.append(max(sigma_orthoadditivity_residuals(logical, family, tol)))
+    cases = [(f"orthoadditivity trial {i}",
+              random_state(alg.ambient_dim, derive_seed(seed, STREAM_SWEEP_STATE, i)).density,
+              random_orthogonal_family(alg, derive_seed(seed, STREAM_SWEEP_FAMILY, i), tol))
+             for i in range(trials)]
+    residuals = [max(r) for r in _orthoadditivity(envelope, cases, tol)]
     return {
         "trials": trials,
         "failures": sum(1 for r in residuals if r > ORTHOADDITIVITY_TOL),

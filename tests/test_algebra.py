@@ -291,6 +291,14 @@ class TestContains:
     def test_dimension_mismatch(self, diag3):
         with pytest.raises(DimensionMismatch):
             contains(diag3, np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            contains(diag3, np.zeros((2, 2, 2)))
+
+    def test_stack_gives_one_verdict_per_matrix(self, two_blocks):
+        mats = [two_blocks.basis[0], np.eye(5), unit(5, 0, 4), 3.0 * unit(5, 1, 0), unit(5, 2, 1)]
+        verdicts = contains(two_blocks, np.stack(mats))
+        assert verdicts.tolist() == [contains(two_blocks, m) for m in mats]
+        assert verdicts.tolist() == [True, True, False, True, False]
 
     def test_generated_von_neumann_algebra_contains_meets(self, two_blocks):
         # meets of projectors of a bicommutant-stable algebra stay inside it

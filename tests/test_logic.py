@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oplattice import (
+    DEFAULT_TOL,
     ConvergenceFailed,
     GeneratorSet,
     LatticeReport,
@@ -26,8 +32,17 @@ from oplattice import (
     orthomodularity_residual,
     random_projector,
 )
-from oplattice import build_sectors, build_weyl_finite
-from tests.conftest import line_projector, unit
+from oplattice import NotProjector, build_sectors, build_weyl_finite
+from oplattice import logic as logic_module
+from oplattice.seeding import (
+    STREAM_DISTRIBUTIVE_P,
+    STREAM_DISTRIBUTIVE_Q,
+    STREAM_DISTRIBUTIVE_R,
+    STREAM_ORTHOMODULAR_Q,
+    STREAM_ORTHOMODULAR_R,
+    derive_seed,
+)
+from tests.conftest import INVALID_PROJECTORS, NON_SQUARE, line_projector, unit
 
 
 class TestOrthocomplement:
@@ -348,3 +363,97 @@ class TestLatticeReport:
                 trials=1,
                 seed=0,
             )
+
+
+# Every validated lattice entry point, with its number of projector arguments.
+ENTRY_POINTS = {
+    "meet": (meet, 2),
+    "join": (join, 2),
+    "orthocomplement": (orthocomplement, 1),
+    "leq": (leq, 2),
+    "orthogonal": (orthogonal, 2),
+    "orthomodularity_residual": (orthomodularity_residual, 2),
+    "distributivity_residual": (distributivity_residual, 3),
+    "check_orthomodular": (check_orthomodular, 2),
+    "check_distributive": (check_distributive, 3),
+    "meet_iterative": (meet_iterative, 2),
+}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("case", sorted(INVALID_PROJECTORS))
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_every_argument_is_validated(self, name, case):
+        fn, arity = ENTRY_POINTS[name]
+        bad, error = INVALID_PROJECTORS[case]
+        if case == "mismatched" and arity == 1:
+            bad = NON_SQUARE
+        good = np.diag([1.0, 0.0]).astype(complex)
+        for position in range(arity):
+            args = [good] * arity
+            args[position] = bad
+            with pytest.raises(error):
+                fn(*args)
+
+
+def reference_lattice_report(alg, trials, seed):
+    """`lattice_report`'s sampling, rebuilt from the public validated calls."""
+    om = []
+    for i in range(trials):
+        q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i))
+        r = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_R, i))
+        om.append(orthomodularity_residual(meet(r, q), q) <= logic_module.LAW_TOL)
+    counterexample = None
+    for i in range(trials):
+        p, q, r = (random_projector(alg, derive_seed(seed, stream, i)) for stream in
+                   (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
+        if distributivity_residual(p, q, r) > logic_module.LAW_TOL and counterexample is None:
+            counterexample = (p, q, r)
+    return sum(om) / trials, counterexample
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("name", ["full2", "full3", "two_blocks"])
+    def test_report_equals_the_validated_reference(self, name, request):
+        alg = request.getfixturevalue(name)
+        report = lattice_report(alg, trials=40, seed=3)
+        pass_rate, counterexample = reference_lattice_report(alg, trials=40, seed=3)
+        assert report.orthomodular_pass_rate == pass_rate
+        assert report.distributive == (counterexample is None)
+        assert (report.counterexample is None) == (counterexample is None)
+        for got, want in zip(report.counterexample or (), counterexample or ()):
+            assert np.array_equal(got, want)
+
+    def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
+        original = logic_module.random_projector
+        calls = []
+
+        def skewed(alg, seed, tol=DEFAULT_TOL):
+            calls.append(seed)
+            p = original(alg, seed, tol)
+            return p + 1e-6 * unit(2, 0, 1) if len(calls) == 7 else p
+
+        monkeypatch.setattr(logic_module, "random_projector", skewed)
+        with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
+            lattice_report(full2, trials=5, seed=1)
+
+    def test_the_check_survives_optimized_python(self):
+        # under -O an `assert` would vanish; the stacked check must not
+        code = (
+            "import numpy as np, oplattice as op\n"
+            "from oplattice import logic\n"
+            "alg = op.close(op.build_weyl_finite(2))\n"
+            "logic._meet = lambda p, q, tol: np.diag([0.5, 0.5]).astype(complex)\n"
+            "try:\n"
+            "    op.lattice_report(alg, trials=2, seed=1)\n"
+            "except op.NotProjector as exc:\n"
+            "    print(exc)\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(logic_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "orthomodular trial 0" in done.stdout

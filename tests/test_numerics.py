@@ -176,10 +176,38 @@ class TestRankAndNullSpace:
         assert operator_norm(m @ basis) <= DEFAULT_TOL.rank_tol * operator_norm(m)
 
 
+    def test_tall_system_kernel_matches_full_svd(self):
+        # the thin SVD must keep exactly the kernel the full one gives
+        rng = np.random.default_rng(11)
+        for rows, cols, rank in [(80, 16, 11), (40, 9, 9), (30, 6, 0), (12, 5, 3)]:
+            m = random_matrix(rng, rows)[:, :rank] @ random_matrix(rng, cols)[:rank, :]
+            kernel = null_space(m)
+            full = np.linalg.svd(m, full_matrices=True)[2][rank:].conj().T
+            assert kernel.shape == full.shape == (cols, cols - rank)
+            assert np.allclose(kernel @ kernel.conj().T, full @ full.conj().T, atol=1e-12)
+
+
 class TestProjectorValidation:
     def test_accepts_rank_one(self):
         v = np.array([1.0, 1j]) / np.sqrt(2)
         ensure_projector(np.outer(v, v.conj()))
+
+    def test_stack_is_checked_entry_by_entry(self):
+        good = np.stack([np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))]).astype(complex)
+        out = ensure_projector(good)
+        assert out.shape == (3, 2, 2) and not out.flags.writeable
+        for bad, law in [(np.diag([0.5, 0.5]), "idempotent"),
+                         (np.array([[1, 1], [0, 0]]), "self-adjoint")]:
+            stack = np.concatenate([good, bad[None]])
+            with pytest.raises(NotProjector, match=f"stack entry 3 not {law}"):
+                ensure_projector(stack)
+            assert not is_projector(stack)
+
+    def test_stack_rejects_nan_and_non_square(self):
+        with pytest.raises(ValidationError):
+            ensure_projector(np.full((2, 2, 2), np.nan))
+        with pytest.raises(DimensionMismatch):
+            ensure_projector(np.zeros((2, 2, 3)))
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(NotProjector):

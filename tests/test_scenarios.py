@@ -3,6 +3,9 @@ import pytest
 
 from oplattice import (
     Expectation,
+    NotInAlgebra,
+    NotOrthogonalFamily,
+    NotProjector,
     NumericalError,
     Scenario,
     ValidationError,
@@ -23,7 +26,7 @@ from oplattice import (
     scenario_to_json,
 )
 from oplattice import scenarios as scenarios_module
-from tests.conftest import two_orthogonal_real_lines
+from tests.conftest import two_orthogonal_real_lines, unit
 
 
 class TestBuildClassical:
@@ -300,3 +303,41 @@ class TestClosureChecks:
         )
         with pytest.raises(NumericalError, match="generators' commutant has dimension 2"):
             run_scenario(scenario)
+
+
+class TestOrthoadditivitySweepChecks:
+    """The sweep checks its families in one stack; each check must still fire."""
+
+    def run_with_family(self, monkeypatch, family):
+        monkeypatch.setattr(
+            scenarios_module, "random_orthogonal_family", lambda alg, seed, tol: family
+        )
+        return run_scenario(Scenario(name="s", kind="classical", dim=2,
+                                     parameters={"point_count": 2}, trials=3))
+
+    def test_non_projector_member(self, monkeypatch):
+        with pytest.raises(NotProjector, match="orthoadditivity trial 0: .*idempotent"):
+            self.run_with_family(monkeypatch, [0.5 * np.eye(2, dtype=complex)])
+
+    def test_projector_outside_the_envelope(self, monkeypatch):
+        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        with pytest.raises(NotInAlgebra, match="orthoadditivity trial 0"):
+            self.run_with_family(monkeypatch, [np.outer(v, v).astype(complex)])
+
+    def test_non_orthogonal_pair(self, monkeypatch):
+        with pytest.raises(NotOrthogonalFamily, match="trial 0: members 0 and 1"):
+            self.run_with_family(monkeypatch, [unit(2, 0, 0), unit(2, 0, 0)])
+
+    def test_genuine_family_passes(self, monkeypatch):
+        report = self.run_with_family(monkeypatch, [unit(2, 0, 0), unit(2, 1, 1)])
+        assert report.orthoadditivity["failures"] == 0
+
+
+class TestEnvelope:
+    def test_weyl_d8_structure_without_trials(self):
+        # the thin null-space SVD keeps this at ~0.3 s and ~55 MB (a full one: ~25 s)
+        scenario = Scenario(name="w8", kind="weyl_finite", dim=8,
+                            parameters={"modulus": 8}, trials=0)
+        report = run_scenario(scenario)
+        assert (report.algebra_dim, report.commutant_dim, report.center_dim) == (64, 1, 1)
+        assert report.orthoadditivity == {"trials": 0, "failures": 0, "max_residual": 0.0}

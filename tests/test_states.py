@@ -29,7 +29,7 @@ from oplattice import (
     restrict_logical,
     sigma_orthoadditivity_residuals,
 )
-from tests.conftest import line_projector, unit
+from tests.conftest import INVALID_PROJECTORS, line_projector, unit
 
 
 def vector_state(v):
@@ -333,3 +333,26 @@ class TestPurityFalsificationSweep:
             ls_mixed = restrict_logical(mixed, full3)
             mixed_values = np.array([ls_mixed.value(p) for p in probes])
             assert np.max(np.abs(mixed_values - target_values)) > 1e-6
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("case", sorted(INVALID_PROJECTORS))
+    def test_value_validates_its_projector(self, diag2, case):
+        bad, error = INVALID_PROJECTORS[case]
+        ls = restrict_logical(make_state(np.eye(2) / 2), diag2)
+        with pytest.raises(error):
+            ls.value(bad)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_PROJECTORS))
+    @pytest.mark.parametrize("fn", [sigma_orthoadditivity_residuals, check_sigma_orthoadditive])
+    def test_family_members_are_validated(self, diag2, fn, case):
+        bad, error = INVALID_PROJECTORS[case]
+        ls = restrict_logical(make_state(np.eye(2) / 2), diag2)
+        for family in ([bad, unit(2, 1, 1)], [unit(2, 0, 0), bad]):
+            with pytest.raises(error):
+                fn(ls, family)
+
+    def test_family_outside_the_domain_is_rejected(self, diag2):
+        ls = restrict_logical(make_state(np.eye(2) / 2), diag2)
+        with pytest.raises(NotInAlgebra):
+            sigma_orthoadditivity_residuals(ls, [line_projector(a) for a in (0.3, 0.3 + np.pi / 2)])
