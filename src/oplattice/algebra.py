@@ -228,9 +228,11 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All of M_d commuting with every generator and its adjoint.
 
-    Equal to ``commutant(close(gens))`` but computed without the closure,
-    so comparing the two checks `close` independently. Generators are
-    scaled to unit norm so the null-space cutoff weighs them alike.
+    Equal to the commutant of the generated algebra but computed without
+    the closure; its commutant, the generators' bicommutant, is the
+    generated von Neumann algebra, which `run_scenario` compares with
+    ``close(gens)`` to check `close` independently. Generators are scaled
+    to unit norm so the null-space cutoff weighs them alike.
     """
     mats = []
     for g in gens.generators:

@@ -19,19 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, is_commutative
+from .algebra import AlgebraBasis
 from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, PreconditionFailed
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     ensure_projector,
-    gap_clusters,
     is_projector,
     matrix_to_json,
     null_space,
     operator_norm,
+    range_projector,
+    spectral_clusters,
 )
-from .sectors import block_decomposition, mvn_dimension
+from .sectors import _random_span_element, block_decomposition, mvn_dimension
 from .seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -40,9 +41,6 @@ from .seeding import (
     STREAM_ORTHOMODULAR_R,
     derive_seed,
 )
-
-# Residual threshold for the lattice-law checkers.
-LAW_TOL = 1e-7
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
@@ -57,9 +55,7 @@ def _complement(p: np.ndarray) -> np.ndarray:
 
 
 def _meet(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    kernel = null_space(np.vstack([_complement(p), _complement(q)]), tol)
-    out = kernel @ kernel.conj().T
-    return (out + out.conj().T) / 2.0
+    return range_projector(null_space(np.vstack([_complement(p), _complement(q)]), tol))
 
 
 def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -120,7 +116,8 @@ def meet_iterative(
     projector is rebuilt, so the output is an exact projector. With
     ``symmetrized=False`` the raw power ``(p q)^n`` at convergence is
     returned unrounded; it approximates the same limit and is only used
-    as a relaxed cross-check.
+    as a relaxed cross-check. Rounding needs a gap wider than 0.1 around
+    1/2, a property of a converged projector spectrum, not a tolerance.
 
     Raises
     ------
@@ -159,9 +156,7 @@ def meet_iterative(
             f"{low:.6f} and {high:.6f}",
             residual=high - low,
         )
-    cols = v[:, ones]
-    out = cols @ cols.conj().T
-    return (out + out.conj().T) / 2.0
+    return range_projector(v[:, ones])
 
 
 def join(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -193,14 +188,14 @@ def orthomodularity_residual(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Orthomodular law at the pair (p, q): requires ``p <= q``.
+    """Orthomodular law at the pair (p, q), residual at most ``tol.law_tol``.
 
-    Raises PreconditionFailed when the order relation does not hold.
+    Requires ``p <= q``, else PreconditionFailed.
     """
     pm, qm = _projectors(p, q, tol=tol)
     if not _leq(pm, qm, tol):
         raise PreconditionFailed("orthomodularity is only stated for p <= q")
-    return _orthomodularity(pm, qm, tol)[0] <= LAW_TOL
+    return _orthomodularity(pm, qm, tol)[0] <= tol.law_tol
 
 
 def distributivity_residual(p, q, r, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -209,8 +204,8 @@ def distributivity_residual(p, q, r, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def check_distributive(p, q, r, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Distributive law at the triple (p, q, r)."""
-    return distributivity_residual(p, q, r, tol) <= LAW_TOL
+    """Distributive law at the triple (p, q, r): residual at most ``tol.law_tol``."""
+    return distributivity_residual(p, q, r, tol) <= tol.law_tol
 
 
 def is_atom(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -235,20 +230,11 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
     output is 0 or 1.
     """
     rng = np.random.default_rng(int(seed))
-    k = alg.dim
-    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = np.tensordot(coeffs, alg.basis, axes=(0, 0))
-    h = (x + x.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    spread = float(w[-1] - w[0]) if w.size else 0.0
-    clusters = gap_clusters(w, tol.rank_tol * max(1.0, spread))
+    v, clusters = spectral_clusters(_random_span_element(alg.basis, rng, hermitian=True), tol)
     cut = int(rng.integers(0, len(clusters) + 1))
     if cut == 0:
         return np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    start = clusters[len(clusters) - cut][0]
-    cols = v[:, start:]
-    p = cols @ cols.conj().T
-    return (p + p.conj().T) / 2.0
+    return range_projector(v[:, clusters[len(clusters) - cut][0] :])
 
 
 @dataclass(frozen=True)
@@ -282,14 +268,15 @@ def lattice_report(
     counterexample; each trial derives its own sub-seed from `seed` and
     its index. Every projector the trials draw or derive is checked in one
     stacked `ensure_projector` before any verdict (NotProjector names the
-    trial). The boolean verdict is structural (commutativity of the
-    algebra), while `distributive` reports what the sampling saw.
+    trial). A law holds at a trial when its residual is at most
+    ``tol.law_tol``; `distributive` reports what the sampling saw.
 
-    The rest is read off the memoized block decomposition: `factor` is
-    a single sector, `hilbertian` (lattice of all subspaces) a single
-    sector of multiplicity 1. `atomic` is always true: each block
-    ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and
-    `block_decomposition` certifies that form for every sector.
+    The rest is read off the memoized block decomposition:
+    `boolean_lattice` (a commutative algebra) is every sector of block
+    size 1, `factor` a single sector, `hilbertian` (lattice of all
+    subspaces) a single sector of multiplicity 1. `atomic` is always
+    true: each block ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of
+    rank 1, and `block_decomposition` certifies that form for every sector.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -301,14 +288,14 @@ def lattice_report(
         p = _meet(r, q, tol)
         residual, derived = _orthomodularity(p, q, tol)
         produced.extend((f"orthomodular trial {i}", m) for m in (q, r, p, *derived))
-        om_results.append(residual <= LAW_TOL)
+        om_results.append(residual <= tol.law_tol)
     for i in range(trials):
         p = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_P, i), tol)
         q = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_Q, i), tol)
         r = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_R, i), tol)
         residual, derived = _distributivity(p, q, r, tol)
         produced.extend((f"distributive trial {i}", m) for m in (p, q, r, *derived))
-        dist_results.append((residual <= LAW_TOL, (p, q, r)))
+        dist_results.append((residual <= tol.law_tol, (p, q, r)))
     _ensure_projectors(produced, tol)
     pass_rate = (sum(om_results) / trials) if trials else 1.0
     distributive = all(ok for ok, _ in dist_results)
@@ -319,7 +306,7 @@ def lattice_report(
         orthomodular_pass_rate=pass_rate,
         distributive=distributive,
         counterexample=counterexample,
-        boolean_lattice=is_commutative(alg, tol),
+        boolean_lattice=all(s.block_size == 1 for s in decomp.sectors),
         atomic=True,
         hilbertian=factor and decomp.sectors[0].multiplicity == 1,
         factor=factor,

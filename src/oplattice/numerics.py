@@ -49,6 +49,11 @@ class Tolerance:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
+    @property
+    def law_tol(self) -> float:
+        """Law-verdict threshold ``10 * rank_tol``: law residuals follow the rank cutoff."""
+        return 10 * self.rank_tol
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -180,21 +185,25 @@ def _as_operators(m) -> np.ndarray:
     return as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), square=False).reshape(a.shape)
 
 
-def gap_clusters(values, threshold: float) -> list[tuple[int, int]]:
-    """Split a sorted 1-d real array into contiguous ``[start, stop)`` runs.
-
-    A new run begins wherever consecutive entries differ by more than
-    ``threshold``.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return []
+def spectral_clusters(h, tol: Tolerance) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Eigenvectors ``v`` of the self-adjoint ``h`` (ascending eigenvalues) and the
+    ``[start, stop)`` column runs of its eigenvalue clusters: a run breaks where
+    consecutive eigenvalues differ by more than ``rank_tol * max(1, spread)``."""
+    w, v = np.linalg.eigh(h)
+    spread = float(w[-1] - w[0]) if w.size else 0.0
+    threshold = tol.rank_tol * max(1.0, spread)
     bounds = [0]
-    for i in range(1, v.size):
-        if v[i] - v[i - 1] > threshold:
+    for i in range(1, w.size):  # a plain loop: at d <= 8 this beats the vectorized split
+        if w[i] - w[i - 1] > threshold:
             bounds.append(i)
-    bounds.append(int(v.size))
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    bounds.append(int(w.size))
+    return v, [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+def range_projector(cols: np.ndarray) -> np.ndarray:
+    """Orthogonal projector ``cols cols*`` onto orthonormal columns, symmetrised."""
+    p = cols @ cols.conj().T
+    return (p + p.conj().T) / 2.0
 
 
 def matrix_to_json(m) -> list:

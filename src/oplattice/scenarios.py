@@ -29,7 +29,6 @@ from .algebra import (
     close,
     commutant,
     generator_commutant,
-    is_commutative,
     same_span,
 )
 from .errors import ConvergenceFailed, NumericalError, OperatorAlgebraError, ValidationError
@@ -43,7 +42,6 @@ from .seeding import (
     derive_seed,
 )
 from .states import (
-    ORTHOADDITIVITY_TOL,
     LogicalState,
     _orthoadditivity,
     check_sigma_orthoadditive,
@@ -118,9 +116,13 @@ def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
             raise ValidationError('sectors scenarios need a nonempty "blocks" list')
         total = 0
         for entry in blocks:
-            if len(entry) != 2 or any(int(x) < 1 for x in entry):
+            try:
+                size, multiplicity = (int(x) for x in entry)
+            except (TypeError, ValueError):
+                size = multiplicity = 0  # reported as a bad block below
+            if size < 1 or multiplicity < 1:
                 raise ValidationError(f"bad sector block {entry!r}; need [size, multiplicity]")
-            total += int(entry[0]) * int(entry[1])
+            total += size * multiplicity
         if total != dim:
             raise ValidationError(f"sector blocks fill dimension {total}, scenario dim is {dim}")
     elif kind == "custom":
@@ -215,28 +217,9 @@ class ScenarioReport:
     expectations: tuple
 
 
-def _expectation_registry(ctx: dict) -> dict:
-    return {
-        "algebra_dim": lambda: ctx["algebra_dim"],
-        "envelope_equals_algebra": lambda: ctx["envelope_equals_algebra"],
-        "commutant_dim": lambda: ctx["commutant_dim"],
-        "center_dim": lambda: ctx["center_dim"],
-        "sector_count": lambda: ctx["report"].sector_count,
-        "factor": lambda: ctx["report"].factor,
-        "atomic": lambda: ctx["report"].atomic,
-        "hilbertian": lambda: ctx["report"].hilbertian,
-        "boolean_lattice": lambda: ctx["report"].boolean_lattice,
-        "distributive": lambda: ctx["report"].distributive,
-        "orthomodular_pass_rate": lambda: ctx["report"].orthomodular_pass_rate,
-        "is_commutative": lambda: ctx["commutative"],
-        "sector_blocks": lambda: sorted(
-            [s.block_size, s.multiplicity] for s in ctx["decomp"].sectors
-        ),
-        "character_count": lambda: ctx["character_count"],
-    }
-
-
 def _values_match(expect, actual) -> bool:
+    """Floats match up to rounding: declared values such as a pass rate are
+    compared, not residuals, so the bound below is not part of `Tolerance`."""
     if isinstance(expect, float) or isinstance(actual, float):
         try:
             return abs(float(expect) - float(actual)) <= 1e-12
@@ -248,15 +231,14 @@ def _values_match(expect, actual) -> bool:
 def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     """Build the scenario's algebra and run the full verification battery.
 
-    Two independent checks guard the closure, and each raises rather
-    than reporting: the generated von Neumann algebra (the bicommutant)
-    must coincide with the closed span, which catches a closure that
-    stopped short, and the commutant of the generators and their
-    adjoints must equal the commutant of the closure, which catches one
-    that over-grew. Everything downstream is seeded from the scenario
-    seed, so identical scenarios give byte-identical JSON reports.
-    Errors from the underlying modules are re-raised with the scenario
-    name attached.
+    The structure is computed once: the generators' commutant and its
+    commutant, the envelope (the generated von Neumann algebra). One
+    check guards `close` without reading its output to build the
+    reference, and raises: the closed span must equal the envelope, so a
+    closure that over-grew or stopped short fails on its dimension.
+    Everything downstream is seeded from the scenario seed, so identical
+    scenarios give byte-identical JSON reports. Errors from the
+    underlying modules are re-raised with the scenario name attached.
     """
     try:
         return _run_scenario_body(scenario, tol)
@@ -270,39 +252,23 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
 def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     gens = build_generators(scenario)
     alg = close(gens, tol)
-    comm = commutant(alg, tol)
+    comm = generator_commutant(gens, tol)
     envelope = commutant(comm, tol)
     if not same_span(alg, envelope, tol):
         raise NumericalError(
-            "generated von Neumann algebra differs from the closed span; "
+            f"the closed span has dimension {alg.dim} but the generated von Neumann algebra "
+            f"has {envelope.dim} (the generators' commutant has dimension {comm.dim}); "
             "the closure is buggy or the tolerances are degenerate"
-        )
-    gens_comm = generator_commutant(gens, tol)
-    if not same_span(gens_comm, comm, tol):
-        raise NumericalError(
-            f"the generators' commutant has dimension {gens_comm.dim} but the closure's "
-            f"has {comm.dim}; the closure is buggy or the tolerances are degenerate"
         )
     decomp = block_decomposition(alg, tol)
     report = lattice_report(alg, scenario.trials, scenario.seed, tol)
-    commutative = is_commutative(alg, tol)
     characters_entry = None
-    if commutative:
+    if report.boolean_lattice:  # the algebra is commutative
         chars = dirac_characters(alg, tol)
         characters_entry = {
             "count": len(chars),
             "separating": is_separating(chars, alg, tol),
         }
-    ctx = {
-        "algebra_dim": alg.dim,
-        "envelope_equals_algebra": True,
-        "commutant_dim": comm.dim,
-        "center_dim": len(decomp.sectors),
-        "report": report,
-        "decomp": decomp,
-        "commutative": commutative,
-        "character_count": characters_entry["count"] if characters_entry else None,
-    }
 
     sector_entries = tuple(
         {
@@ -340,19 +306,33 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 
     orthoadd = _orthoadditivity_sweep(alg, envelope, scenario.trials, scenario.seed, tol)
 
+    actuals = {
+        "algebra_dim": alg.dim,
+        "envelope_equals_algebra": True,
+        "commutant_dim": comm.dim,
+        "center_dim": len(decomp.sectors),
+        "sector_count": report.sector_count,
+        "factor": report.factor,
+        "atomic": report.atomic,
+        "hilbertian": report.hilbertian,
+        "boolean_lattice": report.boolean_lattice,
+        "distributive": report.distributive,
+        "orthomodular_pass_rate": report.orthomodular_pass_rate,
+        "is_commutative": report.boolean_lattice,
+        "sector_blocks": sorted([s.block_size, s.multiplicity] for s in decomp.sectors),
+        "character_count": characters_entry["count"] if characters_entry else None,
+    }
     verdicts = []
-    registry = _expectation_registry(ctx)
     for exp in scenario.expectations:
-        if exp.check not in registry:
+        if exp.check not in actuals:
             raise ValidationError(f"unknown expectation check {exp.check!r}")
-        actual = registry[exp.check]()
         verdicts.append(
             {
                 "check": exp.check,
                 "args": exp.args,
                 "expect": exp.expect,
-                "actual": actual,
-                "pass": _values_match(exp.expect, actual),
+                "actual": actuals[exp.check],
+                "pass": _values_match(exp.expect, actuals[exp.check]),
             }
         )
 
@@ -362,8 +342,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         scenario=echo,
         algebra_dim=alg.dim,
         envelope_equals_algebra=True,
-        commutant_dim=ctx["commutant_dim"],
-        center_dim=ctx["center_dim"],
+        commutant_dim=comm.dim,
+        center_dim=len(decomp.sectors),
         lattice=report,
         sectors=sector_entries,
         completeness_note=COMPLETENESS_NOTE,
@@ -384,7 +364,7 @@ def _orthoadditivity_sweep(
     residuals = [max(r) for r in _orthoadditivity(envelope, cases, tol)]
     return {
         "trials": trials,
-        "failures": sum(1 for r in residuals if r > ORTHOADDITIVITY_TOL),
+        "failures": sum(1 for r in residuals if r > tol.law_tol),
         "max_residual": max(residuals) if residuals else 0.0,
     }
 
@@ -395,6 +375,9 @@ def scenario_from_json(data) -> Scenario:
     for key in ("name", "kind", "dim"):
         if key not in data:
             raise ValidationError(f'scenario JSON needs a "{key}" key')
+    for key in ("states", "expectations"):
+        if not isinstance(data.get(key, []), list):
+            raise ValidationError(f'"{key}" must be an array')
     states = tuple(state_from_json(s) for s in data.get("states", []))
     expectations = []
     for entry in data.get("expectations", []):
@@ -406,13 +389,20 @@ def scenario_from_json(data) -> Scenario:
     dim = data["dim"]
     if not isinstance(dim, int):
         raise ValidationError(f'"dim" must be an integer, got {dim!r}')
+    parameters = data.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ValidationError(f'"parameters" must be an object, got {parameters!r}')
+    try:
+        trials, seed = int(data.get("trials", 200)), int(data.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ValidationError('"trials" and "seed" must be integers') from None
     return Scenario(
         name=str(data["name"]),
         kind=data["kind"],
         dim=dim,
-        parameters=dict(data.get("parameters", {})),
-        trials=int(data.get("trials", 200)),
-        seed=int(data.get("seed", 0)),
+        parameters=dict(parameters),
+        trials=trials,
+        seed=seed,
         states=states,
         expectations=tuple(expectations),
     )

@@ -32,11 +32,12 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     ensure_projector,
-    gap_clusters,
     hs_norm,
     matrix_to_json,
     operator_norm,
+    range_projector,
     rank_of,
+    spectral_clusters,
 )
 
 # Internal reproducibility seeds; every randomized subroutine in this
@@ -47,6 +48,7 @@ _BLOCK_STREAM = 102
 _GENERIC_STREAM = 103
 
 _MAX_ATTEMPTS = 5
+_ISOMETRY_ATTEMPTS = 8  # generic elements `equivalence_isometry` tries
 
 
 def _internal_rng(stream: int, attempt: int) -> np.random.Generator:
@@ -100,16 +102,10 @@ def minimal_central_projectors(
         for s in sa:
             h = h + rng.standard_normal() * s
         h = (h + h.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        spread = float(w[-1] - w[0]) if w.size else 0.0
-        clusters = gap_clusters(w, tol.rank_tol * max(1.0, spread))
+        v, clusters = spectral_clusters(h, tol)
         if len(clusters) != k:
             continue
-        projs = []
-        for start, stop in clusters:
-            cols = v[:, start:stop]
-            p = cols @ cols.conj().T
-            projs.append((p + p.conj().T) / 2.0)
+        projs = [range_projector(v[:, start:stop]) for start, stop in clusters]
         if contains(ctr, np.stack(projs), tol).all():
             return projs
 
@@ -142,9 +138,7 @@ def _block_isometry(
     for attempt in range(_MAX_ATTEMPTS):
         rng = _internal_rng(_BLOCK_STREAM, attempt)
         h = _random_span_element(comp_basis, rng, hermitian=True)
-        w, v = np.linalg.eigh(h)
-        spread = float(w[-1] - w[0]) if w.size else 0.0
-        clusters = gap_clusters(w, tol.rank_tol * max(1.0, spread))
+        v, clusters = spectral_clusters(h, tol)
         if len(clusters) != n or any(stop - start != m for start, stop in clusters):
             continue
         copies = [v[:, start:stop] for start, stop in clusters]
@@ -211,7 +205,9 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
         w, v = np.linalg.eigh(z)
         q = v[:, d - r :]
         flat = np.stack([q.conj().T @ a @ q for a in alg.basis]).reshape(alg.dim, r * r)
-        span_dim = rank_of(flat, tol)
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        keep = s > tol.rank_tol * s[0]
+        span_dim = int(np.count_nonzero(keep))
         n = isqrt(span_dim)
         if n * n != span_dim:
             raise CenterDiagonalizationFailed(
@@ -223,12 +219,10 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
             raise CenterDiagonalizationFailed(
                 f"block rank {r} is not divisible by block size {n}"
             )
-        _, s, vh = np.linalg.svd(flat, full_matrices=False)
-        keep = s > tol.rank_tol * s[0]
         comp_basis = vh[keep].reshape(-1, r, r)
         isometry = q @ _block_isometry(comp_basis, n, m, r, tol)
         defect = _tensor_form_defect(isometry, alg, n, m)
-        if defect > 1e-8:
+        if defect > tol.rank_tol:
             raise TensorFormDefect(
                 f"transported block deviates from tensor form by {defect:.3e}", residual=defect
             )
@@ -306,7 +300,6 @@ def equivalence_isometry(
     p,
     q,
     tol: Tolerance = DEFAULT_TOL,
-    attempts: int = 8,
 ) -> np.ndarray | None:
     """Explicit partial isometry V in the algebra with V*V = p, VV* = q, or None.
 
@@ -323,7 +316,7 @@ def equivalence_isometry(
         return None
     if rp == 0:
         return np.zeros_like(pm)
-    for attempt in range(attempts):
+    for attempt in range(_ISOMETRY_ATTEMPTS):
         rng = _internal_rng(_GENERIC_STREAM, attempt)
         w = _random_span_element(alg.basis, rng, hermitian=False)
         x = qm @ w @ pm
@@ -332,8 +325,8 @@ def equivalence_isometry(
         uu, _, vv = np.linalg.svd(x)
         v_iso = uu[:, :rp] @ vv[:rp, :]
         if (
-            operator_norm(v_iso.conj().T @ v_iso - pm) <= 1e-8
-            and operator_norm(v_iso @ v_iso.conj().T - qm) <= 1e-8
+            operator_norm(v_iso.conj().T @ v_iso - pm) <= tol.rank_tol
+            and operator_norm(v_iso @ v_iso.conj().T - qm) <= tol.rank_tol
             and contains(alg, v_iso, tol)
         ):
             return v_iso

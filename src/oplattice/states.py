@@ -19,7 +19,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .algebra import AlgebraBasis, baire_envelope, contains, is_commutative
+from .algebra import AlgebraBasis, baire_envelope, contains
 from .errors import (
     DimensionMismatch,
     NotCommutative,
@@ -44,10 +44,6 @@ from .numerics import (
 )
 from .sectors import SectorDecomposition, block_decomposition
 from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed
-
-# Law-checking thresholds for logical states.
-ORTHOADDITIVITY_TOL = 1e-7
-COMPLEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,13 +174,14 @@ def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
 def check_sigma_orthoadditive(
     ls: LogicalState, family, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """True iff the state is additive over the orthogonal family and the
-    complement law holds for each member.
+    """True iff the state is additive over the orthogonal family (residual
+    at most ``tol.law_tol``) and the complement law holds for each member
+    (residual at most ``tol.eq_tol``).
 
     The empty family passes vacuously (empty join is 0, empty sum is 0).
     """
     additivity, complement = sigma_orthoadditivity_residuals(ls, family, tol)
-    return additivity <= ORTHOADDITIVITY_TOL and complement <= COMPLEMENT_TOL
+    return additivity <= tol.law_tol and complement <= tol.eq_tol
 
 
 def _sector_reductions(
@@ -234,14 +231,16 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
     eigenspaces on which every element acts as a scalar; normalizing the
     eigenspace projectors gives states that read off those scalars, the
     finite analogue of evaluation at a point. Their count equals the
-    span dimension of the algebra.
+    span dimension of the algebra. NotCommutative unless every sector
+    of the block decomposition has block size 1.
     """
-    if not is_commutative(alg, tol):
+    sectors = block_decomposition(alg, tol).sectors
+    if any(sector.block_size != 1 for sector in sectors):
         raise NotCommutative("characters exist only for commutative algebras")
     # a commutative algebra is its own center, so the central projectors
     # of its sectors are exactly the joint eigenspace projectors
     out = []
-    for sector in block_decomposition(alg, tol).sectors:
+    for sector in sectors:
         z = sector.central_projector
         out.append(make_state(z / float(np.trace(z).real), tol))
     return out

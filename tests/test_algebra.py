@@ -21,6 +21,7 @@ from oplattice import (
     generator_set_to_json,
     hs_inner,
     is_commutative,
+    lattice_report,
     operator_norm,
     same_span,
 )
@@ -163,6 +164,8 @@ class TestUnitaryCovariance:
         alg = close(gens)
         assert rotated.dim == alg.dim
         assert sector_blocks(rotated) == sector_blocks(alg)
+        # the structural verdict (every block of size 1) against the pairwise reference
+        assert lattice_report(rotated, 0, 0).boolean_lattice == is_commutative(rotated)
         conjugated = AlgebraBasis(ambient_dim=d, basis=[u @ b @ u.conj().T for b in alg.basis])
         assert same_span(rotated, conjugated)
 

@@ -208,6 +208,25 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--tol-eq", "2.0", "--input", gens3_file, "close")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"trials": "abc"},
+            {"parameters": {"blocks": [3]}},
+            {"parameters": {"blocks": [["a", 1]]}},
+            {"parameters": [1, 2]},
+        ],
+        ids=["trials", "block-not-a-pair", "block-entry-not-a-number", "parameters-not-an-object"],
+    )
+    def test_malformed_scenario_is_a_validation_error(self, capsys, tmp_path, change):
+        path = tmp_path / "scenario.json"
+        scenario = {"name": "s", "kind": "sectors", "dim": 3, "parameters": {"blocks": [[3, 1]]}}
+        path.write_text(json.dumps({**scenario, **change}))
+        code, _, err = run_cli(capsys, "--input", str(path), "run")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_numerical_failures_exit_2(self, capsys, gens3_file, monkeypatch):
         def explode(*args, **kwargs):
             raise ConvergenceFailed("no convergence", residual=1.0)

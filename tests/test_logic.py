@@ -230,6 +230,12 @@ class TestDistributivity:
         p = line_projector(0.4)
         assert check_distributive(p, p, p)
 
+    def test_verdict_threshold_is_the_tolerance_law_tol(self, monkeypatch):
+        monkeypatch.setattr(logic_module, "distributivity_residual", lambda p, q, r, tol: 1e-6)
+        p = line_projector(0.4)
+        assert not check_distributive(p, p, p)
+        assert check_distributive(p, p, p, Tolerance(rank_tol=1e-6))
+
 
 class TestAbsorption:
     def test_both_laws_on_random_pairs(self, full4):
@@ -402,12 +408,12 @@ def reference_lattice_report(alg, trials, seed):
     for i in range(trials):
         q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i))
         r = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_R, i))
-        om.append(orthomodularity_residual(meet(r, q), q) <= logic_module.LAW_TOL)
+        om.append(orthomodularity_residual(meet(r, q), q) <= DEFAULT_TOL.law_tol)
     counterexample = None
     for i in range(trials):
         p, q, r = (random_projector(alg, derive_seed(seed, stream, i)) for stream in
                    (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
-        if distributivity_residual(p, q, r) > logic_module.LAW_TOL and counterexample is None:
+        if distributivity_residual(p, q, r) > DEFAULT_TOL.law_tol and counterexample is None:
             counterexample = (p, q, r)
     return sum(om) / trials, counterexample
 

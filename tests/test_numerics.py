@@ -42,6 +42,11 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(max_iter=0)
 
+    def test_law_tol_is_ten_rank_tols(self):
+        assert DEFAULT_TOL.law_tol == 1e-7
+        # 10 * 1e-6 is 9.999999999999999e-06 in binary floating point
+        assert Tolerance(rank_tol=1e-6).law_tol == pytest.approx(1e-5, rel=1e-15)
+
 
 class TestAsMatrix:
     def test_rejects_non_square(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    AlgebraBasis,
     Expectation,
     NotInAlgebra,
     NotOrthogonalFamily,
@@ -302,6 +303,22 @@ class TestClosureChecks:
             name="over-closed", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]}, trials=0
         )
         with pytest.raises(NumericalError, match="generators' commutant has dimension 2"):
+            run_scenario(scenario)
+
+    def test_stopped_short_closure_is_rejected(self, monkeypatch):
+        # the span of the unit and the generators, without their products:
+        # 5 of the 9 dimensions weyl 3 generates
+        def stopped_short(gens, tol):
+            d = gens.ambient_dim
+            words = [np.eye(d), *gens.generators, *(g.conj().T for g in gens.generators)]
+            q, _ = np.linalg.qr(np.stack([w.ravel() for w in words], axis=1))
+            return AlgebraBasis(ambient_dim=d, basis=q.T.reshape(-1, d, d))
+
+        monkeypatch.setattr(scenarios_module, "close", stopped_short)
+        scenario = Scenario(
+            name="stopped short", kind="weyl_finite", dim=3, parameters={"modulus": 3}, trials=0
+        )
+        with pytest.raises(NumericalError, match="dimension 5 .* has 9"):
             run_scenario(scenario)
 
 

@@ -11,6 +11,7 @@ from oplattice import (
     NotNormalized,
     NotOrthogonalFamily,
     NotPositive,
+    Tolerance,
     baire_envelope,
     build_weyl_finite,
     check_sigma_orthoadditive,
@@ -29,6 +30,7 @@ from oplattice import (
     restrict_logical,
     sigma_orthoadditivity_residuals,
 )
+from oplattice import states as states_module
 from tests.conftest import INVALID_PROJECTORS, line_projector, unit
 
 
@@ -175,6 +177,19 @@ class TestSigmaOrthoadditivity:
         ls = restrict_logical(make_state(np.eye(2) / 2), full2)
         with pytest.raises(NotOrthogonalFamily):
             check_sigma_orthoadditive(ls, [line_projector(0.0), line_projector(0.1)])
+
+    @pytest.mark.parametrize(
+        "residuals, loose",
+        [((1e-6, 0.0), Tolerance(rank_tol=1e-6)), ((0.0, 5e-9), Tolerance(eq_tol=1e-8))],
+        ids=["additivity-law_tol", "complement-eq_tol"],
+    )
+    def test_verdict_thresholds_come_from_the_tolerance(self, full2, monkeypatch, residuals, loose):
+        monkeypatch.setattr(
+            states_module, "sigma_orthoadditivity_residuals", lambda ls, family, tol: residuals
+        )
+        ls = restrict_logical(make_state(np.eye(2) / 2), full2)
+        assert not check_sigma_orthoadditive(ls, [])
+        assert check_sigma_orthoadditive(ls, [], loose)
 
     def test_every_state_passes_on_sampled_families(self, full4, two_blocks):
         for alg in (full4, two_blocks):
