@@ -20,7 +20,6 @@ from .numerics import (
     Tolerance,
     _as_operators,
     as_matrix,
-    hs_inner,
     hs_norm,
     matrix_from_json,
     matrix_to_json,
@@ -121,7 +120,8 @@ def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) ->
         return False
 
     def covered(x: AlgebraBasis, y: AlgebraBasis) -> bool:
-        return all(hs_norm(v - project_onto(y, v)) <= tol.eq_tol for v in x.basis)
+        residuals = np.linalg.norm(x.basis - project_onto(y, x.basis), axis=(1, 2))
+        return bool((residuals <= tol.eq_tol).all())
 
     return covered(a, b) and covered(b, a)
 
@@ -135,14 +135,18 @@ def close(
 
     Breadth-first over words in the generators and their adjoints: the
     unit is adjoined first, then each round multiplies the newly found
-    directions by every generator and adjoint on both sides, extending
-    the orthonormal basis by re-orthogonalized Gram-Schmidt. A candidate
-    ``x g`` or ``g x`` counts as new only if its component outside the
-    span exceeds ``rank_tol * ||g||`` (``x`` has unit norm), so rounding
-    noise in products that vanish is never promoted to a direction; a
-    round that adds nothing terminates the search. The resulting span
-    depends neither on the generator ordering nor on the basis the
-    generators are written in.
+    directions by every generator and adjoint on both sides. The
+    orthonormal basis is the first k rows of one preallocated
+    ``(d^2, d^2)`` array (a span in M_d has at most d^2 dimensions); each
+    candidate is projected off it by classical Gram-Schmidt run twice
+    ("twice is enough" for machine-precision orthogonality), each pass
+    two BLAS products ``r -= (B* r) B``. A candidate ``x g`` or ``g x``
+    counts as new only if its component outside the span exceeds
+    ``rank_tol * ||g||`` (``x`` has unit norm), so rounding noise in
+    products that vanish is never promoted to a direction; a round that
+    adds nothing terminates the search. The resulting span depends
+    neither on the generator ordering nor on the basis the generators
+    are written in.
 
     Raises
     ------
@@ -160,48 +164,43 @@ def close(
         norm = hs_norm(g)
         multipliers += [(g, norm), (g.conj().T, norm)]
 
-    basis: list[np.ndarray] = []
+    basis = np.empty((d * d, d * d), dtype=complex)  # rows 0..k-1 hold the span
+    k = 0
 
-    def try_extend(candidate: np.ndarray, ref: float) -> np.ndarray | None:
-        scale = hs_norm(candidate)
-        if scale == 0.0:
-            return None
-        r = candidate / scale
-        for _ in range(2):  # re-orthogonalization: twice is enough at this scale
-            for b in basis:
-                r = r - hs_inner(b, r) * b
-        residual = hs_norm(r)
-        if residual * scale <= tol.rank_tol * ref:  # ref: scale of the factors
-            return None
-        r = r / residual
-        basis.append(r)
-        return r
+    def extend(candidates) -> list[np.ndarray]:
+        """Append the new directions among ``(matrix, factor scale)`` pairs, in order."""
+        nonlocal k
+        added = []
+        for candidate, ref in candidates:
+            scale = hs_norm(candidate)
+            if scale == 0.0:
+                continue
+            r = candidate.ravel() / scale
+            for _ in range(2):  # classical Gram-Schmidt, re-orthogonalized once
+                r -= (basis[:k] @ r.conj()).conj() @ basis[:k]
+            residual = hs_norm(r)
+            if residual * scale > tol.rank_tol * ref:  # ref: scale of the factors
+                basis[k] = r / residual
+                added.append(basis[k].reshape(d, d))
+                k += 1
+        return added
 
-    frontier: list[np.ndarray] = []
     unit = np.eye(d, dtype=complex)
-    for seed_mat, norm in [(unit, hs_norm(unit)), *multipliers]:  # seeds: own norm
-        added = try_extend(seed_mat, norm)
-        if added is not None:
-            frontier.append(added)
-
+    frontier = extend([(unit, hs_norm(unit)), *multipliers])  # seeds: their own norm
     word_len = 1
     while frontier:
         if word_len >= cap:
             raise ClosureNotReached(
                 f"closure still growing at word length {word_len} (cap {cap}); "
-                f"span dimension so far {len(basis)}"
+                f"span dimension so far {k}"
             )
         word_len += 1
-        fresh: list[np.ndarray] = []
-        for x in frontier:  # unit HS norm, so the factor scale is ||g||
-            for g, norm in multipliers:
-                for candidate in (x @ g, g @ x):
-                    added = try_extend(candidate, norm)
-                    if added is not None:
-                        fresh.append(added)
-        frontier = fresh
+        # x has unit HS norm, so the factor scale of x g and g x is ||g||
+        frontier = extend(
+            (c, norm) for x in frontier for g, norm in multipliers for c in (x @ g, g @ x)
+        )
 
-    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
+    return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
 
 
 def _commutant_of(mats, d: int, tol: Tolerance) -> AlgebraBasis:
@@ -265,17 +264,8 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         rows_j = np.concatenate([(b_j @ b_i - b_i @ b_j).ravel() for b_i in alg.basis])
         cols.append(rows_j)
     system = np.stack(cols, axis=1)
-    coeff_kernel = null_space(system, tol)
-    mats = [
-        np.tensordot(coeff_kernel[:, t], alg.basis, axes=(0, 0))
-        for t in range(coeff_kernel.shape[1])
-    ]
-    if not mats:
-        # cannot happen for a unital algebra; keep the shape contract anyway
-        stack = np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    else:
-        stack = np.stack(mats)
-    return AlgebraBasis(ambient_dim=alg.ambient_dim, basis=stack)
+    coeff_kernel = null_space(system, tol)  # one column per center element
+    return AlgebraBasis(alg.ambient_dim, np.tensordot(coeff_kernel, alg.basis, axes=(0, 0)))
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -3,9 +3,8 @@
 Every other module funnels its numerical decisions (equality thresholds,
 rank cutoffs, iteration limits) through a `Tolerance` value defined here,
 so the policy lives in a single place instead of scattered magic numbers.
-All matrices are dense ``complex128`` arrays; the scale of interest is
-small (ambient dimension up to about a dozen), so nothing here tries to be
-clever about storage or asymptotics.
+All matrices are dense ``complex128``; the hot kernels work on stacks
+and BLAS products rather than Python loops (measured envelope in the README).
 """
 
 from __future__ import annotations

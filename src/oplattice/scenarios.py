@@ -87,6 +87,9 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
+        for key in ("dim", "trials", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise ValidationError(f'"{key}" must be an integer, got {getattr(self, key)!r}')
         if self.dim < 1:
             raise ValidationError(f"dim must be positive, got {self.dim}")
         if self.trials < 0:
@@ -99,14 +102,19 @@ class Scenario:
                 raise ValidationError("configured state dimension does not match scenario dim")
 
 
+def _is_int(x) -> bool:
+    """An integer proper, not a bool, float or string: nothing gets truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
     if kind == "classical":
         n = parameters.get("point_count")
-        if n != dim:
+        if n != dim or not _is_int(n):
             raise ValidationError(f"classical point_count {n!r} must equal dim {dim}")
     elif kind == "weyl_finite":
         d = parameters.get("modulus")
-        if d != dim:
+        if d != dim or not _is_int(d):
             raise ValidationError(f"weyl_finite modulus {d!r} must equal dim {dim}")
         if dim < 2:
             raise ValidationError("weyl_finite needs dim >= 2")
@@ -117,10 +125,10 @@ def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
         total = 0
         for entry in blocks:
             try:
-                size, multiplicity = (int(x) for x in entry)
+                size, multiplicity = entry
             except (TypeError, ValueError):
-                size = multiplicity = 0  # reported as a bad block below
-            if size < 1 or multiplicity < 1:
+                size = multiplicity = None  # reported as a bad block below
+            if not all(_is_int(x) and x >= 1 for x in (size, multiplicity)):
                 raise ValidationError(f"bad sector block {entry!r}; need [size, multiplicity]")
             total += size * multiplicity
         if total != dim:
@@ -386,23 +394,16 @@ def scenario_from_json(data) -> Scenario:
         expectations.append(
             Expectation(check=entry["check"], expect=entry["expect"], args=entry.get("args"))
         )
-    dim = data["dim"]
-    if not isinstance(dim, int):
-        raise ValidationError(f'"dim" must be an integer, got {dim!r}')
     parameters = data.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ValidationError(f'"parameters" must be an object, got {parameters!r}')
-    try:
-        trials, seed = int(data.get("trials", 200)), int(data.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ValidationError('"trials" and "seed" must be integers') from None
     return Scenario(
         name=str(data["name"]),
         kind=data["kind"],
-        dim=dim,
+        dim=data["dim"],
         parameters=dict(parameters),
-        trials=trials,
-        seed=seed,
+        trials=data.get("trials", 200),
+        seed=data.get("seed", 0),
         states=states,
         expectations=tuple(expectations),
     )

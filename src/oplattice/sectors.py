@@ -186,9 +186,14 @@ def block_decomposition(
     m = rank(z)/n to be integral, and build the isometry exhibiting the
     ``M_n (x) 1_m`` form. *-closed matrix algebras are always semisimple,
     so a violated structural identity raises a `SectorStructureError`
-    carrying what it measured. The result is memoized on ``alg`` (keyed
-    by ``tol``) and its arrays are read-only, so every structural query
-    on the same algebra shares one decomposition.
+    carrying what it measured. Sectors are sorted by their central
+    projectors z, compared row by row (each row's real parts, then its
+    imaginary parts; on the ``rank_tol`` grid, larger first): the algebra
+    fixes that order, its basis and rounding do not, and the sector
+    holding e_0 comes first (for `build_sectors`, the block order). The
+    result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
+    read-only, so every structural query on the same algebra shares one
+    decomposition.
     """
     memo = alg._decompositions
     if tol not in memo:
@@ -199,6 +204,7 @@ def block_decomposition(
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
     d = alg.ambient_dim
     zs = minimal_central_projectors(alg, tol)
+    zs.sort(key=lambda z: tuple(np.round(np.hstack([z.real, z.imag]).ravel() / -tol.rank_tol)))
     sectors = []
     for z in zs:
         r = int(round(float(np.trace(z).real)))

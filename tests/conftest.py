@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    DEFAULT_TOL,
+    AlgebraBasis,
+    ClosureNotReached,
     DimensionMismatch,
     NotProjector,
     ValidationError,
@@ -9,6 +12,8 @@ from oplattice import (
     build_sectors,
     build_weyl_finite,
     close,
+    hs_inner,
+    hs_norm,
 )
 
 
@@ -69,6 +74,49 @@ def two_orthogonal_real_lines():
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     return np.outer(v, v).astype(complex), np.outer(w, w).astype(complex)
+
+
+def reference_close(gens, tol=DEFAULT_TOL, word_cap=None):
+    """`close` as a plain loop: one `hs_inner` per basis vector, done twice.
+
+    Same breadth-first order, seeds judged against their own norm, same
+    rejection rule and cap message; the fast `close` must give the same span.
+    """
+    d = gens.ambient_dim
+    cap = 2 * d * d if word_cap is None else word_cap
+    multipliers = []
+    for g in gens.generators:
+        multipliers += [(g, hs_norm(g)), (g.conj().T, hs_norm(g))]
+    basis = []
+
+    def try_extend(candidate, ref):
+        scale = hs_norm(candidate)
+        if scale == 0.0:
+            return None
+        r = candidate / scale
+        for _ in range(2):
+            for b in basis:
+                r = r - hs_inner(b, r) * b
+        residual = hs_norm(r)
+        if residual * scale <= tol.rank_tol * ref:
+            return None
+        basis.append(r / residual)
+        return basis[-1]
+
+    unit_mat = np.eye(d, dtype=complex)
+    seeds = [(unit_mat, hs_norm(unit_mat)), *multipliers]
+    frontier = [x for x in (try_extend(m, norm) for m, norm in seeds) if x is not None]
+    word_len = 1
+    while frontier:
+        if word_len >= cap:
+            raise ClosureNotReached(
+                f"closure still growing at word length {word_len} (cap {cap}); "
+                f"span dimension so far {len(basis)}"
+            )
+        word_len += 1
+        candidates = [(c, norm) for x in frontier for g, norm in multipliers for c in (x @ g, g @ x)]
+        frontier = [x for x in (try_extend(c, norm) for c, norm in candidates) if x is not None]
+    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
 
 
 def haar_unitary(d, rng):

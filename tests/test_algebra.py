@@ -25,7 +25,7 @@ from oplattice import (
     operator_norm,
     same_span,
 )
-from tests.conftest import haar_unitary, two_orthogonal_real_lines, unit
+from tests.conftest import haar_unitary, reference_close, two_orthogonal_real_lines, unit
 
 
 def brute_commutant_nullity(mats, d):
@@ -140,27 +140,31 @@ def sector_blocks(alg):
     return sorted((s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors)
 
 
+BUILDERS = {
+    "classical-4": lambda: build_classical(4),
+    "weyl-3": lambda: build_weyl_finite(3),
+    "sectors-2+3": lambda: build_sectors([(2, 1), (3, 1)]),
+    "sectors-2x2+1": lambda: build_sectors([(2, 2), (1, 1)]),
+}
+ROTATIONS = ["haar", "phase", "permutation"]
+
+
+def conjugated_generators(gens, u):
+    return GeneratorSet(
+        ambient_dim=gens.ambient_dim, generators=tuple(u @ g @ u.conj().T for g in gens.generators)
+    )
+
+
 class TestUnitaryCovariance:
     """close(U G U*) must be U close(G) U*: same dimension, same sector blocks."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_classical(4),
-            lambda: build_weyl_finite(3),
-            lambda: build_sectors([(2, 1), (3, 1)]),
-            lambda: build_sectors([(2, 2), (1, 1)]),
-        ],
-        ids=["classical-4", "weyl-3", "sectors-2+3", "sectors-2x2+1"],
-    )
-    @pytest.mark.parametrize("kind", ["haar", "phase", "permutation"])
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("kind", ROTATIONS)
     def test_conjugated_generators_close_to_the_conjugated_algebra(self, build, kind):
         gens = build()
         d = gens.ambient_dim
         u = random_unitary(kind, d, np.random.default_rng(7))
-        rotated = close(
-            GeneratorSet(ambient_dim=d, generators=tuple(u @ g @ u.conj().T for g in gens.generators))
-        )
+        rotated = close(conjugated_generators(gens, u))
         alg = close(gens)
         assert rotated.dim == alg.dim
         assert sector_blocks(rotated) == sector_blocks(alg)
@@ -168,6 +172,61 @@ class TestUnitaryCovariance:
         assert lattice_report(rotated, 0, 0).boolean_lattice == is_commutative(rotated)
         conjugated = AlgebraBasis(ambient_dim=d, basis=[u @ b @ u.conj().T for b in alg.basis])
         assert same_span(rotated, conjugated)
+
+
+def assert_matches_reference(gens):
+    alg, ref = close(gens), reference_close(gens)
+    assert alg.dim == ref.dim
+    assert same_span(alg, ref)
+    flat = alg.basis.reshape(alg.dim, -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(alg.dim))) <= 1e-12
+    return alg
+
+
+class TestCloseMatchesReference:
+    """`close` (BLAS Gram-Schmidt on a preallocated basis) against the plain loop."""
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("kind", ["none", *ROTATIONS])
+    def test_builders_and_their_rotations(self, build, kind):
+        gens = build()
+        u = np.eye(gens.ambient_dim)
+        if kind != "none":
+            u = random_unitary(kind, gens.ambient_dim, np.random.default_rng(7))
+        assert_matches_reference(conjugated_generators(gens, u))
+
+    def test_two_orthogonal_real_lines(self):
+        assert assert_matches_reference(GeneratorSet(3, two_orthogonal_real_lines())).dim == 3
+
+    def test_classical_16(self):
+        assert assert_matches_reference(build_classical(16)).dim == 16
+
+    def test_full_m12_fills_the_preallocated_basis(self):
+        assert assert_matches_reference(build_weyl_finite(12)).dim == 144
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_word_cap_reports_the_span_dimension_so_far(self, cap):
+        gens = build_weyl_finite(4)
+        with pytest.raises(ClosureNotReached) as got:
+            close(gens, word_cap=cap)
+        with pytest.raises(ClosureNotReached) as want:
+            reference_close(gens, word_cap=cap)
+        assert str(got.value) == str(want.value)
+        assert "span dimension so far" in str(got.value)
+
+
+class TestSameSpan:
+    def test_a_rotated_basis_of_the_same_span_is_the_same_algebra(self, two_blocks):
+        u = haar_unitary(two_blocks.dim, np.random.default_rng(3))
+        mixed = AlgebraBasis(5, np.tensordot(u, two_blocks.basis, axes=(1, 0)))
+        assert same_span(two_blocks, mixed)
+
+    def test_equal_dimensions_with_one_direction_apart_differ(self):
+        e11 = close(GeneratorSet(ambient_dim=3, generators=(unit(3, 0, 0),)))
+        e22 = close(GeneratorSet(ambient_dim=3, generators=(unit(3, 1, 1),)))
+        assert e11.dim == e22.dim == 2
+        assert not same_span(e11, e22)
+        assert not same_span(e22, e11)
 
 
 class TestCommutant:

@@ -215,8 +215,19 @@ class TestExitCodes:
             {"parameters": {"blocks": [3]}},
             {"parameters": {"blocks": [["a", 1]]}},
             {"parameters": [1, 2]},
+            {"trials": 2.9},
+            {"seed": "7"},
+            {"dim": True, "parameters": {"blocks": [[1, 1]]}},
+            {"parameters": {"blocks": [[2.7, 1], [1.9, 1]]}},
+            {"parameters": {"blocks": [[True, 3]]}},
+            {"parameters": {"blocks": [[2.7, 1], [1.9, 1]]}, "trials": 2.9, "seed": "7"},
+            {"kind": "classical", "parameters": {"point_count": 3.0}},
         ],
-        ids=["trials", "block-not-a-pair", "block-entry-not-a-number", "parameters-not-an-object"],
+        ids=[
+            "trials", "block-not-a-pair", "block-entry-not-a-number", "parameters-not-an-object",
+            "fractional-trials", "string-seed", "bool-dim", "fractional-blocks", "bool-block",
+            "fractional-blocks-trials-and-string-seed", "fractional-point-count",
+        ],
     )
     def test_malformed_scenario_is_a_validation_error(self, capsys, tmp_path, change):
         path = tmp_path / "scenario.json"

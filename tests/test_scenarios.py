@@ -107,6 +107,14 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             Scenario(name="bad", kind="martian", dim=2, parameters={})
 
+    @pytest.mark.parametrize(
+        "change", [{"dim": True}, {"trials": 2.5}, {"seed": 1.5}, {"seed": "7"}], ids=str
+    )
+    def test_numbers_must_be_integers_not_truncated(self, change):
+        fields = {"name": "bad", "kind": "classical", "dim": 1, "parameters": {"point_count": 1}}
+        with pytest.raises(ValidationError):
+            Scenario(**{**fields, **change})
+
     def test_json_round_trip(self):
         scenario = Scenario(
             name="weyl",

@@ -3,6 +3,7 @@ import pytest
 
 from oplattice import (
     DEFAULT_TOL,
+    AlgebraBasis,
     CenterDiagonalizationFailed,
     GeneratorSet,
     NotInAlgebra,
@@ -124,6 +125,40 @@ class TestBlockDecomposition:
         for alg in (full4, diag3, two_blocks, doubled_m2):
             decomp = block_decomposition(alg)
             assert is_factor(alg) == (len(decomp.sectors) == 1)
+
+
+class TestCanonicalSectorOrder:
+    """Sectors come in the order of their blocks along the ambient basis."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[(3, 1), (2, 2)], [(2, 2), (3, 1)], [(1, 1), (2, 1), (1, 2)], [(2, 1), (2, 1)],
+         [(1, 3), (1, 1), (2, 1)]],
+        ids=str,
+    )
+    def test_order_survives_a_change_of_basis_of_the_span(self, blocks):
+        alg = close(build_sectors(blocks))
+        reference = block_decomposition(alg).sectors
+        assert [(s.block_size, s.multiplicity) for s in reference] == blocks
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            # the same span, written in a mixed orthonormal basis
+            u = haar_unitary(alg.dim, rng)
+            mixed = AlgebraBasis(alg.ambient_dim, np.tensordot(u, alg.basis, axes=(1, 0)))
+            sectors = block_decomposition(mixed).sectors
+            assert [(s.block_size, s.multiplicity) for s in sectors] == blocks
+            for s, ref in zip(sectors, reference):
+                assert operator_norm(s.central_projector - ref.central_projector) <= 1e-10
+
+    def test_interleaved_sectors_with_equal_mean_positions(self):
+        alg = close(GeneratorSet(ambient_dim=4, generators=(np.diag([1.0, 0.0, 0.0, 1.0]),)))
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            u = haar_unitary(alg.dim, rng)
+            mixed = AlgebraBasis(alg.ambient_dim, np.tensordot(u, alg.basis, axes=(1, 0)))
+            first, second = (s.central_projector for s in block_decomposition(mixed).sectors)
+            assert operator_norm(first - np.diag([1.0, 0.0, 0.0, 1.0])) <= 1e-10
+            assert operator_norm(second - np.diag([0.0, 1.0, 1.0, 0.0])) <= 1e-10
 
 
 class TestIsFactor:
