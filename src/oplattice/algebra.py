@@ -21,6 +21,7 @@ from .numerics import (
     _as_operators,
     as_matrix,
     hs_norm,
+    is_int,
     matrix_from_json,
     matrix_to_json,
     null_space,
@@ -292,7 +293,7 @@ def generator_set_from_json(data) -> GeneratorSet:
     if not isinstance(data, dict) or "dim" not in data or "generators" not in data:
         raise ValidationError('generator set JSON needs "dim" and "generators" keys')
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ValidationError(f'"dim" must be a positive integer, got {dim!r}')
     gens = data["generators"]
     if not isinstance(gens, list) or not gens:

@@ -24,15 +24,16 @@ from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, Precondi
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    cluster_breaks,
     ensure_projector,
     is_projector,
     matrix_to_json,
     null_space,
     operator_norm,
     range_projector,
-    spectral_clusters,
+    suffix_projectors,
 )
-from .sectors import _random_span_element, block_decomposition, mvn_dimension
+from .sectors import _random_span_elements, block_decomposition, mvn_dimension
 from .seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -51,41 +52,49 @@ def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
 
 
 def _complement(p: np.ndarray) -> np.ndarray:
-    return np.eye(p.shape[0], dtype=complex) - p
+    return np.eye(p.shape[-1], dtype=complex) - p
 
 
 def _meet(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return range_projector(null_space(np.vstack([_complement(p), _complement(q)]), tol))
+    # like every kernel here: one matrix, or an (n, d, d) stack with each trial's one-matrix bits
+    a = np.concatenate([_complement(p), _complement(q)], axis=-2)
+    if a.ndim == 2:  # a public one-pair call stays a (traced) `null_space` call, same bits
+        return range_projector(null_space(a, tol))
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    top = s[..., :1]  # `null_space`'s rank rule, per trial
+    rank = np.count_nonzero((s > tol.rank_tol * top) & (top > tol.rank_tol), axis=-1)
+    return suffix_projectors(vh.conj().swapaxes(-2, -1), rank)
 
 
 def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
     return _complement(_meet(_complement(p), _complement(q), tol))
 
 
-def _leq(p, q, tol: Tolerance):  # elementwise over stacks
+def _leq(p, q, tol: Tolerance):
     return operator_norm(q @ p - p) <= tol.eq_tol
 
 
-def _orthomodularity(p, q, tol: Tolerance) -> tuple[float, tuple]:  # residual, projectors derived
+def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
     inner = _meet(_complement(p), q, tol)
     outer = _join(p, inner, tol)
     return operator_norm(q - outer), (inner, outer)
 
 
-def _distributivity(p, q, r, tol: Tolerance) -> tuple[float, tuple]:  # residual, projectors derived
-    q_or_r, p_and_q, p_and_r = _join(q, r, tol), _meet(p, q, tol), _meet(p, r, tol)
+def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
+    q_or_r = _join(q, r, tol)
+    p_and_q, p_and_r = _meet(np.stack([p, p]), np.stack([q, r]), tol)
     lhs, rhs = _meet(p, q_or_r, tol), _join(p_and_q, p_and_r, tol)
     return operator_norm(lhs - rhs), (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
-def _ensure_projectors(labelled: list, tol: Tolerance) -> None:
-    """One stacked `ensure_projector` over ``(label, matrix)`` pairs; a failure names its label."""
-    if not labelled:
+def _ensure_projectors(stack: np.ndarray, labels: list, tol: Tolerance) -> None:
+    """One `ensure_projector` over a stack; a failure names its first non-projector's label."""
+    if not labels:
         return
     try:
-        ensure_projector(np.stack([m for _, m in labelled]), tol)
+        ensure_projector(stack, tol)
     except NotProjector as exc:
-        label = next((label for label, m in labelled if not is_projector(m, tol)), "stack")
+        label = next((lab for lab, m in zip(labels, stack) if not is_projector(m, tol)), "stack")
         raise NotProjector(f"{label}: {exc}") from exc
 
 
@@ -227,14 +236,22 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
     stay inside a product-closed span, and whole clusters must be kept
     together so degenerate eigenvalues are never split. Deterministic
     given the algebra basis and the seed; on a scalars-only algebra the
-    output is 0 or 1.
+    output is 0 or 1. Runs `_random_projectors` on one seed: a draw does
+    not depend on the others made with it.
     """
-    rng = np.random.default_rng(int(seed))
-    v, clusters = spectral_clusters(_random_span_element(alg.basis, rng, hermitian=True), tol)
-    cut = int(rng.integers(0, len(clusters) + 1))
-    if cut == 0:
-        return np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    return range_projector(v[:, clusters[len(clusters) - cut][0] :])
+    return _random_projectors(alg, [seed], tol)[0]
+
+
+def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
+    """`random_projector` for each seed, as one ``(n, d, d)`` stack. Each seed keeps its own
+    generator and draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    w, v = np.linalg.eigh(_random_span_elements(alg.basis, rngs, hermitian=True))
+    starts = []  # of the kept top clusters' columns
+    for rng, breaks in zip(rngs, cluster_breaks(w, tol)):
+        bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), alg.ambient_dim]  # cluster starts, d
+        starts.append(bounds[len(bounds) - 1 - int(rng.integers(0, len(bounds)))])  # 0 keeps none
+    return suffix_projectors(v, starts)
 
 
 @dataclass(frozen=True)
@@ -266,9 +283,11 @@ def lattice_report(
     projector is forced below the larger by taking a meet), and
     distributivity on `trials` random triples, recording the first
     counterexample; each trial derives its own sub-seed from `seed` and
-    its index. Every projector the trials draw or derive is checked in one
-    stacked `ensure_projector` before any verdict (NotProjector names the
-    trial). A law holds at a trial when its residual is at most
+    its index. Each stage is one stacked call over all trials (draws, meets,
+    joins), with the bits of the public one-matrix calls on the same kernels.
+    Every projector drawn or derived is checked in one stacked
+    `ensure_projector` before any verdict (NotProjector names the lowest
+    failing trial). A law holds at a trial when its residual is at most
     ``tol.law_tol``; `distributive` reports what the sampling saw.
 
     The rest is read off the memoized block decomposition:
@@ -281,30 +300,29 @@ def lattice_report(
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     decomp = block_decomposition(alg, tol)
-    produced, om_results, dist_results = [], [], []  # produced: (trial label, projector)
-    for i in range(trials):
-        q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i), tol)
-        r = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_R, i), tol)
-        p = _meet(r, q, tol)
-        residual, derived = _orthomodularity(p, q, tol)
-        produced.extend((f"orthomodular trial {i}", m) for m in (q, r, p, *derived))
-        om_results.append(residual <= tol.law_tol)
-    for i in range(trials):
-        p = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_P, i), tol)
-        q = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_Q, i), tol)
-        r = random_projector(alg, derive_seed(seed, STREAM_DISTRIBUTIVE_R, i), tol)
-        residual, derived = _distributivity(p, q, r, tol)
-        produced.extend((f"distributive trial {i}", m) for m in (p, q, r, *derived))
-        dist_results.append((residual <= tol.law_tol, (p, q, r)))
-    _ensure_projectors(produced, tol)
-    pass_rate = (sum(om_results) / trials) if trials else 1.0
-    distributive = all(ok for ok, _ in dist_results)
-    counterexample = next((triple for ok, triple in dist_results if not ok), None)
+
+    def draws(stream: int) -> np.ndarray:
+        return _random_projectors(alg, [derive_seed(seed, stream, i) for i in range(trials)], tol)
+
+    q, r = map(draws, (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R))
+    p = _meet(r, q, tol)
+    om_residuals, om_derived = _orthomodularity(p, q, tol)
+    dp, dq, dr = map(draws, (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
+    dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
+    d = alg.ambient_dim
+    om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
+    dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
+    labels = [f"orthomodular trial {i}" for i in range(trials) for _ in range(5)]
+    labels += [f"distributive trial {i}" for i in range(trials) for _ in range(8)]
+    _ensure_projectors(np.concatenate([om, dist]), labels, tol)
+    pass_rate = np.count_nonzero(om_residuals <= tol.law_tol) / trials if trials else 1.0
+    failed = np.flatnonzero(~(dist_residuals <= tol.law_tol))
+    counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(
         orthomodular_pass_rate=pass_rate,
-        distributive=distributive,
+        distributive=counterexample is None,
         counterexample=counterexample,
         boolean_lattice=all(s.block_size == 1 for s in decomp.sectors),
         atomic=True,

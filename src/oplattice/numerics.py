@@ -80,7 +80,7 @@ def adjoint(m) -> np.ndarray:
 def operator_norm(m):
     """Spectral norm (largest singular value); per matrix of an ``(n, d, d)`` stack."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
-    if a.size == 0:
+    if a.ndim == 2 and a.size == 0:
         return 0.0
     norms = np.linalg.svd(a, compute_uv=False)[..., 0]  # as norm(ord=2), without its overhead
     return float(norms) if a.ndim == 2 else norms
@@ -186,29 +186,46 @@ def _as_operators(m) -> np.ndarray:
 
 def spectral_clusters(h, tol: Tolerance) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Eigenvectors ``v`` of the self-adjoint ``h`` (ascending eigenvalues) and the
-    ``[start, stop)`` column runs of its eigenvalue clusters: a run breaks where
-    consecutive eigenvalues differ by more than ``rank_tol * max(1, spread)``."""
+    ``[start, stop)`` column runs of its eigenvalue clusters (see `cluster_breaks`)."""
     w, v = np.linalg.eigh(h)
-    spread = float(w[-1] - w[0]) if w.size else 0.0
-    threshold = tol.rank_tol * max(1.0, spread)
-    bounds = [0]
-    for i in range(1, w.size):  # a plain loop: at d <= 8 this beats the vectorized split
-        if w[i] - w[i - 1] > threshold:
-            bounds.append(i)
-    bounds.append(int(w.size))
-    return v, [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    bounds = [0, *(np.flatnonzero(cluster_breaks(w, tol)) + 1).tolist(), w.size]
+    return v, list(zip(bounds[:-1], bounds[1:]))
+
+
+def cluster_breaks(w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Per row of ascending eigenvalues, ``breaks[..., i]`` is true where ``w[..., i]`` and
+    ``w[..., i + 1]`` differ by more than ``rank_tol * max(1, spread)``: a new cluster starts."""
+    spread = w[..., -1:] - w[..., :1]
+    return np.diff(w, axis=-1) > tol.rank_tol * np.maximum(1.0, spread)
 
 
 def range_projector(cols: np.ndarray) -> np.ndarray:
-    """Orthogonal projector ``cols cols*`` onto orthonormal columns, symmetrised."""
-    p = cols @ cols.conj().T
-    return (p + p.conj().T) / 2.0
+    """Orthogonal projector ``cols cols*`` onto orthonormal columns, symmetrised; per
+    matrix of an ``(n, d, r)`` stack."""
+    p = cols @ cols.conj().swapaxes(-2, -1)
+    return (p + p.conj().swapaxes(-2, -1)) / 2.0
+
+
+def suffix_projectors(v: np.ndarray, starts) -> np.ndarray:
+    """``range_projector(v[i][:, starts[i]:])`` for each matrix of an ``(..., d, d)`` stack, one
+    product per start: bit-identical to the call on each slice (a masked full product is not)."""
+    out = np.zeros(v.shape, dtype=complex)
+    starts = np.asarray(starts)
+    for start in set(starts.ravel().tolist()) - {v.shape[-1]}:  # an empty suffix projects to 0
+        group = starts == start
+        out[group] = range_projector(v[group][..., start:])
+    return out
+
+
+def is_int(x) -> bool:
+    """An integer proper, not a bool, float or string: nothing gets truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def matrix_to_json(m) -> list:
     """Serialize a matrix as a JSON array of rows; each entry is ``[re, im]``."""
     a = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True) -> np.ndarray:
@@ -224,7 +241,7 @@ def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True)
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise ValidationError("matrix entries must be [re, im] pairs of numbers")
             parsed.append(complex(entry[0], entry[1]))

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .errors import ConvergenceFailed, NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
-from .numerics import DEFAULT_TOL, Tolerance, matrix_from_json, matrix_to_json
+from .numerics import DEFAULT_TOL, Tolerance, is_int, matrix_from_json, matrix_to_json
 from .sectors import block_decomposition, mvn_dimension
 from .seeding import (
     STREAM_STATE_CHECK,
@@ -44,11 +44,11 @@ from .seeding import (
 from .states import (
     LogicalState,
     _orthoadditivity,
+    _random_orthogonal_families,
     check_sigma_orthoadditive,
     dirac_characters,
     is_pure,
     is_separating,
-    random_orthogonal_family,
     random_state,
     state_from_json,
     state_to_json,
@@ -88,7 +88,7 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         for key in ("dim", "trials", "seed"):
-            if not _is_int(getattr(self, key)):
+            if not is_int(getattr(self, key)):
                 raise ValidationError(f'"{key}" must be an integer, got {getattr(self, key)!r}')
         if self.dim < 1:
             raise ValidationError(f"dim must be positive, got {self.dim}")
@@ -102,19 +102,14 @@ class Scenario:
                 raise ValidationError("configured state dimension does not match scenario dim")
 
 
-def _is_int(x) -> bool:
-    """An integer proper, not a bool, float or string: nothing gets truncated."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
     if kind == "classical":
         n = parameters.get("point_count")
-        if n != dim or not _is_int(n):
+        if n != dim or not is_int(n):
             raise ValidationError(f"classical point_count {n!r} must equal dim {dim}")
     elif kind == "weyl_finite":
         d = parameters.get("modulus")
-        if d != dim or not _is_int(d):
+        if d != dim or not is_int(d):
             raise ValidationError(f"weyl_finite modulus {d!r} must equal dim {dim}")
         if dim < 2:
             raise ValidationError("weyl_finite needs dim >= 2")
@@ -128,7 +123,7 @@ def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
                 size, multiplicity = entry
             except (TypeError, ValueError):
                 size = multiplicity = None  # reported as a bad block below
-            if not all(_is_int(x) and x >= 1 for x in (size, multiplicity)):
+            if not all(is_int(x) and x >= 1 for x in (size, multiplicity)):
                 raise ValidationError(f"bad sector block {entry!r}; need [size, multiplicity]")
             total += size * multiplicity
         if total != dim:
@@ -295,13 +290,13 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
             f"sector_{i}": logical.value(s.central_projector, tol)
             for i, s in enumerate(decomp.sectors)
         }
-        family_seeds = (
+        family_seeds = [
             derive_seed(scenario.seed, STREAM_STATE_CHECK, index * 1000 + i)
             for i in range(_STATE_FAMILY_CHECKS)
-        )
+        ]
         additive = all(
-            check_sigma_orthoadditive(logical, random_orthogonal_family(alg, s, tol), tol)
-            for s in family_seeds
+            check_sigma_orthoadditive(logical, family, tol)
+            for family in _random_orthogonal_families(alg, family_seeds, tol)
         )
         state_entries.append(
             {
@@ -365,10 +360,11 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 def _orthoadditivity_sweep(
     alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
 ) -> dict:
+    seeds = [derive_seed(seed, STREAM_SWEEP_FAMILY, i) for i in range(trials)]
     cases = [(f"orthoadditivity trial {i}",
               random_state(alg.ambient_dim, derive_seed(seed, STREAM_SWEEP_STATE, i)).density,
-              random_orthogonal_family(alg, derive_seed(seed, STREAM_SWEEP_FAMILY, i), tol))
-             for i in range(trials)]
+              family)
+             for i, family in enumerate(_random_orthogonal_families(alg, seeds, tol))]
     residuals = [max(r) for r in _orthoadditivity(envelope, cases, tol)]
     return {
         "trials": trials,

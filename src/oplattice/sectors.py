@@ -115,13 +115,15 @@ def minimal_central_projectors(
     )
 
 
-def _random_span_element(comp_basis: np.ndarray, rng: np.random.Generator, hermitian: bool):
-    k = comp_basis.shape[0]
-    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = np.tensordot(coeffs, comp_basis, axes=(0, 0))
-    if hermitian:
-        x = (x + x.conj().T) / 2.0
-    return x
+def _random_span_elements(comp_basis: np.ndarray, rngs: list, hermitian: bool) -> np.ndarray:
+    """One random span element per generator in `rngs`, each a ``1 x k`` by ``k x d^2``
+    product: the bits of its own ``tensordot`` (a stacked one is a GEMM and rounds apart)."""
+    k, d = comp_basis.shape[0], comp_basis.shape[-1]
+    coeffs = np.empty((len(rngs), 1, k), dtype=complex)
+    for c, rng in zip(coeffs, rngs):
+        c[0] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = np.matmul(coeffs, comp_basis.reshape(k, d * d)).reshape(-1, d, d)
+    return (x + x.conj().swapaxes(-2, -1)) / 2.0 if hermitian else x
 
 
 def _block_isometry(
@@ -137,14 +139,14 @@ def _block_isometry(
     """
     for attempt in range(_MAX_ATTEMPTS):
         rng = _internal_rng(_BLOCK_STREAM, attempt)
-        h = _random_span_element(comp_basis, rng, hermitian=True)
+        h = _random_span_elements(comp_basis, [rng], hermitian=True)[0]
         v, clusters = spectral_clusters(h, tol)
         if len(clusters) != n or any(stop - start != m for start, stop in clusters):
             continue
         copies = [v[:, start:stop] for start, stop in clusters]
         if n == 1:
             return copies[0]
-        g = _random_span_element(comp_basis, rng, hermitian=False)
+        g = _random_span_elements(comp_basis, [rng], hermitian=False)[0]
         cols = [copies[0]]
         aligned = True
         for j in range(1, n):
@@ -324,7 +326,7 @@ def equivalence_isometry(
         return np.zeros_like(pm)
     for attempt in range(_ISOMETRY_ATTEMPTS):
         rng = _internal_rng(_GENERIC_STREAM, attempt)
-        w = _random_span_element(alg.basis, rng, hermitian=False)
+        w = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
         x = qm @ w @ pm
         if rank_of(x, tol) != rp:
             continue

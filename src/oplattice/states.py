@@ -15,7 +15,7 @@ pure as a state on a subalgebra (its per-sector reduced matrix decides).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .errors import (
     NotPositive,
     ValidationError,
 )
-from .logic import _complement, _ensure_projectors, _join, _leq, _meet
-from .logic import meet, random_projector  # `meet` stays bound here for the benchmark's tracer test
+from .logic import _complement, _ensure_projectors, _join, _leq, _meet, _random_projectors
+from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -145,24 +145,35 @@ def sigma_orthoadditivity_residuals(
 def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
     """`sigma_orthoadditivity_residuals` of ``(label, density, members)`` cases, after
     one stacked check of all members, complements and running joins: projectors in
-    `domain`, each case's members pairwise orthogonal. A failure names its case."""
-    zero = np.zeros((domain.ambient_dim,) * 2, dtype=complex)
-    terms, checked, pairs = [], [], []
-    for label, density, members in cases:
+    `domain`, each case's members pairwise orthogonal. A failure names its case. Join
+    step j is one `_join` over the cases with more than j members (zero padding would
+    change the last join's bits)."""
+    if not cases:
+        return []
+    joins = [[np.zeros((domain.ambient_dim,) * 2, dtype=complex)] for _ in cases]
+    for j in range(max(len(members) for *_, members in cases)):
+        live = [c for c, (*_, members) in enumerate(cases) if len(members) > j]
+        step = _join(np.stack([joins[c][-1] for c in live]),
+                     np.stack([cases[c][2][j] for c in live]), tol)
+        for c, m in zip(live, step):
+            joins[c].append(m)
+    terms, checked, labels, pairs = [], [], [], []
+    for (label, density, members), case_joins in zip(cases, joins):
         comps = [_complement(p) for p in members]
-        joins = list(accumulate(members, lambda a, p: _join(a, p, tol), initial=zero))
-        terms.append((density, len(members), (*members, *comps, joins[-1])))
-        checked += [(label, m) for m in (*members, *comps, *joins)]
+        terms.append((density, len(members), (*members, *comps, case_joins[-1])))
+        checked += [*members, *comps, *case_joins]
+        labels += [label] * (2 * len(members) + len(case_joins))
         pairs += [(f"{label}: members {i} and {j}", members[i], comps[j])
                   for i, j in combinations(range(len(members)), 2)]
-    _ensure_projectors(checked, tol)
+    checked = np.stack(checked)
+    _ensure_projectors(checked, labels, tol)
     if pairs:
         apart = _leq(np.stack([p for _, p, _ in pairs]), np.stack([c for *_, c in pairs]), tol)
         if not apart.all():
             raise NotOrthogonalFamily(f"{pairs[int(np.argmin(apart))][0]} are not orthogonal")
-    inside = contains(domain, np.stack([m for _, m in checked]), tol) if checked else []
+    inside = contains(domain, checked, tol)
     if not np.all(inside):
-        raise NotInAlgebra(f"{checked[int(np.argmin(inside))][0]}: projector not in the domain")
+        raise NotInAlgebra(f"{labels[int(np.argmin(inside))]}: projector not in the domain")
     out = []
     for density, n, projectors in terms:
         v = [_probability(complex(np.trace(density @ p)), tol) for p in projectors]
@@ -289,26 +300,34 @@ def random_orthogonal_family(
     """Pairwise-orthogonal projectors in the algebra, splitting a random range.
 
     Draws a base projector, then repeatedly carves off the part of a
-    fresh random projector lying under what remains. The pieces plus the
-    final remainder partition the base range, so the family sums to the
-    base projector. May be empty (base = 0).
+    fresh random projector lying under what remains, for at most
+    ``4 * d`` attempts and ``d`` pieces. The pieces plus the final
+    remainder partition the base range, so the family sums to the base
+    projector. May be empty (base = 0). Runs `_random_orthogonal_families`
+    on one seed: a family does not depend on the others drawn with it.
     """
-    base = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0), tol)
-    remaining = base
-    parts: list[np.ndarray] = []
+    return _random_orthogonal_families(alg, [seed], tol)[0]
+
+
+def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
+    """`random_orthogonal_family` for each seed, in stacked stages: the base draws, then
+    one round per attempt over the families still splitting (a draw and a meet each)."""
+    remaining = _random_projectors(alg, [derive_seed(s, STREAM_FAMILY_BASE, 0) for s in seeds], tol)
+    parts: list[list] = [[] for _ in seeds]
     cap = alg.ambient_dim
-    attempts = 0
-    while float(np.trace(remaining).real) > 0.5 and len(parts) < cap:
-        attempts += 1
-        if attempts > 4 * cap:
+    for attempt in range(1, 4 * cap + 1):
+        counts = np.array([len(family) for family in parts])
+        active = np.flatnonzero((np.trace(remaining, axis1=1, axis2=2).real > 0.5) & (counts < cap))
+        if not active.size:
             break
-        candidate = random_projector(alg, derive_seed(seed, STREAM_FAMILY_SPLIT, attempts), tol)
-        piece = _meet(candidate, remaining, tol)
-        if float(np.trace(piece).real) > 0.5:
-            parts.append(piece)
-            remaining = remaining - piece
-    if float(np.trace(remaining).real) > 0.5:
-        parts.append(remaining)
+        draws = [derive_seed(seeds[i], STREAM_FAMILY_SPLIT, attempt) for i in active]
+        pieces = _meet(_random_projectors(alg, draws, tol), remaining[active], tol)
+        kept = np.trace(pieces, axis1=1, axis2=2).real > 0.5
+        for i, piece in zip(active[kept], pieces[kept]):
+            parts[i].append(piece)
+        remaining[active[kept]] = remaining[active[kept]] - pieces[kept]
+    for i in np.flatnonzero(np.trace(remaining, axis1=1, axis2=2).real > 0.5):
+        parts[i].append(remaining[i])
     return parts
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from oplattice import (
     AlgebraBasis,
     ClosureNotReached,
     DimensionMismatch,
+    GeneratorSet,
     NotProjector,
     ValidationError,
     build_classical,
@@ -123,6 +126,29 @@ def haar_unitary(d, rng):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# Every builder at d = 2-5 and a Haar-rotated sector algebra: where the stacked
+# lattice kernels must give each trial the bits of its one-matrix call.
+KERNEL_ALGEBRAS = {
+    **{f"classical-{d}": (lambda d=d: build_classical(d)) for d in (2, 3, 4, 5)},
+    **{f"weyl-{d}": (lambda d=d: build_weyl_finite(d)) for d in (2, 3, 4, 5)},
+    "sectors-1+1": lambda: build_sectors([(1, 1), (1, 1)]),
+    "sectors-1+1x2": lambda: build_sectors([(1, 1), (1, 2)]),
+    "sectors-2+1x2": lambda: build_sectors([(2, 1), (1, 2)]),
+    "sectors-2+3": lambda: build_sectors([(2, 1), (3, 1)]),
+    "haar-sectors-2+1x2": lambda: rotated(build_sectors([(2, 1), (1, 2)]), seed=11),
+}
+
+
+@functools.cache
+def kernel_algebra(name):
+    return close(KERNEL_ALGEBRAS[name]())
+
+
+def rotated(gens, seed):
+    u = haar_unitary(gens.ambient_dim, np.random.default_rng(seed))
+    return GeneratorSet(gens.ambient_dim, tuple(u @ g @ u.conj().T for g in gens.generators))
 
 
 # Bad stand-ins for one projector argument of a 2x2 call, with the error each

@@ -238,6 +238,22 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            {"dim": True, "generators": [[[[1.0, 0.0]]]]},
+            {"dim": 2, "generators": [[[[True, False], [0, 0]], [[0, 0], [1, 0]]]]},
+        ],
+        ids=["bool-dim", "bool-entries"],
+    )
+    def test_malformed_generator_set_is_a_validation_error(self, capsys, tmp_path, gens):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(gens))
+        code, _, err = run_cli(capsys, "--input", str(path), "close")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_numerical_failures_exit_2(self, capsys, gens3_file, monkeypatch):
         def explode(*args, **kwargs):
             raise ConvergenceFailed("no convergence", residual=1.0)

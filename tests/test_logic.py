@@ -34,6 +34,7 @@ from oplattice import (
 )
 from oplattice import NotProjector, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
+from oplattice.numerics import range_projector
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -42,7 +43,14 @@ from oplattice.seeding import (
     STREAM_ORTHOMODULAR_R,
     derive_seed,
 )
-from tests.conftest import INVALID_PROJECTORS, NON_SQUARE, line_projector, unit
+from tests.conftest import (
+    INVALID_PROJECTORS,
+    KERNEL_ALGEBRAS,
+    NON_SQUARE,
+    kernel_algebra,
+    line_projector,
+    unit,
+)
 
 
 class TestOrthocomplement:
@@ -431,15 +439,17 @@ class TestStackedChecks:
             assert np.array_equal(got, want)
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
-        original = logic_module.random_projector
+        original = logic_module._random_projectors
         calls = []
 
-        def skewed(alg, seed, tol=DEFAULT_TOL):
-            calls.append(seed)
-            p = original(alg, seed, tol)
-            return p + 1e-6 * unit(2, 0, 1) if len(calls) == 7 else p
+        def skewed(alg, seeds, tol=DEFAULT_TOL):
+            calls.append(seeds)
+            ps = original(alg, seeds, tol)
+            if len(calls) == 1:  # the orthomodular q draws; skew trial 3's
+                ps[3] = ps[3] + 1e-6 * unit(2, 0, 1)
+            return ps
 
-        monkeypatch.setattr(logic_module, "random_projector", skewed)
+        monkeypatch.setattr(logic_module, "_random_projectors", skewed)
         with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
             lattice_report(full2, trials=5, seed=1)
 
@@ -449,7 +459,7 @@ class TestStackedChecks:
             "import numpy as np, oplattice as op\n"
             "from oplattice import logic\n"
             "alg = op.close(op.build_weyl_finite(2))\n"
-            "logic._meet = lambda p, q, tol: np.diag([0.5, 0.5]).astype(complex)\n"
+            "logic._meet = lambda p, q, tol: np.broadcast_to(np.diag([0.5, 0.5]), p.shape) + 0j\n"
             "try:\n"
             "    op.lattice_report(alg, trials=2, seed=1)\n"
             "except op.NotProjector as exc:\n"
@@ -463,3 +473,72 @@ class TestStackedChecks:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "orthomodular trial 0" in done.stdout
+
+
+def reference_random_projector(alg, seed, tol=DEFAULT_TOL):
+    """The one-draw sampler the stacked draws replaced: `tensordot`, `eigh`, a cluster loop."""
+    rng = np.random.default_rng(int(seed))
+    k, d = alg.dim, alg.ambient_dim
+    x = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), alg.basis, axes=(0, 0))
+    w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
+    threshold = tol.rank_tol * max(1.0, float(w[-1] - w[0]))
+    starts = [0] + [i for i in range(1, d) if w[i] - w[i - 1] > threshold]
+    cut = int(rng.integers(0, len(starts) + 1))
+    if cut == 0:
+        return np.zeros((d, d), dtype=complex)
+    return range_projector(v[:, starts[len(starts) - cut] :])
+
+
+class TestStackedKernels:
+    """Each trial of a stacked kernel has the bits of its one-matrix call."""
+
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_draws_equal_the_one_draw_reference(self, name):
+        alg = kernel_algebra(name)
+        seeds = range(500, 540)
+        stack = logic_module._random_projectors(alg, seeds, DEFAULT_TOL)
+        assert stack.shape == (40, alg.ambient_dim, alg.ambient_dim)
+        for p, seed in zip(stack, seeds):
+            assert np.array_equal(p, reference_random_projector(alg, seed))
+            assert np.array_equal(p, random_projector(alg, seed))
+
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_meets_and_joins_equal_their_one_pair_calls(self, name):
+        alg = kernel_algebra(name)
+        p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
+        q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
+        # the second half meets p with a projector above it, so every rank shows up
+        a, b = np.concatenate([p, p]), np.concatenate([q, logic_module._join(p, q, DEFAULT_TOL)])
+        meets = logic_module._meet(a, b, DEFAULT_TOL)
+        joins = logic_module._join(a, b, DEFAULT_TOL)
+        for x, y, m, j in zip(a, b, meets, joins):
+            assert np.array_equal(m, meet(x, y))
+            assert np.array_equal(j, join(x, y))
+
+    def test_empty_stacks(self, two_blocks):
+        empty = logic_module._random_projectors(two_blocks, [], DEFAULT_TOL)
+        assert empty.shape == (0, 5, 5) and empty.dtype == complex
+        for kernel in (logic_module._meet, logic_module._join):
+            out = kernel(empty, empty, DEFAULT_TOL)
+            assert out.shape == (0, 5, 5) and out.dtype == complex
+        assert operator_norm(empty).shape == (0,)
+        report = lattice_report(two_blocks, trials=0, seed=4)
+        assert report.orthomodular_pass_rate == 1.0
+        assert report.distributive and report.counterexample is None
+
+    def test_a_draw_cut_at_zero_is_the_zero_projector(self):
+        # on the scalars the spectrum is one cluster, so the draw keeps it or not
+        scalars = close(GeneratorSet(ambient_dim=3, generators=(np.eye(3),)))
+        seeds = range(20)
+        stack = logic_module._random_projectors(scalars, seeds, DEFAULT_TOL)
+        cuts = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(1), rng.standard_normal(1)  # the span coefficient
+            cuts.append(int(rng.integers(0, 2)))
+        assert 0 < sum(cuts) < len(cuts)
+        for p, cut in zip(stack, cuts):
+            if cut:
+                assert operator_norm(p - np.eye(3)) <= 1e-12
+            else:
+                assert np.array_equal(p, np.zeros((3, 3)))

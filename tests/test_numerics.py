@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,9 +230,20 @@ class TestMatrixJson:
         m = random_matrix(rng, 3)
         assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
+    def test_writes_the_bytes_of_the_per_entry_loop(self):
+        rng = np.random.default_rng(4)
+        special = np.array([[-0.0 + 5e-324j, 1e308 - 0.0j], [2.2250738585072014e-308, -1e-300j]])
+        for m in (random_matrix(rng, 5), special, np.eye(3)):
+            loop = [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, complex)]
+            assert json.dumps(matrix_to_json(m), indent=2) == json.dumps(loop, indent=2)
+
     def test_rejects_bare_numbers(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_rejects_booleans_as_numbers(self):
+        with pytest.raises(ValidationError):
+            matrix_from_json([[[True, False]]])
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValidationError):

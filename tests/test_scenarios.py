@@ -335,7 +335,7 @@ class TestOrthoadditivitySweepChecks:
 
     def run_with_family(self, monkeypatch, family):
         monkeypatch.setattr(
-            scenarios_module, "random_orthogonal_family", lambda alg, seed, tol: family
+            scenarios_module, "_random_orthogonal_families", lambda alg, seeds, tol: [family] * len(seeds)
         )
         return run_scenario(Scenario(name="s", kind="classical", dim=2,
                                      parameters={"point_count": 2}, trials=3))
@@ -356,6 +356,20 @@ class TestOrthoadditivitySweepChecks:
     def test_genuine_family_passes(self, monkeypatch):
         report = self.run_with_family(monkeypatch, [unit(2, 0, 0), unit(2, 1, 1)])
         assert report.orthoadditivity["failures"] == 0
+
+
+class TestNoTrials:
+    @pytest.mark.parametrize("kind, dim, parameters", [
+        ("classical", 3, {"point_count": 3}),
+        ("weyl_finite", 2, {"modulus": 2}),
+        ("sectors", 4, {"blocks": [[2, 1], [1, 2]]}),
+    ])
+    def test_zero_trials_sample_nothing(self, kind, dim, parameters):
+        report = run_scenario(Scenario(name="t0", kind=kind, dim=dim, parameters=parameters,
+                                       trials=0, seed=2))
+        assert report.orthoadditivity == {"trials": 0, "failures": 0, "max_residual": 0.0}
+        assert report.lattice.orthomodular_pass_rate == 1.0
+        assert report.lattice.distributive and report.lattice.counterexample is None
 
 
 class TestEnvelope:

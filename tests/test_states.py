@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    DEFAULT_TOL,
     DimensionMismatch,
     GeneratorSet,
     LogicalState,
@@ -22,6 +23,7 @@ from oplattice import (
     is_separating,
     join,
     make_state,
+    meet,
     operator_norm,
     orthocomplement,
     random_orthogonal_family,
@@ -31,7 +33,14 @@ from oplattice import (
     sigma_orthoadditivity_residuals,
 )
 from oplattice import states as states_module
-from tests.conftest import INVALID_PROJECTORS, line_projector, unit
+from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed
+from tests.conftest import (
+    INVALID_PROJECTORS,
+    KERNEL_ALGEBRAS,
+    kernel_algebra,
+    line_projector,
+    unit,
+)
 
 
 def vector_state(v):
@@ -200,6 +209,62 @@ class TestSigmaOrthoadditivity:
                 add_res, comp_res = sigma_orthoadditivity_residuals(ls, family)
                 assert add_res <= 1e-7
                 assert comp_res <= 1e-9
+
+
+def reference_random_orthogonal_family(alg, seed):
+    """The one-family loop the stacked rounds replaced, on the public one-pair calls."""
+    remaining = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
+    parts, cap, attempts = [], alg.ambient_dim, 0
+    while float(np.trace(remaining).real) > 0.5 and len(parts) < cap:
+        attempts += 1
+        if attempts > 4 * cap:
+            break
+        candidate = random_projector(alg, derive_seed(seed, STREAM_FAMILY_SPLIT, attempts))
+        piece = meet(candidate, remaining)
+        if float(np.trace(piece).real) > 0.5:
+            parts.append(piece)
+            remaining = remaining - piece
+    if float(np.trace(remaining).real) > 0.5:
+        parts.append(remaining)
+    return parts
+
+
+class TestStackedFamilies:
+    """Each family of a stacked draw has the bits of its one-family loop."""
+
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_families_equal_the_one_family_loop(self, name):
+        alg = kernel_algebra(name)
+        seeds = range(300, 320)
+        families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
+        for family, seed in zip(families, seeds):
+            for want in (reference_random_orthogonal_family(alg, seed),
+                         random_orthogonal_family(alg, seed)):
+                assert len(family) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(family, want))
+
+    def test_no_seeds_no_families(self, two_blocks):
+        assert states_module._random_orthogonal_families(two_blocks, [], DEFAULT_TOL) == []
+
+    def test_stacked_running_joins_equal_each_case_alone(self, two_blocks):
+        # cases of every length, the empty family included: no zero padding
+        env = baire_envelope(two_blocks)
+        families = states_module._random_orthogonal_families(two_blocks, range(40), DEFAULT_TOL)
+        assert len({len(f) for f in families}) >= 3 and [] in families
+        cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
+        together = states_module._orthoadditivity(env, cases, DEFAULT_TOL)
+        assert together == [states_module._orthoadditivity(env, [c], DEFAULT_TOL)[0] for c in cases]
+
+    def test_a_zero_base_gives_an_empty_family_with_join_0(self):
+        scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
+        empty = [s for s in range(20) if not random_orthogonal_family(scalars, s)]
+        assert empty
+        for seed in empty:
+            assert not random_projector(scalars, derive_seed(seed, STREAM_FAMILY_BASE, 0)).any()
+        # a full-rank state gives a nonzero projector a positive value, so a zero
+        # additivity residual means the family's running join is 0
+        ls = restrict_logical(random_state(2, seed=3), scalars)
+        assert sigma_orthoadditivity_residuals(ls, []) == (0.0, 0.0)
 
 
 class TestRandomOrthogonalFamily:
