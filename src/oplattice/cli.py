@@ -85,6 +85,9 @@ def _projector_pair(data) -> tuple:
 
 
 def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
+    for option in ("seed", "trials"):
+        if getattr(args, option) < 0:
+            raise ValidationError(f"--{option} must be nonnegative, got {getattr(args, option)}")
     if args.verb in _ALGEBRA_VERBS:
         alg = close(generator_set_from_json(_load_input(args)), tol)
         result = _ALGEBRA_VERBS[args.verb](alg, tol)

@@ -40,7 +40,8 @@ from .seeding import (
     STREAM_DISTRIBUTIVE_R,
     STREAM_ORTHOMODULAR_Q,
     STREAM_ORTHOMODULAR_R,
-    derive_seed,
+    derive_seeds,
+    generators,
 )
 
 
@@ -245,7 +246,7 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
 def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
     """`random_projector` for each seed, as one ``(n, d, d)`` stack. Each seed keeps its own
     generator and draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
-    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    rngs = generators(seeds)
     w, v = np.linalg.eigh(_random_span_elements(alg.basis, rngs, hermitian=True))
     starts = []  # of the kept top clusters' columns
     for rng, breaks in zip(rngs, cluster_breaks(w, tol)):
@@ -302,7 +303,7 @@ def lattice_report(
     decomp = block_decomposition(alg, tol)
 
     def draws(stream: int) -> np.ndarray:
-        return _random_projectors(alg, [derive_seed(seed, stream, i) for i in range(trials)], tol)
+        return _random_projectors(alg, derive_seeds(seed, stream, np.arange(trials)), tol)
 
     q, r = map(draws, (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R))
     p = _meet(r, q, tol)

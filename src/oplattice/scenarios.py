@@ -39,17 +39,17 @@ from .seeding import (
     STREAM_STATE_CHECK,
     STREAM_SWEEP_FAMILY,
     STREAM_SWEEP_STATE,
-    derive_seed,
+    derive_seeds,
 )
 from .states import (
     LogicalState,
     _orthoadditivity,
     _random_orthogonal_families,
+    _random_states,
     check_sigma_orthoadditive,
     dirac_characters,
     is_pure,
     is_separating,
-    random_state,
     state_from_json,
     state_to_json,
 )
@@ -290,10 +290,9 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
             f"sector_{i}": logical.value(s.central_projector, tol)
             for i, s in enumerate(decomp.sectors)
         }
-        family_seeds = [
-            derive_seed(scenario.seed, STREAM_STATE_CHECK, index * 1000 + i)
-            for i in range(_STATE_FAMILY_CHECKS)
-        ]
+        family_seeds = derive_seeds(
+            scenario.seed, STREAM_STATE_CHECK, index * 1000 + np.arange(_STATE_FAMILY_CHECKS)
+        )
         additive = all(
             check_sigma_orthoadditive(logical, family, tol)
             for family in _random_orthogonal_families(alg, family_seeds, tol)
@@ -360,11 +359,11 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 def _orthoadditivity_sweep(
     alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
 ) -> dict:
-    seeds = [derive_seed(seed, STREAM_SWEEP_FAMILY, i) for i in range(trials)]
-    cases = [(f"orthoadditivity trial {i}",
-              random_state(alg.ambient_dim, derive_seed(seed, STREAM_SWEEP_STATE, i)).density,
-              family)
-             for i, family in enumerate(_random_orthogonal_families(alg, seeds, tol))]
+    index = np.arange(trials)
+    families = _random_orthogonal_families(alg, derive_seeds(seed, STREAM_SWEEP_FAMILY, index), tol)
+    states = _random_states(alg.ambient_dim, derive_seeds(seed, STREAM_SWEEP_STATE, index))
+    cases = [(f"orthoadditivity trial {i}", state.density, family)
+             for i, (state, family) in enumerate(zip(states, families))]
     residuals = [max(r) for r in _orthoadditivity(envelope, cases, tol)]
     return {
         "trials": trials,

@@ -39,20 +39,10 @@ from .numerics import (
     rank_of,
     spectral_clusters,
 )
-
-# Internal reproducibility seeds; every randomized subroutine in this
-# module derives its generator from one of these plus the attempt index,
-# so identical inputs always produce identical output.
-_CENTER_STREAM = 101
-_BLOCK_STREAM = 102
-_GENERIC_STREAM = 103
+from .seeding import STREAM_BLOCK, STREAM_CENTER, STREAM_GENERIC, attempt_generator
 
 _MAX_ATTEMPTS = 5
 _ISOMETRY_ATTEMPTS = 8  # generic elements `equivalence_isometry` tries
-
-
-def _internal_rng(stream: int, attempt: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((stream, attempt)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +87,7 @@ def minimal_central_projectors(
         sa.append((b - b.conj().T) / 2.0j)
 
     for attempt in range(_MAX_ATTEMPTS):
-        rng = _internal_rng(_CENTER_STREAM, attempt)
+        rng = attempt_generator(STREAM_CENTER, attempt)
         h = np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
         for s in sa:
             h = h + rng.standard_normal() * s
@@ -138,7 +128,7 @@ def _block_isometry(
     compressions between cluster ranges).
     """
     for attempt in range(_MAX_ATTEMPTS):
-        rng = _internal_rng(_BLOCK_STREAM, attempt)
+        rng = attempt_generator(STREAM_BLOCK, attempt)
         h = _random_span_elements(comp_basis, [rng], hermitian=True)[0]
         v, clusters = spectral_clusters(h, tol)
         if len(clusters) != n or any(stop - start != m for start, stop in clusters):
@@ -325,7 +315,7 @@ def equivalence_isometry(
     if rp == 0:
         return np.zeros_like(pm)
     for attempt in range(_ISOMETRY_ATTEMPTS):
-        rng = _internal_rng(_GENERIC_STREAM, attempt)
+        rng = attempt_generator(STREAM_GENERIC, attempt)
         w = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
         x = qm @ w @ pm
         if rank_of(x, tol) != rp:

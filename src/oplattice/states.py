@@ -43,7 +43,7 @@ from .numerics import (
     rank_of,
 )
 from .sectors import SectorDecomposition, block_decomposition
-from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed
+from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seeds, generators
 
 
 @dataclass(frozen=True)
@@ -261,22 +261,18 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
     """True iff no nonzero positive element of the algebra is invisible to the family.
 
     The quadratic form ``a -> sum_i phi_i(a* a)`` on the span is encoded
-    by the Gram matrix ``G[j, l] = sum_i tr(rho_i b_j† b_l)`` over the
-    algebra basis; the family separates exactly when G is positive
-    definite.
+    by the Gram matrix ``G[j, l] = sum_i tr(rho_i b_j† b_l) = tr(b_j† b_l sigma)``
+    over the algebra basis, sigma the sum of the densities, built as one
+    product; the family separates exactly when G is positive definite.
     """
     states = list(family)
     if not states:
         return alg.dim == 0
-    k = alg.dim
-    gram = np.zeros((k, k), dtype=complex)
-    for st in states:
-        if st.dim != alg.ambient_dim:
-            raise DimensionMismatch("state and algebra live in different ambient dimensions")
-        for j in range(k):
-            bj = alg.basis[j]
-            for l in range(k):
-                gram[j, l] += np.trace(st.density @ bj.conj().T @ alg.basis[l])
+    if any(st.dim != alg.ambient_dim for st in states):
+        raise DimensionMismatch("state and algebra live in different ambient dimensions")
+    k, d = alg.dim, alg.ambient_dim
+    sigma = sum(st.density for st in states)
+    gram = alg.basis.reshape(k, d * d).conj() @ (alg.basis @ sigma).reshape(k, d * d).T
     gram = (gram + gram.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(gram)
     top = float(eigenvalues[-1])
@@ -287,11 +283,17 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
 
 def random_state(dim: int, seed: int) -> StateFunctional:
     """Seeded full-rank random density matrix (Wishart-style draw)."""
-    rng = np.random.default_rng(int(seed))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return StateFunctional(density=as_matrix(rho))
+    return _random_states(dim, [seed])[0]
+
+
+def _random_states(dim: int, seeds) -> list[StateFunctional]:
+    """`random_state` for each seed, the generators seeded in one stacked pass."""
+    out = []
+    for rng in generators(seeds):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        out.append(StateFunctional(density=as_matrix(rho / np.trace(rho).real)))
+    return out
 
 
 def random_orthogonal_family(
@@ -312,7 +314,8 @@ def random_orthogonal_family(
 def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
     """`random_orthogonal_family` for each seed, in stacked stages: the base draws, then
     one round per attempt over the families still splitting (a draw and a meet each)."""
-    remaining = _random_projectors(alg, [derive_seed(s, STREAM_FAMILY_BASE, 0) for s in seeds], tol)
+    seeds = np.asarray(seeds)
+    remaining = _random_projectors(alg, derive_seeds(seeds, STREAM_FAMILY_BASE, 0), tol)
     parts: list[list] = [[] for _ in seeds]
     cap = alg.ambient_dim
     for attempt in range(1, 4 * cap + 1):
@@ -320,7 +323,7 @@ def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> lis
         active = np.flatnonzero((np.trace(remaining, axis1=1, axis2=2).real > 0.5) & (counts < cap))
         if not active.size:
             break
-        draws = [derive_seed(seeds[i], STREAM_FAMILY_SPLIT, attempt) for i in active]
+        draws = derive_seeds(seeds[active], STREAM_FAMILY_SPLIT, attempt)
         pieces = _meet(_random_projectors(alg, draws, tol), remaining[active], tol)
         kept = np.trace(pieces, axis1=1, axis2=2).real > 0.5
         for i, piece in zip(active[kept], pieces[kept]):

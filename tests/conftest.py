@@ -122,6 +122,17 @@ def reference_close(gens, tol=DEFAULT_TOL, word_cap=None):
     return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
 
 
+def reference_derive_seed(seed, stream, index):
+    """`seeding.derive_seeds` for one triple, as NumPy computes it: one `SeedSequence`."""
+    ss = np.random.SeedSequence((int(seed), int(stream), int(index)))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def reference_rng(seed):
+    """`seeding.generators` for one seed (an int or a `SeedSequence`), as NumPy builds it."""
+    return np.random.default_rng(seed)
+
+
 def haar_unitary(d, rng):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -204,6 +204,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--input", str(path), "meet")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [("--seed", "-1"), ("--trials", "-2"), ("--seed", "-1", "--trials", "0")]
+    )
+    def test_negative_seed_or_trials_is_a_validation_error(self, capsys, gens3_file, flags):
+        code, out, err = run_cli(capsys, *flags, "--input", gens3_file, "report")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --") and "must be nonnegative" in err
+
     def test_bad_tolerance_flag(self, capsys, gens3_file):
         code, _, _ = run_cli(capsys, "--tol-eq", "2.0", "--input", gens3_file, "close")
         assert code == 1

@@ -21,3 +21,17 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_seeding_builds_numpy_generators():
+    # one home for generator construction: a sampler seeding its own generators
+    # would bring back the per-seed path `seeding` stacks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "seeding.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("default_rng", "SeedSequence"))
+        or (isinstance(node, ast.Name) and node.id in ("default_rng", "SeedSequence"))
+    ]
+    assert found == []

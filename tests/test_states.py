@@ -397,6 +397,42 @@ class TestIsSeparating:
         assert all(is_pure(st, two_blocks) for st in family)
         assert is_separating(family, two_blocks)
 
+    @staticmethod
+    def loop_verdict(family, alg, tol=DEFAULT_TOL) -> bool:
+        """The Gram matrix summed trace by trace, ``sum_i tr(rho_i b_j† b_l)``."""
+        gram = np.zeros((alg.dim, alg.dim), dtype=complex)
+        for st in family:
+            for j, bj in enumerate(alg.basis):
+                for l, bl in enumerate(alg.basis):
+                    gram[j, l] += np.trace(st.density @ bj.conj().T @ bl)
+        w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+        return bool(w[-1] > 0.0 and w[0] > tol.rank_tol * max(1.0, w[-1]))
+
+    @pytest.mark.parametrize("name", ["diag3", "full2", "full3", "two_blocks"])
+    def test_verdict_equals_the_trace_by_trace_gram(self, request, name):
+        alg = request.getfixturevalue(name)
+        d = alg.ambient_dim
+        chars = dirac_characters(alg) if name == "diag3" else []
+        families = {
+            "one random state": [random_state(d, seed=3)],
+            "two vector states": [vector_state(np.eye(d)[0]), vector_state(np.eye(d)[-1])],
+            "spanning vector states": spanning_vector_states(d),
+            "first character": chars[:1],
+            "all characters": chars,
+        }
+        verdicts = []
+        for family in filter(None, families.values()):
+            verdict = is_separating(family, alg)
+            assert verdict == self.loop_verdict(family, alg)
+            verdicts.append(verdict)
+        assert True in verdicts
+        if name != "full2":  # on M_2 two orthogonal vector states already separate
+            assert False in verdicts
+
+    def test_each_state_must_match_the_ambient_dimension(self, full2):
+        with pytest.raises(DimensionMismatch):
+            is_separating([make_state(np.eye(2) / 2), make_state(np.eye(3) / 3)], full2)
+
 
 class TestPurityFalsificationSweep:
     def test_pure_state_is_no_sampled_proper_mixture(self, full3):
