@@ -136,18 +136,18 @@ def close(
 
     Breadth-first over words in the generators and their adjoints: the
     unit is adjoined first, then each round multiplies the newly found
-    directions by every generator and adjoint on both sides. The
-    orthonormal basis is the first k rows of one preallocated
-    ``(d^2, d^2)`` array (a span in M_d has at most d^2 dimensions); each
-    candidate is projected off it by classical Gram-Schmidt run twice
-    ("twice is enough" for machine-precision orthogonality), each pass
-    two BLAS products ``r -= (B* r) B``. A candidate ``x g`` or ``g x``
-    counts as new only if its component outside the span exceeds
+    directions on the left by every generator and adjoint (every word
+    ``g1 g2 ... gn`` is ``g1 (g2 ... gn)``, so after n rounds the span is
+    that of all words of length at most n). The orthonormal basis is the
+    first k rows of one preallocated ``(d^2, d^2)`` array; each candidate
+    is projected off it by classical Gram-Schmidt run twice ("twice is
+    enough"), each pass two BLAS products ``r -= (B* r) B``. A candidate
+    ``g x`` counts as new only if its component outside the span exceeds
     ``rank_tol * ||g||`` (``x`` has unit norm), so rounding noise in
-    products that vanish is never promoted to a direction; a round that
-    adds nothing terminates the search. The resulting span depends
-    neither on the generator ordering nor on the basis the generators
-    are written in.
+    products that vanish is never promoted to a direction. The search ends
+    at a round that adds nothing or at a span of d^2, all of M_d. The span
+    depends neither on the generator ordering nor on the basis the
+    generators are written in.
 
     Raises
     ------
@@ -156,14 +156,11 @@ def close(
         (default ``2 d^2``), which signals the cap is too small.
     """
     d = gens.ambient_dim
-    cap = 2 * d * d if word_cap is None else int(word_cap)
-    if cap < 1:
-        raise ValidationError(f"word_cap must be positive, got {cap}")
+    cap = 2 * d * d if word_cap is None else word_cap
+    if not is_int(cap) or cap < 1:
+        raise ValidationError(f"word_cap must be a positive integer, got {cap!r}")
 
-    multipliers = []
-    for g in gens.generators:
-        norm = hs_norm(g)
-        multipliers += [(g, norm), (g.conj().T, norm)]
+    multipliers = [(m, hs_norm(g)) for g in gens.generators for m in (g, g.conj().T)]
 
     basis = np.empty((d * d, d * d), dtype=complex)  # rows 0..k-1 hold the span
     k = 0
@@ -189,17 +186,15 @@ def close(
     unit = np.eye(d, dtype=complex)
     frontier = extend([(unit, hs_norm(unit)), *multipliers])  # seeds: their own norm
     word_len = 1
-    while frontier:
+    while frontier and k < d * d:  # a span of d^2 is all of M_d
         if word_len >= cap:
             raise ClosureNotReached(
                 f"closure still growing at word length {word_len} (cap {cap}); "
                 f"span dimension so far {k}"
             )
         word_len += 1
-        # x has unit HS norm, so the factor scale of x g and g x is ||g||
-        frontier = extend(
-            (c, norm) for x in frontier for g, norm in multipliers for c in (x @ g, g @ x)
-        )
+        # x has unit HS norm, so the factor scale of g x is ||g||
+        frontier = extend((g @ x, norm) for x in frontier for g, norm in multipliers)
 
     return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
 

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Verbs operate on JSON files (see the README for the schemas) and write a
-JSON result to stdout or to ``--json-out``, with a one-line human summary
-on stderr. Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+JSON result, one compact line, to stdout or to ``--json-out``, with a
+one-line human summary on stderr. Exit codes: 0 success, 1 validation
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload)  # compact, so CPython's C encoder writes it
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -10,6 +10,7 @@ and BLAS products rather than Python loops (measured envelope in the README).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -229,26 +230,28 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True) -> np.ndarray:
-    """Parse the ``[re, im]``-pair row format back into a complex matrix."""
+    """Parse the ``[re, im]``-pair row format back into a complex matrix, checked in bulk."""
     if not isinstance(rows, list) or not rows:
         raise ValidationError("matrix JSON must be a nonempty array of rows")
-    data = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ValidationError("matrix JSON rows must be arrays")
-        parsed = []
-        for entry in row:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
-                raise ValidationError("matrix entries must be [re, im] pairs of numbers")
-            parsed.append(complex(entry[0], entry[1]))
-        data.append(parsed)
-    if len({len(row) for row in data}) != 1:
+    bad_row = next((i for i, row in enumerate(rows) if not isinstance(row, list)), len(rows))
+    entries = list(chain.from_iterable(rows[:bad_row]))  # a row-major scan's first error wins
+    if not (
+        all(issubclass(t, list) for t in set(map(type, entries)))
+        and set(map(len, entries)) <= {2}
+        and all(
+            issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in set(map(type, chain.from_iterable(entries)))
+        )
+    ):
+        raise ValidationError("matrix entries must be [re, im] pairs of numbers")
+    if bad_row < len(rows):
+        raise ValidationError("matrix JSON rows must be arrays")
+    if len(set(map(len, rows))) != 1:
         raise ValidationError("matrix JSON rows must all have the same length")
-    a = as_matrix(np.array(data, dtype=complex), square=square)
+    try:  # float64 pairs viewed as complex128 hold the bits of complex(re, im)
+        a = as_matrix(np.array(rows, dtype=float).view(complex).reshape(len(rows), -1), square)
+    except OverflowError as exc:
+        raise ValidationError(f"matrix entries must lie in the float range: {exc}") from exc
     if expected_dim is not None and a.shape != (expected_dim, expected_dim):
         raise DimensionMismatch(
             f"expected a {expected_dim}x{expected_dim} matrix, got shape {a.shape}"

@@ -436,6 +436,6 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
     }
 
 
-def report_to_json(report: ScenarioReport, indent: int | None = None) -> str:
+def report_to_json(report: ScenarioReport) -> str:
     """Deterministic serialization: same report value, same bytes."""
-    return json.dumps(report_to_json_dict(report), indent=indent)
+    return json.dumps(report_to_json_dict(report))

@@ -116,6 +116,21 @@ class TestClose:
         with pytest.raises(ClosureNotReached):
             close(gens, word_cap=2)
 
+    @pytest.mark.parametrize("d, cap", [(3, 2), (4, 4)])
+    def test_stops_once_the_span_fills_m_d_at_the_cap(self, d, cap):
+        # the span reaches all of M_d in round `cap`; the two-sided reference raises there
+        assert close(build_weyl_finite(d), word_cap=cap).dim == d * d
+        with pytest.raises(ClosureNotReached):
+            reference_close(build_weyl_finite(d), word_cap=cap)
+
+    @pytest.mark.parametrize("cap", [2.5, 4.0, True, "4", 0, -1])
+    def test_word_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ValidationError, match="word_cap must be a positive integer"):
+            close(build_weyl_finite(3), word_cap=cap)
+
+    def test_word_cap_accepts_numpy_integers(self):
+        assert close(build_weyl_finite(3), word_cap=np.int64(2)).dim == 9
+
     def test_dimension_never_exceeds_ambient_square(self, full4, diag8, two_blocks):
         for alg in (full4, diag8, two_blocks):
             assert alg.dim <= alg.ambient_dim**2

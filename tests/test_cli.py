@@ -8,6 +8,9 @@ from oplattice import (
     build_weyl_finite,
     generator_set_to_json,
     matrix_to_json,
+    report_to_json,
+    run_scenario,
+    scenario_from_json,
 )
 from oplattice.cli import main
 
@@ -170,6 +173,39 @@ class TestRunVerb:
         assert first == second
 
 
+class TestOneSerialisation:
+    """The CLI writes one compact line: the bytes of `report_to_json`, newline-terminated."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"name": "w3", "kind": "weyl_finite", "dim": 3, "parameters": {"modulus": 3},
+             "trials": 10, "seed": 2},
+            {"name": "s", "kind": "sectors", "dim": 5, "parameters": {"blocks": [[2, 1], [1, 3]]},
+             "trials": 10, "seed": 5},
+        ],
+        ids=["weyl-3", "sectors"],
+    )
+    def test_run_writes_the_bytes_of_report_to_json(self, capsys, tmp_path, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        want = report_to_json(run_scenario(scenario_from_json(scenario))) + "\n"
+        code, out, _ = run_cli(capsys, "--input", str(path), "run")
+        assert code == 0
+        assert out == want
+        out_file = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "--input", str(path), "--json-out", str(out_file), "run")
+        assert code == 0
+        assert out == ""
+        assert out_file.read_bytes() == want.encode()
+
+    def test_close_writes_one_compact_line(self, capsys, gens3_file):
+        code, out, _ = run_cli(capsys, "--input", gens3_file, "close")
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
 class TestExitCodes:
     def test_missing_input_is_a_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "close")
@@ -260,6 +296,15 @@ class TestExitCodes:
         path.write_text(json.dumps(gens))
         code, _, err = run_cli(capsys, "--input", str(path), "close")
         assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_integer_entry_outside_the_float_range_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text('{"dim": 1, "generators": [[[[1' + "0" * 400 + ', 0]]]]}')
+        code, out, err = run_cli(capsys, "--input", str(path), "close")
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
 

@@ -237,6 +237,29 @@ class TestMatrixJson:
             loop = [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, complex)]
             assert json.dumps(matrix_to_json(m), indent=2) == json.dumps(loop, indent=2)
 
+    def test_reads_the_bits_of_complex_re_im(self):
+        rows = [[[-0.0, 0.0], [1, -0.0]], [[2**70, -(2**64) + 3], [5e-324, 1.5 * 2.0**1023]]]
+        want = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert matrix_from_json(rows).tobytes() == want.tobytes()
+
+    def test_rejects_an_integer_outside_the_float_range(self):
+        with pytest.raises(ValidationError, match="float range"):
+            matrix_from_json([[[10**400, 0]]])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[[1.0, 0.0]], 7], "rows must be arrays"),
+            ([[[1.0]], 7], "entries must be"),
+            ([[[1.0, "0"]]], "entries must be"),
+            ([[(1.0, 0.0)]], "entries must be"),
+            ([[]], "must be nonempty"),
+        ],
+    )
+    def test_the_first_bad_row_or_entry_names_the_error(self, rows, message):
+        with pytest.raises((ValidationError, DimensionMismatch), match=message):
+            matrix_from_json(rows)
+
     def test_rejects_bare_numbers(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1.0, 0.0], [0.0, 1.0]])
