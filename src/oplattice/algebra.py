@@ -170,6 +170,8 @@ def close(
         nonlocal k
         added = []
         for candidate, ref in candidates:
+            if k == d * d:  # all of M_d: a tiny rank_tol would otherwise accept rounding noise
+                break
             scale = hs_norm(candidate)
             if scale == 0.0:
                 continue
@@ -249,19 +251,16 @@ def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBa
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Intersection of ``alg`` with its commutant.
 
-    Solved inside the algebra: elements ``x = sum c_j b_j`` whose
-    commutator with every basis element vanishes. Working in basis
-    coefficients keeps the result exactly inside the span and maps the
-    orthonormal coefficient kernel to a Hilbert-Schmidt orthonormal
-    basis. The center is commutative and contains the identity.
+    Spanned by the minimal central projectors z, read off the memoized
+    `sectors.block_decomposition`; each basis element is ``z / sqrt(tr z)``,
+    Hilbert-Schmidt orthonormal since the z are orthogonal projectors. The
+    center is commutative and contains the identity.
     """
-    cols = []
-    for b_j in alg.basis:
-        rows_j = np.concatenate([(b_j @ b_i - b_i @ b_j).ravel() for b_i in alg.basis])
-        cols.append(rows_j)
-    system = np.stack(cols, axis=1)
-    coeff_kernel = null_space(system, tol)  # one column per center element
-    return AlgebraBasis(alg.ambient_dim, np.tensordot(coeff_kernel, alg.basis, axes=(0, 0)))
+    from .sectors import block_decomposition  # sectors builds on this module
+
+    zs = np.stack([s.central_projector for s in block_decomposition(alg, tol).sectors])
+    traces = np.trace(zs, axis1=1, axis2=2).real
+    return AlgebraBasis(alg.ambient_dim, zs / np.sqrt(traces)[:, None, None])
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -71,7 +71,8 @@ class ClosureNotReached(NumericalError):
 
 
 class CenterDiagonalizationFailed(NumericalError):
-    """Joint diagonalization of the center produced ambiguous eigenvalue clusters."""
+    """No generic element of the attempted draws exhibited a block structure that passes
+    the decomposition's certificate; raised from the last draw's `SectorStructureError`."""
 
 
 class SectorStructureError(NumericalError):

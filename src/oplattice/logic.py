@@ -31,6 +31,7 @@ from .numerics import (
     null_space,
     operator_norm,
     range_projector,
+    singular_rank,
     suffix_projectors,
 )
 from .sectors import _random_span_elements, block_decomposition, mvn_dimension
@@ -62,9 +63,7 @@ def _meet(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
     if a.ndim == 2:  # a public one-pair call stays a (traced) `null_space` call, same bits
         return range_projector(null_space(a, tol))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    top = s[..., :1]  # `null_space`'s rank rule, per trial
-    rank = np.count_nonzero((s > tol.rank_tol * top) & (top > tol.rank_tol), axis=-1)
-    return suffix_projectors(vh.conj().swapaxes(-2, -1), rank)
+    return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, tol))
 
 
 def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -115,19 +114,15 @@ def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _meet(*_projectors(p, q, tol=tol), tol)
 
 
-def meet_iterative(
-    p, q, tol: Tolerance = DEFAULT_TOL, symmetrized: bool = True
-) -> np.ndarray:
+def meet_iterative(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Meet as the limit of iterated products.
 
-    With ``symmetrized=True`` (default) the iterates are the hermitian
-    powers ``(p q p)^n``; after the successive-difference residual drops
-    below ``conv_tol`` the eigenvalues are rounded to {0, 1} and the
-    projector is rebuilt, so the output is an exact projector. With
-    ``symmetrized=False`` the raw power ``(p q)^n`` at convergence is
-    returned unrounded; it approximates the same limit and is only used
-    as a relaxed cross-check. Rounding needs a gap wider than 0.1 around
-    1/2, a property of a converged projector spectrum, not a tolerance.
+    The iterates are the hermitian powers ``(p q p)^n``; after the
+    successive-difference residual drops below ``conv_tol`` the
+    eigenvalues are rounded to {0, 1} and the projector is rebuilt, so
+    the output is an exact projector. Rounding needs a gap wider than 0.1
+    around 1/2, a property of a converged projector spectrum, not a
+    tolerance.
 
     Raises
     ------
@@ -137,13 +132,12 @@ def meet_iterative(
         converged spectrum has no clean gap around 1/2 to round across.
     """
     pm, qm = _projectors(p, q, tol=tol)
-    core = pm @ qm @ pm if symmetrized else pm @ qm
+    core = pm @ qm @ pm
     s = core.copy()
     residual = np.inf
     for _ in range(tol.max_iter):
         s_next = s @ core
-        if symmetrized:
-            s_next = (s_next + s_next.conj().T) / 2.0
+        s_next = (s_next + s_next.conj().T) / 2.0
         residual = operator_norm(s_next - s)
         s = s_next
         if residual < tol.conv_tol:
@@ -154,8 +148,6 @@ def meet_iterative(
             f"last residual {residual:.3e}",
             residual=residual,
         )
-    if not symmetrized:
-        return s
     w, v = np.linalg.eigh(s)
     ones = w >= 0.5
     low = float(w[~ones].max()) if np.any(~ones) else 0.0

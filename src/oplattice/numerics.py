@@ -125,11 +125,17 @@ def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
     package have O(1) scale, so a purely relative cutoff would mistake
     accumulated rounding noise for full rank.
     """
-    a = as_matrix(m, square=False)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= tol.rank_tol:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    return int(singular_rank(np.linalg.svd(as_matrix(m, square=False), compute_uv=False), tol))
+
+
+def singular_rank(s: np.ndarray, tol: Tolerance):
+    """`rank_of`'s rule on descending singular values, per row of an ``(..., r)`` stack: the
+    count above ``rank_tol`` times the row's largest, 0 when that largest is at most
+    ``rank_tol`` itself."""
+    top = s[..., :1]
+    keep = (s > tol.rank_tol * top) & (top > tol.rank_tol)
+    # an axis sends count_nonzero through a generic sum, ~4 us a call on one row
+    return np.count_nonzero(keep, axis=-1) if s.ndim > 1 else np.count_nonzero(keep)
 
 
 def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -144,10 +150,7 @@ def null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(m, square=False)
     # the kernel needs all d columns of V, but never the rows x rows U of a tall system
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = 0
-    if s.size and s[0] > tol.rank_tol:
-        rank = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return vh[rank:].conj().T.copy()
+    return vh[singular_rank(s, tol):].conj().T.copy()
 
 
 def is_projector(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -3,8 +3,10 @@
 A unital *-closed algebra inside M_d splits along the minimal projectors
 of its center into blocks, each unitarily equivalent to ``M_n (x) 1_m``
 (a full matrix factor of size n acting with multiplicity m). This module
-finds that block structure, classifies factors, and computes the
-integer-valued dimension function on projector equivalence classes
+reads that block structure, and with it the center, off one generic
+pair of algebra elements and certifies it against the whole basis. It
+classifies factors and computes the integer-valued dimension function
+on projector equivalence classes
 (two projectors are equivalent when a partial isometry inside the
 algebra maps one range onto the other; in each block the complete
 invariant is the reduced rank).
@@ -16,16 +18,16 @@ minimal projectors (types II and III) have no matrix realization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
-from .algebra import AlgebraBasis, center, contains
+from .algebra import AlgebraBasis, contains
 from .errors import (
     CenterDiagonalizationFailed,
     NotInAlgebra,
     ReducedRankNotDivisible,
     SectorDimensionMismatch,
+    SectorStructureError,
     TensorFormDefect,
 )
 from .numerics import (
@@ -37,9 +39,10 @@ from .numerics import (
     operator_norm,
     range_projector,
     rank_of,
+    singular_rank,
     spectral_clusters,
 )
-from .seeding import STREAM_BLOCK, STREAM_CENTER, STREAM_GENERIC, attempt_generator
+from .seeding import STREAM_BLOCK, STREAM_GENERIC, attempt_generator
 
 _MAX_ATTEMPTS = 5
 _ISOMETRY_ATTEMPTS = 8  # generic elements `equivalence_isometry` tries
@@ -72,99 +75,90 @@ class SectorDecomposition:
 def minimal_central_projectors(
     alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Pairwise-orthogonal minimal projectors of the center, summing to 1.
-
-    A generic real combination of a self-adjoint basis of the center
-    separates the joint spectrum with probability 1: its eigenvalue
-    clusters are exactly the minimal central projectors. On cluster
-    ambiguity the combination is redrawn, up to five times.
-    """
-    ctr = center(alg, tol)
-    k = ctr.dim
-    sa = []
-    for b in ctr.basis:
-        sa.append((b + b.conj().T) / 2.0)
-        sa.append((b - b.conj().T) / 2.0j)
-
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = attempt_generator(STREAM_CENTER, attempt)
-        h = np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
-        for s in sa:
-            h = h + rng.standard_normal() * s
-        h = (h + h.conj().T) / 2.0
-        v, clusters = spectral_clusters(h, tol)
-        if len(clusters) != k:
-            continue
-        projs = [range_projector(v[:, start:stop]) for start, stop in clusters]
-        if contains(ctr, np.stack(projs), tol).all():
-            return projs
-
-    raise CenterDiagonalizationFailed(
-        f"could not separate the center into {k} eigenvalue clusters after "
-        f"{_MAX_ATTEMPTS} attempts; the rank tolerance {tol.rank_tol} is likely degenerate"
-    )
+    """Pairwise-orthogonal minimal projectors of the center, summing to 1: the
+    sectors' central projectors, read off the memoized `block_decomposition`."""
+    return [s.central_projector for s in block_decomposition(alg, tol).sectors]
 
 
-def _random_span_elements(comp_basis: np.ndarray, rngs: list, hermitian: bool) -> np.ndarray:
+def _random_span_elements(basis: np.ndarray, rngs: list, hermitian: bool) -> np.ndarray:
     """One random span element per generator in `rngs`, each a ``1 x k`` by ``k x d^2``
     product: the bits of its own ``tensordot`` (a stacked one is a GEMM and rounds apart)."""
-    k, d = comp_basis.shape[0], comp_basis.shape[-1]
+    k, d = basis.shape[0], basis.shape[-1]
     coeffs = np.empty((len(rngs), 1, k), dtype=complex)
     for c, rng in zip(coeffs, rngs):
         c[0] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = np.matmul(coeffs, comp_basis.reshape(k, d * d)).reshape(-1, d, d)
+    x = np.matmul(coeffs, basis.reshape(k, d * d)).reshape(-1, d, d)
     return (x + x.conj().swapaxes(-2, -1)) / 2.0 if hermitian else x
 
 
-def _block_isometry(
-    comp_basis: np.ndarray, n: int, m: int, r: int, tol: Tolerance
-) -> np.ndarray:
-    """Orthonormal columns of C^r exhibiting the compressed span as M_n (x) 1_m.
+def _partial_trace(sector: Sector, a: np.ndarray) -> np.ndarray:
+    """Trace over the multiplicity of the compression ``V* a V``, n x n (per matrix of a
+    stack): ``m beta`` for ``a = V (beta (x) 1_m) V*``."""
+    n, m = sector.block_size, sector.multiplicity
+    c = sector.isometry.conj().T @ a @ sector.isometry
+    return np.einsum("...jsks->...jk", c.reshape(*c.shape[:-2], n, m, n, m))
 
-    A generic self-adjoint element of the span has n eigenvalue clusters
-    of size m; the clusters are the minimal projectors of the block. A
-    generic span element then supplies the partial isometries aligning
-    the multiplicity spaces of the clusters (polar parts of its
-    compressions between cluster ranges).
+
+def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -> list:
+    """The sectors one generic pair of span elements exhibits, uncertified.
+
+    The eigenvalue clusters of a generic self-adjoint h are the minimal
+    projectors of the blocks, m columns each. Two clusters c_a, c_b lie
+    in one sector exactly when ``c_a* g c_b`` is nonzero for a generic g,
+    and the polar parts of the compressions ``c_j* g c_0`` align each
+    cluster's multiplicity space with that of the sector's first cluster
+    (for j = 0 it is a phase).
     """
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = attempt_generator(STREAM_BLOCK, attempt)
-        h = _random_span_elements(comp_basis, [rng], hermitian=True)[0]
-        v, clusters = spectral_clusters(h, tol)
-        if len(clusters) != n or any(stop - start != m for start, stop in clusters):
-            continue
-        copies = [v[:, start:stop] for start, stop in clusters]
-        if n == 1:
-            return copies[0]
-        g = _random_span_elements(comp_basis, [rng], hermitian=False)[0]
-        cols = [copies[0]]
-        aligned = True
-        for j in range(1, n):
-            w_j = copies[j].conj().T @ g @ copies[0]
-            uu, ss, vv = np.linalg.svd(w_j)
-            if ss[-1] <= tol.rank_tol * ss[0]:
-                aligned = False
-                break
-            cols.append(copies[j] @ (uu @ vv))
-        if aligned:
-            return np.hstack(cols)
+    h = _random_span_elements(alg.basis, [rng], hermitian=True)[0]
+    g = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
+    v, clusters = spectral_clusters(h, tol)
+    gv = v.conj().T @ g @ v
+    starts = [start for start, _ in clusters]
+    weight = np.add.reduceat(np.add.reduceat(np.abs(gv) ** 2, starts, axis=0), starts, axis=1)
+    linked = (np.sqrt(weight) > tol.rank_tol * hs_norm(g)) | np.eye(len(clusters), dtype=bool)
+    sector_of = np.argmax(linked, axis=0)  # the first cluster each one is linked to
+    sectors = []
+    for first in sorted(set(sector_of.tolist())):
+        members = [clusters[i] for i in np.flatnonzero(sector_of == first)]
+        sizes = [stop - start for start, stop in members]
+        if len(set(sizes)) != 1:
+            raise SectorStructureError(
+                f"linked eigenvalue clusters of sizes {sizes} are not copies of one block",
+                counts=sizes,
+            )
+        s0, e0 = members[0]
+        uu, ss, vv = np.linalg.svd(np.stack([gv[a:b, s0:e0] for a, b in members]))
+        if (singular_rank(ss, tol) < sizes[0]).any():
+            raise SectorStructureError(
+                "a compression between linked clusters is rank deficient", residual=ss.min()
+            )
+        isometry = np.hstack([v[:, a:b] @ (u @ w) for (a, b), u, w in zip(members, uu, vv)])
+        sectors.append(Sector(range_projector(isometry), len(members), sizes[0], isometry))
+    return sectors
 
-    raise CenterDiagonalizationFailed(
-        f"could not exhibit a block of size {r} as a {n}-dimensional factor with "
-        f"multiplicity {m} after {_MAX_ATTEMPTS} attempts"
-    )
 
-
-def _tensor_form_defect(isometry: np.ndarray, alg: AlgebraBasis, n: int, m: int) -> float:
-    """Largest deviation of compressed basis elements from beta (x) 1_m form."""
-    worst = 0.0
-    eye_m = np.eye(m)
-    for a in alg.basis:
-        c = isometry.conj().T @ a @ isometry
-        c4 = c.reshape(n, m, n, m)
-        beta = np.einsum("jsks->jk", c4) / m
-        worst = max(worst, hs_norm(c4 - np.einsum("jk,st->jskt", beta, eye_m)))
-    return worst
+def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
+    """Raise unless the sectors are the algebra's: their blocks' ``n^2`` sum to its
+    dimension and every basis element is ``sum_i V_i (beta_i (x) 1_m) V_i*``, beta_i its
+    partial trace over m. The algebra then lies in the direct sum of the blocks and has
+    its dimension, so is all of it: a split or a merged sector cannot pass."""
+    counts = [(s.block_size, s.multiplicity) for s in sectors]
+    if sum(n * n for n, _ in counts) != alg.dim:
+        raise SectorDimensionMismatch(
+            f"sector blocks (size, multiplicity) {counts} do not span the algebra's "
+            f"dimension {alg.dim}",
+            counts=counts,
+        )
+    rebuilt = np.zeros_like(alg.basis)
+    for s in sectors:
+        beta = _partial_trace(s, alg.basis) / s.multiplicity
+        rebuilt += s.isometry @ np.kron(beta, np.eye(s.multiplicity)) @ s.isometry.conj().T
+    defect = float(np.linalg.norm(alg.basis - rebuilt, axis=(1, 2)).max())
+    if defect > tol.rank_tol:
+        raise TensorFormDefect(
+            f"the algebra deviates from its blocks' tensor form by {defect:.3e}",
+            residual=defect,
+        )
 
 
 def block_decomposition(
@@ -172,13 +166,12 @@ def block_decomposition(
 ) -> SectorDecomposition:
     """Full block structure of a closed algebra, computed once per tolerance.
 
-    Per minimal central projector z: compress the algebra to the range
-    of z, read the block size n off the compressed span dimension (which
-    is n^2 for a full matrix factor), require the multiplicity
-    m = rank(z)/n to be integral, and build the isometry exhibiting the
-    ``M_n (x) 1_m`` form. *-closed matrix algebras are always semisimple,
-    so a violated structural identity raises a `SectorStructureError`
-    carrying what it measured. Sectors are sorted by their central
+    One generic pair of algebra elements exhibits the blocks
+    (`_read_sectors`; Murota, Kanno, Kojima and Kojima, JJIAM 2010), and
+    one stacked check of the whole basis certifies them (`_certify`). A
+    non-generic draw fails the check and is redrawn, up to
+    ``_MAX_ATTEMPTS`` times, after which `CenterDiagonalizationFailed`
+    is raised from the last failure. Sectors are sorted by their central
     projectors z, compared row by row (each row's real parts, then its
     imaginary parts; on the ``rank_tol`` grid, larger first): the algebra
     fixes that order, its basis and rounding do not, and the sector
@@ -194,48 +187,24 @@ def block_decomposition(
 
 
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
-    d = alg.ambient_dim
-    zs = minimal_central_projectors(alg, tol)
-    zs.sort(key=lambda z: tuple(np.round(np.hstack([z.real, z.imag]).ravel() / -tol.rank_tol)))
-    sectors = []
-    for z in zs:
-        r = int(round(float(np.trace(z).real)))
-        w, v = np.linalg.eigh(z)
-        q = v[:, d - r :]
-        flat = np.stack([q.conj().T @ a @ q for a in alg.basis]).reshape(alg.dim, r * r)
-        _, s, vh = np.linalg.svd(flat, full_matrices=False)
-        keep = s > tol.rank_tol * s[0]
-        span_dim = int(np.count_nonzero(keep))
-        n = isqrt(span_dim)
-        if n * n != span_dim:
-            raise CenterDiagonalizationFailed(
-                f"compressed block span has dimension {span_dim}, not a perfect square; "
-                "tolerances are likely degenerate"
-            )
-        m, rem = divmod(r, n)
-        if rem != 0:
-            raise CenterDiagonalizationFailed(
-                f"block rank {r} is not divisible by block size {n}"
-            )
-        comp_basis = vh[keep].reshape(-1, r, r)
-        isometry = q @ _block_isometry(comp_basis, n, m, r, tol)
-        defect = _tensor_form_defect(isometry, alg, n, m)
-        if defect > tol.rank_tol:
-            raise TensorFormDefect(
-                f"transported block deviates from tensor form by {defect:.3e}", residual=defect
-            )
-        z.setflags(write=False)
-        isometry.setflags(write=False)
-        sectors.append(
-            Sector(central_projector=z, block_size=n, multiplicity=m, isometry=isometry)
-        )
-    counts = [(s.block_size, s.multiplicity) for s in sectors]
-    if sum(n * m for n, m in counts) != d:
-        raise SectorDimensionMismatch(
-            f"sector blocks (size, multiplicity) {counts} do not fill dimension {d}",
-            counts=counts,
-        )
-    return SectorDecomposition(ambient_dim=d, sectors=tuple(sectors))
+    for attempt in range(_MAX_ATTEMPTS):
+        try:
+            sectors = _read_sectors(alg, attempt_generator(STREAM_BLOCK, attempt), tol)
+            _certify(alg, sectors, tol)
+        except SectorStructureError as exc:
+            failure = exc
+            continue
+        for s in sectors:
+            s.central_projector.setflags(write=False)
+            s.isometry.setflags(write=False)
+        sectors.sort(key=lambda s: tuple(
+            np.round(np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
+                     / -tol.rank_tol)))
+        return SectorDecomposition(ambient_dim=alg.ambient_dim, sectors=tuple(sectors))
+    raise CenterDiagonalizationFailed(
+        f"no generic element of {_MAX_ATTEMPTS} draws exhibited the block structure; the "
+        f"rank tolerance {tol.rank_tol} is likely degenerate (last draw: {failure})"
+    ) from failure
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

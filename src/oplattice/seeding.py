@@ -38,7 +38,6 @@ STREAM_SWEEP_FAMILY = 22
 STREAM_STATE_CHECK = 23
 
 # sectors: one generator per (stream, attempt), see `attempt_generator`
-STREAM_CENTER = 101
 STREAM_BLOCK = 102
 STREAM_GENERIC = 103
 

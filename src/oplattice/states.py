@@ -42,7 +42,7 @@ from .numerics import (
     operator_norm,
     rank_of,
 )
-from .sectors import SectorDecomposition, block_decomposition
+from .sectors import _partial_trace, block_decomposition
 from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seeds, generators
 
 
@@ -195,25 +195,6 @@ def check_sigma_orthoadditive(
     return additivity <= tol.law_tol and complement <= tol.eq_tol
 
 
-def _sector_reductions(
-    state: StateFunctional, decomp: SectorDecomposition
-) -> list[tuple[float, np.ndarray]]:
-    """Per sector: (weight, reduced density on the block factor).
-
-    The compressed density on block coordinates (j, t) is partial-traced
-    over the multiplicity index t.
-    """
-    out = []
-    for sector in decomp.sectors:
-        n, m = sector.block_size, sector.multiplicity
-        compressed = sector.isometry.conj().T @ state.density @ sector.isometry
-        c4 = compressed.reshape(n, m, n, m)
-        reduced = np.einsum("jsks->jk", c4)
-        weight = float(np.trace(reduced).real)
-        out.append((weight, reduced))
-    return out
-
-
 def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Purity of the state as a functional on the algebra.
 
@@ -224,15 +205,9 @@ def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_
     """
     if state.dim != alg.ambient_dim:
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
-    weighted = [
-        (weight, reduced)
-        for weight, reduced in _sector_reductions(state, block_decomposition(alg, tol))
-        if weight > tol.rank_tol
-    ]
-    if len(weighted) != 1:
-        return False
-    _, reduced = weighted[0]
-    return rank_of(reduced, tol) == 1
+    reduced = [_partial_trace(s, state.density) for s in block_decomposition(alg, tol).sectors]
+    weighted = [r for r in reduced if float(np.trace(r).real) > tol.rank_tol]
+    return len(weighted) == 1 and rank_of(weighted[0], tol) == 1
 
 
 def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[StateFunctional]:

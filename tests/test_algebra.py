@@ -6,6 +6,7 @@ from oplattice import (
     ClosureNotReached,
     DimensionMismatch,
     GeneratorSet,
+    Tolerance,
     ValidationError,
     baire_envelope,
     block_decomposition,
@@ -130,6 +131,10 @@ class TestClose:
 
     def test_word_cap_accepts_numpy_integers(self):
         assert close(build_weyl_finite(3), word_cap=np.int64(2)).dim == 9
+
+    def test_tiny_rank_tol_stops_at_m_d(self):
+        # rounding noise passes a 1e-300 cutoff; the search still ends at d^2 directions
+        assert close(build_weyl_finite(3), Tolerance(rank_tol=1e-300)).dim == 9
 
     def test_dimension_never_exceeds_ambient_square(self, full4, diag8, two_blocks):
         for alg in (full4, diag8, two_blocks):

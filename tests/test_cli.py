@@ -45,6 +45,11 @@ class TestAlgebraVerbs:
         assert payload["ambient_dim"] == 3
         assert "span dimension 9" in err
 
+    def test_close_under_a_tiny_rank_tol(self, capsys, gens3_file):
+        code, out, _ = run_cli(capsys, "--tol-rank", "1e-300", "--input", gens3_file, "close")
+        assert code == 0
+        assert json.loads(out)["dim"] == 9
+
     def test_commutant(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "commutant")
         assert code == 0

@@ -93,13 +93,6 @@ class TestMeetIterative:
             q = random_projector(full4, 2000 + i)
             assert operator_norm(meet_iterative(p, q) - meet(p, q)) <= 1e-8
 
-    def test_unsymmetrized_power_approximates_meet(self, full4):
-        for i in range(25):
-            p = random_projector(full4, 3000 + i)
-            q = random_projector(full4, 4000 + i)
-            raw = meet_iterative(p, q, symmetrized=False)
-            assert operator_norm(raw - meet(p, q)) <= 1e-6
-
     def test_iterates_decrease_monotonically(self, full4):
         for i in range(10):
             p = random_projector(full4, 5000 + i)

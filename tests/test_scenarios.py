@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,3 +382,17 @@ class TestEnvelope:
         report = run_scenario(scenario)
         assert (report.algebra_dim, report.commutant_dim, report.center_dim) == (64, 1, 1)
         assert report.orthoadditivity == {"trials": 0, "failures": 0, "max_residual": 0.0}
+
+    def test_weyl_d16_structure_within_a_memory_bound(self):
+        # one generic element pair decomposes M_16 at ~60 MB; a (k d^2) x k center system
+        # would alone hold 65536 x 256 complex entries, 268 MB
+        scenario = Scenario(name="w16", kind="weyl_finite", dim=16,
+                            parameters={"modulus": 16}, trials=0)
+        tracemalloc.start()
+        try:
+            report = run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.algebra_dim, report.commutant_dim, report.center_dim) == (256, 1, 1)
+        assert peak < 200 * 2**20

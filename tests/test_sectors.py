@@ -11,11 +11,13 @@ from oplattice import (
     NumericalError,
     ReducedRankNotDivisible,
     SectorDimensionMismatch,
+    SectorStructureError,
     TensorFormDefect,
     Tolerance,
     block_decomposition,
     build_sectors,
     build_weyl_finite,
+    center,
     close,
     contains,
     equivalence_isometry,
@@ -272,19 +274,20 @@ class TestMvnDimension:
 
 class TestDecompositionMemo:
     def test_structure_is_computed_once_per_tolerance(self, monkeypatch):
-        real_center = sectors_module.center
+        real_decompose = sectors_module._decompose
         calls = []
 
-        def counting_center(alg, tol):
+        def counting_decompose(alg, tol):
             calls.append(tol)
-            return real_center(alg, tol)
+            return real_decompose(alg, tol)
 
-        monkeypatch.setattr(sectors_module, "center", counting_center)
+        monkeypatch.setattr(sectors_module, "_decompose", counting_decompose)
         alg = close(build_sectors([(2, 1), (1, 2)]))
         first = block_decomposition(alg)
         assert not is_factor(alg)
         z = first.sectors[0].central_projector
         assert mvn_dimension(alg, z) == [first.sectors[0].block_size, 0]
+        assert center(alg).dim == len(minimal_central_projectors(alg)) == 2
         lattice_report(alg, trials=0, seed=0)
         assert block_decomposition(alg) is first
         assert len(calls) == 1
@@ -306,20 +309,46 @@ class TestStructureChecks:
 
     def test_tensor_form_defect_carries_its_residual(self, monkeypatch):
         wrong = haar_unitary(4, np.random.default_rng(5))
-        monkeypatch.setattr(sectors_module, "_block_isometry", lambda comp, n, m, r, tol: wrong)
-        with pytest.raises(TensorFormDefect) as info:
+        monkeypatch.setattr(
+            sectors_module,
+            "_read_sectors",
+            lambda alg, rng, tol: [sectors_module.Sector(np.eye(4), 2, 2, wrong)],
+        )
+        with pytest.raises(CenterDiagonalizationFailed) as info:
             block_decomposition(close(build_sectors([(2, 2)])))
-        assert isinstance(info.value, NumericalError)
-        assert info.value.residual > 1e-8
+        defect = info.value.__cause__
+        assert isinstance(defect, TensorFormDefect) and isinstance(defect, NumericalError)
+        assert defect.residual > 1e-8
 
     def test_missing_sector_is_a_dimension_mismatch(self, monkeypatch):
-        real = sectors_module.minimal_central_projectors
+        real = sectors_module._read_sectors
         monkeypatch.setattr(
-            sectors_module, "minimal_central_projectors", lambda alg, tol: real(alg, tol)[:1]
+            sectors_module, "_read_sectors", lambda alg, rng, tol: real(alg, rng, tol)[:1]
         )
-        with pytest.raises(SectorDimensionMismatch) as info:
+        with pytest.raises(CenterDiagonalizationFailed) as info:
             block_decomposition(close(build_sectors([(2, 1), (1, 1)])))
-        assert info.value.counts in ([(2, 1)], [(1, 1)])
+        assert isinstance(info.value.__cause__, SectorDimensionMismatch)
+        assert info.value.__cause__.counts in ([(2, 1)], [(1, 1)])
+
+    @pytest.mark.parametrize("blocks", [[(2, 1)], [(3, 1), (1, 2)], [(2, 2), (1, 1)]], ids=str)
+    def test_under_split_decomposition_never_returns(self, monkeypatch, blocks):
+        real = sectors_module._read_sectors
+
+        def split(alg, rng, tol):  # each block's n clusters read as n sectors of size 1
+            out = []
+            for s in real(alg, rng, tol):
+                m = s.multiplicity
+                for j in range(s.block_size):
+                    cols = s.isometry[:, j * m : (j + 1) * m]
+                    out.append(sectors_module.Sector(cols @ cols.conj().T, 1, m, cols))
+            return out
+
+        monkeypatch.setattr(sectors_module, "_read_sectors", split)
+        alg = close(build_sectors(blocks))
+        with pytest.raises(CenterDiagonalizationFailed) as info:
+            block_decomposition(alg)
+        assert isinstance(info.value.__cause__, SectorStructureError)
+        assert alg._decompositions == {}
 
     def test_reduced_rank_must_divide_by_multiplicity(self):
         scalars_twice = close(build_sectors([(1, 2)]))
