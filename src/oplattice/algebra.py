@@ -139,15 +139,25 @@ def close(
     directions on the left by every generator and adjoint (every word
     ``g1 g2 ... gn`` is ``g1 (g2 ... gn)``, so after n rounds the span is
     that of all words of length at most n). The orthonormal basis is the
-    first k rows of one preallocated ``(d^2, d^2)`` array; each candidate
-    is projected off it by classical Gram-Schmidt run twice ("twice is
-    enough"), each pass two BLAS products ``r -= (B* r) B``. A candidate
-    ``g x`` counts as new only if its component outside the span exceeds
-    ``rank_tol * ||g||`` (``x`` has unit norm), so rounding noise in
-    products that vanish is never promoted to a direction. The search ends
-    at a round that adds nothing or at a span of d^2, all of M_d. The span
-    depends neither on the generator ordering nor on the basis the
-    generators are written in.
+    first k rows of one preallocated ``(d^2, d^2)`` array, and the
+    directions a round adds are the rows after those of the round before.
+
+    A round works on blocks of candidates, never more than d^2 rows each
+    (one block per chunk of the frontier): all ``g x`` of the chunk come
+    from one stacked product, frontier-major then multiplier, and are
+    normalised with one norm call. The block is projected off the span so
+    far by block classical Gram-Schmidt run twice (BCGS2), each pass two
+    BLAS products ``R -= (R B*) B``. A candidate ``g x`` counts as new only
+    if its component outside the span exceeds ``rank_tol * ||g||`` (``x``
+    has unit norm), so rounding noise in products that vanish is never
+    promoted to a direction, and only if that component exceeds
+    ``tol.rounding_floor`` of its own norm. A residual only shrinks as the
+    span grows, so candidates that fail here are dropped at once; the
+    survivors are taken in order, each projected twice more off the
+    directions its block has added before it and judged by the same rule.
+    The search ends at a round that adds nothing or at a span of d^2, all
+    of M_d. The span depends neither on the generator ordering nor on the
+    basis the generators are written in.
 
     Raises
     ------
@@ -160,44 +170,61 @@ def close(
     if not is_int(cap) or cap < 1:
         raise ValidationError(f"word_cap must be a positive integer, got {cap!r}")
 
-    multipliers = [(m, hs_norm(g)) for g in gens.generators for m in (g, g.conj().T)]
+    mults = np.stack([m for g in gens.generators for m in (g, g.conj().T)])
+    mult_norms = np.linalg.norm(mults, axis=(1, 2))
+    floor = tol.rounding_floor
 
     basis = np.empty((d * d, d * d), dtype=complex)  # rows 0..k-1 hold the span
     k = 0
 
-    def extend(candidates) -> list[np.ndarray]:
-        """Append the new directions among ``(matrix, factor scale)`` pairs, in order."""
-        nonlocal k
-        added = []
-        for candidate, ref in candidates:
-            if k == d * d:  # all of M_d: a tiny rank_tol would otherwise accept rounding noise
-                break
-            scale = hs_norm(candidate)
-            if scale == 0.0:
-                continue
-            r = candidate.ravel() / scale
-            for _ in range(2):  # classical Gram-Schmidt, re-orthogonalized once
-                r -= (basis[:k] @ r.conj()).conj() @ basis[:k]
-            residual = hs_norm(r)
-            if residual * scale > tol.rank_tol * ref:  # ref: scale of the factors
-                basis[k] = r / residual
-                added.append(basis[k].reshape(d, d))
-                k += 1
-        return added
+    def is_new(residual, scale, ref):
+        """The acceptance rule, elementwise over arrays: ``ref`` is the factor scale."""
+        return (residual * scale > tol.rank_tol * ref) & (residual > floor)
 
-    unit = np.eye(d, dtype=complex)
-    frontier = extend([(unit, hs_norm(unit)), *multipliers])  # seeds: their own norm
-    word_len = 1
-    while frontier and k < d * d:  # a span of d^2 is all of M_d
+    def extend(block: np.ndarray, refs: np.ndarray) -> None:
+        """Append the new directions among the rows of ``block`` (overwritten), in order;
+        ``refs`` holds each row's factor scale."""
+        nonlocal k
+        scales = np.linalg.norm(block, axis=1)
+        scales[scales == 0.0] = 1.0  # a zero row stays zero and fails both tests below
+        block /= scales[:, None]
+        old = basis[:k]
+        for _ in range(2):  # block classical Gram-Schmidt, re-orthogonalized once
+            block -= (block @ old.conj().T) @ old
+        residuals = np.linalg.norm(block, axis=1)
+        start = k
+        for i in np.flatnonzero(is_new(residuals, scales, refs)).tolist():
+            if k == d * d:  # all of M_d: a tiny rank_tol would otherwise accept rounding noise
+                return
+            r, residual = block[i], residuals[i]
+            if k > start:  # off the directions this block added before row i
+                added = basis[start:k]
+                for _ in range(2):
+                    r -= (added @ r.conj()).conj() @ added
+                residual = np.linalg.norm(r)
+                if not is_new(residual, scales[i], refs[i]):
+                    continue
+            basis[k] = r / residual
+            k += 1
+
+    seeds = np.concatenate([np.eye(d, dtype=complex)[None], mults]).reshape(-1, d * d)
+    extend(seeds, np.linalg.norm(seeds, axis=1))  # seeds: their own norm
+    chunk = max(1, d * d // len(mults))  # frontier rows per block of at most d^2 candidates
+    lo, word_len = 0, 1
+    while lo < k < d * d:  # a span of d^2 is all of M_d
         if word_len >= cap:
             raise ClosureNotReached(
                 f"closure still growing at word length {word_len} (cap {cap}); "
                 f"span dimension so far {k}"
             )
         word_len += 1
-        # x has unit HS norm, so the factor scale of g x is ||g||
-        frontier = extend((g @ x, norm) for x in frontier for g, norm in multipliers)
-
+        frontier, lo = range(lo, k), k  # the rows the last round added
+        for a in frontier[::chunk]:
+            if k == d * d:
+                break
+            x = basis[a:min(a + chunk, frontier.stop)].reshape(-1, 1, d, d)
+            # x has unit HS norm, so the factor scale of g x is ||g||
+            extend(np.matmul(mults, x).reshape(-1, d * d), np.tile(mult_norms, len(x)))
     return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
 
 
@@ -301,5 +328,5 @@ def algebra_to_json(alg: AlgebraBasis) -> dict:
     return {
         "ambient_dim": alg.ambient_dim,
         "dim": alg.dim,
-        "basis": [matrix_to_json(b) for b in alg.basis],
+        "basis": matrix_to_json(alg.basis),
     }

@@ -54,6 +54,13 @@ class Tolerance:
         """Law-verdict threshold ``10 * rank_tol``: law residuals follow the rank cutoff."""
         return 10 * self.rank_tol
 
+    @property
+    def rounding_floor(self) -> float:
+        """Residual ``1024 * eps`` (2.3e-13), relative to a vector's own norm, that float64
+        rounding alone can leave: `close` never takes one this small for a direction, however
+        small ``rank_tol`` is."""
+        return 1024 * float(np.finfo(float).eps)
+
 
 DEFAULT_TOL = Tolerance()
 

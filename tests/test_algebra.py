@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,17 @@ class TestClose:
         # rounding noise passes a 1e-300 cutoff; the search still ends at d^2 directions
         assert close(build_weyl_finite(3), Tolerance(rank_tol=1e-300)).dim == 9
 
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [(build_sectors([(2, 1), (1, 2)]), 5), (build_weyl_finite(3), 9), (build_weyl_finite(4), 16)],
+        ids=["sectors-2+1x2", "weyl-3", "weyl-4"],
+    )
+    def test_tiny_rank_tol_accepts_no_rounding_noise(self, gens, dim):
+        alg = close(gens, Tolerance(rank_tol=1e-300))
+        assert alg.dim == dim
+        flat = alg.basis.reshape(alg.dim, -1)
+        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(alg.dim))) <= 1e-12
+
     def test_dimension_never_exceeds_ambient_square(self, full4, diag8, two_blocks):
         for alg in (full4, diag8, two_blocks):
             assert alg.dim <= alg.ambient_dim**2
@@ -223,6 +236,43 @@ class TestCloseMatchesReference:
 
     def test_full_m12_fills_the_preallocated_basis(self):
         assert assert_matches_reference(build_weyl_finite(12)).dim == 144
+
+    def test_a_round_of_more_candidates_than_one_block_holds(self):
+        # weyl 5's third round: 8 new words times 4 multipliers, 32 candidates against blocks
+        # of at most d^2 = 25 rows, so the round runs as two blocks
+        assert assert_matches_reference(build_weyl_finite(5)).dim == 25
+
+    def test_more_multipliers_than_one_block_holds(self):
+        # three Pauli matrices and their adjoints: 6 candidates per frontier row, d^2 = 4
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        y = np.array([[0, -1j], [1j, 0]])
+        z = np.diag([1.0, -1.0]).astype(complex)
+        assert assert_matches_reference(GeneratorSet(2, (x, y, z))).dim == 4
+
+    def test_duplicates_inside_one_block(self):
+        # ZX = w XZ: both words come up in the second round, whose 5 x 4 candidates are one
+        # block of at most 64 rows
+        x, z = build_weyl_finite(8).generators
+        assert operator_norm(z @ x - np.exp(2j * np.pi / 8) * x @ z) <= 1e-12
+        assert assert_matches_reference(build_weyl_finite(8)).dim == 64
+
+    def test_dependent_seeds(self):
+        p = unit(3, 0, 0) + unit(3, 1, 1)
+        q = unit(3, 0, 1) + unit(3, 1, 0)  # hermitian, so its adjoint repeats it
+        gens = GeneratorSet(3, (p, np.eye(3) - p, 2.0 * p, q))
+        assert assert_matches_reference(gens).dim == 3  # e33, p and q
+
+    def test_memory_stays_within_three_basis_arrays(self):
+        gens = build_weyl_finite(24)
+        basis_bytes = 576 * 576 * 16
+        tracemalloc.start()
+        try:
+            alg = close(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.dim == 576
+        assert peak <= 3 * basis_bytes
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_word_cap_reports_the_span_dimension_so_far(self, cap):

@@ -5,7 +5,9 @@ import pytest
 
 from oplattice import (
     ConvergenceFailed,
+    build_sectors,
     build_weyl_finite,
+    close,
     generator_set_to_json,
     matrix_to_json,
     report_to_json,
@@ -203,6 +205,19 @@ class TestOneSerialisation:
         assert code == 0
         assert out == ""
         assert out_file.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "gens", [build_weyl_finite(16), build_sectors([(3, 1), (2, 2)])], ids=["weyl-16", "sectors"]
+    )
+    def test_close_writes_the_basis_matrix_by_matrix(self, capsys, tmp_path, gens):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(generator_set_to_json(gens)))
+        alg = close(gens)
+        want = {"ambient_dim": alg.ambient_dim, "dim": alg.dim,
+                "basis": [matrix_to_json(b) for b in alg.basis]}
+        code, out, _ = run_cli(capsys, "--input", str(path), "close")
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
 
     def test_close_writes_one_compact_line(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "close")

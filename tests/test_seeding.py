@@ -107,6 +107,13 @@ class TestGenerators:
             want = reference_rng(np.random.SeedSequence((stream, attempt)))
             assert same_generator(attempt_generator(stream, attempt), want)
 
+    def test_attempt_generators_are_fresh_on_every_call(self):
+        first, second = (attempt_generator(seeding.STREAM_BLOCK, 4) for _ in range(2))
+        want = reference_rng(seeding.STREAM_BLOCK | 4 << 32).standard_normal(6)
+        assert first is not second
+        assert np.array_equal(first.standard_normal(6), want)
+        assert np.array_equal(second.standard_normal(6), want)  # not advanced by the first
+
 
 def _reference_kernels(monkeypatch) -> list:
     """Replace the stacked kernels, wherever the package bound them, by per-seed NumPy;
