@@ -1,12 +1,11 @@
 """Unital *-closed matrix algebras.
 
 An algebra is carried concretely as a Hilbert-Schmidt orthonormal basis
-of its span inside M_d. Bases are non-canonical: two results are "the
-same algebra" when their spans agree, which is what `same_span` tests.
-The main entry points are `close` (generate the smallest unital
-*-algebra containing a set of matrices), `commutant`, `baire_envelope`
-(the generated von Neumann algebra, i.e. the bicommutant) and `center`.
-"""
+of its span inside M_d; two results are "the same algebra" when their
+spans agree, which `same_span` tests. `close` generates the smallest
+unital *-algebra containing a set of matrices. `commutant`, `baire_envelope`
+(the bicommutant) and `center` are read off the memoized block decomposition,
+and `generator_commutant` is solved in the eigenbasis of one random element."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClosureNotReached, DimensionMismatch, ValidationError
+from .errors import ClosureNotReached, DimensionMismatch, NumericalError, ValidationError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -26,7 +25,9 @@ from .numerics import (
     matrix_to_json,
     null_space,
     operator_norm,
+    spectral_clusters,
 )
+from .seeding import STREAM_COMMUTANT, attempt_generator
 
 
 @dataclass(frozen=True)
@@ -228,51 +229,59 @@ def close(
     return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
 
 
-def _commutant_of(mats, d: int, tol: Tolerance) -> AlgebraBasis:
-    eye = np.eye(d)
-    system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in mats])
-    kernel = null_space(system, tol)
-    basis = [kernel[:, j].reshape(d, d, order="F") for j in range(kernel.shape[1])]
-    return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
+def _block_units(alg: AlgebraBasis, tol: Tolerance, factor: bool) -> AlgebraBasis:
+    """Read off the certified block decomposition: per sector ``V (M_n (x) 1_m) V*``, the
+    commutant's ``V (1_n (x) E_ab) V* / sqrt(n)`` or, with ``factor``, the algebra's own
+    ``V (E_jk (x) 1_m) V* / sqrt(m)``; orthonormal, as V's columns and the sectors are."""
+    from .sectors import block_decomposition  # sectors builds on this module
+
+    d, parts = alg.ambient_dim, []
+    for s in block_decomposition(alg, tol).sectors:
+        w = s.isometry.reshape(d, s.block_size, s.multiplicity)
+        w = w.swapaxes(1, 2) if factor else w  # (d, summed index, unit index)
+        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(w.shape[1])))
+    return AlgebraBasis(d, np.concatenate([u.reshape(-1, d, d) for u in parts]))
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with every element of ``alg``.
-
-    Assembles the joint linear system ``x a - a x = 0`` over the matrix
-    entries (one d^2 x d^2 block per basis element, in the column-major
-    vectorization where ``vec(a x) = (I (x) a) vec(x)``) and extracts its
-    null space. The kernel vectors are orthonormal in C^{d^2}, hence the
-    reshaped matrices are Hilbert-Schmidt orthonormal. The result is
-    itself unital and *-closed.
-    """
-    return _commutant_of(alg.basis, alg.ambient_dim, tol)
+    """All of M_d commuting with ``alg``, read off its block decomposition (`_block_units`)."""
+    return _block_units(alg, tol, factor=False)
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with every generator and its adjoint.
+    """All of M_d commuting with every generator and its adjoint, without the closure.
 
-    Equal to the commutant of the generated algebra but computed without
-    the closure; its commutant, the generators' bicommutant, is the
-    generated von Neumann algebra, which `run_scenario` compares with
-    ``close(gens)`` to check `close` independently. Generators are scaled
-    to unit norm so the null-space cutoff weighs them alike.
+    Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
+    so in h's eigenbasis v they are block diagonal on its eigenvalue clusters: with
+    ``g~ = v* g v``, unknown (a, b) of a cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a
+    commutator. That ``(2 g d^2, sum_j s_j^2)`` system's null space, rotated back by v, is
+    the result; `NumericalError` (with the residual) if its stacked commutators with the
+    unit-normed generators and adjoints exceed ``rank_tol``.
     """
-    mats = []
-    for g in gens.generators:
-        scale = hs_norm(g) or 1.0
-        mats += [g / scale, g.conj().T / scale]
-    return _commutant_of(mats, gens.ambient_dim, tol)
+    d = gens.ambient_dim
+    mats = np.stack([m / (hs_norm(g) or 1.0) for g in gens.generators for m in (g, g.conj().T)])
+    c = attempt_generator(STREAM_COMMUTANT, 0).standard_normal((2, len(gens.generators)))
+    h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
+    v, clusters = spectral_clusters(h + h.conj().T, tol)
+    rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])
+    g, e = v.conj().T @ mats @ v, np.eye(d)  # g~ for every g and g*
+    # entry (k, x, y, unknown (a, b)) of the system: g~_k[x, a] e[y, b] - e[x, a] g~_k[b, y]
+    system = g[:, :, None, rows] * e[:, cols] - e[:, None, rows] * g[:, None, cols].swapaxes(2, 3)
+    kernel = null_space(system.reshape(-1, rows.size), tol)
+    x = np.zeros((kernel.shape[1], d, d), dtype=complex)
+    x[:, rows, cols] = kernel.T
+    basis = v @ x @ v.conj().T
+    defects = (basis[:, None] @ mats - mats @ basis[:, None]).reshape(len(basis), -1)
+    residual = float(np.linalg.norm(defects, axis=1).max(initial=0.0))
+    if residual > tol.rank_tol:
+        raise NumericalError(f"the generators' commutant misses by {residual:.3e}", residual)
+    return AlgebraBasis(ambient_dim=d, basis=basis)
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Monotone sequential closure of ``alg``.
-
-    At finite dimension this is the von Neumann algebra generated by
-    ``alg``, i.e. the bicommutant, which is how it is computed. It
-    contains ``alg`` and applying it twice adds nothing.
-    """
-    return commutant(commutant(alg, tol), tol)
+    """Monotone sequential closure of ``alg``, at finite dimension its bicommutant, read off
+    its block decomposition (`_block_units`): it contains ``alg`` and is idempotent."""
+    return _block_units(alg, tol, factor=True)
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

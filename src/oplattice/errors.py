@@ -52,18 +52,16 @@ class PreconditionFailed(ValidationError):
 
 
 class NumericalError(OperatorAlgebraError):
-    """A computation failed at the configured tolerances."""
-
-
-class ConvergenceFailed(NumericalError):
-    """An iterative limit did not converge within the iteration cap.
-
-    Carries the last observed residual in `residual` when available.
-    """
+    """A computation failed at the configured tolerances; `residual` holds what the failed
+    check measured, when it has one."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class ConvergenceFailed(NumericalError):
+    """An iterative limit did not converge within the iteration cap."""
 
 
 class ClosureNotReached(NumericalError):
@@ -82,8 +80,8 @@ class SectorStructureError(NumericalError):
     """
 
     def __init__(self, message, residual=None, counts=None):
-        super().__init__(message)
-        self.residual, self.counts = residual, counts
+        super().__init__(message, residual)
+        self.counts = counts
 
 
 class TensorFormDefect(SectorStructureError):

@@ -31,10 +31,10 @@ from .algebra import (
     generator_commutant,
     same_span,
 )
-from .errors import ConvergenceFailed, NumericalError, OperatorAlgebraError, ValidationError
+from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, is_int, matrix_from_json, matrix_to_json
-from .sectors import block_decomposition, mvn_dimension
+from .sectors import _reduced_ranks, block_decomposition
 from .seeding import (
     STREAM_STATE_CHECK,
     STREAM_SWEEP_FAMILY,
@@ -240,16 +240,14 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     reference, and raises: the closed span must equal the envelope, so a
     closure that over-grew or stopped short fails on its dimension.
     Everything downstream is seeded from the scenario seed, so identical
-    scenarios give byte-identical JSON reports. Errors from the
-    underlying modules are re-raised with the scenario name attached.
+    scenarios give byte-identical JSON reports. Errors from the underlying
+    modules are re-raised with the scenario name attached (and any residual).
     """
     try:
         return _run_scenario_body(scenario, tol)
     except OperatorAlgebraError as exc:
-        message = f"scenario {scenario.name!r}: {exc}"
-        if isinstance(exc, ConvergenceFailed):
-            raise ConvergenceFailed(message, residual=exc.residual) from exc
-        raise type(exc)(message) from exc
+        residual = (exc.residual,) if isinstance(exc, NumericalError) else ()
+        raise type(exc)(f"scenario {scenario.name!r}: {exc}", *residual) from exc
 
 
 def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
@@ -277,7 +275,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         {
             "block_size": s.block_size,
             "multiplicity": s.multiplicity,
-            "mvn_dimension": mvn_dimension(alg, s.central_projector, tol),
+            "mvn_dimension": _reduced_ranks(decomp, s.central_projector, tol),
             "central_projector": matrix_to_json(s.central_projector),
         }
         for s in decomp.sectors

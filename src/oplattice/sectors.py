@@ -220,12 +220,12 @@ def _validated_projector_in(alg: AlgebraBasis, p, tol: Tolerance) -> np.ndarray:
     return mat
 
 
-def _reduced_ranks(
-    decomp: SectorDecomposition, p: np.ndarray, tol: Tolerance
-) -> list[int]:
+def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray, tol: Tolerance) -> list[int]:
+    """Per sector, the rank of ``z p`` (one stacked SVD) over the multiplicity."""
+    zs = np.stack([s.central_projector for s in decomp.sectors])
+    ranks = singular_rank(np.linalg.svd(zs @ p, compute_uv=False), tol).tolist()
     out = []
-    for sector in decomp.sectors:
-        r = rank_of(sector.central_projector @ p, tol)
+    for sector, r in zip(decomp.sectors, ranks):
         reduced, rem = divmod(r, sector.multiplicity)
         if rem != 0:
             raise ReducedRankNotDivisible(

@@ -37,9 +37,10 @@ STREAM_SWEEP_STATE = 21
 STREAM_SWEEP_FAMILY = 22
 STREAM_STATE_CHECK = 23
 
-# sectors: one generator per (stream, attempt), see `attempt_generator`
+# sectors and generator_commutant: one generator per (stream, attempt), see `attempt_generator`
 STREAM_BLOCK = 102
 STREAM_GENERIC = 103
+STREAM_COMMUTANT = 104
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx): a 4-word uint32 pool
 _POOL = 4
@@ -186,7 +187,7 @@ def attempt_generator(stream: int, attempt: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_pool_words_type()(_attempt_words(stream, attempt))))
 
 
-@lru_cache(maxsize=64)  # the callers in `sectors` use 13 (stream, attempt) pairs
+@lru_cache(maxsize=64)  # the callers use 14 (stream, attempt) pairs
 def _attempt_words(stream: int, attempt: int) -> np.ndarray:
     """`attempt_generator`'s four pool words, hashed once per pair: the stacked hash takes
     ~70 us at n = 1, a `PCG64` seeded from the cached words ~2 us."""

@@ -17,6 +17,7 @@ from oplattice import (
     close,
     hs_inner,
     hs_norm,
+    null_space,
 )
 
 
@@ -120,6 +121,20 @@ def reference_close(gens, tol=DEFAULT_TOL, word_cap=None):
         candidates = [(c, norm) for x in frontier for g, norm in multipliers for c in (x @ g, g @ x)]
         frontier = [x for x in (try_extend(c, norm) for c, norm in candidates) if x is not None]
     return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))
+
+
+def reference_commutant(mats, d, tol=DEFAULT_TOL):
+    """All of M_d commuting with every matrix in ``mats``, from the full Kronecker system.
+
+    One ``d^2 x d^2`` block ``I (x) a - a^T (x) I`` per matrix, in the column-major
+    vectorization where ``vec(a x) = (I (x) a) vec(x)``, stacked, and its null space:
+    ``(len(mats) d^2, d^2)`` entries, so keep d small. The kernel vectors are orthonormal
+    in C^{d^2}, hence the reshaped matrices are Hilbert-Schmidt orthonormal.
+    """
+    eye = np.eye(d)
+    system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in mats])
+    kernel = null_space(system, tol)
+    return AlgebraBasis(ambient_dim=d, basis=kernel.T.reshape(-1, d, d).swapaxes(1, 2))
 
 
 def reference_derive_seed(seed, stream, index):

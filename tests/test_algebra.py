@@ -8,6 +8,7 @@ from oplattice import (
     ClosureNotReached,
     DimensionMismatch,
     GeneratorSet,
+    NumericalError,
     Tolerance,
     ValidationError,
     baire_envelope,
@@ -28,7 +29,14 @@ from oplattice import (
     operator_norm,
     same_span,
 )
-from tests.conftest import haar_unitary, reference_close, two_orthogonal_real_lines, unit
+from oplattice import algebra as algebra_module
+from tests.conftest import (
+    haar_unitary,
+    reference_close,
+    reference_commutant,
+    two_orthogonal_real_lines,
+    unit,
+)
 
 
 def brute_commutant_nullity(mats, d):
@@ -207,12 +215,16 @@ class TestUnitaryCovariance:
         assert same_span(rotated, conjugated)
 
 
+def assert_orthonormal(alg):
+    flat = alg.basis.reshape(alg.dim, -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(alg.dim))) <= 1e-12
+
+
 def assert_matches_reference(gens):
     alg, ref = close(gens), reference_close(gens)
     assert alg.dim == ref.dim
     assert same_span(alg, ref)
-    flat = alg.basis.reshape(alg.dim, -1)
-    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(alg.dim))) <= 1e-12
+    assert_orthonormal(alg)
     return alg
 
 
@@ -283,6 +295,53 @@ class TestCloseMatchesReference:
             reference_close(gens, word_cap=cap)
         assert str(got.value) == str(want.value)
         assert "span dimension so far" in str(got.value)
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("kind", ["none", *ROTATIONS])
+class TestCommutantMatchesReference:
+    """The decomposition and eigenbasis routes against the full Kronecker system."""
+
+    @pytest.fixture
+    def case(self, build, kind):
+        gens = build()
+        if kind != "none":
+            u = random_unitary(kind, gens.ambient_dim, np.random.default_rng(7))
+            gens = conjugated_generators(gens, u)
+        alg = close(gens)
+        return gens, alg, reference_commutant(alg.basis, alg.ambient_dim)
+
+    def test_commutant(self, case):
+        _, alg, ref = case
+        com = commutant(alg)
+        assert same_span(com, ref)
+        assert_orthonormal(com)
+
+    def test_generator_commutant(self, case):
+        gens, _, ref = case
+        com = generator_commutant(gens)
+        assert same_span(com, ref)
+        assert_orthonormal(com)
+
+    def test_baire_envelope(self, case):
+        _, alg, ref = case
+        env = baire_envelope(alg)
+        assert same_span(env, reference_commutant(ref.basis, alg.ambient_dim))
+        assert same_span(env, alg)
+        assert_orthonormal(env)
+
+
+class TestGeneratorCommutantCertificate:
+    def test_a_corrupted_kernel_raises_with_its_residual(self, monkeypatch):
+        def corrupted(m, tol):
+            kernel = np.zeros((m.shape[1], 1), dtype=complex)
+            kernel[1] = 1.0  # an off-diagonal unit inside one cluster: commutes with nothing
+            return kernel
+
+        monkeypatch.setattr(algebra_module, "null_space", corrupted)
+        with pytest.raises(NumericalError, match="commutant misses by") as got:
+            generator_commutant(build_sectors([(2, 2)]))
+        assert got.value.residual > 0.1
 
 
 class TestSameSpan:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestAlgebraVerbs:
         code, out, _ = run_cli(capsys, "--input", gens3_file, "envelope")
         assert code == 0
         assert json.loads(out)["dim"] == 9
+
+    @pytest.mark.parametrize("verb, dim", [("commutant", 1), ("envelope", 576)])
+    def test_commutant_and_envelope_of_m24_within_a_memory_bound(self, tmp_path, verb, dim):
+        # both are read off the decomposition of M_24; the Kronecker system of its 576 basis
+        # elements would hold 576 d^2 x d^2 complex entries, ~3 GB
+        gens, out = tmp_path / "w24.json", tmp_path / "out.json"
+        gens.write_text(json.dumps(generator_set_to_json(build_weyl_finite(24))))
+        tracemalloc.start()
+        try:
+            code = main(["--input", str(gens), "--json-out", str(out), verb])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.read_text())["dim"] == dim
+        assert peak < 200 * 2**20
 
     def test_center(self, capsys, diag_gens_file):
         code, out, _ = run_cli(capsys, "--input", diag_gens_file, "center")

@@ -396,3 +396,21 @@ class TestEnvelope:
             tracemalloc.stop()
         assert (report.algebra_dim, report.commutant_dim, report.center_dim) == (256, 1, 1)
         assert peak < 200 * 2**20
+
+    @pytest.mark.parametrize("kind, dim, parameters, dims", [
+        ("sectors", 16, {"blocks": [[1, 16]]}, (1, 256, 1)),
+        ("classical", 24, {"point_count": 24}, (24, 24, 24)),
+    ], ids=["scalars-16", "classical-24"])
+    def test_large_commutant_within_a_memory_bound(self, kind, dim, parameters, dims):
+        # the envelope is read off the decomposition of the generators' commutant: a
+        # (c d^2, d^2) Kronecker system for it would peak at 1.3 GB and 661 MB
+        scenario = Scenario(name="big-commutant", kind=kind, dim=dim, parameters=parameters,
+                            trials=0)
+        tracemalloc.start()
+        try:
+            report = run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.algebra_dim, report.commutant_dim, report.center_dim) == dims
+        assert peak < 200 * 2**20

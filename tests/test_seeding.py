@@ -101,11 +101,18 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_state(2, -1)
 
-    @pytest.mark.parametrize("stream", [seeding.STREAM_BLOCK, seeding.STREAM_GENERIC])
+    @pytest.mark.parametrize(
+        "stream", [seeding.STREAM_BLOCK, seeding.STREAM_GENERIC, seeding.STREAM_COMMUTANT]
+    )
     def test_attempt_generator_is_the_seed_sequence_of_the_pair(self, stream):
         for attempt in range(9):
             want = reference_rng(np.random.SeedSequence((stream, attempt)))
             assert same_generator(attempt_generator(stream, attempt), want)
+
+    def test_stream_ids_are_distinct(self):
+        streams = {name: value for name, value in vars(seeding).items() if name.startswith("STREAM_")}
+        assert "STREAM_COMMUTANT" in streams
+        assert len(set(streams.values())) == len(streams)
 
     def test_attempt_generators_are_fresh_on_every_call(self):
         first, second = (attempt_generator(seeding.STREAM_BLOCK, 4) for _ in range(2))
