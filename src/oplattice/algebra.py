@@ -333,9 +333,6 @@ def generator_set_from_json(data) -> GeneratorSet:
 
 
 def algebra_to_json(alg: AlgebraBasis) -> dict:
-    """Serialize an algebra basis (ambient dimension, span dimension, basis)."""
-    return {
-        "ambient_dim": alg.ambient_dim,
-        "dim": alg.dim,
-        "basis": matrix_to_json(alg.basis),
-    }
+    """The CLI payload of an algebra basis (ambient dimension, span dimension, basis), with
+    the basis left an array for `numerics.dumps` to write."""
+    return {"ambient_dim": alg.ambient_dim, "dim": alg.dim, "basis": alg.basis}

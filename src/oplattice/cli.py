@@ -22,12 +22,7 @@ from .algebra import (
 )
 from .errors import NumericalError, ValidationError
 from .logic import join, lattice_report, lattice_report_to_json, meet
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .numerics import DEFAULT_TOL, Tolerance, dumps, matrix_from_json
 from .scenarios import report_to_json_dict, run_scenario, scenario_from_json
 from .sectors import block_decomposition, decomposition_to_json
 from .states import dirac_characters, evaluate, make_state, state_to_json
@@ -40,30 +35,29 @@ _ALGEBRA_VERBS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oplattice",
-        description="Projector lattices and states of finite-dimensional operator algebras.",
-    )
-    parser.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_tol,
-                        help="equality threshold (default %(default)s)")
-    parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_tol,
-                        help="relative rank cutoff (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--trials", type=int, default=200,
-                        help="sampling trials for `report` (default 200)")
-    parser.add_argument("--json-out", metavar="PATH", default=None,
-                        help="write the JSON result to PATH instead of stdout")
-    parser.add_argument("--input", metavar="PATH", default=None,
-                        help="input JSON file for the chosen verb")
-    parser.add_argument(
-        "verb",
-        choices=[
-            "close", "commutant", "envelope", "center", "sectors",
-            "meet", "join", "report", "run", "characters", "eval-state",
-        ],
-    )
-    return parser
+# built once: argparse's set-up costs ~8x a parse
+_PARSER = argparse.ArgumentParser(
+    prog="oplattice",
+    description="Projector lattices and states of finite-dimensional operator algebras.",
+)
+_PARSER.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_tol,
+                     help="equality threshold (default %(default)s)")
+_PARSER.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_tol,
+                     help="relative rank cutoff (default %(default)s)")
+_PARSER.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+_PARSER.add_argument("--trials", type=int, default=200,
+                     help="sampling trials for `report` (default 200)")
+_PARSER.add_argument("--json-out", metavar="PATH", default=None,
+                     help="write the JSON result to PATH instead of stdout")
+_PARSER.add_argument("--input", metavar="PATH", default=None,
+                     help="input JSON file for the chosen verb")
+_PARSER.add_argument(
+    "verb",
+    choices=[
+        "close", "commutant", "envelope", "center", "sectors",
+        "meet", "join", "report", "run", "characters", "eval-state",
+    ],
+)
 
 
 def _load_input(args) -> object:
@@ -107,7 +101,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         p, q = _projector_pair(_load_input(args))
         op = meet if args.verb == "meet" else join
         result = op(p, q, tol)
-        return {"result": matrix_to_json(result)}, f"{args.verb}: done"
+        return {"result": result}, f"{args.verb}: done"
 
     if args.verb == "characters":
         alg = close(generator_set_from_json(_load_input(args)), tol)
@@ -150,7 +144,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         tol = Tolerance(eq_tol=args.tol_eq, rank_tol=args.tol_rank)
     except ValueError as exc:
@@ -164,7 +158,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(payload)  # compact, so CPython's C encoder writes it
+    text = dumps(payload)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -9,6 +9,7 @@ and BLAS products rather than Python loops (measured envelope in the README).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import chain
 
@@ -237,6 +238,41 @@ def matrix_to_json(m) -> list:
     """Serialize a matrix as a JSON array of rows; each entry is ``[re, im]``."""
     a = np.asarray(m, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def dumps(payload) -> str:
+    """The one JSON text writer: the bytes of ``json.dumps(payload)``, an ndarray value of a
+    payload dict (string keys) written as its `matrix_to_json` list, but without building those
+    lists (their garbage collection cost more than their numbers) and, in a mostly-zero array,
+    formatting each distinct ``(re, im)`` bit pattern once."""
+    if not (isinstance(payload, dict) and any(isinstance(v, np.ndarray) for v in payload.values())):
+        return json.dumps(payload)  # compact, so CPython's C encoder writes it
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {_array_text(v) if isinstance(v, np.ndarray) else json.dumps(v)}"
+        for k, v in payload.items()
+    ) + "}"
+
+
+def _array_text(m) -> str:
+    """``json.dumps(matrix_to_json(m))``: json formats the numbers, a template nests them."""
+    a = np.asarray(m, dtype=complex)
+    values, codes = a.ravel(), None  # contiguous, row-major
+    # sorting pays where patterns repeat; on a dense basis it would add ~15 % and save nothing
+    if 2 * np.count_nonzero(values) < values.size:
+        bits = values.view(np.uint64).reshape(-1, 2)
+        nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])  # so -0.0 is a pattern of its own
+        distinct, inverse = np.unique(values[nonzero].view("V16"), return_inverse=True)
+        codes = np.zeros(values.size, dtype=np.intp)
+        codes[nonzero] = inverse + 1
+        values = np.concatenate([[0j], distinct.view(complex)])
+    # json, not repr, so that NaN and Infinity are spelled as json spells them
+    texts = json.dumps(values.view(float).tolist())[1:-1].split(", ") if values.size else []
+    if codes is not None:
+        texts = np.array(texts, dtype=object).reshape(-1, 2)[codes].ravel().tolist()
+    template = "[%s, %s]"
+    for n in reversed(a.shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return template % tuple(texts)
 
 
 def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True) -> np.ndarray:

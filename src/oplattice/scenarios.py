@@ -18,7 +18,6 @@ always complete.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .algebra import (
 )
 from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
-from .numerics import DEFAULT_TOL, Tolerance, is_int, matrix_from_json, matrix_to_json
+from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
 from .sectors import _reduced_ranks, block_decomposition
 from .seeding import (
     STREAM_STATE_CHECK,
@@ -436,4 +435,4 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
 
 def report_to_json(report: ScenarioReport) -> str:
     """Deterministic serialization: same report value, same bytes."""
-    return json.dumps(report_to_json_dict(report))
+    return dumps(report_to_json_dict(report))

@@ -151,8 +151,13 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
         )
     rebuilt = np.zeros_like(alg.basis)
     for s in sectors:
-        beta = _partial_trace(s, alg.basis) / s.multiplicity
-        rebuilt += s.isometry @ np.kron(beta, np.eye(s.multiplicity)) @ s.isometry.conj().T
+        n, m = s.block_size, s.multiplicity
+        beta = _partial_trace(s, alg.basis) / m
+        # beta (x) 1_m broadcast, as np.kron's product but without its Python set-up; a
+        # temporary, so that it is freed before the defect's own temporaries are made
+        rebuilt += s.isometry @ (
+            beta[:, :, None, :, None] * np.eye(m)[:, None, :]
+        ).reshape(-1, n * m, n * m) @ s.isometry.conj().T
     defect = float(np.linalg.norm(alg.basis - rebuilt, axis=(1, 2)).max())
     if defect > tol.rank_tol:
         raise TensorFormDefect(

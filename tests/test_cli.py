@@ -6,16 +6,22 @@ import pytest
 
 from oplattice import (
     ConvergenceFailed,
+    baire_envelope,
     build_sectors,
     build_weyl_finite,
+    center,
     close,
+    commutant,
     generator_set_to_json,
+    join,
     matrix_to_json,
+    meet,
     report_to_json,
     run_scenario,
     scenario_from_json,
 )
 from oplattice.cli import main
+from tests.conftest import haar_unitary, rotated
 
 
 @pytest.fixture()
@@ -197,6 +203,34 @@ class TestRunVerb:
         assert first == second
 
 
+ALGEBRA_RESULTS = {
+    "close": lambda alg: alg,
+    "commutant": commutant,
+    "envelope": baire_envelope,
+    "center": center,
+}
+
+# Mostly-zero bases (weyl, sectors) and a dense one (a Haar-rotated sector set).
+WRITTEN_ALGEBRAS = {
+    "weyl-16": lambda: build_weyl_finite(16),
+    "sectors": lambda: build_sectors([(3, 1), (2, 2)]),
+    "haar-sectors": lambda: rotated(build_sectors([(3, 1), (2, 2)]), seed=7),
+}
+
+
+def _coordinate_pair():
+    p = np.diag(np.arange(16) < 10).astype(complex)
+    return p, p[::-1, ::-1].copy()
+
+
+def _haar_pair():
+    u = haar_unitary(16, np.random.default_rng(7))
+    return tuple(u @ m @ u.conj().T for m in _coordinate_pair())
+
+
+WRITTEN_PAIRS = {"coordinate-16": _coordinate_pair, "haar-16": _haar_pair}
+
+
 class TestOneSerialisation:
     """The CLI writes one compact line: the bytes of `report_to_json`, newline-terminated."""
 
@@ -224,17 +258,34 @@ class TestOneSerialisation:
         assert out_file.read_bytes() == want.encode()
 
     @pytest.mark.parametrize(
-        "gens", [build_weyl_finite(16), build_sectors([(3, 1), (2, 2)])], ids=["weyl-16", "sectors"]
+        "verb, name",
+        [pytest.param(verb, name, id=name if verb == "close" else f"{verb}-{name}")
+         for verb in ALGEBRA_RESULTS for name in WRITTEN_ALGEBRAS]
+        + [pytest.param(verb, name, id=f"{verb}-{name}")
+           for verb in ("meet", "join") for name in WRITTEN_PAIRS],
     )
-    def test_close_writes_the_basis_matrix_by_matrix(self, capsys, tmp_path, gens):
-        path = tmp_path / "gens.json"
-        path.write_text(json.dumps(generator_set_to_json(gens)))
-        alg = close(gens)
-        want = {"ambient_dim": alg.ambient_dim, "dim": alg.dim,
-                "basis": [matrix_to_json(b) for b in alg.basis]}
-        code, out, _ = run_cli(capsys, "--input", str(path), "close")
+    def test_close_writes_the_basis_matrix_by_matrix(self, capsys, tmp_path, verb, name):
+        if verb in ALGEBRA_RESULTS:
+            gens = WRITTEN_ALGEBRAS[name]()
+            data = generator_set_to_json(gens)
+            result = ALGEBRA_RESULTS[verb](close(gens))
+            want = {"ambient_dim": result.ambient_dim, "dim": result.dim,
+                    "basis": [matrix_to_json(b) for b in result.basis]}
+        else:
+            p, q = WRITTEN_PAIRS[name]()
+            data = {"p": matrix_to_json(p), "q": matrix_to_json(q)}
+            want = {"result": matrix_to_json((meet if verb == "meet" else join)(p, q))}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        want_text = json.dumps(want) + "\n"
+        code, out, _ = run_cli(capsys, "--input", str(path), verb)
         assert code == 0
-        assert out == json.dumps(want) + "\n"
+        assert out == want_text
+        out_file = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "--input", str(path), "--json-out", str(out_file), verb)
+        assert code == 0
+        assert out == ""
+        assert out_file.read_bytes() == want_text.encode()
 
     def test_close_writes_one_compact_line(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "close")

@@ -21,6 +21,7 @@ from oplattice import (
     operator_norm,
     rank_of,
 )
+from oplattice.numerics import dumps
 
 
 def random_matrix(rng, d):
@@ -275,3 +276,68 @@ class TestMatrixJson:
     def test_expected_dim_enforced(self):
         with pytest.raises(DimensionMismatch):
             matrix_from_json(matrix_to_json(np.eye(2)), expected_dim=3)
+
+
+# Signed zeros, a subnormal, numbers whose repr switches notation, a sum that is not the
+# decimal it looks like, and the values json spells NaN and Infinity where repr does not.
+SPECIAL = np.array([
+    [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)],
+    [5e-324, 1e16, 1e-05, 0.1 + 0.2],
+    [np.nan, np.inf, -np.inf, complex(np.nan, -np.inf)],
+])
+
+
+def read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+class TestDumps:
+    """`dumps` writes the bytes of `json.dumps` over `matrix_to_json`, on dense arrays and on
+    mostly-zero ones, whose distinct bit patterns it formats once."""
+
+    @pytest.mark.parametrize(
+        "base", [SPECIAL, np.pad(SPECIAL, ((0, 6), (0, 8)))], ids=["dense", "mostly-zero"]
+    )
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda b: b,
+            lambda b: b.real,
+            lambda b: b.T,
+            lambda b: b[::-1, ::-2],
+            lambda b: b[-1:, :1],
+            read_only,
+            lambda b: np.stack([b, -b, b.conj()]),
+        ],
+        ids=["complex", "real-dtype", "transposed", "negative-strides", "1x1", "read-only",
+             "stack"],
+    )
+    def test_writes_the_bytes_of_json_dumps(self, base, view):
+        a = view(base)
+        assert dumps({"m": a}) == json.dumps({"m": matrix_to_json(a)})
+
+    def test_keys_the_distinct_set_on_bits(self):
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1], a[2, 3], a[3, 0] = -0.0, complex(0.0, -0.0), 1.0
+        text = dumps({"m": a})
+        assert text == json.dumps({"m": matrix_to_json(a)})
+        assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0), (0,)])
+    def test_an_empty_array(self, shape):
+        a = np.zeros(shape, dtype=complex)
+        assert dumps({"m": a}) == json.dumps({"m": matrix_to_json(a)})
+
+    def test_other_values_keep_their_order_and_bytes(self):
+        payload = {"a": 1, "m": np.eye(2), "z": [1.5, None, "x\u00e9", {"n": -0.0}], "t": True}
+        want = json.dumps({**payload, "m": matrix_to_json(np.eye(2))})
+        assert dumps(payload) == want
+
+    @pytest.mark.parametrize(
+        "payload", [{"lattice": {"p": [[[0.1, -0.0]]]}, "n": 3}, [1, 2.5], "text", {}],
+        ids=["nested-lists", "list", "string", "empty"],
+    )
+    def test_a_payload_without_a_top_level_array_is_json_dumps(self, payload):
+        assert dumps(payload) == json.dumps(payload)

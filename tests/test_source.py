@@ -35,3 +35,18 @@ def test_only_seeding_builds_numpy_generators():
         or (isinstance(node, ast.Name) and node.id in ("default_rng", "SeedSequence"))
     ]
     assert found == []
+
+
+def test_only_numerics_writes_json_text():
+    # one home for the JSON text: a second writer could drift from the bytes `numerics.dumps`
+    # writes, or bring back the per-entry formatting it replaced
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "numerics.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps", "JSONEncoder")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    ]
+    assert found == []
