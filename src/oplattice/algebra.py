@@ -23,6 +23,7 @@ from .numerics import (
     is_int,
     matrix_from_json,
     matrix_to_json,
+    norm_at_most,
     null_space,
     operator_norm,
     spectral_clusters,
@@ -106,8 +107,9 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
         raise DimensionMismatch(
             f"matrix of dimension {a.shape[-1]} vs algebra in M_{alg.ambient_dim}"
         )
-    residual = operator_norm(a - project_onto(alg, a))
-    return residual <= tol.eq_tol * (1.0 + operator_norm(a))
+    residual = a - project_onto(alg, a)
+    inside = norm_at_most(residual, tol.eq_tol)  # the bound is at least eq_tol: no norm of a
+    return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
 
 
 def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -301,14 +303,9 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff all basis pairs commute within ``eq_tol``."""
-    k = alg.dim
-    for i in range(k):
-        a = alg.basis[i]
-        for j in range(i + 1, k):
-            b = alg.basis[j]
-            if operator_norm(a @ b - b @ a) > tol.eq_tol:
-                return False
-    return True
+    b = alg.basis  # each element against the later ones, as one stack
+    return all(norm_at_most(a @ b[i + 1:] - b[i + 1:] @ a, tol.eq_tol).all()
+               for i, a in enumerate(b))
 
 
 def generator_set_to_json(gens: GeneratorSet) -> dict:

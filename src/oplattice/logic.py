@@ -28,6 +28,7 @@ from .numerics import (
     ensure_projector,
     is_projector,
     matrix_to_json,
+    norm_at_most,
     null_space,
     operator_norm,
     range_projector,
@@ -71,7 +72,7 @@ def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _leq(p, q, tol: Tolerance):
-    return operator_norm(q @ p - p) <= tol.eq_tol
+    return norm_at_most(q @ p - p, tol.eq_tol)
 
 
 def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
@@ -89,8 +90,6 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # res
 
 def _ensure_projectors(stack: np.ndarray, labels: list, tol: Tolerance) -> None:
     """One `ensure_projector` over a stack; a failure names its first non-projector's label."""
-    if not labels:
-        return
     try:
         ensure_projector(stack, tol)
     except NotProjector as exc:
@@ -240,11 +239,12 @@ def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
     generator and draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
     rngs = generators(seeds)
     w, v = np.linalg.eigh(_random_span_elements(alg.basis, rngs, hermitian=True))
-    starts = []  # of the kept top clusters' columns
-    for rng, breaks in zip(rngs, cluster_breaks(w, tol)):
-        bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), alg.ambient_dim]  # cluster starts, d
-        starts.append(bounds[len(bounds) - 1 - int(rng.integers(0, len(bounds)))])  # 0 keeps none
-    return suffix_projectors(v, starts)
+    starts = np.ones((len(rngs), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
+    starts[:, 1:-1] = cluster_breaks(w, tol)
+    seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one
+    kept = np.array([rng.integers(0, n) for rng, n in zip(rngs, seen[:, -1].tolist())])
+    # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at d)
+    return suffix_projectors(v, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1))
 
 
 @dataclass(frozen=True)
@@ -297,20 +297,23 @@ def lattice_report(
     def draws(stream: int) -> np.ndarray:
         return _random_projectors(alg, derive_seeds(seed, stream, np.arange(trials)), tol)
 
-    q, r = map(draws, (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R))
-    p = _meet(r, q, tol)
-    om_residuals, om_derived = _orthomodularity(p, q, tol)
-    dp, dq, dr = map(draws, (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
-    dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
-    d = alg.ambient_dim
-    om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
-    dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
-    labels = [f"orthomodular trial {i}" for i in range(trials) for _ in range(5)]
-    labels += [f"distributive trial {i}" for i in range(trials) for _ in range(8)]
-    _ensure_projectors(np.concatenate([om, dist]), labels, tol)
-    pass_rate = np.count_nonzero(om_residuals <= tol.law_tol) / trials if trials else 1.0
-    failed = np.flatnonzero(~(dist_residuals <= tol.law_tol))
-    counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
+    pass_rate, counterexample = 1.0, None  # zero trials draw nothing
+    if trials:
+        q, r, dp, dq, dr = map(draws, (
+            STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R,
+            STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
+        p = _meet(r, q, tol)
+        om_residuals, om_derived = _orthomodularity(p, q, tol)
+        dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
+        d = alg.ambient_dim
+        om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
+        dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
+        labels = [f"orthomodular trial {i}" for i in range(trials) for _ in range(5)]
+        labels += [f"distributive trial {i}" for i in range(trials) for _ in range(8)]
+        _ensure_projectors(np.concatenate([om, dist]), labels, tol)
+        failed = np.flatnonzero(~(dist_residuals <= tol.law_tol))
+        counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
+        pass_rate = np.count_nonzero(om_residuals <= tol.law_tol) / trials
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(

@@ -45,7 +45,6 @@ from .states import (
     _orthoadditivity,
     _random_orthogonal_families,
     _random_states,
-    check_sigma_orthoadditive,
     dirac_characters,
     is_pure,
     is_separating,
@@ -290,10 +289,10 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         family_seeds = derive_seeds(
             scenario.seed, STREAM_STATE_CHECK, index * 1000 + np.arange(_STATE_FAMILY_CHECKS)
         )
-        additive = all(
-            check_sigma_orthoadditive(logical, family, tol)
-            for family in _random_orthogonal_families(alg, family_seeds, tol)
-        )
+        cases = [("family", st.density, family)
+                 for family in _random_orthogonal_families(alg, family_seeds, tol)]
+        additive = all(additivity <= tol.law_tol and complement <= tol.eq_tol
+                       for additivity, complement in _orthoadditivity(envelope, cases, tol))
         state_entries.append(
             {
                 "index": index,
@@ -356,6 +355,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 def _orthoadditivity_sweep(
     alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
 ) -> dict:
+    if not trials:  # nothing to draw: no failures, and 0.0 for the largest of no residuals
+        return {"trials": 0, "failures": 0, "max_residual": 0.0}
     index = np.arange(trials)
     families = _random_orthogonal_families(alg, derive_seeds(seed, STREAM_SWEEP_FAMILY, index), tol)
     states = _random_states(alg.ambient_dim, derive_seeds(seed, STREAM_SWEEP_STATE, index))

@@ -36,7 +36,7 @@ from .numerics import (
     ensure_projector,
     hs_norm,
     matrix_to_json,
-    operator_norm,
+    norm_at_most,
     range_projector,
     rank_of,
     singular_rank,
@@ -84,9 +84,10 @@ def _random_span_elements(basis: np.ndarray, rngs: list, hermitian: bool) -> np.
     """One random span element per generator in `rngs`, each a ``1 x k`` by ``k x d^2``
     product: the bits of its own ``tensordot`` (a stacked one is a GEMM and rounds apart)."""
     k, d = basis.shape[0], basis.shape[-1]
-    coeffs = np.empty((len(rngs), 1, k), dtype=complex)
-    for c, rng in zip(coeffs, rngs):
-        c[0] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    z = np.empty((len(rngs), 2 * k))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)  # k real, then k imaginary parts: the stream of two calls
+    coeffs = (z[:, :k] + 1j * z[:, k:])[:, None]
     x = np.matmul(coeffs, basis.reshape(k, d * d)).reshape(-1, d, d)
     return (x + x.conj().swapaxes(-2, -1)) / 2.0 if hermitian else x
 
@@ -297,8 +298,8 @@ def equivalence_isometry(
         uu, _, vv = np.linalg.svd(x)
         v_iso = uu[:, :rp] @ vv[:rp, :]
         if (
-            operator_norm(v_iso.conj().T @ v_iso - pm) <= tol.rank_tol
-            and operator_norm(v_iso @ v_iso.conj().T - qm) <= tol.rank_tol
+            norm_at_most(v_iso.conj().T @ v_iso - pm, tol.rank_tol)
+            and norm_at_most(v_iso @ v_iso.conj().T - qm, tol.rank_tol)
             and contains(alg, v_iso, tol)
         ):
             return v_iso

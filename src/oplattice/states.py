@@ -39,6 +39,7 @@ from .numerics import (
     ensure_projector,
     matrix_from_json,
     matrix_to_json,
+    norm_at_most,
     operator_norm,
     rank_of,
 )
@@ -64,9 +65,9 @@ def make_state(rho, tol: Tolerance = DEFAULT_TOL) -> StateFunctional:
     or NotNormalized (trace off 1 by more than ``eq_tol``).
     """
     a = as_matrix(rho)
-    herm = operator_norm(a - a.conj().T)
-    if herm > tol.eq_tol:
-        raise NotHermitian(f"density is not self-adjoint: defect {herm:.3e}")
+    herm = a - a.conj().T
+    if not norm_at_most(herm, tol.eq_tol):
+        raise NotHermitian(f"density is not self-adjoint: defect {operator_norm(herm):.3e}")
     eigenvalues = np.linalg.eigvalsh(a)
     if eigenvalues[0] < -tol.rank_tol:
         raise NotPositive(f"density has negative eigenvalue {eigenvalues[0]:.3e}")
@@ -102,15 +103,17 @@ class LogicalState:
         pm = ensure_projector(p, tol)
         if not contains(self.domain, pm, tol):
             raise NotInAlgebra("projector does not lie in the logical state's domain")
-        return _probability(evaluate(self.underlying, pm), tol)
+        return float(_probabilities(np.array([evaluate(self.underlying, pm)]), tol)[0])
 
 
-def _probability(raw: complex, tol: Tolerance) -> float:  # must be real, inside [0, 1]
-    if abs(raw.imag) > tol.eq_tol:
-        raise ValidationError(f"projector expectation has imaginary part {raw.imag:.3e}")
-    v = float(raw.real)
-    if v < -tol.eq_tol or v > 1.0 + tol.eq_tol:
-        raise ValidationError(f"projector expectation {v} escapes [0, 1]")
+def _probabilities(raw: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The real parts of expectations, each real and inside [0, 1], else the first is named."""
+    v = raw.real
+    bad = np.flatnonzero((abs(raw.imag) > tol.eq_tol) | (v < -tol.eq_tol) | (v > 1.0 + tol.eq_tol))
+    if bad.size and abs(raw.imag[bad[0]]) > tol.eq_tol:
+        raise ValidationError(f"projector expectation has imaginary part {raw.imag[bad[0]]:.3e}")
+    if bad.size:
+        raise ValidationError(f"projector expectation {float(v[bad[0]])} escapes [0, 1]")
     return v
 
 
@@ -143,13 +146,11 @@ def sigma_orthoadditivity_residuals(
 
 
 def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
-    """`sigma_orthoadditivity_residuals` of ``(label, density, members)`` cases, after
-    one stacked check of all members, complements and running joins: projectors in
+    """`sigma_orthoadditivity_residuals` of one or more ``(label, density, members)`` cases,
+    after one stacked check of all members, complements and running joins: projectors in
     `domain`, each case's members pairwise orthogonal. A failure names its case. Join
     step j is one `_join` over the cases with more than j members (zero padding would
     change the last join's bits)."""
-    if not cases:
-        return []
     joins = [[np.zeros((domain.ambient_dim,) * 2, dtype=complex)] for _ in cases]
     for j in range(max(len(members) for *_, members in cases)):
         live = [c for c, (*_, members) in enumerate(cases) if len(members) > j]
@@ -157,10 +158,11 @@ def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
                      np.stack([cases[c][2][j] for c in live]), tol)
         for c, m in zip(live, step):
             joins[c].append(m)
-    terms, checked, labels, pairs = [], [], [], []
+    evaluated, densities, checked, labels, pairs = [], [], [], [], []
     for (label, density, members), case_joins in zip(cases, joins):
         comps = [_complement(p) for p in members]
-        terms.append((density, len(members), (*members, *comps, case_joins[-1])))
+        evaluated += [*members, *comps, case_joins[-1]]
+        densities += [density] * (2 * len(members) + 1)
         checked += [*members, *comps, *case_joins]
         labels += [label] * (2 * len(members) + len(case_joins))
         pairs += [(f"{label}: members {i} and {j}", members[i], comps[j])
@@ -174,11 +176,12 @@ def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
     inside = contains(domain, checked, tol)
     if not np.all(inside):
         raise NotInAlgebra(f"{labels[int(np.argmin(inside))]}: projector not in the domain")
-    out = []
-    for density, n, projectors in terms:
-        v = [_probability(complex(np.trace(density @ p)), tol) for p in projectors]
-        worst = max([0.0] + [abs(c - (1.0 - x)) for x, c in zip(v[:n], v[n : 2 * n])])
-        out.append((abs(v[-1] - sum(v[:n])), worst))
+    values = np.trace(np.stack(densities) @ np.stack(evaluated), axis1=1, axis2=2)
+    v, out = iter(_probabilities(values, tol).tolist()), []
+    for n in (len(members) for *_, members in cases):
+        x = [next(v) for _ in range(2 * n + 1)]  # members, complements, join; summed in order
+        worst = max([0.0] + [abs(c - (1.0 - p)) for p, c in zip(x[:n], x[n : 2 * n])])
+        out.append((abs(x[2 * n] - sum(x[:n])), worst))
     return out
 
 
@@ -262,13 +265,15 @@ def random_state(dim: int, seed: int) -> StateFunctional:
 
 
 def _random_states(dim: int, seeds) -> list[StateFunctional]:
-    """`random_state` for each seed, the generators seeded in one stacked pass."""
-    out = []
-    for rng in generators(seeds):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = g @ g.conj().T
-        out.append(StateFunctional(density=as_matrix(rho / np.trace(rho).real)))
-    return out
+    """`random_state` for each seed: one call per generator draws its real, then imaginary part."""
+    z = np.empty((len(seeds), 2, dim, dim))
+    for row, rng in zip(z, generators(seeds)):
+        rng.standard_normal(out=row)
+    g = z[:, 0] + 1j * z[:, 1]
+    rho = g @ g.conj().swapaxes(-2, -1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    rho.setflags(write=False)
+    return [StateFunctional(density=r) for r in rho]
 
 
 def random_orthogonal_family(
@@ -293,13 +298,14 @@ def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> lis
     remaining = _random_projectors(alg, derive_seeds(seeds, STREAM_FAMILY_BASE, 0), tol)
     parts: list[list] = [[] for _ in seeds]
     cap = alg.ambient_dim
-    for attempt in range(1, 4 * cap + 1):
+    attempts = np.tile(np.arange(1, 4 * cap + 1), len(seeds))  # all sub-seeds, one hash
+    splits = derive_seeds(np.repeat(seeds, 4 * cap), STREAM_FAMILY_SPLIT, attempts)
+    for split in splits.reshape(len(seeds), 4 * cap).T:  # attempt by attempt
         counts = np.array([len(family) for family in parts])
         active = np.flatnonzero((np.trace(remaining, axis1=1, axis2=2).real > 0.5) & (counts < cap))
         if not active.size:
             break
-        draws = derive_seeds(seeds[active], STREAM_FAMILY_SPLIT, attempt)
-        pieces = _meet(_random_projectors(alg, draws, tol), remaining[active], tol)
+        pieces = _meet(_random_projectors(alg, split[active], tol), remaining[active], tol)
         kept = np.trace(pieces, axis1=1, axis2=2).real > 0.5
         for i, piece in zip(active[kept], pieces[kept]):
             parts[i].append(piece)

@@ -34,6 +34,7 @@ from oplattice import (
 )
 from oplattice import NotProjector, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
+from oplattice import states as states_module
 from oplattice.numerics import range_projector
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
@@ -482,8 +483,26 @@ def reference_random_projector(alg, seed, tol=DEFAULT_TOL):
     return range_projector(v[:, starts[len(starts) - cut] :])
 
 
+def reference_random_state(dim, seed):
+    """The one-state sampler the stacked draw replaced: two ``d x d`` draws, one product."""
+    rng = np.random.default_rng(int(seed))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestStackedKernels:
     """Each trial of a stacked kernel has the bits of its one-matrix call."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 9, 24, 48])
+    def test_states_equal_the_one_state_reference(self, dim):
+        seeds = [0, 1, 2**32, 2**64 - 1, *range(900, 912)]
+        states = states_module._random_states(dim, seeds)
+        assert len(states) == len(seeds)
+        for state, seed in zip(states, seeds):
+            assert np.array_equal(state.density, reference_random_state(dim, seed))
+            assert not state.density.flags.writeable
+        assert states_module._random_states(dim, []) == []
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_draws_equal_the_one_draw_reference(self, name):
@@ -518,6 +537,15 @@ class TestStackedKernels:
         report = lattice_report(two_blocks, trials=0, seed=4)
         assert report.orthomodular_pass_rate == 1.0
         assert report.distributive and report.counterexample is None
+
+    def test_zero_trials_draw_nothing(self, two_blocks, monkeypatch):
+        want = lattice_report_to_json(lattice_report(two_blocks, trials=0, seed=4))
+
+        def no_draws(*args):
+            raise AssertionError("zero trials drew a projector")
+
+        monkeypatch.setattr(logic_module, "_random_projectors", no_draws)
+        assert lattice_report_to_json(lattice_report(two_blocks, trials=0, seed=4)) == want
 
     def test_a_draw_cut_at_zero_is_the_zero_projector(self):
         # on the scalars the spectrum is one cluster, so the draw keeps it or not

@@ -21,7 +21,7 @@ from oplattice import (
     operator_norm,
     rank_of,
 )
-from oplattice.numerics import dumps
+from oplattice.numerics import dumps, norm_at_most
 
 
 def random_matrix(rng, d):
@@ -195,6 +195,67 @@ class TestRankAndNullSpace:
             assert np.allclose(kernel @ kernel.conj().T, full @ full.conj().T, atol=1e-12)
 
 
+def with_singular_values(rng, values):
+    """A random complex matrix with the given singular values (and zeros past them)."""
+    d = 6
+    u, _ = np.linalg.qr(random_matrix(rng, d))
+    v, _ = np.linalg.qr(random_matrix(rng, d))
+    return u @ np.diag(np.pad(np.asarray(values, dtype=float), (0, d - len(values)))) @ v
+
+
+class TestNormAtMost:
+    """`norm_at_most` is `operator_norm(m) <= bound`, whatever the Frobenius screen decides."""
+
+    def agrees(self, stack, bound):
+        want = operator_norm(stack) <= bound
+        got = norm_at_most(stack, bound)
+        assert got.dtype == bool and np.array_equal(got, want)
+        for m, b, w in zip(stack, np.broadcast_to(bound, len(stack)), want):
+            one = norm_at_most(m, b)
+            assert type(one) is bool and one == w
+        return got
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 5, 9):
+            stack = np.stack([random_matrix(rng, d) for _ in range(40)])
+            stack *= rng.uniform(1e-3, 1.0, size=(40, 1, 1))
+            norms = operator_norm(stack)
+            for bound in (0.5 * np.median(norms), float(np.median(norms)), 1e-9, 10.0 * d):
+                self.agrees(stack, bound)
+            self.agrees(stack, norms * rng.uniform(0.5, 1.5, size=40))  # a bound per matrix
+
+    def test_frobenius_above_half_the_bound(self):
+        # the screen cannot decide these: Frobenius norm past bound / 2, spectral norm on
+        # either side of the bound (and Frobenius above the bound with spectral below it)
+        rng = np.random.default_rng(12)
+        stack = np.stack([with_singular_values(rng, [s] * count)
+                          for s in (0.3, 0.45, 0.6, 0.9, 0.999, 1.001, 1.2)
+                          for count in (1, 2, 4, 6)])
+        frobenius = np.linalg.norm(stack, axis=(1, 2))
+        assert (frobenius > 0.5).sum() >= 20
+        got = self.agrees(stack, 1.0)
+        assert got.any() and not got.all()
+
+    def test_rank_one_at_the_bound(self):
+        rng = np.random.default_rng(13)
+        for bound in (1e-9, 1.0, 3.5):
+            stack = np.stack([with_singular_values(rng, [bound * (1 + e)])
+                              for e in (-1e-12, 1e-12, -1e-12, 1e-12)])
+            got = self.agrees(stack, bound)
+            assert got.tolist() == [True, False, True, False]
+
+    def test_underflowing_squares_do_not_pass_the_screen(self):
+        tiny = np.diag([1e-200, 0.0]).astype(complex)  # its squares round to 0
+        assert norm_at_most(tiny, 1e-250) is False
+        assert norm_at_most(tiny, 1e-190) is True
+        assert norm_at_most(tiny[None], 1e-250).tolist() == [False]
+
+    def test_empty_stack(self):
+        out = norm_at_most(np.zeros((0, 3, 3), dtype=complex), 1.0)
+        assert out.shape == (0,) and out.dtype == bool
+
+
 class TestProjectorValidation:
     def test_accepts_rank_one(self):
         v = np.array([1.0, 1j]) / np.sqrt(2)
@@ -207,9 +268,12 @@ class TestProjectorValidation:
         for bad, law in [(np.diag([0.5, 0.5]), "idempotent"),
                          (np.array([[1, 1], [0, 0]]), "self-adjoint")]:
             stack = np.concatenate([good, bad[None]])
-            with pytest.raises(NotProjector, match=f"stack entry 3 not {law}"):
+            with pytest.raises(NotProjector, match=f"stack entry 3 not {law}") as info:
                 ensure_projector(stack)
             assert not is_projector(stack)
+            # the message prints the failing entry's spectral norm, not the screen's norm
+            defect = bad @ bad - bad if law == "idempotent" else bad - bad.conj().T
+            assert str(info.value).endswith(f" = {operator_norm(defect):.3e}")
 
     def test_stack_rejects_nan_and_non_square(self):
         with pytest.raises(ValidationError):

@@ -28,7 +28,9 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
+from oplattice import logic as logic_module
 from oplattice import scenarios as scenarios_module
+from oplattice import states as states_module
 from tests.conftest import two_orthogonal_real_lines, unit
 
 
@@ -372,6 +374,46 @@ class TestNoTrials:
         assert report.orthoadditivity == {"trials": 0, "failures": 0, "max_residual": 0.0}
         assert report.lattice.orthomodular_pass_rate == 1.0
         assert report.lattice.distributive and report.lattice.counterexample is None
+
+    @pytest.mark.parametrize("kind, dim, parameters", [
+        ("weyl_finite", 3, {"modulus": 3}),
+        ("sectors", 4, {"blocks": [[2, 1], [1, 2]]}),
+    ])
+    def test_zero_trials_draw_nothing(self, kind, dim, parameters, monkeypatch):
+        scenario = Scenario(name="t0", kind=kind, dim=dim, parameters=parameters, trials=0, seed=5)
+        want = report_to_json(run_scenario(scenario))
+
+        def no_draws(*args):
+            raise AssertionError("zero trials drew a sample")
+
+        # both modules bind the projector sampler; the sweep's samplers are bound in scenarios
+        monkeypatch.setattr(logic_module, "_random_projectors", no_draws)
+        monkeypatch.setattr(states_module, "_random_projectors", no_draws)
+        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", no_draws)
+        monkeypatch.setattr(scenarios_module, "_random_states", no_draws)
+        assert report_to_json(run_scenario(scenario)) == want
+
+
+class TestConfiguredStateChecks:
+    def test_one_stacked_check_gives_each_familys_verdict(self, monkeypatch):
+        # the report's verdict is `check_sigma_orthoadditive` over the state's ten families
+        scenario = Scenario(name="s", kind="sectors", dim=4,
+                            parameters={"blocks": [[2, 1], [1, 2]]}, trials=0, seed=3,
+                            states=(states_module.random_state(4, seed=8),))
+        drawn = []
+        draw = scenarios_module._random_orthogonal_families
+
+        def recorded(alg, seeds, tol):
+            drawn.extend(draw(alg, seeds, tol))
+            return drawn[-len(seeds):]
+
+        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", recorded)
+        report = run_scenario(scenario)
+        assert len(drawn) == 10 and len({len(f) for f in drawn}) >= 2
+        envelope = commutant(commutant(close(build_sectors([[2, 1], [1, 2]]))))
+        logical = states_module.LogicalState(scenario.states[0], envelope)
+        want = all(states_module.check_sigma_orthoadditive(logical, f) for f in drawn)
+        assert report.states[0]["sigma_orthoadditive"] is want is True
 
 
 class TestEnvelope:

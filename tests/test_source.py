@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import oplattice
@@ -48,5 +49,19 @@ def test_only_numerics_writes_json_text():
         if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps", "JSONEncoder")
             and isinstance(node.value, ast.Name) and node.value.id == "json")
         or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    ]
+    assert found == []
+
+
+def test_only_numerics_compares_operator_norms():
+    # one home for norm-bound decisions: `numerics.norm_at_most` screens by the Frobenius norm
+    # and keeps every verdict of the SVD; an inline comparison would bring the SVD back
+    compared = re.compile(r"operator_norm\(.*\)\s*(<=|>=|<|>)")
+    found = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        if path.name != "numerics.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if compared.search(line)
     ]
     assert found == []
