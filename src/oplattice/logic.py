@@ -21,30 +21,12 @@ import numpy as np
 
 from .algebra import AlgebraBasis
 from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, PreconditionFailed
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    cluster_breaks,
-    ensure_projector,
-    is_projector,
-    matrix_to_json,
-    norm_at_most,
-    null_space,
-    operator_norm,
-    range_projector,
-    singular_rank,
-    suffix_projectors,
-)
+from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector, is_projector,
+                       matrix_to_json, norm_at_most, null_space, operator_norm, range_projector,
+                       singular_rank, suffix_projectors)
 from .sectors import _random_span_elements, block_decomposition, mvn_dimension
-from .seeding import (
-    STREAM_DISTRIBUTIVE_P,
-    STREAM_DISTRIBUTIVE_Q,
-    STREAM_DISTRIBUTIVE_R,
-    STREAM_ORTHOMODULAR_Q,
-    STREAM_ORTHOMODULAR_R,
-    derive_seeds,
-    generators,
-)
+from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
+                      STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, derive_seeds, generators)
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
@@ -82,19 +64,24 @@ def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # resid
 
 
 def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
-    q_or_r = _join(q, r, tol)
-    p_and_q, p_and_r = _meet(np.stack([p, p]), np.stack([q, r]), tol)
-    lhs, rhs = _meet(p, q_or_r, tol), _join(p_and_q, p_and_r, tol)
+    # stacked meets: q ∨ r (a meet of complements) with p ∧ q and p ∧ r; then lhs with rhs
+    not_q_or_r, p_and_q, p_and_r = _meet(np.stack([_complement(q), p, p]),
+                                         np.stack([_complement(r), q, r]), tol)
+    q_or_r = _complement(not_q_or_r)
+    lhs, not_rhs = _meet(np.stack([p, _complement(p_and_q)]),
+                         np.stack([q_or_r, _complement(p_and_r)]), tol)
+    rhs = _complement(not_rhs)
     return operator_norm(lhs - rhs), (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
-def _ensure_projectors(stack: np.ndarray, labels: list, tol: Tolerance) -> None:
-    """One `ensure_projector` over a stack; a failure names its first non-projector's label."""
+def _ensure_projectors(stack: np.ndarray, label_of, tol: Tolerance) -> None:
+    """One `ensure_projector` over a stack; a failure names its first non-projector i's
+    ``label_of(i)``, which only a failure calls."""
     try:
         ensure_projector(stack, tol)
     except NotProjector as exc:
-        label = next((lab for lab, m in zip(labels, stack) if not is_projector(m, tol)), "stack")
-        raise NotProjector(f"{label}: {exc}") from exc
+        bad = next((i for i, m in enumerate(stack) if not is_projector(m, tol)), None)
+        raise NotProjector(f"{'stack' if bad is None else label_of(bad)}: {exc}") from exc
 
 
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -235,9 +222,13 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
 
 
 def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
-    """`random_projector` for each seed, as one ``(n, d, d)`` stack. Each seed keeps its own
-    generator and draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
-    rngs = generators(seeds)
+    """`random_projector` for each seed, as one ``(n, d, d)`` stack."""
+    return _random_projectors_from(alg, generators(seeds), tol)
+
+
+def _random_projectors_from(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> np.ndarray:
+    """`_random_projectors` on the seeds' generators. Each seed keeps its own generator and
+    draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
     w, v = np.linalg.eigh(_random_span_elements(alg.basis, rngs, hermitian=True))
     starts = np.ones((len(rngs), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
     starts[:, 1:-1] = cluster_breaks(w, tol)
@@ -276,8 +267,9 @@ def lattice_report(
     projector is forced below the larger by taking a meet), and
     distributivity on `trials` random triples, recording the first
     counterexample; each trial derives its own sub-seed from `seed` and
-    its index. Each stage is one stacked call over all trials (draws, meets,
-    joins), with the bits of the public one-matrix calls on the same kernels.
+    its index. Each stage is one stacked call over all trials (one draw for
+    all five streams, meets, joins), with the bits of the public one-matrix
+    calls on the same kernels.
     Every projector drawn or derived is checked in one stacked
     `ensure_projector` before any verdict (NotProjector names the lowest
     failing trial). A law holds at a trial when its residual is at most
@@ -293,24 +285,21 @@ def lattice_report(
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     decomp = block_decomposition(alg, tol)
-
-    def draws(stream: int) -> np.ndarray:
-        return _random_projectors(alg, derive_seeds(seed, stream, np.arange(trials)), tol)
-
     pass_rate, counterexample = 1.0, None  # zero trials draw nothing
     if trials:
-        q, r, dp, dq, dr = map(draws, (
-            STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R,
-            STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
+        d = alg.ambient_dim
+        streams = (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R,
+                   STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
+        seeds = derive_seeds(seed, np.repeat(streams, trials), np.tile(np.arange(trials), 5))
+        q, r, dp, dq, dr = _random_projectors(alg, seeds, tol).reshape(5, -1, d, d)
         p = _meet(r, q, tol)
         om_residuals, om_derived = _orthomodularity(p, q, tol)
         dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
-        d = alg.ambient_dim
         om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
         dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
-        labels = [f"orthomodular trial {i}" for i in range(trials) for _ in range(5)]
-        labels += [f"distributive trial {i}" for i in range(trials) for _ in range(8)]
-        _ensure_projectors(np.concatenate([om, dist]), labels, tol)
+        _ensure_projectors(np.concatenate([om, dist]), lambda i: (
+            f"orthomodular trial {i // 5}" if i < 5 * trials
+            else f"distributive trial {(i - 5 * trials) // 8}"), tol)
         failed = np.flatnonzero(~(dist_residuals <= tol.law_tol))
         counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
         pass_rate = np.count_nonzero(om_residuals <= tol.law_tol) / trials

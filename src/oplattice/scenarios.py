@@ -22,35 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    AlgebraBasis,
-    GeneratorSet,
-    close,
-    commutant,
-    generator_commutant,
-    same_span,
-)
-from .errors import NumericalError, OperatorAlgebraError, ValidationError
+from .algebra import AlgebraBasis, GeneratorSet, close, generator_commutant
+from .errors import (CenterDiagonalizationFailed, NumericalError, OperatorAlgebraError,
+                     ValidationError)
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
-from .sectors import _reduced_ranks, block_decomposition
-from .seeding import (
-    STREAM_STATE_CHECK,
-    STREAM_SWEEP_FAMILY,
-    STREAM_SWEEP_STATE,
-    derive_seeds,
-)
-from .states import (
-    LogicalState,
-    _orthoadditivity,
-    _random_orthogonal_families,
-    _random_states,
-    dirac_characters,
-    is_pure,
-    is_separating,
-    state_from_json,
-    state_to_json,
-)
+from .sectors import _commutant_defects, _reduced_ranks, block_decomposition
+from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
+from .states import (LogicalState, _orthoadditivity, _random_orthogonal_families, _random_states,
+                     dirac_characters, is_pure, is_separating, state_from_json, state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -232,14 +212,18 @@ def _values_match(expect, actual) -> bool:
 def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     """Build the scenario's algebra and run the full verification battery.
 
-    The structure is computed once: the generators' commutant and its
-    commutant, the envelope (the generated von Neumann algebra). One
-    check guards `close` without reading its output to build the
-    reference, and raises: the closed span must equal the envelope, so a
-    closure that over-grew or stopped short fails on its dimension.
-    Everything downstream is seeded from the scenario seed, so identical
-    scenarios give byte-identical JSON reports. Errors from the underlying
-    modules are re-raised with the scenario name attached (and any residual).
+    Each stage runs once, on one block decomposition: the closed span's.
+    It guards `close` from the commutant side: the generators' commutant,
+    solved without the closure, must lie in the commutant read off those
+    blocks and have its dimension. A span that passes is an algebra with
+    the generators' commutant, so it is the envelope (their generated von
+    Neumann algebra) and the states' domain; a wrong closure, a span that
+    is no algebra, or a wrong generators' commutant fails naming the
+    dimensions. The states' family checks and the orthoadditivity sweep
+    share one family draw and one stacked check. Everything downstream is
+    seeded from the scenario seed, so identical scenarios give
+    byte-identical JSON reports. Errors from the underlying modules are
+    re-raised with the scenario name attached (and any residual).
     """
     try:
         return _run_scenario_body(scenario, tol)
@@ -252,14 +236,20 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     gens = build_generators(scenario)
     alg = close(gens, tol)
     comm = generator_commutant(gens, tol)
-    envelope = commutant(comm, tol)
-    if not same_span(alg, envelope, tol):
+    failure = None
+    try:  # `comm` never reads the closure; alg's commutant is read off alg's blocks
+        decomp = block_decomposition(alg, tol)
+        closed = (comm.dim == sum(s.multiplicity ** 2 for s in decomp.sectors)
+                  and bool((_commutant_defects(decomp, comm.basis) <= tol.eq_tol).all()))
+    except CenterDiagonalizationFailed as exc:  # a span with no block decomposition: no algebra
+        closed, failure = False, exc
+    if not closed:  # the envelope, solved as comm's commutant only to word the failure
+        envelope = generator_commutant(GeneratorSet(comm.ambient_dim, tuple(comm.basis)), tol)
         raise NumericalError(
             f"the closed span has dimension {alg.dim} but the generated von Neumann algebra "
             f"has {envelope.dim} (the generators' commutant has dimension {comm.dim}); "
             "the closure is buggy or the tolerances are degenerate"
-        )
-    decomp = block_decomposition(alg, tol)
+        ) from failure
     report = lattice_report(alg, scenario.trials, scenario.seed, tol)
     characters_entry = None
     if report.boolean_lattice:  # the algebra is commutative
@@ -279,30 +269,17 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         for s in decomp.sectors
     )
 
-    state_entries = []
-    for index, st in enumerate(scenario.states):
-        logical = LogicalState(underlying=st, domain=envelope)
-        values = {
-            f"sector_{i}": logical.value(s.central_projector, tol)
-            for i, s in enumerate(decomp.sectors)
+    additive, orthoadd = _orthoadditivity_checks(alg, scenario, tol)
+    state_entries = [
+        {
+            "index": index,
+            "pure": is_pure(st, alg, tol),
+            "values": {f"sector_{i}": LogicalState(st, alg).value(s.central_projector, tol)
+                       for i, s in enumerate(decomp.sectors)},
+            "sigma_orthoadditive": verdict,
         }
-        family_seeds = derive_seeds(
-            scenario.seed, STREAM_STATE_CHECK, index * 1000 + np.arange(_STATE_FAMILY_CHECKS)
-        )
-        cases = [("family", st.density, family)
-                 for family in _random_orthogonal_families(alg, family_seeds, tol)]
-        additive = all(additivity <= tol.law_tol and complement <= tol.eq_tol
-                       for additivity, complement in _orthoadditivity(envelope, cases, tol))
-        state_entries.append(
-            {
-                "index": index,
-                "pure": is_pure(st, alg, tol),
-                "values": values,
-                "sigma_orthoadditive": additive,
-            }
-        )
-
-    orthoadd = _orthoadditivity_sweep(alg, envelope, scenario.trials, scenario.seed, tol)
+        for index, (st, verdict) in enumerate(zip(scenario.states, additive))
+    ]
 
     actuals = {
         "algebra_dim": alg.dim,
@@ -352,21 +329,34 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     )
 
 
-def _orthoadditivity_sweep(
-    alg: AlgebraBasis, envelope: AlgebraBasis, trials: int, seed: int, tol: Tolerance
-) -> dict:
-    if not trials:  # nothing to draw: no failures, and 0.0 for the largest of no residuals
-        return {"trials": 0, "failures": 0, "max_residual": 0.0}
-    index = np.arange(trials)
-    families = _random_orthogonal_families(alg, derive_seeds(seed, STREAM_SWEEP_FAMILY, index), tol)
-    states = _random_states(alg.ambient_dim, derive_seeds(seed, STREAM_SWEEP_STATE, index))
-    cases = [(f"orthoadditivity trial {i}", state.density, family)
-             for i, (state, family) in enumerate(zip(states, families))]
-    residuals = [max(r) for r in _orthoadditivity(envelope, cases, tol)]
-    return {
+def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Tolerance) -> tuple:
+    """Each configured state's `check_sigma_orthoadditive` verdict over its own families, and
+    the sweep's summary (trial i: a random family under a random state). A family depends on
+    its seed only: all of them come from one draw, and all cases go through one check."""
+    states, trials = scenario.states, scenario.trials
+    checks = _STATE_FAMILY_CHECKS * len(states)
+    verdicts, residuals = [], []
+    if checks + trials:  # zero trials and no states draw nothing
+        index = [i * 1000 + np.arange(_STATE_FAMILY_CHECKS) for i in range(len(states))]
+        seeds = derive_seeds(
+            scenario.seed,
+            np.repeat([STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE],
+                      [checks, trials, trials]),
+            np.concatenate([*index, np.arange(trials), np.arange(trials)]),
+        )
+        families = _random_orthogonal_families(alg, seeds[:checks + trials], tol)
+        labels = ["family"] * checks + [f"orthoadditivity trial {i}" for i in range(trials)]
+        densities = [st.density for st in states for _ in range(_STATE_FAMILY_CHECKS)]
+        densities += [st.density for st in _random_states(alg.ambient_dim, seeds[checks + trials:])]
+        results = _orthoadditivity(alg, list(zip(labels, densities, families)), tol)
+        passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
+        verdicts = [all(passed[i:i + _STATE_FAMILY_CHECKS])
+                    for i in range(0, checks, _STATE_FAMILY_CHECKS)]
+        residuals = [max(r) for r in results[checks:]]
+    return verdicts, {
         "trials": trials,
         "failures": sum(1 for r in residuals if r > tol.law_tol),
-        "max_residual": max(residuals) if residuals else 0.0,
+        "max_residual": max(residuals, default=0.0),  # 0.0 for the largest of no residuals
     }
 
 

@@ -100,6 +100,20 @@ def _partial_trace(sector: Sector, a: np.ndarray) -> np.ndarray:
     return np.einsum("...jsks->...jk", c.reshape(*c.shape[:-2], n, m, n, m))
 
 
+def _commutant_defects(decomp: SectorDecomposition, mats: np.ndarray) -> np.ndarray:
+    """Per matrix x of a stack, its HS distance to the commutant of the decomposed algebra,
+    whose part of x is ``sum_i V_i (1_n (x) gamma_i) V_i*``, gamma_i the trace over n of the
+    compression ``V_i* x V_i`` divided by n: O(d^3) a matrix, not a projection on a basis."""
+    part = np.zeros_like(mats)
+    for s in decomp.sectors:
+        n, m = s.block_size, s.multiplicity
+        c = (s.isometry.conj().T @ mats @ s.isometry).reshape(-1, n, m, n, m)
+        gamma = np.einsum("...jajb->...ab", c) / n
+        unit_n_gamma = np.eye(n)[:, None, :, None] * gamma[:, None, :, None, :]
+        part += s.isometry @ unit_n_gamma.reshape(-1, n * m, n * m) @ s.isometry.conj().T
+    return np.linalg.norm(mats - part, axis=(1, 2))
+
+
 def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -> list:
     """The sectors one generic pair of span elements exhibits, uncertified.
 

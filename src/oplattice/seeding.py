@@ -157,9 +157,18 @@ def derive_seed(seed: int, stream: int, index: int) -> int:
 
 def generators(seeds) -> list[np.random.Generator]:
     """``np.random.default_rng(int(s))`` for each of the nonnegative integer `seeds`."""
-    pool_words = _pool_words_type()
-    return [np.random.Generator(np.random.PCG64(pool_words(words)))
-            for words in _state((seeds,), 4)]
+    return seeded_generators(pool_words(seeds))
+
+
+def pool_words(seeds) -> np.ndarray:
+    """The ``(n, 4)`` uint64 words `generators` seeds each `PCG64` from, in one hash."""
+    return _state((seeds,), 4)
+
+
+def seeded_generators(words: np.ndarray) -> list[np.random.Generator]:
+    """`generators` on rows of `pool_words`, without hashing them again."""
+    pool = _pool_words_type()
+    return [np.random.Generator(np.random.PCG64(pool(row))) for row in words]
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +193,7 @@ def _pool_words_type() -> type:
 def attempt_generator(stream: int, attempt: int) -> np.random.Generator:
     """A fresh generator of ``SeedSequence((stream, attempt))``: both fit one word, so that
     entropy is the one integer ``stream | attempt << 32``."""
-    return np.random.Generator(np.random.PCG64(_pool_words_type()(_attempt_words(stream, attempt))))
+    return seeded_generators([_attempt_words(stream, attempt)])[0]
 
 
 @lru_cache(maxsize=64)  # the callers use 14 (stream, attempt) pairs

@@ -15,36 +15,20 @@ pure as a state on a subalgebra (its per-sector reduced matrix decides).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .algebra import AlgebraBasis, baire_envelope, contains
-from .errors import (
-    DimensionMismatch,
-    NotCommutative,
-    NotHermitian,
-    NotInAlgebra,
-    NotNormalized,
-    NotOrthogonalFamily,
-    NotPositive,
-    ValidationError,
-)
-from .logic import _complement, _ensure_projectors, _join, _leq, _meet, _random_projectors
+from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgebra, NotNormalized,
+                     NotOrthogonalFamily, NotPositive, ValidationError)
+from .logic import (_complement, _ensure_projectors, _join, _leq, _meet, _random_projectors,
+                    _random_projectors_from)
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    ensure_projector,
-    matrix_from_json,
-    matrix_to_json,
-    norm_at_most,
-    operator_norm,
-    rank_of,
-)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, ensure_projector, matrix_from_json,
+                       matrix_to_json, norm_at_most, operator_norm, rank_of)
 from .sectors import _partial_trace, block_decomposition
-from .seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seeds, generators
+from .seeding import (STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seeds, generators,
+                      pool_words, seeded_generators)
 
 
 @dataclass(frozen=True)
@@ -147,41 +131,48 @@ def sigma_orthoadditivity_residuals(
 
 def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
     """`sigma_orthoadditivity_residuals` of one or more ``(label, density, members)`` cases,
-    after one stacked check of all members, complements and running joins: projectors in
-    `domain`, each case's members pairwise orthogonal. A failure names its case. Join
-    step j is one `_join` over the cases with more than j members (zero padding would
-    change the last join's bits)."""
-    joins = [[np.zeros((domain.ambient_dim,) * 2, dtype=complex)] for _ in cases]
-    for j in range(max(len(members) for *_, members in cases)):
-        live = [c for c, (*_, members) in enumerate(cases) if len(members) > j]
-        step = _join(np.stack([joins[c][-1] for c in live]),
-                     np.stack([cases[c][2][j] for c in live]), tol)
-        for c, m in zip(live, step):
-            joins[c].append(m)
-    evaluated, densities, checked, labels, pairs = [], [], [], [], []
-    for (label, density, members), case_joins in zip(cases, joins):
-        comps = [_complement(p) for p in members]
-        evaluated += [*members, *comps, case_joins[-1]]
-        densities += [density] * (2 * len(members) + 1)
-        checked += [*members, *comps, *case_joins]
-        labels += [label] * (2 * len(members) + len(case_joins))
-        pairs += [(f"{label}: members {i} and {j}", members[i], comps[j])
-                  for i, j in combinations(range(len(members)), 2)]
-    checked = np.stack(checked)
-    _ensure_projectors(checked, labels, tol)
-    if pairs:
-        apart = _leq(np.stack([p for _, p, _ in pairs]), np.stack([c for *_, c in pairs]), tol)
+    after one stacked check of all members, complements (one stacked ``1 - p``) and running
+    joins: projectors in `domain`, each case's members pairwise orthogonal. A failure names
+    its case. Join step j is one `_join` over the cases with more than j members (zero
+    padding would change the last join's bits)."""
+    d, count = domain.ambient_dim, len(cases)
+    sizes = np.array([len(members) for *_, members in cases])
+    starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
+    members = np.array([p for *_, ms in cases for p in ms], dtype=complex).reshape(total, d, d)
+    first = starts + np.arange(count)  # row of each case's zero join: n + 1 joins a case
+    joins = np.zeros((total + count, d, d), dtype=complex)
+    for j in range(sizes.max(initial=0)):
+        live = np.flatnonzero(sizes > j)
+        joins[first[live] + j + 1] = _join(joins[first[live] + j], members[starts[live] + j], tol)
+    # `checked` holds, case by case, its n members, their n complements and its n + 1 joins:
+    # entry k of case c is one row of `pool`
+    pool = np.concatenate([members, _complement(members), joins])
+    case = np.repeat(np.arange(count), 3 * sizes + 1)
+    n, at = sizes[case], starts[case]
+    k = np.arange(case.size) - (3 * starts + np.arange(count))[case]
+    checked = pool[np.select([k < n, k < 2 * n], [at + k, total + at + k - n],
+                             2 * total + first[case] + k - 2 * n)]
+    _ensure_projectors(checked, lambda i: cases[case[i]][0], tol)
+    lo, hi = np.triu_indices(sizes.max(initial=0), 1)  # itertools.combinations' order
+    pair_case, pair = np.nonzero(hi < sizes[:, None])
+    if pair.size:
+        at = starts[pair_case]
+        apart = _leq(members[at + lo[pair]], pool[total + at + hi[pair]], tol)
         if not apart.all():
-            raise NotOrthogonalFamily(f"{pairs[int(np.argmin(apart))][0]} are not orthogonal")
+            f = int(np.argmin(apart))
+            raise NotOrthogonalFamily(f"{cases[pair_case[f]][0]}: members {lo[pair[f]]} and "
+                                      f"{hi[pair[f]]} are not orthogonal")
     inside = contains(domain, checked, tol)
     if not np.all(inside):
-        raise NotInAlgebra(f"{labels[int(np.argmin(inside))]}: projector not in the domain")
-    values = np.trace(np.stack(densities) @ np.stack(evaluated), axis1=1, axis2=2)
+        raise NotInAlgebra(f"{cases[case[int(np.argmin(inside))]][0]}: projector not in the domain")
+    evaluated = (k < 2 * n) | (k == 3 * n)  # members, complements, the whole family's join
+    densities = np.stack([density for _, density, _ in cases])[case[evaluated]]
+    values = np.trace(densities @ checked[evaluated], axis1=1, axis2=2)
     v, out = iter(_probabilities(values, tol).tolist()), []
-    for n in (len(members) for *_, members in cases):
-        x = [next(v) for _ in range(2 * n + 1)]  # members, complements, join; summed in order
-        worst = max([0.0] + [abs(c - (1.0 - p)) for p, c in zip(x[:n], x[n : 2 * n])])
-        out.append((abs(x[2 * n] - sum(x[:n])), worst))
+    for size in sizes.tolist():
+        x = [next(v) for _ in range(2 * size + 1)]  # members, complements, join; summed in order
+        worst = max([0.0] + [abs(c - (1.0 - p)) for p, c in zip(x[:size], x[size : 2 * size])])
+        out.append((abs(x[2 * size] - sum(x[:size])), worst))
     return out
 
 
@@ -293,19 +284,26 @@ def random_orthogonal_family(
 
 def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
     """`random_orthogonal_family` for each seed, in stacked stages: the base draws, then
-    one round per attempt over the families still splitting (a draw and a meet each)."""
+    one round per attempt over the families still splitting (a draw and a meet each). All
+    sub-seeds are hashed in one call and the split generators' pool words in one more; a
+    round builds generators for its active families only."""
     seeds = np.asarray(seeds)
-    remaining = _random_projectors(alg, derive_seeds(seeds, STREAM_FAMILY_BASE, 0), tol)
+    count, cap = len(seeds), alg.ambient_dim
+    attempts = 4 * cap
+    sub_seeds = derive_seeds(
+        np.concatenate([seeds, np.repeat(seeds, attempts)]),
+        np.repeat([STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT], [count, count * attempts]),
+        np.concatenate([np.zeros(count, dtype=int), np.tile(np.arange(1, attempts + 1), count)]))
+    remaining = _random_projectors(alg, sub_seeds[:count], tol)
+    splits = pool_words(sub_seeds[count:]).reshape(count, attempts, 4)
     parts: list[list] = [[] for _ in seeds]
-    cap = alg.ambient_dim
-    attempts = np.tile(np.arange(1, 4 * cap + 1), len(seeds))  # all sub-seeds, one hash
-    splits = derive_seeds(np.repeat(seeds, 4 * cap), STREAM_FAMILY_SPLIT, attempts)
-    for split in splits.reshape(len(seeds), 4 * cap).T:  # attempt by attempt
+    for attempt in range(attempts):
         counts = np.array([len(family) for family in parts])
         active = np.flatnonzero((np.trace(remaining, axis1=1, axis2=2).real > 0.5) & (counts < cap))
         if not active.size:
             break
-        pieces = _meet(_random_projectors(alg, split[active], tol), remaining[active], tol)
+        draws = _random_projectors_from(alg, seeded_generators(splits[active, attempt]), tol)
+        pieces = _meet(draws, remaining[active], tol)
         kept = np.trace(pieces, axis1=1, axis2=2).real > 0.5
         for i, piece in zip(active[kept], pieces[kept]):
             parts[i].append(piece)

@@ -447,6 +447,19 @@ class TestStackedChecks:
         with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
             lattice_report(full2, trials=5, seed=1)
 
+    def test_labels_are_made_only_for_a_failure(self):
+        stack = np.stack([unit(2, 0, 0), unit(2, 1, 1), 0.5 * np.eye(2, dtype=complex)])
+
+        def never(i):
+            raise AssertionError("a passing stack made a label")
+
+        logic_module._ensure_projectors(stack[:2], never, DEFAULT_TOL)
+        made = []
+        with pytest.raises(NotProjector, match="^trial 2: stack entry 2 not idempotent"):
+            logic_module._ensure_projectors(stack, lambda i: made.append(i) or f"trial {i}",
+                                            DEFAULT_TOL)
+        assert made == [2]
+
     def test_the_check_survives_optimized_python(self):
         # under -O an `assert` would vanish; the stacked check must not
         code = (

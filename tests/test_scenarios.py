@@ -28,9 +28,15 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
+from oplattice import DEFAULT_TOL, generator_commutant, random_orthogonal_family, random_state
 from oplattice import logic as logic_module
+from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
+from oplattice import sectors as sectors_module
+from oplattice import seeding as seeding_module
 from oplattice import states as states_module
+from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
+                               derive_seed)
 from tests.conftest import two_orthogonal_real_lines, unit
 
 
@@ -333,6 +339,24 @@ class TestClosureChecks:
         with pytest.raises(NumericalError, match="dimension 5 .* has 9"):
             run_scenario(scenario)
 
+    @pytest.mark.parametrize("wrong, message", [
+        (lambda: np.eye(5)[None] / np.sqrt(5.0), r"dimension 13 .* has 25 .* dimension 1\)"),
+        (lambda: np.linalg.qr(np.random.default_rng(4).standard_normal((25, 5)))[0].T,
+         r"dimension 13 .* has 1 .* dimension 5\)"),
+    ], ids=["too-small", "too-large"])
+    def test_wrong_generator_commutant_is_rejected(self, monkeypatch, wrong, message):
+        # the check compares the generators' commutant with the closure's, so a wrong
+        # generator_commutant fails it as a wrong closure would; only the first call is wrong
+        wrongs = iter([AlgebraBasis(ambient_dim=5, basis=wrong().reshape(-1, 5, 5))])
+        monkeypatch.setattr(scenarios_module, "generator_commutant",
+                            lambda gens, tol: next(wrongs, None) or generator_commutant(gens, tol))
+        scenario = Scenario(
+            name="wrong commutant", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
+            trials=0,
+        )
+        with pytest.raises(NumericalError, match=message):
+            run_scenario(scenario)
+
 
 class TestOrthoadditivitySweepChecks:
     """The sweep checks its families in one stack; each check must still fire."""
@@ -456,3 +480,87 @@ class TestEnvelope:
             tracemalloc.stop()
         assert (report.algebra_dim, report.commutant_dim, report.center_dim) == dims
         assert peak < 200 * 2**20
+
+
+class TestOneFamilyPass:
+    """The state checks and the sweep share one family draw and one stacked check; every
+    result is the one the per-seed public calls give."""
+
+    KINDS = {"weyl_finite": (3, {"modulus": 3}), "classical": (3, {"point_count": 3}),
+             "sectors": (4, {"blocks": [[2, 1], [1, 2]]})}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("trials", [0, 1, 7, 40])
+    @pytest.mark.parametrize("state_count", [0, 1, 2])
+    def test_reports_equal_the_per_seed_public_calls(self, kind, trials, state_count):
+        dim, parameters = self.KINDS[kind]
+        states = tuple(random_state(dim, seed=50 + i) for i in range(state_count))
+        scenario = Scenario(name="s", kind=kind, dim=dim, parameters=parameters, trials=trials,
+                            seed=13, states=states)
+        report = run_scenario(scenario)
+        alg = close(scenarios_module.build_generators(scenario))
+
+        def residuals(state, family_seed):
+            family = random_orthogonal_family(alg, family_seed)
+            return sigma_orthoadditivity_residuals(restrict_logical(state, alg), family)
+
+        for index, (state, entry) in enumerate(zip(states, report.states)):
+            checks = [residuals(state, derive_seed(13, STREAM_STATE_CHECK, index * 1000 + j))
+                      for j in range(10)]
+            assert entry["sigma_orthoadditive"] is all(
+                a <= DEFAULT_TOL.law_tol and c <= DEFAULT_TOL.eq_tol for a, c in checks)
+            logical = restrict_logical(state, alg)
+            assert entry["values"] == {f"sector_{i}": logical.value(s.central_projector)
+                                       for i, s in enumerate(block_decomposition(alg).sectors)}
+        sweep = [max(residuals(random_state(dim, derive_seed(13, STREAM_SWEEP_STATE, t)),
+                               derive_seed(13, STREAM_SWEEP_FAMILY, t))) for t in range(trials)]
+        assert report.orthoadditivity == {
+            "trials": trials,
+            "failures": sum(1 for r in sweep if r > DEFAULT_TOL.law_tol),
+            "max_residual": max(sweep, default=0.0),
+        }
+
+
+class TestCallBudget:
+    """One run makes one decomposition, one family draw, one orthoadditivity check and one
+    lattice draw, and a fixed number of seed hashes whatever the trials and rounds."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name) -> list:
+        calls, fn = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind, dim, parameters", [
+        ("weyl_finite", 3, {"modulus": 3}),
+        ("sectors", 4, {"blocks": [[2, 1], [1, 2]]}),
+    ])
+    def test_each_stage_runs_once(self, monkeypatch, kind, dim, parameters):
+        def scenario(trials, state_count):
+            return Scenario(name="budget", kind=kind, dim=dim, parameters=parameters,
+                            trials=trials, seed=4,
+                            states=tuple(random_state(dim, i) for i in range(state_count)))
+
+        run_scenario(scenario(40, 2))  # the decomposition's generator words are cached once
+        hashes, rounds = [], []
+        for run in (scenario(40, 2), scenario(1, 0)):  # 40 trials, 2 states; far fewer rounds
+            with monkeypatch.context() as m:
+                calls = [self.counted(m, *target) for target in [
+                    (sectors_module, "_decompose"),
+                    (scenarios_module, "_random_orthogonal_families"),
+                    (scenarios_module, "_orthoadditivity"),
+                    (states_module, "_orthoadditivity"),
+                    (logic_module, "_random_projectors"),
+                ]]
+                state_calls = self.counted(m, seeding_module, "_state")
+                round_calls = self.counted(m, states_module, "_random_projectors_from")
+                run_scenario(run)
+            assert [len(c) for c in calls] == [1, 1, 1, 0, 1]
+            hashes.append(len(state_calls))
+            rounds.append(len(round_calls))
+        assert rounds[0] > rounds[1] and hashes[0] == hashes[1]

@@ -19,6 +19,7 @@ from oplattice import (
     build_weyl_finite,
     center,
     close,
+    commutant,
     contains,
     equivalence_isometry,
     is_factor,
@@ -28,6 +29,7 @@ from oplattice import (
     mvn_dimension,
     operator_norm,
     orthocomplement,
+    project_onto,
     projectors_equivalent,
     random_projector,
 )
@@ -356,3 +358,24 @@ class TestStructureChecks:
         with pytest.raises(ReducedRankNotDivisible) as info:
             sectors_module._reduced_ranks(decomp, unit(2, 0, 0), DEFAULT_TOL)
         assert info.value.counts == (1, 2)
+
+
+class TestCommutantDefects:
+    """`_commutant_defects` is the distance to the commutant's span, read off the blocks."""
+
+    @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
+                             ids=str)
+    def test_equals_the_projection_residual_onto_the_commutant(self, blocks):
+        u = haar_unitary(sum(n * m for n, m in blocks), np.random.default_rng(3))
+        gens = build_sectors(blocks)
+        alg = close(GeneratorSet(gens.ambient_dim,
+                                 tuple(u @ g @ u.conj().T for g in gens.generators)))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, alg.ambient_dim, alg.ambient_dim, 2)) @ [1, 1j]
+        comm = commutant(alg)
+        want = np.linalg.norm(x - project_onto(comm, x), axis=(1, 2))
+        got = sectors_module._commutant_defects(block_decomposition(alg), x)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert comm.dim == alg.ambient_dim ** 2 or (want > 0.1).all()  # M_d holds every x
+        inside = sectors_module._commutant_defects(block_decomposition(alg), comm.basis)
+        assert (inside < 1e-12).all()

@@ -81,6 +81,13 @@ class TestGenerators:
         for rng, seed in zip(generators(ALL_SEEDS), ALL_SEEDS):
             assert same_generator(rng, reference_rng(seed))
 
+    def test_rows_of_pool_words_build_the_same_generators(self):
+        # a stage hashes its pool words once and builds generators for some rows at a time
+        words = seeding.pool_words(ALL_SEEDS)
+        rows = np.arange(len(ALL_SEEDS))[::-2]
+        for rng, row in zip(seeding.seeded_generators(words[rows]), rows):
+            assert same_generator(rng, reference_rng(ALL_SEEDS[row]))
+
     def test_uint64_array_mixing_one_and_two_word_values(self):
         seeds = np.array([3, 2**32, 2**64 - 1, 0, 2**32 - 1], dtype=np.uint64)
         rngs = generators(seeds)

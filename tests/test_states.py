@@ -12,6 +12,7 @@ from oplattice import (
     NotNormalized,
     NotOrthogonalFamily,
     NotPositive,
+    NotProjector,
     Tolerance,
     baire_envelope,
     build_weyl_finite,
@@ -33,7 +34,7 @@ from oplattice import (
     sigma_orthoadditivity_residuals,
 )
 from oplattice import states as states_module
-from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed
+from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed, derive_seeds
 from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
@@ -245,6 +246,29 @@ class TestStackedFamilies:
 
     def test_no_seeds_no_families(self, two_blocks):
         assert states_module._random_orthogonal_families(two_blocks, [], DEFAULT_TOL) == []
+
+    def test_families_of_a_joined_batch_equal_each_batch_alone(self, two_blocks):
+        # the scenario runner draws its state checks' and its sweep's families in one call
+        batches = [derive_seeds(3, 23, np.arange(10)), derive_seeds(3, 22, np.arange(25))]
+        joined = states_module._random_orthogonal_families(two_blocks, np.concatenate(batches),
+                                                           DEFAULT_TOL)
+        apart = [f for b in batches
+                 for f in states_module._random_orthogonal_families(two_blocks, b, DEFAULT_TOL)]
+        assert [len(f) for f in joined] == [len(f) for f in apart]
+        assert all(np.array_equal(a, b) for f, g in zip(joined, apart) for a, b in zip(f, g))
+
+    @pytest.mark.parametrize("second, error, message", [
+        ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], NotOrthogonalFamily,
+         "^b: members 0 and 2 are not orthogonal"),
+        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 8 "),
+        ([np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2], NotInAlgebra,
+         "^b: projector not in the domain"),
+    ], ids=["non-orthogonal", "non-projector", "outside"])
+    def test_a_failure_names_its_own_case(self, diag3, second, error, message):
+        # case a passes; the stacked checks must name case b and its own member indices
+        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1)]), ("b", np.eye(3) / 3, second)]
+        with pytest.raises(error, match=message):
+            states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
 
     def test_stacked_running_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included: no zero padding
