@@ -9,7 +9,6 @@ states to logical states on that lattice.
 
 from .errors import (
     CenterDiagonalizationFailed,
-    ClosureNotReached,
     ConvergenceFailed,
     DimensionMismatch,
     NotCommutative,

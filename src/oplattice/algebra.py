@@ -3,9 +3,10 @@
 An algebra is carried concretely as a Hilbert-Schmidt orthonormal basis
 of its span inside M_d; two results are "the same algebra" when their
 spans agree, which `same_span` tests. `close` generates the smallest
-unital *-algebra containing a set of matrices. `commutant`, `baire_envelope`
-(the bicommutant) and `center` are read off the memoized block decomposition,
-and `generator_commutant` is solved in the eigenbasis of one random element."""
+unital *-algebra containing a set of matrices. `commutant` and `center` are read
+off the memoized block decomposition, which also certifies an algebra as its own
+`baire_envelope`, and `generator_commutant` is solved in the eigenbasis of one
+random element."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClosureNotReached, DimensionMismatch, NumericalError, ValidationError
+from .errors import DimensionMismatch, NumericalError, ValidationError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -130,11 +131,7 @@ def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) ->
     return covered(a, b) and covered(b, a)
 
 
-def close(
-    gens: GeneratorSet,
-    tol: Tolerance = DEFAULT_TOL,
-    word_cap: int | None = None,
-) -> AlgebraBasis:
+def close(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest unital *-closed, product-closed subspace of M_d containing the generators.
 
     Breadth-first over words in the generators and their adjoints: the
@@ -159,20 +156,10 @@ def close(
     survivors are taken in order, each projected twice more off the
     directions its block has added before it and judged by the same rule.
     The search ends at a round that adds nothing or at a span of d^2, all
-    of M_d. The span depends neither on the generator ordering nor on the
-    basis the generators are written in.
-
-    Raises
-    ------
-    ClosureNotReached
-        If new directions still appear at word length ``word_cap``
-        (default ``2 d^2``), which signals the cap is too small.
+    of M_d, so within d^2 rounds. The span depends neither on the generator
+    ordering nor on the basis the generators are written in.
     """
     d = gens.ambient_dim
-    cap = 2 * d * d if word_cap is None else word_cap
-    if not is_int(cap) or cap < 1:
-        raise ValidationError(f"word_cap must be a positive integer, got {cap!r}")
-
     mults = np.stack([m for g in gens.generators for m in (g, g.conj().T)])
     mult_norms = np.linalg.norm(mults, axis=(1, 2))
     floor = tol.rounding_floor
@@ -213,14 +200,8 @@ def close(
     seeds = np.concatenate([np.eye(d, dtype=complex)[None], mults]).reshape(-1, d * d)
     extend(seeds, np.linalg.norm(seeds, axis=1))  # seeds: their own norm
     chunk = max(1, d * d // len(mults))  # frontier rows per block of at most d^2 candidates
-    lo, word_len = 0, 1
+    lo = 0
     while lo < k < d * d:  # a span of d^2 is all of M_d
-        if word_len >= cap:
-            raise ClosureNotReached(
-                f"closure still growing at word length {word_len} (cap {cap}); "
-                f"span dimension so far {k}"
-            )
-        word_len += 1
         frontier, lo = range(lo, k), k  # the rows the last round added
         for a in frontier[::chunk]:
             if k == d * d:
@@ -231,23 +212,17 @@ def close(
     return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
 
 
-def _block_units(alg: AlgebraBasis, tol: Tolerance, factor: bool) -> AlgebraBasis:
-    """Read off the certified block decomposition: per sector ``V (M_n (x) 1_m) V*``, the
-    commutant's ``V (1_n (x) E_ab) V* / sqrt(n)`` or, with ``factor``, the algebra's own
-    ``V (E_jk (x) 1_m) V* / sqrt(m)``; orthonormal, as V's columns and the sectors are."""
+def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """All of M_d commuting with ``alg``, read off its certified block decomposition: a
+    sector ``V (M_n (x) 1_m) V*`` contributes ``V (1_n (x) E_ab) V* / sqrt(n)``, orthonormal
+    as V's columns and the sectors are."""
     from .sectors import block_decomposition  # sectors builds on this module
 
     d, parts = alg.ambient_dim, []
     for s in block_decomposition(alg, tol).sectors:
         w = s.isometry.reshape(d, s.block_size, s.multiplicity)
-        w = w.swapaxes(1, 2) if factor else w  # (d, summed index, unit index)
-        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(w.shape[1])))
+        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(s.block_size)))
     return AlgebraBasis(d, np.concatenate([u.reshape(-1, d, d) for u in parts]))
-
-
-def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with ``alg``, read off its block decomposition (`_block_units`)."""
-    return _block_units(alg, tol, factor=False)
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -281,9 +256,13 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Monotone sequential closure of ``alg``, at finite dimension its bicommutant, read off
-    its block decomposition (`_block_units`): it contains ``alg`` and is idempotent."""
-    return _block_units(alg, tol, factor=True)
+    """Monotone sequential closure of ``alg``, at finite dimension its bicommutant: ``alg``
+    itself, once its memoized block decomposition certifies the span a unital *-algebra
+    (`CenterDiagonalizationFailed` otherwise), as `AlgebraBasis` promises of every basis."""
+    from .sectors import block_decomposition  # sectors builds on this module
+
+    block_decomposition(alg, tol)
+    return alg
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

@@ -64,10 +64,6 @@ class ConvergenceFailed(NumericalError):
     """An iterative limit did not converge within the iteration cap."""
 
 
-class ClosureNotReached(NumericalError):
-    """Algebra closure still found new directions at the word-length cap."""
-
-
 class CenterDiagonalizationFailed(NumericalError):
     """No generic element of the attempted draws exhibited a block structure that passes
     the decomposition's certificate; raised from the last draw's `SectorStructureError`."""

@@ -23,6 +23,11 @@ from .errors import (
 )
 
 
+def is_int(x) -> bool:
+    """An integer proper, not a bool, float or string: nothing gets truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Shared numerical policy.
@@ -47,8 +52,8 @@ class Tolerance:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not is_int(self.max_iter) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
     @property
     def law_tol(self) -> float:
@@ -193,15 +198,18 @@ def ensure_projector(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Self-adjointness plus idempotence forces the spectrum into {0, 1},
     so no separate eigenvalue check is needed. An ``(n, d, d)`` stack is
-    checked matrix by matrix; a failure names the first bad entry.
+    checked matrix by matrix; a failure names the first bad entry and the first law it
+    breaks, self-adjointness before idempotence.
     """
     a = _as_operators(m)
     herm, idem = a - a.conj().swapaxes(-2, -1), a @ a - a
-    for law, defect in (("self-adjoint: ||p - p*||", herm), ("idempotent: ||p^2 - p||", idem)):
-        if not np.all(ok := norm_at_most(defect, tol.eq_tol)):
-            i = int(np.argmin(ok))
-            where, defect = (f"stack entry {i} ", defect[i]) if a.ndim == 3 else ("", defect)
-            raise NotProjector(f"{where}not {law} = {operator_norm(defect):.3e}")
+    herm_ok = norm_at_most(herm, tol.eq_tol)
+    if not np.all(ok := herm_ok & norm_at_most(idem, tol.eq_tol)):
+        i = int(np.argmin(ok))  # the first entry breaking either law
+        law, defect = (("self-adjoint: ||p - p*||", herm) if not np.ravel(herm_ok)[i]
+                       else ("idempotent: ||p^2 - p||", idem))
+        where, defect = (f"stack entry {i} ", defect[i]) if a.ndim == 3 else ("", defect)
+        raise NotProjector(f"{where}not {law} = {operator_norm(defect):.3e}")
     return a
 
 
@@ -244,11 +252,6 @@ def suffix_projectors(v: np.ndarray, starts) -> np.ndarray:
         group = starts == start
         out[group] = range_projector(v[group][..., start:])
     return out
-
-
-def is_int(x) -> bool:
-    """An integer proper, not a bool, float or string: nothing gets truncated."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def matrix_to_json(m) -> list:

@@ -6,7 +6,6 @@ import pytest
 from oplattice import (
     DEFAULT_TOL,
     AlgebraBasis,
-    ClosureNotReached,
     DimensionMismatch,
     GeneratorSet,
     NotProjector,
@@ -80,14 +79,13 @@ def two_orthogonal_real_lines():
     return np.outer(v, v).astype(complex), np.outer(w, w).astype(complex)
 
 
-def reference_close(gens, tol=DEFAULT_TOL, word_cap=None):
+def reference_close(gens, tol=DEFAULT_TOL):
     """`close` as a plain loop: one `hs_inner` per basis vector, done twice.
 
     Same breadth-first order, seeds judged against their own norm, same
-    rejection rule and cap message; the fast `close` must give the same span.
+    rejection rule; the fast `close` must give the same span.
     """
     d = gens.ambient_dim
-    cap = 2 * d * d if word_cap is None else word_cap
     multipliers = []
     for g in gens.generators:
         multipliers += [(g, hs_norm(g)), (g.conj().T, hs_norm(g))]
@@ -110,14 +108,7 @@ def reference_close(gens, tol=DEFAULT_TOL, word_cap=None):
     unit_mat = np.eye(d, dtype=complex)
     seeds = [(unit_mat, hs_norm(unit_mat)), *multipliers]
     frontier = [x for x in (try_extend(m, norm) for m, norm in seeds) if x is not None]
-    word_len = 1
     while frontier:
-        if word_len >= cap:
-            raise ClosureNotReached(
-                f"closure still growing at word length {word_len} (cap {cap}); "
-                f"span dimension so far {len(basis)}"
-            )
-        word_len += 1
         candidates = [(c, norm) for x in frontier for g, norm in multipliers for c in (x @ g, g @ x)]
         frontier = [x for x in (try_extend(c, norm) for c, norm in candidates) if x is not None]
     return AlgebraBasis(ambient_dim=d, basis=np.stack(basis))

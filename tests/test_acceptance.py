@@ -138,7 +138,8 @@ def test_criterion_04_meet_dual_algorithm_agreement(benchmark_algebras):
 def test_criterion_05_double_commutant(benchmark_algebras):
     worst = 0.0
     for label, alg in benchmark_algebras.items():
-        envelope = baire_envelope(alg)
+        assert baire_envelope(alg) is alg, f"{label} is not its own envelope"
+        envelope = commutant(commutant(alg))  # the bicommutant, off the commutant's blocks
         ok_dims = envelope.dim == alg.dim
         for v in alg.basis:
             worst = max(worst, hs_norm(v - project_onto(envelope, v)))

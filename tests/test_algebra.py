@@ -5,7 +5,7 @@ import pytest
 
 from oplattice import (
     AlgebraBasis,
-    ClosureNotReached,
+    CenterDiagonalizationFailed,
     DimensionMismatch,
     GeneratorSet,
     NumericalError,
@@ -121,26 +121,6 @@ class TestClose:
         a = close(GeneratorSet(ambient_dim=3, generators=gens))
         b = close(GeneratorSet(ambient_dim=3, generators=gens[::-1]))
         assert same_span(a, b)
-
-    def test_word_cap_too_small_raises(self):
-        gens = build_weyl_finite(4)
-        with pytest.raises(ClosureNotReached):
-            close(gens, word_cap=2)
-
-    @pytest.mark.parametrize("d, cap", [(3, 2), (4, 4)])
-    def test_stops_once_the_span_fills_m_d_at_the_cap(self, d, cap):
-        # the span reaches all of M_d in round `cap`; the two-sided reference raises there
-        assert close(build_weyl_finite(d), word_cap=cap).dim == d * d
-        with pytest.raises(ClosureNotReached):
-            reference_close(build_weyl_finite(d), word_cap=cap)
-
-    @pytest.mark.parametrize("cap", [2.5, 4.0, True, "4", 0, -1])
-    def test_word_cap_must_be_a_positive_integer(self, cap):
-        with pytest.raises(ValidationError, match="word_cap must be a positive integer"):
-            close(build_weyl_finite(3), word_cap=cap)
-
-    def test_word_cap_accepts_numpy_integers(self):
-        assert close(build_weyl_finite(3), word_cap=np.int64(2)).dim == 9
 
     def test_tiny_rank_tol_stops_at_m_d(self):
         # rounding noise passes a 1e-300 cutoff; the search still ends at d^2 directions
@@ -286,16 +266,6 @@ class TestCloseMatchesReference:
         assert alg.dim == 576
         assert peak <= 3 * basis_bytes
 
-    @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_word_cap_reports_the_span_dimension_so_far(self, cap):
-        gens = build_weyl_finite(4)
-        with pytest.raises(ClosureNotReached) as got:
-            close(gens, word_cap=cap)
-        with pytest.raises(ClosureNotReached) as want:
-            reference_close(gens, word_cap=cap)
-        assert str(got.value) == str(want.value)
-        assert "span dimension so far" in str(got.value)
-
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
 @pytest.mark.parametrize("kind", ["none", *ROTATIONS])
@@ -428,6 +398,22 @@ class TestBaireEnvelope:
     def test_idempotent(self, two_blocks):
         env = baire_envelope(two_blocks)
         assert same_span(baire_envelope(env), env)
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("rotation", [0, 1])
+    def test_a_certified_algebra_is_its_own_envelope(self, build, rotation):
+        gens = build()
+        u = haar_unitary(gens.ambient_dim, np.random.default_rng([11, rotation]))
+        alg = close(conjugated_generators(gens, u))
+        assert baire_envelope(alg) is alg
+
+    def test_a_span_that_is_no_algebra_is_refused(self):
+        # the unit and the weyl 3 generators without their products: 5 of the 9 dimensions
+        gens = build_weyl_finite(3).generators
+        words = [np.eye(3), *gens, *(g.conj().T for g in gens)]
+        q, _ = np.linalg.qr(np.stack([w.ravel() for w in words], axis=1))
+        with pytest.raises(CenterDiagonalizationFailed):
+            baire_envelope(AlgebraBasis(ambient_dim=3, basis=q.T.reshape(-1, 3, 3)))
 
 
 class TestCenter:

@@ -35,7 +35,7 @@ from oplattice import (
 from oplattice import NotProjector, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
-from oplattice.numerics import range_projector
+from oplattice.numerics import dumps, range_projector
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -318,6 +318,23 @@ class TestRandomProjector:
 
 
 class TestLatticeReport:
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.5), ("trials", True), ("trials", -1), ("trials", "3"),
+        ("seed", 1.5), ("seed", False), ("seed", -1),
+    ])
+    def test_trials_and_seed_must_be_nonnegative_integers(self, full2, name, value):
+        args = {"trials": 2, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+            lattice_report(full2, **args)
+        if name == "seed":  # zero trials draw nothing, but the seed is still checked
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+                lattice_report(full2, trials=0, seed=value)
+
+    def test_numpy_integers_are_integers(self, full2):
+        report = lattice_report(full2, trials=np.int64(3), seed=np.uint8(1))
+        assert dumps(lattice_report_to_json(report)) == dumps(
+            lattice_report_to_json(lattice_report(full2, trials=3, seed=1)))
+
     def test_classical_scenario_is_boolean(self, diag8):
         report = lattice_report(diag8, trials=60, seed=5)
         assert report.distributive
@@ -459,6 +476,12 @@ class TestStackedChecks:
             logic_module._ensure_projectors(stack, lambda i: made.append(i) or f"trial {i}",
                                             DEFAULT_TOL)
         assert made == [2]
+        # the label and the message name the same entry: entry 1 breaks idempotence only,
+        # entry 3 self-adjointness only
+        p = unit(2, 0, 0)
+        stack = np.stack([p, 0.5 * np.eye(2, dtype=complex), p, p + unit(2, 0, 1)])
+        with pytest.raises(NotProjector, match="^trial 1: stack entry 1 not idempotent"):
+            logic_module._ensure_projectors(stack, lambda i: f"trial {i}", DEFAULT_TOL)
 
     def test_the_check_survives_optimized_python(self):
         # under -O an `assert` would vanish; the stacked check must not

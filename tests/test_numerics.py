@@ -41,9 +41,13 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(**bad)
 
-    def test_max_iter_positive(self):
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_max_iter_positive(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            Tolerance(max_iter=max_iter)
+
+    def test_max_iter_accepts_numpy_integers(self):
+        assert Tolerance(max_iter=np.int64(5)).max_iter == 5
 
     def test_law_tol_is_ten_rank_tols(self):
         assert DEFAULT_TOL.law_tol == 1e-7
@@ -274,6 +278,17 @@ class TestProjectorValidation:
             # the message prints the failing entry's spectral norm, not the screen's norm
             defect = bad @ bad - bad if law == "idempotent" else bad - bad.conj().T
             assert str(info.value).endswith(f" = {operator_norm(defect):.3e}")
+        # the first entry breaking either law is named, with the law it breaks: entry 1 is
+        # self-adjoint but not idempotent, entry 3 is idempotent but not self-adjoint
+        half, p = 0.5 * np.eye(2), np.diag([1.0, 0.0])
+        stack = np.stack([p, half, p, np.array([[1.0, 1.0], [0.0, 0.0]])]).astype(complex)
+        with pytest.raises(NotProjector, match="^stack entry 1 not idempotent") as info:
+            ensure_projector(stack)
+        assert str(info.value).endswith(f" = {operator_norm(half @ half - half):.3e}")
+        # an entry breaking both laws is named for self-adjointness
+        both = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(NotProjector, match="^stack entry 1 not self-adjoint"):
+            ensure_projector(np.stack([p, both, half]).astype(complex))
 
     def test_stack_rejects_nan_and_non_square(self):
         with pytest.raises(ValidationError):
