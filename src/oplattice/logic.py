@@ -21,9 +21,9 @@ import numpy as np
 
 from .algebra import AlgebraBasis
 from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, PreconditionFailed
-from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector, is_int,
+from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
-                       range_projector, singular_rank, suffix_projectors)
+                       range_projector, require_count, singular_rank, suffix_projectors)
 from .sectors import _random_span_elements, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, derive_seeds, generators)
@@ -218,6 +218,7 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
     output is 0 or 1. Runs `_random_projectors` on one seed: a draw does
     not depend on the others made with it.
     """
+    require_count("seed", seed)
     return _random_projectors(alg, [seed], tol)[0]
 
 
@@ -282,9 +283,8 @@ def lattice_report(
     true: each block ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of
     rank 1, and `block_decomposition` certifies that form for every sector.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not is_int(value) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    require_count("trials", trials)
+    require_count("seed", seed)
     decomp = block_decomposition(alg, tol)
     pass_rate, counterexample = 1.0, None  # zero trials draw nothing
     if trials:

@@ -28,6 +28,13 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def require_count(name: str, value, positive: bool = False) -> None:
+    """ValueError unless `value` is an integer (`is_int`) that is nonnegative, or positive."""
+    if not is_int(value) or value < int(positive):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Shared numerical policy.

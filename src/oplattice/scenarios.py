@@ -74,23 +74,31 @@ class Scenario:
             raise ValidationError(f"trials must be nonnegative, got {self.trials}")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        _validate_parameters(self.kind, self.dim, self.parameters)
+        # NumPy integers pass `is_int`; the report writes Python ints only
+        for key in ("dim", "trials", "seed"):
+            object.__setattr__(self, key, int(getattr(self, key)))
+        object.__setattr__(self, "parameters",
+                           _validate_parameters(self.kind, self.dim, self.parameters))
         for st in self.states:
             if st.dim != self.dim:
                 raise ValidationError("configured state dimension does not match scenario dim")
 
 
-def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
+def _validate_parameters(kind: str, dim: int, parameters: dict) -> dict:
+    """A copy of the parameters, with each validated integer among them a Python int."""
+    fixed = {}
     if kind == "classical":
         n = parameters.get("point_count")
         if n != dim or not is_int(n):
             raise ValidationError(f"classical point_count {n!r} must equal dim {dim}")
+        fixed["point_count"] = int(n)
     elif kind == "weyl_finite":
         d = parameters.get("modulus")
         if d != dim or not is_int(d):
             raise ValidationError(f"weyl_finite modulus {d!r} must equal dim {dim}")
         if dim < 2:
             raise ValidationError("weyl_finite needs dim >= 2")
+        fixed["modulus"] = int(d)
     elif kind == "sectors":
         blocks = parameters.get("blocks")
         if not isinstance(blocks, (list, tuple)) or not blocks:
@@ -106,10 +114,12 @@ def _validate_parameters(kind: str, dim: int, parameters: dict) -> None:
             total += size * multiplicity
         if total != dim:
             raise ValidationError(f"sector blocks fill dimension {total}, scenario dim is {dim}")
+        fixed["blocks"] = [[int(n), int(m)] for n, m in blocks]
     elif kind == "custom":
         gens = parameters.get("generators")
         if not isinstance(gens, (list, tuple)) or not gens:
             raise ValidationError('custom scenarios need a nonempty "generators" list')
+    return {**parameters, **fixed}
 
 
 def clock_matrix(d: int) -> np.ndarray:

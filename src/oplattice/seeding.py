@@ -30,7 +30,6 @@ STREAM_DISTRIBUTIVE_R = 5
 
 # states sampling
 STREAM_FAMILY_BASE = 11
-STREAM_FAMILY_SPLIT = 12
 
 # scenario runner
 STREAM_SWEEP_STATE = 21

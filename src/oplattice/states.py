@@ -21,14 +21,13 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope, contains
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgebra, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import (_complement, _ensure_projectors, _join, _leq, _meet, _random_projectors,
-                    _random_projectors_from)
+from .logic import _complement, _ensure_projectors, _join, _leq, _random_projectors_from
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, ensure_projector, matrix_from_json,
-                       matrix_to_json, norm_at_most, operator_norm, rank_of)
-from .sectors import _partial_trace, block_decomposition
-from .seeding import (STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seeds, generators,
-                      pool_words, seeded_generators)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, cluster_breaks, ensure_projector,
+                       matrix_from_json, matrix_to_json, norm_at_most, operator_norm, rank_of,
+                       require_count)
+from .sectors import _partial_trace, _random_span_elements, block_decomposition
+from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
 
 
 @dataclass(frozen=True)
@@ -252,6 +251,8 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
 
 def random_state(dim: int, seed: int) -> StateFunctional:
     """Seeded full-rank random density matrix (Wishart-style draw)."""
+    require_count("dim", dim, positive=True)
+    require_count("seed", seed)
     return _random_states(dim, [seed])[0]
 
 
@@ -270,47 +271,43 @@ def _random_states(dim: int, seeds) -> list[StateFunctional]:
 def random_orthogonal_family(
     alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Pairwise-orthogonal projectors in the algebra, splitting a random range.
+    """Pairwise-orthogonal projectors in the algebra, cutting a random range.
 
-    Draws a base projector, then repeatedly carves off the part of a
-    fresh random projector lying under what remains, for at most
-    ``4 * d`` attempts and ``d`` pieces. The pieces plus the final
-    remainder partition the base range, so the family sums to the base
-    projector. May be empty (base = 0). Runs `_random_orthogonal_families`
-    on one seed: a family does not depend on the others drawn with it.
+    Draws a base projector p and, from the same generator, a self-adjoint
+    element h of the span. The eigenvalue clusters of ``p h p`` on the
+    range of p (one ``eigh`` of ``p h p - c (1 - p)``, ``c = 1 + ||h||_F``
+    above the spectrum of h, so ``1 - p`` is a cluster of its own) are
+    grouped into consecutive pieces, cut before each cluster with
+    probability 1/2. Each piece is a spectral projector of an algebra
+    element, so it lies in the algebra; the pieces are orthogonal, sum to
+    p and number at most ``rank p``. May be empty (p = 0). Runs
+    `_random_orthogonal_families` on one seed: a family does not depend on
+    the others drawn with it.
     """
+    require_count("seed", seed)
     return _random_orthogonal_families(alg, [seed], tol)[0]
 
 
 def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
-    """`random_orthogonal_family` for each seed, in stacked stages: the base draws, then
-    one round per attempt over the families still splitting (a draw and a meet each). All
-    sub-seeds are hashed in one call and the split generators' pool words in one more; a
-    round builds generators for its active families only."""
-    seeds = np.asarray(seeds)
-    count, cap = len(seeds), alg.ambient_dim
-    attempts = 4 * cap
-    sub_seeds = derive_seeds(
-        np.concatenate([seeds, np.repeat(seeds, attempts)]),
-        np.repeat([STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT], [count, count * attempts]),
-        np.concatenate([np.zeros(count, dtype=int), np.tile(np.arange(1, attempts + 1), count)]))
-    remaining = _random_projectors(alg, sub_seeds[:count], tol)
-    splits = pool_words(sub_seeds[count:]).reshape(count, attempts, 4)
-    parts: list[list] = [[] for _ in seeds]
-    for attempt in range(attempts):
-        counts = np.array([len(family) for family in parts])
-        active = np.flatnonzero((np.trace(remaining, axis1=1, axis2=2).real > 0.5) & (counts < cap))
-        if not active.size:
-            break
-        draws = _random_projectors_from(alg, seeded_generators(splits[active, attempt]), tol)
-        pieces = _meet(draws, remaining[active], tol)
-        kept = np.trace(pieces, axis1=1, axis2=2).real > 0.5
-        for i, piece in zip(active[kept], pieces[kept]):
-            parts[i].append(piece)
-        remaining[active[kept]] = remaining[active[kept]] - pieces[kept]
-    for i in np.flatnonzero(np.trace(remaining, axis1=1, axis2=2).real > 0.5):
-        parts[i].append(remaining[i])
-    return parts
+    """`random_orthogonal_family` for each seed, in stacked stages: the base draws, the span
+    draws, one ``eigh``, each generator's cut bits, and all members as one masked product."""
+    d = alg.ambient_dim
+    rngs = generators(derive_seeds(seeds, STREAM_FAMILY_BASE, 0))
+    p = _random_projectors_from(alg, rngs, tol)
+    h = _random_span_elements(alg.basis, rngs, hermitian=True)
+    c = 1.0 + np.linalg.norm(h, axis=(-2, -1))[:, None]  # above the spectrum of h
+    w, v = np.linalg.eigh(p @ h @ p - c[..., None] * _complement(p))
+    cut = np.array([rng.integers(0, 2, d - 1) for rng in rngs], dtype=bool)
+    inside = w > 0.5 - c  # the range of p, a suffix of columns: 1 - p is the cluster at -c
+    starts = inside & np.diff(inside, axis=1, prepend=False)  # the range's first column
+    starts[:, 1:] |= inside[:, 1:] & cluster_breaks(w, tol) & cut.reshape(len(rngs), d - 1)
+    piece = np.cumsum(starts, axis=1) * inside  # 1-based piece of each column, 0 off the range
+    sizes, ends = piece[:, -1], np.cumsum(piece[:, -1])
+    family, index = np.nonzero(np.arange(d) < sizes[:, None])  # each member's, in order
+    v = v[family]
+    members = (v * (piece[family] == index[:, None] + 1)[:, None, :]) @ v.conj().swapaxes(-2, -1)
+    members = (members + members.conj().swapaxes(-2, -1)) / 2.0
+    return [list(members[end - size:end]) for size, end in zip(sizes.tolist(), ends.tolist())]
 
 
 def state_to_json(state: StateFunctional) -> dict:

@@ -125,6 +125,22 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             Scenario(**{**fields, **change})
 
+    @pytest.mark.parametrize("kind, change", [
+        ("weyl_finite", {"dim": np.int64(2)}),
+        ("weyl_finite", {"trials": np.int64(3)}),
+        ("weyl_finite", {"seed": np.int64(5)}),
+        ("weyl_finite", {"parameters": {"modulus": np.int64(2)}}),
+        ("classical", {"parameters": {"point_count": np.int64(2)}}),
+        ("sectors", {"parameters": {"blocks": [[1, 1], [1, np.int64(1)]]}}),
+    ], ids=["dim", "trials", "seed", "modulus", "point_count", "blocks"])
+    def test_numpy_integers_write_the_python_int_report(self, kind, change):
+        parameters = {"weyl_finite": {"modulus": 2}, "classical": {"point_count": 2},
+                      "sectors": {"blocks": [[1, 1], [1, 1]]}}[kind]
+        fields = {"name": "np", "kind": kind, "dim": 2, "parameters": parameters, "trials": 3,
+                  "seed": 5}
+        want = report_to_json(run_scenario(Scenario(**fields)))
+        assert report_to_json(run_scenario(Scenario(**{**fields, **change}))) == want
+
     def test_json_round_trip(self):
         scenario = Scenario(
             name="weyl",
@@ -410,9 +426,9 @@ class TestNoTrials:
         def no_draws(*args):
             raise AssertionError("zero trials drew a sample")
 
-        # both modules bind the projector sampler; the sweep's samplers are bound in scenarios
+        # both modules bind a projector sampler; the sweep's samplers are bound in scenarios
         monkeypatch.setattr(logic_module, "_random_projectors", no_draws)
-        monkeypatch.setattr(states_module, "_random_projectors", no_draws)
+        monkeypatch.setattr(states_module, "_random_projectors_from", no_draws)
         monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", no_draws)
         monkeypatch.setattr(scenarios_module, "_random_states", no_draws)
         assert report_to_json(run_scenario(scenario)) == want
@@ -523,7 +539,7 @@ class TestOneFamilyPass:
 
 class TestCallBudget:
     """One run makes one decomposition, one family draw, one orthoadditivity check and one
-    lattice draw, and a fixed number of seed hashes whatever the trials and rounds."""
+    lattice draw, and a fixed number of seed hashes whatever the trials."""
 
     @staticmethod
     def counted(monkeypatch, module, name) -> list:
@@ -547,8 +563,8 @@ class TestCallBudget:
                             states=tuple(random_state(dim, i) for i in range(state_count)))
 
         run_scenario(scenario(40, 2))  # the decomposition's generator words are cached once
-        hashes, rounds = [], []
-        for run in (scenario(40, 2), scenario(1, 0)):  # 40 trials, 2 states; far fewer rounds
+        hashes = []
+        for run in (scenario(40, 2), scenario(1, 0)):  # 40 trials, 2 states; 1 trial, none
             with monkeypatch.context() as m:
                 calls = [self.counted(m, *target) for target in [
                     (sectors_module, "_decompose"),
@@ -556,11 +572,10 @@ class TestCallBudget:
                     (scenarios_module, "_orthoadditivity"),
                     (states_module, "_orthoadditivity"),
                     (logic_module, "_random_projectors"),
+                    (states_module, "_random_projectors_from"),  # every family's base, at once
                 ]]
                 state_calls = self.counted(m, seeding_module, "_state")
-                round_calls = self.counted(m, states_module, "_random_projectors_from")
                 run_scenario(run)
-            assert [len(c) for c in calls] == [1, 1, 1, 0, 1]
+            assert [len(c) for c in calls] == [1, 1, 1, 0, 1, 1]
             hashes.append(len(state_calls))
-            rounds.append(len(round_calls))
-        assert rounds[0] > rounds[1] and hashes[0] == hashes[1]
+        assert hashes[0] == hashes[1]

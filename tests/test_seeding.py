@@ -39,8 +39,8 @@ class TestDeriveSeeds:
     def test_array_master_seeds_mixing_one_and_two_word_values(self):
         masters = np.array([0, 2**32 - 1, 2**32, 5, 2**64 - 1, 2**33 + 1], dtype=np.uint64)
         for attempt in (0, 1, 2**32):
-            got = derive_seeds(masters, seeding.STREAM_FAMILY_SPLIT, attempt)
-            want = [reference_derive_seed(m, seeding.STREAM_FAMILY_SPLIT, attempt) for m in masters]
+            got = derive_seeds(masters, seeding.STREAM_FAMILY_BASE, attempt)
+            want = [reference_derive_seed(m, seeding.STREAM_FAMILY_BASE, attempt) for m in masters]
             assert got.tolist() == want
 
     def test_every_argument_may_be_the_array(self):

@@ -65,3 +65,23 @@ def test_only_numerics_compares_operator_norms():
         if compared.search(line)
     ]
     assert found == []
+
+
+def test_every_seed_stream_has_a_reader():
+    # a deleted sampler must not leave its stream id behind: each `STREAM_*` constant of
+    # `seeding` is read (a name or an attribute, not just an import) in another module
+    seeding = next(path for path in SOURCES if path.name == "seeding.py")
+    streams = {
+        target.id
+        for node in ast.parse(seeding.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("STREAM_")
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in SOURCES
+        if path != seeding
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert streams and sorted(streams - read) == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from oplattice import (
     is_separating,
     join,
     make_state,
-    meet,
     operator_norm,
     orthocomplement,
     random_orthogonal_family,
@@ -34,7 +35,8 @@ from oplattice import (
     sigma_orthoadditivity_residuals,
 )
 from oplattice import states as states_module
-from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_FAMILY_SPLIT, derive_seed, derive_seeds
+from oplattice.algebra import contains
+from oplattice.seeding import STREAM_FAMILY_BASE, derive_seed, derive_seeds
 from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
@@ -212,26 +214,39 @@ class TestSigmaOrthoadditivity:
                 assert comp_res <= 1e-9
 
 
-def reference_random_orthogonal_family(alg, seed):
-    """The one-family loop the stacked rounds replaced, on the public one-pair calls."""
-    remaining = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
-    parts, cap, attempts = [], alg.ambient_dim, 0
-    while float(np.trace(remaining).real) > 0.5 and len(parts) < cap:
-        attempts += 1
-        if attempts > 4 * cap:
-            break
-        candidate = random_projector(alg, derive_seed(seed, STREAM_FAMILY_SPLIT, attempts))
-        piece = meet(candidate, remaining)
-        if float(np.trace(piece).real) > 0.5:
-            parts.append(piece)
-            remaining = remaining - piece
-    if float(np.trace(remaining).real) > 0.5:
-        parts.append(remaining)
-    return parts
+def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
+    """One family on public calls and one generator: `random_projector` for the base p, then
+    the generator's next self-adjoint span element h (after replaying the base draw), one
+    `eigh` of ``p h p - c (1 - p)`` and a loop over the range's clusters for the cut."""
+    base_seed = derive_seed(seed, STREAM_FAMILY_BASE, 0)
+    p = random_projector(alg, base_seed)
+    rng = np.random.default_rng(base_seed)
+    k, d = alg.dim, alg.ambient_dim
+
+    def element():
+        x = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), alg.basis,
+                         axes=(0, 0))
+        return (x + x.conj().T) / 2.0
+
+    def breaks(w):
+        return [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
+
+    rng.integers(0, len(breaks(np.linalg.eigh(element())[0])) + 2)  # the base draw's cut
+    h = element()
+    c = 1.0 + np.linalg.norm(h, axis=(-2, -1))
+    w, v = np.linalg.eigh(p @ h @ p - c * (np.eye(d) - p))
+    cut = rng.integers(0, 2, d - 1)
+    first = int(np.count_nonzero(w <= 0.5 - c))
+    starts = ([first] if first < d else []) + [i for i in breaks(w) if i > first and cut[i - 1]]
+    family = []
+    for start, stop in zip(starts, starts[1:] + [d]):
+        m = (v * (np.arange(d) >= start) * (np.arange(d) < stop)) @ v.conj().T
+        family.append((m + m.conj().T) / 2.0)
+    return family
 
 
 class TestStackedFamilies:
-    """Each family of a stacked draw has the bits of its one-family loop."""
+    """Each family of a stacked draw has the bits of its one-family reference."""
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_families_equal_the_one_family_loop(self, name):
@@ -292,6 +307,22 @@ class TestStackedFamilies:
 
 
 class TestRandomOrthogonalFamily:
+    @pytest.mark.parametrize("name", ["weyl-4", "sectors-2+1x2", "classical-5",
+                                      "haar-sectors-2+1x2"])
+    def test_members_are_orthogonal_projectors_in_the_algebra_summing_to_the_base(self, name):
+        alg = kernel_algebra(name)
+        families = [random_orthogonal_family(alg, seed) for seed in range(40)]
+        for seed, family in enumerate(families):
+            for i, p in enumerate(family):
+                assert operator_norm(p @ p - p) <= 1e-12 and operator_norm(p - p.conj().T) == 0
+                assert contains(alg, p)
+                for q in family[i + 1:]:
+                    assert operator_norm(p @ q) <= 1e-12
+            base = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
+            assert operator_norm(sum(family, np.zeros_like(base)) - base) <= 1e-12
+        sizes = [len(f) for f in families]
+        assert max(sizes) >= 2 and 1 in sizes
+
     def test_members_partition_a_projector(self, full4):
         for seed in range(15):
             family = random_orthogonal_family(full4, seed=seed)
@@ -301,6 +332,35 @@ class TestRandomOrthogonalFamily:
             if family:
                 total = sum(family)
                 assert operator_norm(total @ total - total) <= 1e-9
+
+
+class TestSamplerArguments:
+    """The seeded samplers reject what `lattice_report` rejects, with its message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda alg: random_state(0, 1), "dim must be a positive integer, got 0"),
+        (lambda alg: random_state(-2, 1), "dim must be a positive integer, got -2"),
+        (lambda alg: random_state(2.0, 1), "dim must be a positive integer, got 2.0"),
+        (lambda alg: random_state(2, True), "seed must be a nonnegative integer, got True"),
+        (lambda alg: random_state(2, -1), "seed must be a nonnegative integer, got -1"),
+        (lambda alg: random_projector(alg, True), "seed must be a nonnegative integer, got True"),
+        (lambda alg: random_projector(alg, 1.5), "seed must be a nonnegative integer, got 1.5"),
+        (lambda alg: random_projector(alg, -3), "seed must be a nonnegative integer, got -3"),
+        (lambda alg: random_orthogonal_family(alg, True),
+         "seed must be a nonnegative integer, got True"),
+        (lambda alg: random_orthogonal_family(alg, 1.5),
+         "seed must be a nonnegative integer, got 1.5"),
+        (lambda alg: random_orthogonal_family(alg, -1),
+         "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_bad_arguments_raise_value_error(self, full2, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(full2)
+
+    def test_numpy_integers_are_seeds(self, full2):
+        assert np.array_equal(random_state(np.int64(2), np.uint64(5)).density,
+                              random_state(2, 5).density)
+        assert np.array_equal(random_projector(full2, np.int32(5)), random_projector(full2, 5))
 
 
 class TestIsPure:
