@@ -64,6 +64,7 @@ from .sectors import (
     block_decomposition,
     decomposition_to_json,
     equivalence_isometry,
+    generated_algebra,
     is_factor,
     minimal_central_projectors,
     mvn_dimension,

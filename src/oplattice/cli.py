@@ -12,26 +12,21 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    algebra_to_json,
-    baire_envelope,
-    center,
-    close,
-    commutant,
-    generator_set_from_json,
-)
+from .algebra import algebra_to_json, baire_envelope, center, close, generator_set_from_json
 from .errors import NumericalError, ValidationError
 from .logic import join, lattice_report, lattice_report_to_json, meet
 from .numerics import DEFAULT_TOL, Tolerance, dumps, matrix_from_json
 from .scenarios import report_to_json_dict, run_scenario, scenario_from_json
-from .sectors import block_decomposition, decomposition_to_json
+from .sectors import _generated, block_decomposition, decomposition_to_json, generated_algebra
 from .states import dirac_characters, evaluate, make_state, state_to_json
 
+# each algebra verb from the generators (names looked up per call): only `close` and
+# `envelope` close words
 _ALGEBRA_VERBS = {
-    "close": lambda alg, tol: alg,
-    "commutant": commutant,
-    "envelope": baire_envelope,
-    "center": center,
+    "close": lambda gens, tol: close(gens, tol),
+    "envelope": lambda gens, tol: baire_envelope(close(gens, tol), tol),
+    "commutant": lambda gens, tol: _generated(gens, tol)[1],
+    "center": lambda gens, tol: center(generated_algebra(gens, tol), tol),
 }
 
 
@@ -83,13 +78,12 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         if getattr(args, option) < 0:
             raise ValidationError(f"--{option} must be nonnegative, got {getattr(args, option)}")
     if args.verb in _ALGEBRA_VERBS:
-        alg = close(generator_set_from_json(_load_input(args)), tol)
-        result = _ALGEBRA_VERBS[args.verb](alg, tol)
+        result = _ALGEBRA_VERBS[args.verb](generator_set_from_json(_load_input(args)), tol)
         summary = f"{args.verb}: span dimension {result.dim} inside M_{result.ambient_dim}"
         return algebra_to_json(result), summary
 
     if args.verb == "sectors":
-        alg = close(generator_set_from_json(_load_input(args)), tol)
+        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
         decomp = block_decomposition(alg, tol)
         blocks = ", ".join(
             f"{s.block_size}x{s.block_size} (x{s.multiplicity})" for s in decomp.sectors
@@ -104,7 +98,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         return {"result": result}, f"{args.verb}: done"
 
     if args.verb == "characters":
-        alg = close(generator_set_from_json(_load_input(args)), tol)
+        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
         chars = dirac_characters(alg, tol)
         payload = {"characters": [state_to_json(c) for c in chars]}
         return payload, f"characters: {len(chars)} point(s) in the spectrum"
@@ -119,7 +113,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         return payload, f"eval-state: {value.real:+.6g}{value.imag:+.6g}i"
 
     if args.verb == "report":
-        alg = close(generator_set_from_json(_load_input(args)), tol)
+        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
         report = lattice_report(alg, args.trials, args.seed, tol)
         summary = (
             f"report: orthomodular pass rate {report.orthomodular_pass_rate:.3f}, "

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, GeneratorSet, close, generator_commutant
-from .errors import (CenterDiagonalizationFailed, NumericalError, OperatorAlgebraError,
-                     ValidationError)
+from .algebra import AlgebraBasis, GeneratorSet
+from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
-from .sectors import _commutant_defects, _reduced_ranks, block_decomposition
+from .sectors import _reduced_ranks, block_decomposition, generated_algebra
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
 from .states import (LogicalState, _orthoadditivity, _random_orthogonal_families, _random_states,
                      dirac_characters, is_pure, is_separating, state_from_json, state_to_json)
@@ -222,15 +221,12 @@ def _values_match(expect, actual) -> bool:
 def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     """Build the scenario's algebra and run the full verification battery.
 
-    Each stage runs once, on one block decomposition: the closed span's.
-    It guards `close` from the commutant side: the generators' commutant,
-    solved without the closure, must lie in the commutant read off those
-    blocks and have its dimension. A span that passes is an algebra with
-    the generators' commutant, so it is the envelope (their generated von
-    Neumann algebra) and the states' domain; a wrong closure, a span that
-    is no algebra, or a wrong generators' commutant fails naming the
-    dimensions. The states' family checks and the orthoadditivity sweep
-    share one family draw and one stacked check. Everything downstream is
+    Each stage runs once, on one block decomposition: the one `generated_algebra`
+    reads off the generators' commutant, so no stage closes words. That algebra is
+    the envelope (the generators' von Neumann algebra) and the states' domain; a
+    commutant that is no algebra, or a generator outside its commutant, fails naming
+    the dimensions. The states' family checks and the orthoadditivity sweep share one
+    family draw and one stacked check. Everything downstream is
     seeded from the scenario seed, so identical scenarios give
     byte-identical JSON reports. Errors from the underlying modules are
     re-raised with the scenario name attached (and any residual).
@@ -243,23 +239,9 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
 
 
 def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
-    gens = build_generators(scenario)
-    alg = close(gens, tol)
-    comm = generator_commutant(gens, tol)
-    failure = None
-    try:  # `comm` never reads the closure; alg's commutant is read off alg's blocks
-        decomp = block_decomposition(alg, tol)
-        closed = (comm.dim == sum(s.multiplicity ** 2 for s in decomp.sectors)
-                  and bool((_commutant_defects(decomp, comm.basis) <= tol.eq_tol).all()))
-    except CenterDiagonalizationFailed as exc:  # a span with no block decomposition: no algebra
-        closed, failure = False, exc
-    if not closed:  # the envelope, solved as comm's commutant only to word the failure
-        envelope = generator_commutant(GeneratorSet(comm.ambient_dim, tuple(comm.basis)), tol)
-        raise NumericalError(
-            f"the closed span has dimension {alg.dim} but the generated von Neumann algebra "
-            f"has {envelope.dim} (the generators' commutant has dimension {comm.dim}); "
-            "the closure is buggy or the tolerances are degenerate"
-        ) from failure
+    alg = generated_algebra(build_generators(scenario), tol)
+    decomp = block_decomposition(alg, tol)  # memoized by `generated_algebra`
+    commutant_dim = sum(s.multiplicity ** 2 for s in decomp.sectors)
     report = lattice_report(alg, scenario.trials, scenario.seed, tol)
     characters_entry = None
     if report.boolean_lattice:  # the algebra is commutative
@@ -294,7 +276,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     actuals = {
         "algebra_dim": alg.dim,
         "envelope_equals_algebra": True,
-        "commutant_dim": comm.dim,
+        "commutant_dim": commutant_dim,
         "center_dim": len(decomp.sectors),
         "sector_count": report.sector_count,
         "factor": report.factor,
@@ -327,7 +309,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         scenario=echo,
         algebra_dim=alg.dim,
         envelope_equals_algebra=True,
-        commutant_dim=comm.dim,
+        commutant_dim=commutant_dim,
         center_dim=len(decomp.sectors),
         lattice=report,
         sectors=sector_entries,

@@ -9,7 +9,8 @@ classifies factors and computes the integer-valued dimension function
 on projector equivalence classes
 (two projectors are equivalent when a partial isometry inside the
 algebra maps one range onto the other; in each block the complete
-invariant is the reduced rank).
+invariant is the reduced rank). `generated_algebra` reads the algebra a set of
+matrices generates off the decomposition of their commutant, with no word closure.
 
 Only type I structure exists at finite dimension; algebras without
 minimal projectors (types II and III) have no matrix realization.
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, contains
+from .algebra import AlgebraBasis, GeneratorSet, commutant, contains, generator_commutant
 from .errors import (
     CenterDiagonalizationFailed,
     NotInAlgebra,
+    NumericalError,
     ReducedRankNotDivisible,
     SectorDimensionMismatch,
     SectorStructureError,
@@ -225,6 +227,50 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
         f"no generic element of {_MAX_ATTEMPTS} draws exhibited the block structure; the "
         f"rank tolerance {tol.rank_tol} is likely degenerate (last draw: {failure})"
     ) from failure
+
+
+def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """The unital *-algebra the generators generate, as the commutant of their commutant C.
+
+    At finite dimension that is their generated von Neumann algebra. C, solved without the
+    word closure, is certified by its commutator residual (`generator_commutant`) and by its
+    decomposition as a *-algebra; every generator, scaled to unit HS norm, must lie within
+    ``eq_tol`` of C's commutant, else `NumericalError` naming the dimensions. A sector
+    ``V (M_n (x) 1_m) V*`` of C is one ``V (1_n (x) M_m) V*`` of the algebra: block size m,
+    multiplicity n, the isometry's ``(n, m)`` column index transposed to ``(m, n)``, the
+    same central projector. The basis is `commutant` of C, the matrix units
+    ``V (1_n (x) E_ab) V* / sqrt(n)``, and the swapped decomposition is memoized on it
+    under ``tol``.
+    """
+    return _generated(gens, tol)[0]
+
+
+def _generated(gens: GeneratorSet, tol: Tolerance) -> tuple[AlgebraBasis, AlgebraBasis]:
+    """`generated_algebra` and the generators' commutant it is certified against."""
+    d = gens.ambient_dim
+    comm = generator_commutant(gens, tol)
+    try:
+        cd = block_decomposition(comm, tol)
+    except CenterDiagonalizationFailed as exc:
+        raise NumericalError(f"the generators' commutant, of dimension {comm.dim} in M_{d}, "
+                             f"is no algebra: {exc}") from exc
+    mats = np.stack([g / (hs_norm(g) or 1.0) for g in gens.generators])
+    defect = float(_commutant_defects(cd, mats).max())
+    if defect > tol.eq_tol:
+        dual = sum(s.multiplicity ** 2 for s in cd.sectors)
+        raise NumericalError(
+            f"a generator lies {defect:.3e} outside the commutant (dimension {dual}) of the "
+            f"generators' commutant (dimension {comm.dim}) in M_{d}; the tolerances are "
+            "likely degenerate", defect)
+    alg = commutant(comm, tol)
+    sectors = []
+    for s in cd.sectors:
+        n, m = s.block_size, s.multiplicity
+        isometry = s.isometry.reshape(d, n, m).swapaxes(1, 2).reshape(d, m * n)
+        isometry.setflags(write=False)
+        sectors.append(Sector(s.central_projector, m, n, isometry))
+    alg._decompositions[tol] = SectorDecomposition(d, tuple(sectors))
+    return alg, comm
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -152,15 +152,14 @@ def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
     checked = pool[np.select([k < n, k < 2 * n], [at + k, total + at + k - n],
                              2 * total + first[case] + k - 2 * n)]
     _ensure_projectors(checked, lambda i: cases[case[i]][0], tol)
-    lo, hi = np.triu_indices(sizes.max(initial=0), 1)  # itertools.combinations' order
-    pair_case, pair = np.nonzero(hi < sizes[:, None])
-    if pair.size:
-        at = starts[pair_case]
-        apart = _leq(members[at + lo[pair]], pool[total + at + hi[pair]], tol)
-        if not apart.all():
-            f = int(np.argmin(apart))
-            raise NotOrthogonalFamily(f"{cases[pair_case[f]][0]}: members {lo[pair[f]]} and "
-                                      f"{hi[pair[f]]} are not orthogonal")
+    top = sizes.max(initial=0)
+    apart = np.ones((count, top, top), dtype=bool)
+    for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per `_leq`
+        c, b = np.nonzero((np.arange(top) > a) & (np.arange(top) < sizes[:, None]))
+        apart[c, a, b] = _leq(members[starts[c] + a], pool[total + starts[c] + b], tol)
+    if not apart.all():  # the first failure in case, then itertools.combinations' order
+        c, a, b = np.argwhere(~apart)[0].tolist()
+        raise NotOrthogonalFamily(f"{cases[c][0]}: members {a} and {b} are not orthogonal")
     inside = contains(domain, checked, tol)
     if not np.all(inside):
         raise NotInAlgebra(f"{cases[case[int(np.argmin(inside))]][0]}: projector not in the domain")

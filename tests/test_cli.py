@@ -11,7 +11,8 @@ from oplattice import (
     build_weyl_finite,
     center,
     close,
-    commutant,
+    generated_algebra,
+    generator_commutant,
     generator_set_to_json,
     join,
     matrix_to_json,
@@ -71,8 +72,9 @@ class TestAlgebraVerbs:
 
     @pytest.mark.parametrize("verb, dim", [("commutant", 1), ("envelope", 576)])
     def test_commutant_and_envelope_of_m24_within_a_memory_bound(self, tmp_path, verb, dim):
-        # both are read off the decomposition of M_24; the Kronecker system of its 576 basis
-        # elements would hold 576 d^2 x d^2 complex entries, ~3 GB
+        # the commutant is the generators' own, the envelope is read off the decomposition of
+        # M_24; the Kronecker system of its 576 basis elements would hold 576 d^2 x d^2
+        # complex entries, ~3 GB
         gens, out = tmp_path / "w24.json", tmp_path / "out.json"
         gens.write_text(json.dumps(generator_set_to_json(build_weyl_finite(24))))
         tracemalloc.start()
@@ -203,11 +205,13 @@ class TestRunVerb:
         assert first == second
 
 
+# each verb's result from the generators: `commutant` writes the generators' commutant
+# itself, `center` reads the generated algebra's, and only `close` and `envelope` close
 ALGEBRA_RESULTS = {
-    "close": lambda alg: alg,
-    "commutant": commutant,
-    "envelope": baire_envelope,
-    "center": center,
+    "close": close,
+    "commutant": generator_commutant,
+    "envelope": lambda gens: baire_envelope(close(gens)),
+    "center": lambda gens: center(generated_algebra(gens)),
 }
 
 # Mostly-zero bases (weyl, sectors) and a dense one (a Haar-rotated sector set).
@@ -268,7 +272,7 @@ class TestOneSerialisation:
         if verb in ALGEBRA_RESULTS:
             gens = WRITTEN_ALGEBRAS[name]()
             data = generator_set_to_json(gens)
-            result = ALGEBRA_RESULTS[verb](close(gens))
+            result = ALGEBRA_RESULTS[verb](gens)
             want = {"ambient_dim": result.ambient_dim, "dim": result.dim,
                     "basis": [matrix_to_json(b) for b in result.basis]}
         else:

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from oplattice import (
     NotProjector,
     NumericalError,
     Scenario,
+    Tolerance,
     ValidationError,
     block_decomposition,
     build_classical,
@@ -28,7 +30,7 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
-from oplattice import DEFAULT_TOL, generator_commutant, random_orthogonal_family, random_state
+from oplattice import DEFAULT_TOL, generated_algebra, random_orthogonal_family, random_state
 from oplattice import logic as logic_module
 from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
@@ -37,7 +39,7 @@ from oplattice import seeding as seeding_module
 from oplattice import states as states_module
 from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
                                derive_seed)
-from tests.conftest import two_orthogonal_real_lines, unit
+from tests.conftest import rotated, two_orthogonal_real_lines, unit
 
 
 class TestBuildClassical:
@@ -311,7 +313,7 @@ class TestDeterminism:
         assert a != b
 
 
-class TestClosureChecks:
+class TestGeneratedAlgebraChecks:
     def test_two_orthogonal_lines_give_a_boolean_lattice(self):
         p, q = two_orthogonal_real_lines()
         scenario = Scenario(
@@ -327,50 +329,34 @@ class TestClosureChecks:
         assert report.lattice.boolean_lattice
         assert report.lattice.distributive
 
-    def test_over_closed_algebra_is_rejected(self, monkeypatch):
-        # M_5 passes the bicommutant check; only the generators' commutant
-        # (dimension 2 for two blocks) can tell it is too big.
-        monkeypatch.setattr(
-            scenarios_module, "close", lambda gens, tol: close(build_weyl_finite(gens.ambient_dim), tol)
-        )
-        scenario = Scenario(
-            name="over-closed", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]}, trials=0
-        )
-        with pytest.raises(NumericalError, match="generators' commutant has dimension 2"):
-            run_scenario(scenario)
-
-    def test_stopped_short_closure_is_rejected(self, monkeypatch):
-        # the span of the unit and the generators, without their products:
-        # 5 of the 9 dimensions weyl 3 generates
-        def stopped_short(gens, tol):
-            d = gens.ambient_dim
-            words = [np.eye(d), *gens.generators, *(g.conj().T for g in gens.generators)]
-            q, _ = np.linalg.qr(np.stack([w.ravel() for w in words], axis=1))
-            return AlgebraBasis(ambient_dim=d, basis=q.T.reshape(-1, d, d))
-
-        monkeypatch.setattr(scenarios_module, "close", stopped_short)
-        scenario = Scenario(
-            name="stopped short", kind="weyl_finite", dim=3, parameters={"modulus": 3}, trials=0
-        )
-        with pytest.raises(NumericalError, match="dimension 5 .* has 9"):
-            run_scenario(scenario)
-
     @pytest.mark.parametrize("wrong, message", [
-        (lambda: np.eye(5)[None] / np.sqrt(5.0), r"dimension 13 .* has 25 .* dimension 1\)"),
-        (lambda: np.linalg.qr(np.random.default_rng(4).standard_normal((25, 5)))[0].T,
-         r"dimension 13 .* has 1 .* dimension 5\)"),
-    ], ids=["too-small", "too-large"])
-    def test_wrong_generator_commutant_is_rejected(self, monkeypatch, wrong, message):
-        # the check compares the generators' commutant with the closure's, so a wrong
-        # generator_commutant fails it as a wrong closure would; only the first call is wrong
-        wrongs = iter([AlgebraBasis(ambient_dim=5, basis=wrong().reshape(-1, 5, 5))])
-        monkeypatch.setattr(scenarios_module, "generator_commutant",
-                            lambda gens, tol: next(wrongs, None) or generator_commutant(gens, tol))
+        (lambda: np.eye(5)[:, None] * np.eye(5)[:, :, None],
+         r"outside the commutant \(dimension 5\) of the generators' commutant \(dimension 5\)"),
+        (lambda: np.eye(25).reshape(25, 5, 5),
+         r"outside the commutant \(dimension 1\) of the generators' commutant \(dimension 25\)"),
+    ], ids=["diagonals", "all-of-m5"])
+    def test_too_large_generator_commutant_is_rejected(self, monkeypatch, wrong, message):
+        # the two blocks' commutant C is 2-dimensional; a larger *-algebra passes its own
+        # decomposition, but its commutant is too small to hold the generators
+        monkeypatch.setattr(sectors_module, "generator_commutant",
+                            lambda gens, tol: AlgebraBasis(ambient_dim=5, basis=wrong()))
         scenario = Scenario(
-            name="wrong commutant", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
+            name="too large", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
             trials=0,
         )
         with pytest.raises(NumericalError, match=message):
+            run_scenario(scenario)
+
+    def test_generator_commutant_that_is_no_algebra_is_rejected(self, monkeypatch):
+        # five random orthonormal directions: no product-closed span, so no decomposition
+        basis = np.linalg.qr(np.random.default_rng(4).standard_normal((25, 5)))[0].T
+        monkeypatch.setattr(sectors_module, "generator_commutant",
+                            lambda gens, tol: AlgebraBasis(5, basis.reshape(-1, 5, 5)))
+        scenario = Scenario(
+            name="no algebra", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
+            trials=0,
+        )
+        with pytest.raises(NumericalError, match="commutant, of dimension 5 in M_5, is no algebra"):
             run_scenario(scenario)
 
 
@@ -514,7 +500,7 @@ class TestOneFamilyPass:
         scenario = Scenario(name="s", kind=kind, dim=dim, parameters=parameters, trials=trials,
                             seed=13, states=states)
         report = run_scenario(scenario)
-        alg = close(scenarios_module.build_generators(scenario))
+        alg = generated_algebra(scenarios_module.build_generators(scenario))
 
         def residuals(state, family_seed):
             family = random_orthogonal_family(alg, family_seed)
@@ -579,3 +565,38 @@ class TestCallBudget:
             assert [len(c) for c in calls] == [1, 1, 1, 0, 1, 1]
             hashes.append(len(state_calls))
         assert hashes[0] == hashes[1]
+
+
+def _sweep_scenario(kind, d):
+    s = d // 8
+    parameters = {"classical": {"point_count": d}, "weyl_finite": {"modulus": d},
+                  "sectors": {"blocks": [[2 * s, 2], [s, 2], [2 * s, 1]]}}[kind]
+    return Scenario(name=kind, kind=kind, dim=d, parameters=parameters, trials=0)
+
+
+def _structure(report) -> tuple:
+    return (report.algebra_dim, report.commutant_dim, report.center_dim,
+            sorted([s["block_size"], s["multiplicity"]] for s in report.sectors),
+            report.lattice.factor, report.lattice.boolean_lattice)
+
+
+@functools.cache
+def _unrotated_structure(kind, d):
+    return _structure(run_scenario(_sweep_scenario(kind, d)))
+
+
+class TestRotationToleranceSweep:
+    """The structure a scenario reports depends neither on the basis the generators are
+    written in nor on the rank cutoff: two Haar rotations and four `rank_tol` per builder
+    (the sector set has block size 2s at multiplicities 2 and 1, and s at 2)."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [8, 16, 24, 32])
+    @pytest.mark.parametrize("kind", ["classical", "weyl_finite", "sectors"])
+    def test_rotated_structure_equals_the_unrotated_default(self, kind, d, seed, rank_tol):
+        gens = rotated(scenarios_module.build_generators(_sweep_scenario(kind, d)), seed)
+        scenario = Scenario(name="rotated", kind="custom", dim=d, trials=0, parameters={
+            "generators": [matrix_to_json(g) for g in gens.generators]})
+        report = run_scenario(scenario, Tolerance(rank_tol=rank_tol))
+        assert _structure(report) == _unrotated_structure(kind, d)

@@ -15,6 +15,7 @@ from oplattice import (
     TensorFormDefect,
     Tolerance,
     block_decomposition,
+    build_classical,
     build_sectors,
     build_weyl_finite,
     center,
@@ -22,6 +23,7 @@ from oplattice import (
     commutant,
     contains,
     equivalence_isometry,
+    generated_algebra,
     is_factor,
     lattice_report,
     meet,
@@ -32,9 +34,10 @@ from oplattice import (
     project_onto,
     projectors_equivalent,
     random_projector,
+    same_span,
 )
 from oplattice import sectors as sectors_module
-from tests.conftest import haar_unitary, unit
+from tests.conftest import haar_unitary, reference_close, rotated, unit
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +382,44 @@ class TestCommutantDefects:
         assert comm.dim == alg.ambient_dim ** 2 or (want > 0.1).all()  # M_d holds every x
         inside = sectors_module._commutant_defects(block_decomposition(alg), comm.basis)
         assert (inside < 1e-12).all()
+
+
+# every builder at d = 4, 8, 16; the sector sets have two block sizes and multiplicities
+GENERATED_CASES = {
+    **{f"classical-{d}": (lambda d=d: build_classical(d)) for d in (4, 8, 16)},
+    **{f"weyl-{d}": (lambda d=d: build_weyl_finite(d)) for d in (4, 8, 16)},
+    "sectors-4": lambda: build_sectors([(2, 1), (1, 2)]),
+    "sectors-8": lambda: build_sectors([(2, 2), (1, 2), (2, 1)]),
+    "sectors-16": lambda: build_sectors([(4, 2), (2, 2), (4, 1)]),
+}
+
+
+class TestGeneratedAlgebra:
+    """`generated_algebra` reads the algebra off the generators' commutant; the word closure
+    `reference_close` is the independent check that the commutant was not too small."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GENERATED_CASES))
+    def test_spans_the_word_closure_of_rotated_generators(self, name, seed):
+        gens = rotated(GENERATED_CASES[name](), seed)
+        assert same_span(generated_algebra(gens), reference_close(gens))
+
+    @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
+                             ids=str)
+    def test_memoized_sectors_are_the_decomposed_ones(self, blocks):
+        gens = rotated(build_sectors(blocks), seed=3)
+        alg = generated_algebra(gens)
+        d = alg.ambient_dim
+        flat = alg.basis.reshape(alg.dim, -1)
+        assert np.allclose(flat.conj() @ flat.T, np.eye(alg.dim), atol=1e-12)
+        assert contains(alg, np.stack([np.eye(d), *gens.generators])).all()
+        seeded = list(block_decomposition(alg).sectors)
+        sectors_module._certify(alg, seeded, DEFAULT_TOL)  # each element is its blocks' tensor form
+        fresh = sectors_module._decompose(alg, DEFAULT_TOL).sectors
+        assert [(s.block_size, s.multiplicity) for s in seeded] == [
+            (s.block_size, s.multiplicity) for s in fresh]
+        for s, f in zip(seeded, fresh):
+            assert np.allclose(s.central_projector, f.central_projector, atol=1e-12)
+            assert not s.isometry.flags.writeable and not s.central_projector.flags.writeable
+            iso = s.isometry
+            assert np.allclose(iso.conj().T @ iso, np.eye(iso.shape[1]), atol=1e-12)

@@ -85,3 +85,17 @@ def test_every_seed_stream_has_a_reader():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert streams and sorted(streams - read) == []
+
+
+def test_scenarios_never_close_words():
+    # a scenario reads its algebra off the generators' commutant (`generated_algebra`); the
+    # word closure is a CLI verb and a test oracle, never a scenario stage
+    scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(scenarios.read_text(), filename=str(scenarios)))
+        if (isinstance(node, ast.Name) and node.id == "close")
+        or (isinstance(node, ast.Attribute) and node.attr == "close")
+        or (isinstance(node, ast.alias) and node.name == "close")
+    ]
+    assert found == []

@@ -285,6 +285,14 @@ class TestStackedFamilies:
         with pytest.raises(error, match=message):
             states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
 
+    def test_the_first_failing_case_is_named(self, diag3):
+        # pairs are checked one lower index at a time over all cases; the failure named is
+        # still the first case's first pair, though case b fails at a lower index
+        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1), unit(3, 1, 1)]),
+                 ("b", np.eye(3) / 3, [unit(3, 2, 2), unit(3, 2, 2)])]
+        with pytest.raises(NotOrthogonalFamily, match="^a: members 1 and 2 are not orthogonal"):
+            states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
+
     def test_stacked_running_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included: no zero padding
         env = baire_envelope(two_blocks)
