@@ -9,7 +9,6 @@ states to logical states on that lattice.
 
 from .errors import (
     CenterDiagonalizationFailed,
-    ConvergenceFailed,
     DimensionMismatch,
     NotCommutative,
     NotHermitian,
@@ -63,7 +62,6 @@ from .sectors import (
     SectorDecomposition,
     block_decomposition,
     decomposition_to_json,
-    equivalence_isometry,
     generated_algebra,
     is_factor,
     minimal_central_projectors,
@@ -81,7 +79,6 @@ from .logic import (
     lattice_report_to_json,
     leq,
     meet,
-    meet_iterative,
     orthocomplement,
     orthogonal,
     orthomodularity_residual,

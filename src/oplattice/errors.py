@@ -60,10 +60,6 @@ class NumericalError(OperatorAlgebraError):
         self.residual = residual
 
 
-class ConvergenceFailed(NumericalError):
-    """An iterative limit did not converge within the iteration cap."""
-
-
 class CenterDiagonalizationFailed(NumericalError):
     """No generic element of the attempted draws exhibited a block structure that passes
     the decomposition's certificate; raised from the last draw's `SectorStructureError`."""

@@ -5,12 +5,9 @@ propositions; this module implements their orthocomplement, meet, join
 and order, plus the law checkers (orthomodularity, distributivity,
 atomicity) and a seeded sampler used by the verification sweeps.
 
-The meet is computed two ways. The authoritative route projects onto
-the joint null space of the two range complements. The iterated-product
-route realizes the limit of ``(p q p)^n``, whose eigenvalue-1 eigenspace
-is exactly the range intersection; it converges at rate ``cos^2`` of the
-smallest principal angle between the ranges, so it is kept as a
-fidelity cross-check rather than the production path.
+The meet projects onto the joint null space of the two range
+complements: one SVD, with no iteration to converge and no spectral gap
+to round across.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraBasis
-from .errors import ConvergenceFailed, DimensionMismatch, NotProjector, PreconditionFailed
+from .errors import DimensionMismatch, NotProjector, PreconditionFailed
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
                        range_projector, require_count, singular_rank, suffix_projectors)
@@ -98,53 +95,6 @@ def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     origin, the hallmark separating this lattice from a Boolean one.
     """
     return _meet(*_projectors(p, q, tol=tol), tol)
-
-
-def meet_iterative(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Meet as the limit of iterated products.
-
-    The iterates are the hermitian powers ``(p q p)^n``; after the
-    successive-difference residual drops below ``conv_tol`` the
-    eigenvalues are rounded to {0, 1} and the projector is rebuilt, so
-    the output is an exact projector. Rounding needs a gap wider than 0.1
-    around 1/2, a property of a converged projector spectrum, not a
-    tolerance.
-
-    Raises
-    ------
-    ConvergenceFailed
-        If ``max_iter`` is reached with residual above ``conv_tol``
-        (ranges meeting at a very small principal angle), or if the
-        converged spectrum has no clean gap around 1/2 to round across.
-    """
-    pm, qm = _projectors(p, q, tol=tol)
-    core = pm @ qm @ pm
-    s = core.copy()
-    residual = np.inf
-    for _ in range(tol.max_iter):
-        s_next = s @ core
-        s_next = (s_next + s_next.conj().T) / 2.0
-        residual = operator_norm(s_next - s)
-        s = s_next
-        if residual < tol.conv_tol:
-            break
-    else:
-        raise ConvergenceFailed(
-            f"iterated product did not converge within {tol.max_iter} iterations; "
-            f"last residual {residual:.3e}",
-            residual=residual,
-        )
-    w, v = np.linalg.eigh(s)
-    ones = w >= 0.5
-    low = float(w[~ones].max()) if np.any(~ones) else 0.0
-    high = float(w[ones].min()) if np.any(ones) else 1.0
-    if high - low <= 0.1:
-        raise ConvergenceFailed(
-            f"converged spectrum has no rounding gap: nearest eigenvalues to 1/2 are "
-            f"{low:.6f} and {high:.6f}",
-            residual=high - low,
-        )
-    return range_projector(v[:, ones])
 
 
 def join(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

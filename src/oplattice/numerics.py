@@ -1,7 +1,7 @@
 """Dense complex linear algebra with one explicit tolerance policy.
 
 Every other module funnels its numerical decisions (equality thresholds,
-rank cutoffs, iteration limits) through a `Tolerance` value defined here,
+rank cutoffs) through a `Tolerance` value defined here,
 so the policy lives in a single place instead of scattered magic numbers.
 All matrices are dense ``complex128``; the hot kernels work on stacks
 and BLAS products rather than Python loops (measured envelope in the README).
@@ -43,24 +43,16 @@ class Tolerance:
         Operator-norm threshold below which two matrices count as equal.
     rank_tol
         Relative singular-value cutoff for rank and null-space decisions.
-    conv_tol
-        Convergence threshold for iterative limits.
-    max_iter
-        Iteration cap for those limits.
     """
 
     eq_tol: float = 1e-9
     rank_tol: float = 1e-8
-    conv_tol: float = 1e-10
-    max_iter: int = 10_000
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol", "conv_tol"):
+        for name in ("eq_tol", "rank_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-        if not is_int(self.max_iter) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
     @property
     def law_tol(self) -> float:

@@ -26,7 +26,7 @@ from .algebra import AlgebraBasis, GeneratorSet
 from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
-from .sectors import _reduced_ranks, block_decomposition, generated_algebra
+from .sectors import block_decomposition, generated_algebra
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
 from .states import (LogicalState, _orthoadditivity, _random_orthogonal_families, _random_states,
                      dirac_characters, is_pure, is_separating, state_from_json, state_to_json)
@@ -255,7 +255,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         {
             "block_size": s.block_size,
             "multiplicity": s.multiplicity,
-            "mvn_dimension": _reduced_ranks(decomp, s.central_projector, tol),
+            # z_i's reduced rank is n_i in its own sector, 0 in the others
+            "mvn_dimension": [s.block_size if t is s else 0 for t in decomp.sectors],
             "central_projector": matrix_to_json(s.central_projector),
         }
         for s in decomp.sectors

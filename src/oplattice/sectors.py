@@ -38,16 +38,13 @@ from .numerics import (
     ensure_projector,
     hs_norm,
     matrix_to_json,
-    norm_at_most,
     range_projector,
-    rank_of,
     singular_rank,
     spectral_clusters,
 )
-from .seeding import STREAM_BLOCK, STREAM_GENERIC, attempt_generator
+from .seeding import STREAM_BLOCK, attempt_generator
 
 _MAX_ATTEMPTS = 5
-_ISOMETRY_ATTEMPTS = 8  # generic elements `equivalence_isometry` tries
 
 
 @dataclass(frozen=True)
@@ -319,51 +316,12 @@ def projectors_equivalent(alg: AlgebraBasis, p, q, tol: Tolerance = DEFAULT_TOL)
     """True iff a partial isometry V in the algebra has V*V = p and VV* = q.
 
     Decided by comparing the per-sector reduced ranks, the complete
-    invariant for finite type I algebras; `equivalence_isometry` builds
-    an explicit V as an independent cross-check.
+    invariant for finite type I algebras; no V is built.
     """
     pm = _validated_projector_in(alg, p, tol)
     qm = _validated_projector_in(alg, q, tol)
     decomp = block_decomposition(alg, tol)
     return _reduced_ranks(decomp, pm, tol) == _reduced_ranks(decomp, qm, tol)
-
-
-def equivalence_isometry(
-    alg: AlgebraBasis,
-    p,
-    q,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray | None:
-    """Explicit partial isometry V in the algebra with V*V = p, VV* = q, or None.
-
-    Debug oracle for `projectors_equivalent`: takes the polar part of
-    ``q w p`` for a generic algebra element w. When the projectors are
-    equivalent, a generic w makes that compression full-rank and its
-    polar part is the required isometry (and stays inside the algebra);
-    when they are not, no attempt can succeed.
-    """
-    pm = _validated_projector_in(alg, p, tol)
-    qm = _validated_projector_in(alg, q, tol)
-    rp = rank_of(pm, tol)
-    if rank_of(qm, tol) != rp:
-        return None
-    if rp == 0:
-        return np.zeros_like(pm)
-    for attempt in range(_ISOMETRY_ATTEMPTS):
-        rng = attempt_generator(STREAM_GENERIC, attempt)
-        w = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
-        x = qm @ w @ pm
-        if rank_of(x, tol) != rp:
-            continue
-        uu, _, vv = np.linalg.svd(x)
-        v_iso = uu[:, :rp] @ vv[:rp, :]
-        if (
-            norm_at_most(v_iso.conj().T @ v_iso - pm, tol.rank_tol)
-            and norm_at_most(v_iso @ v_iso.conj().T - qm, tol.rank_tol)
-            and contains(alg, v_iso, tol)
-        ):
-            return v_iso
-    return None
 
 
 def decomposition_to_json(decomp: SectorDecomposition) -> list[dict]:

@@ -38,7 +38,6 @@ STREAM_STATE_CHECK = 23
 
 # sectors and generator_commutant: one generator per (stream, attempt), see `attempt_generator`
 STREAM_BLOCK = 102
-STREAM_GENERIC = 103
 STREAM_COMMUTANT = 104
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx): a 4-word uint32 pool
@@ -195,7 +194,7 @@ def attempt_generator(stream: int, attempt: int) -> np.random.Generator:
     return seeded_generators([_attempt_words(stream, attempt)])[0]
 
 
-@lru_cache(maxsize=64)  # the callers use 14 (stream, attempt) pairs
+@lru_cache(maxsize=64)  # the package uses 6 (stream, attempt) pairs
 def _attempt_words(stream: int, attempt: int) -> np.ndarray:
     """`attempt_generator`'s four pool words, hashed once per pair: the stacked hash takes
     ~70 us at n = 1, a `PCG64` seeded from the cached words ~2 us."""

@@ -14,10 +14,18 @@ from oplattice import (
     build_sectors,
     build_weyl_finite,
     close,
+    contains,
     hs_inner,
     hs_norm,
     null_space,
+    operator_norm,
+    rank_of,
+    shift_matrix,
 )
+from oplattice.logic import _projectors
+from oplattice.numerics import norm_at_most, range_projector
+from oplattice.sectors import _random_span_elements, _validated_projector_in
+from oplattice.seeding import attempt_generator
 
 
 def unit(d, i, j):
@@ -126,6 +134,97 @@ def reference_commutant(mats, d, tol=DEFAULT_TOL):
     system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in mats])
     kernel = null_space(system, tol)
     return AlgebraBasis(ambient_dim=d, basis=kernel.T.reshape(-1, d, d).swapaxes(1, 2))
+
+
+class IterationFailed(Exception):
+    """`meet_iterative` found no limit within its iteration cap, or no gap to round across."""
+
+
+MEET_CONV_TOL = 1e-10  # successive-difference residual at which the iterates count as converged
+MEET_MAX_ITER = 10_000
+
+
+def meet_iterative(p, q, tol=DEFAULT_TOL):
+    """`meet` as the limit of iterated products (von Neumann's alternating projections).
+
+    The iterates are the hermitian powers ``(p q p)^n``, whose limit projects onto
+    ``range(p) ∩ range(q)`` at the rate ``cos^2`` of the smallest principal angle between the
+    ranges. After the successive-difference residual drops below `MEET_CONV_TOL` the
+    eigenvalues are rounded to {0, 1} and the projector rebuilt. Rounding needs a gap wider
+    than 0.1 around 1/2, a property of a converged projector spectrum, not a tolerance.
+    The arguments are validated as `meet` validates them; `IterationFailed` when
+    `MEET_MAX_ITER` iterations do not converge or the spectrum has no such gap.
+    """
+    pm, qm = _projectors(p, q, tol=tol)
+    core = pm @ qm @ pm
+    s = core.copy()
+    residual = np.inf
+    for _ in range(MEET_MAX_ITER):
+        s_next = s @ core
+        s_next = (s_next + s_next.conj().T) / 2.0
+        residual = operator_norm(s_next - s)
+        s = s_next
+        if residual < MEET_CONV_TOL:
+            break
+    else:
+        raise IterationFailed(f"iterated product did not converge within {MEET_MAX_ITER} "
+                              f"iterations; last residual {residual:.3e}")
+    w, v = np.linalg.eigh(s)
+    ones = w >= 0.5
+    low = float(w[~ones].max()) if np.any(~ones) else 0.0
+    high = float(w[ones].min()) if np.any(ones) else 1.0
+    if high - low <= 0.1:
+        raise IterationFailed(f"converged spectrum has no rounding gap: nearest eigenvalues "
+                              f"to 1/2 are {low:.6f} and {high:.6f}")
+    return range_projector(v[:, ones])
+
+
+STREAM_ISOMETRY = 103  # no package sampler draws from this stream id
+ISOMETRY_ATTEMPTS = 8
+
+
+def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
+    """Explicit partial isometry V in the algebra with V*V = p, VV* = q, or None.
+
+    The oracle for `projectors_equivalent`: takes the polar part of ``q w p`` for a generic
+    algebra element w. When the projectors are equivalent, a generic w makes that
+    compression full-rank and its polar part is the required isometry (and stays inside the
+    algebra); when they are not, no attempt can succeed.
+    """
+    pm = _validated_projector_in(alg, p, tol)
+    qm = _validated_projector_in(alg, q, tol)
+    rp = rank_of(pm, tol)
+    if rank_of(qm, tol) != rp:
+        return None
+    if rp == 0:
+        return np.zeros_like(pm)
+    for attempt in range(ISOMETRY_ATTEMPTS):
+        rng = attempt_generator(STREAM_ISOMETRY, attempt)
+        w = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
+        x = qm @ w @ pm
+        if rank_of(x, tol) != rp:
+            continue
+        uu, _, vv = np.linalg.svd(x)
+        v_iso = uu[:, :rp] @ vv[:rp, :]
+        if (
+            norm_at_most(v_iso.conj().T @ v_iso - pm, tol.rank_tol)
+            and norm_at_most(v_iso @ v_iso.conj().T - qm, tol.rank_tol)
+            and contains(alg, v_iso, tol)
+        ):
+            return v_iso
+    return None
+
+
+def rational_clock_shift(d, p):
+    """The clock ``U = diag(w^(p j))``, w the primitive d-th root of unity, and the shift V.
+
+    ``V U = w^p U V``: the finite rational noncommutative torus at phase p/d. With
+    g = gcd(p, d), the generated algebra is g copies of ``M_(d/g)``, each of multiplicity 1,
+    and its center is spanned by the powers of ``V^(d/g)``; at p = 0 it is the commutative
+    algebra of the d points of the shift's spectrum.
+    """
+    clock = np.diag(np.exp(2j * np.pi * p * np.arange(d) / d))
+    return GeneratorSet(d, (clock, shift_matrix(d)))
 
 
 def reference_derive_seed(seed, stream, index):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from oplattice import (
-    ConvergenceFailed,
     LogicalState,
     Scenario,
     baire_envelope,
@@ -30,7 +29,6 @@ from oplattice import (
     is_separating,
     join,
     meet,
-    meet_iterative,
     mvn_dimension,
     operator_norm,
     orthocomplement,
@@ -45,7 +43,7 @@ from oplattice import (
     sigma_orthoadditivity_residuals,
 )
 from oplattice.seeding import derive_seed
-from tests.conftest import line_projector
+from tests.conftest import IterationFailed, line_projector, meet_iterative
 
 
 def _verdict(number, name, ok, detail=""):
@@ -126,7 +124,7 @@ def test_criterion_04_meet_dual_algorithm_agreement(benchmark_algebras):
         oracle = meet(p, q)
         try:
             iterated = meet_iterative(p, q)
-        except ConvergenceFailed:
+        except IterationFailed:
             declared += 1
             continue
         worst = max(worst, operator_norm(iterated - oracle))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oplattice import (
-    ConvergenceFailed,
+    NumericalError,
     baire_envelope,
     build_sectors,
     build_weyl_finite,
@@ -402,7 +402,7 @@ class TestExitCodes:
 
     def test_numerical_failures_exit_2(self, capsys, gens3_file, monkeypatch):
         def explode(*args, **kwargs):
-            raise ConvergenceFailed("no convergence", residual=1.0)
+            raise NumericalError("no convergence", residual=1.0)
 
         monkeypatch.setattr("oplattice.cli.close", explode)
         code, _, err = run_cli(capsys, "--input", gens3_file, "close")

@@ -8,7 +8,6 @@ import pytest
 
 from oplattice import (
     DEFAULT_TOL,
-    ConvergenceFailed,
     GeneratorSet,
     LatticeReport,
     PreconditionFailed,
@@ -25,7 +24,6 @@ from oplattice import (
     lattice_report_to_json,
     leq,
     meet,
-    meet_iterative,
     operator_norm,
     orthocomplement,
     orthogonal,
@@ -48,8 +46,10 @@ from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
     NON_SQUARE,
+    IterationFailed,
     kernel_algebra,
     line_projector,
+    meet_iterative,
     unit,
 )
 
@@ -109,8 +109,8 @@ class TestMeetIterative:
     def test_tiny_principal_angle_fails_loudly(self):
         p = line_projector(0.0)
         q = line_projector(1e-3)
-        with pytest.raises(ConvergenceFailed):
-            meet_iterative(p, q, Tolerance(max_iter=100))
+        with pytest.raises(IterationFailed, match="did not converge within 10000 iterations"):
+            meet_iterative(p, q)
 
 
 class TestJoin:

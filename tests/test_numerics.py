@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -33,21 +34,14 @@ class TestTolerance:
         tol = Tolerance()
         assert tol.eq_tol == 1e-9
         assert tol.rank_tol == 1e-8
-        assert tol.conv_tol == 1e-10
-        assert tol.max_iter == 10_000
 
-    @pytest.mark.parametrize("bad", [{"eq_tol": 0.0}, {"rank_tol": 1.0}, {"conv_tol": -1e-3}])
+    def test_the_two_thresholds_are_the_only_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(Tolerance)) == ("eq_tol", "rank_tol")
+
+    @pytest.mark.parametrize("bad", [{"eq_tol": 0.0}, {"rank_tol": 1.0}, {"rank_tol": -1e-3}])
     def test_thresholds_must_be_in_unit_interval(self, bad):
         with pytest.raises(ValueError):
             Tolerance(**bad)
-
-    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
-    def test_max_iter_positive(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
-            Tolerance(max_iter=max_iter)
-
-    def test_max_iter_accepts_numpy_integers(self):
-        assert Tolerance(max_iter=np.int64(5)).max_iter == 5
 
     def test_law_tol_is_ten_rank_tols(self):
         assert DEFAULT_TOL.law_tol == 1e-7

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from oplattice import (
     close,
     commutant,
     contains,
-    equivalence_isometry,
     generated_algebra,
     is_factor,
     lattice_report,
@@ -37,7 +38,8 @@ from oplattice import (
     same_span,
 )
 from oplattice import sectors as sectors_module
-from tests.conftest import haar_unitary, reference_close, rotated, unit
+from tests.conftest import (equivalence_isometry, haar_unitary, rational_clock_shift,
+                            reference_close, rotated, unit)
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +425,16 @@ class TestGeneratedAlgebra:
             assert not s.isometry.flags.writeable and not s.central_projector.flags.writeable
             iso = s.isometry
             assert np.allclose(iso.conj().T @ iso, np.eye(iso.shape[1]), atol=1e-12)
+
+    @pytest.mark.parametrize("d, p", [(12, 0), (12, 2), (12, 3), (24, 4), (24, 6), (32, 8)])
+    def test_rational_clock_shift_is_gcd_copies_of_one_factor(self, d, p):
+        # dense, non-diagonal structure with a closed form, and no rotation applied
+        gens = rational_clock_shift(d, p)
+        g = math.gcd(p, d)
+        alg = generated_algebra(gens)
+        assert [(s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors] == [
+            (d // g, 1)] * g
+        assert alg.dim == g * (d // g) ** 2
+        w = np.linalg.matrix_power(gens.generators[1], d // g)
+        powers = np.stack([np.linalg.matrix_power(w, k) for k in range(g)]) / np.sqrt(d)
+        assert same_span(center(alg), AlgebraBasis(d, powers))

@@ -109,7 +109,7 @@ class TestGenerators:
             random_state(2, -1)
 
     @pytest.mark.parametrize(
-        "stream", [seeding.STREAM_BLOCK, seeding.STREAM_GENERIC, seeding.STREAM_COMMUTANT]
+        "stream", [seeding.STREAM_BLOCK, seeding.STREAM_COMMUTANT]
     )
     def test_attempt_generator_is_the_seed_sequence_of_the_pair(self, stream):
         for attempt in range(9):

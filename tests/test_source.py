@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -99,3 +100,17 @@ def test_scenarios_never_close_words():
         or (isinstance(node, ast.alias) and node.name == "close")
     ]
     assert found == []
+
+
+def test_every_tolerance_field_has_a_reader():
+    # a threshold that nothing reads is a knob with no effect: each field of `Tolerance` is
+    # read as an attribute (`.<field>`) in some module other than `numerics`, its home
+    fields = {f.name for f in dataclasses.fields(oplattice.Tolerance)}
+    read = {
+        node.attr
+        for path in SOURCES
+        if path.name != "numerics.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    assert fields and sorted(fields - read) == []
