@@ -31,6 +31,7 @@ from .numerics import (
     Tolerance,
     adjoint,
     as_matrix,
+    dumps,
     ensure_projector,
     hermitian_eig,
     hs_inner,
@@ -45,6 +46,7 @@ from .numerics import (
 from .algebra import (
     AlgebraBasis,
     GeneratorSet,
+    algebra_to_json,
     baire_envelope,
     center,
     close,

@@ -215,14 +215,23 @@ def close(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All of M_d commuting with ``alg``, read off its certified block decomposition: a
     sector ``V (M_n (x) 1_m) V*`` contributes ``V (1_n (x) E_ab) V* / sqrt(n)``, orthonormal
-    as V's columns and the sectors are."""
-    from .sectors import block_decomposition  # sectors builds on this module
+    as V's columns and the sectors are. That is the sector ``V (1_n (x) M_m) V*`` of the
+    result: block size m, multiplicity n, the isometry's ``(n, m)`` column index transposed
+    to ``(m, n)``, the same central projector; those sectors are memoized on the result under
+    ``tol``, so the commutant is never decomposed again."""
+    from .sectors import Sector, SectorDecomposition, block_decomposition  # sectors builds on this
 
-    d, parts = alg.ambient_dim, []
+    d, parts, swapped = alg.ambient_dim, [], []
     for s in block_decomposition(alg, tol).sectors:
-        w = s.isometry.reshape(d, s.block_size, s.multiplicity)
-        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(s.block_size)))
-    return AlgebraBasis(d, np.concatenate([u.reshape(-1, d, d) for u in parts]))
+        n, m = s.block_size, s.multiplicity
+        w = s.isometry.reshape(d, n, m)
+        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(n)))
+        isometry = w.swapaxes(1, 2).reshape(d, m * n)
+        isometry.setflags(write=False)
+        swapped.append(Sector(s.central_projector, m, n, isometry))
+    result = AlgebraBasis(d, np.concatenate([u.reshape(-1, d, d) for u in parts]))
+    result._decompositions[tol] = SectorDecomposition(d, tuple(swapped))
+    return result
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 
-from .algebra import algebra_to_json, baire_envelope, center, close, generator_set_from_json
+from .algebra import (algebra_to_json, baire_envelope, center, close, commutant,
+                      generator_set_from_json)
 from .errors import NumericalError, ValidationError
 from .logic import join, lattice_report, lattice_report_to_json, meet
 from .numerics import DEFAULT_TOL, Tolerance, dumps, matrix_from_json
 from .scenarios import report_to_json_dict, run_scenario, scenario_from_json
-from .sectors import _generated, block_decomposition, decomposition_to_json, generated_algebra
+from .sectors import block_decomposition, decomposition_to_json, generated_algebra
 from .states import dirac_characters, evaluate, make_state, state_to_json
 
 # each algebra verb from the generators (names looked up per call): only `close` and
@@ -25,7 +26,7 @@ from .states import dirac_characters, evaluate, make_state, state_to_json
 _ALGEBRA_VERBS = {
     "close": lambda gens, tol: close(gens, tol),
     "envelope": lambda gens, tol: baire_envelope(close(gens, tol), tol),
-    "commutant": lambda gens, tol: _generated(gens, tol)[1],
+    "commutant": lambda gens, tol: commutant(generated_algebra(gens, tol), tol),
     "center": lambda gens, tol: center(generated_algebra(gens, tol), tol),
 }
 

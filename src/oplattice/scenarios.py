@@ -33,6 +33,12 @@ from .states import (LogicalState, _orthoadditivity, _random_orthogonal_families
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
+EXPECTATION_CHECKS = (
+    "algebra_dim", "envelope_equals_algebra", "commutant_dim", "center_dim", "sector_count",
+    "factor", "atomic", "hilbertian", "boolean_lattice", "distributive",
+    "orthomodular_pass_rate", "is_commutative", "sector_blocks", "character_count",
+)
+
 COMPLETENESS_NOTE = (
     "finite-dimensional projector lattices are always complete; "
     "non-complete lattices require a non-separable carrier and are "
@@ -81,6 +87,9 @@ class Scenario:
         for st in self.states:
             if st.dim != self.dim:
                 raise ValidationError("configured state dimension does not match scenario dim")
+        for exp in self.expectations:
+            if exp.check not in EXPECTATION_CHECKS:
+                raise ValidationError(f"unknown expectation check {exp.check!r}")
 
 
 def _validate_parameters(kind: str, dim: int, parameters: dict) -> dict:
@@ -292,8 +301,6 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     }
     verdicts = []
     for exp in scenario.expectations:
-        if exp.check not in actuals:
-            raise ValidationError(f"unknown expectation check {exp.check!r}")
         verdicts.append(
             {
                 "check": exp.check,

@@ -99,18 +99,19 @@ def _partial_trace(sector: Sector, a: np.ndarray) -> np.ndarray:
     return np.einsum("...jsks->...jk", c.reshape(*c.shape[:-2], n, m, n, m))
 
 
-def _commutant_defects(decomp: SectorDecomposition, mats: np.ndarray) -> np.ndarray:
-    """Per matrix x of a stack, its HS distance to the commutant of the decomposed algebra,
-    whose part of x is ``sum_i V_i (1_n (x) gamma_i) V_i*``, gamma_i the trace over n of the
-    compression ``V_i* x V_i`` divided by n: O(d^3) a matrix, not a projection on a basis."""
+def _block_part(sectors, mats: np.ndarray) -> np.ndarray:
+    """Per matrix x of a stack, ``sum_i V_i (beta_i (x) 1_m) V_i*``, beta_i its partial trace
+    over m divided by m: the HS projection of x onto the sectors' algebra, O(d^3) a matrix."""
     part = np.zeros_like(mats)
-    for s in decomp.sectors:
+    for s in sectors:
         n, m = s.block_size, s.multiplicity
-        c = (s.isometry.conj().T @ mats @ s.isometry).reshape(-1, n, m, n, m)
-        gamma = np.einsum("...jajb->...ab", c) / n
-        unit_n_gamma = np.eye(n)[:, None, :, None] * gamma[:, None, :, None, :]
-        part += s.isometry @ unit_n_gamma.reshape(-1, n * m, n * m) @ s.isometry.conj().T
-    return np.linalg.norm(mats - part, axis=(1, 2))
+        beta = _partial_trace(s, mats) / m
+        # beta (x) 1_m broadcast, as np.kron's product but without its Python set-up; a
+        # temporary, so that it is freed before the defect's own temporaries are made
+        part += s.isometry @ (
+            beta[:, :, None, :, None] * np.eye(m)[:, None, :]
+        ).reshape(-1, n * m, n * m) @ s.isometry.conj().T
+    return part
 
 
 def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -> list:
@@ -153,9 +154,9 @@ def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -
 
 def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
     """Raise unless the sectors are the algebra's: their blocks' ``n^2`` sum to its
-    dimension and every basis element is ``sum_i V_i (beta_i (x) 1_m) V_i*``, beta_i its
-    partial trace over m. The algebra then lies in the direct sum of the blocks and has
-    its dimension, so is all of it: a split or a merged sector cannot pass."""
+    dimension and every basis element is its `_block_part`. The algebra then lies in the
+    direct sum of the blocks and has its dimension, so is all of it: a split or a merged
+    sector cannot pass."""
     counts = [(s.block_size, s.multiplicity) for s in sectors]
     if sum(n * n for n, _ in counts) != alg.dim:
         raise SectorDimensionMismatch(
@@ -163,15 +164,7 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
             f"dimension {alg.dim}",
             counts=counts,
         )
-    rebuilt = np.zeros_like(alg.basis)
-    for s in sectors:
-        n, m = s.block_size, s.multiplicity
-        beta = _partial_trace(s, alg.basis) / m
-        # beta (x) 1_m broadcast, as np.kron's product but without its Python set-up; a
-        # temporary, so that it is freed before the defect's own temporaries are made
-        rebuilt += s.isometry @ (
-            beta[:, :, None, :, None] * np.eye(m)[:, None, :]
-        ).reshape(-1, n * m, n * m) @ s.isometry.conj().T
+    rebuilt = _block_part(sectors, alg.basis)
     defect = float(np.linalg.norm(alg.basis - rebuilt, axis=(1, 2)).max())
     if defect > tol.rank_tol:
         raise TensorFormDefect(
@@ -227,47 +220,30 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """The unital *-algebra the generators generate, as the commutant of their commutant C.
+    """The unital *-algebra the generators generate, as the `commutant` of their commutant C.
 
     At finite dimension that is their generated von Neumann algebra. C, solved without the
     word closure, is certified by its commutator residual (`generator_commutant`) and by its
     decomposition as a *-algebra; every generator, scaled to unit HS norm, must lie within
-    ``eq_tol`` of C's commutant, else `NumericalError` naming the dimensions. A sector
-    ``V (M_n (x) 1_m) V*`` of C is one ``V (1_n (x) M_m) V*`` of the algebra: block size m,
-    multiplicity n, the isometry's ``(n, m)`` column index transposed to ``(m, n)``, the
-    same central projector. The basis is `commutant` of C, the matrix units
-    ``V (1_n (x) E_ab) V* / sqrt(n)``, and the swapped decomposition is memoized on it
-    under ``tol``.
+    ``eq_tol`` of the result (its `_block_part` on the result's memoized sectors), else
+    `NumericalError` naming the dimensions.
     """
-    return _generated(gens, tol)[0]
-
-
-def _generated(gens: GeneratorSet, tol: Tolerance) -> tuple[AlgebraBasis, AlgebraBasis]:
-    """`generated_algebra` and the generators' commutant it is certified against."""
     d = gens.ambient_dim
     comm = generator_commutant(gens, tol)
     try:
-        cd = block_decomposition(comm, tol)
+        alg = commutant(comm, tol)
     except CenterDiagonalizationFailed as exc:
         raise NumericalError(f"the generators' commutant, of dimension {comm.dim} in M_{d}, "
                              f"is no algebra: {exc}") from exc
     mats = np.stack([g / (hs_norm(g) or 1.0) for g in gens.generators])
-    defect = float(_commutant_defects(cd, mats).max())
+    outside = mats - _block_part(block_decomposition(alg, tol).sectors, mats)
+    defect = float(np.linalg.norm(outside, axis=(1, 2)).max())
     if defect > tol.eq_tol:
-        dual = sum(s.multiplicity ** 2 for s in cd.sectors)
         raise NumericalError(
-            f"a generator lies {defect:.3e} outside the commutant (dimension {dual}) of the "
+            f"a generator lies {defect:.3e} outside the commutant (dimension {alg.dim}) of the "
             f"generators' commutant (dimension {comm.dim}) in M_{d}; the tolerances are "
             "likely degenerate", defect)
-    alg = commutant(comm, tol)
-    sectors = []
-    for s in cd.sectors:
-        n, m = s.block_size, s.multiplicity
-        isometry = s.isometry.reshape(d, n, m).swapaxes(1, 2).reshape(d, m * n)
-        isometry.setflags(write=False)
-        sectors.append(Sector(s.central_projector, m, n, isometry))
-    alg._decompositions[tol] = SectorDecomposition(d, tuple(sectors))
-    return alg, comm
+    return alg
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

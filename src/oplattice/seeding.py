@@ -155,16 +155,11 @@ def derive_seed(seed: int, stream: int, index: int) -> int:
 
 def generators(seeds) -> list[np.random.Generator]:
     """``np.random.default_rng(int(s))`` for each of the nonnegative integer `seeds`."""
-    return seeded_generators(pool_words(seeds))
-
-
-def pool_words(seeds) -> np.ndarray:
-    """The ``(n, 4)`` uint64 words `generators` seeds each `PCG64` from, in one hash."""
-    return _state((seeds,), 4)
+    return seeded_generators(_state((seeds,), 4))  # each PCG64's four words, in one hash
 
 
 def seeded_generators(words: np.ndarray) -> list[np.random.Generator]:
-    """`generators` on rows of `pool_words`, without hashing them again."""
+    """`generators` on the rows of its words ``_state((seeds,), 4)``, not hashed again."""
     pool = _pool_words_type()
     return [np.random.Generator(np.random.PCG64(pool(row))) for row in words]
 

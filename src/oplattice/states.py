@@ -23,10 +23,10 @@ from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgeb
                      NotOrthogonalFamily, NotPositive, ValidationError)
 from .logic import _complement, _ensure_projectors, _join, _leq, _random_projectors_from
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, cluster_breaks, ensure_projector,
-                       matrix_from_json, matrix_to_json, norm_at_most, operator_norm, rank_of,
-                       require_count)
-from .sectors import _partial_trace, _random_span_elements, block_decomposition
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, cluster_breaks, matrix_from_json,
+                       matrix_to_json, norm_at_most, operator_norm, rank_of, require_count)
+from .sectors import (_partial_trace, _random_span_elements, _validated_projector_in,
+                      block_decomposition)
 from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
 
 
@@ -83,9 +83,7 @@ class LogicalState:
     domain: AlgebraBasis
 
     def value(self, p, tol: Tolerance = DEFAULT_TOL) -> float:
-        pm = ensure_projector(p, tol)
-        if not contains(self.domain, pm, tol):
-            raise NotInAlgebra("projector does not lie in the logical state's domain")
+        pm = _validated_projector_in(self.domain, p, tol)
         return float(_probabilities(np.array([evaluate(self.underlying, pm)]), tol)[0])
 
 
@@ -227,25 +225,23 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
 def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no nonzero positive element of the algebra is invisible to the family.
 
-    The quadratic form ``a -> sum_i phi_i(a* a)`` on the span is encoded
-    by the Gram matrix ``G[j, l] = sum_i tr(rho_i b_j† b_l) = tr(b_j† b_l sigma)``
-    over the algebra basis, sigma the sum of the densities, built as one
-    product; the family separates exactly when G is positive definite.
+    The family separates exactly when the form ``a -> tr(a* a sigma)``, sigma the sum of the
+    densities, is positive definite on the algebra. On a sector ``a = V (beta (x) 1_m) V*`` it
+    is ``tr(beta* beta s) / m``, s the partial trace of sigma over m: its eigenvalues (the Gram
+    matrix's over any orthonormal basis) are those of ``s / m``, sector by sector.
     """
     states = list(family)
     if not states:
         return alg.dim == 0
     if any(st.dim != alg.ambient_dim for st in states):
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
-    k, d = alg.dim, alg.ambient_dim
     sigma = sum(st.density for st in states)
-    gram = alg.basis.reshape(k, d * d).conj() @ (alg.basis @ sigma).reshape(k, d * d).T
-    gram = (gram + gram.conj().T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(gram)
-    top = float(eigenvalues[-1])
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(_partial_trace(s, sigma)) / s.multiplicity
+                                  for s in block_decomposition(alg, tol).sectors])
+    top = float(eigenvalues.max())
     if top <= 0.0:
         return False
-    return float(eigenvalues[0]) > tol.rank_tol * max(1.0, top)
+    return float(eigenvalues.min()) > tol.rank_tol * max(1.0, top)
 
 
 def random_state(dim: int, seed: int) -> StateFunctional:

@@ -5,20 +5,24 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    AlgebraBasis,
     NumericalError,
     baire_envelope,
     build_sectors,
     build_weyl_finite,
     center,
     close,
+    commutant,
     generated_algebra,
     generator_commutant,
     generator_set_to_json,
     join,
+    matrix_from_json,
     matrix_to_json,
     meet,
     report_to_json,
     run_scenario,
+    same_span,
     scenario_from_json,
 )
 from oplattice.cli import main
@@ -72,9 +76,9 @@ class TestAlgebraVerbs:
 
     @pytest.mark.parametrize("verb, dim", [("commutant", 1), ("envelope", 576)])
     def test_commutant_and_envelope_of_m24_within_a_memory_bound(self, tmp_path, verb, dim):
-        # the commutant is the generators' own, the envelope is read off the decomposition of
-        # M_24; the Kronecker system of its 576 basis elements would hold 576 d^2 x d^2
-        # complex entries, ~3 GB
+        # the commutant is read off the generated algebra's sectors, the envelope off the
+        # decomposition of M_24; the Kronecker system of its 576 basis elements would hold
+        # 576 d^2 x d^2 complex entries, ~3 GB
         gens, out = tmp_path / "w24.json", tmp_path / "out.json"
         gens.write_text(json.dumps(generator_set_to_json(build_weyl_finite(24))))
         tracemalloc.start()
@@ -205,11 +209,11 @@ class TestRunVerb:
         assert first == second
 
 
-# each verb's result from the generators: `commutant` writes the generators' commutant
-# itself, `center` reads the generated algebra's, and only `close` and `envelope` close
+# each verb's result from the generators: `commutant` and `center` read the generated
+# algebra's decomposition, and only `close` and `envelope` close words
 ALGEBRA_RESULTS = {
     "close": close,
-    "commutant": generator_commutant,
+    "commutant": lambda gens: commutant(generated_algebra(gens)),
     "envelope": lambda gens: baire_envelope(close(gens)),
     "center": lambda gens: center(generated_algebra(gens)),
 }
@@ -290,6 +294,21 @@ class TestOneSerialisation:
         assert code == 0
         assert out == ""
         assert out_file.read_bytes() == want_text.encode()
+
+    @pytest.mark.parametrize("name", sorted(WRITTEN_ALGEBRAS))
+    def test_commutant_spans_the_generators_commutant(self, capsys, tmp_path, name):
+        # the matrix units of the generated algebra's sectors, not `generator_commutant`'s
+        # basis: another basis of the same span
+        gens = WRITTEN_ALGEBRAS[name]()
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(generator_set_to_json(gens)))
+        code, out, _ = run_cli(capsys, "--input", str(path), "commutant")
+        assert code == 0
+        payload = json.loads(out)
+        written = AlgebraBasis(payload["ambient_dim"],
+                               np.stack([matrix_from_json(b) for b in payload["basis"]]))
+        assert payload["dim"] == generator_commutant(gens).dim
+        assert same_span(written, generator_commutant(gens))
 
     def test_close_writes_one_compact_line(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "close")

@@ -248,20 +248,33 @@ class TestRunScenario:
             "orthomodular_pass_rate",
         }
 
-    def test_unknown_expectation_rejected(self):
+    def test_unknown_expectation_rejected(self, monkeypatch):
+        # at construction, before any stage runs
+        def never(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(scenarios_module, "generated_algebra", never)
+        with pytest.raises(ValidationError, match="unknown expectation check 'no_such_check'"):
+            Scenario(name="weyl2", kind="weyl_finite", dim=2, parameters={"modulus": 2},
+                     trials=5, seed=3, expectations=(Expectation(check="no_such_check", expect=1),))
+
+    def test_every_expectation_check_runs(self):
+        expected = {
+            "algebra_dim": 3, "envelope_equals_algebra": True, "commutant_dim": 3,
+            "center_dim": 3, "sector_count": 3, "factor": False, "atomic": True,
+            "hilbertian": False, "boolean_lattice": True, "distributive": True,
+            "orthomodular_pass_rate": 1.0, "is_commutative": True,
+            "sector_blocks": [[1, 1]] * 3, "character_count": 3,
+        }
+        assert sorted(expected) == sorted(scenarios_module.EXPECTATION_CHECKS)
         scenario = Scenario(
-            name="weyl2",
-            kind="weyl_finite",
-            dim=2,
-            parameters={"modulus": 2},
-            trials=5,
-            seed=3,
-            expectations=(Expectation(check="no_such_check", expect=1),),
+            name="points", kind="classical", dim=3, parameters={"point_count": 3}, trials=10,
+            expectations=tuple(Expectation(check=c, expect=expected[c])
+                               for c in scenarios_module.EXPECTATION_CHECKS),
         )
-        with pytest.raises(ValidationError) as excinfo:
-            run_scenario(scenario)
-        # errors bubble up tagged with the scenario that produced them
-        assert "weyl2" in str(excinfo.value)
+        verdicts = run_scenario(scenario).expectations
+        assert [v["check"] for v in verdicts] == list(scenarios_module.EXPECTATION_CHECKS)
+        assert all(v["pass"] for v in verdicts)
 
     def test_envelope_matches_closure_on_every_kind(self):
         scenarios = [
@@ -356,7 +369,9 @@ class TestGeneratedAlgebraChecks:
             name="no algebra", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
             trials=0,
         )
-        with pytest.raises(NumericalError, match="commutant, of dimension 5 in M_5, is no algebra"):
+        # errors bubble up tagged with the scenario that produced them
+        with pytest.raises(NumericalError, match="scenario 'no algebra': .*commutant, of "
+                                                 "dimension 5 in M_5, is no algebra"):
             run_scenario(scenario)
 
 

@@ -305,6 +305,25 @@ class TestDecompositionMemo:
         assert block_decomposition(alg, other) is second
         assert calls == [DEFAULT_TOL, other]
 
+    def test_the_commutant_carries_its_swapped_sectors(self, monkeypatch):
+        alg = close(rotated(build_sectors([(2, 2), (1, 3)]), seed=5))
+        own = block_decomposition(alg).sectors
+
+        def never(alg, tol):
+            raise AssertionError("decomposed again")
+
+        monkeypatch.setattr(sectors_module, "_decompose", never)
+        comm = commutant(alg)
+        swapped = block_decomposition(comm).sectors
+        assert [(s.block_size, s.multiplicity) for s in swapped] == [
+            (s.multiplicity, s.block_size) for s in own]
+        double = commutant(comm)
+        assert same_span(double, alg)
+        for s, t in zip(block_decomposition(double).sectors, own):
+            assert s.central_projector is t.central_projector
+            assert (s.block_size, s.multiplicity) == (t.block_size, t.multiplicity)
+            assert np.array_equal(s.isometry, t.isometry)
+
     def test_shared_arrays_are_read_only(self, two_blocks):
         for sector in block_decomposition(two_blocks).sectors:
             assert not sector.central_projector.flags.writeable
@@ -365,12 +384,12 @@ class TestStructureChecks:
         assert info.value.counts == (1, 2)
 
 
-class TestCommutantDefects:
-    """`_commutant_defects` is the distance to the commutant's span, read off the blocks."""
+class TestBlockPart:
+    """`_block_part` on `commutant(alg)`'s memoized sectors is the projection onto its span."""
 
     @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
                              ids=str)
-    def test_equals_the_projection_residual_onto_the_commutant(self, blocks):
+    def test_equals_the_projection_onto_the_commutant(self, blocks):
         u = haar_unitary(sum(n * m for n, m in blocks), np.random.default_rng(3))
         gens = build_sectors(blocks)
         alg = close(GeneratorSet(gens.ambient_dim,
@@ -378,12 +397,13 @@ class TestCommutantDefects:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, alg.ambient_dim, alg.ambient_dim, 2)) @ [1, 1j]
         comm = commutant(alg)
-        want = np.linalg.norm(x - project_onto(comm, x), axis=(1, 2))
-        got = sectors_module._commutant_defects(block_decomposition(alg), x)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-        assert comm.dim == alg.ambient_dim ** 2 or (want > 0.1).all()  # M_d holds every x
-        inside = sectors_module._commutant_defects(block_decomposition(alg), comm.basis)
-        assert (inside < 1e-12).all()
+        sectors = block_decomposition(comm).sectors
+        want = project_onto(comm, x)
+        assert np.allclose(sectors_module._block_part(sectors, x), want, rtol=1e-10, atol=1e-12)
+        outside = np.linalg.norm(x - want, axis=(1, 2))
+        assert comm.dim == alg.ambient_dim ** 2 or (outside > 0.1).all()  # M_d holds every x
+        inside = comm.basis - sectors_module._block_part(sectors, comm.basis)
+        assert (np.linalg.norm(inside, axis=(1, 2)) < 1e-12).all()
 
 
 # every builder at d = 4, 8, 16; the sector sets have two block sizes and multiplicities
@@ -406,15 +426,17 @@ class TestGeneratedAlgebra:
         gens = rotated(GENERATED_CASES[name](), seed)
         assert same_span(generated_algebra(gens), reference_close(gens))
 
+    @pytest.mark.parametrize("route", ["generated", "commutant-of-close"])
     @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
                              ids=str)
-    def test_memoized_sectors_are_the_decomposed_ones(self, blocks):
+    def test_memoized_sectors_are_the_decomposed_ones(self, blocks, route):
         gens = rotated(build_sectors(blocks), seed=3)
-        alg = generated_algebra(gens)
+        alg = generated_algebra(gens) if route == "generated" else commutant(close(gens))
         d = alg.ambient_dim
         flat = alg.basis.reshape(alg.dim, -1)
         assert np.allclose(flat.conj() @ flat.T, np.eye(alg.dim), atol=1e-12)
-        assert contains(alg, np.stack([np.eye(d), *gens.generators])).all()
+        members = gens.generators if route == "generated" else ()
+        assert contains(alg, np.stack([np.eye(d), *members])).all()
         seeded = list(block_decomposition(alg).sectors)
         sectors_module._certify(alg, seeded, DEFAULT_TOL)  # each element is its blocks' tensor form
         fresh = sectors_module._decompose(alg, DEFAULT_TOL).sectors

@@ -83,7 +83,7 @@ class TestGenerators:
 
     def test_rows_of_pool_words_build_the_same_generators(self):
         # a stage hashes its pool words once and builds generators for some rows at a time
-        words = seeding.pool_words(ALL_SEEDS)
+        words = seeding._state((ALL_SEEDS,), 4)
         rows = np.arange(len(ALL_SEEDS))[::-2]
         for rng, row in zip(seeding.seeded_generators(words[rows]), rows):
             assert same_generator(rng, reference_rng(ALL_SEEDS[row]))

@@ -114,3 +114,20 @@ def test_every_tolerance_field_has_a_reader():
         if isinstance(node, ast.Attribute)
     }
     assert fields and sorted(fields - read) == []
+
+
+def test_the_cli_imports_only_exported_names():
+    # the CLI is a client of the package's public API: a name it needs is exported by
+    # `oplattice/__init__.py`, never a private helper reached into from one module
+
+    def imported(name):
+        path = next(path for path in SOURCES if path.name == name)
+        return {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+
+    used = imported("cli.py")
+    assert used and sorted(used - imported("__init__.py")) == []

@@ -17,6 +17,8 @@ from oplattice import (
     NotProjector,
     Tolerance,
     baire_envelope,
+    block_decomposition,
+    build_sectors,
     build_weyl_finite,
     check_sigma_orthoadditive,
     close,
@@ -42,6 +44,7 @@ from tests.conftest import (
     KERNEL_ALGEBRAS,
     kernel_algebra,
     line_projector,
+    rotated,
     unit,
 )
 
@@ -475,8 +478,6 @@ class TestIsSeparating:
         assert is_separating(grid, full3)
 
     def test_block_algebra_has_separating_pure_family(self, two_blocks):
-        from oplattice import block_decomposition
-
         decomp = block_decomposition(two_blocks)
         family = []
         for sector in decomp.sectors:
@@ -500,14 +501,32 @@ class TestIsSeparating:
         w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
         return bool(w[-1] > 0.0 and w[0] > tol.rank_tol * max(1.0, w[-1]))
 
-    @pytest.mark.parametrize("name", ["diag3", "full2", "full3", "two_blocks"])
+    # block sizes and multiplicities above 1 (M_2 twice, C three times), also Haar-rotated
+    MULTIPLICITY_ALGEBRAS = {
+        "multiplicities": lambda: close(build_sectors([(2, 2), (1, 3)])),
+        "rotated-multiplicities": lambda: close(rotated(build_sectors([(2, 2), (1, 3)]), 4)),
+    }
+
+    @pytest.mark.parametrize("name", ["diag3", "full2", "full3", "two_blocks",
+                                      *MULTIPLICITY_ALGEBRAS])
     def test_verdict_equals_the_trace_by_trace_gram(self, request, name):
-        alg = request.getfixturevalue(name)
+        build = self.MULTIPLICITY_ALGEBRAS.get(name)
+        alg = build() if build else request.getfixturevalue(name)
         d = alg.ambient_dim
         chars = dirac_characters(alg) if name == "diag3" else []
+        sectors = block_decomposition(alg).sectors
+        # every sector weighted evenly but the one of largest multiplicity m, whose form then
+        # has the eigenvalue 2 rank_tol / m: below the cut only through the division by m
+        faint = max(sectors, key=lambda s: s.multiplicity)
+        weights = [2 * DEFAULT_TOL.rank_tol * s.block_size * (len(sectors) - 1) if s is faint
+                   else 1.0 for s in sectors]
+        rho = sum(w * s.central_projector / np.trace(s.central_projector).real
+                  for w, s in zip(weights, sectors))
         families = {
+            "a faint sector": [make_state(rho / np.trace(rho).real)] if len(sectors) > 1 else [],
             "one random state": [random_state(d, seed=3)],
             "two vector states": [vector_state(np.eye(d)[0]), vector_state(np.eye(d)[-1])],
+            "a vector of the first sector": [vector_state(sectors[0].isometry[:, 0])],
             "spanning vector states": spanning_vector_states(d),
             "first character": chars[:1],
             "all characters": chars,
@@ -517,9 +536,7 @@ class TestIsSeparating:
             verdict = is_separating(family, alg)
             assert verdict == self.loop_verdict(family, alg)
             verdicts.append(verdict)
-        assert True in verdicts
-        if name != "full2":  # on M_2 two orthogonal vector states already separate
-            assert False in verdicts
+        assert True in verdicts and False in verdicts
 
     def test_each_state_must_match_the_ambient_dimension(self, full2):
         with pytest.raises(DimensionMismatch):
