@@ -3,10 +3,10 @@
 An algebra is carried concretely as a Hilbert-Schmidt orthonormal basis
 of its span inside M_d; two results are "the same algebra" when their
 spans agree, which `same_span` tests. `close` generates the smallest
-unital *-algebra containing a set of matrices. `commutant` and `center` are read
-off the memoized block decomposition, which also certifies an algebra as its own
-`baire_envelope`, and `generator_commutant` is solved in the eigenbasis of one
-random element."""
+unital *-algebra containing a set of matrices, as their bicommutant. `commutant` and
+`center` are read off the memoized block decomposition, which also certifies an algebra
+as its own `baire_envelope`, and `generator_commutant` is read off the eigenvalue
+clusters of one random element."""
 
 from __future__ import annotations
 
@@ -30,6 +30,8 @@ from .numerics import (
     spectral_clusters,
 )
 from .seeding import STREAM_COMMUTANT, attempt_generator
+
+_ROUNDING = 64 * float(np.finfo(float).eps)  # 1.4e-14: a smaller part of a matrix unit is rounding
 
 
 @dataclass(frozen=True)
@@ -132,133 +134,112 @@ def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def close(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Smallest unital *-closed, product-closed subspace of M_d containing the generators.
+    """Smallest unital *-closed, product-closed subspace of M_d containing the generators:
+    `sectors.generated_algebra`, their bicommutant, which at finite dimension is the span of
+    their words. It depends neither on the generator ordering nor on the basis the generators
+    are written in."""
+    from .sectors import generated_algebra  # sectors builds on this module
 
-    Breadth-first over words in the generators and their adjoints: the
-    unit is adjoined first, then each round multiplies the newly found
-    directions on the left by every generator and adjoint (every word
-    ``g1 g2 ... gn`` is ``g1 (g2 ... gn)``, so after n rounds the span is
-    that of all words of length at most n). The orthonormal basis is the
-    first k rows of one preallocated ``(d^2, d^2)`` array, and the
-    directions a round adds are the rows after those of the round before.
+    return generated_algebra(gens, tol)
 
-    A round works on blocks of candidates, never more than d^2 rows each
-    (one block per chunk of the frontier): all ``g x`` of the chunk come
-    from one stacked product, frontier-major then multiplier, and are
-    normalised with one norm call. The block is projected off the span so
-    far by block classical Gram-Schmidt run twice (BCGS2), each pass two
-    BLAS products ``R -= (R B*) B``. A candidate ``g x`` counts as new only
-    if its component outside the span exceeds ``rank_tol * ||g||`` (``x``
-    has unit norm), so rounding noise in products that vanish is never
-    promoted to a direction, and only if that component exceeds
-    ``tol.rounding_floor`` of its own norm. A residual only shrinks as the
-    span grows, so candidates that fail here are dropped at once; the
-    survivors are taken in order, each projected twice more off the
-    directions its block has added before it and judged by the same rule.
-    The search ends at a round that adds nothing or at a span of d^2, all
-    of M_d, so within d^2 rounds. The span depends neither on the generator
-    ordering nor on the basis the generators are written in.
-    """
-    d = gens.ambient_dim
-    mults = np.stack([m for g in gens.generators for m in (g, g.conj().T)])
-    mult_norms = np.linalg.norm(mults, axis=(1, 2))
-    floor = tol.rounding_floor
 
-    basis = np.empty((d * d, d * d), dtype=complex)  # rows 0..k-1 hold the span
-    k = 0
+def _multiplicity_frame(w0: np.ndarray) -> np.ndarray:
+    """The inverse of the unitary polar part of m rows of the ``d x m`` copy ``w0``, picked
+    greedily: each the largest once those before it are projected out."""
+    r, rows = w0.copy(), []
+    for _ in range(w0.shape[1]):
+        rows.append(int(np.argmax(np.linalg.norm(r, axis=1))))
+        q = r[rows[-1]] / np.linalg.norm(r[rows[-1]])
+        r -= np.outer(r @ q.conj(), q)
+    u, _, vh = np.linalg.svd(w0[rows])
+    return (u @ vh).conj().T
 
-    def is_new(residual, scale, ref):
-        """The acceptance rule, elementwise over arrays: ``ref`` is the factor scale."""
-        return (residual * scale > tol.rank_tol * ref) & (residual > floor)
 
-    def extend(block: np.ndarray, refs: np.ndarray) -> None:
-        """Append the new directions among the rows of ``block`` (overwritten), in order;
-        ``refs`` holds each row's factor scale."""
-        nonlocal k
-        scales = np.linalg.norm(block, axis=1)
-        scales[scales == 0.0] = 1.0  # a zero row stays zero and fails both tests below
-        block /= scales[:, None]
-        old = basis[:k]
-        for _ in range(2):  # block classical Gram-Schmidt, re-orthogonalized once
-            block -= (block @ old.conj().T) @ old
-        residuals = np.linalg.norm(block, axis=1)
-        start = k
-        for i in np.flatnonzero(is_new(residuals, scales, refs)).tolist():
-            if k == d * d:  # all of M_d: a tiny rank_tol would otherwise accept rounding noise
-                return
-            r, residual = block[i], residuals[i]
-            if k > start:  # off the directions this block added before row i
-                added = basis[start:k]
-                for _ in range(2):
-                    r -= (added @ r.conj()).conj() @ added
-                residual = np.linalg.norm(r)
-                if not is_new(residual, scales[i], refs[i]):
-                    continue
-            basis[k] = r / residual
-            k += 1
-
-    seeds = np.concatenate([np.eye(d, dtype=complex)[None], mults]).reshape(-1, d * d)
-    extend(seeds, np.linalg.norm(seeds, axis=1))  # seeds: their own norm
-    chunk = max(1, d * d // len(mults))  # frontier rows per block of at most d^2 candidates
-    lo = 0
-    while lo < k < d * d:  # a span of d^2 is all of M_d
-        frontier, lo = range(lo, k), k  # the rows the last round added
-        for a in frontier[::chunk]:
-            if k == d * d:
-                break
-            x = basis[a:min(a + chunk, frontier.stop)].reshape(-1, 1, d, d)
-            # x has unit HS norm, so the factor scale of g x is ||g||
-            extend(np.matmul(mults, x).reshape(-1, d * d), np.tile(mult_norms, len(x)))
-    return AlgebraBasis(ambient_dim=d, basis=basis[:k].reshape(k, d, d))
+def _commutant_units(sectors) -> np.ndarray:
+    """The commutant's matrix units: a sector ``V (M_n (x) 1_m) V*`` contributes
+    ``V (1_n (x) E_ab) V* / sqrt(n)``, orthonormal as V's columns and the sectors are. Only
+    the multiplicity frame of V moves them, fixed by `_multiplicity_frame` (for m = 1 it is a
+    phase, which cancels), so a sparse V writes sparse units; parts below `_ROUNDING` are 0."""
+    d = sectors[0].isometry.shape[0]
+    units = np.empty((sum(s.multiplicity ** 2 for s in sectors), d, d), dtype=complex)
+    at = 0
+    for s in sectors:
+        n, m = s.block_size, s.multiplicity
+        w = s.isometry.reshape(d, n, m)
+        if m > 1:
+            w = w @ _multiplicity_frame(w[:, 0])
+        np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(n),
+                  out=units[at:at + m * m].reshape(m, m, d, d))
+        at += m * m
+    parts = units.view(float)
+    parts[np.abs(parts) < _ROUNDING] = 0.0
+    return units
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with ``alg``, read off its certified block decomposition: a
-    sector ``V (M_n (x) 1_m) V*`` contributes ``V (1_n (x) E_ab) V* / sqrt(n)``, orthonormal
-    as V's columns and the sectors are. That is the sector ``V (1_n (x) M_m) V*`` of the
-    result: block size m, multiplicity n, the isometry's ``(n, m)`` column index transposed
-    to ``(m, n)``, the same central projector; those sectors are memoized on the result under
-    ``tol``, so the commutant is never decomposed again."""
-    from .sectors import Sector, SectorDecomposition, block_decomposition  # sectors builds on this
+    """All of M_d commuting with ``alg``: the `_commutant_units` of its certified block
+    decomposition, whose `sectors._swapped` sectors are memoized on the result under ``tol``,
+    so the commutant is never decomposed again."""
+    from .sectors import SectorDecomposition, _swapped, block_decomposition  # builds on this
 
-    d, parts, swapped = alg.ambient_dim, [], []
-    for s in block_decomposition(alg, tol).sectors:
-        n, m = s.block_size, s.multiplicity
-        w = s.isometry.reshape(d, n, m)
-        parts.append(np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(n)))
-        isometry = w.swapaxes(1, 2).reshape(d, m * n)
-        isometry.setflags(write=False)
-        swapped.append(Sector(s.central_projector, m, n, isometry))
-    result = AlgebraBasis(d, np.concatenate([u.reshape(-1, d, d) for u in parts]))
-    result._decompositions[tol] = SectorDecomposition(d, tuple(swapped))
+    d, sectors = alg.ambient_dim, block_decomposition(alg, tol).sectors
+    result = AlgebraBasis(d, _commutant_units(sectors))
+    result._decompositions[tol] = SectorDecomposition(d, tuple(map(_swapped, sectors)))
     return result
+
+
+def _commutator_residual(basis: np.ndarray, mats: np.ndarray) -> float:
+    """The largest over ``basis`` of ``(sum_k ||x g_k - g_k x||^2)^(1/2)``."""
+    squares = np.zeros(len(basis))
+    for g in mats:
+        parts = (basis @ g - g @ basis).view(float).reshape(len(basis), -1)
+        squares += np.einsum("ki,ki->k", parts, parts)
+    return float(np.sqrt(squares.max(initial=0.0)))
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All of M_d commuting with every generator and its adjoint, without the closure.
 
     Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
-    so in h's eigenbasis v they are block diagonal on its eigenvalue clusters: with
-    ``g~ = v* g v``, unknown (a, b) of a cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a
-    commutator. That ``(2 g d^2, sum_j s_j^2)`` system's null space, rotated back by v, is
-    the result; `NumericalError` (with the residual) if its stacked commutators with the
-    unit-normed generators and adjoints exceed ``rank_tol``.
+    so in h's eigenbasis v they are block diagonal on its eigenvalue clusters. Chained along
+    the blocks of every ``g~ = v* g v`` (`sectors._chained_sectors`), the clusters give the
+    generated algebra's sectors; their swaps, certified and memoized, are the result's, and
+    their `_commutant_units` its basis. Where the chain breaks or misses, unknown (a, b) of a
+    cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a commutator, and the null space of that
+    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v, is the result. Either route must
+    commute with the unit-normed generators and adjoints within ``rank_tol``; else, or if the
+    null space is empty (a degenerate ``rank_tol``), `NumericalError` with the residual.
     """
+    from .sectors import SectorStructureError, _certify, _chained_sectors, _settled, _swapped
+
     d = gens.ambient_dim
     mats = np.stack([m / (hs_norm(g) or 1.0) for g in gens.generators for m in (g, g.conj().T)])
     c = attempt_generator(STREAM_COMMUTANT, 0).standard_normal((2, len(gens.generators)))
     h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
     v, clusters = spectral_clusters(h + h.conj().T, tol)
+    g = v.conj().T @ mats @ v  # g~ for every g and g*
+    try:
+        sectors = _chained_sectors(v, clusters, g, 1.0, tol)
+        result = AlgebraBasis(d, _commutant_units(sectors))
+        if _commutator_residual(result.basis, mats) <= tol.rank_tol:
+            swapped = [_swapped(s) for s in sectors]
+            _certify(result, swapped, tol)
+            result._decompositions[tol] = _settled(d, swapped, tol)
+            return result
+    except SectorStructureError:
+        pass
     rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])
-    g, e = v.conj().T @ mats @ v, np.eye(d)  # g~ for every g and g*
+    e = np.eye(d)
     # entry (k, x, y, unknown (a, b)) of the system: g~_k[x, a] e[y, b] - e[x, a] g~_k[b, y]
     system = g[:, :, None, rows] * e[:, cols] - e[:, None, rows] * g[:, None, cols].swapaxes(2, 3)
     kernel = null_space(system.reshape(-1, rows.size), tol)
+    if kernel.shape[1] == 0:  # the identity always commutes
+        raise NumericalError(f"the generators' commutant is empty under rank_tol {tol.rank_tol}, "
+                             "a degenerate rank tolerance")
     x = np.zeros((kernel.shape[1], d, d), dtype=complex)
     x[:, rows, cols] = kernel.T
     basis = v @ x @ v.conj().T
-    defects = (basis[:, None] @ mats - mats @ basis[:, None]).reshape(len(basis), -1)
-    residual = float(np.linalg.norm(defects, axis=1).max(initial=0.0))
+    residual = _commutator_residual(basis, mats)
     if residual > tol.rank_tol:
         raise NumericalError(f"the generators' commutant misses by {residual:.3e}", residual)
     return AlgebraBasis(ambient_dim=d, basis=basis)

@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebra import (algebra_to_json, baire_envelope, center, close, commutant,
-                      generator_set_from_json)
+from .algebra import algebra_to_json, baire_envelope, center, commutant, generator_set_from_json
 from .errors import NumericalError, ValidationError
 from .logic import join, lattice_report, lattice_report_to_json, meet
 from .numerics import DEFAULT_TOL, Tolerance, dumps, matrix_from_json
@@ -21,11 +20,10 @@ from .scenarios import report_to_json_dict, run_scenario, scenario_from_json
 from .sectors import block_decomposition, decomposition_to_json, generated_algebra
 from .states import dirac_characters, evaluate, make_state, state_to_json
 
-# each algebra verb from the generators (names looked up per call): only `close` and
-# `envelope` close words
+# each algebra verb from the generators' bicommutant (names looked up per call)
 _ALGEBRA_VERBS = {
-    "close": lambda gens, tol: close(gens, tol),
-    "envelope": lambda gens, tol: baire_envelope(close(gens, tol), tol),
+    "close": lambda gens, tol: generated_algebra(gens, tol),
+    "envelope": lambda gens, tol: baire_envelope(generated_algebra(gens, tol), tol),
     "commutant": lambda gens, tol: commutant(generated_algebra(gens, tol), tol),
     "center": lambda gens, tol: center(generated_algebra(gens, tol), tol),
 }

@@ -1,16 +1,14 @@
 """Superselection sectors of a closed matrix algebra.
 
-A unital *-closed algebra inside M_d splits along the minimal projectors
-of its center into blocks, each unitarily equivalent to ``M_n (x) 1_m``
-(a full matrix factor of size n acting with multiplicity m). This module
-reads that block structure, and with it the center, off one generic
-pair of algebra elements and certifies it against the whole basis. It
-classifies factors and computes the integer-valued dimension function
-on projector equivalence classes
-(two projectors are equivalent when a partial isometry inside the
-algebra maps one range onto the other; in each block the complete
-invariant is the reduced rank). `generated_algebra` reads the algebra a set of
-matrices generates off the decomposition of their commutant, with no word closure.
+A unital *-closed algebra inside M_d splits along the minimal projectors of its center into
+blocks, each unitarily equivalent to ``M_n (x) 1_m`` (a full matrix factor of size n acting
+with multiplicity m). This module reads that block structure, and with it the center, off
+one generic pair of algebra elements and certifies it against the whole basis. It classifies
+factors and computes the integer-valued dimension function on projector equivalence classes
+(two projectors are equivalent when a partial isometry inside the algebra maps one range onto
+the other; in each block the complete invariant is the reduced rank). `generated_algebra`
+reads the algebra a set of matrices generates off the sectors of their commutant, which
+`generator_commutant` chains from the eigenvalue clusters of one combination of them.
 
 Only type I structure exists at finite dimension; algebras without
 minimal projectors (types II and III) have no matrix realization.
@@ -114,42 +112,85 @@ def _block_part(sectors, mats: np.ndarray) -> np.ndarray:
     return part
 
 
+def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, scale: float,
+                     tol: Tolerance) -> list:
+    """The sectors the eigenvalue clusters of a self-adjoint h exhibit, uncertified.
+
+    Two clusters are linked when the block between them of some matrix of ``gv`` (compressed
+    to h's eigenbasis v) exceeds ``rank_tol * scale``. Each linked class, walked breadth-first
+    from its first cluster, is a sector: its n clusters of size m, each frame carried over
+    from its parent's by the strongest block's unitary polar part (Murota, Kanno, Kojima and
+    Kojima, JJIAM 2010). `SectorStructureError` if linked clusters differ in size or a tree
+    edge's block is rank deficient.
+    """
+    starts = [start for start, _ in clusters]
+    weight = np.add.reduceat(np.add.reduceat(np.abs(gv) ** 2, starts, axis=1), starts, axis=2)
+    strongest = np.argmax(weight, axis=0)  # per (child, parent): the matrix to carry by
+    linked = np.sqrt(weight.max(axis=0)) > tol.rank_tol * scale
+    linked |= linked.T
+    unseen = np.ones(len(clusters), dtype=bool)
+    sectors = []
+    for root in range(len(clusters)):
+        if not unseen[root]:
+            continue
+        unseen[root] = False
+        order, edges = [root], []
+        for a in order:  # breadth-first: `order` grows while it is walked
+            for b in np.flatnonzero(linked[a] & unseen).tolist():
+                unseen[b] = False
+                order.append(b)
+                edges.append((a, b))
+        sizes = [clusters[i][1] - clusters[i][0] for i in sorted(order)]
+        if len(set(sizes)) != 1:
+            raise SectorStructureError(f"linked eigenvalue clusters of sizes {sizes} are not "
+                                       "copies of one block", counts=sizes)
+        m = sizes[0]
+        frames = {root: np.eye(m)}
+        if edges:
+            uu, ss, vv = np.linalg.svd(np.stack([
+                gv[strongest[b, a], slice(*clusters[b]), slice(*clusters[a])] for a, b in edges]))
+            if (singular_rank(ss, tol) < m).any():
+                raise SectorStructureError(
+                    "a block between linked clusters is rank deficient", residual=ss.min())
+            for (a, b), polar in zip(edges, uu @ vv):
+                frames[b] = polar @ frames[a]
+        isometry = np.hstack([v[:, slice(*clusters[i])] @ frames[i] for i in sorted(order)])
+        sectors.append(Sector(range_projector(isometry), len(order), m, isometry))
+    return sectors
+
+
 def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -> list:
     """The sectors one generic pair of span elements exhibits, uncertified.
 
-    The eigenvalue clusters of a generic self-adjoint h are the minimal
-    projectors of the blocks, m columns each. Two clusters c_a, c_b lie
-    in one sector exactly when ``c_a* g c_b`` is nonzero for a generic g,
-    and the polar parts of the compressions ``c_j* g c_0`` align each
-    cluster's multiplicity space with that of the sector's first cluster
-    (for j = 0 it is a phase).
+    The eigenvalue clusters of a generic self-adjoint h are the minimal projectors of the
+    blocks, m columns each, and a generic g links every two clusters of one sector
+    (`_chained_sectors`).
     """
     h = _random_span_elements(alg.basis, [rng], hermitian=True)[0]
     g = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
     v, clusters = spectral_clusters(h, tol)
-    gv = v.conj().T @ g @ v
-    starts = [start for start, _ in clusters]
-    weight = np.add.reduceat(np.add.reduceat(np.abs(gv) ** 2, starts, axis=0), starts, axis=1)
-    linked = (np.sqrt(weight) > tol.rank_tol * hs_norm(g)) | np.eye(len(clusters), dtype=bool)
-    sector_of = np.argmax(linked, axis=0)  # the first cluster each one is linked to
-    sectors = []
-    for first in sorted(set(sector_of.tolist())):
-        members = [clusters[i] for i in np.flatnonzero(sector_of == first)]
-        sizes = [stop - start for start, stop in members]
-        if len(set(sizes)) != 1:
-            raise SectorStructureError(
-                f"linked eigenvalue clusters of sizes {sizes} are not copies of one block",
-                counts=sizes,
-            )
-        s0, e0 = members[0]
-        uu, ss, vv = np.linalg.svd(np.stack([gv[a:b, s0:e0] for a, b in members]))
-        if (singular_rank(ss, tol) < sizes[0]).any():
-            raise SectorStructureError(
-                "a compression between linked clusters is rank deficient", residual=ss.min()
-            )
-        isometry = np.hstack([v[:, a:b] @ (u @ w) for (a, b), u, w in zip(members, uu, vv)])
-        sectors.append(Sector(range_projector(isometry), len(members), sizes[0], isometry))
-    return sectors
+    return _chained_sectors(v, clusters, (v.conj().T @ g @ v)[None], hs_norm(g), tol)
+
+
+def _swapped(sector: Sector) -> Sector:
+    """The commutant's sector ``V (1_n (x) M_m) V*`` of ``V (M_n (x) 1_m) V*``: the isometry's
+    ``(n, m)`` column index transposed, the same central projector."""
+    n, m = sector.block_size, sector.multiplicity
+    isometry = sector.isometry.reshape(-1, n, m).swapaxes(1, 2).reshape(-1, m * n)
+    isometry.setflags(write=False)
+    return Sector(sector.central_projector, m, n, isometry)
+
+
+def _settled(ambient_dim: int, sectors: list, tol: Tolerance) -> SectorDecomposition:
+    """Certified sectors as a decomposition: arrays read-only, sectors sorted by their central
+    projectors z, compared row by row (each row's real parts, then its imaginary parts; on
+    the ``rank_tol`` grid, larger first)."""
+    for s in sectors:
+        s.central_projector.setflags(write=False)
+        s.isometry.setflags(write=False)
+    return SectorDecomposition(ambient_dim, tuple(sorted(sectors, key=lambda s: tuple(
+        np.round(np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
+                 / -tol.rank_tol)))))
 
 
 def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
@@ -159,18 +200,13 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
     sector cannot pass."""
     counts = [(s.block_size, s.multiplicity) for s in sectors]
     if sum(n * n for n, _ in counts) != alg.dim:
-        raise SectorDimensionMismatch(
-            f"sector blocks (size, multiplicity) {counts} do not span the algebra's "
-            f"dimension {alg.dim}",
-            counts=counts,
-        )
+        raise SectorDimensionMismatch(f"sector blocks (size, multiplicity) {counts} do not "
+                                      f"span the algebra's dimension {alg.dim}", counts=counts)
     rebuilt = _block_part(sectors, alg.basis)
     defect = float(np.linalg.norm(alg.basis - rebuilt, axis=(1, 2)).max())
     if defect > tol.rank_tol:
-        raise TensorFormDefect(
-            f"the algebra deviates from its blocks' tensor form by {defect:.3e}",
-            residual=defect,
-        )
+        raise TensorFormDefect(f"the algebra deviates from its blocks' tensor form by "
+                               f"{defect:.3e}", residual=defect)
 
 
 def block_decomposition(
@@ -178,19 +214,14 @@ def block_decomposition(
 ) -> SectorDecomposition:
     """Full block structure of a closed algebra, computed once per tolerance.
 
-    One generic pair of algebra elements exhibits the blocks
-    (`_read_sectors`; Murota, Kanno, Kojima and Kojima, JJIAM 2010), and
-    one stacked check of the whole basis certifies them (`_certify`). A
-    non-generic draw fails the check and is redrawn, up to
-    ``_MAX_ATTEMPTS`` times, after which `CenterDiagonalizationFailed`
-    is raised from the last failure. Sectors are sorted by their central
-    projectors z, compared row by row (each row's real parts, then its
-    imaginary parts; on the ``rank_tol`` grid, larger first): the algebra
-    fixes that order, its basis and rounding do not, and the sector
-    holding e_0 comes first (for `build_sectors`, the block order). The
-    result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
-    read-only, so every structural query on the same algebra shares one
-    decomposition.
+    One generic pair of algebra elements exhibits the blocks (`_read_sectors`), and one
+    stacked check of the whole basis certifies them (`_certify`). A non-generic draw fails
+    the check and is redrawn, up to ``_MAX_ATTEMPTS`` times, after which
+    `CenterDiagonalizationFailed` is raised from the last failure. Sectors come in
+    `_settled`'s order of their central projectors: the algebra fixes that order, its basis
+    and rounding do not, and the sector holding e_0 comes first (for `build_sectors`, the
+    block order). The result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
+    read-only, so every structural query on the same algebra shares one decomposition.
     """
     memo = alg._decompositions
     if tol not in memo:
@@ -206,13 +237,7 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
         except SectorStructureError as exc:
             failure = exc
             continue
-        for s in sectors:
-            s.central_projector.setflags(write=False)
-            s.isometry.setflags(write=False)
-        sectors.sort(key=lambda s: tuple(
-            np.round(np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
-                     / -tol.rank_tol)))
-        return SectorDecomposition(ambient_dim=alg.ambient_dim, sectors=tuple(sectors))
+        return _settled(alg.ambient_dim, sectors, tol)
     raise CenterDiagonalizationFailed(
         f"no generic element of {_MAX_ATTEMPTS} draws exhibited the block structure; the "
         f"rank tolerance {tol.rank_tol} is likely degenerate (last draw: {failure})"

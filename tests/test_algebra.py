@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oplattice import (
+    DEFAULT_TOL,
     AlgebraBasis,
     CenterDiagonalizationFailed,
     DimensionMismatch,
@@ -20,6 +21,7 @@ from oplattice import (
     close,
     commutant,
     contains,
+    generated_algebra,
     generator_commutant,
     generator_set_from_json,
     generator_set_to_json,
@@ -30,10 +32,12 @@ from oplattice import (
     same_span,
 )
 from oplattice import algebra as algebra_module
+from oplattice import sectors as sectors_module
 from tests.conftest import (
     haar_unitary,
     reference_close,
     reference_commutant,
+    rotated,
     two_orthogonal_real_lines,
     unit,
 )
@@ -122,20 +126,15 @@ class TestClose:
         b = close(GeneratorSet(ambient_dim=3, generators=gens[::-1]))
         assert same_span(a, b)
 
-    def test_tiny_rank_tol_stops_at_m_d(self):
-        # rounding noise passes a 1e-300 cutoff; the search still ends at d^2 directions
-        assert close(build_weyl_finite(3), Tolerance(rank_tol=1e-300)).dim == 9
-
     @pytest.mark.parametrize(
-        "gens, dim",
-        [(build_sectors([(2, 1), (1, 2)]), 5), (build_weyl_finite(3), 9), (build_weyl_finite(4), 16)],
+        "gens",
+        [build_sectors([(2, 1), (1, 2)]), build_weyl_finite(3), build_weyl_finite(4)],
         ids=["sectors-2+1x2", "weyl-3", "weyl-4"],
     )
-    def test_tiny_rank_tol_accepts_no_rounding_noise(self, gens, dim):
-        alg = close(gens, Tolerance(rank_tol=1e-300))
-        assert alg.dim == dim
-        flat = alg.basis.reshape(alg.dim, -1)
-        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(alg.dim))) <= 1e-12
+    def test_a_degenerate_rank_tol_is_a_numerical_error(self, gens):
+        # under a 1e-300 cutoff rounding noise counts: no commutator vanishes that closely
+        with pytest.raises(NumericalError, match="1e-300"):
+            close(gens, Tolerance(rank_tol=1e-300))
 
     def test_dimension_never_exceeds_ambient_square(self, full4, diag8, two_blocks):
         for alg in (full4, diag8, two_blocks):
@@ -209,7 +208,7 @@ def assert_matches_reference(gens):
 
 
 class TestCloseMatchesReference:
-    """`close` (BLAS Gram-Schmidt on a preallocated basis) against the plain loop."""
+    """`close`, the bicommutant, against the span of the words (`reference_close`)."""
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
     @pytest.mark.parametrize("kind", ["none", *ROTATIONS])
@@ -226,24 +225,20 @@ class TestCloseMatchesReference:
     def test_classical_16(self):
         assert assert_matches_reference(build_classical(16)).dim == 16
 
-    def test_full_m12_fills_the_preallocated_basis(self):
+    def test_full_m12(self):
         assert assert_matches_reference(build_weyl_finite(12)).dim == 144
 
-    def test_a_round_of_more_candidates_than_one_block_holds(self):
-        # weyl 5's third round: 8 new words times 4 multipliers, 32 candidates against blocks
-        # of at most d^2 = 25 rows, so the round runs as two blocks
+    def test_weyl_5(self):
         assert assert_matches_reference(build_weyl_finite(5)).dim == 25
 
-    def test_more_multipliers_than_one_block_holds(self):
-        # three Pauli matrices and their adjoints: 6 candidates per frontier row, d^2 = 4
+    def test_three_pauli_generators(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         y = np.array([[0, -1j], [1j, 0]])
         z = np.diag([1.0, -1.0]).astype(complex)
         assert assert_matches_reference(GeneratorSet(2, (x, y, z))).dim == 4
 
-    def test_duplicates_inside_one_block(self):
-        # ZX = w XZ: both words come up in the second round, whose 5 x 4 candidates are one
-        # block of at most 64 rows
+    def test_words_equal_up_to_a_phase(self):
+        # ZX = w XZ: two words of length two span one direction
         x, z = build_weyl_finite(8).generators
         assert operator_norm(z @ x - np.exp(2j * np.pi / 8) * x @ z) <= 1e-12
         assert assert_matches_reference(build_weyl_finite(8)).dim == 64
@@ -301,7 +296,64 @@ class TestCommutantMatchesReference:
         assert_orthonormal(env)
 
 
-class TestGeneratorCommutantCertificate:
+def star(d):
+    """The units ``E_1j``: h is ``e_1 x* + x e_1*``, its zero cluster (d - 2)-fold and linked to
+    both others by 1 x (d - 2) blocks, so the clusters cannot be chained."""
+    return GeneratorSet(d, tuple(unit(d, 0, j) for j in range(1, d)))
+
+
+def counted(monkeypatch, targets) -> dict:
+    """Count the calls of each ``(module, name)`` in ``targets``, by name."""
+    calls = {}
+    for module, name in targets:
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def wrapper(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+CHAINED = {
+    **BUILDERS,
+    "weyl-16": lambda: build_weyl_finite(16),
+    "classical-32": lambda: build_classical(32),
+    "sectors-2x16": lambda: build_sectors([(2, 16)]),
+    "sectors-1x8": lambda: build_sectors([(1, 8)]),
+}
+
+
+class TestGeneratorCommutantRoutes:
+    """The chain of h's clusters solves no system and decomposes nothing; inputs it cannot
+    walk take the system, which is certified by the same commutator residual."""
+
+    @pytest.mark.parametrize("rotation", [None, 1, 2])
+    @pytest.mark.parametrize("name", CHAINED)
+    def test_chainable_inputs_solve_no_system(self, monkeypatch, name, rotation):
+        gens = CHAINED[name]()
+        if rotation is not None:
+            u = haar_unitary(gens.ambient_dim, np.random.default_rng(rotation))
+            gens = conjugated_generators(gens, u)
+        calls = counted(monkeypatch, [(algebra_module, "null_space"),
+                                      (sectors_module, "_decompose")])
+        alg = generated_algebra(gens)
+        assert calls == {"null_space": 0, "_decompose": 0}
+        assert alg.dim == close(CHAINED[name]()).dim
+        assert_orthonormal(alg)
+
+    def test_star_generators_take_the_system(self, monkeypatch):
+        gens = star(5)
+        calls = counted(monkeypatch, [(algebra_module, "null_space")])
+        alg = generated_algebra(gens)
+        assert calls == {"null_space": 1}
+        assert alg.dim == 25
+        assert same_span(alg, reference_close(gens))
+        assert same_span(generator_commutant(gens), reference_commutant(
+            [m for g in gens.generators for m in (g, g.conj().T)], 5))
+
     def test_a_corrupted_kernel_raises_with_its_residual(self, monkeypatch):
         def corrupted(m, tol):
             kernel = np.zeros((m.shape[1], 1), dtype=complex)
@@ -310,8 +362,40 @@ class TestGeneratorCommutantCertificate:
 
         monkeypatch.setattr(algebra_module, "null_space", corrupted)
         with pytest.raises(NumericalError, match="commutant misses by") as got:
-            generator_commutant(build_sectors([(2, 2)]))
+            generator_commutant(star(5))
         assert got.value.residual > 0.1
+
+    def test_the_chained_commutant_carries_its_sectors(self, monkeypatch):
+        comm = generator_commutant(rotated(build_sectors([(2, 2), (1, 3)]), seed=5))
+        calls = counted(monkeypatch, [(sectors_module, "_decompose")])
+        carried = block_decomposition(comm)
+        assert calls == {"_decompose": 0}
+        assert sorted((s.block_size, s.multiplicity) for s in carried.sectors) == [(2, 2), (3, 1)]
+        sectors_module._certify(comm, list(carried.sectors), DEFAULT_TOL)
+        fresh = sectors_module._decompose(AlgebraBasis(comm.ambient_dim, comm.basis), DEFAULT_TOL)
+        for s, f in zip(carried.sectors, fresh.sectors):  # the order `_decompose` gives
+            assert (s.block_size, s.multiplicity) == (f.block_size, f.multiplicity)
+            assert np.allclose(s.central_projector, f.central_projector, atol=1e-12)
+
+
+class TestCanonicalUnits:
+    """`commutant` writes matrix units in a frame fixed by the sectors, with exact zeros."""
+
+    @pytest.mark.parametrize("blocks", [[(3, 1), (2, 2)], [(2, 3), (1, 2)], [(1, 4)]], ids=str)
+    def test_coordinate_sectors_give_coordinate_units(self, blocks):
+        gens = build_sectors(blocks)
+        comm = commutant(close(gens))
+        # multiplicity frames of coordinate copies become their identity: every unit is a
+        # sum of coordinate units E_xy with entries 0 or 1/sqrt(n), written exactly
+        assert np.count_nonzero(comm.basis) == sum(n * m * m for n, m in blocks)
+        assert set(np.round(np.abs(comm.basis[comm.basis != 0]) ** -2, 9)) <= {
+            float(n) for n, _ in blocks}
+        assert same_span(comm, reference_commutant(gens.generators, gens.ambient_dim))
+
+    def test_a_full_factor_writes_zeros_off_the_identity(self):
+        comm = commutant(close(build_weyl_finite(16)))
+        assert comm.dim == 1
+        assert np.count_nonzero(comm.basis) == 16
 
 
 class TestSameSpan:

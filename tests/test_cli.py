@@ -8,14 +8,17 @@ from oplattice import (
     AlgebraBasis,
     NumericalError,
     baire_envelope,
+    build_classical,
     build_sectors,
     build_weyl_finite,
     center,
     close,
     commutant,
+    contains,
     generated_algebra,
     generator_commutant,
     generator_set_to_json,
+    is_commutative,
     join,
     matrix_from_json,
     matrix_to_json,
@@ -59,10 +62,37 @@ class TestAlgebraVerbs:
         assert payload["ambient_dim"] == 3
         assert "span dimension 9" in err
 
-    def test_close_under_a_tiny_rank_tol(self, capsys, gens3_file):
-        code, out, _ = run_cli(capsys, "--tol-rank", "1e-300", "--input", gens3_file, "close")
-        assert code == 0
-        assert json.loads(out)["dim"] == 9
+    @pytest.mark.parametrize(
+        "verb", ["close", "envelope", "commutant", "center", "sectors", "characters", "report"])
+    def test_a_degenerate_rank_tol_is_a_numerical_failure(self, capsys, gens3_file, verb):
+        # rounding noise passes a 1e-300 cutoff, so no commutator vanishes that closely
+        code, out, err = run_cli(capsys, "--tol-rank", "1e-300", "--input", gens3_file, verb)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "1e-300" in err
+        assert "Traceback" not in err
+
+    def test_a_degenerate_rank_tol_fails_a_run(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "w3", "kind": "weyl_finite", "dim": 3,
+                                    "parameters": {"modulus": 3}, "trials": 2}))
+        code, out, err = run_cli(capsys, "--tol-rank", "1e-300", "--input", str(path), "run")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "1e-300" in err
+
+    @pytest.mark.parametrize("verb, d", [("envelope", 32), ("close", 40)])
+    def test_rotated_classical_closes_to_its_points(self, capsys, tmp_path, verb, d):
+        gens = rotated(build_classical(d), seed=0)
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(generator_set_to_json(gens)))
+        code, out, err = run_cli(capsys, "--input", str(path), verb)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["ambient_dim"], payload["dim"]) == (d, d)
+        written = AlgebraBasis(d, np.stack([matrix_from_json(b) for b in payload["basis"]]))
+        assert is_commutative(written)
+        assert contains(written, np.stack(gens.generators)).all()
 
     def test_commutant(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "commutant")
@@ -209,8 +239,7 @@ class TestRunVerb:
         assert first == second
 
 
-# each verb's result from the generators: `commutant` and `center` read the generated
-# algebra's decomposition, and only `close` and `envelope` close words
+# each verb's result from the generators: all of them read the generated algebra
 ALGEBRA_RESULTS = {
     "close": close,
     "commutant": lambda gens: commutant(generated_algebra(gens)),
@@ -423,7 +452,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise NumericalError("no convergence", residual=1.0)
 
-        monkeypatch.setattr("oplattice.cli.close", explode)
+        monkeypatch.setattr("oplattice.cli.generated_algebra", explode)
         code, _, err = run_cli(capsys, "--input", gens3_file, "close")
         assert code == 2
         assert "numerical failure" in err

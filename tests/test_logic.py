@@ -46,6 +46,7 @@ from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
     NON_SQUARE,
+    MEET_MAX_ITER,
     IterationFailed,
     kernel_algebra,
     line_projector,
@@ -109,7 +110,7 @@ class TestMeetIterative:
     def test_tiny_principal_angle_fails_loudly(self):
         p = line_projector(0.0)
         q = line_projector(1e-3)
-        with pytest.raises(IterationFailed, match="did not converge within 10000 iterations"):
+        with pytest.raises(IterationFailed, match=f"did not converge within {MEET_MAX_ITER} it"):
             meet_iterative(p, q)
 
 

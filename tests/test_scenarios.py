@@ -21,12 +21,14 @@ from oplattice import (
     center,
     close,
     commutant,
+    generator_commutant,
     is_commutative,
     is_factor,
     matrix_to_json,
     operator_norm,
     report_to_json,
     run_scenario,
+    same_span,
     scenario_from_json,
     scenario_to_json,
 )
@@ -39,7 +41,7 @@ from oplattice import seeding as seeding_module
 from oplattice import states as states_module
 from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
                                derive_seed)
-from tests.conftest import rotated, two_orthogonal_real_lines, unit
+from tests.conftest import reference_commutant, rotated, two_orthogonal_real_lines, unit
 
 
 class TestBuildClassical:
@@ -539,8 +541,9 @@ class TestOneFamilyPass:
 
 
 class TestCallBudget:
-    """One run makes one decomposition, one family draw, one orthoadditivity check and one
-    lattice draw, and a fixed number of seed hashes whatever the trials."""
+    """One run makes no decomposition (the generated algebra carries its sectors), one family
+    draw, one orthoadditivity check and one lattice draw, and a fixed number of seed hashes
+    whatever the trials."""
 
     @staticmethod
     def counted(monkeypatch, module, name) -> list:
@@ -577,15 +580,25 @@ class TestCallBudget:
                 ]]
                 state_calls = self.counted(m, seeding_module, "_state")
                 run_scenario(run)
-            assert [len(c) for c in calls] == [1, 1, 1, 0, 1, 1]
+            assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1]
             hashes.append(len(state_calls))
         assert hashes[0] == hashes[1]
 
 
+# sector sets of the sweep: block size 2s at multiplicities 2 and 1 and s at 2, a doubled
+# qubit of multiplicity d/2 (h has two clusters of size d/2), and the scalars (one of size d)
+SWEEP_BLOCKS = {
+    "sectors": lambda d: [[d // 4, 2], [d // 8, 2], [d // 4, 1]],
+    "doubled": lambda d: [[2, d // 2]],
+    "scalars": lambda d: [[1, d]],
+}
+
+
 def _sweep_scenario(kind, d):
-    s = d // 8
-    parameters = {"classical": {"point_count": d}, "weyl_finite": {"modulus": d},
-                  "sectors": {"blocks": [[2 * s, 2], [s, 2], [2 * s, 1]]}}[kind]
+    if kind in SWEEP_BLOCKS:
+        return Scenario(name=kind, kind="sectors", dim=d, trials=0,
+                        parameters={"blocks": SWEEP_BLOCKS[kind](d)})
+    parameters = {"classical": {"point_count": d}, "weyl_finite": {"modulus": d}}[kind]
     return Scenario(name=kind, kind=kind, dim=d, parameters=parameters, trials=0)
 
 
@@ -603,15 +616,23 @@ def _unrotated_structure(kind, d):
 class TestRotationToleranceSweep:
     """The structure a scenario reports depends neither on the basis the generators are
     written in nor on the rank cutoff: two Haar rotations and four `rank_tol` per builder
-    (the sector set has block size 2s at multiplicities 2 and 1, and s at 2)."""
+    and `SWEEP_BLOCKS` sector set."""
 
     @pytest.mark.parametrize("rank_tol", [1e-6, 1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("d", [8, 16, 24, 32])
-    @pytest.mark.parametrize("kind", ["classical", "weyl_finite", "sectors"])
+    @pytest.mark.parametrize("kind", ["classical", "weyl_finite", *SWEEP_BLOCKS])
     def test_rotated_structure_equals_the_unrotated_default(self, kind, d, seed, rank_tol):
         gens = rotated(scenarios_module.build_generators(_sweep_scenario(kind, d)), seed)
         scenario = Scenario(name="rotated", kind="custom", dim=d, trials=0, parameters={
             "generators": [matrix_to_json(g) for g in gens.generators]})
         report = run_scenario(scenario, Tolerance(rank_tol=rank_tol))
         assert _structure(report) == _unrotated_structure(kind, d)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("kind", [*SWEEP_BLOCKS])
+    def test_rotated_commutant_equals_the_kronecker_reference(self, kind, d, seed):
+        gens = rotated(scenarios_module.build_generators(_sweep_scenario(kind, d)), seed)
+        mats = [m for g in gens.generators for m in (g, g.conj().T)]
+        assert same_span(generator_commutant(gens), reference_commutant(mats, d))

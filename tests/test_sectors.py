@@ -54,6 +54,13 @@ def doubled_m2():
     return close(GeneratorSet(ambient_dim=4, generators=tuple(gens)))
 
 
+def undecomposed(gens):
+    """The generated algebra's span as a fresh `AlgebraBasis` that carries no memoized
+    sectors, so that `block_decomposition` runs `_decompose` on it."""
+    alg = close(gens)
+    return AlgebraBasis(alg.ambient_dim, alg.basis)
+
+
 def orthogonal_projector_pair(alg, seed):
     p = random_projector(alg, seed)
     q = meet(random_projector(alg, seed + 7919), orthocomplement(p))
@@ -289,7 +296,7 @@ class TestDecompositionMemo:
             return real_decompose(alg, tol)
 
         monkeypatch.setattr(sectors_module, "_decompose", counting_decompose)
-        alg = close(build_sectors([(2, 1), (1, 2)]))
+        alg = undecomposed(build_sectors([(2, 1), (1, 2)]))
         first = block_decomposition(alg)
         assert not is_factor(alg)
         z = first.sectors[0].central_projector
@@ -341,7 +348,7 @@ class TestStructureChecks:
             lambda alg, rng, tol: [sectors_module.Sector(np.eye(4), 2, 2, wrong)],
         )
         with pytest.raises(CenterDiagonalizationFailed) as info:
-            block_decomposition(close(build_sectors([(2, 2)])))
+            block_decomposition(undecomposed(build_sectors([(2, 2)])))
         defect = info.value.__cause__
         assert isinstance(defect, TensorFormDefect) and isinstance(defect, NumericalError)
         assert defect.residual > 1e-8
@@ -352,7 +359,7 @@ class TestStructureChecks:
             sectors_module, "_read_sectors", lambda alg, rng, tol: real(alg, rng, tol)[:1]
         )
         with pytest.raises(CenterDiagonalizationFailed) as info:
-            block_decomposition(close(build_sectors([(2, 1), (1, 1)])))
+            block_decomposition(undecomposed(build_sectors([(2, 1), (1, 1)])))
         assert isinstance(info.value.__cause__, SectorDimensionMismatch)
         assert info.value.__cause__.counts in ([(2, 1)], [(1, 1)])
 
@@ -370,7 +377,7 @@ class TestStructureChecks:
             return out
 
         monkeypatch.setattr(sectors_module, "_read_sectors", split)
-        alg = close(build_sectors(blocks))
+        alg = undecomposed(build_sectors(blocks))
         with pytest.raises(CenterDiagonalizationFailed) as info:
             block_decomposition(alg)
         assert isinstance(info.value.__cause__, SectorStructureError)

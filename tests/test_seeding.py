@@ -10,7 +10,7 @@ from oplattice import (
     scenario_from_json,
     state_to_json,
 )
-from oplattice import logic, scenarios, sectors, seeding, states
+from oplattice import algebra, logic, scenarios, sectors, seeding, states
 from oplattice.seeding import attempt_generator, derive_seed, derive_seeds, generators
 from tests.conftest import reference_derive_seed, reference_rng
 
@@ -150,7 +150,7 @@ def _reference_kernels(monkeypatch) -> list:
 
     replacements = {"derive_seeds": ref_derive_seeds, "generators": ref_generators,
                     "attempt_generator": ref_attempt_generator}
-    for module in (logic, scenarios, sectors, seeding, states):
+    for module in (algebra, logic, scenarios, sectors, seeding, states):
         for name, fn in replacements.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fn)
