@@ -381,21 +381,19 @@ class TestGeneratorCommutantRoutes:
 class TestCanonicalUnits:
     """`commutant` writes matrix units in a frame fixed by the sectors, with exact zeros."""
 
-    @pytest.mark.parametrize("blocks", [[(3, 1), (2, 2)], [(2, 3), (1, 2)], [(1, 4)]], ids=str)
+    @pytest.mark.parametrize("blocks", [[(3, 1), (2, 2)], [(2, 3), (1, 2)], [(1, 4)], [(16, 1)]],
+                             ids=str)
     def test_coordinate_sectors_give_coordinate_units(self, blocks):
+        # frames of coordinate blocks become their identity, so a unit of M_n (x) 1_m is m
+        # entries 1/sqrt(m) and one of 1_n (x) M_m is n entries 1/sqrt(n), written exactly
         gens = build_sectors(blocks)
-        comm = commutant(close(gens))
-        # multiplicity frames of coordinate copies become their identity: every unit is a
-        # sum of coordinate units E_xy with entries 0 or 1/sqrt(n), written exactly
-        assert np.count_nonzero(comm.basis) == sum(n * m * m for n, m in blocks)
-        assert set(np.round(np.abs(comm.basis[comm.basis != 0]) ** -2, 9)) <= {
-            float(n) for n, _ in blocks}
+        alg = close(gens)
+        comm = commutant(alg)
+        for x, count, sizes in [(alg, sum(n * n * m for n, m in blocks), {m for _, m in blocks}),
+                                (comm, sum(n * m * m for n, m in blocks), {n for n, _ in blocks})]:
+            assert np.count_nonzero(x.basis) == count
+            assert set(np.round(np.abs(x.basis[x.basis != 0]) ** -2, 9)) <= set(map(float, sizes))
         assert same_span(comm, reference_commutant(gens.generators, gens.ambient_dim))
-
-    def test_a_full_factor_writes_zeros_off_the_identity(self):
-        comm = commutant(close(build_weyl_finite(16)))
-        assert comm.dim == 1
-        assert np.count_nonzero(comm.basis) == 16
 
 
 class TestSameSpan:
