@@ -21,6 +21,7 @@ from .numerics import (
     _as_operators,
     as_matrix,
     hs_norm,
+    hs_unit,
     is_int,
     matrix_from_json,
     matrix_to_json,
@@ -59,38 +60,51 @@ class GeneratorSet:
         object.__setattr__(self, "generators", tuple(checked))
 
 
-@dataclass(frozen=True)
 class AlgebraBasis:
     """Hilbert-Schmidt orthonormal basis of a unital *-closed subspace of M_d.
 
     `basis` is a read-only array of shape (k, d, d). The span is closed
     under products and adjoints and contains the identity; `close` and
     `commutant` only ever construct bases with these properties, and the
-    test suite verifies them as invariants.
+    test suite verifies them as invariants. A basis passed in is validated
+    and copied; a commutant (`_commuting_with`) holds the sectors it came
+    from, builds `basis` on first read and reads `dim` off those sectors.
 
-    `_decompositions` memoizes `sectors.block_decomposition` per
-    `Tolerance`; the basis is immutable, so its structure never changes.
+    `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance`
+    (the span is immutable); `_defects` holds per `Tolerance` the unit-normed
+    generators' HS distance to the commutant, where `generator_commutant` took it.
     """
 
-    ambient_dim: int
-    basis: np.ndarray = field(repr=False)
-    _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 3 or b.shape[1:] != (self.ambient_dim, self.ambient_dim):
-            raise DimensionMismatch(
-                f"basis stack of shape {b.shape} does not match ambient dimension "
-                f"{self.ambient_dim}"
-            )
-        b = b.copy()
+    def __init__(self, ambient_dim: int, basis):
+        b = np.array(basis, dtype=complex, order="C")  # a copy
+        if b.ndim != 3 or b.shape[1:] != (ambient_dim, ambient_dim):
+            raise DimensionMismatch(f"basis stack of shape {b.shape} does not match ambient "
+                                    f"dimension {ambient_dim}")
         b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        self.ambient_dim, self._basis, self._decompositions, self._defects = ambient_dim, b, {}, {}
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:  # the units, built once, read-only and not copied
+            self._basis = _commutant_units(self._sectors)
+            self._basis.setflags(write=False)
+        return self._basis
 
     @property
     def dim(self) -> int:
         """Linear dimension of the span."""
-        return int(self.basis.shape[0])
+        if self._basis is None:
+            return sum(s.multiplicity ** 2 for s in self._sectors)
+        return int(self._basis.shape[0])
+
+
+def _commuting_with(sectors, tol: Tolerance, decomposition, defect=None) -> AlgebraBasis:
+    """The commutant of the algebra with ``sectors``, its basis unbuilt, with its own
+    ``decomposition`` (and the generators' defect, if given) memoized under ``tol``."""
+    alg = object.__new__(AlgebraBasis)
+    alg.ambient_dim, alg._basis, alg._sectors = sectors[0].isometry.shape[0], None, tuple(sectors)
+    alg._decompositions, alg._defects = {tol: decomposition}, {tol: defect}  # None: not taken
+    return alg
 
 
 def project_onto(alg: AlgebraBasis, m) -> np.ndarray:
@@ -178,14 +192,12 @@ def _commutant_units(sectors) -> np.ndarray:
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All of M_d commuting with ``alg``: the `_commutant_units` of its certified block
-    decomposition, whose `sectors._swapped` sectors are memoized on the result under ``tol``,
-    so the commutant is never decomposed again."""
+    decomposition, built on first read, with their `sectors._swapped` sectors memoized under
+    ``tol``, so the commutant is never decomposed again."""
     from .sectors import SectorDecomposition, _swapped, block_decomposition  # builds on this
 
     d, sectors = alg.ambient_dim, block_decomposition(alg, tol).sectors
-    result = AlgebraBasis(d, _commutant_units(sectors))
-    result._decompositions[tol] = SectorDecomposition(d, tuple(map(_swapped, sectors)))
-    return result
+    return _commuting_with(sectors, tol, SectorDecomposition(d, tuple(map(_swapped, sectors))))
 
 
 def _commutator_residual(basis: np.ndarray, mats: np.ndarray) -> float:
@@ -203,29 +215,30 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
     Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
     so in h's eigenbasis v they are block diagonal on its eigenvalue clusters. Chained along
     the blocks of every ``g~ = v* g v`` (`sectors._chained_sectors`), the clusters give the
-    generated algebra's sectors; their swaps, certified and memoized, are the result's, and
-    their `_commutant_units` its basis. Where the chain breaks or misses, unknown (a, b) of a
+    generated algebra's sectors, whose commutant (`_commuting_with`) is the result. Their
+    frames must be orthonormal (``||U* U - 1||``, U the isometries side by side) and every
+    unit-normed generator and adjoint must lie in their algebra (`sectors._outside`), within
+    ``rank_tol``. Where the chain breaks or misses, unknown (a, b) of a
     cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a commutator, and the null space of that
-    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v, is the result. Either route must
-    commute with the unit-normed generators and adjoints within ``rank_tol``; else, or if the
-    null space is empty (a degenerate ``rank_tol``), `NumericalError` with the residual.
+    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v, is the result. It must commute with
+    the unit-normed generators and adjoints within ``rank_tol``; else, or if the null space
+    is empty (a degenerate ``rank_tol``), `NumericalError` with the residual.
     """
-    from .sectors import SectorStructureError, _certify, _chained_sectors, _settled, _swapped
+    from .sectors import SectorStructureError, _chained_sectors, _outside, _settled, _swapped
 
     d = gens.ambient_dim
-    mats = np.stack([m / (hs_norm(g) or 1.0) for g in gens.generators for m in (g, g.conj().T)])
+    mats = np.stack([m / s for a, s in map(hs_unit, gens.generators) for m in (a, a.conj().T)])
     c = attempt_generator(STREAM_COMMUTANT, 0).standard_normal((2, len(gens.generators)))
     h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
     v, clusters = spectral_clusters(h + h.conj().T, tol)
     g = v.conj().T @ mats @ v  # g~ for every g and g*
     try:
         sectors = _chained_sectors(v, clusters, g, 1.0, tol)
-        result = AlgebraBasis(d, _commutant_units(sectors))
-        if _commutator_residual(result.basis, mats) <= tol.rank_tol:
-            swapped = [_swapped(s) for s in sectors]
-            _certify(result, swapped, tol)
-            result._decompositions[tol] = _settled(d, swapped, tol)
-            return result
+        u = np.hstack([s.isometry for s in sectors])
+        defect = _outside(sectors, mats)
+        if max(hs_norm(u.conj().T @ u - np.eye(d)), defect) <= tol.rank_tol:
+            return _commuting_with(sectors, tol, _settled(d, list(map(_swapped, sectors)), tol),
+                                   defect)
     except SectorStructureError:
         pass
     rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])

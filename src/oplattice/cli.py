@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     text = dumps(payload)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)  # the text, then the newline: no copy of the text
     else:
         print(text)
     print(summary, file=sys.stderr)

@@ -120,6 +120,17 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def hs_unit(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(a, s)`` with ``a / s`` the matrix g at unit HS norm (s = 1 for a zero g): ``(g,
+    ||g||)``, unless that norm over- or underflowed; then a is g over its largest part."""
+    with np.errstate(over="ignore"):
+        s = hs_norm(g)
+    if not _TINY <= s < np.inf and g.any():  # no normal float: rescaled, the norm lies in [1, 2d]
+        g = g / max(np.abs(g.real).max(), np.abs(g.imag).max())
+        s = hs_norm(g)
+    return g, s or 1.0
+
+
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a self-adjoint matrix.
 
@@ -255,36 +266,46 @@ def matrix_to_json(m) -> list:
 def dumps(payload) -> str:
     """The one JSON text writer: the bytes of ``json.dumps(payload)``, an ndarray value of a
     payload dict (string keys) written as its `matrix_to_json` list, but without building those
-    lists (their garbage collection cost more than their numbers) and, in a mostly-zero array,
-    formatting each distinct ``(re, im)`` bit pattern once."""
+    lists (their garbage collection cost more than their numbers), as pieces joined once."""
     if not (isinstance(payload, dict) and any(isinstance(v, np.ndarray) for v in payload.values())):
         return json.dumps(payload)  # compact, so CPython's C encoder writes it
-    return "{" + ", ".join(
-        f"{json.dumps(k)}: {_array_text(v) if isinstance(v, np.ndarray) else json.dumps(v)}"
-        for k, v in payload.items()
-    ) + "}"
+    pieces = []
+    for k, v in payload.items():
+        pieces += [", " if pieces else "{", json.dumps(k), ": "]
+        pieces += _array_text(v) if isinstance(v, np.ndarray) else [json.dumps(v)]
+    pieces.append("}")
+    return "".join(pieces)
 
 
-def _array_text(m) -> str:
-    """``json.dumps(matrix_to_json(m))``: json formats the numbers, a template nests them."""
+def _array_text(m) -> list:
+    """``json.dumps(matrix_to_json(m))`` as pieces to join: a text per row (along the last
+    axis), one shared by all-zero rows, between the brackets and commas that nest them. The
+    other rows fill one ``%`` template with numbers json formats (it spells NaN and Infinity
+    its own way), each distinct ``(re, im)`` bit pattern once where most of them are zero."""
     a = np.asarray(m, dtype=complex)
-    values, codes = a.ravel(), None  # contiguous, row-major
-    # sorting pays where patterns repeat; on a dense basis it would add ~15 % and save nothing
-    if 2 * np.count_nonzero(values) < values.size:
-        bits = values.view(np.uint64).reshape(-1, 2)
-        nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])  # so -0.0 is a pattern of its own
-        distinct, inverse = np.unique(values[nonzero].view("V16"), return_inverse=True)
-        codes = np.zeros(values.size, dtype=np.intp)
-        codes[nonzero] = inverse + 1
-        values = np.concatenate([[0j], distinct.view(complex)])
-    # json, not repr, so that NaN and Infinity are spelled as json spells them
-    texts = json.dumps(values.view(float).tolist())[1:-1].split(", ") if values.size else []
-    if codes is not None:
-        texts = np.array(texts, dtype=object).reshape(-1, 2)[codes].ravel().tolist()
-    template = "[%s, %s]"
-    for n in reversed(a.shape):
-        template = "[" + ", ".join([template] * n) + "]"
-    return template % tuple(texts)
+    if a.ndim < 2 or a.size == 0:
+        return [json.dumps(matrix_to_json(a))]
+    rows = np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+    row = "[" + ", ".join(["[%s, %s]"] * a.shape[-1]) + "]"  # every row's template
+    depth, pieces = a.ndim - 1, np.empty(2 * len(rows) + 1, dtype=object)
+    pieces[0], pieces[-1] = "[" * depth, "]" * depth
+    pieces[1::2] = row % (("0.0",) * 2 * a.shape[-1])  # one text, shared
+    # row i + 1 closes and opens a bracket per axis it starts anew: a matrix, a stack of them...
+    closes = sum(np.arange(1, len(rows)) % n == 0 for n in np.cumprod(a.shape[-2:0:-1]))
+    pieces[2:-1:2] = np.array(["]" * t + ", " + "[" * t for t in range(depth)], object)[closes]
+    live = np.flatnonzero(rows.view(np.uint64).any(axis=1))  # so -0.0 is not zero
+    if live.size:
+        values, codes = rows[live].ravel(), None
+        # sorting pays where patterns repeat; on a dense basis it would add ~15 % and save nothing
+        if 2 * np.count_nonzero(values) < values.size:
+            nonzero = np.flatnonzero(values.view(np.uint64).reshape(-1, 2).any(axis=1))
+            distinct, inverse = np.unique(values[nonzero].view("V16"), return_inverse=True)
+            codes = np.zeros(values.size, dtype=np.intp)
+            codes[nonzero], values = inverse + 1, np.concatenate([[0j], distinct.view(complex)])
+        numbers = np.array(json.dumps(values.view(float).tolist())[1:-1].split(", "), object)
+        numbers = numbers if codes is None else numbers.reshape(-1, 2)[codes]
+        pieces[1 + 2 * live] = [row % tuple(r) for r in numbers.reshape(live.size, -1).tolist()]
+    return pieces.tolist()
 
 
 def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True) -> np.ndarray:

@@ -35,6 +35,7 @@ from .numerics import (
     Tolerance,
     ensure_projector,
     hs_norm,
+    hs_unit,
     matrix_to_json,
     range_projector,
     singular_rank,
@@ -110,6 +111,11 @@ def _block_part(sectors, mats: np.ndarray) -> np.ndarray:
             beta[:, :, None, :, None] * np.eye(m)[:, None, :]
         ).reshape(-1, n * m, n * m) @ s.isometry.conj().T
     return part
+
+
+def _outside(sectors, mats: np.ndarray) -> float:
+    """The largest HS distance of a matrix of the stack to the sectors' algebra."""
+    return float(np.linalg.norm(mats - _block_part(sectors, mats), axis=(1, 2)).max())
 
 
 def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, scale: float,
@@ -202,8 +208,7 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
     if sum(n * n for n, _ in counts) != alg.dim:
         raise SectorDimensionMismatch(f"sector blocks (size, multiplicity) {counts} do not "
                                       f"span the algebra's dimension {alg.dim}", counts=counts)
-    rebuilt = _block_part(sectors, alg.basis)
-    defect = float(np.linalg.norm(alg.basis - rebuilt, axis=(1, 2)).max())
+    defect = _outside(sectors, alg.basis)
     if defect > tol.rank_tol:
         raise TensorFormDefect(f"the algebra deviates from its blocks' tensor form by "
                                f"{defect:.3e}", residual=defect)
@@ -248,10 +253,9 @@ def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Algeb
     """The unital *-algebra the generators generate, as the `commutant` of their commutant C.
 
     At finite dimension that is their generated von Neumann algebra. C, solved without the
-    word closure, is certified by its commutator residual (`generator_commutant`) and by its
-    decomposition as a *-algebra; every generator, scaled to unit HS norm, must lie within
-    ``eq_tol`` of the result (its `_block_part` on the result's memoized sectors), else
-    `NumericalError` naming the dimensions.
+    word closure, is certified by `generator_commutant` (and, without sectors, decomposed as
+    a *-algebra); every generator, scaled to unit HS norm, must lie within ``eq_tol`` of the
+    result (`_outside` its sectors, as the chain route measured), else `NumericalError`.
     """
     d = gens.ambient_dim
     comm = generator_commutant(gens, tol)
@@ -260,9 +264,10 @@ def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Algeb
     except CenterDiagonalizationFailed as exc:
         raise NumericalError(f"the generators' commutant, of dimension {comm.dim} in M_{d}, "
                              f"is no algebra: {exc}") from exc
-    mats = np.stack([g / (hs_norm(g) or 1.0) for g in gens.generators])
-    outside = mats - _block_part(block_decomposition(alg, tol).sectors, mats)
-    defect = float(np.linalg.norm(outside, axis=(1, 2)).max())
+    defect = comm._defects.get(tol)
+    if defect is None:
+        defect = _outside(block_decomposition(alg, tol).sectors,
+                          np.stack([a / s for a, s in map(hs_unit, gens.generators)]))
     if defect > tol.eq_tol:
         raise NumericalError(
             f"a generator lies {defect:.3e} outside the commutant (dimension {alg.dim}) of the "

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +30,13 @@ from oplattice import (
     is_commutative,
     lattice_report,
     operator_norm,
+    run_scenario,
     same_span,
+    scenario_from_json,
 )
 from oplattice import algebra as algebra_module
 from oplattice import sectors as sectors_module
+from oplattice.numerics import hs_norm, hs_unit, range_projector
 from tests.conftest import (
     haar_unitary,
     reference_close,
@@ -255,6 +259,7 @@ class TestCloseMatchesReference:
         tracemalloc.start()
         try:
             alg = close(gens)
+            alg.basis  # built on first read: inside the bound too
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,6 +359,42 @@ class TestGeneratorCommutantRoutes:
         assert same_span(generator_commutant(gens), reference_commutant(
             [m for g in gens.generators for m in (g, g.conj().T)], 5))
 
+    def chained_then(self, monkeypatch, change):
+        """Count `null_space` calls with `_chained_sectors` returning ``change(sectors)``."""
+        chained = sectors_module._chained_sectors
+        monkeypatch.setattr(sectors_module, "_chained_sectors",
+                            lambda *args: change(chained(*args)))
+        return counted(monkeypatch, [(algebra_module, "null_space")])
+
+    def test_a_perturbed_frame_takes_the_system(self, monkeypatch):
+        # E_11 vanishes on the 2-dimensional sector, so its scaled frame keeps every generator
+        # at its block part: only the frame's orthonormality can catch it
+        gens = GeneratorSet(3, (unit(3, 0, 0),))
+        calls = self.chained_then(monkeypatch, lambda sectors: [
+            sectors_module.Sector(s.central_projector, s.block_size, s.multiplicity,
+                                  s.isometry * (1 + 1e-6 * (s.multiplicity == 2)))
+            for s in sectors])
+        comm = generator_commutant(gens)
+        assert calls == {"null_space": 1}
+        assert comm.dim == 5
+        assert same_span(comm, reference_commutant(gens.generators, 3))
+        assert_orthonormal(comm)
+
+    def test_a_dropped_link_takes_the_system(self, monkeypatch):
+        # weyl 3's one sector, split after its first cluster: an orthonormal frame whose
+        # algebra misses the generators
+        def split(sectors):
+            (s,) = sectors
+            return [sectors_module.Sector(range_projector(v), v.shape[1], 1, v)
+                    for v in (s.isometry[:, :1], s.isometry[:, 1:])]
+
+        gens = build_weyl_finite(3)
+        calls = self.chained_then(monkeypatch, split)
+        comm = generator_commutant(gens)
+        assert calls == {"null_space": 1}
+        assert comm.dim == 1
+        assert same_span(comm, reference_commutant(gens.generators, 3))
+
     def test_a_corrupted_kernel_raises_with_its_residual(self, monkeypatch):
         def corrupted(m, tol):
             kernel = np.zeros((m.shape[1], 1), dtype=complex)
@@ -376,6 +417,77 @@ class TestGeneratorCommutantRoutes:
         for s, f in zip(carried.sectors, fresh.sectors):  # the order `_decompose` gives
             assert (s.block_size, s.multiplicity) == (f.block_size, f.multiplicity)
             assert np.allclose(s.central_projector, f.central_projector, atol=1e-12)
+
+
+class TestLazyBasis:
+    """An algebra read off sectors builds its basis on first read, once; a zero-trial scenario
+    never reads one, and the chain route certifies C without its units."""
+
+    @pytest.mark.parametrize("kind, dim, parameters, algebra_dim", [
+        ("classical", 8, {"point_count": 8}, 8),
+        ("classical", 32, {"point_count": 32}, 32),
+        ("weyl_finite", 16, {"modulus": 16}, 256),
+        ("weyl_finite", 32, {"modulus": 32}, 1024),
+        ("sectors", 7, {"blocks": [[2, 2], [1, 3]]}, 5),
+        ("sectors", 32, {"blocks": [[2, 16]]}, 4),
+        ("sectors", 32, {"blocks": [[1, 32]]}, 1),
+    ], ids=["classical-8", "classical-32", "weyl-16", "weyl-32", "sectors-7", "sectors-2x16",
+            "sectors-1x32"])
+    def test_a_zero_trial_scenario_builds_no_basis(self, monkeypatch, kind, dim, parameters,
+                                                   algebra_dim):
+        calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
+                                      (algebra_module, "_commutator_residual")])
+        scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim,
+                                       "parameters": parameters, "trials": 0, "seed": 1})
+        assert run_scenario(scenario).algebra_dim == algebra_dim
+        assert calls == {"_commutant_units": 0, "_commutator_residual": 0}
+
+    def test_dim_is_read_off_the_sectors_and_the_basis_built_once(self, monkeypatch):
+        alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
+        calls = counted(monkeypatch, [(algebra_module, "_commutant_units")])
+        sectors = block_decomposition(alg).sectors
+        assert alg.dim == sum(s.block_size ** 2 for s in sectors) == 14
+        assert calls == {"_commutant_units": 0}
+        basis = alg.basis
+        assert basis is alg.basis and not basis.flags.writeable
+        assert calls == {"_commutant_units": 1}
+        assert basis.shape == (14, 11, 11) and alg.dim == 14
+        assert_orthonormal(alg)
+
+    def test_a_given_basis_is_validated_and_copied(self):
+        given = np.eye(2, dtype=complex)[None] / np.sqrt(2)
+        alg = AlgebraBasis(2, given)
+        given[0, 0, 0] = 5.0
+        assert alg.basis[0, 0, 0] == 1 / np.sqrt(2) and not alg.basis.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            AlgebraBasis(3, given)
+
+    def test_the_chain_route_measures_the_generator_defect_once(self, monkeypatch):
+        gens = build_weyl_finite(6)
+        calls = counted(monkeypatch, [(sectors_module, "_outside")])
+        generated_algebra(gens)
+        assert calls == {"_outside": 1}
+
+
+class TestExtremeScales:
+    """Unit-norming survives a Hilbert-Schmidt norm that over- or underflows."""
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e154, 1e300])
+    def test_scaled_generators_generate_m2(self, s):
+        inputs = [s * np.array([[1, 1], [0, 2]], dtype=complex)]
+        if s > 1:
+            inputs.append(np.array([[s, s], [0, 1]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in inputs:
+                assert generated_algebra(GeneratorSet(2, (g,))).dim == 4
+
+    def test_normal_norms_keep_their_bits(self):
+        g = build_weyl_finite(5).generators[0] * 3.7
+        a, s = hs_unit(g)
+        assert a is g and s == hs_norm(g)
+        a, s = hs_unit(np.zeros((2, 2), dtype=complex))
+        assert s == 1.0 and not a.any()
 
 
 class TestCanonicalUnits:

@@ -6,6 +6,7 @@ import pytest
 
 from oplattice import (
     AlgebraBasis,
+    GeneratorSet,
     NumericalError,
     baire_envelope,
     build_classical,
@@ -28,6 +29,7 @@ from oplattice import (
     same_span,
     scenario_from_json,
 )
+from oplattice import algebra as algebra_module
 from oplattice.cli import main
 from tests.conftest import haar_unitary, rotated
 
@@ -93,6 +95,26 @@ class TestAlgebraVerbs:
         written = AlgebraBasis(d, np.stack([matrix_from_json(b) for b in payload["basis"]]))
         assert is_commutative(written)
         assert contains(written, np.stack(gens.generators)).all()
+
+    @pytest.mark.parametrize("verb", ["close", "envelope", "commutant"])
+    def test_an_algebra_verb_builds_one_basis(self, capsys, monkeypatch, tmp_path, verb):
+        # the generators' commutant is certified from its sectors; only the written basis is built
+        units, built = algebra_module._commutant_units, []
+        monkeypatch.setattr(algebra_module, "_commutant_units",
+                            lambda sectors: built.append(1) or units(sectors))
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(generator_set_to_json(build_sectors([(2, 2), (3, 1)]))))
+        code, out, err = run_cli(capsys, "--input", str(path), verb)
+        assert code == 0, err
+        assert len(built) == 1 and len(json.loads(out)["basis"]) == json.loads(out)["dim"]
+
+    def test_generators_at_1e300_close_to_m2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        gens = GeneratorSet(2, (np.array([[1e300, 1e300], [0, 1]], dtype=complex),))
+        path.write_text(json.dumps(generator_set_to_json(gens)))
+        code, out, err = run_cli(capsys, "--input", str(path), "close")
+        assert code == 0, err
+        assert json.loads(out)["dim"] == 4
 
     def test_commutant(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "commutant")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from oplattice import (
     operator_norm,
     rank_of,
 )
-from oplattice.numerics import dumps, norm_at_most
+from oplattice import build_weyl_finite, close, meet
+from oplattice.numerics import _array_text, dumps, norm_at_most
+from tests.conftest import haar_unitary
 
 
 def random_matrix(rng, d):
@@ -414,3 +417,51 @@ class TestDumps:
     )
     def test_a_payload_without_a_top_level_array_is_json_dumps(self, payload):
         assert dumps(payload) == json.dumps(payload)
+
+
+def meet_of_two_planes():
+    rng = np.random.default_rng(8)
+    p, q = (v @ np.linalg.pinv(v) for v in (rng.standard_normal((4, 2)) for _ in range(2)))
+    return meet(p, q)
+
+
+def negative_zero_rows(part):
+    a = np.zeros((2, 3, 3), dtype=complex)
+    a.view(float).reshape(2, 3, 3, 2)[1, 2, 0, part] = -0.0  # one row's only nonzero bit
+    a[0, 1, 1] = 1.0
+    return a
+
+
+class TestArrayText:
+    """`_array_text` on the edge cases of its row sharing and pattern formatting."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros((3, 4, 4)),
+        lambda: negative_zero_rows(0),
+        lambda: negative_zero_rows(1),
+        meet_of_two_planes,
+        lambda: np.array([[2.5 - 1j]]),
+        lambda: np.zeros((1, 1)),
+        lambda: np.tensordot(close(build_weyl_finite(4)).basis,
+                             haar_unitary(4, np.random.default_rng(2)), axes=(2, 0)),
+        lambda: np.array([[5e-324, 1e300 - 2e-310j, 0], [0, 0, 0], [0, -1e300, 2.2e-308]]),
+    ], ids=["all-zero", "negative-zero-real", "negative-zero-imaginary", "meet-2d", "1x1",
+            "1x1-zero", "dense-rotated-basis", "subnormal-and-1e300"])
+    def test_writes_the_bytes_of_json_dumps(self, make):
+        a = make()
+        assert "".join(_array_text(a)) == json.dumps(matrix_to_json(a))
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_a_negative_zero_row_does_not_share_the_zero_text(self, part):
+        text = "".join(_array_text(negative_zero_rows(part)))
+        assert ("[-0.0, 0.0]", "[0.0, -0.0]")[part] in text
+
+    def test_peak_memory_is_near_the_text_length(self):
+        payload = {"basis": close(build_weyl_finite(32)).basis}  # canonical units, built here
+        tracemalloc.start()
+        try:
+            text = dumps(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(text)

@@ -102,6 +102,18 @@ def test_scenarios_never_close_words():
     assert found == []
 
 
+def test_scenarios_never_read_a_basis():
+    # every scenario stage reads the sectors; an algebra builds its basis only when read, so a
+    # stage that read one would pay for a (k, d, d) array no report holds
+    scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(scenarios.read_text(), filename=str(scenarios)))
+        if isinstance(node, ast.Attribute) and node.attr == "basis"
+    ]
+    assert found == []
+
+
 def test_every_tolerance_field_has_a_reader():
     # a threshold that nothing reads is a knob with no effect: each field of `Tolerance` is
     # read as an attribute (`.<field>`) in some module other than `numerics`, its home
