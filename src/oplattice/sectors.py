@@ -194,9 +194,9 @@ def _settled(ambient_dim: int, sectors: list, tol: Tolerance) -> SectorDecomposi
     for s in sectors:
         s.central_projector.setflags(write=False)
         s.isometry.setflags(write=False)
-    return SectorDecomposition(ambient_dim, tuple(sorted(sectors, key=lambda s: tuple(
-        np.round(np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
-                 / -tol.rank_tol)))))
+    return SectorDecomposition(ambient_dim, tuple(sorted(sectors, key=lambda s: np.round(
+        np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
+        / -tol.rank_tol).tolist())))  # Python floats: NumPy scalars compare ~10x slower
 
 
 def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
