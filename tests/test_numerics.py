@@ -420,7 +420,7 @@ class TestDumps:
 
 
 def meet_of_two_planes():
-    # two random planes of C^3 meet in a line: a dense rank-1 projector
+    # two random real planes of C^3 meet in a line: a dense rank-1 projector
     rng = np.random.default_rng(8)
     p, q = (v @ np.linalg.pinv(v) for v in (rng.standard_normal((3, 2)) for _ in range(2)))
     return meet(p, q)
