@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError, ValidationError
+from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NumericalError,
+                     SectorStructureError, ValidationError)
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -72,15 +73,14 @@ class AlgebraBasis:
 
     `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance`
     (the span is immutable); `_defects` holds per `Tolerance` the unit-normed
-    generators' HS distance to the commutant, where `generator_commutant` took it.
+    generators' HS distance to the commutant, on `generator_commutant`'s results.
     """
 
     def __init__(self, ambient_dim: int, basis):
-        b = np.array(basis, dtype=complex, order="C")  # a copy
+        b = _as_operators(basis)  # a read-only copy, its entries finite
         if b.ndim != 3 or b.shape[1:] != (ambient_dim, ambient_dim):
             raise DimensionMismatch(f"basis stack of shape {b.shape} does not match ambient "
                                     f"dimension {ambient_dim}")
-        b.setflags(write=False)
         self.ambient_dim, self._basis, self._decompositions, self._defects = ambient_dim, b, {}, {}
 
     @property
@@ -200,31 +200,36 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     return _commuting_with(sectors, tol, SectorDecomposition(d, tuple(map(_swapped, sectors))))
 
 
-def _commutator_residual(basis: np.ndarray, mats: np.ndarray) -> float:
-    """The largest over ``basis`` of ``(sum_k ||x g_k - g_k x||^2)^(1/2)``."""
-    squares = np.zeros(len(basis))
-    for g in mats:
-        parts = (basis @ g - g @ basis).view(float).reshape(len(basis), -1)
-        squares += np.einsum("ki,ki->k", parts, parts)
-    return float(np.sqrt(squares.max(initial=0.0)))
+def _solved_commutant(v: np.ndarray, clusters: list, g: np.ndarray, tol: Tolerance) -> AlgebraBasis:
+    """All of M_d commuting with the stack ``g`` (of ``g~``, in h's eigenbasis v): unknown (a, b)
+    of a cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a commutator; the null space of that
+    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v. `NumericalError` if it is empty."""
+    rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])
+    e = np.eye(len(v))
+    # entry (k, x, y, unknown (a, b)) of the system: g~_k[x, a] e[y, b] - e[x, a] g~_k[b, y]
+    system = g[:, :, None, rows] * e[:, cols] - e[:, None, rows] * g[:, None, cols].swapaxes(2, 3)
+    kernel = null_space(system.reshape(-1, rows.size), tol)
+    if kernel.shape[1] == 0:  # the identity always commutes
+        raise NumericalError(f"the generators' commutant is empty under rank_tol {tol.rank_tol}, "
+                             "a degenerate rank tolerance")
+    x = np.zeros((kernel.shape[1], *e.shape), dtype=complex)
+    x[:, rows, cols] = kernel.T
+    return AlgebraBasis(len(v), v @ x @ v.conj().T)
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All of M_d commuting with every generator and its adjoint, without the closure.
 
     Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
-    so in h's eigenbasis v they are block diagonal on its eigenvalue clusters. Chained along
-    the blocks of every ``g~ = v* g v`` (`sectors._chained_sectors`), the clusters give the
-    generated algebra's sectors, whose commutant (`_commuting_with`) is the result. Their
-    frames must be orthonormal (``||U* U - 1||``, U the isometries side by side) and every
-    unit-normed generator and adjoint must lie in their algebra (`sectors._outside`), within
-    ``rank_tol``. Where the chain breaks or misses, unknown (a, b) of a
-    cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a commutator, and the null space of that
-    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v, is the result. It must commute with
-    the unit-normed generators and adjoints within ``rank_tol``; else, or if the null space
-    is empty (a degenerate ``rank_tol``), `NumericalError` with the residual.
+    so in h's eigenbasis v they are block diagonal on its clusters. These give the generated
+    algebra's sectors, chained along the blocks of every ``g~ = v* g v`` in frames that must be
+    orthonormal (`sectors._chained_sectors`, ``||U* U - 1|| <= rank_tol``), or else swapped from
+    the decomposed solution C (`_solved_commutant`). Every unit-normed generator and adjoint
+    must lie within ``rank_tol`` of their algebra (`sectors._outside`); the result is their
+    commutant (`_commuting_with`). A chain that misses takes the system; a C that is no
+    algebra or misses raises `NumericalError` with the residual.
     """
-    from .sectors import SectorStructureError, _chained_sectors, _outside, _settled, _swapped
+    from .sectors import _chained_sectors, _outside, _settled, _swapped, block_decomposition
 
     d = gens.ambient_dim
     mats = np.stack([m / s for a, s in map(hs_unit, gens.generators) for m in (a, a.conj().T)])
@@ -236,26 +241,25 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
         sectors = _chained_sectors(v, clusters, g, 1.0, tol)
         u = np.hstack([s.isometry for s in sectors])
         defect = _outside(sectors, mats)
-        if max(hs_norm(u.conj().T @ u - np.eye(d)), defect) <= tol.rank_tol:
-            return _commuting_with(sectors, tol, _settled(d, list(map(_swapped, sectors)), tol),
-                                   defect)
+        chained = hs_norm(u.conj().T @ u - np.eye(d)) <= tol.rank_tol and defect <= tol.rank_tol
     except SectorStructureError:
-        pass
-    rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])
-    e = np.eye(d)
-    # entry (k, x, y, unknown (a, b)) of the system: g~_k[x, a] e[y, b] - e[x, a] g~_k[b, y]
-    system = g[:, :, None, rows] * e[:, cols] - e[:, None, rows] * g[:, None, cols].swapaxes(2, 3)
-    kernel = null_space(system.reshape(-1, rows.size), tol)
-    if kernel.shape[1] == 0:  # the identity always commutes
-        raise NumericalError(f"the generators' commutant is empty under rank_tol {tol.rank_tol}, "
-                             "a degenerate rank tolerance")
-    x = np.zeros((kernel.shape[1], d, d), dtype=complex)
-    x[:, rows, cols] = kernel.T
-    basis = v @ x @ v.conj().T
-    residual = _commutator_residual(basis, mats)
-    if residual > tol.rank_tol:
-        raise NumericalError(f"the generators' commutant misses by {residual:.3e}", residual)
-    return AlgebraBasis(ambient_dim=d, basis=basis)
+        chained = False
+    if chained:
+        decomposition = _settled(d, list(map(_swapped, sectors)), tol)
+    else:
+        solved = _solved_commutant(v, clusters, g, tol)
+        try:
+            decomposition = block_decomposition(solved, tol)
+        except CenterDiagonalizationFailed as exc:
+            raise NumericalError(f"the generators' commutant, of dimension {solved.dim} in M_{d}, "
+                                 f"is no algebra: {exc}", exc.residual) from exc
+        sectors = list(map(_swapped, decomposition.sectors))
+        defect = _outside(sectors, mats)
+        if not defect <= tol.rank_tol:
+            raise NumericalError(f"the generators' commutant misses by {defect:.3e}: of dimension "
+                                 f"{solved.dim} in M_{d}, its commutant has dimension "
+                                 f"{sum(s.block_size ** 2 for s in sectors)}", defect)
+    return _commuting_with(sectors, tol, decomposition, defect)
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

@@ -152,6 +152,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     text = dumps(payload)
+    del payload  # frees the basis before the text is written
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             print(text, file=fh)  # the text, then the newline: no copy of the text

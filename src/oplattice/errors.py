@@ -61,8 +61,8 @@ class NumericalError(OperatorAlgebraError):
 
 
 class CenterDiagonalizationFailed(NumericalError):
-    """No generic element of the attempted draws exhibited a block structure that passes
-    the decomposition's certificate; raised from the last draw's `SectorStructureError`."""
+    """The generic element drawn did not exhibit a block structure that passes the
+    decomposition's certificate; raised from its `SectorStructureError`, with its residual."""
 
 
 class SectorStructureError(NumericalError):

@@ -35,15 +35,12 @@ from .numerics import (
     Tolerance,
     ensure_projector,
     hs_norm,
-    hs_unit,
     matrix_to_json,
     range_projector,
     singular_rank,
     spectral_clusters,
 )
 from .seeding import STREAM_BLOCK, attempt_generator
-
-_MAX_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
         raise SectorDimensionMismatch(f"sector blocks (size, multiplicity) {counts} do not "
                                       f"span the algebra's dimension {alg.dim}", counts=counts)
     defect = _outside(sectors, alg.basis)
-    if defect > tol.rank_tol:
+    if not defect <= tol.rank_tol:
         raise TensorFormDefect(f"the algebra deviates from its blocks' tensor form by "
                                f"{defect:.3e}", residual=defect)
 
@@ -219,10 +216,9 @@ def block_decomposition(
 ) -> SectorDecomposition:
     """Full block structure of a closed algebra, computed once per tolerance.
 
-    One generic pair of algebra elements exhibits the blocks (`_read_sectors`), and one
-    stacked check of the whole basis certifies them (`_certify`). A non-generic draw fails
-    the check and is redrawn, up to ``_MAX_ATTEMPTS`` times, after which
-    `CenterDiagonalizationFailed` is raised from the last failure. Sectors come in
+    One generic pair of algebra elements, drawn once, exhibits the blocks (`_read_sectors`),
+    and one stacked check of the whole basis certifies them (`_certify`). A failed check
+    raises `CenterDiagonalizationFailed` from it, with its residual. Sectors come in
     `_settled`'s order of their central projectors: the algebra fixes that order, its basis
     and rounding do not, and the sector holding e_0 comes first (for `build_sectors`, the
     block order). The result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
@@ -235,44 +231,31 @@ def block_decomposition(
 
 
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
-    for attempt in range(_MAX_ATTEMPTS):
-        try:
-            sectors = _read_sectors(alg, attempt_generator(STREAM_BLOCK, attempt), tol)
-            _certify(alg, sectors, tol)
-        except SectorStructureError as exc:
-            failure = exc
-            continue
-        return _settled(alg.ambient_dim, sectors, tol)
-    raise CenterDiagonalizationFailed(
-        f"no generic element of {_MAX_ATTEMPTS} draws exhibited the block structure; the "
-        f"rank tolerance {tol.rank_tol} is likely degenerate (last draw: {failure})"
-    ) from failure
+    try:
+        sectors = _read_sectors(alg, attempt_generator(STREAM_BLOCK, 0), tol)
+        _certify(alg, sectors, tol)
+    except SectorStructureError as exc:
+        raise CenterDiagonalizationFailed(f"the element drawn did not exhibit the block structure "
+                                          f"({exc}); rank_tol {tol.rank_tol} is likely degenerate",
+                                          exc.residual) from exc
+    return _settled(alg.ambient_dim, sectors, tol)
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """The unital *-algebra the generators generate, as the `commutant` of their commutant C.
 
     At finite dimension that is their generated von Neumann algebra. C, solved without the
-    word closure, is certified by `generator_commutant` (and, without sectors, decomposed as
-    a *-algebra); every generator, scaled to unit HS norm, must lie within ``eq_tol`` of the
-    result (`_outside` its sectors, as the chain route measured), else `NumericalError`.
+    word closure, carries its sectors and is certified by `generator_commutant`; every
+    generator, scaled to unit HS norm, must lie within ``eq_tol`` of the result (the distance
+    `generator_commutant` measured), else `NumericalError`.
     """
-    d = gens.ambient_dim
     comm = generator_commutant(gens, tol)
-    try:
-        alg = commutant(comm, tol)
-    except CenterDiagonalizationFailed as exc:
-        raise NumericalError(f"the generators' commutant, of dimension {comm.dim} in M_{d}, "
-                             f"is no algebra: {exc}") from exc
-    defect = comm._defects.get(tol)
-    if defect is None:
-        defect = _outside(block_decomposition(alg, tol).sectors,
-                          np.stack([a / s for a, s in map(hs_unit, gens.generators)]))
-    if defect > tol.eq_tol:
-        raise NumericalError(
-            f"a generator lies {defect:.3e} outside the commutant (dimension {alg.dim}) of the "
-            f"generators' commutant (dimension {comm.dim}) in M_{d}; the tolerances are "
-            "likely degenerate", defect)
+    alg = commutant(comm, tol)
+    defect = comm._defects[tol]
+    if not defect <= tol.eq_tol:
+        raise NumericalError(f"a generator lies {defect:.3e} outside the commutant (dimension "
+                             f"{alg.dim}) of the generators' commutant (dimension {comm.dim}) in "
+                             f"M_{gens.ambient_dim}; the tolerances are likely degenerate", defect)
     return alg
 
 

@@ -189,7 +189,7 @@ def attempt_generator(stream: int, attempt: int) -> np.random.Generator:
     return seeded_generators([_attempt_words(stream, attempt)])[0]
 
 
-@lru_cache(maxsize=64)  # the package uses 6 (stream, attempt) pairs
+@lru_cache(maxsize=64)  # the package uses 2 (stream, attempt) pairs
 def _attempt_words(stream: int, attempt: int) -> np.ndarray:
     """`attempt_generator`'s four pool words, hashed once per pair: the stacked hash takes
     ~70 us at n = 1, a `PCG64` seeded from the cached words ~2 us."""

@@ -82,6 +82,11 @@ class LogicalState:
     underlying: StateFunctional
     domain: AlgebraBasis
 
+    def __post_init__(self):
+        if self.underlying.dim != self.domain.ambient_dim:
+            raise DimensionMismatch(f"state of dimension {self.underlying.dim} vs algebra in "
+                                    f"M_{self.domain.ambient_dim}")
+
     def value(self, p, tol: Tolerance = DEFAULT_TOL) -> float:
         pm = _validated_projector_in(self.domain, p, tol)
         return float(_probabilities(np.array([evaluate(self.underlying, pm)]), tol)[0])

@@ -22,6 +22,7 @@ from oplattice import (
     rank_of,
     shift_matrix,
 )
+from oplattice import sectors as sectors_module
 from oplattice.logic import _projectors
 from oplattice.numerics import norm_at_most, range_projector
 from oplattice.sectors import _random_span_elements, _validated_projector_in
@@ -265,6 +266,19 @@ def kernel_algebra(name):
 def rotated(gens, seed):
     u = haar_unitary(gens.ambient_dim, np.random.default_rng(seed))
     return GeneratorSet(gens.ambient_dim, tuple(u @ g @ u.conj().T for g in gens.generators))
+
+
+def chain_changed(monkeypatch, change):
+    """Make the first `sectors._chained_sectors` call, `generator_commutant`'s chain, return
+    ``change(sectors)`` (or raise what ``change`` raises); later calls, such as the solved
+    commutant's decomposition, run unchanged."""
+    chained, seen = sectors_module._chained_sectors, []
+
+    def changed_once(*args):
+        seen.append(args)
+        return change(chained(*args)) if len(seen) == 1 else chained(*args)
+
+    monkeypatch.setattr(sectors_module, "_chained_sectors", changed_once)
 
 
 # Bad stand-ins for one projector argument of a 2x2 call, with the error each

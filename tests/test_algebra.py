@@ -11,6 +11,7 @@ from oplattice import (
     DimensionMismatch,
     GeneratorSet,
     NumericalError,
+    SectorDimensionMismatch,
     Tolerance,
     ValidationError,
     baire_envelope,
@@ -38,6 +39,7 @@ from oplattice import algebra as algebra_module
 from oplattice import sectors as sectors_module
 from oplattice.numerics import hs_norm, hs_unit, range_projector
 from tests.conftest import (
+    chain_changed,
     haar_unitary,
     reference_close,
     reference_commutant,
@@ -333,7 +335,8 @@ CHAINED = {
 
 class TestGeneratorCommutantRoutes:
     """The chain of h's clusters solves no system and decomposes nothing; inputs it cannot
-    walk take the system, which is certified by the same commutator residual."""
+    walk take the system, whose solution is decomposed once and certified by the same
+    distance of the generators to its sectors' algebra."""
 
     @pytest.mark.parametrize("rotation", [None, 1, 2])
     @pytest.mark.parametrize("name", CHAINED)
@@ -359,11 +362,30 @@ class TestGeneratorCommutantRoutes:
         assert same_span(generator_commutant(gens), reference_commutant(
             [m for g in gens.generators for m in (g, g.conj().T)], 5))
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_the_solved_commutant_is_decomposed_once(self, monkeypatch, d):
+        # at d = 3 the star generators chain: nothing is solved, so nothing is decomposed
+        gens = star(d)
+        calls = counted(monkeypatch, [(sectors_module, "_decompose")])
+        alg = generated_algebra(gens)
+        assert calls == {"_decompose": int(d > 3)}
+        assert alg.dim == d * d
+        comm = generator_commutant(gens)
+        assert calls == {"_decompose": 2 * int(d > 3)}
+        assert same_span(comm, reference_commutant(
+            [m for g in gens.generators for m in (g, g.conj().T)], d))
+
+    def test_the_solved_commutant_carries_its_sectors(self, monkeypatch):
+        comm = generator_commutant(star(5))
+        calls = counted(monkeypatch, [(sectors_module, "_decompose")])
+        assert [(s.block_size, s.multiplicity) for s in block_decomposition(comm).sectors] == [
+            (1, 5)]
+        assert calls == {"_decompose": 0}
+        assert comm.dim == 1 and np.allclose(comm.basis[0], np.eye(5) / np.sqrt(5))
+
     def chained_then(self, monkeypatch, change):
-        """Count `null_space` calls with `_chained_sectors` returning ``change(sectors)``."""
-        chained = sectors_module._chained_sectors
-        monkeypatch.setattr(sectors_module, "_chained_sectors",
-                            lambda *args: change(chained(*args)))
+        """Count `null_space` calls with the chain returning ``change(sectors)``."""
+        chain_changed(monkeypatch, change)
         return counted(monkeypatch, [(algebra_module, "null_space")])
 
     def test_a_perturbed_frame_takes_the_system(self, monkeypatch):
@@ -398,11 +420,26 @@ class TestGeneratorCommutantRoutes:
     def test_a_corrupted_kernel_raises_with_its_residual(self, monkeypatch):
         def corrupted(m, tol):
             kernel = np.zeros((m.shape[1], 1), dtype=complex)
-            kernel[1] = 1.0  # an off-diagonal unit inside one cluster: commutes with nothing
+            kernel[1] = 1.0  # an off-diagonal unit inside one cluster: no *-algebra
             return kernel
 
         monkeypatch.setattr(algebra_module, "null_space", corrupted)
-        with pytest.raises(NumericalError, match="commutant misses by") as got:
+        with pytest.raises(NumericalError, match="commutant, of dimension 1 in M_5, is no "
+                                                 "algebra") as got:
+            generator_commutant(star(5))
+        cause = got.value.__cause__
+        assert isinstance(cause, CenterDiagonalizationFailed)
+        # the certificate's count failed, which measures no residual: none is carried
+        assert isinstance(cause.__cause__, SectorDimensionMismatch)
+        assert got.value.residual is cause.residual is cause.__cause__.residual is None
+
+    def test_a_kernel_that_misses_the_generators_raises_with_its_miss(self, monkeypatch):
+        # every unknown free: each cluster's full matrix algebra, a *-algebra that commutes
+        # with none of the star generators
+        monkeypatch.setattr(algebra_module, "null_space",
+                            lambda m, tol: np.eye(m.shape[1], dtype=complex))
+        with pytest.raises(NumericalError, match="commutant misses by .*: of dimension 11 in "
+                                                 "M_5, its commutant has dimension 3") as got:
             generator_commutant(star(5))
         assert got.value.residual > 0.1
 
@@ -436,11 +473,12 @@ class TestLazyBasis:
     def test_a_zero_trial_scenario_builds_no_basis(self, monkeypatch, kind, dim, parameters,
                                                    algebra_dim):
         calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
-                                      (algebra_module, "_commutator_residual")])
+                                      (algebra_module, "null_space"),
+                                      (sectors_module, "_decompose")])
         scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim,
                                        "parameters": parameters, "trials": 0, "seed": 1})
         assert run_scenario(scenario).algebra_dim == algebra_dim
-        assert calls == {"_commutant_units": 0, "_commutator_residual": 0}
+        assert calls == {"_commutant_units": 0, "null_space": 0, "_decompose": 0}
 
     def test_dim_is_read_off_the_sectors_and_the_basis_built_once(self, monkeypatch):
         alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
@@ -694,3 +732,17 @@ class TestAlgebraBasisValue:
     def test_shape_validated(self):
         with pytest.raises(DimensionMismatch):
             AlgebraBasis(ambient_dim=3, basis=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        block_decomposition, lambda alg: contains(alg, np.eye(2)), baire_envelope,
+    ], ids=["block_decomposition", "contains", "baire_envelope"])
+    def test_non_finite_entries_are_refused(self, entry, call):
+        with pytest.raises(ValidationError, match="finite"):
+            call(AlgebraBasis(2, np.full((1, 2, 2), entry)))
+
+    def test_a_nan_defect_fails_the_certificate(self):
+        scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
+        nan_frame = sectors_module.Sector(np.eye(2), 1, 2, np.full((2, 2), np.nan))
+        with pytest.raises(sectors_module.TensorFormDefect):
+            sectors_module._certify(scalars, [nan_frame], DEFAULT_TOL)

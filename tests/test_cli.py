@@ -1,5 +1,7 @@
+import builtins
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from oplattice import (
     scenario_from_json,
 )
 from oplattice import algebra as algebra_module
+from oplattice import cli as cli_module
 from oplattice.cli import main
 from tests.conftest import haar_unitary, rotated
 
@@ -360,6 +363,25 @@ class TestOneSerialisation:
                                np.stack([matrix_from_json(b) for b in payload["basis"]]))
         assert payload["dim"] == generator_commutant(gens).dim
         assert same_span(written, generator_commutant(gens))
+
+    def test_the_basis_is_freed_before_the_text_is_written(self, monkeypatch, capsys,
+                                                            gens3_file):
+        refs, alive = [], []
+
+        def dumps(payload):
+            refs.append(weakref.ref(payload["basis"]))
+            return real_dumps(payload)
+
+        def print_(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            builtins.print(*args, **kwargs)
+
+        real_dumps = cli_module.dumps
+        monkeypatch.setattr(cli_module, "dumps", dumps)
+        monkeypatch.setattr(cli_module, "print", print_, raising=False)
+        code, out, _ = run_cli(capsys, "--input", gens3_file, "close")
+        assert code == 0 and json.loads(out)["dim"] == 9
+        assert alive == [False, False]  # the text, then the summary
 
     def test_close_writes_one_compact_line(self, capsys, gens3_file):
         code, out, _ = run_cli(capsys, "--input", gens3_file, "close")

@@ -6,12 +6,15 @@ import pytest
 
 from oplattice import (
     AlgebraBasis,
+    CenterDiagonalizationFailed,
     Expectation,
     NotInAlgebra,
     NotOrthogonalFamily,
     NotProjector,
     NumericalError,
     Scenario,
+    SectorStructureError,
+    TensorFormDefect,
     Tolerance,
     ValidationError,
     block_decomposition,
@@ -33,6 +36,7 @@ from oplattice import (
     scenario_to_json,
 )
 from oplattice import DEFAULT_TOL, generated_algebra, random_orthogonal_family, random_state
+from oplattice import algebra as algebra_module
 from oplattice import logic as logic_module
 from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
@@ -41,7 +45,8 @@ from oplattice import seeding as seeding_module
 from oplattice import states as states_module
 from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
                                derive_seed)
-from tests.conftest import reference_commutant, rotated, two_orthogonal_real_lines, unit
+from tests.conftest import (chain_changed, haar_unitary, reference_commutant, rotated,
+                            two_orthogonal_real_lines, unit)
 
 
 class TestBuildClassical:
@@ -344,29 +349,40 @@ class TestGeneratedAlgebraChecks:
         assert report.lattice.boolean_lattice
         assert report.lattice.distributive
 
+    @staticmethod
+    def solved_on_the_system(monkeypatch, solved=None):
+        """Send the generators to `generator_commutant`'s null-space route, its chain broken,
+        with the solve returning ``solved`` where one is given."""
+        def breaks(sectors):
+            raise SectorStructureError("the chain breaks")
+
+        chain_changed(monkeypatch, breaks)
+        if solved is not None:
+            monkeypatch.setattr(algebra_module, "_solved_commutant",
+                                lambda v, clusters, g, tol: solved)
+
     @pytest.mark.parametrize("wrong, message", [
         (lambda: np.eye(5)[:, None] * np.eye(5)[:, :, None],
-         r"outside the commutant \(dimension 5\) of the generators' commutant \(dimension 5\)"),
+         r"commutant misses by .*: of dimension 5 in M_5, its commutant has dimension 5"),
         (lambda: np.eye(25).reshape(25, 5, 5),
-         r"outside the commutant \(dimension 1\) of the generators' commutant \(dimension 25\)"),
+         r"commutant misses by .*: of dimension 25 in M_5, its commutant has dimension 1"),
     ], ids=["diagonals", "all-of-m5"])
     def test_too_large_generator_commutant_is_rejected(self, monkeypatch, wrong, message):
         # the two blocks' commutant C is 2-dimensional; a larger *-algebra passes its own
         # decomposition, but its commutant is too small to hold the generators
-        monkeypatch.setattr(sectors_module, "generator_commutant",
-                            lambda gens, tol: AlgebraBasis(ambient_dim=5, basis=wrong()))
+        self.solved_on_the_system(monkeypatch, AlgebraBasis(ambient_dim=5, basis=wrong()))
         scenario = Scenario(
             name="too large", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
             trials=0,
         )
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=message) as got:
             run_scenario(scenario)
+        assert got.value.residual > 0.1
 
     def test_generator_commutant_that_is_no_algebra_is_rejected(self, monkeypatch):
         # five random orthonormal directions: no product-closed span, so no decomposition
         basis = np.linalg.qr(np.random.default_rng(4).standard_normal((25, 5)))[0].T
-        monkeypatch.setattr(sectors_module, "generator_commutant",
-                            lambda gens, tol: AlgebraBasis(5, basis.reshape(-1, 5, 5)))
+        self.solved_on_the_system(monkeypatch, AlgebraBasis(5, basis.reshape(-1, 5, 5)))
         scenario = Scenario(
             name="no algebra", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
             trials=0,
@@ -375,6 +391,22 @@ class TestGeneratedAlgebraChecks:
         with pytest.raises(NumericalError, match="scenario 'no algebra': .*commutant, of "
                                                  "dimension 5 in M_5, is no algebra"):
             run_scenario(scenario)
+
+    def test_a_wrong_frame_carries_its_residual_through_the_scenario(self, monkeypatch):
+        # C of M_2 (x) 1_2 is 1_2 (x) M_2, decomposed in a Haar frame of the right counts
+        wrong = haar_unitary(4, np.random.default_rng(5))
+        self.solved_on_the_system(monkeypatch)
+        monkeypatch.setattr(sectors_module, "_read_sectors",
+                            lambda alg, rng, tol: [sectors_module.Sector(np.eye(4), 2, 2, wrong)])
+        scenario = Scenario(name="wrong frame", kind="sectors", dim=4,
+                            parameters={"blocks": [[2, 2]]}, trials=0)
+        with pytest.raises(NumericalError, match="scenario 'wrong frame': .*is no algebra: "
+                                                 ".*tensor form by") as got:
+            run_scenario(scenario)
+        failed = got.value.__cause__.__cause__
+        assert isinstance(failed, CenterDiagonalizationFailed)
+        assert isinstance(failed.__cause__, TensorFormDefect)
+        assert got.value.residual == failed.residual == failed.__cause__.residual > 1e-8
 
 
 class TestOrthoadditivitySweepChecks:

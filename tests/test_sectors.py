@@ -352,6 +352,27 @@ class TestStructureChecks:
         defect = info.value.__cause__
         assert isinstance(defect, TensorFormDefect) and isinstance(defect, NumericalError)
         assert defect.residual > 1e-8
+        assert info.value.residual == defect.residual
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["certified", "wrong-frame"])
+    def test_a_caller_basis_is_read_once(self, monkeypatch, wrong):
+        # one draw, whether its certificate passes or fails
+        real, draws = sectors_module._read_sectors, []
+
+        def read(alg, rng, tol):
+            draws.append(rng)
+            return ([sectors_module.Sector(np.eye(4), 2, 2, haar_unitary(4, rng))] if wrong
+                    else real(alg, rng, tol))
+
+        monkeypatch.setattr(sectors_module, "_read_sectors", read)
+        alg = undecomposed(build_sectors([(2, 2)]))
+        if wrong:
+            with pytest.raises(CenterDiagonalizationFailed):
+                block_decomposition(alg)
+        else:
+            assert [(s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors] == [
+                (2, 2)]
+        assert len(draws) == 1
 
     def test_missing_sector_is_a_dimension_mismatch(self, monkeypatch):
         real = sectors_module._read_sectors
@@ -421,6 +442,28 @@ GENERATED_CASES = {
     "sectors-8": lambda: build_sectors([(2, 2), (1, 2), (2, 1)]),
     "sectors-16": lambda: build_sectors([(4, 2), (2, 2), (4, 1)]),
 }
+
+
+class TestOneDraw:
+    """Every builder's caller basis, its commutant's and its center's decompose in the one
+    draw `_decompose` makes, unrotated and under two Haar rotations."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2], ids=["unrotated", "haar-1", "haar-2"])
+    @pytest.mark.parametrize("name", sorted(GENERATED_CASES))
+    def test_caller_bases_decompose_in_one_draw(self, monkeypatch, name, seed):
+        gens = GENERATED_CASES[name]()
+        alg = close(gens if seed is None else rotated(gens, seed))
+        algebras = [alg, commutant(alg), center(alg)]
+        want = [sorted((s.block_size, s.multiplicity) for s in block_decomposition(a).sectors)
+                for a in algebras]
+        calls = []
+        real = sectors_module._read_sectors
+        monkeypatch.setattr(sectors_module, "_read_sectors",
+                            lambda *args: calls.append(1) or real(*args))
+        got = [sorted((s.block_size, s.multiplicity) for s in block_decomposition(
+            AlgebraBasis(a.ambient_dim, a.basis)).sectors) for a in algebras]
+        assert got == want
+        assert len(calls) == 3
 
 
 class TestGeneratedAlgebra:

@@ -18,6 +18,7 @@ from oplattice import (
     Tolerance,
     baire_envelope,
     block_decomposition,
+    build_classical,
     build_sectors,
     build_weyl_finite,
     check_sigma_orthoadditive,
@@ -161,6 +162,15 @@ class TestRestrictLogical:
         ls = restrict_logical(make_state(np.eye(2) / 2), diag2)
         with pytest.raises(NotInAlgebra):
             ls.value(line_projector(np.pi / 4))
+
+    @pytest.mark.parametrize("make", [restrict_logical, LogicalState],
+                             ids=["restrict_logical", "LogicalState"])
+    def test_a_state_of_another_dimension_is_refused(self, make):
+        # refused where the logical state is made, so `value` (which misnamed the mismatch),
+        # `sigma_orthoadditivity_residuals` and `check_sigma_orthoadditive` (which leaked
+        # numpy's ValueError) never receive one
+        with pytest.raises(DimensionMismatch, match="state of dimension 2 vs algebra in M_3"):
+            make(random_state(2, 0), close(build_classical(3)))
 
 
 class TestSigmaOrthoadditivity:
