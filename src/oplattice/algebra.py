@@ -5,8 +5,8 @@ of its span inside M_d; two results are "the same algebra" when their
 spans agree, which `same_span` tests. `close` generates the smallest
 unital *-algebra containing a set of matrices, as their bicommutant. `commutant` and
 `center` are read off the memoized block decomposition, which also certifies an algebra
-as its own `baire_envelope`, and `generator_commutant` is read off the eigenvalue
-clusters of one random element."""
+as its own `baire_envelope`, and `generator_commutant` is chained from the eigenvalue
+clusters of one random element, refined until the chain walks."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NumericalError,
-                     SectorStructureError, ValidationError)
+from .errors import DimensionMismatch, NumericalError, SectorStructureError, ValidationError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -27,7 +26,6 @@ from .numerics import (
     matrix_from_json,
     matrix_to_json,
     norm_at_most,
-    null_space,
     operator_norm,
     spectral_clusters,
 )
@@ -200,21 +198,25 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     return _commuting_with(sectors, tol, SectorDecomposition(d, tuple(map(_swapped, sectors))))
 
 
-def _solved_commutant(v: np.ndarray, clusters: list, g: np.ndarray, tol: Tolerance) -> AlgebraBasis:
-    """All of M_d commuting with the stack ``g`` (of ``g~``, in h's eigenbasis v): unknown (a, b)
-    of a cluster adds ``g~[:, a] e_b^T - e_a g~[b, :]`` to a commutator; the null space of that
-    ``(2 g d^2, sum_j s_j^2)`` system, rotated back by v. `NumericalError` if it is empty."""
-    rows, cols = np.hstack([np.indices((b - a, b - a)).reshape(2, -1) + a for a, b in clusters])
-    e = np.eye(len(v))
-    # entry (k, x, y, unknown (a, b)) of the system: g~_k[x, a] e[y, b] - e[x, a] g~_k[b, y]
-    system = g[:, :, None, rows] * e[:, cols] - e[:, None, rows] * g[:, None, cols].swapaxes(2, 3)
-    kernel = null_space(system.reshape(-1, rows.size), tol)
-    if kernel.shape[1] == 0:  # the identity always commutes
-        raise NumericalError(f"the generators' commutant is empty under rank_tol {tol.rank_tol}, "
-                             "a degenerate rank tolerance")
-    x = np.zeros((kernel.shape[1], *e.shape), dtype=complex)
-    x[:, rows, cols] = kernel.T
-    return AlgebraBasis(len(v), v @ x @ v.conj().T)
+def _refined(v: np.ndarray, clusters: list, g: np.ndarray, rng, tol: Tolerance) -> tuple:
+    """h's eigenbasis v and clusters, each cluster split by the eigenvalue clusters of the
+    block it cuts from ``K = sum_k g~_k W_k g~_k* + (sum_k c_k g~_k + h.c.)``, ``W_k`` positive
+    random weights per cluster of columns and c complex Gaussian. K lies in the generated
+    algebra (h's cluster projectors do), so its blocks commute with every X of the commutant,
+    which is block diagonal: a split keeps every solution. v moves only on split clusters."""
+    w = 1.0 + rng.random((len(g), len(clusters)))
+    c = rng.standard_normal((2, len(g)))
+    x = g * np.sqrt(np.repeat(w, [b - a for a, b in clusters], axis=1))[:, None]
+    x = x.swapaxes(0, 1).reshape(len(v), -1)  # [g~_1 W_1^(1/2), g~_2 W_2^(1/2), ...]
+    lin = np.tensordot(c[0] + 1j * c[1], g, axes=1)
+    k = x @ x.conj().T + lin + lin.conj().T
+    v, out = v.copy(), []
+    for a, b in clusters:
+        vk, parts = spectral_clusters(k[a:b, a:b], tol)
+        if len(parts) > 1:
+            v[:, a:b] = v[:, a:b] @ vk
+        out += [(a + start, a + stop) for start, stop in parts]
+    return v, out
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -222,43 +224,44 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
 
     Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
     so in h's eigenbasis v they are block diagonal on its clusters. These give the generated
-    algebra's sectors, chained along the blocks of every ``g~ = v* g v`` in frames that must be
-    orthonormal (`sectors._chained_sectors`, ``||U* U - 1|| <= rank_tol``), or else swapped from
-    the decomposed solution C (`_solved_commutant`). Every unit-normed generator and adjoint
-    must lie within ``rank_tol`` of their algebra (`sectors._outside`); the result is their
-    commutant (`_commuting_with`). A chain that misses takes the system; a C that is no
-    algebra or misses raises `NumericalError` with the residual.
+    algebra's sectors, chained along the blocks of every ``g~ = v* g v`` (`sectors._chained_
+    sectors`) and certified: the frames must be orthonormal (``||U* U - 1|| <= rank_tol``) and
+    every unit-normed generator and adjoint must lie within ``rank_tol`` of their algebra
+    (`sectors._outside`). A chain that fails refines the clusters (`_refined`) and walks
+    again (Maehara and Murota, SIAM J. Matrix Anal. Appl. 2011); once no cluster splits, it
+    raises `NumericalError` with the failed check's residual or counts. The result is the
+    sectors' commutant (`_commuting_with`).
     """
-    from .sectors import _chained_sectors, _outside, _settled, _swapped, block_decomposition
+    from .sectors import _chained_sectors, _outside, _settled, _swapped
 
     d = gens.ambient_dim
     mats = np.stack([m / s for a, s in map(hs_unit, gens.generators) for m in (a, a.conj().T)])
-    c = attempt_generator(STREAM_COMMUTANT, 0).standard_normal((2, len(gens.generators)))
+    rng = attempt_generator(STREAM_COMMUTANT, 0)
+    c = rng.standard_normal((2, len(gens.generators)))
     h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
     v, clusters = spectral_clusters(h + h.conj().T, tol)
-    g = v.conj().T @ mats @ v  # g~ for every g and g*
-    try:
-        sectors = _chained_sectors(v, clusters, g, 1.0, tol)
-        u = np.hstack([s.isometry for s in sectors])
-        defect = _outside(sectors, mats)
-        chained = hs_norm(u.conj().T @ u - np.eye(d)) <= tol.rank_tol and defect <= tol.rank_tol
-    except SectorStructureError:
-        chained = False
-    if chained:
-        decomposition = _settled(d, list(map(_swapped, sectors)), tol)
-    else:
-        solved = _solved_commutant(v, clusters, g, tol)
+    while True:
+        g = v.conj().T @ mats @ v  # g~ for every g and g*
         try:
-            decomposition = block_decomposition(solved, tol)
-        except CenterDiagonalizationFailed as exc:
-            raise NumericalError(f"the generators' commutant, of dimension {solved.dim} in M_{d}, "
-                                 f"is no algebra: {exc}", exc.residual) from exc
-        sectors = list(map(_swapped, decomposition.sectors))
-        defect = _outside(sectors, mats)
-        if not defect <= tol.rank_tol:
-            raise NumericalError(f"the generators' commutant misses by {defect:.3e}: of dimension "
-                                 f"{solved.dim} in M_{d}, its commutant has dimension "
-                                 f"{sum(s.block_size ** 2 for s in sectors)}", defect)
+            sectors = _chained_sectors(v, clusters, g, tol)
+            u = np.hstack([s.isometry for s in sectors])
+            frame, defect = hs_norm(u.conj().T @ u - np.eye(d)), _outside(sectors, mats)
+            if frame <= tol.rank_tol and defect <= tol.rank_tol:
+                break
+            failed = NumericalError(
+                f"the generators' commutant misses by {defect:.3e}: of dimension "
+                f"{sum(s.multiplicity ** 2 for s in sectors)} in M_{d}, its commutant has "
+                f"dimension {sum(s.block_size ** 2 for s in sectors)}, its frames orthonormal to "
+                f"{frame:.3e}", defect if frame <= tol.rank_tol else frame)
+        except SectorStructureError as exc:
+            failed = exc
+        count = len(clusters)
+        v, clusters = _refined(v, clusters, g, rng, tol)
+        if len(clusters) == count:
+            raise NumericalError(f"h's {count} clusters split no further under rank_tol "
+                                 f"{tol.rank_tol}: {failed}", failed.residual,
+                                 failed.counts) from failed
+    decomposition = _settled(d, list(map(_swapped, sectors)), tol)
     return _commuting_with(sectors, tol, decomposition, defect)
 
 

@@ -53,27 +53,20 @@ class PreconditionFailed(ValidationError):
 
 class NumericalError(OperatorAlgebraError):
     """A computation failed at the configured tolerances; `residual` holds what the failed
-    check measured, when it has one."""
+    check measured, or `counts` its integer counts, when it has them."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, counts=None):
         super().__init__(message)
-        self.residual = residual
+        self.residual, self.counts = residual, counts
 
 
 class CenterDiagonalizationFailed(NumericalError):
-    """The generic element drawn did not exhibit a block structure that passes the
-    decomposition's certificate; raised from its `SectorStructureError`, with its residual."""
+    """The sectors chained from a generic pair of elements did not pass the decomposition's
+    certificate; raised from the failed check, with its residual or counts."""
 
 
 class SectorStructureError(NumericalError):
-    """A block decomposition breaks an identity that every *-algebra satisfies.
-
-    Carries what the failed check measured: a `residual` or integer `counts`.
-    """
-
-    def __init__(self, message, residual=None, counts=None):
-        super().__init__(message, residual)
-        self.counts = counts
+    """A block decomposition breaks an identity that every *-algebra satisfies."""
 
 
 class TensorFormDefect(SectorStructureError):

@@ -238,13 +238,13 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     family draw and one stacked check. Everything downstream is
     seeded from the scenario seed, so identical scenarios give
     byte-identical JSON reports. Errors from the underlying modules are
-    re-raised with the scenario name attached (and any residual).
+    re-raised with the scenario name attached (and any residual or counts).
     """
     try:
         return _run_scenario_body(scenario, tol)
     except OperatorAlgebraError as exc:
-        residual = (exc.residual,) if isinstance(exc, NumericalError) else ()
-        raise type(exc)(f"scenario {scenario.name!r}: {exc}", *residual) from exc
+        measured = (exc.residual, exc.counts) if isinstance(exc, NumericalError) else ()
+        raise type(exc)(f"scenario {scenario.name!r}: {exc}", *measured) from exc
 
 
 def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:

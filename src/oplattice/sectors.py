@@ -3,12 +3,13 @@
 A unital *-closed algebra inside M_d splits along the minimal projectors of its center into
 blocks, each unitarily equivalent to ``M_n (x) 1_m`` (a full matrix factor of size n acting
 with multiplicity m). This module reads that block structure, and with it the center, off
-one generic pair of algebra elements and certifies it against the whole basis. It classifies
-factors and computes the integer-valued dimension function on projector equivalence classes
-(two projectors are equivalent when a partial isometry inside the algebra maps one range onto
-the other; in each block the complete invariant is the reduced rank). `generated_algebra`
-reads the algebra a set of matrices generates off the sectors of their commutant, which
-`generator_commutant` chains from the eigenvalue clusters of one combination of them.
+the sectors `generator_commutant` chains for one generic pair of algebra elements, and
+certifies it against the whole basis. It classifies factors and computes the integer-valued
+dimension function on projector equivalence classes (two projectors are equivalent when a
+partial isometry inside the algebra maps one range onto the other; in each block the
+complete invariant is the reduced rank). `generated_algebra` reads the algebra a set of
+matrices generates off the sectors of their commutant, which `generator_commutant` chains
+from the eigenvalue clusters of one combination of them.
 
 Only type I structure exists at finite dimension; algebras without
 minimal projectors (types II and III) have no matrix realization.
@@ -34,11 +35,9 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     ensure_projector,
-    hs_norm,
     matrix_to_json,
     range_projector,
     singular_rank,
-    spectral_clusters,
 )
 from .seeding import STREAM_BLOCK, attempt_generator
 
@@ -115,12 +114,11 @@ def _outside(sectors, mats: np.ndarray) -> float:
     return float(np.linalg.norm(mats - _block_part(sectors, mats), axis=(1, 2)).max())
 
 
-def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, scale: float,
-                     tol: Tolerance) -> list:
+def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, tol: Tolerance) -> list:
     """The sectors the eigenvalue clusters of a self-adjoint h exhibit, uncertified.
 
     Two clusters are linked when the block between them of some matrix of ``gv`` (compressed
-    to h's eigenbasis v) exceeds ``rank_tol * scale``. Each linked class, walked breadth-first
+    to h's eigenbasis v) exceeds ``rank_tol``. Each linked class, walked breadth-first
     from its first cluster, is a sector: its n clusters of size m, each frame carried over
     from its parent's by the strongest block's unitary polar part (Murota, Kanno, Kojima and
     Kojima, JJIAM 2010). `SectorStructureError` if linked clusters differ in size or a tree
@@ -129,7 +127,7 @@ def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, scale: float
     starts = [start for start, _ in clusters]
     weight = np.add.reduceat(np.add.reduceat(np.abs(gv) ** 2, starts, axis=1), starts, axis=2)
     strongest = np.argmax(weight, axis=0)  # per (child, parent): the matrix to carry by
-    linked = np.sqrt(weight.max(axis=0)) > tol.rank_tol * scale
+    linked = np.sqrt(weight.max(axis=0)) > tol.rank_tol
     linked |= linked.T
     unseen = np.ones(len(clusters), dtype=bool)
     sectors = []
@@ -160,19 +158,6 @@ def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, scale: float
         isometry = np.hstack([v[:, slice(*clusters[i])] @ frames[i] for i in sorted(order)])
         sectors.append(Sector(range_projector(isometry), len(order), m, isometry))
     return sectors
-
-
-def _read_sectors(alg: AlgebraBasis, rng: np.random.Generator, tol: Tolerance) -> list:
-    """The sectors one generic pair of span elements exhibits, uncertified.
-
-    The eigenvalue clusters of a generic self-adjoint h are the minimal projectors of the
-    blocks, m columns each, and a generic g links every two clusters of one sector
-    (`_chained_sectors`).
-    """
-    h = _random_span_elements(alg.basis, [rng], hermitian=True)[0]
-    g = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
-    v, clusters = spectral_clusters(h, tol)
-    return _chained_sectors(v, clusters, (v.conj().T @ g @ v)[None], hs_norm(g), tol)
 
 
 def _swapped(sector: Sector) -> Sector:
@@ -216,12 +201,12 @@ def block_decomposition(
 ) -> SectorDecomposition:
     """Full block structure of a closed algebra, computed once per tolerance.
 
-    One generic pair of algebra elements, drawn once, exhibits the blocks (`_read_sectors`),
-    and one stacked check of the whole basis certifies them (`_certify`). A failed check
-    raises `CenterDiagonalizationFailed` from it, with its residual. Sectors come in
-    `_settled`'s order of their central projectors: the algebra fixes that order, its basis
-    and rounding do not, and the sector holding e_0 comes first (for `build_sectors`, the
-    block order). The result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
+    One generic pair of algebra elements, drawn once, generates the algebra, so the sectors
+    `generator_commutant` chains for it are the blocks; one stacked check of the whole basis
+    certifies them (`_certify`). A failed chain or check raises `CenterDiagonalizationFailed`
+    from it, with its residual or counts. Sectors come in `_settled`'s order of their central
+    projectors: the algebra fixes that order, its basis and rounding do not, and the sector
+    holding e_0 comes first (for `build_sectors`, the block order). The result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
     read-only, so every structural query on the same algebra shares one decomposition.
     """
     memo = alg._decompositions
@@ -231,20 +216,22 @@ def block_decomposition(
 
 
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
+    rng = attempt_generator(STREAM_BLOCK, 0)  # a generic pair (h, g) generates the algebra
+    pair = tuple(_random_span_elements(alg.basis, [rng], herm)[0] for herm in (True, False))
     try:
-        sectors = _read_sectors(alg, attempt_generator(STREAM_BLOCK, 0), tol)
+        sectors = list(generator_commutant(GeneratorSet(alg.ambient_dim, pair), tol)._sectors)
         _certify(alg, sectors, tol)
-    except SectorStructureError as exc:
-        raise CenterDiagonalizationFailed(f"the element drawn did not exhibit the block structure "
+    except NumericalError as exc:
+        raise CenterDiagonalizationFailed(f"the pair drawn did not exhibit the block structure "
                                           f"({exc}); rank_tol {tol.rank_tol} is likely degenerate",
-                                          exc.residual) from exc
+                                          exc.residual, exc.counts) from exc
     return _settled(alg.ambient_dim, sectors, tol)
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """The unital *-algebra the generators generate, as the `commutant` of their commutant C.
 
-    At finite dimension that is their generated von Neumann algebra. C, solved without the
+    At finite dimension that is their generated von Neumann algebra. C, chained without the
     word closure, carries its sectors and is certified by `generator_commutant`; every
     generator, scaled to unit HS norm, must lie within ``eq_tol`` of the result (the distance
     `generator_commutant` measured), else `NumericalError`.

@@ -228,6 +228,13 @@ def rational_clock_shift(d, p):
     return GeneratorSet(d, (clock, shift_matrix(d)))
 
 
+def star(d):
+    """The units ``E_1j``: h is ``e_1 x* + x e_1*``, its zero cluster (d - 2)-fold and linked to
+    both others by 1 x (d - 2) blocks, so the clusters chain only once a split pass breaks the
+    zero cluster (for d > 3)."""
+    return GeneratorSet(d, tuple(unit(d, 0, j) for j in range(1, d)))
+
+
 def reference_derive_seed(seed, stream, index):
     """`seeding.derive_seeds` for one triple, as NumPy computes it: one `SeedSequence`."""
     ss = np.random.SeedSequence((int(seed), int(stream), int(index)))
@@ -268,17 +275,23 @@ def rotated(gens, seed):
     return GeneratorSet(gens.ambient_dim, tuple(u @ g @ u.conj().T for g in gens.generators))
 
 
-def chain_changed(monkeypatch, change):
-    """Make the first `sectors._chained_sectors` call, `generator_commutant`'s chain, return
-    ``change(sectors)`` (or raise what ``change`` raises); later calls, such as the solved
-    commutant's decomposition, run unchanged."""
+def chain_replaced(monkeypatch, replacement):
+    """Make the first `sectors._chained_sectors` call, `generator_commutant`'s first chain,
+    return ``replacement(v, clusters, gv, tol)`` (or raise what it raises); later calls, the
+    chains after a split pass, run unchanged."""
     chained, seen = sectors_module._chained_sectors, []
 
-    def changed_once(*args):
+    def replaced_once(*args):
         seen.append(args)
-        return change(chained(*args)) if len(seen) == 1 else chained(*args)
+        return replacement(*args) if len(seen) == 1 else chained(*args)
 
-    monkeypatch.setattr(sectors_module, "_chained_sectors", changed_once)
+    monkeypatch.setattr(sectors_module, "_chained_sectors", replaced_once)
+
+
+def chain_changed(monkeypatch, change):
+    """`chain_replaced` with ``change(sectors)`` of the sectors the first chain gives."""
+    chained = sectors_module._chained_sectors
+    chain_replaced(monkeypatch, lambda *args: change(chained(*args)))
 
 
 # Bad stand-ins for one projector argument of a 2x2 call, with the error each

@@ -11,7 +11,7 @@ from oplattice import (
     DimensionMismatch,
     GeneratorSet,
     NumericalError,
-    SectorDimensionMismatch,
+    SectorStructureError,
     Tolerance,
     ValidationError,
     baire_envelope,
@@ -40,10 +40,12 @@ from oplattice import sectors as sectors_module
 from oplattice.numerics import hs_norm, hs_unit, range_projector
 from tests.conftest import (
     chain_changed,
+    chain_replaced,
     haar_unitary,
     reference_close,
     reference_commutant,
     rotated,
+    star,
     two_orthogonal_real_lines,
     unit,
 )
@@ -303,12 +305,6 @@ class TestCommutantMatchesReference:
         assert_orthonormal(env)
 
 
-def star(d):
-    """The units ``E_1j``: h is ``e_1 x* + x e_1*``, its zero cluster (d - 2)-fold and linked to
-    both others by 1 x (d - 2) blocks, so the clusters cannot be chained."""
-    return GeneratorSet(d, tuple(unit(d, 0, j) for j in range(1, d)))
-
-
 def counted(monkeypatch, targets) -> dict:
     """Count the calls of each ``(module, name)`` in ``targets``, by name."""
     calls = {}
@@ -333,49 +329,77 @@ CHAINED = {
 }
 
 
+def split_passes(monkeypatch) -> list:
+    """Record each `algebra._refined` pass as its ``(clusters before, clusters after)``."""
+    real, passes = algebra_module._refined, []
+
+    def refined(v, clusters, g, rng, tol):
+        out = real(v, clusters, g, rng, tol)
+        passes.append((len(clusters), len(out[1])))
+        return out
+
+    monkeypatch.setattr(algebra_module, "_refined", refined)
+    return passes
+
+
+def star_commutant(d):
+    gens = star(d)
+    return reference_commutant([m for g in gens.generators for m in (g, g.conj().T)], d)
+
+
 class TestGeneratorCommutantRoutes:
-    """The chain of h's clusters solves no system and decomposes nothing; inputs it cannot
-    walk take the system, whose solution is decomposed once and certified by the same
-    distance of the generators to its sectors' algebra."""
+    """The chain of h's clusters refines nothing and decomposes nothing on the inputs it walks;
+    on the others a split pass refines the clusters until it walks, and a chain that no split
+    mends raises `NumericalError` with its certificate's residual (or counts)."""
 
     @pytest.mark.parametrize("rotation", [None, 1, 2])
     @pytest.mark.parametrize("name", CHAINED)
-    def test_chainable_inputs_solve_no_system(self, monkeypatch, name, rotation):
+    def test_chainable_inputs_refine_no_cluster(self, monkeypatch, name, rotation):
         gens = CHAINED[name]()
         if rotation is not None:
             u = haar_unitary(gens.ambient_dim, np.random.default_rng(rotation))
             gens = conjugated_generators(gens, u)
-        calls = counted(monkeypatch, [(algebra_module, "null_space"),
+        calls = counted(monkeypatch, [(algebra_module, "_refined"),
                                       (sectors_module, "_decompose")])
         alg = generated_algebra(gens)
-        assert calls == {"null_space": 0, "_decompose": 0}
+        assert calls == {"_refined": 0, "_decompose": 0}
         assert alg.dim == close(CHAINED[name]()).dim
         assert_orthonormal(alg)
 
-    def test_star_generators_take_the_system(self, monkeypatch):
+    def test_star_generators_refine_h_clusters(self, monkeypatch):
         gens = star(5)
-        calls = counted(monkeypatch, [(algebra_module, "null_space")])
+        passes = split_passes(monkeypatch)
         alg = generated_algebra(gens)
-        assert calls == {"null_space": 1}
+        assert passes == [(3, 5)]  # h's zero cluster, 3-fold, splits once into singletons
         assert alg.dim == 25
         assert same_span(alg, reference_close(gens))
-        assert same_span(generator_commutant(gens), reference_commutant(
-            [m for g in gens.generators for m in (g, g.conj().T)], 5))
+        assert same_span(generator_commutant(gens), star_commutant(5))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
-    def test_the_solved_commutant_is_decomposed_once(self, monkeypatch, d):
-        # at d = 3 the star generators chain: nothing is solved, so nothing is decomposed
-        gens = star(d)
+    def test_star_generators_decompose_nothing(self, monkeypatch, d):
+        # at d = 3 the star generators chain as they are: no pass splits anything
         calls = counted(monkeypatch, [(sectors_module, "_decompose")])
-        alg = generated_algebra(gens)
-        assert calls == {"_decompose": int(d > 3)}
+        passes = split_passes(monkeypatch)
+        alg = generated_algebra(star(d))
+        assert calls == {"_decompose": 0}
         assert alg.dim == d * d
-        comm = generator_commutant(gens)
-        assert calls == {"_decompose": 2 * int(d > 3)}
-        assert same_span(comm, reference_commutant(
-            [m for g in gens.generators for m in (g, g.conj().T)], d))
+        assert len(passes) == int(d > 3) and all(after > before for before, after in passes)
+        assert same_span(generator_commutant(star(d)), star_commutant(d))
+        assert calls == {"_decompose": 0}
 
-    def test_the_solved_commutant_carries_its_sectors(self, monkeypatch):
+    @pytest.mark.parametrize("d", [24, 48])
+    def test_star_generators_within_a_memory_bound(self, d):
+        # one split pass and two chains: 3 MB at d = 24 and 25 MB at d = 48
+        tracemalloc.start()
+        try:
+            alg = generated_algebra(star(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.dim == d * d
+        assert peak < 100 * 2**20
+
+    def test_the_refined_commutant_carries_its_sectors(self, monkeypatch):
         comm = generator_commutant(star(5))
         calls = counted(monkeypatch, [(sectors_module, "_decompose")])
         assert [(s.block_size, s.multiplicity) for s in block_decomposition(comm).sectors] == [
@@ -384,62 +408,79 @@ class TestGeneratorCommutantRoutes:
         assert comm.dim == 1 and np.allclose(comm.basis[0], np.eye(5) / np.sqrt(5))
 
     def chained_then(self, monkeypatch, change):
-        """Count `null_space` calls with the chain returning ``change(sectors)``."""
+        """The split passes, with the chain's first call returning ``change(sectors)``."""
         chain_changed(monkeypatch, change)
-        return counted(monkeypatch, [(algebra_module, "null_space")])
+        return split_passes(monkeypatch)
 
-    def test_a_perturbed_frame_takes_the_system(self, monkeypatch):
+    def test_a_perturbed_frame_raises_with_its_residual(self, monkeypatch):
         # E_11 vanishes on the 2-dimensional sector, so its scaled frame keeps every generator
-        # at its block part: only the frame's orthonormality can catch it
+        # at its block part: only the frame's orthonormality can catch it. h's 2-fold cluster
+        # is E_11's kernel, where every K is 0: no split mends the frame
         gens = GeneratorSet(3, (unit(3, 0, 0),))
-        calls = self.chained_then(monkeypatch, lambda sectors: [
+        passes = self.chained_then(monkeypatch, lambda sectors: [
             sectors_module.Sector(s.central_projector, s.block_size, s.multiplicity,
                                   s.isometry * (1 + 1e-6 * (s.multiplicity == 2)))
             for s in sectors])
-        comm = generator_commutant(gens)
-        assert calls == {"null_space": 1}
-        assert comm.dim == 5
-        assert same_span(comm, reference_commutant(gens.generators, 3))
-        assert_orthonormal(comm)
+        with pytest.raises(NumericalError, match=r"rank_tol 1e-08: .*commutant misses by .*: of "
+                                                 r"dimension 5 in M_3, .*orthonormal to") as got:
+            generator_commutant(gens)
+        assert passes == [(2, 2)]
+        assert got.value.residual == got.value.__cause__.residual > 2e-6  # sqrt(2) (2e-6 + 1e-12)
+        assert same_span(generator_commutant(gens), reference_commutant(gens.generators, 3))
 
-    def test_a_dropped_link_takes_the_system(self, monkeypatch):
+    def test_a_dropped_link_raises_with_its_miss(self, monkeypatch):
         # weyl 3's one sector, split after its first cluster: an orthonormal frame whose
-        # algebra misses the generators
+        # algebra misses the generators; h's clusters are single vectors, so nothing splits
         def split(sectors):
             (s,) = sectors
             return [sectors_module.Sector(range_projector(v), v.shape[1], 1, v)
                     for v in (s.isometry[:, :1], s.isometry[:, 1:])]
 
         gens = build_weyl_finite(3)
-        calls = self.chained_then(monkeypatch, split)
-        comm = generator_commutant(gens)
-        assert calls == {"null_space": 1}
-        assert comm.dim == 1
-        assert same_span(comm, reference_commutant(gens.generators, 3))
+        passes = self.chained_then(monkeypatch, split)
+        with pytest.raises(NumericalError, match=r"rank_tol 1e-08: .*commutant misses by .*: of "
+                                                 r"dimension 2 in M_3, its commutant has "
+                                                 r"dimension 5") as got:
+            generator_commutant(gens)
+        assert passes == [(3, 3)]
+        assert got.value.residual > 0.1
+        assert same_span(generator_commutant(gens), reference_commutant(gens.generators, 3))
 
-    def test_a_corrupted_kernel_raises_with_its_residual(self, monkeypatch):
-        def corrupted(m, tol):
-            kernel = np.zeros((m.shape[1], 1), dtype=complex)
-            kernel[1] = 1.0  # an off-diagonal unit inside one cluster: no *-algebra
-            return kernel
+    def test_a_count_failure_raises_with_its_counts(self, monkeypatch):
+        # linked clusters of unequal size, on E_11 whose clusters no K splits: the certificate's
+        # count failed, which measures no residual; its counts are carried instead
+        def unequal(sectors):
+            raise SectorStructureError("linked eigenvalue clusters of sizes [1, 2] are not copies "
+                                       "of one block", counts=[1, 2])
 
-        monkeypatch.setattr(algebra_module, "null_space", corrupted)
-        with pytest.raises(NumericalError, match="commutant, of dimension 1 in M_5, is no "
-                                                 "algebra") as got:
-            generator_commutant(star(5))
-        cause = got.value.__cause__
-        assert isinstance(cause, CenterDiagonalizationFailed)
-        # the certificate's count failed, which measures no residual: none is carried
-        assert isinstance(cause.__cause__, SectorDimensionMismatch)
-        assert got.value.residual is cause.residual is cause.__cause__.residual is None
+        passes = self.chained_then(monkeypatch, unequal)
+        with pytest.raises(NumericalError, match="h's 2 clusters split no further under "
+                                                 "rank_tol 1e-08: linked eigenvalue") as got:
+            generator_commutant(GeneratorSet(3, (unit(3, 0, 0),)))
+        assert passes == [(2, 2)]
+        assert isinstance(got.value.__cause__, SectorStructureError)
+        assert got.value.residual is got.value.__cause__.residual is None
+        assert got.value.counts == got.value.__cause__.counts == [1, 2]
 
-    def test_a_kernel_that_misses_the_generators_raises_with_its_miss(self, monkeypatch):
-        # every unknown free: each cluster's full matrix algebra, a *-algebra that commutes
-        # with none of the star generators
-        monkeypatch.setattr(algebra_module, "null_space",
-                            lambda m, tol: np.eye(m.shape[1], dtype=complex))
-        with pytest.raises(NumericalError, match="commutant misses by .*: of dimension 11 in "
-                                                 "M_5, its commutant has dimension 3") as got:
+    @pytest.mark.parametrize("splits", [True, False], ids=["refined", "no-split"])
+    def test_a_chain_that_misses_the_generators_is_refined_or_raises(self, monkeypatch, splits):
+        # each of h's clusters a sector of its own: C is each cluster's full matrix algebra,
+        # a *-algebra that commutes with none of the star generators. A split pass mends it;
+        # without one, the miss is raised
+        chain_replaced(monkeypatch, lambda v, clusters, gv, tol: [
+            sectors_module.Sector(range_projector(v[:, a:b]), 1, b - a, v[:, a:b])
+            for a, b in clusters])
+        if splits:
+            passes = split_passes(monkeypatch)
+            assert same_span(generator_commutant(star(5)), star_commutant(5))
+            assert passes == [(3, 5)]
+            return
+        monkeypatch.setattr(algebra_module, "_refined",
+                            lambda v, clusters, g, rng, tol: (v, clusters))
+        with pytest.raises(NumericalError, match="h's 3 clusters split no further under rank_tol "
+                                                 "1e-08: the generators' commutant misses by .*: "
+                                                 "of dimension 11 in M_5, its commutant has "
+                                                 "dimension 3") as got:
             generator_commutant(star(5))
         assert got.value.residual > 0.1
 
@@ -473,12 +514,12 @@ class TestLazyBasis:
     def test_a_zero_trial_scenario_builds_no_basis(self, monkeypatch, kind, dim, parameters,
                                                    algebra_dim):
         calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
-                                      (algebra_module, "null_space"),
+                                      (algebra_module, "_refined"),
                                       (sectors_module, "_decompose")])
         scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim,
                                        "parameters": parameters, "trials": 0, "seed": 1})
         assert run_scenario(scenario).algebra_dim == algebra_dim
-        assert calls == {"_commutant_units": 0, "null_space": 0, "_decompose": 0}
+        assert calls == {"_commutant_units": 0, "_refined": 0, "_decompose": 0}
 
     def test_dim_is_read_off_the_sectors_and_the_basis_built_once(self, monkeypatch):
         alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))

@@ -91,6 +91,18 @@ class TestMinimalCentralProjectors:
         projs = minimal_central_projectors(two_blocks)
         assert operator_norm(projs[0] @ projs[1]) <= 1e-10
 
+    @pytest.mark.parametrize("d", [7, 24, 32])
+    def test_rotated_points_are_exact_to_rounding(self, d):
+        # every z of a rotated classical algebra within 1e-12 of its exact u e_i e_i* u*
+        # (3.0e-14 at worst over seeds 1-20)
+        for seed in range(1, 21):
+            u = haar_unitary(d, np.random.default_rng(seed))  # the rotation `rotated` applies
+            zs = np.stack(minimal_central_projectors(close(rotated(build_classical(d), seed))))
+            points = np.argmax(np.einsum("xi,kxy,yi->ki", u.conj(), zs, u).real, axis=1)
+            assert sorted(points) == list(range(d))
+            exact = np.einsum("xk,yk->kxy", u[:, points], u[:, points].conj())
+            assert np.linalg.norm(zs - exact, axis=(1, 2)).max() <= 1e-12
+
     def test_degenerate_tolerance_raises(self, diag3):
         # with a gap threshold this coarse, three clusters can never separate
         with pytest.raises(CenterDiagonalizationFailed):
@@ -337,18 +349,31 @@ class TestDecompositionMemo:
             assert not sector.isometry.flags.writeable
 
 
+def decomposed_as(monkeypatch, change) -> list:
+    """Make each `generator_commutant` call of the sectors module, `_decompose`'s, carry
+    ``change(sectors)`` as the generated algebra's sectors; returns the list of calls. Set it
+    once the algebras are built, as `generated_algebra` calls it too."""
+    real, calls = sectors_module.generator_commutant, []
+
+    def changed(gens, tol):
+        calls.append(gens)
+        comm = real(gens, tol)
+        comm._sectors = tuple(change(list(comm._sectors)))
+        return comm
+
+    monkeypatch.setattr(sectors_module, "generator_commutant", changed)
+    return calls
+
+
 class TestStructureChecks:
     """Violated structural identities raise NumericalError subclasses, not asserts."""
 
     def test_tensor_form_defect_carries_its_residual(self, monkeypatch):
         wrong = haar_unitary(4, np.random.default_rng(5))
-        monkeypatch.setattr(
-            sectors_module,
-            "_read_sectors",
-            lambda alg, rng, tol: [sectors_module.Sector(np.eye(4), 2, 2, wrong)],
-        )
+        alg = undecomposed(build_sectors([(2, 2)]))
+        decomposed_as(monkeypatch, lambda sectors: [sectors_module.Sector(np.eye(4), 2, 2, wrong)])
         with pytest.raises(CenterDiagonalizationFailed) as info:
-            block_decomposition(undecomposed(build_sectors([(2, 2)])))
+            block_decomposition(alg)
         defect = info.value.__cause__
         assert isinstance(defect, TensorFormDefect) and isinstance(defect, NumericalError)
         assert defect.residual > 1e-8
@@ -356,49 +381,41 @@ class TestStructureChecks:
 
     @pytest.mark.parametrize("wrong", [False, True], ids=["certified", "wrong-frame"])
     def test_a_caller_basis_is_read_once(self, monkeypatch, wrong):
-        # one draw, whether its certificate passes or fails
-        real, draws = sectors_module._read_sectors, []
-
-        def read(alg, rng, tol):
-            draws.append(rng)
-            return ([sectors_module.Sector(np.eye(4), 2, 2, haar_unitary(4, rng))] if wrong
-                    else real(alg, rng, tol))
-
-        monkeypatch.setattr(sectors_module, "_read_sectors", read)
+        # one pair drawn and chained, whether its certificate passes or fails
         alg = undecomposed(build_sectors([(2, 2)]))
+        frame = haar_unitary(4, np.random.default_rng(6))
+        calls = decomposed_as(monkeypatch, lambda sectors: (
+            [sectors_module.Sector(np.eye(4), 2, 2, frame)] if wrong else sectors))
         if wrong:
             with pytest.raises(CenterDiagonalizationFailed):
                 block_decomposition(alg)
         else:
             assert [(s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors] == [
                 (2, 2)]
-        assert len(draws) == 1
+        assert len(calls) == 1 and len(calls[0].generators) == 2
 
     def test_missing_sector_is_a_dimension_mismatch(self, monkeypatch):
-        real = sectors_module._read_sectors
-        monkeypatch.setattr(
-            sectors_module, "_read_sectors", lambda alg, rng, tol: real(alg, rng, tol)[:1]
-        )
+        alg = undecomposed(build_sectors([(2, 1), (1, 1)]))
+        decomposed_as(monkeypatch, lambda sectors: sectors[:1])
         with pytest.raises(CenterDiagonalizationFailed) as info:
-            block_decomposition(undecomposed(build_sectors([(2, 1), (1, 1)])))
+            block_decomposition(alg)
         assert isinstance(info.value.__cause__, SectorDimensionMismatch)
         assert info.value.__cause__.counts in ([(2, 1)], [(1, 1)])
+        assert info.value.counts == info.value.__cause__.counts  # carried through the re-raise
 
     @pytest.mark.parametrize("blocks", [[(2, 1)], [(3, 1), (1, 2)], [(2, 2), (1, 1)]], ids=str)
     def test_under_split_decomposition_never_returns(self, monkeypatch, blocks):
-        real = sectors_module._read_sectors
-
-        def split(alg, rng, tol):  # each block's n clusters read as n sectors of size 1
+        def split(sectors):  # each block's n clusters read as n sectors of size 1
             out = []
-            for s in real(alg, rng, tol):
+            for s in sectors:
                 m = s.multiplicity
                 for j in range(s.block_size):
                     cols = s.isometry[:, j * m : (j + 1) * m]
                     out.append(sectors_module.Sector(cols @ cols.conj().T, 1, m, cols))
             return out
 
-        monkeypatch.setattr(sectors_module, "_read_sectors", split)
         alg = undecomposed(build_sectors(blocks))
+        decomposed_as(monkeypatch, split)
         with pytest.raises(CenterDiagonalizationFailed) as info:
             block_decomposition(alg)
         assert isinstance(info.value.__cause__, SectorStructureError)
@@ -446,7 +463,7 @@ GENERATED_CASES = {
 
 class TestOneDraw:
     """Every builder's caller basis, its commutant's and its center's decompose in the one
-    draw `_decompose` makes, unrotated and under two Haar rotations."""
+    pair `_decompose` draws and chains, unrotated and under two Haar rotations."""
 
     @pytest.mark.parametrize("seed", [None, 1, 2], ids=["unrotated", "haar-1", "haar-2"])
     @pytest.mark.parametrize("name", sorted(GENERATED_CASES))
@@ -456,10 +473,7 @@ class TestOneDraw:
         algebras = [alg, commutant(alg), center(alg)]
         want = [sorted((s.block_size, s.multiplicity) for s in block_decomposition(a).sectors)
                 for a in algebras]
-        calls = []
-        real = sectors_module._read_sectors
-        monkeypatch.setattr(sectors_module, "_read_sectors",
-                            lambda *args: calls.append(1) or real(*args))
+        calls = decomposed_as(monkeypatch, lambda sectors: sectors)
         got = [sorted((s.block_size, s.multiplicity) for s in block_decomposition(
             AlgebraBasis(a.ambient_dim, a.basis)).sectors) for a in algebras]
         assert got == want

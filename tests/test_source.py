@@ -143,3 +143,22 @@ def test_the_cli_imports_only_exported_names():
 
     used = imported("cli.py")
     assert used and sorted(used - imported("__init__.py")) == []
+
+
+def _named(path) -> set:
+    """Every identifier a module's code names: names, attributes, imports and definitions."""
+    return {
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))
+    }
+
+
+def test_the_structure_is_read_by_one_route():
+    # the generators' commutant is chained from h's refined clusters, and a caller basis is read
+    # through that same chain: no null-space system, and no second reader of eigenvalue clusters
+    named = {path.name: _named(path) for path in SOURCES}
+    assert [name for name in ("algebra.py", "sectors.py") if "null_space" in named[name]] == []
+    assert sorted(name for name, names in named.items() if "spectral_clusters" in names) == [
+        "algebra.py", "numerics.py"]
