@@ -1,12 +1,12 @@
 """Unital *-closed matrix algebras.
 
-An algebra is carried concretely as a Hilbert-Schmidt orthonormal basis
-of its span inside M_d; two results are "the same algebra" when their
-spans agree, which `same_span` tests. `close` generates the smallest
-unital *-algebra containing a set of matrices, as their bicommutant. `commutant` and
-`center` are read off the memoized block decomposition, which also certifies an algebra
-as its own `baire_envelope`, and `generator_commutant` is chained from the eigenvalue
-clusters of one random element, refined until the chain walks."""
+An algebra is its sectors: membership (`contains`) and the random draws read the frame of
+its memoized block decomposition. A Hilbert-Schmidt orthonormal basis of its span inside M_d
+is passed in, or built only when read (`same_span` compares two spans). `close` generates
+the smallest unital *-algebra containing a set of matrices, as their bicommutant.
+`commutant` and `center` are read off the block decomposition, which also certifies an
+algebra as its own `baire_envelope`, and `generator_commutant` is chained from the
+eigenvalue clusters of one random element, refined until the chain walks."""
 
 from __future__ import annotations
 
@@ -66,8 +66,10 @@ class AlgebraBasis:
     under products and adjoints and contains the identity; `close` and
     `commutant` only ever construct bases with these properties, and the
     test suite verifies them as invariants. A basis passed in is validated
-    and copied; a commutant (`_commuting_with`) holds the sectors it came
-    from, builds `basis` on first read and reads `dim` off those sectors.
+    and copied; a commutant or center (`_commuting_with`) holds the sectors it
+    came from, builds `basis` on first read and reads `dim` off those sectors.
+    Only `project_onto` (so `same_span`), `is_commutative`, `algebra_to_json`
+    and the decomposition of a basis passed in read `basis`.
 
     `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance`
     (the span is immutable); `_defects` holds per `Tolerance` the unit-normed
@@ -112,17 +114,18 @@ def project_onto(alg: AlgebraBasis, m) -> np.ndarray:
 
 
 def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
-    """True iff ``m`` lies in the span of ``alg``.
+    """True iff ``m`` lies in the span of ``alg``, per matrix of an ``(n, d, d)`` stack: its
+    residual in the frame of the memoized `sectors.block_decomposition` (`sectors._residual`,
+    the HS projection's) against ``eq_tol * (1 + ||m||)``. A span that is no algebra raises
+    `CenterDiagonalizationFailed`."""
+    from .sectors import _residual, block_decomposition  # sectors builds on this module
 
-    Decided by projecting in the Hilbert-Schmidt geometry and comparing
-    the residual against ``eq_tol * (1 + ||m||)``, per matrix of an ``(n, d, d)`` stack.
-    """
     a = _as_operators(m)
     if a.shape[-1] != alg.ambient_dim:
         raise DimensionMismatch(
             f"matrix of dimension {a.shape[-1]} vs algebra in M_{alg.ambient_dim}"
         )
-    residual = a - project_onto(alg, a)
+    residual = _residual(block_decomposition(alg, tol).frame, a)
     inside = norm_at_most(residual, tol.eq_tol)  # the bound is at least eq_tol: no norm of a
     return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
 
@@ -232,7 +235,7 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
     raises `NumericalError` with the failed check's residual or counts. The result is the
     sectors' commutant (`_commuting_with`).
     """
-    from .sectors import _chained_sectors, _outside, _settled, _swapped
+    from .sectors import SectorDecomposition, _chained_sectors, _outside, _settled, _swapped
 
     d = gens.ambient_dim
     mats = np.stack([m / s for a, s in map(hs_unit, gens.generators) for m in (a, a.conj().T)])
@@ -244,15 +247,15 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
         g = v.conj().T @ mats @ v  # g~ for every g and g*
         try:
             sectors = _chained_sectors(v, clusters, g, tol)
-            u = np.hstack([s.isometry for s in sectors])
-            frame, defect = hs_norm(u.conj().T @ u - np.eye(d)), _outside(sectors, mats)
-            if frame <= tol.rank_tol and defect <= tol.rank_tol:
+            frame = SectorDecomposition(d, tuple(sectors)).frame
+            skew, defect = hs_norm(frame.uh @ frame.u - np.eye(d)), _outside(frame, mats)
+            if skew <= tol.rank_tol and defect <= tol.rank_tol:
                 break
             failed = NumericalError(
                 f"the generators' commutant misses by {defect:.3e}: of dimension "
                 f"{sum(s.multiplicity ** 2 for s in sectors)} in M_{d}, its commutant has "
                 f"dimension {sum(s.block_size ** 2 for s in sectors)}, its frames orthonormal to "
-                f"{frame:.3e}", defect if frame <= tol.rank_tol else frame)
+                f"{skew:.3e}", defect if skew <= tol.rank_tol else skew)
         except SectorStructureError as exc:
             failed = exc
         count = len(clusters)
@@ -276,18 +279,15 @@ def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBa
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Intersection of ``alg`` with its commutant.
+    """Intersection of ``alg`` with its commutant: the commutant of ``sum_i V_i M_(n m) V_i*``,
+    V_i the isometries of the memoized `sectors.block_decomposition`. It carries its sectors;
+    its basis, built on first read, is ``z / sqrt(tr z)`` for the minimal central projectors z."""
+    from .sectors import Sector, SectorDecomposition, _swapped, block_decomposition
 
-    Spanned by the minimal central projectors z, read off the memoized
-    `sectors.block_decomposition`; each basis element is ``z / sqrt(tr z)``,
-    Hilbert-Schmidt orthonormal since the z are orthogonal projectors. The
-    center is commutative and contains the identity.
-    """
-    from .sectors import block_decomposition  # sectors builds on this module
-
-    zs = np.stack([s.central_projector for s in block_decomposition(alg, tol).sectors])
-    traces = np.trace(zs, axis1=1, axis2=2).real
-    return AlgebraBasis(alg.ambient_dim, zs / np.sqrt(traces)[:, None, None])
+    sectors = [Sector(s.central_projector, s.block_size * s.multiplicity, 1, s.isometry)
+               for s in block_decomposition(alg, tol).sectors]
+    return _commuting_with(sectors, tol, SectorDecomposition(alg.ambient_dim,
+                                                             tuple(map(_swapped, sectors))))
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, NotProjector, PreconditionFailed
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
                        range_projector, require_count, singular_rank, suffix_projectors)
-from .sectors import _random_span_elements, block_decomposition, mvn_dimension
+from .sectors import _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, derive_seeds, generators)
 
@@ -179,8 +179,8 @@ def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
 
 def _random_projectors_from(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> np.ndarray:
     """`_random_projectors` on the seeds' generators. Each seed keeps its own generator and
-    draw order: span coefficients, then (after one stacked ``eigh``) the cut."""
-    w, v = np.linalg.eigh(_random_span_elements(alg.basis, rngs, hermitian=True))
+    draw order: the element's coefficients, then (after one stacked ``eigh``) the cut."""
+    w, v = np.linalg.eigh(_random_self_adjoint(block_decomposition(alg, tol).frame, rngs))
     starts = np.ones((len(rngs), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
     starts[:, 1:-1] = cluster_breaks(w, tol)
     seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one

@@ -17,7 +17,10 @@ minimal projectors (types II and III) have no matrix realization.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +63,31 @@ class Sector:
     isometry: np.ndarray = field(repr=False)
 
 
+class Frame(NamedTuple):
+    """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
+    ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
+    columns from ``start`` on. Every per-sector read and write goes through it."""
+
+    u: np.ndarray
+    uh: np.ndarray
+    groups: tuple
+
+
 @dataclass(frozen=True)
 class SectorDecomposition:
     ambient_dim: int
     sectors: tuple
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The sectors' `Frame`, built on first read."""
+        ordered = sorted(self.sectors, key=lambda s: (s.block_size, s.multiplicity))  # stable
+        groups, at = [], 0
+        for (n, m), same in itertools.groupby(ordered, lambda s: (s.block_size, s.multiplicity)):
+            groups.append((n, m, len(list(same)), at))
+            at += groups[-1][2] * n * m
+        u = np.hstack([s.isometry for s in ordered])
+        return Frame(u, u.conj().T.copy(), tuple(groups))
 
 
 def minimal_central_projectors(
@@ -74,44 +98,56 @@ def minimal_central_projectors(
     return [s.central_projector for s in block_decomposition(alg, tol).sectors]
 
 
-def _random_span_elements(basis: np.ndarray, rngs: list, hermitian: bool) -> np.ndarray:
-    """One random span element per generator in `rngs`, each a ``1 x k`` by ``k x d^2``
-    product: the bits of its own ``tensordot`` (a stacked one is a GEMM and rounds apart)."""
-    k, d = basis.shape[0], basis.shape[-1]
+def _blocks(frame: Frame, y: np.ndarray) -> list:
+    """Per shape group, the writeable view ``(..., count, n, n, m)`` of the sector blocks of y,
+    a stack in frame coordinates: ``[a, j, k, s]`` is sector a's ``(j, s), (k, s)`` entry."""
+    return [np.einsum("...ajsaks->...ajks", y[..., at:at + c * n * m, at:at + c * n * m].reshape(
+        *y.shape[:-2], c, n, m, c, n, m)) for n, m, c, at in frame.groups]
+
+
+def _in_frame(frame: Frame, x: np.ndarray) -> np.ndarray:
+    """``U* x U`` per matrix of a stack, as two GEMMs over the whole stack: a batched matmul
+    calls BLAS once per matrix, which at small d costs more than the products."""
+    if x.ndim == 2:
+        return frame.uh @ x @ frame.u
+    return np.tensordot(np.tensordot(frame.uh, x, axes=(1, 1)), frame.u,
+                        axes=(2, 0)).transpose(1, 0, 2)
+
+
+def _partial_traces(frame: Frame, x: np.ndarray) -> list:
+    """Per shape group, the ``(..., count, n, n)`` traces over m of ``U* x U``'s sector blocks."""
+    return [b.sum(axis=-1) for b in _blocks(frame, _in_frame(frame, x))]
+
+
+def _residual(frame: Frame, x: np.ndarray) -> np.ndarray:
+    """``U* x U - blockdiag(beta / m (x) 1_m)``, beta the partial traces, per matrix of a stack:
+    in the (unitary) frame, the HS projection of x off the sectors' algebra."""
+    y = _in_frame(frame, x)
+    for (_, m, _, _), b in zip(frame.groups, _blocks(frame, y)):
+        b -= b.sum(axis=-1, keepdims=True) / m
+    return y
+
+
+def _outside(frame: Frame, mats: np.ndarray) -> float:
+    """The largest HS distance of a matrix of the stack to the sectors' algebra."""
+    return float(np.linalg.norm(_residual(frame, mats), axis=(1, 2)).max())
+
+
+def _random_self_adjoint(frame: Frame, rngs: list) -> np.ndarray:
+    """Per generator in `rngs`, ``U blockdiag(h (x) 1_m) U*``, h the Hermitian part of a random
+    beta: its 2k normals (k = sum n^2) in one call, k real then k imaginary parts, over sqrt(m)
+    are the betas' entries, group by group. The units ``V (E_ab (x) 1_m) V* / sqrt(m)`` are
+    HS-orthonormal, so this is the law of coefficients on any orthonormal basis."""
+    k = sum(c * n * n for n, _, c, _ in frame.groups)
     z = np.empty((len(rngs), 2 * k))
     for row, rng in zip(z, rngs):
-        rng.standard_normal(out=row)  # k real, then k imaginary parts: the stream of two calls
-    coeffs = (z[:, :k] + 1j * z[:, k:])[:, None]
-    x = np.matmul(coeffs, basis.reshape(k, d * d)).reshape(-1, d, d)
-    return (x + x.conj().swapaxes(-2, -1)) / 2.0 if hermitian else x
-
-
-def _partial_trace(sector: Sector, a: np.ndarray) -> np.ndarray:
-    """Trace over the multiplicity of the compression ``V* a V``, n x n (per matrix of a
-    stack): ``m beta`` for ``a = V (beta (x) 1_m) V*``."""
-    n, m = sector.block_size, sector.multiplicity
-    c = sector.isometry.conj().T @ a @ sector.isometry
-    return np.einsum("...jsks->...jk", c.reshape(*c.shape[:-2], n, m, n, m))
-
-
-def _block_part(sectors, mats: np.ndarray) -> np.ndarray:
-    """Per matrix x of a stack, ``sum_i V_i (beta_i (x) 1_m) V_i*``, beta_i its partial trace
-    over m divided by m: the HS projection of x onto the sectors' algebra, O(d^3) a matrix."""
-    part = np.zeros_like(mats)
-    for s in sectors:
-        n, m = s.block_size, s.multiplicity
-        beta = _partial_trace(s, mats) / m
-        # beta (x) 1_m broadcast, as np.kron's product but without its Python set-up; a
-        # temporary, so that it is freed before the defect's own temporaries are made
-        part += s.isometry @ (
-            beta[:, :, None, :, None] * np.eye(m)[:, None, :]
-        ).reshape(-1, n * m, n * m) @ s.isometry.conj().T
-    return part
-
-
-def _outside(sectors, mats: np.ndarray) -> float:
-    """The largest HS distance of a matrix of the stack to the sectors' algebra."""
-    return float(np.linalg.norm(mats - _block_part(sectors, mats), axis=(1, 2)).max())
+        rng.standard_normal(out=row)
+    coeffs, y, at = z[:, :k] + 1j * z[:, k:], np.zeros((len(rngs), *frame.u.shape), complex), 0
+    for (n, m, c, _), b in zip(frame.groups, _blocks(frame, y)):
+        beta = coeffs[:, at:at + c * n * n].reshape(-1, c, n, n) / np.sqrt(m)
+        b[...] = ((beta + beta.conj().swapaxes(-2, -1)) / 2.0)[..., None]
+        at += c * n * n
+    return frame.u @ y @ frame.uh  # a product per matrix: a draw's bits do not depend on the stack
 
 
 def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, tol: Tolerance) -> list:
@@ -183,14 +219,14 @@ def _settled(ambient_dim: int, sectors: list, tol: Tolerance) -> SectorDecomposi
 
 def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
     """Raise unless the sectors are the algebra's: their blocks' ``n^2`` sum to its
-    dimension and every basis element is its `_block_part`. The algebra then lies in the
+    dimension and no basis element lies outside them (`_outside`). The algebra then lies in the
     direct sum of the blocks and has its dimension, so is all of it: a split or a merged
     sector cannot pass."""
     counts = [(s.block_size, s.multiplicity) for s in sectors]
     if sum(n * n for n, _ in counts) != alg.dim:
         raise SectorDimensionMismatch(f"sector blocks (size, multiplicity) {counts} do not "
                                       f"span the algebra's dimension {alg.dim}", counts=counts)
-    defect = _outside(sectors, alg.basis)
+    defect = _outside(SectorDecomposition(alg.ambient_dim, tuple(sectors)).frame, alg.basis)
     if not defect <= tol.rank_tol:
         raise TensorFormDefect(f"the algebra deviates from its blocks' tensor form by "
                                f"{defect:.3e}", residual=defect)
@@ -216,8 +252,10 @@ def block_decomposition(
 
 
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
-    rng = attempt_generator(STREAM_BLOCK, 0)  # a generic pair (h, g) generates the algebra
-    pair = tuple(_random_span_elements(alg.basis, [rng], herm)[0] for herm in (True, False))
+    k, d = alg.dim, alg.ambient_dim  # a generic pair (h, g) generates the algebra
+    z = attempt_generator(STREAM_BLOCK, 0).standard_normal((2, 1, 2 * k))  # k real, k imaginary
+    x, g = np.matmul(z[..., :k] + 1j * z[..., k:], alg.basis.reshape(k, d * d)).reshape(2, d, d)
+    pair = ((x + x.conj().T) / 2.0, g)
     try:
         sectors = list(generator_commutant(GeneratorSet(alg.ambient_dim, pair), tol)._sectors)
         _certify(alg, sectors, tol)

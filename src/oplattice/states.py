@@ -25,7 +25,7 @@ from .logic import _complement, _ensure_projectors, _join, _leq, _random_project
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, cluster_breaks, matrix_from_json,
                        matrix_to_json, norm_at_most, operator_norm, rank_of, require_count)
-from .sectors import (_partial_trace, _random_span_elements, _validated_projector_in,
+from .sectors import (_partial_traces, _random_self_adjoint, _validated_projector_in,
                       block_decomposition)
 from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
 
@@ -200,8 +200,8 @@ def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_
     """
     if state.dim != alg.ambient_dim:
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
-    reduced = [_partial_trace(s, state.density) for s in block_decomposition(alg, tol).sectors]
-    weighted = [r for r in reduced if float(np.trace(r).real) > tol.rank_tol]
+    traces = _partial_traces(block_decomposition(alg, tol).frame, state.density)
+    weighted = [r for t in traces for r in t if float(np.trace(r).real) > tol.rank_tol]
     return len(weighted) == 1 and rank_of(weighted[0], tol) == 1
 
 
@@ -241,8 +241,9 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
     if any(st.dim != alg.ambient_dim for st in states):
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
     sigma = sum(st.density for st in states)
-    eigenvalues = np.concatenate([np.linalg.eigvalsh(_partial_trace(s, sigma)) / s.multiplicity
-                                  for s in block_decomposition(alg, tol).sectors])
+    frame = block_decomposition(alg, tol).frame
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(t).ravel() / m for (_, m, _, _), t in
+                                  zip(frame.groups, _partial_traces(frame, sigma))])
     top = float(eigenvalues.max())
     if top <= 0.0:
         return False
@@ -294,7 +295,7 @@ def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> lis
     d = alg.ambient_dim
     rngs = generators(derive_seeds(seeds, STREAM_FAMILY_BASE, 0))
     p = _random_projectors_from(alg, rngs, tol)
-    h = _random_span_elements(alg.basis, rngs, hermitian=True)
+    h = _random_self_adjoint(block_decomposition(alg, tol).frame, rngs)
     c = 1.0 + np.linalg.norm(h, axis=(-2, -1))[:, None]  # above the spectrum of h
     w, v = np.linalg.eigh(p @ h @ p - c[..., None] * _complement(p))
     cut = np.array([rng.integers(0, 2, d - 1) for rng in rngs], dtype=bool)

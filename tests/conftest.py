@@ -25,7 +25,7 @@ from oplattice import (
 from oplattice import sectors as sectors_module
 from oplattice.logic import _projectors
 from oplattice.numerics import norm_at_most, range_projector
-from oplattice.sectors import _random_span_elements, _validated_projector_in
+from oplattice.sectors import _validated_projector_in
 from oplattice.seeding import attempt_generator
 
 
@@ -201,7 +201,9 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
         return np.zeros_like(pm)
     for attempt in range(ISOMETRY_ATTEMPTS):
         rng = attempt_generator(STREAM_ISOMETRY, attempt)
-        w = _random_span_elements(alg.basis, [rng], hermitian=False)[0]
+        k, d = alg.dim, alg.ambient_dim  # 2k normals in one call: k real, then k imaginary parts
+        z = rng.standard_normal(2 * k)
+        w = np.matmul((z[:k] + 1j * z[k:])[None], alg.basis.reshape(k, d * d)).reshape(d, d)
         x = qm @ w @ pm
         if rank_of(x, tol) != rp:
             continue
@@ -214,6 +216,26 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
         ):
             return v_iso
     return None
+
+
+def reference_self_adjoint(alg, rng, tol=DEFAULT_TOL):
+    """One random self-adjoint algebra element as a loop over the sectors, the reference for
+    the package's frame draw: 2k normals in one call (k = alg.dim real, then k imaginary
+    parts), read n^2 at a time as a sector's ``beta sqrt(m)``, the sectors taken by shape
+    ``(n, m)`` ascending and in decomposition order within a shape; each block
+    ``Re(beta) (x) 1_m`` sits at its sector's columns of ``U = [V_1, V_2, ...]``."""
+    sectors = sorted(sectors_module.block_decomposition(alg, tol).sectors,
+                     key=lambda s: (s.block_size, s.multiplicity))
+    k, d = alg.dim, alg.ambient_dim
+    z = rng.standard_normal(2 * k)
+    coeffs, b, at, col = z[:k] + 1j * z[k:], np.zeros((d, d), dtype=complex), 0, 0
+    for s in sectors:
+        n, m = s.block_size, s.multiplicity
+        beta = coeffs[at:at + n * n].reshape(n, n) / np.sqrt(m)
+        b[col:col + n * m, col:col + n * m] = np.kron((beta + beta.conj().T) / 2.0, np.eye(m))
+        at, col = at + n * n, col + n * m
+    u = np.hstack([s.isometry for s in sectors])
+    return u @ b @ u.conj().T
 
 
 def rational_clock_shift(d, p):

@@ -521,6 +521,20 @@ class TestLazyBasis:
         assert run_scenario(scenario).algebra_dim == algebra_dim
         assert calls == {"_commutant_units": 0, "_refined": 0, "_decompose": 0}
 
+    @pytest.mark.parametrize("kind, dim, parameters", [
+        ("weyl_finite", 16, {"modulus": 16}),
+        ("classical", 16, {"point_count": 16}),
+        ("sectors", 6, {"blocks": [[2, 3]]}),
+    ], ids=["weyl-16", "classical-16", "sectors-2x3"])
+    def test_a_scenario_with_trials_builds_no_basis(self, monkeypatch, kind, dim, parameters):
+        # the draws and the membership checks of every trial read the sectors' frame
+        calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
+                                      (sectors_module, "_decompose")])
+        scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim, "trials": 4,
+                                       "parameters": parameters, "seed": 1})
+        assert run_scenario(scenario).orthoadditivity["trials"] == 4
+        assert calls == {"_commutant_units": 0, "_decompose": 0}
+
     def test_dim_is_read_off_the_sectors_and_the_basis_built_once(self, monkeypatch):
         alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
         calls = counted(monkeypatch, [(algebra_module, "_commutant_units")])
@@ -719,6 +733,25 @@ class TestCenter:
         assert contains(ctr, np.eye(5))
 
 
+    def test_a_center_carries_its_sectors(self, monkeypatch):
+        alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
+        zs = [s.central_projector for s in block_decomposition(alg).sectors]
+        ctr = center(alg)
+        calls = counted(monkeypatch, [(sectors_module, "_decompose"),
+                                      (algebra_module, "_commutant_units")])
+        sectors = block_decomposition(ctr).sectors
+        assert [(s.block_size, s.multiplicity) for s in sectors] == [(1, 6), (1, 2), (1, 3)]
+        assert all(s.central_projector is z for s, z in zip(sectors, zs))
+        assert contains(ctr, np.stack(zs)).all() and ctr.dim == 3
+        w = next(s for s in block_decomposition(alg).sectors if s.block_size == 2).isometry
+        w = w.reshape(-1, 2, 3)  # V (E_01 (x) 1_3) V* lies in the algebra, not in its center
+        assert not contains(ctr, w[:, 0] @ w[:, 1].conj().T)
+        assert calls == {"_decompose": 0, "_commutant_units": 0}
+        units = np.stack([z / np.sqrt(np.trace(z).real) for z in zs])
+        assert np.allclose(ctr.basis, units, rtol=0, atol=1e-13)
+        assert calls == {"_decompose": 0, "_commutant_units": 1}
+
+
 class TestIsCommutative:
     def test_diagonal(self, diag3):
         assert is_commutative(diag3)
@@ -749,6 +782,19 @@ class TestContains:
         verdicts = contains(two_blocks, np.stack(mats))
         assert verdicts.tolist() == [contains(two_blocks, m) for m in mats]
         assert verdicts.tolist() == [True, True, False, True, False]
+
+    def test_a_caller_basis_is_decomposed_once(self, monkeypatch, two_blocks):
+        given = AlgebraBasis(5, two_blocks.basis)
+        calls = counted(monkeypatch, [(sectors_module, "_decompose")])
+        mats = [two_blocks.basis[3], unit(5, 0, 4)]
+        assert [contains(given, m) for m in mats] == [True, False]
+        assert contains(given, np.stack(mats)).tolist() == [True, False]
+        assert calls == {"_decompose": 1}
+
+    def test_a_span_that_is_no_algebra_raises(self):
+        # e11 alone is no unital algebra: its decomposition, which membership reads, fails
+        with pytest.raises(CenterDiagonalizationFailed):
+            contains(AlgebraBasis(2, unit(2, 0, 0)[None]), unit(2, 0, 0))
 
     def test_generated_von_neumann_algebra_contains_meets(self, two_blocks):
         # meets of projectors of a bicommutant-stable algebra stay inside it

@@ -51,6 +51,7 @@ from tests.conftest import (
     kernel_algebra,
     line_projector,
     meet_iterative,
+    reference_self_adjoint,
     unit,
 )
 
@@ -507,11 +508,11 @@ class TestStackedChecks:
 
 
 def reference_random_projector(alg, seed, tol=DEFAULT_TOL):
-    """The one-draw sampler the stacked draws replaced: `tensordot`, `eigh`, a cluster loop."""
+    """The one-draw sampler the stacked draws replaced: a loop over the sectors, `eigh`, a
+    cluster loop."""
     rng = np.random.default_rng(int(seed))
-    k, d = alg.dim, alg.ambient_dim
-    x = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), alg.basis, axes=(0, 0))
-    w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
+    d = alg.ambient_dim
+    w, v = np.linalg.eigh(reference_self_adjoint(alg, rng, tol))
     threshold = tol.rank_tol * max(1.0, float(w[-1] - w[0]))
     starts = [0] + [i for i in range(1, d) if w[i] - w[i - 1] > threshold]
     cut = int(rng.integers(0, len(starts) + 1))

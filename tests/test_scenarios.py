@@ -6,6 +6,7 @@ import pytest
 
 from oplattice import (
     Expectation,
+    GeneratorSet,
     NotInAlgebra,
     NotOrthogonalFamily,
     NotProjector,
@@ -699,6 +700,21 @@ class TestRotationToleranceSweep:
         report = run_scenario(_custom(gens), Tolerance(rank_tol=1e-12))
         assert sorted(map(tuple, ([s["block_size"], s["multiplicity"]]
                                   for s in report.sectors))) == [(8, 1)] * 3
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason="the generators' distance "
+                       "to their sectors' algebra misses a 1e-12 cutoff by rounding alone")
+    @pytest.mark.parametrize("name, seed", [("clock2-shift4-16", 1), ("clock-shift-24-4", 1),
+                                            ("clock-shift-24-4", 2)])
+    def test_rotated_inputs_at_a_tight_cutoff_are_certified(self, name, seed):
+        # known defect: the certificate has no rounding floor, and these correct sectors miss
+        # rank_tol 1e-12 by 1.03e-12 to 1.27e-12, so the chain is refused
+        if name == "clock2-shift4-16":
+            u, v = rational_clock_shift(16, 1).generators
+            gens = GeneratorSet(16, (u @ u, np.linalg.matrix_power(v, 4)))
+        else:
+            gens = rational_clock_shift(24, 4)
+        report = run_scenario(_custom(rotated(gens, seed)), Tolerance(rank_tol=1e-12))
+        assert _structure(report) == _structure(run_scenario(_custom(gens)))
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("d", [8, 16])

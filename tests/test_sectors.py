@@ -37,9 +37,12 @@ from oplattice import (
     random_projector,
     same_span,
 )
+from oplattice import logic as logic_module
 from oplattice import sectors as sectors_module
+from oplattice import states as states_module
+from oplattice.seeding import generators
 from tests.conftest import (equivalence_isometry, haar_unitary, rational_clock_shift,
-                            reference_close, rotated, unit)
+                            reference_close, rotated, star, unit)
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +433,8 @@ class TestStructureChecks:
 
 
 class TestBlockPart:
-    """`_block_part` on `commutant(alg)`'s memoized sectors is the projection onto its span."""
+    """The block part ``x - U r U*``, r the `_residual` in `commutant(alg)`'s memoized frame U,
+    is the projection onto its span."""
 
     @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
                              ids=str)
@@ -442,13 +446,66 @@ class TestBlockPart:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, alg.ambient_dim, alg.ambient_dim, 2)) @ [1, 1j]
         comm = commutant(alg)
-        sectors = block_decomposition(comm).sectors
+        frame = block_decomposition(comm).frame
+
+        def block_part(mats):
+            return mats - frame.u @ sectors_module._residual(frame, mats) @ frame.uh
+
         want = project_onto(comm, x)
-        assert np.allclose(sectors_module._block_part(sectors, x), want, rtol=1e-10, atol=1e-12)
+        assert np.allclose(block_part(x), want, rtol=1e-10, atol=1e-12)
         outside = np.linalg.norm(x - want, axis=(1, 2))
         assert comm.dim == alg.ambient_dim ** 2 or (outside > 0.1).all()  # M_d holds every x
-        inside = comm.basis - sectors_module._block_part(sectors, comm.basis)
+        inside = comm.basis - block_part(comm.basis)
         assert (np.linalg.norm(inside, axis=(1, 2)) < 1e-12).all()
+
+
+# Haar-rotated builders and the star units, whose chain walks only after a split pass
+FRAME_CASES = {
+    "classical-6": lambda: rotated(build_classical(6), seed=5),
+    "weyl-5": lambda: rotated(build_weyl_finite(5), seed=5),
+    "sectors-2x2+1x3": lambda: rotated(build_sectors([(2, 2), (1, 3)]), seed=5),
+    "star-6": lambda: star(6),
+}
+
+
+class TestFrameCrossCheck:
+    """Membership and the draws read and write the sectors' frame; `project_onto` on the word
+    closure's basis (`reference_close`), which knows no sectors, is the independent check."""
+
+    @pytest.mark.parametrize("name", FRAME_CASES)
+    def test_contains_gives_the_projection_residual_verdict(self, name):
+        gens = FRAME_CASES[name]()
+        alg, ref = close(gens), reference_close(gens)
+        d, rng = gens.ambient_dim, np.random.default_rng(8)
+        inside = np.tensordot(rng.standard_normal((10, ref.dim, 2)) @ [1, 1j], ref.basis, axes=1)
+        noise = rng.standard_normal((10, d, d, 2)) @ [1, 1j]
+        mats = np.concatenate([inside + scale * noise for scale in (0.0, 1e-13, 1e-5, 1.0)])
+        residual = mats - project_onto(ref, mats)
+        want = operator_norm(residual) <= DEFAULT_TOL.eq_tol * (1 + operator_norm(mats))
+        assert contains(alg, mats).tolist() == want.tolist()
+        assert want[:20].all() and (want[20:].all() if ref.dim == d * d else not want[20:].any())
+
+    @pytest.mark.parametrize("name", FRAME_CASES)
+    def test_every_draw_lies_in_the_algebra(self, name):
+        gens = FRAME_CASES[name]()
+        alg, ref = close(gens), reference_close(gens)
+        families = states_module._random_orthogonal_families(alg, range(20), DEFAULT_TOL)
+        draws = np.stack([
+            *sectors_module._random_self_adjoint(block_decomposition(alg).frame,
+                                                 generators(range(40))),
+            *logic_module._random_projectors(alg, range(40), DEFAULT_TOL),
+            *(p for family in families for p in family)])
+        outside = np.linalg.norm(draws - project_onto(ref, draws), axis=(1, 2))
+        assert (outside <= 1e-12 * (1 + operator_norm(draws))).all()
+
+    def test_draws_have_the_law_of_coefficients_on_an_orthonormal_basis(self):
+        # the Hermitian part of a standard complex Gaussian on any HS-orthonormal basis has
+        # E ||h||_F^2 = dim; without the 1 / sqrt(m) of the betas it would be m times that
+        alg = close(build_sectors([(2, 3)]))
+        h = sectors_module._random_self_adjoint(block_decomposition(alg).frame,
+                                                generators(range(2000)))
+        mean = float(np.mean(np.linalg.norm(h, axis=(1, 2)) ** 2))
+        assert abs(mean - alg.dim) <= 0.05 * alg.dim
 
 
 # every builder at d = 4, 8, 16; the sector sets have two block sizes and multiplicities

@@ -45,6 +45,7 @@ from tests.conftest import (
     KERNEL_ALGEBRAS,
     kernel_algebra,
     line_projector,
+    reference_self_adjoint,
     rotated,
     unit,
 )
@@ -234,12 +235,10 @@ def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
     base_seed = derive_seed(seed, STREAM_FAMILY_BASE, 0)
     p = random_projector(alg, base_seed)
     rng = np.random.default_rng(base_seed)
-    k, d = alg.dim, alg.ambient_dim
+    d = alg.ambient_dim
 
     def element():
-        x = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), alg.basis,
-                         axes=(0, 0))
-        return (x + x.conj().T) / 2.0
+        return reference_self_adjoint(alg, rng, tol)
 
     def breaks(w):
         return [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
