@@ -33,8 +33,6 @@ from .numerics import (
     as_matrix,
     dumps,
     ensure_projector,
-    hermitian_eig,
-    hs_inner,
     hs_norm,
     is_projector,
     matrix_from_json,

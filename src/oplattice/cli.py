@@ -122,7 +122,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         return lattice_report_to_json(report), summary
 
     if args.verb == "run":
-        scenario = scenario_from_json(_load_input(args))
+        scenario = scenario_from_json(_load_input(args), tol)
         report = run_scenario(scenario, tol)
         expectations_ok = all(v["pass"] for v in report.expectations)
         summary = (

@@ -5,9 +5,9 @@ propositions; this module implements their orthocomplement, meet, join
 and order, plus the law checkers (orthomodularity, distributivity,
 atomicity) and a seeded sampler used by the verification sweeps.
 
-The meet projects onto the joint null space of the two range
-complements: one SVD, with no iteration to converge and no spectral gap
-to round across.
+The meet projects onto the joint null space of the range complements:
+one SVD, with no iteration to converge and no spectral gap to round
+across.
 """
 
 from __future__ import annotations
@@ -37,17 +37,20 @@ def _complement(p: np.ndarray) -> np.ndarray:
     return np.eye(p.shape[-1], dtype=complex) - p
 
 
-def _meet(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # like every kernel here: one matrix, or an (n, d, d) stack with each trial's one-matrix bits
-    a = np.concatenate([_complement(p), _complement(q)], axis=-2)
+def _meet(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Projector onto the common range of ``ps``: the null space of the stacked complements
+    ``[1 - p_1; ...; 1 - p_n]``, one SVD. Like every kernel here it takes one matrix each, or
+    ``(c, d, d)`` stacks with each of the c cases' one-matrix bits."""
+    a = np.concatenate([_complement(p) for p in ps], axis=-2)
     if a.ndim == 2:  # a public one-pair call stays a (traced) `null_space` call, same bits
         return range_projector(null_space(a, tol))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, tol))
 
 
-def _join(p: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return _complement(_meet(_complement(p), _complement(q), tol))
+def _join(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Projector onto the span of the ranges of ``ps``: ``1 - ⋀(1 - p_i)``, one `_meet`."""
+    return _complement(_meet(*[_complement(p) for p in ps], tol=tol))
 
 
 def _leq(p, q, tol: Tolerance):
@@ -55,18 +58,18 @@ def _leq(p, q, tol: Tolerance):
 
 
 def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
-    inner = _meet(_complement(p), q, tol)
-    outer = _join(p, inner, tol)
+    inner = _meet(_complement(p), q, tol=tol)
+    outer = _join(p, inner, tol=tol)
     return operator_norm(q - outer), (inner, outer)
 
 
 def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
     # stacked meets: q ∨ r (a meet of complements) with p ∧ q and p ∧ r; then lhs with rhs
     not_q_or_r, p_and_q, p_and_r = _meet(np.stack([_complement(q), p, p]),
-                                         np.stack([_complement(r), q, r]), tol)
+                                         np.stack([_complement(r), q, r]), tol=tol)
     q_or_r = _complement(not_q_or_r)
     lhs, not_rhs = _meet(np.stack([p, _complement(p_and_q)]),
-                         np.stack([q_or_r, _complement(p_and_r)]), tol)
+                         np.stack([q_or_r, _complement(p_and_r)]), tol=tol)
     rhs = _complement(not_rhs)
     return operator_norm(lhs - rhs), (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
@@ -94,12 +97,12 @@ def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     both complements kill it. Distinct non-orthogonal lines meet at the
     origin, the hallmark separating this lattice from a Boolean one.
     """
-    return _meet(*_projectors(p, q, tol=tol), tol)
+    return _meet(*_projectors(p, q, tol=tol), tol=tol)
 
 
 def join(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Projector onto ``range(p) + range(q)``, as the De Morgan dual of meet."""
-    return _join(*_projectors(p, q, tol=tol), tol)
+    return _join(*_projectors(p, q, tol=tol), tol=tol)
 
 
 def leq(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -174,19 +177,23 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
 
 def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
     """`random_projector` for each seed, as one ``(n, d, d)`` stack."""
-    return _random_projectors_from(alg, generators(seeds), tol)
+    v, _, first = _spectral_cuts(alg, generators(seeds), tol)
+    return suffix_projectors(v, first)
 
 
-def _random_projectors_from(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> np.ndarray:
-    """`_random_projectors` on the seeds' generators. Each seed keeps its own generator and
-    draw order: the element's coefficients, then (after one stacked ``eigh``) the cut."""
+def _spectral_cuts(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> tuple:
+    """The spectral draw of `random_projector` on each generator of `rngs`: eigenvectors ``v``
+    of a random self-adjoint element (ascending eigenvalues, one stacked ``eigh``), its
+    `cluster_breaks`, and the first column of the top clusters kept (d when none is). Each
+    generator keeps its own draw order: the element's coefficients, then the cut."""
     w, v = np.linalg.eigh(_random_self_adjoint(block_decomposition(alg, tol).frame, rngs))
+    breaks = cluster_breaks(w, tol)
     starts = np.ones((len(rngs), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
-    starts[:, 1:-1] = cluster_breaks(w, tol)
+    starts[:, 1:-1] = breaks
     seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one
     kept = np.array([rng.integers(0, n) for rng, n in zip(rngs, seen[:, -1].tolist())])
     # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at d)
-    return suffix_projectors(v, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1))
+    return v, breaks, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +250,7 @@ def lattice_report(
                    STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
         seeds = derive_seeds(seed, np.repeat(streams, trials), np.tile(np.arange(trials), 5))
         q, r, dp, dq, dr = _random_projectors(alg, seeds, tol).reshape(5, -1, d, d)
-        p = _meet(r, q, tol)
+        p = _meet(r, q, tol=tol)
         om_residuals, om_derived = _orthomodularity(p, q, tol)
         dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
         om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotHermitian,
     NotProjector,
     ValidationError,
 )
@@ -110,11 +109,6 @@ def norm_at_most(m, bound):
     return out
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``tr(a† b)``."""
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(a))
@@ -129,26 +123,6 @@ def hs_unit(g: np.ndarray) -> tuple[np.ndarray, float]:
         g = g / max(np.abs(g.real).max(), np.abs(g.imag).max())
         s = hs_norm(g)
     return g, s or 1.0
-
-
-def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a self-adjoint matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
-    descending order and matching orthonormal eigenvector columns, so
-    that ``m == V @ diag(w) @ V†`` up to rounding.
-
-    Raises
-    ------
-    NotHermitian
-        If ``||m - m*||`` exceeds ``tol.eq_tol``.
-    """
-    a = as_matrix(m)
-    defect = a - a.conj().T
-    if not norm_at_most(defect, tol.eq_tol):
-        raise NotHermitian(f"matrix is not self-adjoint: ||m - m*|| = {operator_norm(defect):.3e}")
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -360,7 +360,8 @@ def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Toleranc
     }
 
 
-def scenario_from_json(data) -> Scenario:
+def scenario_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Scenario:
+    """A scenario from its JSON layout; configured states are validated under `tol`."""
     if not isinstance(data, dict):
         raise ValidationError("scenario JSON must be an object")
     for key in ("name", "kind", "dim"):
@@ -369,7 +370,7 @@ def scenario_from_json(data) -> Scenario:
     for key in ("states", "expectations"):
         if not isinstance(data.get(key, []), list):
             raise ValidationError(f'"{key}" must be an array')
-    states = tuple(state_from_json(s) for s in data.get("states", []))
+    states = tuple(state_from_json(s, tol) for s in data.get("states", []))
     expectations = []
     for entry in data.get("expectations", []):
         if not isinstance(entry, dict) or "check" not in entry or "expect" not in entry:

@@ -21,12 +21,11 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope, contains
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgebra, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import _complement, _ensure_projectors, _join, _leq, _random_projectors_from
+from .logic import _complement, _ensure_projectors, _join, _leq, _spectral_cuts
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, cluster_breaks, matrix_from_json,
-                       matrix_to_json, norm_at_most, operator_norm, rank_of, require_count)
-from .sectors import (_partial_traces, _random_self_adjoint, _validated_projector_in,
-                      block_decomposition)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
+                       norm_at_most, operator_norm, rank_of, require_count)
+from .sectors import _partial_traces, _validated_projector_in, block_decomposition
 from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
 
 
@@ -133,42 +132,38 @@ def sigma_orthoadditivity_residuals(
 
 def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
     """`sigma_orthoadditivity_residuals` of one or more ``(label, density, members)`` cases,
-    after one stacked check of all members, complements (one stacked ``1 - p``) and running
-    joins: projectors in `domain`, each case's members pairwise orthogonal. A failure names
-    its case. Join step j is one `_join` over the cases with more than j members (zero
-    padding would change the last join's bits)."""
+    after one stacked check of each case's n members, their complements (one stacked
+    ``1 - p``) and its join: projectors in `domain`, each case's members pairwise orthogonal.
+    A failure names its case. The joins of the cases with n members are one n-ary `_join`
+    (zero padding would change their bits); an empty family's join is 0."""
     d, count = domain.ambient_dim, len(cases)
     sizes = np.array([len(members) for *_, members in cases])
     starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
     members = np.array([p for *_, ms in cases for p in ms], dtype=complex).reshape(total, d, d)
-    first = starts + np.arange(count)  # row of each case's zero join: n + 1 joins a case
-    joins = np.zeros((total + count, d, d), dtype=complex)
-    for j in range(sizes.max(initial=0)):
-        live = np.flatnonzero(sizes > j)
-        joins[first[live] + j + 1] = _join(joins[first[live] + j], members[starts[live] + j], tol)
-    # `checked` holds, case by case, its n members, their n complements and its n + 1 joins:
-    # entry k of case c is one row of `pool`
-    pool = np.concatenate([members, _complement(members), joins])
-    case = np.repeat(np.arange(count), 3 * sizes + 1)
-    n, at = sizes[case], starts[case]
-    k = np.arange(case.size) - (3 * starts + np.arange(count))[case]
-    checked = pool[np.select([k < n, k < 2 * n], [at + k, total + at + k - n],
-                             2 * total + first[case] + k - 2 * n)]
+    complements = _complement(members)
+    joins = np.zeros((count, d, d), dtype=complex)
+    for size in set(sizes.tolist()) - {0}:
+        sized = sizes == size
+        at = starts[sized][:, None] + np.arange(size)  # (cases, size) member rows
+        joins[sized] = _join(*members[at].swapaxes(0, 1), tol=tol)
+    # case by case: its n members, their n complements and its join
+    checked = np.concatenate([x for c, (at, n) in enumerate(zip(starts.tolist(), sizes.tolist()))
+                              for x in (members[at:at + n], complements[at:at + n], joins[c:c + 1])])
+    case = np.repeat(np.arange(count), 2 * sizes + 1)
     _ensure_projectors(checked, lambda i: cases[case[i]][0], tol)
     top = sizes.max(initial=0)
     apart = np.ones((count, top, top), dtype=bool)
     for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per `_leq`
         c, b = np.nonzero((np.arange(top) > a) & (np.arange(top) < sizes[:, None]))
-        apart[c, a, b] = _leq(members[starts[c] + a], pool[total + starts[c] + b], tol)
+        apart[c, a, b] = _leq(members[starts[c] + a], complements[starts[c] + b], tol)
     if not apart.all():  # the first failure in case, then itertools.combinations' order
         c, a, b = np.argwhere(~apart)[0].tolist()
         raise NotOrthogonalFamily(f"{cases[c][0]}: members {a} and {b} are not orthogonal")
     inside = contains(domain, checked, tol)
     if not np.all(inside):
         raise NotInAlgebra(f"{cases[case[int(np.argmin(inside))]][0]}: projector not in the domain")
-    evaluated = (k < 2 * n) | (k == 3 * n)  # members, complements, the whole family's join
-    densities = np.stack([density for _, density, _ in cases])[case[evaluated]]
-    values = np.trace(densities @ checked[evaluated], axis1=1, axis2=2)
+    densities = np.stack([density for _, density, _ in cases])[case]
+    values = np.trace(densities @ checked, axis1=1, axis2=2)
     v, out = iter(_probabilities(values, tol).tolist()), []
     for size in sizes.tolist():
         x = [next(v) for _ in range(2 * size + 1)]  # members, complements, join; summed in order
@@ -274,34 +269,28 @@ def random_orthogonal_family(
 ) -> list[np.ndarray]:
     """Pairwise-orthogonal projectors in the algebra, cutting a random range.
 
-    Draws a base projector p and, from the same generator, a self-adjoint
-    element h of the span. The eigenvalue clusters of ``p h p`` on the
-    range of p (one ``eigh`` of ``p h p - c (1 - p)``, ``c = 1 + ||h||_F``
-    above the spectrum of h, so ``1 - p`` is a cluster of its own) are
-    grouped into consecutive pieces, cut before each cluster with
-    probability 1/2. Each piece is a spectral projector of an algebra
-    element, so it lies in the algebra; the pieces are orthogonal, sum to
-    p and number at most ``rank p``. May be empty (p = 0). Runs
-    `_random_orthogonal_families` on one seed: a family does not depend on
-    the others drawn with it.
+    Draws the base projector p as `random_projector` does (the top clusters of a random
+    self-adjoint element h of the span) and groups those clusters into consecutive pieces, cut
+    before each cluster with probability 1/2 (one bit per eigenvalue gap, drawn next from the
+    same generator). Each piece is a spectral projector of h, so it lies in the algebra; the
+    pieces are orthogonal, sum to p and number at most ``rank p``. May be empty (p = 0). Runs
+    `_random_orthogonal_families` on one seed: a family does not depend on the others drawn
+    with it.
     """
     require_count("seed", seed)
     return _random_orthogonal_families(alg, [seed], tol)[0]
 
 
 def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
-    """`random_orthogonal_family` for each seed, in stacked stages: the base draws, the span
-    draws, one ``eigh``, each generator's cut bits, and all members as one masked product."""
+    """`random_orthogonal_family` for each seed, in stacked stages: the base's spectral cuts
+    (one ``eigh``), each generator's cut bits, and all members as one masked product."""
     d = alg.ambient_dim
     rngs = generators(derive_seeds(seeds, STREAM_FAMILY_BASE, 0))
-    p = _random_projectors_from(alg, rngs, tol)
-    h = _random_self_adjoint(block_decomposition(alg, tol).frame, rngs)
-    c = 1.0 + np.linalg.norm(h, axis=(-2, -1))[:, None]  # above the spectrum of h
-    w, v = np.linalg.eigh(p @ h @ p - c[..., None] * _complement(p))
+    v, breaks, first = _spectral_cuts(alg, rngs, tol)
     cut = np.array([rng.integers(0, 2, d - 1) for rng in rngs], dtype=bool)
-    inside = w > 0.5 - c  # the range of p, a suffix of columns: 1 - p is the cluster at -c
-    starts = inside & np.diff(inside, axis=1, prepend=False)  # the range's first column
-    starts[:, 1:] |= inside[:, 1:] & cluster_breaks(w, tol) & cut.reshape(len(rngs), d - 1)
+    inside = np.arange(d) >= first[:, None]  # the range of p, a suffix of columns
+    starts = np.arange(d) == first[:, None]  # the range's first column
+    starts[:, 1:] |= inside[:, 1:] & breaks & cut.reshape(len(rngs), d - 1)
     piece = np.cumsum(starts, axis=1) * inside  # 1-based piece of each column, 0 off the range
     sizes, ends = piece[:, -1], np.cumsum(piece[:, -1])
     family, index = np.nonzero(np.arange(d) < sizes[:, None])  # each member's, in order

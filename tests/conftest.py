@@ -15,7 +15,6 @@ from oplattice import (
     build_weyl_finite,
     close,
     contains,
-    hs_inner,
     hs_norm,
     null_space,
     operator_norm,
@@ -89,7 +88,7 @@ def two_orthogonal_real_lines():
 
 
 def reference_close(gens, tol=DEFAULT_TOL):
-    """`close` as a plain loop: one `hs_inner` per basis vector, done twice.
+    """`close` as a plain loop: one `np.vdot` per basis vector, done twice.
 
     Same breadth-first order, seeds judged against their own norm, same
     rejection rule; the fast `close` must give the same span.
@@ -107,7 +106,7 @@ def reference_close(gens, tol=DEFAULT_TOL):
         r = candidate / scale
         for _ in range(2):
             for b in basis:
-                r = r - hs_inner(b, r) * b
+                r = r - np.vdot(b, r) * b
         residual = hs_norm(r)
         if residual * scale <= tol.rank_tol * ref:
             return None

@@ -27,7 +27,6 @@ from oplattice import (
     generator_commutant,
     generator_set_from_json,
     generator_set_to_json,
-    hs_inner,
     is_commutative,
     lattice_report,
     operator_norm,
@@ -116,7 +115,7 @@ class TestClose:
     def test_basis_is_hs_orthonormal(self, full3):
         k = full3.dim
         gram = np.array(
-            [[hs_inner(full3.basis[i], full3.basis[j]) for j in range(k)] for i in range(k)]
+            [[np.vdot(full3.basis[i], full3.basis[j]) for j in range(k)] for i in range(k)]
         )
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
 

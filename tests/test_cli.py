@@ -245,6 +245,20 @@ class TestRunVerb:
         assert payload["expectations"][0]["pass"] is True
         assert "all pass" in err
 
+    def test_scenario_states_are_read_at_the_cli_tolerance(self, capsys, tmp_path):
+        # a trace off 1 by 1e-7 passes `--tol-eq 1e-6`, as `eval-state` accepts the same density
+        density = matrix_to_json(np.diag([0.5, 0.5 + 1e-7]))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**self.scenario_payload(), "states": [{"density": density}]}))
+        code, _, err = run_cli(capsys, "--input", str(path), "run")
+        assert code == 1 and "trace" in err
+        code, out, err = run_cli(capsys, "--tol-eq", "1e-6", "--input", str(path), "run")
+        assert code == 0, err
+        assert len(json.loads(out)["states"]) == 1
+        ev = tmp_path / "ev.json"
+        ev.write_text(json.dumps({"density": density, "observable": matrix_to_json(np.eye(2))}))
+        assert run_cli(capsys, "--tol-eq", "1e-6", "--input", str(ev), "eval-state")[0] == 0
+
     def test_json_out_writes_file(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(self.scenario_payload()))

@@ -33,7 +33,7 @@ from oplattice import (
 from oplattice import NotProjector, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
-from oplattice.numerics import dumps, range_projector
+from oplattice.numerics import dumps, range_projector, singular_rank, suffix_projectors
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -558,18 +558,30 @@ class TestStackedKernels:
         p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
         q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
         # the second half meets p with a projector above it, so every rank shows up
-        a, b = np.concatenate([p, p]), np.concatenate([q, logic_module._join(p, q, DEFAULT_TOL)])
-        meets = logic_module._meet(a, b, DEFAULT_TOL)
-        joins = logic_module._join(a, b, DEFAULT_TOL)
+        above = logic_module._join(p, q, tol=DEFAULT_TOL)
+        a, b = np.concatenate([p, p]), np.concatenate([q, above])
+        meets = logic_module._meet(a, b, tol=DEFAULT_TOL)
+        joins = logic_module._join(a, b, tol=DEFAULT_TOL)
         for x, y, m, j in zip(a, b, meets, joins):
             assert np.array_equal(m, meet(x, y))
             assert np.array_equal(j, join(x, y))
+
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_a_two_projector_meet_keeps_the_pair_formula(self, name):
+        # the variadic kernel stacks `[1 - p; 1 - q]` as the pair kernel did: same bits
+        alg = kernel_algebra(name)
+        p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
+        q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
+        one = np.eye(alg.ambient_dim)
+        _, s, vh = np.linalg.svd(np.concatenate([one - p, one - q], axis=-2), full_matrices=False)
+        want = suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, DEFAULT_TOL))
+        assert np.array_equal(logic_module._meet(p, q, tol=DEFAULT_TOL), want)
 
     def test_empty_stacks(self, two_blocks):
         empty = logic_module._random_projectors(two_blocks, [], DEFAULT_TOL)
         assert empty.shape == (0, 5, 5) and empty.dtype == complex
         for kernel in (logic_module._meet, logic_module._join):
-            out = kernel(empty, empty, DEFAULT_TOL)
+            out = kernel(empty, empty, tol=DEFAULT_TOL)
             assert out.shape == (0, 5, 5) and out.dtype == complex
         assert operator_norm(empty).shape == (0,)
         report = lattice_report(two_blocks, trials=0, seed=4)

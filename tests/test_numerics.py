@@ -8,14 +8,12 @@ import pytest
 from oplattice import (
     DEFAULT_TOL,
     DimensionMismatch,
-    NotHermitian,
     NotProjector,
     Tolerance,
     ValidationError,
     adjoint,
     as_matrix,
     ensure_projector,
-    hermitian_eig,
     is_projector,
     matrix_from_json,
     matrix_to_json,
@@ -83,29 +81,6 @@ class TestAdjoint:
         rng = np.random.default_rng(11)
         m = random_matrix(rng, 4)
         assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-class TestHermitianEig:
-    def test_diagonal_sorted_descending(self):
-        w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-
-    def test_pauli_x(self):
-        w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        m = random_matrix(rng, 6)
-        h = (m + m.conj().T) / 2
-        w, v = hermitian_eig(h)
-        rebuilt = (v * w) @ v.conj().T
-        assert operator_norm(rebuilt - h) <= 1e-10
-        assert operator_norm(v.conj().T @ v - np.eye(6)) <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestOperatorNorm:

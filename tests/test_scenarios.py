@@ -462,9 +462,10 @@ class TestNoTrials:
         def no_draws(*args):
             raise AssertionError("zero trials drew a sample")
 
-        # both modules bind a projector sampler; the sweep's samplers are bound in scenarios
+        # both modules bind the spectral draw; the sweep's samplers are bound in scenarios
         monkeypatch.setattr(logic_module, "_random_projectors", no_draws)
-        monkeypatch.setattr(states_module, "_random_projectors_from", no_draws)
+        monkeypatch.setattr(logic_module, "_spectral_cuts", no_draws)
+        monkeypatch.setattr(states_module, "_spectral_cuts", no_draws)
         monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", no_draws)
         monkeypatch.setattr(scenarios_module, "_random_states", no_draws)
         assert report_to_json(run_scenario(scenario)) == want
@@ -575,8 +576,8 @@ class TestOneFamilyPass:
 
 class TestCallBudget:
     """One run makes no decomposition (the generated algebra carries its sectors), one family
-    draw, one orthoadditivity check and one lattice draw, and a fixed number of seed hashes
-    whatever the trials."""
+    draw, one orthoadditivity check and one lattice draw (one spectral draw each), and a fixed
+    number of seed hashes whatever the trials."""
 
     @staticmethod
     def counted(monkeypatch, module, name) -> list:
@@ -609,11 +610,12 @@ class TestCallBudget:
                     (scenarios_module, "_orthoadditivity"),
                     (states_module, "_orthoadditivity"),
                     (logic_module, "_random_projectors"),
-                    (states_module, "_random_projectors_from"),  # every family's base, at once
+                    (logic_module, "_spectral_cuts"),  # the lattice's draws, at once
+                    (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
                 state_calls = self.counted(m, seeding_module, "_state")
                 run_scenario(run)
-            assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1]
+            assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1, 1]
             hashes.append(len(state_calls))
         assert hashes[0] == hashes[1]
 

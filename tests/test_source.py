@@ -169,3 +169,12 @@ def test_the_structure_is_read_by_one_route():
     assert [name for name in ("algebra.py", "sectors.py") if "null_space" in named[name]] == []
     assert sorted(name for name, names in named.items() if "spectral_clusters" in names) == [
         "algebra.py", "numerics.py"]
+
+
+def test_both_samplers_cut_one_spectrum():
+    # a projector and an orthogonal family are cut from one element's clusters by one helper
+    # (`logic._spectral_cuts`): no second reader of cluster breaks, and no `eigh` in `states`
+    named = {path.name: _named(path) for path in SOURCES}
+    assert sorted(name for name, names in named.items() if "cluster_breaks" in names) == [
+        "logic.py", "numerics.py"]
+    assert "eigh" not in named["states.py"]

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -39,6 +40,7 @@ from oplattice import (
 )
 from oplattice import states as states_module
 from oplattice.algebra import contains
+from oplattice.numerics import range_projector
 from oplattice.seeding import STREAM_FAMILY_BASE, derive_seed, derive_seeds
 from tests.conftest import (
     INVALID_PROJECTORS,
@@ -229,27 +231,20 @@ class TestSigmaOrthoadditivity:
 
 
 def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
-    """One family on public calls and one generator: `random_projector` for the base p, then
-    the generator's next self-adjoint span element h (after replaying the base draw), one
-    `eigh` of ``p h p - c (1 - p)`` and a loop over the range's clusters for the cut."""
+    """One family on public calls and one generator: the generator replays `random_projector`'s
+    element h and cut (so the kept clusters of h span the base p), then draws the d - 1 cut
+    bits; a loop over the kept clusters cuts them into consecutive members."""
     base_seed = derive_seed(seed, STREAM_FAMILY_BASE, 0)
-    p = random_projector(alg, base_seed)
     rng = np.random.default_rng(base_seed)
     d = alg.ambient_dim
-
-    def element():
-        return reference_self_adjoint(alg, rng, tol)
-
-    def breaks(w):
-        return [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
-
-    rng.integers(0, len(breaks(np.linalg.eigh(element())[0])) + 2)  # the base draw's cut
-    h = element()
-    c = 1.0 + np.linalg.norm(h, axis=(-2, -1))
-    w, v = np.linalg.eigh(p @ h @ p - c * (np.eye(d) - p))
+    w, v = np.linalg.eigh(reference_self_adjoint(alg, rng, tol))
+    breaks = [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
+    kept = int(rng.integers(0, len(breaks) + 2))  # `random_projector`'s cut: 0 to all clusters
     cut = rng.integers(0, 2, d - 1)
-    first = int(np.count_nonzero(w <= 0.5 - c))
-    starts = ([first] if first < d else []) + [i for i in breaks(w) if i > first and cut[i - 1]]
+    clusters = [0, *breaks][len(breaks) + 1 - kept:]  # the first column of each kept cluster
+    p = range_projector(v[:, clusters[0]:]) if clusters else np.zeros((d, d), dtype=complex)
+    assert np.array_equal(p, random_projector(alg, base_seed))
+    starts = clusters[:1] + [i for i in clusters[1:] if cut[i - 1]]
     family = []
     for start, stop in zip(starts, starts[1:] + [d]):
         m = (v * (np.arange(d) >= start) * (np.arange(d) < stop)) @ v.conj().T
@@ -287,7 +282,7 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("second, error, message", [
         ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], NotOrthogonalFamily,
          "^b: members 0 and 2 are not orthogonal"),
-        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 8 "),
+        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 6 "),
         ([np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2], NotInAlgebra,
          "^b: projector not in the domain"),
     ], ids=["non-orthogonal", "non-projector", "outside"])
@@ -305,7 +300,7 @@ class TestStackedFamilies:
         with pytest.raises(NotOrthogonalFamily, match="^a: members 1 and 2 are not orthogonal"):
             states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
 
-    def test_stacked_running_joins_equal_each_case_alone(self, two_blocks):
+    def test_stacked_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included: no zero padding
         env = baire_envelope(two_blocks)
         families = states_module._random_orthogonal_families(two_blocks, range(40), DEFAULT_TOL)
@@ -314,6 +309,38 @@ class TestStackedFamilies:
         together = states_module._orthoadditivity(env, cases, DEFAULT_TOL)
         assert together == [states_module._orthoadditivity(env, [c], DEFAULT_TOL)[0] for c in cases]
 
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_a_familys_join_is_the_fold_of_pair_joins(self, name):
+        alg = kernel_algebra(name)
+        families = [f for f in states_module._random_orthogonal_families(alg, range(40),
+                                                                          DEFAULT_TOL) if f]
+        assert families
+        for family in families:
+            fold = functools.reduce(join, family)
+            assert operator_norm(states_module._join(*family, tol=DEFAULT_TOL) - fold) <= 1e-12
+
+    def test_one_check_of_2n_plus_1_matrices_and_one_join_per_family_size(self, two_blocks,
+                                                                          monkeypatch):
+        env = baire_envelope(two_blocks)
+        families = states_module._random_orthogonal_families(two_blocks, range(40), DEFAULT_TOL)
+        cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
+        checked, join_sizes = [], []
+        ensure, join_ = states_module._ensure_projectors, states_module._join
+
+        def ensure_counted(stack, label_of, tol):
+            checked.append(len(stack))
+            return ensure(stack, label_of, tol)
+
+        def join_counted(*ps, tol):
+            join_sizes.append(len(ps))
+            return join_(*ps, tol=tol)
+
+        monkeypatch.setattr(states_module, "_ensure_projectors", ensure_counted)
+        monkeypatch.setattr(states_module, "_join", join_counted)
+        states_module._orthoadditivity(env, cases, DEFAULT_TOL)
+        assert checked == [sum(2 * len(f) + 1 for f in families)]
+        assert sorted(join_sizes) == sorted({len(f) for f in families} - {0})
+
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
         scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
         empty = [s for s in range(20) if not random_orthogonal_family(scalars, s)]
@@ -321,7 +348,7 @@ class TestStackedFamilies:
         for seed in empty:
             assert not random_projector(scalars, derive_seed(seed, STREAM_FAMILY_BASE, 0)).any()
         # a full-rank state gives a nonzero projector a positive value, so a zero
-        # additivity residual means the family's running join is 0
+        # additivity residual means the family's join is 0
         ls = restrict_logical(random_state(2, seed=3), scalars)
         assert sigma_orthoadditivity_residuals(ls, []) == (0.0, 0.0)
 
