@@ -3,10 +3,11 @@
 An algebra is its sectors: membership (`contains`) and the random draws read the frame of
 its memoized block decomposition. A Hilbert-Schmidt orthonormal basis of its span inside M_d
 is passed in, or built only when read (`same_span` compares two spans). `close` generates
-the smallest unital *-algebra containing a set of matrices, as their bicommutant.
+the smallest unital *-algebra containing a set of matrices, as their bicommutant, off the
+sectors `_generated_sectors` chains from the eigenvalue clusters of one random element,
+refined until the chain walks; `generator_commutant` holds those sectors swapped.
 `commutant` and `center` are read off the block decomposition, which also certifies an
-algebra as its own `baire_envelope`, and `generator_commutant` is chained from the
-eigenvalue clusters of one random element, refined until the chain walks."""
+algebra as its own `baire_envelope`."""
 
 from __future__ import annotations
 
@@ -66,14 +67,14 @@ class AlgebraBasis:
     under products and adjoints and contains the identity; `close` and
     `commutant` only ever construct bases with these properties, and the
     test suite verifies them as invariants. A basis passed in is validated
-    and copied; a commutant or center (`_commuting_with`) holds the sectors it
-    came from, builds `basis` on first read and reads `dim` off those sectors.
-    Only `project_onto` (so `same_span`), `is_commutative`, `algebra_to_json`
-    and the decomposition of a basis passed in read `basis`.
+    and copied. An algebra read off sectors (`_with_sectors`: `close`, `commutant`, `center`,
+    `generator_commutant`) holds its own certified decomposition, reads `dim` (sum n^2) off it
+    and builds `basis`, its matrix units (`_units`), on first read. Only `project_onto` (so
+    `same_span`), `is_commutative`, `algebra_to_json` and the decomposition of a basis passed
+    in read `basis`.
 
-    `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance`
-    (the span is immutable); `_defects` holds per `Tolerance` the unit-normed
-    generators' HS distance to the commutant, on `generator_commutant`'s results.
+    `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance` (the span is
+    immutable); an algebra read off sectors holds the ones it was built from first.
     """
 
     def __init__(self, ambient_dim: int, basis):
@@ -81,12 +82,12 @@ class AlgebraBasis:
         if b.ndim != 3 or b.shape[1:] != (ambient_dim, ambient_dim):
             raise DimensionMismatch(f"basis stack of shape {b.shape} does not match ambient "
                                     f"dimension {ambient_dim}")
-        self.ambient_dim, self._basis, self._decompositions, self._defects = ambient_dim, b, {}, {}
+        self.ambient_dim, self._basis, self._decompositions = ambient_dim, b, {}
 
     @property
     def basis(self) -> np.ndarray:
         if self._basis is None:  # the units, built once, read-only and not copied
-            self._basis = _commutant_units(self._sectors)
+            self._basis = _units(self._built_from())
             self._basis.setflags(write=False)
         return self._basis
 
@@ -94,16 +95,20 @@ class AlgebraBasis:
     def dim(self) -> int:
         """Linear dimension of the span."""
         if self._basis is None:
-            return sum(s.multiplicity ** 2 for s in self._sectors)
+            return sum(s.block_size ** 2 for s in self._built_from())
         return int(self._basis.shape[0])
 
+    def _built_from(self) -> tuple:
+        """The sectors an algebra read off sectors was built from: its first memoized ones."""
+        return next(iter(self._decompositions.values())).sectors
 
-def _commuting_with(sectors, tol: Tolerance, decomposition, defect=None) -> AlgebraBasis:
-    """The commutant of the algebra with ``sectors``, its basis unbuilt, with its own
-    ``decomposition`` (and the generators' defect, if given) memoized under ``tol``."""
+
+def _with_sectors(decomposition, tol: Tolerance) -> AlgebraBasis:
+    """The algebra of a certified `sectors.SectorDecomposition`, which it holds memoized under
+    ``tol``; its basis is built on first read."""
     alg = object.__new__(AlgebraBasis)
-    alg.ambient_dim, alg._basis, alg._sectors = sectors[0].isometry.shape[0], None, tuple(sectors)
-    alg._decompositions, alg._defects = {tol: decomposition}, {tol: defect}  # None: not taken
+    alg.ambient_dim, alg._basis = decomposition.ambient_dim, None
+    alg._decompositions = {tol: decomposition}
     return alg
 
 
@@ -158,8 +163,8 @@ def close(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     return generated_algebra(gens, tol)
 
 
-def _multiplicity_frame(w0: np.ndarray) -> np.ndarray:
-    """The inverse of the unitary polar part of m rows of the ``d x m`` copy ``w0``, picked
+def _block_frame(w0: np.ndarray) -> np.ndarray:
+    """The inverse of the unitary polar part of n rows of the ``d x n`` copy ``w0``, picked
     greedily: each the largest once those before it are projected out."""
     r, rows = w0.copy(), []
     for _ in range(w0.shape[1]):
@@ -170,35 +175,34 @@ def _multiplicity_frame(w0: np.ndarray) -> np.ndarray:
     return (u @ vh).conj().T
 
 
-def _commutant_units(sectors) -> np.ndarray:
-    """The commutant's matrix units: a sector ``V (M_n (x) 1_m) V*`` contributes
-    ``V (1_n (x) E_ab) V* / sqrt(n)``, orthonormal as V's columns and the sectors are. Only
-    the multiplicity frame of V moves them, fixed by `_multiplicity_frame` (for m = 1 it is a
-    phase, which cancels), so a sparse V writes sparse units; parts below `_ROUNDING` are 0."""
+def _units(sectors) -> np.ndarray:
+    """The algebra's matrix units: a sector ``V (M_n (x) 1_m) V*`` contributes
+    ``V (E_ab (x) 1_m) V* / sqrt(m)``, orthonormal as V's columns and the sectors are. Only
+    the block frame of V moves them, fixed by `_block_frame` (for n = 1 it is a phase, which
+    cancels), so a sparse V writes sparse units; parts below `_ROUNDING` are 0."""
     d = sectors[0].isometry.shape[0]
-    units = np.empty((sum(s.multiplicity ** 2 for s in sectors), d, d), dtype=complex)
+    units = np.empty((sum(s.block_size ** 2 for s in sectors), d, d), dtype=complex)
     at = 0
     for s in sectors:
         n, m = s.block_size, s.multiplicity
-        w = s.isometry.reshape(d, n, m)
-        if m > 1:
-            w = w @ _multiplicity_frame(w[:, 0])
-        np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(n),
-                  out=units[at:at + m * m].reshape(m, m, d, d))
-        at += m * m
+        w = s.isometry.reshape(d, n, m).swapaxes(1, 2).copy()  # [x, j, a], contiguous
+        if n > 1:
+            w = w @ _block_frame(w[:, 0])
+        np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(m),
+                  out=units[at:at + n * n].reshape(n, n, d, d))
+        at += n * n
     parts = units.view(float)
     parts[np.abs(parts) < _ROUNDING] = 0.0
     return units
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with ``alg``: the `_commutant_units` of its certified block
-    decomposition, built on first read, with their `sectors._swapped` sectors memoized under
-    ``tol``, so the commutant is never decomposed again."""
+    """All of M_d commuting with ``alg``: the algebra of the `sectors._swapped` sectors of its
+    memoized block decomposition, so the commutant is never decomposed again."""
     from .sectors import SectorDecomposition, _swapped, block_decomposition  # builds on this
 
-    d, sectors = alg.ambient_dim, block_decomposition(alg, tol).sectors
-    return _commuting_with(sectors, tol, SectorDecomposition(d, tuple(map(_swapped, sectors))))
+    sectors = block_decomposition(alg, tol).sectors
+    return _with_sectors(SectorDecomposition(alg.ambient_dim, tuple(map(_swapped, sectors))), tol)
 
 
 def _refined(v: np.ndarray, clusters: list, g: np.ndarray, rng, tol: Tolerance) -> tuple:
@@ -222,20 +226,20 @@ def _refined(v: np.ndarray, clusters: list, g: np.ndarray, rng, tol: Tolerance) 
     return v, out
 
 
-def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with every generator and its adjoint, without the closure.
+def _generated_sectors(gens: GeneratorSet, tol: Tolerance) -> tuple:
+    """The sectors of the algebra the generators generate, and the largest HS distance of a
+    unit-normed generator or adjoint to it, without the word closure.
 
-    Solutions commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*`` (unit-normed g_i),
-    so in h's eigenbasis v they are block diagonal on its clusters. These give the generated
-    algebra's sectors, chained along the blocks of every ``g~ = v* g v`` (`sectors._chained_
+    Their commutant's elements commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*``
+    (unit-normed g_i), so in h's eigenbasis v they are block diagonal on its clusters. These
+    give the sectors, chained along the blocks of every ``g~ = v* g v`` (`sectors._chained_
     sectors`) and certified: the frames must be orthonormal (``||U* U - 1|| <= rank_tol``) and
     every unit-normed generator and adjoint must lie within ``rank_tol`` of their algebra
     (`sectors._outside`). A chain that fails refines the clusters (`_refined`) and walks
     again (Maehara and Murota, SIAM J. Matrix Anal. Appl. 2011); once no cluster splits, it
-    raises `NumericalError` with the failed check's residual or counts. The result is the
-    sectors' commutant (`_commuting_with`).
+    raises `NumericalError` with the failed check's residual or counts.
     """
-    from .sectors import SectorDecomposition, _chained_sectors, _outside, _settled, _swapped
+    from .sectors import SectorDecomposition, _chained_sectors, _outside
 
     d = gens.ambient_dim
     mats = np.stack([m / s for a, s in map(hs_unit, gens.generators) for m in (a, a.conj().T)])
@@ -250,7 +254,7 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
             frame = SectorDecomposition(d, tuple(sectors)).frame
             skew, defect = hs_norm(frame.uh @ frame.u - np.eye(d)), _outside(frame, mats)
             if skew <= tol.rank_tol and defect <= tol.rank_tol:
-                break
+                return sectors, defect
             failed = NumericalError(
                 f"the generators' commutant misses by {defect:.3e}: of dimension "
                 f"{sum(s.multiplicity ** 2 for s in sectors)} in M_{d}, its commutant has "
@@ -264,8 +268,16 @@ def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> Alg
             raise NumericalError(f"h's {count} clusters split no further under rank_tol "
                                  f"{tol.rank_tol}: {failed}", failed.residual,
                                  failed.counts) from failed
-    decomposition = _settled(d, list(map(_swapped, sectors)), tol)
-    return _commuting_with(sectors, tol, decomposition, defect)
+
+
+def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """All of M_d commuting with every generator and its adjoint, without the closure: the
+    algebra of the `sectors._swapped` sectors `_generated_sectors` chains, which it holds in
+    `sectors.block_decomposition`'s order."""
+    from .sectors import _settled, _swapped
+
+    sectors, _ = _generated_sectors(gens, tol)
+    return _with_sectors(_settled(gens.ambient_dim, list(map(_swapped, sectors)), tol), tol)
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -279,15 +291,14 @@ def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBa
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Intersection of ``alg`` with its commutant: the commutant of ``sum_i V_i M_(n m) V_i*``,
-    V_i the isometries of the memoized `sectors.block_decomposition`. It carries its sectors;
-    its basis, built on first read, is ``z / sqrt(tr z)`` for the minimal central projectors z."""
-    from .sectors import Sector, SectorDecomposition, _swapped, block_decomposition
+    """Intersection of ``alg`` with its commutant: the algebra of the sectors ``(1, n m)`` on
+    the isometries of its memoized `sectors.block_decomposition`, one per minimal central
+    projector z. Its basis, built on first read, is ``z / sqrt(tr z)``."""
+    from .sectors import Sector, SectorDecomposition, block_decomposition
 
-    sectors = [Sector(s.central_projector, s.block_size * s.multiplicity, 1, s.isometry)
+    sectors = [Sector(s.central_projector, 1, s.block_size * s.multiplicity, s.isometry)
                for s in block_decomposition(alg, tol).sectors]
-    return _commuting_with(sectors, tol, SectorDecomposition(alg.ambient_dim,
-                                                             tuple(map(_swapped, sectors))))
+    return _with_sectors(SectorDecomposition(alg.ambient_dim, tuple(sectors)), tol)
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

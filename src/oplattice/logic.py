@@ -12,7 +12,7 @@ across.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -278,24 +278,9 @@ def lattice_report(
 
 
 def lattice_report_to_json(report: LatticeReport) -> dict:
-    """Stable JSON layout; a counterexample embeds its three projectors."""
-    counterexample = None
+    """Stable JSON layout: the report's fields in order; a counterexample embeds its three
+    projectors."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
     if report.counterexample is not None:
-        p, q, r = report.counterexample
-        counterexample = {
-            "p": matrix_to_json(p),
-            "q": matrix_to_json(q),
-            "r": matrix_to_json(r),
-        }
-    return {
-        "orthomodular_pass_rate": report.orthomodular_pass_rate,
-        "distributive": report.distributive,
-        "counterexample": counterexample,
-        "boolean_lattice": report.boolean_lattice,
-        "atomic": report.atomic,
-        "hilbertian": report.hilbertian,
-        "factor": report.factor,
-        "sector_count": report.sector_count,
-        "trials": report.trials,
-        "seed": report.seed,
-    }
+        out["counterexample"] = dict(zip("pqr", map(matrix_to_json, report.counterexample)))
+    return out

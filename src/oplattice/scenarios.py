@@ -18,7 +18,7 @@ always complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -250,7 +250,6 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
 def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     alg = generated_algebra(build_generators(scenario), tol)
     decomp = block_decomposition(alg, tol)  # memoized by `generated_algebra`
-    commutant_dim = sum(s.multiplicity ** 2 for s in decomp.sectors)
     report = lattice_report(alg, scenario.trials, scenario.seed, tol)
     characters_entry = None
     if report.boolean_lattice:  # the algebra is commutative
@@ -283,41 +282,13 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         for index, (st, verdict) in enumerate(zip(scenario.states, additive))
     ]
 
-    actuals = {
-        "algebra_dim": alg.dim,
-        "envelope_equals_algebra": True,
-        "commutant_dim": commutant_dim,
-        "center_dim": len(decomp.sectors),
-        "sector_count": report.sector_count,
-        "factor": report.factor,
-        "atomic": report.atomic,
-        "hilbertian": report.hilbertian,
-        "boolean_lattice": report.boolean_lattice,
-        "distributive": report.distributive,
-        "orthomodular_pass_rate": report.orthomodular_pass_rate,
-        "is_commutative": report.boolean_lattice,
-        "sector_blocks": sorted([s.block_size, s.multiplicity] for s in decomp.sectors),
-        "character_count": characters_entry["count"] if characters_entry else None,
-    }
-    verdicts = []
-    for exp in scenario.expectations:
-        verdicts.append(
-            {
-                "check": exp.check,
-                "args": exp.args,
-                "expect": exp.expect,
-                "actual": actuals[exp.check],
-                "pass": _values_match(exp.expect, actuals[exp.check]),
-            }
-        )
-
     echo = scenario_to_json(scenario)
     del echo["states"], echo["expectations"]
-    return ScenarioReport(
+    unchecked = ScenarioReport(
         scenario=echo,
         algebra_dim=alg.dim,
         envelope_equals_algebra=True,
-        commutant_dim=commutant_dim,
+        commutant_dim=sum(s.multiplicity ** 2 for s in decomp.sectors),
         center_dim=len(decomp.sectors),
         lattice=report,
         sectors=sector_entries,
@@ -325,8 +296,20 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         characters=characters_entry,
         states=tuple(state_entries),
         orthoadditivity=orthoadd,
-        expectations=tuple(verdicts),
+        expectations=(),
     )
+    # each check reads the report field (or lattice verdict) of its name, or one derived here
+    actuals = {
+        **vars(report), **vars(unchecked),
+        "is_commutative": report.boolean_lattice,
+        "sector_blocks": sorted([s.block_size, s.multiplicity] for s in decomp.sectors),
+        "character_count": characters_entry["count"] if characters_entry else None,
+    }
+    verdicts = tuple({"check": exp.check, "args": exp.args, "expect": exp.expect,
+                      "actual": actuals[exp.check],
+                      "pass": _values_match(exp.expect, actuals[exp.check])}
+                     for exp in scenario.expectations)
+    return replace(unchecked, expectations=verdicts)
 
 
 def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Tolerance) -> tuple:
@@ -409,20 +392,11 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def report_to_json_dict(report: ScenarioReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "algebra_dim": report.algebra_dim,
-        "envelope_equals_algebra": report.envelope_equals_algebra,
-        "commutant_dim": report.commutant_dim,
-        "center_dim": report.center_dim,
-        "lattice": lattice_report_to_json(report.lattice),
-        "sectors": list(report.sectors),
-        "completeness_note": report.completeness_note,
-        "characters": report.characters,
-        "states": list(report.states),
-        "orthoadditivity": report.orthoadditivity,
-        "expectations": list(report.expectations),
-    }
+    """The report's fields in order, its tuples as lists, its lattice `lattice_report_to_json`."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    out = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    out["lattice"] = lattice_report_to_json(report.lattice)
+    return out
 
 
 def report_to_json(report: ScenarioReport) -> str:

@@ -3,13 +3,13 @@
 A unital *-closed algebra inside M_d splits along the minimal projectors of its center into
 blocks, each unitarily equivalent to ``M_n (x) 1_m`` (a full matrix factor of size n acting
 with multiplicity m). This module reads that block structure, and with it the center, off
-the sectors `generator_commutant` chains for one generic pair of algebra elements, and
+the sectors `_generated_sectors` chains for one generic pair of algebra elements, and
 certifies it against the whole basis. It classifies factors and computes the integer-valued
 dimension function on projector equivalence classes (two projectors are equivalent when a
 partial isometry inside the algebra maps one range onto the other; in each block the
-complete invariant is the reduced rank). `generated_algebra` reads the algebra a set of
-matrices generates off the sectors of their commutant, which `generator_commutant` chains
-from the eigenvalue clusters of one combination of them.
+complete invariant is the reduced rank). `generated_algebra` is the algebra of the sectors
+`_generated_sectors` chains for a set of matrices from the eigenvalue clusters of one
+combination of them.
 
 Only type I structure exists at finite dimension; algebras without
 minimal projectors (types II and III) have no matrix realization.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraBasis, GeneratorSet, commutant, contains, generator_commutant
+from .algebra import AlgebraBasis, GeneratorSet, _generated_sectors, _with_sectors, contains
 from .errors import (
     CenterDiagonalizationFailed,
     NotInAlgebra,
@@ -66,7 +66,9 @@ class Sector:
 class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
-    columns from ``start`` on. Every per-sector read and write goes through it."""
+    columns from ``start`` on. Membership, the random draws, the generators' certificate,
+    `is_pure` and `is_separating` read it; `mvn_dimension`, `dirac_characters` and a scenario's
+    sector values read the d x d central projectors."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -238,12 +240,13 @@ def block_decomposition(
     """Full block structure of a closed algebra, computed once per tolerance.
 
     One generic pair of algebra elements, drawn once, generates the algebra, so the sectors
-    `generator_commutant` chains for it are the blocks; one stacked check of the whole basis
+    `_generated_sectors` chains for it are the blocks; one stacked check of the whole basis
     certifies them (`_certify`). A failed chain or check raises `CenterDiagonalizationFailed`
     from it, with its residual or counts. Sectors come in `_settled`'s order of their central
     projectors: the algebra fixes that order, its basis and rounding do not, and the sector
-    holding e_0 comes first (for `build_sectors`, the block order). The result is memoized on ``alg`` (keyed by ``tol``) and its arrays are
-    read-only, so every structural query on the same algebra shares one decomposition.
+    holding e_0 comes first (for `build_sectors`, the block order). The result is memoized on
+    ``alg`` (keyed by ``tol``) and its arrays are read-only, so every structural query on the
+    same algebra shares one decomposition.
     """
     memo = alg._decompositions
     if tol not in memo:
@@ -257,7 +260,7 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
     x, g = np.matmul(z[..., :k] + 1j * z[..., k:], alg.basis.reshape(k, d * d)).reshape(2, d, d)
     pair = ((x + x.conj().T) / 2.0, g)
     try:
-        sectors = list(generator_commutant(GeneratorSet(alg.ambient_dim, pair), tol)._sectors)
+        sectors, _ = _generated_sectors(GeneratorSet(alg.ambient_dim, pair), tol)
         _certify(alg, sectors, tol)
     except NumericalError as exc:
         raise CenterDiagonalizationFailed(f"the pair drawn did not exhibit the block structure "
@@ -267,20 +270,20 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """The unital *-algebra the generators generate, as the `commutant` of their commutant C.
+    """The unital *-algebra the generators generate: the algebra of the sectors
+    `_generated_sectors` chains and certifies for them, without the word closure, which it
+    holds in `block_decomposition`'s order.
 
-    At finite dimension that is their generated von Neumann algebra. C, chained without the
-    word closure, carries its sectors and is certified by `generator_commutant`; every
-    generator, scaled to unit HS norm, must lie within ``eq_tol`` of the result (the distance
-    `generator_commutant` measured), else `NumericalError`.
+    At finite dimension that is their generated von Neumann algebra. Every generator, scaled
+    to unit HS norm, must lie within ``eq_tol`` of the result (the distance the chain's
+    certificate measured), else `NumericalError`.
     """
-    comm = generator_commutant(gens, tol)
-    alg = commutant(comm, tol)
-    defect = comm._defects[tol]
+    sectors, defect = _generated_sectors(gens, tol)
+    alg = _with_sectors(_settled(gens.ambient_dim, sectors, tol), tol)
     if not defect <= tol.eq_tol:
-        raise NumericalError(f"a generator lies {defect:.3e} outside the commutant (dimension "
-                             f"{alg.dim}) of the generators' commutant (dimension {comm.dim}) in "
-                             f"M_{gens.ambient_dim}; the tolerances are likely degenerate", defect)
+        raise NumericalError(f"a generator lies {defect:.3e} outside the algebra (dimension "
+                             f"{alg.dim}) of its sectors in M_{gens.ambient_dim}; the "
+                             "tolerances are likely degenerate", defect)
     return alg
 
 

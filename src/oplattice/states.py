@@ -232,7 +232,7 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
     """
     states = list(family)
     if not states:
-        return alg.dim == 0
+        return False  # every algebra holds 1, which an empty family does not see
     if any(st.dim != alg.ambient_dim for st in states):
         raise DimensionMismatch("state and algebra live in different ambient dimensions")
     sigma = sum(st.density for st in states)

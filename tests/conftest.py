@@ -297,7 +297,7 @@ def rotated(gens, seed):
 
 
 def chain_replaced(monkeypatch, replacement):
-    """Make the first `sectors._chained_sectors` call, `generator_commutant`'s first chain,
+    """Make the first `sectors._chained_sectors` call, `_generated_sectors`'s first chain,
     return ``replacement(v, clusters, gv, tol)`` (or raise what it raises); later calls, the
     chains after a split pass, run unchanged."""
     chained, seen = sectors_module._chained_sectors, []

@@ -512,13 +512,13 @@ class TestLazyBasis:
             "sectors-1x32"])
     def test_a_zero_trial_scenario_builds_no_basis(self, monkeypatch, kind, dim, parameters,
                                                    algebra_dim):
-        calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
+        calls = counted(monkeypatch, [(algebra_module, "_units"),
                                       (algebra_module, "_refined"),
                                       (sectors_module, "_decompose")])
         scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim,
                                        "parameters": parameters, "trials": 0, "seed": 1})
         assert run_scenario(scenario).algebra_dim == algebra_dim
-        assert calls == {"_commutant_units": 0, "_refined": 0, "_decompose": 0}
+        assert calls == {"_units": 0, "_refined": 0, "_decompose": 0}
 
     @pytest.mark.parametrize("kind, dim, parameters", [
         ("weyl_finite", 16, {"modulus": 16}),
@@ -527,24 +527,40 @@ class TestLazyBasis:
     ], ids=["weyl-16", "classical-16", "sectors-2x3"])
     def test_a_scenario_with_trials_builds_no_basis(self, monkeypatch, kind, dim, parameters):
         # the draws and the membership checks of every trial read the sectors' frame
-        calls = counted(monkeypatch, [(algebra_module, "_commutant_units"),
+        calls = counted(monkeypatch, [(algebra_module, "_units"),
                                       (sectors_module, "_decompose")])
         scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim, "trials": 4,
                                        "parameters": parameters, "seed": 1})
         assert run_scenario(scenario).orthoadditivity["trials"] == 4
-        assert calls == {"_commutant_units": 0, "_decompose": 0}
+        assert calls == {"_units": 0, "_decompose": 0}
 
     def test_dim_is_read_off_the_sectors_and_the_basis_built_once(self, monkeypatch):
         alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
-        calls = counted(monkeypatch, [(algebra_module, "_commutant_units")])
+        calls = counted(monkeypatch, [(algebra_module, "_units")])
         sectors = block_decomposition(alg).sectors
         assert alg.dim == sum(s.block_size ** 2 for s in sectors) == 14
-        assert calls == {"_commutant_units": 0}
+        assert calls == {"_units": 0}
         basis = alg.basis
         assert basis is alg.basis and not basis.flags.writeable
-        assert calls == {"_commutant_units": 1}
+        assert calls == {"_units": 1}
         assert basis.shape == (14, 11, 11) and alg.dim == 14
         assert_orthonormal(alg)
+
+    @pytest.mark.parametrize("built", ["generated", "commutant", "center"])
+    def test_a_second_decomposition_keeps_the_algebra(self, built):
+        # an algebra read off sectors keeps its own: a decomposition at another tolerance,
+        # read through its basis, neither changes its dim nor its basis, and spans the same
+        alg = generated_algebra(rotated(build_sectors([(2, 3), (1, 2), (3, 1)]), seed=4))
+        x = {"generated": alg, "commutant": commutant(alg), "center": center(alg)}[built]
+        first, dim = block_decomposition(x), x.dim
+        other = Tolerance(eq_tol=1e-10)
+        second = block_decomposition(x, other)
+        basis = x.basis
+        assert second is not first and block_decomposition(x) is first
+        assert x.dim == dim == basis.shape[0] and x.basis is basis
+        assert same_span(x, algebra_module._with_sectors(second, other))
+        assert sorted((s.block_size, s.multiplicity) for s in second.sectors) == sorted(
+            (s.block_size, s.multiplicity) for s in first.sectors)
 
     def test_a_given_basis_is_validated_and_copied(self):
         given = np.eye(2, dtype=complex)[None] / np.sqrt(2)
@@ -737,7 +753,7 @@ class TestCenter:
         zs = [s.central_projector for s in block_decomposition(alg).sectors]
         ctr = center(alg)
         calls = counted(monkeypatch, [(sectors_module, "_decompose"),
-                                      (algebra_module, "_commutant_units")])
+                                      (algebra_module, "_units")])
         sectors = block_decomposition(ctr).sectors
         assert [(s.block_size, s.multiplicity) for s in sectors] == [(1, 6), (1, 2), (1, 3)]
         assert all(s.central_projector is z for s, z in zip(sectors, zs))
@@ -745,10 +761,10 @@ class TestCenter:
         w = next(s for s in block_decomposition(alg).sectors if s.block_size == 2).isometry
         w = w.reshape(-1, 2, 3)  # V (E_01 (x) 1_3) V* lies in the algebra, not in its center
         assert not contains(ctr, w[:, 0] @ w[:, 1].conj().T)
-        assert calls == {"_decompose": 0, "_commutant_units": 0}
+        assert calls == {"_decompose": 0, "_units": 0}
         units = np.stack([z / np.sqrt(np.trace(z).real) for z in zs])
         assert np.allclose(ctr.basis, units, rtol=0, atol=1e-13)
-        assert calls == {"_decompose": 0, "_commutant_units": 1}
+        assert calls == {"_decompose": 0, "_units": 1}
 
 
 class TestIsCommutative:

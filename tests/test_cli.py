@@ -102,8 +102,8 @@ class TestAlgebraVerbs:
     @pytest.mark.parametrize("verb", ["close", "envelope", "commutant"])
     def test_an_algebra_verb_builds_one_basis(self, capsys, monkeypatch, tmp_path, verb):
         # the generators' commutant is certified from its sectors; only the written basis is built
-        units, built = algebra_module._commutant_units, []
-        monkeypatch.setattr(algebra_module, "_commutant_units",
+        units, built = algebra_module._units, []
+        monkeypatch.setattr(algebra_module, "_units",
                             lambda sectors: built.append(1) or units(sectors))
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(generator_set_to_json(build_sectors([(2, 2), (3, 1)]))))
@@ -365,8 +365,8 @@ class TestOneSerialisation:
 
     @pytest.mark.parametrize("name", sorted(WRITTEN_ALGEBRAS))
     def test_commutant_spans_the_generators_commutant(self, capsys, tmp_path, name):
-        # the matrix units of the generated algebra's sectors, not `generator_commutant`'s
-        # basis: another basis of the same span
+        # the matrix units of the generated algebra's swapped sectors, the sectors
+        # `generator_commutant` holds
         gens = WRITTEN_ALGEBRAS[name]()
         path = tmp_path / "input.json"
         path.write_text(json.dumps(generator_set_to_json(gens)))

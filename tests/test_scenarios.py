@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from oplattice import (
     matrix_to_json,
     operator_norm,
     report_to_json,
+    report_to_json_dict,
     run_scenario,
     same_span,
     scenario_from_json,
@@ -329,6 +331,39 @@ class TestDeterminism:
         a = report_to_json(run_scenario(Scenario(seed=1, **base)))
         b = report_to_json(run_scenario(Scenario(seed=2, **base)))
         assert a != b
+
+
+class TestReportLayout:
+    """The writers follow the reports' dataclass field order: the layout is pinned here, so a
+    reordered field cannot reorder the bytes silently."""
+
+    TOP = ["scenario", "algebra_dim", "envelope_equals_algebra", "commutant_dim", "center_dim",
+           "lattice", "sectors", "completeness_note", "characters", "states", "orthoadditivity",
+           "expectations"]
+    LATTICE = ["orthomodular_pass_rate", "distributive", "counterexample", "boolean_lattice",
+               "atomic", "hilbertian", "factor", "sector_count", "trials", "seed"]
+
+    @pytest.mark.parametrize("kind, dim, parameters, distributive", [
+        ("classical", 3, {"point_count": 3}, True),
+        ("weyl_finite", 2, {"modulus": 2}, False),
+    ], ids=["classical", "weyl"])
+    def test_the_key_order_is_pinned(self, kind, dim, parameters, distributive):
+        report = run_scenario(Scenario(name="layout", kind=kind, dim=dim, parameters=parameters,
+                                       trials=30, seed=11,
+                                       expectations=(Expectation("algebra_dim", dim),)))
+        for layout in (report_to_json_dict(report), json.loads(report_to_json(report))):
+            assert list(layout) == self.TOP
+            assert list(layout["lattice"]) == self.LATTICE
+            assert all(isinstance(layout[key], list)
+                       for key in ("sectors", "states", "expectations"))
+            counterexample = layout["lattice"]["counterexample"]
+            assert layout["lattice"]["distributive"] is distributive
+            if distributive:
+                assert counterexample is None
+            else:
+                assert list(counterexample) == ["p", "q", "r"]
+                for m in counterexample.values():
+                    assert np.asarray(m).shape == (dim, dim, 2)  # [re, im] entries
 
 
 class TestGeneratedAlgebraChecks:

@@ -353,18 +353,17 @@ class TestDecompositionMemo:
 
 
 def decomposed_as(monkeypatch, change) -> list:
-    """Make each `generator_commutant` call of the sectors module, `_decompose`'s, carry
+    """Make each `_generated_sectors` call of the sectors module, `_decompose`'s, return
     ``change(sectors)`` as the generated algebra's sectors; returns the list of calls. Set it
     once the algebras are built, as `generated_algebra` calls it too."""
-    real, calls = sectors_module.generator_commutant, []
+    real, calls = sectors_module._generated_sectors, []
 
     def changed(gens, tol):
         calls.append(gens)
-        comm = real(gens, tol)
-        comm._sectors = tuple(change(list(comm._sectors)))
-        return comm
+        sectors, defect = real(gens, tol)
+        return change(list(sectors)), defect
 
-    monkeypatch.setattr(sectors_module, "generator_commutant", changed)
+    monkeypatch.setattr(sectors_module, "_generated_sectors", changed)
     return calls
 
 

@@ -178,3 +178,22 @@ def test_both_samplers_cut_one_spectrum():
     assert sorted(name for name, names in named.items() if "cluster_breaks" in names) == [
         "logic.py", "numerics.py"]
     assert "eigh" not in named["states.py"]
+
+
+def test_one_constructor_builds_an_algebra_off_its_sectors():
+    # every sector-built algebra holds its own decomposition, made by `algebra._with_sectors`
+    # alone: a second `object.__new__(AlgebraBasis)` or a side channel of another algebra's
+    # sectors or defects would bring back the double swap
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and [ast.unparse(a) for a in node.args] == ["AlgebraBasis"]
+    ]
+    assert len(built) == 1 and built[0].startswith("algebra.py:")
+    named = {path.name: _named(path) for path in SOURCES}
+    assert sorted(name for name, names in named.items()
+                  if names & {"_sectors", "_defects", "_commuting_with"}) == []

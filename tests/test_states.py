@@ -504,6 +504,11 @@ class TestIsSeparating:
         assert abs(evaluate(chars[0], missed.conj().T @ missed)) <= 1e-12
         assert not is_separating(only_first, diag2)
 
+    @pytest.mark.parametrize("name", ["diag2", "full2", "two_blocks"])
+    def test_an_empty_family_separates_nothing(self, request, name):
+        # every algebra holds the unit, which no state of an empty family sees
+        assert is_separating([], request.getfixturevalue(name)) is False
+
     def test_faithful_trace_separates_alone(self, full2):
         assert is_separating([make_state(np.eye(2) / 2)], full2)
 
