@@ -292,11 +292,11 @@ def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBa
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Intersection of ``alg`` with its commutant: the algebra of the sectors ``(1, n m)`` on
-    the isometries of its memoized `sectors.block_decomposition`, one per minimal central
-    projector z. Its basis, built on first read, is ``z / sqrt(tr z)``."""
+    the isometries V of its memoized `sectors.block_decomposition`, one per minimal central
+    projector ``z = V V*``. Its basis, built on first read, is ``z / sqrt(tr z)``."""
     from .sectors import Sector, SectorDecomposition, block_decomposition
 
-    sectors = [Sector(s.central_projector, 1, s.block_size * s.multiplicity, s.isometry)
+    sectors = [Sector(1, s.block_size * s.multiplicity, s.isometry)
                for s in block_decomposition(alg, tol).sectors]
     return _with_sectors(SectorDecomposition(alg.ambient_dim, tuple(sectors)), tol)
 

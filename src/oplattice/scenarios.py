@@ -28,8 +28,9 @@ from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
 from .sectors import block_decomposition, generated_algebra
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
-from .states import (LogicalState, _orthoadditivity, _random_orthogonal_families, _random_states,
-                     dirac_characters, is_pure, is_separating, state_from_json, state_to_json)
+from .states import (_orthoadditivity, _probabilities, _random_orthogonal_families, _random_states,
+                     dirac_characters, evaluate, is_pure, is_separating, state_from_json,
+                     state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -259,15 +260,16 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
             "separating": is_separating(chars, alg, tol),
         }
 
+    zs = [s.central_projector for s in decomp.sectors]  # built here, so checked nowhere
     sector_entries = tuple(
         {
             "block_size": s.block_size,
             "multiplicity": s.multiplicity,
             # z_i's reduced rank is n_i in its own sector, 0 in the others
             "mvn_dimension": [s.block_size if t is s else 0 for t in decomp.sectors],
-            "central_projector": matrix_to_json(s.central_projector),
+            "central_projector": matrix_to_json(z),
         }
-        for s in decomp.sectors
+        for s, z in zip(decomp.sectors, zs)
     )
 
     additive, orthoadd = _orthoadditivity_checks(alg, scenario, tol)
@@ -275,8 +277,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         {
             "index": index,
             "pure": is_pure(st, alg, tol),
-            "values": {f"sector_{i}": LogicalState(st, alg).value(s.central_projector, tol)
-                       for i, s in enumerate(decomp.sectors)},
+            "values": {f"sector_{i}": float(v) for i, v in enumerate(
+                _probabilities(np.array([evaluate(st, z) for z in zs]), tol))},
             "sigma_orthoadditive": verdict,
         }
         for index, (st, verdict) in enumerate(zip(scenario.states, additive))

@@ -45,30 +45,33 @@ from .numerics import (
 from .seeding import STREAM_BLOCK, attempt_generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sector:
     """One block of the decomposition.
 
-    `central_projector` is the minimal central projector carving out the
-    block, `block_size` (n) the size of the full matrix factor,
-    `multiplicity` (m) how many identical copies it acts on, and
-    `isometry` a d x (n*m) matrix with orthonormal columns mapping block
-    coordinates into ambient space: compressing any algebra element by
-    the isometry yields ``beta (x) 1_m`` for an n x n matrix beta.
+    `block_size` (n) is the size of the full matrix factor, `multiplicity`
+    (m) how many identical copies it acts on, and `isometry` V a d x (n*m)
+    matrix with orthonormal columns mapping block coordinates into ambient
+    space: compressing any algebra element by V yields ``beta (x) 1_m`` for
+    an n x n matrix beta. Sectors compare by identity.
     """
 
-    central_projector: np.ndarray = field(repr=False)
     block_size: int
     multiplicity: int
     isometry: np.ndarray = field(repr=False)
+
+    @property
+    def central_projector(self) -> np.ndarray:
+        """The minimal central projector ``V V*`` carving out the block, built on each read."""
+        return range_projector(self.isometry)
 
 
 class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
     columns from ``start`` on. Membership, the random draws, the generators' certificate,
-    `is_pure` and `is_separating` read it; `mvn_dimension`, `dirac_characters` and a scenario's
-    sector values read the d x d central projectors."""
+    `is_pure` and `is_separating` read it; `mvn_dimension` reads each sector's isometry, and
+    `dirac_characters` and a scenario's sector values its central projector."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -96,7 +99,7 @@ def minimal_central_projectors(
     alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Pairwise-orthogonal minimal projectors of the center, summing to 1: the
-    sectors' central projectors, read off the memoized `block_decomposition`."""
+    sectors' central projectors, built from the memoized `block_decomposition`'s isometries."""
     return [s.central_projector for s in block_decomposition(alg, tol).sectors]
 
 
@@ -194,29 +197,31 @@ def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, tol: Toleran
             for (a, b), polar in zip(edges, uu @ vv):
                 frames[b] = polar @ frames[a]
         isometry = np.hstack([v[:, slice(*clusters[i])] @ frames[i] for i in sorted(order)])
-        sectors.append(Sector(range_projector(isometry), len(order), m, isometry))
+        sectors.append(Sector(len(order), m, isometry))
     return sectors
 
 
 def _swapped(sector: Sector) -> Sector:
     """The commutant's sector ``V (1_n (x) M_m) V*`` of ``V (M_n (x) 1_m) V*``: the isometry's
-    ``(n, m)`` column index transposed, the same central projector."""
+    ``(n, m)`` column index transposed, the same range."""
     n, m = sector.block_size, sector.multiplicity
     isometry = sector.isometry.reshape(-1, n, m).swapaxes(1, 2).reshape(-1, m * n)
     isometry.setflags(write=False)
-    return Sector(sector.central_projector, m, n, isometry)
+    return Sector(m, n, isometry)
 
 
 def _settled(ambient_dim: int, sectors: list, tol: Tolerance) -> SectorDecomposition:
-    """Certified sectors as a decomposition: arrays read-only, sectors sorted by their central
-    projectors z, compared row by row (each row's real parts, then its imaginary parts; on
-    the ``rank_tol`` grid, larger first)."""
+    """Certified sectors as a decomposition: isometries read-only, sectors sorted by their
+    central projectors z, built once each for the key and compared row by row (each row's
+    real parts, then its imaginary parts; on the ``rank_tol`` grid, larger first)."""
+    def key(s: Sector) -> list:
+        z = s.central_projector
+        # Python floats: NumPy scalars compare ~10x slower
+        return np.round(np.hstack([z.real, z.imag]).ravel() / -tol.rank_tol).tolist()
+
     for s in sectors:
-        s.central_projector.setflags(write=False)
         s.isometry.setflags(write=False)
-    return SectorDecomposition(ambient_dim, tuple(sorted(sectors, key=lambda s: np.round(
-        np.hstack([s.central_projector.real, s.central_projector.imag]).ravel()
-        / -tol.rank_tol).tolist())))  # Python floats: NumPy scalars compare ~10x slower
+    return SectorDecomposition(ambient_dim, tuple(sorted(sectors, key=key)))
 
 
 def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
@@ -300,33 +305,32 @@ def _validated_projector_in(alg: AlgebraBasis, p, tol: Tolerance) -> np.ndarray:
     return mat
 
 
-def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray, tol: Tolerance) -> list[int]:
-    """Per sector, the rank of ``z p`` (one stacked SVD) over the multiplicity."""
-    zs = np.stack([s.central_projector for s in decomp.sectors])
-    ranks = singular_rank(np.linalg.svd(zs @ p, compute_uv=False), tol).tolist()
+def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray) -> list[int]:
+    """Per sector, the center-valued trace ``tr(V* p V)`` over the multiplicity. The callers
+    validate p as a projector in the algebra, so it commutes with ``z = V V*`` and ``V* p V``
+    is a projector within ``eq_tol``: its trace, rounded, is its rank."""
     out = []
-    for sector, r in zip(decomp.sectors, ranks):
-        reduced, rem = divmod(r, sector.multiplicity)
-        if rem != 0:
-            raise ReducedRankNotDivisible(
-                f"blockwise rank {r} is not divisible by multiplicity {sector.multiplicity}",
-                counts=(r, sector.multiplicity),
-            )
-        out.append(int(reduced))
+    for s in decomp.sectors:
+        r, m = round(np.vdot(s.isometry, p @ s.isometry).real), s.multiplicity
+        if r % m:
+            raise ReducedRankNotDivisible(f"blockwise rank {r} is not divisible by multiplicity "
+                                          f"{m}", counts=(r, m))
+        out.append(r // m)
     return out
 
 
 def mvn_dimension(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     """Per-sector reduced rank of a projector in the algebra.
 
-    Entry i is the rank of p compressed to block i divided by that
-    block's multiplicity. The vector is zero exactly for p = 0, additive
+    Entry i is the center-valued trace ``tr(z_i p) = tr(V_i* p V_i)``
+    divided by block i's multiplicity m_i: the rank of p compressed to the
+    block, over m_i. The vector is zero exactly for p = 0, additive
     on orthogonal pairs, monotone under sub-projections, and a complete
     equivalence invariant. Extending the single-factor dimension
     function to one entry per sector is a convention of this package.
     """
     mat = _validated_projector_in(alg, p, tol)
-    return _reduced_ranks(block_decomposition(alg, tol), mat, tol)
+    return _reduced_ranks(block_decomposition(alg, tol), mat)
 
 
 def projectors_equivalent(alg: AlgebraBasis, p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -335,10 +339,7 @@ def projectors_equivalent(alg: AlgebraBasis, p, q, tol: Tolerance = DEFAULT_TOL)
     Decided by comparing the per-sector reduced ranks, the complete
     invariant for finite type I algebras; no V is built.
     """
-    pm = _validated_projector_in(alg, p, tol)
-    qm = _validated_projector_in(alg, q, tol)
-    decomp = block_decomposition(alg, tol)
-    return _reduced_ranks(decomp, pm, tol) == _reduced_ranks(decomp, qm, tol)
+    return mvn_dimension(alg, p, tol) == mvn_dimension(alg, q, tol)
 
 
 def decomposition_to_json(decomp: SectorDecomposition) -> list[dict]:

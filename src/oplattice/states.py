@@ -215,11 +215,8 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
         raise NotCommutative("characters exist only for commutative algebras")
     # a commutative algebra is its own center, so the central projectors
     # of its sectors are exactly the joint eigenspace projectors
-    out = []
-    for sector in sectors:
-        z = sector.central_projector
-        out.append(make_state(z / float(np.trace(z).real), tol))
-    return out
+    zs = [sector.central_projector for sector in sectors]
+    return [make_state(z / float(np.trace(z).real), tol) for z in zs]
 
 
 def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

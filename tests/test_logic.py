@@ -48,6 +48,7 @@ from tests.conftest import (
     NON_SQUARE,
     MEET_MAX_ITER,
     IterationFailed,
+    haar_unitary,
     kernel_algebra,
     line_projector,
     meet_iterative,
@@ -136,6 +137,29 @@ class TestJoin:
             rank = int(np.sum(s > 1e-8 * max(s[0], 1e-8)))
             span = u[:, :rank] @ u[:, :rank].conj().T
             assert operator_norm(join(p, q) - span) <= 1e-8
+
+
+class TestCovariance:
+    """``meet`` and ``join`` commute with conjugation by a unitary W: on a pair in general
+    position sharing a line, and on a pair drawn in a Haar-rotated sector algebra."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((6, 4, 2)) @ [1, 1j]  # span(a, c) and span(b, b', c)
+        yield range_projector(np.linalg.qr(v[:, [0, 3]])[0]), range_projector(
+            np.linalg.qr(v[:, 1:])[0])
+        alg = kernel_algebra("haar-sectors-2+1x2")
+        for i in range(4):
+            yield random_projector(alg, 10 * seed + i), random_projector(alg, 10 * seed + i + 50)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_meet_and_join_commute_with_a_rotation(self, seed):
+        for p, q in self.pairs(seed):
+            w = haar_unitary(len(p), np.random.default_rng(seed + 100))
+            wp, wq = w @ p @ w.conj().T, w @ q @ w.conj().T
+            for op in (meet, join):
+                assert operator_norm(op(wp, wq) - w @ op(p, q) @ w.conj().T) <= 1e-10
 
 
 class TestOrder:

@@ -1,6 +1,7 @@
 import functools
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from oplattice import scenarios as scenarios_module
 from oplattice import sectors as sectors_module
 from oplattice import seeding as seeding_module
 from oplattice import states as states_module
-from oplattice.numerics import range_projector
 from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
                                derive_seed)
 from tests.conftest import (chain_changed, haar_unitary, rational_clock_shift,
@@ -383,10 +383,10 @@ class TestGeneratedAlgebraChecks:
         assert report.lattice.distributive
 
     @pytest.mark.parametrize("wrong, message", [
-        (lambda: [sectors_module.Sector(range_projector(e), 1, 1, e)
+        (lambda: [sectors_module.Sector(1, 1, e)
                   for e in np.eye(5, dtype=complex).T[:, :, None]],
          r"commutant misses by .*: of dimension 5 in M_5, its commutant has dimension 5"),
-        (lambda: [sectors_module.Sector(np.eye(5), 1, 5, np.eye(5, dtype=complex))],
+        (lambda: [sectors_module.Sector(1, 5, np.eye(5, dtype=complex))],
          r"commutant misses by .*: of dimension 25 in M_5, its commutant has dimension 1"),
     ], ids=["diagonals", "all-of-m5"])
     def test_too_large_generator_commutant_is_rejected(self, monkeypatch, wrong, message):
@@ -406,7 +406,7 @@ class TestGeneratedAlgebraChecks:
         # five random directions, not orthonormal: their sectors span no *-algebra
         cols = np.random.default_rng(4).standard_normal((5, 5)).astype(complex)
         chain_changed(monkeypatch, lambda sectors: [
-            sectors_module.Sector(range_projector(x), 1, 1, x) for x in cols.T[:, :, None]])
+            sectors_module.Sector(1, 1, x) for x in cols.T[:, :, None]])
         scenario = Scenario(
             name="no algebra", kind="sectors", dim=5, parameters={"blocks": [[2, 1], [3, 1]]},
             trials=0,
@@ -421,7 +421,7 @@ class TestGeneratedAlgebraChecks:
         # C of M_2 (x) 1_2 is 1_2 (x) M_2, chained in a Haar frame of the right counts; h's two
         # clusters are the copies of M_2, which no split pass breaks
         wrong = haar_unitary(4, np.random.default_rng(5))
-        chain_changed(monkeypatch, lambda sectors: [sectors_module.Sector(np.eye(4), 2, 2, wrong)])
+        chain_changed(monkeypatch, lambda sectors: [sectors_module.Sector(2, 2, wrong)])
         scenario = Scenario(name="wrong frame", kind="sectors", dim=4,
                             parameters={"blocks": [[2, 2]]}, trials=0)
         with pytest.raises(NumericalError, match="scenario 'wrong frame': .*split no further "
@@ -760,3 +760,48 @@ class TestRotationToleranceSweep:
         gens = rotated(scenarios_module.build_generators(_sweep_scenario(kind, d)), seed)
         mats = [m for g in gens.generators for m in (g, g.conj().T)]
         assert same_span(generator_commutant(gens), reference_commutant(mats, d))
+
+
+# inputs of the sampled sweep, each with one configured vector state
+SAMPLED_CASES = {
+    "classical-8": lambda: build_classical(8),
+    "classical-16": lambda: build_classical(16),
+    "weyl-4": lambda: build_weyl_finite(4),
+    "weyl-16": lambda: build_weyl_finite(16),
+    "sectors-2x2+1x3": lambda: build_sectors([(2, 2), (1, 3)]),
+    "sectors-2+1x2": lambda: build_sectors([(2, 1), (1, 2)]),
+}
+
+
+def _sampled(gens, rho) -> tuple:
+    """The sampled verdicts of a 50-trial run with one configured state, and its sector values
+    as a multiset keyed by ``(n, m)``: the sector order follows z, which rotates."""
+    scenario = replace(_custom(gens), trials=50, seed=3,
+                       states=(states_module.make_state(rho),))
+    report = run_scenario(scenario)
+    (entry,) = report.states
+    verdicts = (report.lattice.orthomodular_pass_rate, report.lattice.distributive,
+                report.orthoadditivity["failures"], entry["pure"], entry["sigma_orthoadditive"])
+    values = sorted((s["block_size"], s["multiplicity"], entry["values"][f"sector_{i}"])
+                    for i, s in enumerate(report.sectors))
+    return verdicts, values
+
+
+class TestRotationWithTrials:
+    """Conjugating the generators and the configured state by one Haar unitary leaves the
+    sampled verdicts, the state's verdicts and its sector values as they are."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", SAMPLED_CASES)
+    def test_rotated_inputs_keep_their_sampled_verdicts(self, name, seed):
+        gens = SAMPLED_CASES[name]()
+        d = gens.ambient_dim
+        u = haar_unitary(d, np.random.default_rng(seed))  # the rotation `rotated` applies
+        psi = np.random.default_rng(10 + seed).standard_normal((d, 2)) @ [1, 1j]
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        verdicts, values = _sampled(gens, rho)
+        turned, turned_values = _sampled(rotated(gens, seed), u @ rho @ u.conj().T)
+        assert turned == verdicts
+        assert [v[:2] for v in turned_values] == [v[:2] for v in values]
+        assert np.allclose([v[2] for v in turned_values], [v[2] for v in values], rtol=0,
+                           atol=1e-10)

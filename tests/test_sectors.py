@@ -25,6 +25,7 @@ from oplattice import (
     commutant,
     contains,
     generated_algebra,
+    is_atom,
     is_factor,
     lattice_report,
     meet,
@@ -301,6 +302,70 @@ class TestMvnDimension:
             assert sorted(dims) == [0, 0, 1]
 
 
+def reference_dimension(alg, p):
+    """Per sector, ``rank(V V* p) / m`` by SVD, V the sector's isometry: the rank route, which
+    the trace of `mvn_dimension` replaces."""
+    out = []
+    for s in block_decomposition(alg).sectors:
+        z = s.isometry @ s.isometry.conj().T
+        r = np.linalg.matrix_rank(z @ p, tol=1e-8)
+        assert r % s.multiplicity == 0
+        out.append(int(r // s.multiplicity))
+    return out
+
+
+# Haar-rotated inputs of the trace route: multiplicities above 1, many sectors, one factor
+TRACE_CASES = {
+    "sectors-2x2+1x3": lambda: build_sectors([(2, 2), (1, 3)]),
+    "classical-8": lambda: build_classical(8),
+    "weyl-4": lambda: build_weyl_finite(4),
+}
+
+
+class TestTraceRoute:
+    """`mvn_dimension` reads ``tr(V* p V) / m`` per sector; the rank of ``z p`` is the
+    independent reference, on random projectors and orthogonal sums of them."""
+
+    @staticmethod
+    def projectors(alg, seed):
+        out = [random_projector(alg, 100 * seed + i) for i in range(8)]
+        for i in range(4):
+            p, q = orthogonal_projector_pair(alg, 200 * seed + i)
+            out += [q, p + q]
+        return out
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", TRACE_CASES)
+    def test_trace_equals_the_rank_reference(self, name, seed):
+        alg = close(rotated(TRACE_CASES[name](), seed))
+        d, rng = alg.ambient_dim, np.random.default_rng(seed)
+        for p in self.projectors(alg, seed):
+            ref = reference_dimension(alg, p)
+            assert mvn_dimension(alg, p) == ref
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (h + h.conj().T) * (DEFAULT_TOL.eq_tol / 10 / operator_norm(h + h.conj().T))
+            assert mvn_dimension(alg, p + h) == ref
+            assert is_atom(alg, p) == (sorted(ref)[-1] == 1 and sum(ref) == 1)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", TRACE_CASES)
+    def test_equivalence_agrees_with_the_rank_reference(self, name, seed):
+        alg = close(rotated(TRACE_CASES[name](), seed))
+        ps = self.projectors(alg, seed)
+        refs = [reference_dimension(alg, p) for p in ps]
+        for (p, a), (q, b) in zip(zip(ps, refs), zip(ps[1:] + ps[:1], refs[1:] + refs[:1])):
+            assert projectors_equivalent(alg, p, q) == (a == b)
+        assert projectors_equivalent(alg, ps[0], ps[0])
+
+
+class TestSectorIdentity:
+    def test_sectors_compare_by_identity(self):
+        s, t = block_decomposition(close(build_sectors([(2, 1), (1, 2)]))).sectors
+        assert s == s and s != t
+        assert s in [t, s] and t not in [s]
+        assert {s, t, s} == {t, s} and len({s, t}) == 2
+
+
 class TestDecompositionMemo:
     def test_structure_is_computed_once_per_tolerance(self, monkeypatch):
         real_decompose = sectors_module._decompose
@@ -342,14 +407,17 @@ class TestDecompositionMemo:
         double = commutant(comm)
         assert same_span(double, alg)
         for s, t in zip(block_decomposition(double).sectors, own):
-            assert s.central_projector is t.central_projector
+            assert np.array_equal(s.central_projector, t.central_projector)
             assert (s.block_size, s.multiplicity) == (t.block_size, t.multiplicity)
             assert np.array_equal(s.isometry, t.isometry)
 
     def test_shared_arrays_are_read_only(self, two_blocks):
         for sector in block_decomposition(two_blocks).sectors:
-            assert not sector.central_projector.flags.writeable
             assert not sector.isometry.flags.writeable
+            z = sector.central_projector
+            before = z.copy()
+            z[...] = 7.0  # a returned z is the caller's own
+            assert np.array_equal(sector.central_projector, before)
 
 
 def decomposed_as(monkeypatch, change) -> list:
@@ -373,7 +441,7 @@ class TestStructureChecks:
     def test_tensor_form_defect_carries_its_residual(self, monkeypatch):
         wrong = haar_unitary(4, np.random.default_rng(5))
         alg = undecomposed(build_sectors([(2, 2)]))
-        decomposed_as(monkeypatch, lambda sectors: [sectors_module.Sector(np.eye(4), 2, 2, wrong)])
+        decomposed_as(monkeypatch, lambda sectors: [sectors_module.Sector(2, 2, wrong)])
         with pytest.raises(CenterDiagonalizationFailed) as info:
             block_decomposition(alg)
         defect = info.value.__cause__
@@ -387,7 +455,7 @@ class TestStructureChecks:
         alg = undecomposed(build_sectors([(2, 2)]))
         frame = haar_unitary(4, np.random.default_rng(6))
         calls = decomposed_as(monkeypatch, lambda sectors: (
-            [sectors_module.Sector(np.eye(4), 2, 2, frame)] if wrong else sectors))
+            [sectors_module.Sector(2, 2, frame)] if wrong else sectors))
         if wrong:
             with pytest.raises(CenterDiagonalizationFailed):
                 block_decomposition(alg)
@@ -413,7 +481,7 @@ class TestStructureChecks:
                 m = s.multiplicity
                 for j in range(s.block_size):
                     cols = s.isometry[:, j * m : (j + 1) * m]
-                    out.append(sectors_module.Sector(cols @ cols.conj().T, 1, m, cols))
+                    out.append(sectors_module.Sector(1, m, cols))
             return out
 
         alg = undecomposed(build_sectors(blocks))
@@ -427,7 +495,7 @@ class TestStructureChecks:
         scalars_twice = close(build_sectors([(1, 2)]))
         decomp = block_decomposition(scalars_twice)
         with pytest.raises(ReducedRankNotDivisible) as info:
-            sectors_module._reduced_ranks(decomp, unit(2, 0, 0), DEFAULT_TOL)
+            sectors_module._reduced_ranks(decomp, unit(2, 0, 0))
         assert info.value.counts == (1, 2)
 
 
@@ -564,7 +632,10 @@ class TestGeneratedAlgebra:
             (s.block_size, s.multiplicity) for s in fresh]
         for s, f in zip(seeded, fresh):
             assert np.allclose(s.central_projector, f.central_projector, atol=1e-12)
-            assert not s.isometry.flags.writeable and not s.central_projector.flags.writeable
+            assert not s.isometry.flags.writeable
+            z = s.central_projector
+            z[...] = 0.0
+            assert np.allclose(s.central_projector, f.central_projector, atol=1e-12)
             iso = s.isometry
             assert np.allclose(iso.conj().T @ iso, np.eye(iso.shape[1]), atol=1e-12)
 

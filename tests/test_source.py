@@ -197,3 +197,19 @@ def test_one_constructor_builds_an_algebra_off_its_sectors():
     named = {path.name: _named(path) for path in SOURCES}
     assert sorted(name for name, names in named.items()
                   if names & {"_sectors", "_defects", "_commuting_with"}) == []
+
+
+def test_a_sector_is_its_isometry():
+    # a sector stores V alone and derives z = V V*, so the two cannot disagree; the dimension
+    # function is the trace tr(V* p V), with no SVD; a scenario evaluates the central
+    # projectors it built itself, never re-validating them as a `LogicalState` would
+    assert [f.name for f in dataclasses.fields(oplattice.Sector)] == [
+        "block_size", "multiplicity", "isometry"]
+    sectors = next(path for path in SOURCES if path.name == "sectors.py")
+    (reduced,) = [node for node in ast.parse(sectors.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_reduced_ranks"]
+    named = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(reduced) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert named & {"svd", "singular_rank"} == set()
+    scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
+    assert "LogicalState" not in _named(scenarios)
