@@ -50,6 +50,7 @@ from .algebra import (
     close,
     commutant,
     contains,
+    generated_algebra,
     generator_commutant,
     generator_set_from_json,
     generator_set_to_json,
@@ -62,7 +63,6 @@ from .sectors import (
     SectorDecomposition,
     block_decomposition,
     decomposition_to_json,
-    generated_algebra,
     is_factor,
     minimal_central_projectors,
     mvn_dimension,

@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 
-from .algebra import algebra_to_json, baire_envelope, center, commutant, generator_set_from_json
+from .algebra import (algebra_to_json, baire_envelope, center, commutant, generated_algebra,
+                      generator_set_from_json)
 from .errors import NumericalError, ValidationError
 from .logic import join, lattice_report, lattice_report_to_json, meet
 from .numerics import DEFAULT_TOL, Tolerance, dumps, matrix_from_json
 from .scenarios import report_to_json_dict, run_scenario, scenario_from_json
-from .sectors import block_decomposition, decomposition_to_json, generated_algebra
+from .sectors import block_decomposition, decomposition_to_json
 from .states import dirac_characters, evaluate, make_state, state_to_json
 
 # each algebra verb from the generators' bicommutant (names looked up per call)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, GeneratorSet
+from .algebra import AlgebraBasis, GeneratorSet, generated_algebra
 from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
-from .sectors import block_decomposition, generated_algebra
+from .sectors import block_decomposition
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
 from .states import (_orthoadditivity, _probabilities, _random_orthogonal_families, _random_states,
                      dirac_characters, evaluate, is_pure, is_separating, state_from_json,

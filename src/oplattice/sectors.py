@@ -1,15 +1,17 @@
-"""Superselection sectors of a closed matrix algebra.
+"""Superselection sectors of a closed matrix algebra, and the one home of their format.
 
 A unital *-closed algebra inside M_d splits along the minimal projectors of its center into
 blocks, each unitarily equivalent to ``M_n (x) 1_m`` (a full matrix factor of size n acting
-with multiplicity m). This module reads that block structure, and with it the center, off
-the sectors `_generated_sectors` chains for one generic pair of algebra elements, and
+with multiplicity m). This module owns how a sector is held and read: the chain that finds
+sectors from the eigenvalue clusters of one combination of matrices (`_generated_sectors`,
+refined by `_refined`), the frame of a decomposition and its readers (`contains`, the random
+draws), and the matrix units (`_units`). It reads an algebra's block structure, and with it
+the center, off the sectors the chain finds for one generic pair of algebra elements, and
 certifies it against the whole basis. It classifies factors and computes the integer-valued
 dimension function on projector equivalence classes (two projectors are equivalent when a
 partial isometry inside the algebra maps one range onto the other; in each block the
-complete invariant is the reduced rank). `generated_algebra` is the algebra of the sectors
-`_generated_sectors` chains for a set of matrices from the eigenvalue clusters of one
-combination of them.
+complete invariant is the reduced rank). It imports nothing from `algebra` at run time;
+`algebra` builds algebras on it.
 
 Only type I structure exists at finite dimension; algebras without
 minimal projectors (types II and III) have no matrix realization.
@@ -20,29 +22,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraBasis, GeneratorSet, _generated_sectors, _with_sectors, contains
-from .errors import (
-    CenterDiagonalizationFailed,
-    NotInAlgebra,
-    NumericalError,
-    ReducedRankNotDivisible,
-    SectorDimensionMismatch,
-    SectorStructureError,
-    TensorFormDefect,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    ensure_projector,
-    matrix_to_json,
-    range_projector,
-    singular_rank,
-)
-from .seeding import STREAM_BLOCK, attempt_generator
+from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebra, NumericalError,
+                     ReducedRankNotDivisible, SectorDimensionMismatch, SectorStructureError,
+                     TensorFormDefect)
+from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, ensure_projector, hs_norm, hs_unit,
+                       matrix_to_json, norm_at_most, operator_norm, range_projector, singular_rank,
+                       spectral_clusters)
+from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, attempt_generator
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraBasis
+
+_ROUNDING = 64 * float(np.finfo(float).eps)  # 1.4e-14: a smaller part of a matrix unit is rounding
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +65,10 @@ class Sector:
 class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
-    columns from ``start`` on. Membership, the random draws, the generators' certificate,
-    `is_pure` and `is_separating` read it; `mvn_dimension` reads each sector's isometry, and
-    `dirac_characters` and a scenario's sector values its central projector."""
+    columns from ``start`` on. Membership (`contains`), the random draws
+    (`_random_self_adjoint`), the chain's certificate (`_outside`), `is_pure` and `is_separating`
+    read it, all through this module's readers; `mvn_dimension` reads each sector's isometry,
+    and `dirac_characters` and a scenario's sector values its central projector."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -138,6 +135,21 @@ def _outside(frame: Frame, mats: np.ndarray) -> float:
     return float(np.linalg.norm(_residual(frame, mats), axis=(1, 2)).max())
 
 
+def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
+    """True iff ``m`` lies in the span of ``alg``, per matrix of an ``(n, d, d)`` stack: its
+    residual in the frame of the memoized `block_decomposition` (`_residual`, the HS
+    projection's) against ``eq_tol * (1 + ||m||)``. A span that is no algebra raises
+    `CenterDiagonalizationFailed`."""
+    a = _as_operators(m)
+    if a.shape[-1] != alg.ambient_dim:
+        raise DimensionMismatch(
+            f"matrix of dimension {a.shape[-1]} vs algebra in M_{alg.ambient_dim}"
+        )
+    residual = _residual(block_decomposition(alg, tol).frame, a)
+    inside = norm_at_most(residual, tol.eq_tol)  # the bound is at least eq_tol: no norm of a
+    return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
+
+
 def _random_self_adjoint(frame: Frame, rngs: list) -> np.ndarray:
     """Per generator in `rngs`, ``U blockdiag(h (x) 1_m) U*``, h the Hermitian part of a random
     beta: its 2k normals (k = sum n^2) in one call, k real then k imaginary parts, over sqrt(m)
@@ -153,6 +165,39 @@ def _random_self_adjoint(frame: Frame, rngs: list) -> np.ndarray:
         b[...] = ((beta + beta.conj().swapaxes(-2, -1)) / 2.0)[..., None]
         at += c * n * n
     return frame.u @ y @ frame.uh  # a product per matrix: a draw's bits do not depend on the stack
+
+
+def _block_frame(w0: np.ndarray) -> np.ndarray:
+    """The inverse of the unitary polar part of n rows of the ``d x n`` copy ``w0``, picked
+    greedily: each the largest once those before it are projected out."""
+    r, rows = w0.copy(), []
+    for _ in range(w0.shape[1]):
+        rows.append(int(np.argmax(np.linalg.norm(r, axis=1))))
+        q = r[rows[-1]] / np.linalg.norm(r[rows[-1]])
+        r -= np.outer(r @ q.conj(), q)
+    u, _, vh = np.linalg.svd(w0[rows])
+    return (u @ vh).conj().T
+
+
+def _units(sectors) -> np.ndarray:
+    """The algebra's matrix units: a sector ``V (M_n (x) 1_m) V*`` contributes
+    ``V (E_ab (x) 1_m) V* / sqrt(m)``, orthonormal as V's columns and the sectors are. Only
+    the block frame of V moves them, fixed by `_block_frame` (for n = 1 it is a phase, which
+    cancels), so a sparse V writes sparse units; parts below `_ROUNDING` are 0."""
+    d = sectors[0].isometry.shape[0]
+    units = np.empty((sum(s.block_size ** 2 for s in sectors), d, d), dtype=complex)
+    at = 0
+    for s in sectors:
+        n, m = s.block_size, s.multiplicity
+        w = s.isometry.reshape(d, n, m).swapaxes(1, 2).copy()  # [x, j, a], contiguous
+        if n > 1:
+            w = w @ _block_frame(w[:, 0])
+        np.einsum("xja,yjb->abxy", w, w.conj() / np.sqrt(m),
+                  out=units[at:at + n * n].reshape(n, n, d, d))
+        at += n * n
+    parts = units.view(float)
+    parts[np.abs(parts) < _ROUNDING] = 0.0
+    return units
 
 
 def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, tol: Tolerance) -> list:
@@ -199,6 +244,70 @@ def _chained_sectors(v: np.ndarray, clusters: list, gv: np.ndarray, tol: Toleran
         isometry = np.hstack([v[:, slice(*clusters[i])] @ frames[i] for i in sorted(order)])
         sectors.append(Sector(len(order), m, isometry))
     return sectors
+
+
+def _refined(v: np.ndarray, clusters: list, g: np.ndarray, rng, tol: Tolerance) -> tuple:
+    """h's eigenbasis v and clusters, each cluster split by the eigenvalue clusters of the
+    block it cuts from ``K = sum_k g~_k W_k g~_k* + (sum_k c_k g~_k + h.c.)``, ``W_k`` positive
+    random weights per cluster of columns and c complex Gaussian. K lies in the generated
+    algebra (h's cluster projectors do), so its blocks commute with every X of the commutant,
+    which is block diagonal: a split keeps every solution. v moves only on split clusters."""
+    w = 1.0 + rng.random((len(g), len(clusters)))
+    c = rng.standard_normal((2, len(g)))
+    x = g * np.sqrt(np.repeat(w, [b - a for a, b in clusters], axis=1))[:, None]
+    x = x.swapaxes(0, 1).reshape(len(v), -1)  # [g~_1 W_1^(1/2), g~_2 W_2^(1/2), ...]
+    lin = np.tensordot(c[0] + 1j * c[1], g, axes=1)
+    k = x @ x.conj().T + lin + lin.conj().T
+    v, out = v.copy(), []
+    for a, b in clusters:
+        vk, parts = spectral_clusters(k[a:b, a:b], tol)
+        if len(parts) > 1:
+            v[:, a:b] = v[:, a:b] @ vk
+        out += [(a + start, a + stop) for start, stop in parts]
+    return v, out
+
+
+def _generated_sectors(ambient_dim: int, generators, tol: Tolerance) -> tuple:
+    """The sectors of the algebra the ``ambient_dim``-square matrices ``generators`` generate,
+    and the largest HS distance of a unit-normed generator or adjoint to it, without the word
+    closure.
+
+    Their commutant's elements commute with a random ``h = sum_i c_i g_i + conj(c_i) g_i*``
+    (unit-normed g_i), so in h's eigenbasis v they are block diagonal on its clusters. These
+    give the sectors, chained along the blocks of every ``g~ = v* g v`` (`_chained_sectors`)
+    and certified: the frames must be orthonormal (``||U* U - 1|| <= rank_tol``) and every
+    unit-normed generator and adjoint must lie within ``rank_tol`` of their algebra
+    (`_outside`). A chain that fails refines the clusters (`_refined`) and walks
+    again (Maehara and Murota, SIAM J. Matrix Anal. Appl. 2011); once no cluster splits, it
+    raises `NumericalError` with the failed check's residual or counts.
+    """
+    d = ambient_dim
+    mats = np.stack([m / s for a, s in map(hs_unit, generators) for m in (a, a.conj().T)])
+    rng = attempt_generator(STREAM_COMMUTANT, 0)
+    c = rng.standard_normal((2, len(generators)))
+    h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
+    v, clusters = spectral_clusters(h + h.conj().T, tol)
+    while True:
+        g = v.conj().T @ mats @ v  # g~ for every g and g*
+        try:
+            sectors = _chained_sectors(v, clusters, g, tol)
+            frame = SectorDecomposition(d, tuple(sectors)).frame
+            skew, defect = hs_norm(frame.uh @ frame.u - np.eye(d)), _outside(frame, mats)
+            if skew <= tol.rank_tol and defect <= tol.rank_tol:
+                return sectors, defect
+            failed = NumericalError(
+                f"the generators' commutant misses by {defect:.3e}: of dimension "
+                f"{sum(s.multiplicity ** 2 for s in sectors)} in M_{d}, its commutant has "
+                f"dimension {sum(s.block_size ** 2 for s in sectors)}, its frames orthonormal to "
+                f"{skew:.3e}", defect if skew <= tol.rank_tol else skew)
+        except SectorStructureError as exc:
+            failed = exc
+        count = len(clusters)
+        v, clusters = _refined(v, clusters, g, rng, tol)
+        if len(clusters) == count:
+            raise NumericalError(f"h's {count} clusters split no further under rank_tol "
+                                 f"{tol.rank_tol}: {failed}", failed.residual,
+                                 failed.counts) from failed
 
 
 def _swapped(sector: Sector) -> Sector:
@@ -265,31 +374,13 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
     x, g = np.matmul(z[..., :k] + 1j * z[..., k:], alg.basis.reshape(k, d * d)).reshape(2, d, d)
     pair = ((x + x.conj().T) / 2.0, g)
     try:
-        sectors, _ = _generated_sectors(GeneratorSet(alg.ambient_dim, pair), tol)
+        sectors, _ = _generated_sectors(alg.ambient_dim, pair, tol)
         _certify(alg, sectors, tol)
     except NumericalError as exc:
         raise CenterDiagonalizationFailed(f"the pair drawn did not exhibit the block structure "
                                           f"({exc}); rank_tol {tol.rank_tol} is likely degenerate",
                                           exc.residual, exc.counts) from exc
     return _settled(alg.ambient_dim, sectors, tol)
-
-
-def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """The unital *-algebra the generators generate: the algebra of the sectors
-    `_generated_sectors` chains and certifies for them, without the word closure, which it
-    holds in `block_decomposition`'s order.
-
-    At finite dimension that is their generated von Neumann algebra. Every generator, scaled
-    to unit HS norm, must lie within ``eq_tol`` of the result (the distance the chain's
-    certificate measured), else `NumericalError`.
-    """
-    sectors, defect = _generated_sectors(gens, tol)
-    alg = _with_sectors(_settled(gens.ambient_dim, sectors, tol), tol)
-    if not defect <= tol.eq_tol:
-        raise NumericalError(f"a generator lies {defect:.3e} outside the algebra (dimension "
-                             f"{alg.dim}) of its sectors in M_{gens.ambient_dim}; the "
-                             "tolerances are likely degenerate", defect)
-    return alg
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -36,7 +36,8 @@ STREAM_SWEEP_STATE = 21
 STREAM_SWEEP_FAMILY = 22
 STREAM_STATE_CHECK = 23
 
-# sectors and generator_commutant: one generator per (stream, attempt), see `attempt_generator`
+# read in `sectors`, by `_decompose` (STREAM_BLOCK) and the chain `_generated_sectors`
+# (STREAM_COMMUTANT): one generator per (stream, attempt), see `attempt_generator`
 STREAM_BLOCK = 102
 STREAM_COMMUTANT = 104
 

@@ -214,9 +214,12 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
     if any(sector.block_size != 1 for sector in sectors):
         raise NotCommutative("characters exist only for commutative algebras")
     # a commutative algebra is its own center, so the central projectors
-    # of its sectors are exactly the joint eigenspace projectors
-    zs = [sector.central_projector for sector in sectors]
-    return [make_state(z / float(np.trace(z).real), tol) for z in zs]
+    # of its sectors are exactly the joint eigenspace projectors: each z / tr z is a density by
+    # construction, so it is wrapped read-only without `make_state`'s checks
+    densities = [z / float(np.trace(z).real) for z in (s.central_projector for s in sectors)]
+    for rho in densities:
+        rho.setflags(write=False)
+    return [StateFunctional(rho) for rho in densities]
 
 
 def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -14,6 +14,7 @@ from oplattice import (
     SectorStructureError,
     Tolerance,
     ValidationError,
+    algebra_to_json,
     baire_envelope,
     block_decomposition,
     build_classical,
@@ -23,6 +24,8 @@ from oplattice import (
     close,
     commutant,
     contains,
+    decomposition_to_json,
+    dumps,
     generated_algebra,
     generator_commutant,
     generator_set_from_json,
@@ -72,6 +75,23 @@ class TestGeneratorSet:
     def test_requires_matching_dims(self):
         with pytest.raises(DimensionMismatch):
             GeneratorSet(ambient_dim=2, generators=(np.eye(3),))
+
+    @pytest.mark.parametrize("dim, gen", [
+        (2.0, np.diag([1.0, 2.0])), (True, np.eye(1)), ("2", np.eye(2)), (0, np.eye(2)),
+    ], ids=["float", "bool", "str", "zero"])
+    def test_ambient_dim_is_a_positive_integer(self, dim, gen):
+        with pytest.raises(ValidationError, match="ambient_dim must be a positive integer"):
+            close(GeneratorSet(dim, (gen,)))
+
+    def test_a_numpy_integer_dim_is_written_as_an_int(self):
+        gens = GeneratorSet(np.int64(2), (np.diag([1.0, 2.0]),))
+        assert type(gens.ambient_dim) is int
+        alg = close(gens)
+        decomp = block_decomposition(alg)
+        assert type(alg.ambient_dim) is int and type(decomp.ambient_dim) is int
+        assert dumps(algebra_to_json(alg)).startswith('{"ambient_dim": 2, "dim": 2, ')
+        sectors = {"ambient_dim": decomp.ambient_dim, "sectors": decomposition_to_json(decomp)}
+        assert dumps(sectors).startswith('{"ambient_dim": 2, "sectors": [')
 
     def test_json_round_trip(self):
         gens = build_weyl_finite(3)
@@ -329,15 +349,15 @@ CHAINED = {
 
 
 def split_passes(monkeypatch) -> list:
-    """Record each `algebra._refined` pass as its ``(clusters before, clusters after)``."""
-    real, passes = algebra_module._refined, []
+    """Record each `sectors._refined` pass as its ``(clusters before, clusters after)``."""
+    real, passes = sectors_module._refined, []
 
     def refined(v, clusters, g, rng, tol):
         out = real(v, clusters, g, rng, tol)
         passes.append((len(clusters), len(out[1])))
         return out
 
-    monkeypatch.setattr(algebra_module, "_refined", refined)
+    monkeypatch.setattr(sectors_module, "_refined", refined)
     return passes
 
 
@@ -358,7 +378,7 @@ class TestGeneratorCommutantRoutes:
         if rotation is not None:
             u = haar_unitary(gens.ambient_dim, np.random.default_rng(rotation))
             gens = conjugated_generators(gens, u)
-        calls = counted(monkeypatch, [(algebra_module, "_refined"),
+        calls = counted(monkeypatch, [(sectors_module, "_refined"),
                                       (sectors_module, "_decompose")])
         alg = generated_algebra(gens)
         assert calls == {"_refined": 0, "_decompose": 0}
@@ -474,7 +494,7 @@ class TestGeneratorCommutantRoutes:
             assert same_span(generator_commutant(star(5)), star_commutant(5))
             assert passes == [(3, 5)]
             return
-        monkeypatch.setattr(algebra_module, "_refined",
+        monkeypatch.setattr(sectors_module, "_refined",
                             lambda v, clusters, g, rng, tol: (v, clusters))
         with pytest.raises(NumericalError, match="h's 3 clusters split no further under rank_tol "
                                                  "1e-08: the generators' commutant misses by .*: "
@@ -513,7 +533,7 @@ class TestLazyBasis:
     def test_a_zero_trial_scenario_builds_no_basis(self, monkeypatch, kind, dim, parameters,
                                                    algebra_dim):
         calls = counted(monkeypatch, [(algebra_module, "_units"),
-                                      (algebra_module, "_refined"),
+                                      (sectors_module, "_refined"),
                                       (sectors_module, "_decompose")])
         scenario = scenario_from_json({"name": "lazy", "kind": kind, "dim": dim,
                                        "parameters": parameters, "trials": 0, "seed": 1})
@@ -834,6 +854,17 @@ class TestAlgebraBasisValue:
     def test_shape_validated(self):
         with pytest.raises(DimensionMismatch):
             AlgebraBasis(ambient_dim=3, basis=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("dim, d", [(2.0, 2), (True, 1), ("2", 2)],
+                             ids=["float", "bool", "str"])
+    def test_ambient_dim_is_an_integer(self, dim, d):
+        with pytest.raises(ValidationError, match="ambient_dim must be an integer"):
+            sectors_module.is_factor(AlgebraBasis(dim, np.eye(d)[None] / np.sqrt(d)))
+
+    def test_a_numpy_integer_dim_is_stored_as_an_int(self):
+        alg = AlgebraBasis(np.int64(2), np.eye(2)[None] / np.sqrt(2))
+        assert type(alg.ambient_dim) is int and sectors_module.is_factor(alg)
+        assert dumps(algebra_to_json(alg)).startswith('{"ambient_dim": 2, "dim": 1, ')
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("call", [

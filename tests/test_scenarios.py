@@ -773,12 +773,12 @@ SAMPLED_CASES = {
 }
 
 
-def _sampled(gens, rho) -> tuple:
+def _sampled(gens, rho, tol: Tolerance) -> tuple:
     """The sampled verdicts of a 50-trial run with one configured state, and its sector values
     as a multiset keyed by ``(n, m)``: the sector order follows z, which rotates."""
     scenario = replace(_custom(gens), trials=50, seed=3,
                        states=(states_module.make_state(rho),))
-    report = run_scenario(scenario)
+    report = run_scenario(scenario, tol)
     (entry,) = report.states
     verdicts = (report.lattice.orthomodular_pass_rate, report.lattice.distributive,
                 report.orthoadditivity["failures"], entry["pure"], entry["sigma_orthoadditive"])
@@ -791,17 +791,49 @@ class TestRotationWithTrials:
     """Conjugating the generators and the configured state by one Haar unitary leaves the
     sampled verdicts, the state's verdicts and its sector values as they are."""
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("name", SAMPLED_CASES)
-    def test_rotated_inputs_keep_their_sampled_verdicts(self, name, seed):
-        gens = SAMPLED_CASES[name]()
-        d = gens.ambient_dim
-        u = haar_unitary(d, np.random.default_rng(seed))  # the rotation `rotated` applies
-        psi = np.random.default_rng(10 + seed).standard_normal((d, 2)) @ [1, 1j]
-        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        verdicts, values = _sampled(gens, rho)
-        turned, turned_values = _sampled(rotated(gens, seed), u @ rho @ u.conj().T)
+    @staticmethod
+    def rotation_keeps(gens, rho, seed, tol: Tolerance = DEFAULT_TOL) -> tuple:
+        """The unrotated `_sampled`, once the rotated one is checked against it."""
+        u = haar_unitary(gens.ambient_dim, np.random.default_rng(seed))  # as `rotated` draws it
+        verdicts, values = _sampled(gens, rho, tol)
+        turned, turned_values = _sampled(rotated(gens, seed), u @ rho @ u.conj().T, tol)
         assert turned == verdicts
         assert [v[:2] for v in turned_values] == [v[:2] for v in values]
         assert np.allclose([v[2] for v in turned_values], [v[2] for v in values], rtol=0,
                            atol=1e-10)
+        return verdicts, values
+
+    @staticmethod
+    def vector_state(d, seed) -> np.ndarray:
+        psi = np.random.default_rng(10 + seed).standard_normal((d, 2)) @ [1, 1j]
+        return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", SAMPLED_CASES)
+    def test_rotated_inputs_keep_their_sampled_verdicts(self, name, seed):
+        gens = SAMPLED_CASES[name]()
+        self.rotation_keeps(gens, self.vector_state(gens.ambient_dim, seed), seed)
+
+    @pytest.mark.parametrize("rank_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("name", ["classical-16", "sectors-2x2+1x3"])
+    def test_the_verdicts_hold_at_other_rank_cutoffs(self, name, rank_tol):
+        # 1e-12 is left to the strict xfails of `TestRotationToleranceSweep`
+        gens = SAMPLED_CASES[name]()
+        self.rotation_keeps(gens, self.vector_state(gens.ambient_dim, 1), 1,
+                            Tolerance(rank_tol=rank_tol))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_state_pure_on_a_multiplicity_sector_stays_pure(self, seed):
+        # psi psi* (x) tau inside the (2, 2) block, tau a full-rank 2 x 2 density: pure on the
+        # algebra, mixed on C^7
+        rng = np.random.default_rng(20 + seed)
+        psi = rng.standard_normal((2, 2)) @ [1, 1j]
+        g = rng.standard_normal((2, 2, 2)) @ [1, 1j]
+        tau = g @ g.conj().T + np.eye(2)
+        rho = np.zeros((7, 7), dtype=complex)
+        rho[:4, :4] = np.kron(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real,
+                              tau / np.trace(tau).real)
+        verdicts, values = self.rotation_keeps(build_sectors([(2, 2), (1, 3)]), rho, seed)
+        assert verdicts[3] is True
+        assert [v[:2] for v in values] == [(1, 3), (2, 2)]
+        assert np.allclose([v[2] for v in values], [0.0, 1.0], rtol=0, atol=1e-10)

@@ -422,13 +422,13 @@ class TestDecompositionMemo:
 
 def decomposed_as(monkeypatch, change) -> list:
     """Make each `_generated_sectors` call of the sectors module, `_decompose`'s, return
-    ``change(sectors)`` as the generated algebra's sectors; returns the list of calls. Set it
-    once the algebras are built, as `generated_algebra` calls it too."""
+    ``change(sectors)`` as the generated algebra's sectors; returns the list of each call's
+    generators. `generated_algebra` calls the name `algebra` binds, which stays the real one."""
     real, calls = sectors_module._generated_sectors, []
 
-    def changed(gens, tol):
-        calls.append(gens)
-        sectors, defect = real(gens, tol)
+    def changed(ambient_dim, generators, tol):
+        calls.append(generators)
+        sectors, defect = real(ambient_dim, generators, tol)
         return change(list(sectors)), defect
 
     monkeypatch.setattr(sectors_module, "_generated_sectors", changed)
@@ -462,7 +462,7 @@ class TestStructureChecks:
         else:
             assert [(s.block_size, s.multiplicity) for s in block_decomposition(alg).sectors] == [
                 (2, 2)]
-        assert len(calls) == 1 and len(calls[0].generators) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
 
     def test_missing_sector_is_a_dimension_mismatch(self, monkeypatch):
         alg = undecomposed(build_sectors([(2, 1), (1, 1)]))

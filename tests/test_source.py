@@ -89,8 +89,8 @@ def test_every_seed_stream_has_a_reader():
 
 
 def test_scenarios_never_close_words():
-    # a scenario reads its algebra off the generators' commutant (`generated_algebra`); the
-    # word closure is a CLI verb and a test oracle, never a scenario stage
+    # a scenario calls `generated_algebra` itself: `close` is the same algebra under the name the
+    # benchmark traces, so a scenario stage that called it would count as a traced `close`
     scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
     found = [
         node.lineno
@@ -168,7 +168,7 @@ def test_the_structure_is_read_by_one_route():
     named = {path.name: _named(path) for path in SOURCES}
     assert [name for name in ("algebra.py", "sectors.py") if "null_space" in named[name]] == []
     assert sorted(name for name, names in named.items() if "spectral_clusters" in names) == [
-        "algebra.py", "numerics.py"]
+        "numerics.py", "sectors.py"]
 
 
 def test_both_samplers_cut_one_spectrum():
@@ -213,3 +213,41 @@ def test_a_sector_is_its_isometry():
     assert named & {"svd", "singular_rank"} == set()
     scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
     assert "LogicalState" not in _named(scenarios)
+
+
+def test_no_function_imports_from_the_package():
+    # each module imports the package modules it builds on once, at its top: a function-level
+    # relative import hides a dependency, and with it an import cycle
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for top in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert found == []
+
+
+def test_sectors_builds_on_no_algebra_at_run_time():
+    # `sectors` owns the sector format (chain, frame, units, membership) and `algebra` builds on
+    # it; `sectors` names `AlgebraBasis` in annotations only, imported for type checkers
+    sectors = next(path for path in SOURCES if path.name == "sectors.py")
+    tree = ast.parse(sectors.read_text(), filename=str(sectors))
+    checked = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.If) and ast.unparse(top.test) == "TYPE_CHECKING"
+        for node in ast.walk(top)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in checked and (
+            isinstance(node, ast.ImportFrom) and (
+                node.module in ("algebra", "oplattice.algebra")
+                or any(alias.name == "algebra" for alias in node.names))
+            or isinstance(node, ast.Import)
+            and any(alias.name == "oplattice.algebra" for alias in node.names))
+    ]
+    assert found == [] and len(checked) > 1

@@ -490,6 +490,17 @@ class TestDiracCharacters:
         with pytest.raises(NotCommutative):
             dirac_characters(full2)
 
+    @pytest.mark.parametrize("seed", [None, 3], ids=["unrotated", "haar-3"])
+    def test_characters_are_the_validated_densities_read_only(self, seed):
+        gens = build_classical(6)
+        alg = close(gens if seed is None else rotated(gens, seed))
+        zs = [s.central_projector for s in block_decomposition(alg).sectors]
+        chars = dirac_characters(alg)
+        assert len(chars) == len(zs) == 6
+        for chi, z in zip(chars, zs):
+            assert not chi.density.flags.writeable
+            assert np.array_equal(chi.density, make_state(z / np.trace(z).real).density)
+
 
 class TestIsSeparating:
     def test_characters_jointly_see_everything(self, diag3):
