@@ -7,7 +7,10 @@ atomicity) and a seeded sampler used by the verification sweeps.
 
 The meet projects onto the joint null space of the range complements:
 one SVD, with no iteration to converge and no spectral gap to round
-across.
+across. Stacked meets settle the lattice's bounds (``p ∧ 0 = 0``,
+``p ∧ 1 = p``) by identity; a case with no operand 0 or 1, or with a 1
+beside two or more proper operands, takes the SVD with the bits of its
+one-pair call.
 """
 
 from __future__ import annotations
@@ -40,10 +43,33 @@ def _complement(p: np.ndarray) -> np.ndarray:
 def _meet(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Projector onto the common range of ``ps``: the null space of the stacked complements
     ``[1 - p_1; ...; 1 - p_n]``, one SVD. Like every kernel here it takes one matrix each, or
-    ``(c, d, d)`` stacks with each of the c cases' one-matrix bits."""
+    ``(..., d, d)`` stacks of cases. In a stack the lattice's bounds settle a case by identity
+    (a projector's rank is its rounded trace): a 0 among its operands gives 0; else, its 1s
+    dropped, it is its one proper operand, or 1 if none is left. Every other case takes one
+    gathered SVD with the bits of its one-matrix call."""
     a = np.concatenate([_complement(p) for p in ps], axis=-2)
     if a.ndim == 2:  # a public one-pair call stays a (traced) `null_space` call, same bits
         return range_projector(null_space(a, tol))
+    d = a.shape[-1]
+    # each operand's nullity d - rank: the trace of its complement, a d x d block of `a`
+    nullity = np.rint(a.reshape(a.shape[:-2] + (len(ps), d, d)).diagonal(0, -2, -1).real.sum(-1))
+    bound = (nullity == 0) | (nullity == d)
+    if not bound.any():  # family joins and proper meets: one SVD, as before
+        return _null_projectors(a, tol)
+    zero, proper = (nullity == d).any(axis=-1), ~bound
+    settled = zero | bound.any(axis=-1) & (np.count_nonzero(proper, axis=-1) < 2)
+    out = np.zeros(a.shape[:-2] + (d, d), dtype=complex)  # a 0 operand's cases stay 0
+    if not settled.all():
+        out[~settled] = _null_projectors(a[~settled], tol)
+    kept = settled & ~zero
+    out[kept & ~proper.any(axis=-1)] = np.eye(d)
+    for i, p in enumerate(ps):
+        out[kept & proper[..., i]] = p[kept & proper[..., i]]
+    return out
+
+
+def _null_projectors(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Projector onto the null space of each matrix of an ``(..., n, d)`` stack: one thin SVD."""
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, tol))
 
@@ -57,13 +83,13 @@ def _leq(p, q, tol: Tolerance):
     return norm_at_most(q @ p - p, tol.eq_tol)
 
 
-def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
+def _orthomodularity(p, q, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # differences, derived
     inner = _meet(_complement(p), q, tol=tol)
     outer = _join(p, inner, tol=tol)
-    return operator_norm(q - outer), (inner, outer)
+    return q - outer, (inner, outer)
 
 
-def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # residuals, derived
+def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # differences, derived
     # stacked meets: q ∨ r (a meet of complements) with p ∧ q and p ∧ r; then lhs with rhs
     not_q_or_r, p_and_q, p_and_r = _meet(np.stack([_complement(q), p, p]),
                                          np.stack([_complement(r), q, r]), tol=tol)
@@ -71,7 +97,7 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # res
     lhs, not_rhs = _meet(np.stack([p, _complement(p_and_q)]),
                          np.stack([q_or_r, _complement(p_and_r)]), tol=tol)
     rhs = _complement(not_rhs)
-    return operator_norm(lhs - rhs), (q_or_r, lhs, p_and_q, p_and_r, rhs)
+    return lhs - rhs, (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
 def _ensure_projectors(stack: np.ndarray, label_of, tol: Tolerance) -> None:
@@ -85,7 +111,7 @@ def _ensure_projectors(stack: np.ndarray, label_of, tol: Tolerance) -> None:
 
 
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The negation ``1 - p``. Applying it twice returns ``p`` exactly."""
+    """The negation ``1 - p``. Applying it twice returns ``p`` up to one rounding per entry."""
     return _complement(ensure_projector(p, tol))
 
 
@@ -125,7 +151,7 @@ def orthomodularity_residual(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Callers must ensure ``p <= q``.
     """
-    return _orthomodularity(*_projectors(p, q, tol=tol), tol)[0]
+    return operator_norm(_orthomodularity(*_projectors(p, q, tol=tol), tol)[0])
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -136,12 +162,12 @@ def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     pm, qm = _projectors(p, q, tol=tol)
     if not _leq(pm, qm, tol):
         raise PreconditionFailed("orthomodularity is only stated for p <= q")
-    return _orthomodularity(pm, qm, tol)[0] <= tol.law_tol
+    return norm_at_most(_orthomodularity(pm, qm, tol)[0], tol.law_tol)
 
 
 def distributivity_residual(p, q, r, tol: Tolerance = DEFAULT_TOL) -> float:
     """Residual ``||p ∧ (q ∨ r) - ((p ∧ q) ∨ (p ∧ r))||``."""
-    return _distributivity(*_projectors(p, q, r, tol=tol), tol)[0]
+    return operator_norm(_distributivity(*_projectors(p, q, r, tol=tol), tol)[0])
 
 
 def check_distributive(p, q, r, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -226,12 +252,14 @@ def lattice_report(
     distributivity on `trials` random triples, recording the first
     counterexample; each trial derives its own sub-seed from `seed` and
     its index. Each stage is one stacked call over all trials (one draw for
-    all five streams, meets, joins), with the bits of the public one-matrix
-    calls on the same kernels.
+    all five streams, meets, joins). A meet or join with no operand 0 or 1
+    has the bits of its public one-matrix call; the others are settled by
+    identity (see `_meet`).
     Every projector drawn or derived is checked in one stacked
     `ensure_projector` before any verdict (NotProjector names the lowest
-    failing trial). A law holds at a trial when its residual is at most
-    ``tol.law_tol``; `distributive` reports what the sampling saw.
+    failing trial). A law holds at a trial when its difference has operator
+    norm at most ``tol.law_tol`` (`norm_at_most`); `distributive` reports
+    what the sampling saw.
 
     The rest is read off the memoized block decomposition:
     `boolean_lattice` (a commutative algebra) is every sector of block
@@ -251,16 +279,16 @@ def lattice_report(
         seeds = derive_seeds(seed, np.repeat(streams, trials), np.tile(np.arange(trials), 5))
         q, r, dp, dq, dr = _random_projectors(alg, seeds, tol).reshape(5, -1, d, d)
         p = _meet(r, q, tol=tol)
-        om_residuals, om_derived = _orthomodularity(p, q, tol)
-        dist_residuals, dist_derived = _distributivity(dp, dq, dr, tol)
+        om_differences, om_derived = _orthomodularity(p, q, tol)
+        dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
         om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
         dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
         _ensure_projectors(np.concatenate([om, dist]), lambda i: (
             f"orthomodular trial {i // 5}" if i < 5 * trials
             else f"distributive trial {(i - 5 * trials) // 8}"), tol)
-        failed = np.flatnonzero(~(dist_residuals <= tol.law_tol))
+        failed = np.flatnonzero(~norm_at_most(dist_differences, tol.law_tol))
         counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
-        pass_rate = np.count_nonzero(om_residuals <= tol.law_tol) / trials
+        pass_rate = np.count_nonzero(norm_at_most(om_differences, tol.law_tol)) / trials
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(

@@ -447,8 +447,14 @@ class TestBoundaryValidation:
                 fn(*args)
 
 
+D3_D4_KERNEL_ALGEBRAS = [name for name, build in KERNEL_ALGEBRAS.items()
+                         if build().ambient_dim in (3, 4)]
+
+
 def reference_lattice_report(alg, trials, seed):
-    """`lattice_report`'s sampling, rebuilt from the public validated calls."""
+    """`lattice_report`'s sampling, rebuilt from the public validated one-pair calls, which
+    settle no bound by identity: distributivity's residual is composed from `meet` and `join`
+    (`distributivity_residual` runs the stacked kernel)."""
     om = []
     for i in range(trials):
         q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i))
@@ -458,7 +464,8 @@ def reference_lattice_report(alg, trials, seed):
     for i in range(trials):
         p, q, r = (random_projector(alg, derive_seed(seed, stream, i)) for stream in
                    (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
-        if distributivity_residual(p, q, r) > DEFAULT_TOL.law_tol and counterexample is None:
+        residual = operator_norm(meet(p, join(q, r)) - join(meet(p, q), meet(p, r)))
+        if residual > DEFAULT_TOL.law_tol and counterexample is None:
             counterexample = (p, q, r)
     return sum(om) / trials, counterexample
 
@@ -471,6 +478,17 @@ class TestStackedChecks:
         pass_rate, counterexample = reference_lattice_report(alg, trials=40, seed=3)
         assert report.orthomodular_pass_rate == pass_rate
         assert report.distributive == (counterexample is None)
+        assert (report.counterexample is None) == (counterexample is None)
+        for got, want in zip(report.counterexample or (), counterexample or ()):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", D3_D4_KERNEL_ALGEBRAS)
+    def test_report_equals_the_reference_where_most_cases_are_bounds(self, name):
+        # at d 3-4 most stacked meets have an operand 0 or 1 and are settled by identity
+        alg = kernel_algebra(name)
+        report = lattice_report(alg, trials=100, seed=5)
+        pass_rate, counterexample = reference_lattice_report(alg, trials=100, seed=5)
+        assert report.orthomodular_pass_rate == pass_rate
         assert (report.counterexample is None) == (counterexample is None)
         for got, want in zip(report.counterexample or (), counterexample or ()):
             assert np.array_equal(got, want)
@@ -553,8 +571,42 @@ def reference_random_state(dim, seed):
     return rho / np.trace(rho).real
 
 
+def svd_meet(*ps):
+    """The meet formula with no bound rule: one thin SVD of the stacked complements."""
+    one = np.eye(ps[0].shape[-1])
+    _, s, vh = np.linalg.svd(np.concatenate([one - p for p in ps], axis=-2), full_matrices=False)
+    return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, DEFAULT_TOL))
+
+
+def bound_identity(x, y, is_meet):
+    """What a stacked `_meet` (``is_meet``) or `_join` settles the pair (x, y) to by identity,
+    or None when neither is 0 or 1. For a meet 0 absorbs and 1 drops out, for a join the other
+    way round; the join is ``1 - ((1 - x) ∧ (1 - y))``, so its kept operand comes back through
+    two complements."""
+    d = x.shape[-1]
+    one, zero = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
+    ranks = [np.linalg.matrix_rank(m, hermitian=True) for m in (x, y)]
+    absorbing, neutral = (0, d) if is_meet else (d, 0)
+    if absorbing in ranks:
+        return zero if is_meet else one
+    if neutral not in ranks:
+        return None
+    left = [m for m, rank in zip((x, y), ranks) if rank != neutral]
+    if not left:
+        return one if is_meet else zero
+    return left[0] if is_meet else one - (one - left[0])
+
+
+def proper_draws(alg, seeds):
+    """The draws on `seeds` that are neither 0 nor 1, as one stack."""
+    d = alg.ambient_dim
+    return np.stack([p for p in logic_module._random_projectors(alg, seeds, DEFAULT_TOL)
+                     if 0 < np.linalg.matrix_rank(p, hermitian=True) < d])
+
+
 class TestStackedKernels:
-    """Each trial of a stacked kernel has the bits of its one-matrix call."""
+    """Each trial of a stacked kernel has the bits of its one-matrix call, except that a
+    stacked meet or join settles a case with an operand 0 or 1 by identity."""
 
     @pytest.mark.parametrize("dim", [1, 3, 9, 24, 48])
     def test_states_equal_the_one_state_reference(self, dim):
@@ -586,20 +638,97 @@ class TestStackedKernels:
         a, b = np.concatenate([p, p]), np.concatenate([q, above])
         meets = logic_module._meet(a, b, tol=DEFAULT_TOL)
         joins = logic_module._join(a, b, tol=DEFAULT_TOL)
+        settled = []
         for x, y, m, j in zip(a, b, meets, joins):
-            assert np.array_equal(m, meet(x, y))
-            assert np.array_equal(j, join(x, y))
+            want_meet, want_join = bound_identity(x, y, True), bound_identity(x, y, False)
+            settled.append(want_meet is not None)
+            if want_meet is None:  # no bound operand: the one-pair call's bits
+                assert want_join is None
+                assert np.array_equal(m, meet(x, y))
+                assert np.array_equal(j, join(x, y))
+            else:  # the identity exactly; the one-pair SVD agrees within rounding
+                assert np.array_equal(m, want_meet)
+                assert np.array_equal(j, want_join)
+                assert operator_norm(m - meet(x, y)) <= 1e-12
+                assert operator_norm(j - join(x, y)) <= 1e-12
+        assert set(settled) == {True, False}
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_a_two_projector_meet_keeps_the_pair_formula(self, name):
-        # the variadic kernel stacks `[1 - p; 1 - q]` as the pair kernel did: same bits
+        # the variadic kernel stacks `[1 - p; 1 - q]` as the pair kernel did: same bits, where
+        # neither operand is 0 or 1; a bound pair is its identity, the formula's within rounding
         alg = kernel_algebra(name)
         p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
         q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
+        want = svd_meet(p, q)
+        settled = []
+        for x, y, m, w in zip(p, q, logic_module._meet(p, q, tol=DEFAULT_TOL), want):
+            identity = bound_identity(x, y, True)
+            settled.append(identity is not None)
+            if identity is None:
+                assert np.array_equal(m, w)
+            else:
+                assert np.array_equal(m, identity)
+                assert operator_norm(m - w) <= 1e-12
+        assert set(settled) == {True, False}
+
+    def test_a_stack_of_bound_cases_takes_no_svd(self, monkeypatch):
+        x, y = proper_draws(kernel_algebra("weyl-3"), range(600, 620))[:2]
+        one, zero = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
+        a = np.stack([zero, one, x, one, zero, one])
+        b = np.stack([x, y, one, one, zero, zero])
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a bound case took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        meets = logic_module._meet(a, b, tol=DEFAULT_TOL)
+        joins = logic_module._join(a, b, tol=DEFAULT_TOL)
+        assert np.array_equal(meets, np.stack([zero, y, x, one, zero, zero]))
+        x_join = one - (one - x)
+        assert np.array_equal(joins, np.stack([x_join, one, one, one, zero, one]))
+
+    @pytest.mark.parametrize("name", ["weyl-4", "sectors-2+1x2", "haar-sectors-2+1x2"])
+    def test_the_svd_cases_of_a_mixed_stack_keep_their_bits_alone(self, name):
+        alg = kernel_algebra(name)
+        p = logic_module._random_projectors(alg, range(600, 660), DEFAULT_TOL)
+        q = logic_module._random_projectors(alg, range(700, 760), DEFAULT_TOL)
+        meets = logic_module._meet(p, q, tol=DEFAULT_TOL)
+        taken = [i for i in range(len(p)) if bound_identity(p[i], q[i], True) is None]
+        assert 0 < len(taken) < len(p)
+        for i in taken:
+            assert np.array_equal(meets[i], logic_module._meet(p[i:i + 1], q[i:i + 1],
+                                                               tol=DEFAULT_TOL)[0])
+
+    def test_stacks_of_stacks(self):
+        # `_distributivity` meets (3, N, d, d) stacks: each of the 3 is its own (N, d, d) call
+        alg = kernel_algebra("weyl-3")
+        p, q, r = logic_module._random_projectors(alg, range(600, 690), DEFAULT_TOL).reshape(
+            3, 30, 3, 3)
+        one = np.eye(3)
+        a, b = np.stack([one - q, p, p]), np.stack([one - r, q, r])
+        out = logic_module._meet(a, b, tol=DEFAULT_TOL)
+        assert out.shape == (3, 30, 3, 3)
+        for k in range(3):
+            assert np.array_equal(out[k], logic_module._meet(a[k], b[k], tol=DEFAULT_TOL))
+
+    @pytest.mark.parametrize("name", ["weyl-4", "haar-sectors-2+1x2"])
+    def test_a_one_among_proper_operands_keeps_the_three_operand_svd(self, name):
+        alg = kernel_algebra(name)
+        p, q = proper_draws(alg, range(600, 640)), proper_draws(alg, range(700, 740))
+        n = min(len(p), len(q))
+        one = np.broadcast_to(np.eye(alg.ambient_dim, dtype=complex), (n,) + p.shape[1:])
+        got = logic_module._meet(one, p[:n], q[:n], tol=DEFAULT_TOL)
+        assert np.array_equal(got, svd_meet(one, p[:n], q[:n]))
+
+    @pytest.mark.parametrize("name", ["weyl-4", "haar-sectors-2+1x2"])
+    def test_a_unary_meet_of_a_proper_projector_keeps_its_svd(self, name):
+        # the family joins of `states._orthoadditivity`: a one-member family is a unary join
+        alg = kernel_algebra(name)
+        p = proper_draws(alg, range(600, 640))
         one = np.eye(alg.ambient_dim)
-        _, s, vh = np.linalg.svd(np.concatenate([one - p, one - q], axis=-2), full_matrices=False)
-        want = suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, DEFAULT_TOL))
-        assert np.array_equal(logic_module._meet(p, q, tol=DEFAULT_TOL), want)
+        assert np.array_equal(logic_module._meet(p, tol=DEFAULT_TOL), svd_meet(p))
+        assert np.array_equal(logic_module._join(p, tol=DEFAULT_TOL), one - svd_meet(one - p))
 
     def test_empty_stacks(self, two_blocks):
         empty = logic_module._random_projectors(two_blocks, [], DEFAULT_TOL)

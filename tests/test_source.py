@@ -68,6 +68,59 @@ def test_only_numerics_compares_operator_norms():
     assert found == []
 
 
+def _returns_norm(expr, norms) -> bool:
+    """A call of one of `norms`, an item of one, or a tuple holding one."""
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in norms
+    if isinstance(expr, ast.Subscript):
+        return _returns_norm(expr.value, norms)
+    return isinstance(expr, ast.Tuple) and any(_returns_norm(e, norms) for e in expr.elts)
+
+
+def norm_names_compared(source: str) -> list[int]:
+    """Lines comparing a name bound, in the same function, to an operator norm: a call of
+    `operator_norm` or of a function of the module that returns one (to a fixed point)."""
+    functions = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+    norms = {"operator_norm"}
+    while more := {f.name for f in functions for node in ast.walk(f) if isinstance(node, ast.Return)
+                   and node.value is not None and _returns_norm(node.value, norms)} - norms:
+        norms |= more
+    lines = []
+    for f in functions:
+        held = {target.id for node in ast.walk(f)
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                and node.value is not None and _returns_norm(node.value, norms)
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for target in ast.walk(t)
+                if isinstance(target, ast.Name)}
+        lines += [node.lineno for node in ast.walk(f) if isinstance(node, ast.Compare)
+                  and any(isinstance(o, ast.Subscript) and isinstance(o.value, ast.Name)
+                          and o.value.id in held or isinstance(o, ast.Name) and o.id in held
+                          for o in (node.left, *node.comparators))]
+    return lines
+
+
+def test_no_operator_norm_is_held_and_then_compared():
+    # the line regex above misses a norm bound to a name, directly or through a helper that
+    # returns it, and compared on a later line: the same inline SVD verdict
+    sample = (
+        "def _law(p, q):\n"
+        "    return operator_norm(q - p), (p, q)\n"
+        "def report(p, q, tol):\n"
+        "    residuals, derived = _law(p, q)\n"
+        "    return residuals <= tol\n"
+    )
+    assert norm_names_compared(sample) == [5]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numerics.py"
+        for line in norm_names_compared(path.read_text())
+    ]
+    assert found == []
+
+
 def test_every_seed_stream_has_a_reader():
     # a deleted sampler must not leave its stream id behind: each `STREAM_*` constant of
     # `seeding` is read (a name or an attribute, not just an import) in another module
