@@ -23,7 +23,7 @@ from .algebra import AlgebraBasis
 from .errors import DimensionMismatch, NotProjector, PreconditionFailed
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
-                       range_projector, require_count, singular_rank, suffix_projectors)
+                       range_projector, require_count, run_projectors, singular_rank)
 from .sectors import _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, derive_seeds, generators)
@@ -69,9 +69,11 @@ def _meet(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _null_projectors(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Projector onto the null space of each matrix of an ``(..., n, d)`` stack: one thin SVD."""
+    """Projector onto the null space of each matrix of an ``(..., n, d)`` stack, n >= d: one SVD."""
+    d = a.shape[-1]
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, tol))
+    v = vh.conj().swapaxes(-2, -1).reshape(-1, d, d)
+    return run_projectors(v, np.arange(len(v)), singular_rank(s, tol).ravel(), d).reshape(vh.shape)
 
 
 def _join(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -172,7 +174,7 @@ def distributivity_residual(p, q, r, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def check_distributive(p, q, r, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Distributive law at the triple (p, q, r): residual at most ``tol.law_tol``."""
-    return distributivity_residual(p, q, r, tol) <= tol.law_tol
+    return norm_at_most(_distributivity(*_projectors(p, q, r, tol=tol), tol)[0], tol.law_tol)
 
 
 def is_atom(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -204,7 +206,7 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
 def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
     """`random_projector` for each seed, as one ``(n, d, d)`` stack."""
     v, _, first = _spectral_cuts(alg, generators(seeds), tol)
-    return suffix_projectors(v, first)
+    return run_projectors(v, np.arange(len(v)), first, alg.ambient_dim)
 
 
 def _spectral_cuts(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> tuple:

@@ -220,14 +220,15 @@ def range_projector(cols: np.ndarray) -> np.ndarray:
     return (p + p.conj().swapaxes(-2, -1)) / 2.0
 
 
-def suffix_projectors(v: np.ndarray, starts) -> np.ndarray:
-    """``range_projector(v[i][:, starts[i]:])`` for each matrix of an ``(..., d, d)`` stack, one
-    product per start: bit-identical to the call on each slice (a masked full product is not)."""
-    out = np.zeros(v.shape, dtype=complex)
-    starts = np.asarray(starts)
-    for start in set(starts.ravel().tolist()) - {v.shape[-1]}:  # an empty suffix projects to 0
-        group = starts == start
-        out[group] = range_projector(v[group][..., start:])
+def run_projectors(v: np.ndarray, k, starts, stops) -> np.ndarray:
+    """``range_projector(v[k[i]][:, starts[i]:stops[i]])`` per run i (the bounds broadcast to k's
+    n): one product per column range, so each run has its slice's bits (a masked one has not)."""
+    d = v.shape[-1]
+    ranges = np.asarray(starts) * (d + 1) + stops  # columns [a, b) as a (d + 1) + b
+    out = np.zeros((len(k), d, d), dtype=complex)
+    for r in set(ranges.tolist()) - {a * (d + 2) for a in range(d + 1)}:  # an empty run is 0
+        run, (start, stop) = ranges == r, divmod(r, d + 1)
+        out[run] = range_projector(v[k[run]][..., start:stop])
     return out
 
 

@@ -32,7 +32,7 @@ from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebr
 from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, ensure_projector, hs_norm, hs_unit,
                        matrix_to_json, norm_at_most, operator_norm, range_projector, singular_rank,
                        spectral_clusters)
-from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, attempt_generator
+from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, stream_generator
 
 if TYPE_CHECKING:
     from .algebra import AlgebraBasis
@@ -283,7 +283,7 @@ def _generated_sectors(ambient_dim: int, generators, tol: Tolerance) -> tuple:
     """
     d = ambient_dim
     mats = np.stack([m / s for a, s in map(hs_unit, generators) for m in (a, a.conj().T)])
-    rng = attempt_generator(STREAM_COMMUTANT, 0)
+    rng = stream_generator(STREAM_COMMUTANT)
     c = rng.standard_normal((2, len(generators)))
     h = np.tensordot(c[0] + 1j * c[1], mats[0::2], axes=1)
     v, clusters = spectral_clusters(h + h.conj().T, tol)
@@ -370,7 +370,7 @@ def block_decomposition(
 
 def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
     k, d = alg.dim, alg.ambient_dim  # a generic pair (h, g) generates the algebra
-    z = attempt_generator(STREAM_BLOCK, 0).standard_normal((2, 1, 2 * k))  # k real, k imaginary
+    z = stream_generator(STREAM_BLOCK).standard_normal((2, 1, 2 * k))  # k real, k imaginary
     x, g = np.matmul(z[..., :k] + 1j * z[..., k:], alg.basis.reshape(k, d * d)).reshape(2, d, d)
     pair = ((x + x.conj().T) / 2.0, g)
     try:

@@ -36,8 +36,7 @@ STREAM_SWEEP_STATE = 21
 STREAM_SWEEP_FAMILY = 22
 STREAM_STATE_CHECK = 23
 
-# read in `sectors`, by `_decompose` (STREAM_BLOCK) and the chain `_generated_sectors`
-# (STREAM_COMMUTANT): one generator per (stream, attempt), see `attempt_generator`
+# one `stream_generator` each, read by `sectors._decompose` and `sectors._generated_sectors`
 STREAM_BLOCK = 102
 STREAM_COMMUTANT = 104
 
@@ -184,16 +183,14 @@ def _pool_words_type() -> type:
     return PoolWords
 
 
-def attempt_generator(stream: int, attempt: int) -> np.random.Generator:
-    """A fresh generator of ``SeedSequence((stream, attempt))``: both fit one word, so that
-    entropy is the one integer ``stream | attempt << 32``."""
-    return seeded_generators([_attempt_words(stream, attempt)])[0]
+def stream_generator(stream: int) -> np.random.Generator:
+    """A fresh ``np.random.default_rng(stream)`` on every call."""
+    return seeded_generators(_stream_words(stream))[0]
 
 
-@lru_cache(maxsize=64)  # the package uses 2 (stream, attempt) pairs
-def _attempt_words(stream: int, attempt: int) -> np.ndarray:
-    """`attempt_generator`'s four pool words, hashed once per pair: the stacked hash takes
-    ~70 us at n = 1, a `PCG64` seeded from the cached words ~2 us."""
-    words = _state(([stream | attempt << 32],), 4)[0]
+@lru_cache(maxsize=None)  # the package reads 2 streams
+def _stream_words(stream: int) -> np.ndarray:
+    """`stream_generator`'s pool words, hashed once: ~70 us at n = 1, a seeded `PCG64` ~2 us."""
+    words = _state(([stream],), 4)
     words.setflags(write=False)
     return words

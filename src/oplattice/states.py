@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgeb
 from .logic import _complement, _ensure_projectors, _join, _leq, _spectral_cuts
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
-                       norm_at_most, operator_norm, rank_of, require_count)
+                       norm_at_most, operator_norm, rank_of, require_count, run_projectors)
 from .sectors import _partial_traces, _validated_projector_in, block_decomposition
 from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
 
@@ -272,8 +272,9 @@ def random_orthogonal_family(
     Draws the base projector p as `random_projector` does (the top clusters of a random
     self-adjoint element h of the span) and groups those clusters into consecutive pieces, cut
     before each cluster with probability 1/2 (one bit per eigenvalue gap, drawn next from the
-    same generator). Each piece is a spectral projector of h, so it lies in the algebra; the
-    pieces are orthogonal, sum to p and number at most ``rank p``. May be empty (p = 0). Runs
+    same generator). Each piece is the projector of its own run of h's eigenvector columns, a
+    spectral projector of h, so it lies in the algebra; the pieces are orthogonal, sum to p and
+    number at most ``rank p``, and a single piece has the bits of p. May be empty (p = 0). Runs
     `_random_orthogonal_families` on one seed: a family does not depend on the others drawn
     with it.
     """
@@ -283,21 +284,20 @@ def random_orthogonal_family(
 
 def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
     """`random_orthogonal_family` for each seed, in stacked stages: the base's spectral cuts
-    (one ``eigh``), each generator's cut bits, and all members as one masked product."""
+    (one ``eigh``), each generator's cut bits, and each member as the projector of its own
+    run of eigenvector columns (`run_projectors`)."""
     d = alg.ambient_dim
     rngs = generators(derive_seeds(seeds, STREAM_FAMILY_BASE, 0))
     v, breaks, first = _spectral_cuts(alg, rngs, tol)
     cut = np.array([rng.integers(0, 2, d - 1) for rng in rngs], dtype=bool)
-    inside = np.arange(d) >= first[:, None]  # the range of p, a suffix of columns
-    starts = np.arange(d) == first[:, None]  # the range's first column
-    starts[:, 1:] |= inside[:, 1:] & breaks & cut.reshape(len(rngs), d - 1)
-    piece = np.cumsum(starts, axis=1) * inside  # 1-based piece of each column, 0 off the range
-    sizes, ends = piece[:, -1], np.cumsum(piece[:, -1])
-    family, index = np.nonzero(np.arange(d) < sizes[:, None])  # each member's, in order
-    v = v[family]
-    members = (v * (piece[family] == index[:, None] + 1)[:, None, :]) @ v.conj().swapaxes(-2, -1)
-    members = (members + members.conj().swapaxes(-2, -1)) / 2.0
-    return [list(members[end - size:end]) for size, end in zip(sizes.tolist(), ends.tolist())]
+    edges = np.ones((len(rngs), d + 1), dtype=bool)  # each member's first column, then d
+    edges[:, :d] = np.arange(d) == first[:, None]
+    edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut.reshape(len(rngs), d - 1)
+    family, column = np.nonzero(edges)  # in order: each family's members, then its end d
+    run = np.flatnonzero(column < d)  # a member's first column; the next edge ends the member
+    members = run_projectors(v, family[run], column[run], column[run + 1])
+    bounds = np.searchsorted(family[run], np.arange(len(rngs) + 1))
+    return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def state_to_json(state: StateFunctional) -> dict:

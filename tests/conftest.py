@@ -25,7 +25,6 @@ from oplattice import sectors as sectors_module
 from oplattice.logic import _projectors
 from oplattice.numerics import norm_at_most, range_projector
 from oplattice.sectors import _validated_projector_in
-from oplattice.seeding import attempt_generator
 
 
 def unit(d, i, j):
@@ -199,7 +198,7 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
     if rp == 0:
         return np.zeros_like(pm)
     for attempt in range(ISOMETRY_ATTEMPTS):
-        rng = attempt_generator(STREAM_ISOMETRY, attempt)
+        rng = reference_rng(np.random.SeedSequence((STREAM_ISOMETRY, attempt)))
         k, d = alg.dim, alg.ambient_dim  # 2k normals in one call: k real, then k imaginary parts
         z = rng.standard_normal(2 * k)
         w = np.matmul((z[:k] + 1j * z[k:])[None], alg.basis.reshape(k, d * d)).reshape(d, d)

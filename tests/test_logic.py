@@ -33,7 +33,7 @@ from oplattice import (
 from oplattice import NotProjector, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
-from oplattice.numerics import dumps, range_projector, singular_rank, suffix_projectors
+from oplattice.numerics import dumps, null_space, range_projector
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -259,7 +259,9 @@ class TestDistributivity:
         assert check_distributive(p, p, p)
 
     def test_verdict_threshold_is_the_tolerance_law_tol(self, monkeypatch):
-        monkeypatch.setattr(logic_module, "distributivity_residual", lambda p, q, r, tol: 1e-6)
+        # a difference of operator norm 1e-6, decided by `norm_at_most` as the orthomodular law is
+        difference = np.diag([1e-6, 0.0]).astype(complex)
+        monkeypatch.setattr(logic_module, "_distributivity", lambda p, q, r, tol: (difference, ()))
         p = line_projector(0.4)
         assert not check_distributive(p, p, p)
         assert check_distributive(p, p, p, Tolerance(rank_tol=1e-6))
@@ -572,10 +574,11 @@ def reference_random_state(dim, seed):
 
 
 def svd_meet(*ps):
-    """The meet formula with no bound rule: one thin SVD of the stacked complements."""
+    """The meet formula with no bound rule, case by case: one thin SVD of the stacked
+    complements (`null_space`)."""
     one = np.eye(ps[0].shape[-1])
-    _, s, vh = np.linalg.svd(np.concatenate([one - p for p in ps], axis=-2), full_matrices=False)
-    return suffix_projectors(vh.conj().swapaxes(-2, -1), singular_rank(s, DEFAULT_TOL))
+    return np.stack([range_projector(null_space(a))
+                     for a in np.concatenate([one - p for p in ps], axis=-2)])
 
 
 def bound_identity(x, y, is_meet):
@@ -711,6 +714,19 @@ class TestStackedKernels:
         assert out.shape == (3, 30, 3, 3)
         for k in range(3):
             assert np.array_equal(out[k], logic_module._meet(a[k], b[k], tol=DEFAULT_TOL))
+
+    def test_null_projectors_of_a_stack_of_stacks_equal_each_case_alone(self):
+        # `_null_projectors` flattens the leading axes of an (..., n, d) stack for its kernel
+        alg = kernel_algebra("haar-sectors-2+1x2")
+        p, q = logic_module._random_projectors(alg, range(600, 640), DEFAULT_TOL).reshape(
+            2, 2, 10, 4, 4)
+        a = np.concatenate([np.eye(4) - p, np.eye(4) - q], axis=-2)  # (2, 10, 8, 4)
+        out = logic_module._null_projectors(a, DEFAULT_TOL)
+        assert out.shape == (2, 10, 4, 4)
+        ranks = {np.linalg.matrix_rank(m, hermitian=True) for m in out.reshape(-1, 4, 4)}
+        assert len(ranks) >= 2
+        for got, case in zip(out.reshape(-1, 4, 4), a.reshape(-1, 8, 4)):
+            assert np.array_equal(got, range_projector(null_space(case)))
 
     @pytest.mark.parametrize("name", ["weyl-4", "haar-sectors-2+1x2"])
     def test_a_one_among_proper_operands_keeps_the_three_operand_svd(self, name):

@@ -22,7 +22,7 @@ from oplattice import (
     rank_of,
 )
 from oplattice import build_weyl_finite, close, meet
-from oplattice.numerics import _array_text, dumps, norm_at_most
+from oplattice.numerics import _array_text, dumps, norm_at_most, range_projector, run_projectors
 from tests.conftest import haar_unitary
 
 
@@ -177,6 +177,28 @@ def with_singular_values(rng, values):
     u, _ = np.linalg.qr(random_matrix(rng, d))
     v, _ = np.linalg.qr(random_matrix(rng, d))
     return u @ np.diag(np.pad(np.asarray(values, dtype=float), (0, d - len(values)))) @ v
+
+
+class TestRunProjectors:
+    def test_each_run_has_the_bits_of_its_slice(self):
+        # runs in any order, repeated ranges from different bases, empty runs among them
+        rng = np.random.default_rng(5)
+        v = np.linalg.qr(rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)))[0]
+        k = rng.integers(0, 4, 60)
+        starts = rng.integers(0, 7, 60)
+        stops = np.minimum(starts + rng.integers(0, 4, 60), 6)
+        out = run_projectors(v, k, starts, stops)
+        assert out.shape == (60, 6, 6) and out.dtype == complex
+        assert 0 < np.count_nonzero(starts == stops) < 60
+        for p, i, a, b in zip(out, k, starts, stops):
+            want = range_projector(v[i][:, a:b]) if a < b else np.zeros((6, 6))
+            assert np.array_equal(p, want)
+
+    def test_scalar_bounds_broadcast_and_no_runs_give_an_empty_stack(self):
+        v = np.linalg.qr(random_matrix(np.random.default_rng(6), 5))[0][None]
+        assert np.array_equal(run_projectors(v, np.array([0, 0]), [1, 5], 5),
+                              np.stack([range_projector(v[0][:, 1:]), np.zeros((5, 5))]))
+        assert run_projectors(v, np.array([], dtype=int), [], []).shape == (0, 5, 5)
 
 
 class TestNormAtMost:

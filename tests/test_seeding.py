@@ -11,7 +11,7 @@ from oplattice import (
     state_to_json,
 )
 from oplattice import algebra, logic, scenarios, sectors, seeding, states
-from oplattice.seeding import attempt_generator, derive_seed, derive_seeds, generators
+from oplattice.seeding import derive_seed, derive_seeds, generators, stream_generator
 from tests.conftest import reference_derive_seed, reference_rng
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 1]
@@ -111,19 +111,20 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "stream", [seeding.STREAM_BLOCK, seeding.STREAM_COMMUTANT]
     )
-    def test_attempt_generator_is_the_seed_sequence_of_the_pair(self, stream):
-        for attempt in range(9):
-            want = reference_rng(np.random.SeedSequence((stream, attempt)))
-            assert same_generator(attempt_generator(stream, attempt), want)
+    def test_stream_generator_is_the_default_rng_of_the_stream(self, stream):
+        assert same_generator(stream_generator(stream), reference_rng(stream))
 
     def test_stream_ids_are_distinct(self):
         streams = {name: value for name, value in vars(seeding).items() if name.startswith("STREAM_")}
         assert "STREAM_COMMUTANT" in streams
         assert len(set(streams.values())) == len(streams)
 
-    def test_attempt_generators_are_fresh_on_every_call(self):
-        first, second = (attempt_generator(seeding.STREAM_BLOCK, 4) for _ in range(2))
-        want = reference_rng(seeding.STREAM_BLOCK | 4 << 32).standard_normal(6)
+    def test_stream_generators_are_fresh_on_every_call(self, monkeypatch):
+        stream_generator(seeding.STREAM_BLOCK)
+        # the stream's words are hashed once: later generators skip the hash
+        monkeypatch.setattr(seeding, "_state", lambda *args: pytest.fail("hashed again"))
+        first, second = (stream_generator(seeding.STREAM_BLOCK) for _ in range(2))
+        want = reference_rng(seeding.STREAM_BLOCK).standard_normal(6)
         assert first is not second
         assert np.array_equal(first.standard_normal(6), want)
         assert np.array_equal(second.standard_normal(6), want)  # not advanced by the first
@@ -144,12 +145,12 @@ def _reference_kernels(monkeypatch) -> list:
         called.append("generators")
         return [reference_rng(int(s)) for s in np.ravel(np.array(seeds, dtype=object))]
 
-    def ref_attempt_generator(stream, attempt):
-        called.append("attempt_generator")
-        return reference_rng(np.random.SeedSequence((stream, attempt)))
+    def ref_stream_generator(stream):
+        called.append("stream_generator")
+        return reference_rng(stream)
 
     replacements = {"derive_seeds": ref_derive_seeds, "generators": ref_generators,
-                    "attempt_generator": ref_attempt_generator}
+                    "stream_generator": ref_stream_generator}
     for module in (algebra, logic, scenarios, sectors, seeding, states):
         for name, fn in replacements.items():
             if hasattr(module, name):
@@ -175,4 +176,4 @@ def test_reports_equal_the_per_seed_numpy_reports(kind, seed, monkeypatch):
     stacked = report_to_json(run_scenario(scenario))
     called = _reference_kernels(monkeypatch)
     assert report_to_json(run_scenario(scenario)) == stacked
-    assert set(called) == {"derive_seeds", "generators", "attempt_generator"}
+    assert set(called) == {"derive_seeds", "generators", "stream_generator"}

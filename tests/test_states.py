@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from oplattice import (
 from oplattice import states as states_module
 from oplattice.algebra import contains
 from oplattice.numerics import range_projector
-from oplattice.seeding import STREAM_FAMILY_BASE, derive_seed, derive_seeds
+from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_SWEEP_FAMILY, derive_seed, derive_seeds
 from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
@@ -233,7 +234,8 @@ class TestSigmaOrthoadditivity:
 def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
     """One family on public calls and one generator: the generator replays `random_projector`'s
     element h and cut (so the kept clusters of h span the base p), then draws the d - 1 cut
-    bits; a loop over the kept clusters cuts them into consecutive members."""
+    bits; a loop over the kept clusters cuts them into consecutive members, each the projector
+    of its run of columns."""
     base_seed = derive_seed(seed, STREAM_FAMILY_BASE, 0)
     rng = np.random.default_rng(base_seed)
     d = alg.ambient_dim
@@ -245,11 +247,7 @@ def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
     p = range_projector(v[:, clusters[0]:]) if clusters else np.zeros((d, d), dtype=complex)
     assert np.array_equal(p, random_projector(alg, base_seed))
     starts = clusters[:1] + [i for i in clusters[1:] if cut[i - 1]]
-    family = []
-    for start, stop in zip(starts, starts[1:] + [d]):
-        m = (v * (np.arange(d) >= start) * (np.arange(d) < stop)) @ v.conj().T
-        family.append((m + m.conj().T) / 2.0)
-    return family
+    return [range_projector(v[:, start:stop]) for start, stop in zip(starts, starts[1:] + [d])]
 
 
 class TestStackedFamilies:
@@ -265,6 +263,36 @@ class TestStackedFamilies:
                          random_orthogonal_family(alg, seed)):
                 assert len(family) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(family, want))
+
+    @pytest.mark.parametrize("gens", [build_weyl_finite(3), build_weyl_finite(5),
+                                      build_weyl_finite(8), build_sectors([(2, 1), (3, 1)])],
+                             ids=["weyl-3", "weyl-5", "weyl-8", "sectors-2+3"])
+    def test_a_one_member_family_is_its_base_projector(self, gens):
+        # an uncut range is the run the base draw keeps: the same columns, the same bits
+        alg = close(gens)
+        seeds = range(400)
+        families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
+        single = [(f[0], s) for f, s in zip(families, seeds) if len(f) == 1]
+        assert len(single) >= 20
+        for member, seed in single:
+            base = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
+            assert np.array_equal(member, base)
+
+    @pytest.mark.parametrize("builder", [build_weyl_finite, build_classical])
+    def test_a_draw_holds_no_d_by_d_copy_per_member(self, builder):
+        # each member is formed from its own columns: a d x d gather of v and a full masked
+        # product per member peaked at 96-109 MiB on these draws
+        alg = close(builder(32))
+        seeds = derive_seeds(1, STREAM_SWEEP_FAMILY, np.arange(200))
+        states_module._random_orthogonal_families(alg, seeds[:2], DEFAULT_TOL)  # the sectors
+        tracemalloc.start()
+        try:
+            families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, families)) >= 200
+        assert peak < 48 * 2**20
 
     def test_no_seeds_no_families(self, two_blocks):
         assert states_module._random_orthogonal_families(two_blocks, [], DEFAULT_TOL) == []
