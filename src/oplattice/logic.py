@@ -26,7 +26,7 @@ from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        range_projector, require_count, run_projectors, singular_rank)
 from .sectors import _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
-                      STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, derive_seeds, generators)
+                      STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_PROJECTOR, uniforms)
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
@@ -191,35 +191,44 @@ def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL)
     """Seeded random projector inside the algebra.
 
     Draws a random self-adjoint element of the span, splits its spectrum
-    into eigenvalue clusters, and keeps a uniformly chosen top segment of
-    clusters as a spectral projector. Spectral projectors of an element
+    into eigenvalue clusters, and keeps a top segment of clusters as a
+    spectral projector: of n >= 2 clusters a uniform number from 1 to
+    n - 1, so the draw is never 0 or 1; of a single cluster none or all
+    (0 or 1, each with probability 1/2). Spectral projectors of an element
     stay inside a product-closed span, and whole clusters must be kept
     together so degenerate eigenvalues are never split. Deterministic
-    given the algebra basis and the seed; on a scalars-only algebra the
-    output is 0 or 1. Runs `_random_projectors` on one seed: a draw does
-    not depend on the others made with it.
+    given the algebra basis and the seed: row 0 of `STREAM_PROJECTOR`
+    under it (`seeding.uniforms`), drawn by `_random_projectors`.
     """
     require_count("seed", seed)
-    return _random_projectors(alg, [seed], tol)[0]
+    return _random_projectors(alg, uniforms(seed, STREAM_PROJECTOR, 1, _draw_width(alg)), tol)[0]
 
 
-def _random_projectors(alg: AlgebraBasis, seeds, tol: Tolerance) -> np.ndarray:
-    """`random_projector` for each seed, as one ``(n, d, d)`` stack."""
-    v, _, first = _spectral_cuts(alg, generators(seeds), tol)
+def _draw_width(alg: AlgebraBasis) -> int:
+    """Uniforms a spectral draw reads: the element's 2k (k = alg.dim), then its cut."""
+    return 2 * alg.dim + 1
+
+
+def _random_projectors(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """`random_projector` on each row of the uniforms `u`, as one ``(n, d, d)`` stack."""
+    v, _, first = _spectral_cuts(alg, u, tol)
     return run_projectors(v, np.arange(len(v)), first, alg.ambient_dim)
 
 
-def _spectral_cuts(alg: AlgebraBasis, rngs: list, tol: Tolerance) -> tuple:
-    """The spectral draw of `random_projector` on each generator of `rngs`: eigenvectors ``v``
-    of a random self-adjoint element (ascending eigenvalues, one stacked ``eigh``), its
-    `cluster_breaks`, and the first column of the top clusters kept (d when none is). Each
-    generator keeps its own draw order: the element's coefficients, then the cut."""
-    w, v = np.linalg.eigh(_random_self_adjoint(block_decomposition(alg, tol).frame, rngs))
+def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
+    """The spectral draw of `random_projector` on each row of the uniforms `u`
+    (`_draw_width` columns or more): eigenvectors ``v`` of a random self-adjoint element
+    (ascending eigenvalues, one stacked ``eigh``) from the row's first 2k, its
+    `cluster_breaks`, and the first column of the top clusters kept (d when none is): of n >= 2
+    clusters ``1 + floor(u (n - 1))``, of one ``floor(2 u)``, u the row's next uniform."""
+    k = alg.dim
+    w, v = np.linalg.eigh(_random_self_adjoint(block_decomposition(alg, tol).frame, u[:, :2 * k]))
     breaks = cluster_breaks(w, tol)
-    starts = np.ones((len(rngs), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
+    starts = np.ones((len(u), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
     starts[:, 1:-1] = breaks
     seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one
-    kept = np.array([rng.integers(0, n) for rng, n in zip(rngs, seen[:, -1].tolist())])
+    proper = seen[:, -1] > 2
+    kept = proper + np.floor(u[:, 2 * k] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
     # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at d)
     return v, breaks, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
 
@@ -252,11 +261,13 @@ def lattice_report(
     Orthomodularity is sampled on `trials` constrained pairs (the smaller
     projector is forced below the larger by taking a meet), and
     distributivity on `trials` random triples, recording the first
-    counterexample; each trial derives its own sub-seed from `seed` and
-    its index. Each stage is one stacked call over all trials (one draw for
-    all five streams, meets, joins). A meet or join with no operand 0 or 1
-    has the bits of its public one-matrix call; the others are settled by
-    identity (see `_meet`).
+    counterexample. Each of the five draws (q and r, then p, q and r) is
+    one stage: trial i's projector is row i of the stage's stream under
+    `seed` (`seeding.uniforms`), so it does not depend on how many trials
+    run, and all five stages are one `_random_projectors` call. Each
+    stage of meets and joins is one stacked call over all trials. A meet
+    or join with no operand 0 or 1 has the bits of its public one-matrix
+    call; the others are settled by identity (see `_meet`).
     Every projector drawn or derived is checked in one stacked
     `ensure_projector` before any verdict (NotProjector names the lowest
     failing trial). A law holds at a trial when its difference has operator
@@ -278,8 +289,9 @@ def lattice_report(
         d = alg.ambient_dim
         streams = (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R,
                    STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
-        seeds = derive_seeds(seed, np.repeat(streams, trials), np.tile(np.arange(trials), 5))
-        q, r, dp, dq, dr = _random_projectors(alg, seeds, tol).reshape(5, -1, d, d)
+        u = [uniforms(seed, s, trials, _draw_width(alg)) for s in streams]
+        q, r, dp, dq, dr = _random_projectors(alg, np.concatenate(u), tol).reshape(5, -1, d, d)
+        del u  # 16 MiB at weyl 32 with 200 trials, not held through the meets
         p = _meet(r, q, tol=tol)
         om_differences, om_derived = _orthomodularity(p, q, tol)
         dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)

@@ -27,10 +27,10 @@ from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
 from .sectors import block_decomposition
-from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, derive_seeds
-from .states import (_orthoadditivity, _probabilities, _random_orthogonal_families, _random_states,
-                     dirac_characters, evaluate, is_pure, is_separating, state_from_json,
-                     state_to_json)
+from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms
+from .states import (_family_width, _orthoadditivity, _probabilities, _random_orthogonal_families,
+                     _random_states, dirac_characters, evaluate, is_pure, is_separating,
+                     state_from_json, state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -316,23 +316,22 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
 
 def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Tolerance) -> tuple:
     """Each configured state's `check_sigma_orthoadditive` verdict over its own families, and
-    the sweep's summary (trial i: a random family under a random state). A family depends on
-    its seed only: all of them come from one draw, and all cases go through one check."""
+    the sweep's summary (trial i: a random family under a random state). Three stages, each
+    its own stream under the scenario seed (`seeding.uniforms`): state i's family j is row
+    ``10 i + j`` of the state checks', trial i's family and state row i of the sweep's. All
+    families are one draw, and all cases go through one check."""
     states, trials = scenario.states, scenario.trials
     checks = _STATE_FAMILY_CHECKS * len(states)
     verdicts, residuals = [], []
     if checks + trials:  # zero trials and no states draw nothing
-        index = [i * 1000 + np.arange(_STATE_FAMILY_CHECKS) for i in range(len(states))]
-        seeds = derive_seeds(
-            scenario.seed,
-            np.repeat([STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE],
-                      [checks, trials, trials]),
-            np.concatenate([*index, np.arange(trials), np.arange(trials)]),
-        )
-        families = _random_orthogonal_families(alg, seeds[:checks + trials], tol)
+        d, width = alg.ambient_dim, _family_width(alg)
+        families = _random_orthogonal_families(alg, np.concatenate([
+            uniforms(scenario.seed, STREAM_STATE_CHECK, checks, width),
+            uniforms(scenario.seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
         labels = ["family"] * checks + [f"orthoadditivity trial {i}" for i in range(trials)]
         densities = [st.density for st in states for _ in range(_STATE_FAMILY_CHECKS)]
-        densities += [st.density for st in _random_states(alg.ambient_dim, seeds[checks + trials:])]
+        densities += [st.density for st in _random_states(
+            d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))]
         results = _orthoadditivity(alg, list(zip(labels, densities, families)), tol)
         passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
         verdicts = [all(passed[i:i + _STATE_FAMILY_CHECKS])

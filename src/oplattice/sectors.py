@@ -32,7 +32,7 @@ from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebr
 from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, ensure_projector, hs_norm, hs_unit,
                        matrix_to_json, norm_at_most, operator_norm, range_projector, singular_rank,
                        spectral_clusters)
-from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, stream_generator
+from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, complex_normals, stream_generator
 
 if TYPE_CHECKING:
     from .algebra import AlgebraBasis
@@ -150,16 +150,12 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
     return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
 
 
-def _random_self_adjoint(frame: Frame, rngs: list) -> np.ndarray:
-    """Per generator in `rngs`, ``U blockdiag(h (x) 1_m) U*``, h the Hermitian part of a random
-    beta: its 2k normals (k = sum n^2) in one call, k real then k imaginary parts, over sqrt(m)
-    are the betas' entries, group by group. The units ``V (E_ab (x) 1_m) V* / sqrt(m)`` are
-    HS-orthonormal, so this is the law of coefficients on any orthonormal basis."""
-    k = sum(c * n * n for n, _, c, _ in frame.groups)
-    z = np.empty((len(rngs), 2 * k))
-    for row, rng in zip(z, rngs):
-        rng.standard_normal(out=row)
-    coeffs, y, at = z[:, :k] + 1j * z[:, k:], np.zeros((len(rngs), *frame.u.shape), complex), 0
+def _random_self_adjoint(frame: Frame, u: np.ndarray) -> np.ndarray:
+    """Per row of the uniforms `u` (``2k`` columns, k = sum n^2), ``U blockdiag(h (x) 1_m) U*``,
+    h the Hermitian part of a random beta: the row's k complex normals (`complex_normals`) over
+    sqrt(m) are the betas' entries, group by group. The units ``V (E_ab (x) 1_m) V* / sqrt(m)``
+    are HS-orthonormal, so this is the law of coefficients on any orthonormal basis."""
+    coeffs, y, at = complex_normals(u), np.zeros((len(u), *frame.u.shape), complex), 0
     for (n, m, c, _), b in zip(frame.groups, _blocks(frame, y)):
         beta = coeffs[:, at:at + c * n * n].reshape(-1, c, n, n) / np.sqrt(m)
         b[...] = ((beta + beta.conj().swapaxes(-2, -1)) / 2.0)[..., None]

@@ -21,12 +21,12 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope, contains
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgebra, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import _complement, _ensure_projectors, _join, _leq, _spectral_cuts
+from .logic import _complement, _draw_width, _ensure_projectors, _join, _leq, _spectral_cuts
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
                        norm_at_most, operator_norm, rank_of, require_count, run_projectors)
 from .sectors import _partial_traces, _validated_projector_in, block_decomposition
-from .seeding import STREAM_FAMILY_BASE, derive_seeds, generators
+from .seeding import STREAM_FAMILY, STREAM_STATE, complex_normals, uniforms
 
 
 @dataclass(frozen=True)
@@ -246,18 +246,17 @@ def is_separating(family, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bo
 
 
 def random_state(dim: int, seed: int) -> StateFunctional:
-    """Seeded full-rank random density matrix (Wishart-style draw)."""
+    """Seeded full-rank random density matrix (Wishart-style draw): row 0 of `STREAM_STATE`
+    under the seed (`seeding.uniforms`), drawn by `_random_states`."""
     require_count("dim", dim, positive=True)
     require_count("seed", seed)
-    return _random_states(dim, [seed])[0]
+    return _random_states(dim, uniforms(seed, STREAM_STATE, 1, 2 * dim * dim))[0]
 
 
-def _random_states(dim: int, seeds) -> list[StateFunctional]:
-    """`random_state` for each seed: one call per generator draws its real, then imaginary part."""
-    z = np.empty((len(seeds), 2, dim, dim))
-    for row, rng in zip(z, generators(seeds)):
-        rng.standard_normal(out=row)
-    g = z[:, 0] + 1j * z[:, 1]
+def _random_states(dim: int, u: np.ndarray) -> list[StateFunctional]:
+    """`random_state` on each row of the uniforms `u` (``2 d^2`` columns): ``g g* / tr(g g*)``,
+    g the row's d^2 complex normals (`complex_normals`) row-major, one stacked product."""
+    g = complex_normals(u[:, :2 * dim * dim]).reshape(-1, dim, dim)
     rho = g @ g.conj().swapaxes(-2, -1)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     rho.setflags(write=False)
@@ -270,33 +269,39 @@ def random_orthogonal_family(
     """Pairwise-orthogonal projectors in the algebra, cutting a random range.
 
     Draws the base projector p as `random_projector` does (the top clusters of a random
-    self-adjoint element h of the span) and groups those clusters into consecutive pieces, cut
-    before each cluster with probability 1/2 (one bit per eigenvalue gap, drawn next from the
-    same generator). Each piece is the projector of its own run of h's eigenvector columns, a
-    spectral projector of h, so it lies in the algebra; the pieces are orthogonal, sum to p and
-    number at most ``rank p``, and a single piece has the bits of p. May be empty (p = 0). Runs
-    `_random_orthogonal_families` on one seed: a family does not depend on the others drawn
-    with it.
+    self-adjoint element h of the span: 1 to n - 1 of n >= 2 clusters, 0 or all of one) and
+    groups those clusters into consecutive pieces, cut before each cluster with probability
+    1/2 (one uniform below 1/2 per eigenvalue gap, read after the base's). Each piece is the
+    projector of its own run of h's eigenvector columns, a spectral projector of h, so it lies
+    in the algebra; the pieces are orthogonal, sum to p and number at most ``rank p``, and a
+    single piece has the bits of p. Empty where p = 0, which only an element of one cluster
+    draws. Row 0 of `STREAM_FAMILY` under the seed (`seeding.uniforms`), drawn by
+    `_random_orthogonal_families`.
     """
     require_count("seed", seed)
-    return _random_orthogonal_families(alg, [seed], tol)[0]
+    return _random_orthogonal_families(
+        alg, uniforms(seed, STREAM_FAMILY, 1, _family_width(alg)), tol)[0]
 
 
-def _random_orthogonal_families(alg: AlgebraBasis, seeds, tol: Tolerance) -> list[list]:
-    """`random_orthogonal_family` for each seed, in stacked stages: the base's spectral cuts
-    (one ``eigh``), each generator's cut bits, and each member as the projector of its own
-    run of eigenvector columns (`run_projectors`)."""
-    d = alg.ambient_dim
-    rngs = generators(derive_seeds(seeds, STREAM_FAMILY_BASE, 0))
-    v, breaks, first = _spectral_cuts(alg, rngs, tol)
-    cut = np.array([rng.integers(0, 2, d - 1) for rng in rngs], dtype=bool)
-    edges = np.ones((len(rngs), d + 1), dtype=bool)  # each member's first column, then d
+def _family_width(alg: AlgebraBasis) -> int:
+    """Uniforms a family draw reads: its base's `_draw_width`, then d - 1 cut bits."""
+    return _draw_width(alg) + alg.ambient_dim - 1
+
+
+def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> list[list]:
+    """`random_orthogonal_family` on each row of the uniforms `u` (`_family_width` columns), in
+    stacked stages: the base's spectral cuts (one ``eigh``), the cut bits, and each member as
+    the projector of its own run of eigenvector columns (`run_projectors`)."""
+    d, count = alg.ambient_dim, len(u)
+    v, breaks, first = _spectral_cuts(alg, u, tol)
+    cut = u[:, _draw_width(alg):_family_width(alg)] < 0.5
+    edges = np.ones((count, d + 1), dtype=bool)  # each member's first column, then d
     edges[:, :d] = np.arange(d) == first[:, None]
-    edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut.reshape(len(rngs), d - 1)
+    edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut
     family, column = np.nonzero(edges)  # in order: each family's members, then its end d
     run = np.flatnonzero(column < d)  # a member's first column; the next edge ends the member
     members = run_projectors(v, family[run], column[run], column[run + 1])
-    bounds = np.searchsorted(family[run], np.arange(len(rngs) + 1))
+    bounds = np.searchsorted(family[run], np.arange(count + 1))
     return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 

@@ -198,7 +198,7 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
     if rp == 0:
         return np.zeros_like(pm)
     for attempt in range(ISOMETRY_ATTEMPTS):
-        rng = reference_rng(np.random.SeedSequence((STREAM_ISOMETRY, attempt)))
+        rng = np.random.default_rng(np.random.SeedSequence((STREAM_ISOMETRY, attempt)))
         k, d = alg.dim, alg.ambient_dim  # 2k normals in one call: k real, then k imaginary parts
         z = rng.standard_normal(2 * k)
         w = np.matmul((z[:k] + 1j * z[k:])[None], alg.basis.reshape(k, d * d)).reshape(d, d)
@@ -216,17 +216,16 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
     return None
 
 
-def reference_self_adjoint(alg, rng, tol=DEFAULT_TOL):
+def reference_self_adjoint(alg, u, tol=DEFAULT_TOL):
     """One random self-adjoint algebra element as a loop over the sectors, the reference for
-    the package's frame draw: 2k normals in one call (k = alg.dim real, then k imaginary
-    parts), read n^2 at a time as a sector's ``beta sqrt(m)``, the sectors taken by shape
-    ``(n, m)`` ascending and in decomposition order within a shape; each block
+    the package's frame draw on one row of uniforms `u`: its first 2k (k = alg.dim) are k
+    `reference_normals`, read n^2 at a time as a sector's ``beta sqrt(m)``, the sectors taken
+    by shape ``(n, m)`` ascending and in decomposition order within a shape; each block
     ``Re(beta) (x) 1_m`` sits at its sector's columns of ``U = [V_1, V_2, ...]``."""
     sectors = sorted(sectors_module.block_decomposition(alg, tol).sectors,
                      key=lambda s: (s.block_size, s.multiplicity))
     k, d = alg.dim, alg.ambient_dim
-    z = rng.standard_normal(2 * k)
-    coeffs, b, at, col = z[:k] + 1j * z[k:], np.zeros((d, d), dtype=complex), 0, 0
+    coeffs, b, at, col = reference_normals(u[:2 * k]), np.zeros((d, d), dtype=complex), 0, 0
     for s in sectors:
         n, m = s.block_size, s.multiplicity
         beta = coeffs[at:at + n * n].reshape(n, n) / np.sqrt(m)
@@ -256,14 +255,27 @@ def star(d):
 
 
 def reference_derive_seed(seed, stream, index):
-    """`seeding.derive_seeds` for one triple, as NumPy computes it: one `SeedSequence`."""
+    """`seeding.derive_seed`, as NumPy computes it: one `SeedSequence`."""
     ss = np.random.SeedSequence((int(seed), int(stream), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def reference_rng(seed):
-    """`seeding.generators` for one seed (an int or a `SeedSequence`), as NumPy builds it."""
-    return np.random.default_rng(seed)
+def reference_uniforms(seed, stream, row, width):
+    """Row `row` of `seeding.uniforms(seed, stream, count, width)`, built alone: NumPy's
+    Philox keyed by ``SeedSequence((seed, stream))`` at counter ``row w / 4``, w the width
+    rounded up to whole 4-word blocks, each word's top 53 bits over 2^53."""
+    key = np.random.SeedSequence((int(seed), int(stream))).generate_state(2, np.uint64)
+    w = -(-width // 4) * 4
+    raw = np.random.Philox(key=key, counter=row * w // 4).random_raw(w)
+    return ((raw >> np.uint64(11)) * 2.0 ** -53)[:width]
+
+
+def reference_normals(u):
+    """`seeding.complex_normals` as the Box-Muller formula: the halves a, b of `u` give
+    ``r cos(2 pi b) + i r sin(2 pi b)``, ``r = sqrt(-2 log(1 - a))``."""
+    k = len(u) // 2
+    r, t = np.sqrt(-2.0 * np.log1p(-u[:k])), 2.0 * np.pi * u[k:2 * k]
+    return r * np.cos(t) + 1j * (r * np.sin(t))
 
 
 def haar_unitary(d, rng):

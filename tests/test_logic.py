@@ -29,8 +29,9 @@ from oplattice import (
     orthogonal,
     orthomodularity_residual,
     random_projector,
+    random_state,
 )
-from oplattice import NotProjector, build_sectors, build_weyl_finite
+from oplattice import NotProjector, build_classical, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
 from oplattice.numerics import dumps, null_space, range_projector
@@ -40,7 +41,9 @@ from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_R,
     STREAM_ORTHOMODULAR_Q,
     STREAM_ORTHOMODULAR_R,
-    derive_seed,
+    STREAM_PROJECTOR,
+    STREAM_STATE,
+    uniforms,
 )
 from tests.conftest import (
     INVALID_PROJECTORS,
@@ -52,7 +55,9 @@ from tests.conftest import (
     kernel_algebra,
     line_projector,
     meet_iterative,
+    reference_normals,
     reference_self_adjoint,
+    reference_uniforms,
     unit,
 )
 
@@ -454,17 +459,22 @@ D3_D4_KERNEL_ALGEBRAS = [name for name, build in KERNEL_ALGEBRAS.items()
 
 
 def reference_lattice_report(alg, trials, seed):
-    """`lattice_report`'s sampling, rebuilt from the public validated one-pair calls, which
-    settle no bound by identity: distributivity's residual is composed from `meet` and `join`
+    """`lattice_report`'s sampling, rebuilt from one-row reference draws (trial i: row i of
+    each stage's stream) and the public validated one-pair calls, which settle no bound by
+    identity: distributivity's residual is composed from `meet` and `join`
     (`distributivity_residual` runs the stacked kernel)."""
+    width = logic_module._draw_width(alg)
+
+    def draw(stream, i):
+        return reference_random_projector(alg, reference_uniforms(seed, stream, i, width))
+
     om = []
     for i in range(trials):
-        q = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_Q, i))
-        r = random_projector(alg, derive_seed(seed, STREAM_ORTHOMODULAR_R, i))
+        q, r = draw(STREAM_ORTHOMODULAR_Q, i), draw(STREAM_ORTHOMODULAR_R, i)
         om.append(orthomodularity_residual(meet(r, q), q) <= DEFAULT_TOL.law_tol)
     counterexample = None
     for i in range(trials):
-        p, q, r = (random_projector(alg, derive_seed(seed, stream, i)) for stream in
+        p, q, r = (draw(stream, i) for stream in
                    (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
         residual = operator_norm(meet(p, join(q, r)) - join(meet(p, q), meet(p, r)))
         if residual > DEFAULT_TOL.law_tol and counterexample is None:
@@ -499,9 +509,9 @@ class TestStackedChecks:
         original = logic_module._random_projectors
         calls = []
 
-        def skewed(alg, seeds, tol=DEFAULT_TOL):
-            calls.append(seeds)
-            ps = original(alg, seeds, tol)
+        def skewed(alg, u, tol=DEFAULT_TOL):
+            calls.append(u)
+            ps = original(alg, u, tol)
             if len(calls) == 1:  # the orthomodular q draws; skew trial 3's
                 ps[3] = ps[3] + 1e-6 * unit(2, 0, 1)
             return ps
@@ -551,26 +561,39 @@ class TestStackedChecks:
         assert "orthomodular trial 0" in done.stdout
 
 
-def reference_random_projector(alg, seed, tol=DEFAULT_TOL):
-    """The one-draw sampler the stacked draws replaced: a loop over the sectors, `eigh`, a
-    cluster loop."""
-    rng = np.random.default_rng(int(seed))
-    d = alg.ambient_dim
-    w, v = np.linalg.eigh(reference_self_adjoint(alg, rng, tol))
+def reference_random_projector(alg, u, tol=DEFAULT_TOL):
+    """The one-draw sampler on one row of uniforms `u`: a loop over the sectors, `eigh`, a
+    cluster loop; of n >= 2 clusters the top ``1 + floor(u (n - 1))``, of one ``floor(2 u)``,
+    u the row's entry after the element's 2k."""
+    d, k = alg.ambient_dim, alg.dim
+    w, v = np.linalg.eigh(reference_self_adjoint(alg, u, tol))
     threshold = tol.rank_tol * max(1.0, float(w[-1] - w[0]))
     starts = [0] + [i for i in range(1, d) if w[i] - w[i - 1] > threshold]
-    cut = int(rng.integers(0, len(starts) + 1))
+    n = len(starts)
+    cut = 1 + int(u[2 * k] * (n - 1)) if n > 1 else int(u[2 * k] * 2)
     if cut == 0:
         return np.zeros((d, d), dtype=complex)
-    return range_projector(v[:, starts[len(starts) - cut] :])
+    return range_projector(v[:, starts[n - cut] :])
 
 
-def reference_random_state(dim, seed):
-    """The one-state sampler the stacked draw replaced: two ``d x d`` draws, one product."""
-    rng = np.random.default_rng(int(seed))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def reference_random_state(dim, u):
+    """The one-state sampler on one row of uniforms `u`: d^2 Box-Muller normals, one product."""
+    g = reference_normals(u[:2 * dim * dim]).reshape(dim, dim)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def draws(alg, seed, count, stream=STREAM_PROJECTOR):
+    """Rows 0 .. count - 1 of `stream` under `seed`, drawn as one stack."""
+    u = uniforms(seed, stream, count, logic_module._draw_width(alg))
+    return logic_module._random_projectors(alg, u, DEFAULT_TOL)
+
+
+def with_bounds(p):
+    """The stack `p` after 0 and 1, the lattice's bounds, twice each."""
+    d = p.shape[-1]
+    bounds = [np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)] * 2
+    return np.concatenate([np.stack(bounds), p])
 
 
 def svd_meet(*ps):
@@ -600,11 +623,55 @@ def bound_identity(x, y, is_meet):
     return left[0] if is_meet else one - (one - left[0])
 
 
-def proper_draws(alg, seeds):
-    """The draws on `seeds` that are neither 0 nor 1, as one stack."""
+def proper_draws(alg, seed, count):
+    """The draws of `draws` that are neither 0 nor 1, as one stack."""
     d = alg.ambient_dim
-    return np.stack([p for p in logic_module._random_projectors(alg, seeds, DEFAULT_TOL)
+    return np.stack([p for p in draws(alg, seed, count)
                      if 0 < np.linalg.matrix_rank(p, hermitian=True) < d])
+
+
+# the benchmark's 7 `lattice` inputs (blocks unpermuted), then weyl 32 and M_2 (x) 1_16
+LATTICE_INPUTS = {
+    "classical-4": lambda: build_classical(4),
+    "classical-3": lambda: build_classical(3),
+    "weyl-3": lambda: build_weyl_finite(3),
+    "weyl-4": lambda: build_weyl_finite(4),
+    "sectors-2+1x2": lambda: build_sectors([(2, 1), (1, 2)]),
+    "sectors-1+2": lambda: build_sectors([(1, 1), (2, 1)]),
+    "sectors-1+1+2": lambda: build_sectors([(1, 1), (1, 1), (2, 1)]),
+    "weyl-32": lambda: build_weyl_finite(32),
+    "sectors-2x16": lambda: build_sectors([(2, 16)]),
+}
+
+
+class TestProperDraws:
+    """A drawn projector is proper (neither 0 nor 1) wherever its element has two clusters or
+    more, so no distributivity trial holds by the lattice's bounds alone."""
+
+    @pytest.mark.parametrize("name", LATTICE_INPUTS)
+    def test_no_distributivity_triple_has_a_bound_operand(self, name, monkeypatch):
+        alg = close(LATTICE_INPUTS[name]())
+        clusters, triples = [], []
+        cuts, distributivity = logic_module._spectral_cuts, logic_module._distributivity
+
+        def cuts_counted(alg, u, tol):
+            v, breaks, first = cuts(alg, u, tol)
+            clusters.append(1 + breaks.sum(axis=1))
+            return v, breaks, first
+
+        def distributivity_recorded(p, q, r, tol):
+            triples.append(np.stack([p, q, r]))
+            return distributivity(p, q, r, tol)
+
+        monkeypatch.setattr(logic_module, "_spectral_cuts", cuts_counted)
+        monkeypatch.setattr(logic_module, "_distributivity", distributivity_recorded)
+        lattice_report(alg, trials=200, seed=1)
+        (count,), (triple,) = clusters, triples  # one draw of all five stages, one triple stack
+        d = alg.ambient_dim
+        ranks = np.rint(np.trace(triple, axis1=-2, axis2=-1).real)  # (3, trials)
+        several = count.reshape(5, 200)[2:] >= 2  # the p, q and r draws
+        assert several.all()  # no input here draws an element of one cluster
+        assert ((ranks > 0) & (ranks < d))[several].all()
 
 
 class TestStackedKernels:
@@ -613,29 +680,37 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("dim", [1, 3, 9, 24, 48])
     def test_states_equal_the_one_state_reference(self, dim):
-        seeds = [0, 1, 2**32, 2**64 - 1, *range(900, 912)]
-        states = states_module._random_states(dim, seeds)
-        assert len(states) == len(seeds)
-        for state, seed in zip(states, seeds):
-            assert np.array_equal(state.density, reference_random_state(dim, seed))
+        width = 2 * dim * dim
+        u = uniforms(2**64 + 3, 21, 16, width)
+        states = states_module._random_states(dim, u)
+        assert len(states) == len(u)
+        for i, state in enumerate(states):
+            assert np.array_equal(state.density,
+                                  reference_random_state(dim, reference_uniforms(2**64 + 3, 21, i,
+                                                                                 width)))
             assert not state.density.flags.writeable
-        assert states_module._random_states(dim, []) == []
+        assert states_module._random_states(dim, u[:0]) == []
+        for seed in (0, 5):  # a public call is row 0 of its own stream
+            want = states_module._random_states(dim, uniforms(seed, STREAM_STATE, 1, width))[0]
+            assert np.array_equal(random_state(dim, seed).density, want.density)
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_draws_equal_the_one_draw_reference(self, name):
         alg = kernel_algebra(name)
-        seeds = range(500, 540)
-        stack = logic_module._random_projectors(alg, seeds, DEFAULT_TOL)
+        width = logic_module._draw_width(alg)
+        stack = draws(alg, 500, 40, stream=STREAM_DISTRIBUTIVE_Q)
         assert stack.shape == (40, alg.ambient_dim, alg.ambient_dim)
-        for p, seed in zip(stack, seeds):
-            assert np.array_equal(p, reference_random_projector(alg, seed))
-            assert np.array_equal(p, random_projector(alg, seed))
+        for i, p in enumerate(stack):
+            u = reference_uniforms(500, STREAM_DISTRIBUTIVE_Q, i, width)
+            assert np.array_equal(p, reference_random_projector(alg, u))
+        for seed in range(500, 510):  # a public call is row 0 of its own stream
+            u = reference_uniforms(seed, STREAM_PROJECTOR, 0, width)
+            assert np.array_equal(random_projector(alg, seed), reference_random_projector(alg, u))
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_meets_and_joins_equal_their_one_pair_calls(self, name):
         alg = kernel_algebra(name)
-        p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
-        q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
+        p, q = with_bounds(draws(alg, 600, 30)), draws(alg, 700, 34)
         # the second half meets p with a projector above it, so every rank shows up
         above = logic_module._join(p, q, tol=DEFAULT_TOL)
         a, b = np.concatenate([p, p]), np.concatenate([q, above])
@@ -661,8 +736,7 @@ class TestStackedKernels:
         # the variadic kernel stacks `[1 - p; 1 - q]` as the pair kernel did: same bits, where
         # neither operand is 0 or 1; a bound pair is its identity, the formula's within rounding
         alg = kernel_algebra(name)
-        p = logic_module._random_projectors(alg, range(600, 630), DEFAULT_TOL)
-        q = logic_module._random_projectors(alg, range(700, 730), DEFAULT_TOL)
+        p, q = with_bounds(draws(alg, 600, 30)), draws(alg, 700, 34)
         want = svd_meet(p, q)
         settled = []
         for x, y, m, w in zip(p, q, logic_module._meet(p, q, tol=DEFAULT_TOL), want):
@@ -676,7 +750,7 @@ class TestStackedKernels:
         assert set(settled) == {True, False}
 
     def test_a_stack_of_bound_cases_takes_no_svd(self, monkeypatch):
-        x, y = proper_draws(kernel_algebra("weyl-3"), range(600, 620))[:2]
+        x, y = proper_draws(kernel_algebra("weyl-3"), 600, 20)[:2]
         one, zero = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
         a = np.stack([zero, one, x, one, zero, one])
         b = np.stack([x, y, one, one, zero, zero])
@@ -694,8 +768,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("name", ["weyl-4", "sectors-2+1x2", "haar-sectors-2+1x2"])
     def test_the_svd_cases_of_a_mixed_stack_keep_their_bits_alone(self, name):
         alg = kernel_algebra(name)
-        p = logic_module._random_projectors(alg, range(600, 660), DEFAULT_TOL)
-        q = logic_module._random_projectors(alg, range(700, 760), DEFAULT_TOL)
+        p, q = with_bounds(draws(alg, 600, 60)), draws(alg, 700, 64)
         meets = logic_module._meet(p, q, tol=DEFAULT_TOL)
         taken = [i for i in range(len(p)) if bound_identity(p[i], q[i], True) is None]
         assert 0 < len(taken) < len(p)
@@ -706,8 +779,7 @@ class TestStackedKernels:
     def test_stacks_of_stacks(self):
         # `_distributivity` meets (3, N, d, d) stacks: each of the 3 is its own (N, d, d) call
         alg = kernel_algebra("weyl-3")
-        p, q, r = logic_module._random_projectors(alg, range(600, 690), DEFAULT_TOL).reshape(
-            3, 30, 3, 3)
+        p, q, r = draws(alg, 600, 90).reshape(3, 30, 3, 3)
         one = np.eye(3)
         a, b = np.stack([one - q, p, p]), np.stack([one - r, q, r])
         out = logic_module._meet(a, b, tol=DEFAULT_TOL)
@@ -718,8 +790,7 @@ class TestStackedKernels:
     def test_null_projectors_of_a_stack_of_stacks_equal_each_case_alone(self):
         # `_null_projectors` flattens the leading axes of an (..., n, d) stack for its kernel
         alg = kernel_algebra("haar-sectors-2+1x2")
-        p, q = logic_module._random_projectors(alg, range(600, 640), DEFAULT_TOL).reshape(
-            2, 2, 10, 4, 4)
+        p, q = draws(alg, 600, 40).reshape(2, 2, 10, 4, 4)
         a = np.concatenate([np.eye(4) - p, np.eye(4) - q], axis=-2)  # (2, 10, 8, 4)
         out = logic_module._null_projectors(a, DEFAULT_TOL)
         assert out.shape == (2, 10, 4, 4)
@@ -731,7 +802,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("name", ["weyl-4", "haar-sectors-2+1x2"])
     def test_a_one_among_proper_operands_keeps_the_three_operand_svd(self, name):
         alg = kernel_algebra(name)
-        p, q = proper_draws(alg, range(600, 640)), proper_draws(alg, range(700, 740))
+        p, q = proper_draws(alg, 600, 40), proper_draws(alg, 700, 40)
         n = min(len(p), len(q))
         one = np.broadcast_to(np.eye(alg.ambient_dim, dtype=complex), (n,) + p.shape[1:])
         got = logic_module._meet(one, p[:n], q[:n], tol=DEFAULT_TOL)
@@ -741,13 +812,13 @@ class TestStackedKernels:
     def test_a_unary_meet_of_a_proper_projector_keeps_its_svd(self, name):
         # the family joins of `states._orthoadditivity`: a one-member family is a unary join
         alg = kernel_algebra(name)
-        p = proper_draws(alg, range(600, 640))
+        p = proper_draws(alg, 600, 40)
         one = np.eye(alg.ambient_dim)
         assert np.array_equal(logic_module._meet(p, tol=DEFAULT_TOL), svd_meet(p))
         assert np.array_equal(logic_module._join(p, tol=DEFAULT_TOL), one - svd_meet(one - p))
 
     def test_empty_stacks(self, two_blocks):
-        empty = logic_module._random_projectors(two_blocks, [], DEFAULT_TOL)
+        empty = draws(two_blocks, 4, 0)
         assert empty.shape == (0, 5, 5) and empty.dtype == complex
         for kernel in (logic_module._meet, logic_module._join):
             out = kernel(empty, empty, tol=DEFAULT_TOL)
@@ -767,15 +838,12 @@ class TestStackedKernels:
         assert lattice_report_to_json(lattice_report(two_blocks, trials=0, seed=4)) == want
 
     def test_a_draw_cut_at_zero_is_the_zero_projector(self):
-        # on the scalars the spectrum is one cluster, so the draw keeps it or not
+        # on the scalars the spectrum is one cluster, so the draw keeps it or not: floor(2 u),
+        # u the row's entry after the span coefficient's two
         scalars = close(GeneratorSet(ambient_dim=3, generators=(np.eye(3),)))
-        seeds = range(20)
-        stack = logic_module._random_projectors(scalars, seeds, DEFAULT_TOL)
-        cuts = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            rng.standard_normal(1), rng.standard_normal(1)  # the span coefficient
-            cuts.append(int(rng.integers(0, 2)))
+        u = uniforms(0, STREAM_PROJECTOR, 20, logic_module._draw_width(scalars))
+        stack = logic_module._random_projectors(scalars, u, DEFAULT_TOL)
+        cuts = [int(2 * row[2]) for row in u]
         assert 0 < sum(cuts) < len(cuts)
         for p, cut in zip(stack, cuts):
             if cut:

@@ -36,17 +36,16 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
-from oplattice import DEFAULT_TOL, generated_algebra, random_orthogonal_family, random_state
+from oplattice import DEFAULT_TOL, generated_algebra, random_state
 from oplattice import logic as logic_module
 from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
 from oplattice import sectors as sectors_module
-from oplattice import seeding as seeding_module
 from oplattice import states as states_module
-from oplattice.seeding import (STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE,
-                               derive_seed)
+from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE
 from tests.conftest import (chain_changed, haar_unitary, rational_clock_shift,
-                            reference_commutant, rotated, star, two_orthogonal_real_lines, unit)
+                            reference_commutant, reference_uniforms, rotated, star,
+                            two_orthogonal_real_lines, unit)
 
 
 class TestBuildClassical:
@@ -515,9 +514,9 @@ class TestConfiguredStateChecks:
         drawn = []
         draw = scenarios_module._random_orthogonal_families
 
-        def recorded(alg, seeds, tol):
-            drawn.extend(draw(alg, seeds, tol))
-            return drawn[-len(seeds):]
+        def recorded(alg, u, tol):
+            drawn.extend(draw(alg, u, tol))
+            return drawn[-len(u):]
 
         monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", recorded)
         report = run_scenario(scenario)
@@ -572,7 +571,8 @@ class TestEnvelope:
 
 class TestOneFamilyPass:
     """The state checks and the sweep share one family draw and one stacked check; every
-    result is the one the per-seed public calls give."""
+    result is the one the public calls give on each family and state drawn alone from its
+    own row of uniforms."""
 
     KINDS = {"weyl_finite": (3, {"modulus": 3}), "classical": (3, {"point_count": 3}),
              "sectors": (4, {"blocks": [[2, 1], [1, 2]]})}
@@ -580,7 +580,7 @@ class TestOneFamilyPass:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("trials", [0, 1, 7, 40])
     @pytest.mark.parametrize("state_count", [0, 1, 2])
-    def test_reports_equal_the_per_seed_public_calls(self, kind, trials, state_count):
+    def test_reports_equal_the_per_row_public_calls(self, kind, trials, state_count):
         dim, parameters = self.KINDS[kind]
         states = tuple(random_state(dim, seed=50 + i) for i in range(state_count))
         scenario = Scenario(name="s", kind=kind, dim=dim, parameters=parameters, trials=trials,
@@ -588,20 +588,23 @@ class TestOneFamilyPass:
         report = run_scenario(scenario)
         alg = generated_algebra(scenarios_module.build_generators(scenario))
 
-        def residuals(state, family_seed):
-            family = random_orthogonal_family(alg, family_seed)
+        def residuals(state, stream, row):
+            u = reference_uniforms(13, stream, row, states_module._family_width(alg))
+            family = states_module._random_orthogonal_families(alg, u[None], DEFAULT_TOL)[0]
             return sigma_orthoadditivity_residuals(restrict_logical(state, alg), family)
 
+        def sweep_state(row):
+            u = reference_uniforms(13, STREAM_SWEEP_STATE, row, 2 * dim * dim)
+            return states_module._random_states(dim, u[None])[0]
+
         for index, (state, entry) in enumerate(zip(states, report.states)):
-            checks = [residuals(state, derive_seed(13, STREAM_STATE_CHECK, index * 1000 + j))
-                      for j in range(10)]
+            checks = [residuals(state, STREAM_STATE_CHECK, 10 * index + j) for j in range(10)]
             assert entry["sigma_orthoadditive"] is all(
                 a <= DEFAULT_TOL.law_tol and c <= DEFAULT_TOL.eq_tol for a, c in checks)
             logical = restrict_logical(state, alg)
             assert entry["values"] == {f"sector_{i}": logical.value(s.central_projector)
                                        for i, s in enumerate(block_decomposition(alg).sectors)}
-        sweep = [max(residuals(random_state(dim, derive_seed(13, STREAM_SWEEP_STATE, t)),
-                               derive_seed(13, STREAM_SWEEP_FAMILY, t))) for t in range(trials)]
+        sweep = [max(residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t)) for t in range(trials)]
         assert report.orthoadditivity == {
             "trials": trials,
             "failures": sum(1 for r in sweep if r > DEFAULT_TOL.law_tol),
@@ -611,8 +614,8 @@ class TestOneFamilyPass:
 
 class TestCallBudget:
     """One run makes no decomposition (the generated algebra carries its sectors), one family
-    draw, one orthoadditivity check and one lattice draw (one spectral draw each), and a fixed
-    number of seed hashes whatever the trials."""
+    draw, one orthoadditivity check and one lattice draw (one spectral draw each), and one
+    bulk draw of uniforms per stage whatever the trials."""
 
     @staticmethod
     def counted(monkeypatch, module, name) -> list:
@@ -635,8 +638,8 @@ class TestCallBudget:
                             trials=trials, seed=4,
                             states=tuple(random_state(dim, i) for i in range(state_count)))
 
-        run_scenario(scenario(40, 2))  # the decomposition's generator words are cached once
-        hashes = []
+        run_scenario(scenario(40, 2))  # the decomposition's seed sequences are cached once
+        stages = []
         for run in (scenario(40, 2), scenario(1, 0)):  # 40 trials, 2 states; 1 trial, none
             with monkeypatch.context() as m:
                 calls = [self.counted(m, *target) for target in [
@@ -648,11 +651,12 @@ class TestCallBudget:
                     (logic_module, "_spectral_cuts"),  # the lattice's draws, at once
                     (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
-                state_calls = self.counted(m, seeding_module, "_state")
+                drawn = [self.counted(m, module, "uniforms")
+                         for module in (logic_module, scenarios_module)]
                 run_scenario(run)
             assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1, 1]
-            hashes.append(len(state_calls))
-        assert hashes[0] == hashes[1]
+            stages.append([len(d) for d in drawn])
+        assert stages == [[5, 3], [5, 3]]  # lattice_report's 5 and the sweep's 3
 
 
 # sector sets of the sweep: block size 2s at multiplicities 2 and 1 and s at 2, a doubled

@@ -41,7 +41,7 @@ from oplattice import (
 from oplattice import logic as logic_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
-from oplattice.seeding import generators
+from oplattice.seeding import uniforms
 from tests.conftest import (equivalence_isometry, haar_unitary, rational_clock_shift,
                             reference_close, rotated, star, unit)
 
@@ -556,11 +556,12 @@ class TestFrameCrossCheck:
     def test_every_draw_lies_in_the_algebra(self, name):
         gens = FRAME_CASES[name]()
         alg, ref = close(gens), reference_close(gens)
-        families = states_module._random_orthogonal_families(alg, range(20), DEFAULT_TOL)
+        u = uniforms(1, 0, 40, states_module._family_width(alg))
+        families = states_module._random_orthogonal_families(alg, u[:20], DEFAULT_TOL)
+        frame = block_decomposition(alg).frame
         draws = np.stack([
-            *sectors_module._random_self_adjoint(block_decomposition(alg).frame,
-                                                 generators(range(40))),
-            *logic_module._random_projectors(alg, range(40), DEFAULT_TOL),
+            *sectors_module._random_self_adjoint(frame, u[:, :2 * alg.dim]),
+            *logic_module._random_projectors(alg, u, DEFAULT_TOL),
             *(p for family in families for p in family)])
         outside = np.linalg.norm(draws - project_onto(ref, draws), axis=(1, 2))
         assert (outside <= 1e-12 * (1 + operator_norm(draws))).all()
@@ -570,7 +571,7 @@ class TestFrameCrossCheck:
         # E ||h||_F^2 = dim; without the 1 / sqrt(m) of the betas it would be m times that
         alg = close(build_sectors([(2, 3)]))
         h = sectors_module._random_self_adjoint(block_decomposition(alg).frame,
-                                                generators(range(2000)))
+                                                uniforms(1, 0, 2000, 2 * alg.dim))
         mean = float(np.mean(np.linalg.norm(h, axis=(1, 2)) ** 2))
         assert abs(mean - alg.dim) <= 0.05 * alg.dim
 

@@ -26,15 +26,30 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_only_seeding_builds_numpy_generators():
-    # one home for generator construction: a sampler seeding its own generators
-    # would bring back the per-seed path `seeding` stacks
+    # one home for generator construction: a sampler seeding its own generators would bring
+    # back a generator per trial, which one bulk draw of `seeding.uniforms` per stage replaced
+    builders = ("default_rng", "SeedSequence", "Philox", "PCG64", "Generator")
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         if path.name != "seeding.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Attribute) and node.attr in ("default_rng", "SeedSequence"))
-        or (isinstance(node, ast.Name) and node.id in ("default_rng", "SeedSequence"))
+        if (isinstance(node, ast.Attribute) and node.attr in builders)
+        or (isinstance(node, ast.Name) and node.id in builders)
+    ]
+    assert found == []
+
+
+def test_the_sampling_stages_draw_from_no_generator():
+    # a sampling stage reads the rows of its `uniforms` call; a per-generator draw method there
+    # is a draw per trial again
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("logic.py", "states.py", "scenarios.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("standard_normal", "integers", "random")
     ]
     assert found == []
 

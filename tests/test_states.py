@@ -39,16 +39,18 @@ from oplattice import (
     restrict_logical,
     sigma_orthoadditivity_residuals,
 )
+from oplattice import logic as logic_module
 from oplattice import states as states_module
 from oplattice.algebra import contains
 from oplattice.numerics import range_projector
-from oplattice.seeding import STREAM_FAMILY_BASE, STREAM_SWEEP_FAMILY, derive_seed, derive_seeds
+from oplattice.seeding import STREAM_FAMILY, STREAM_SWEEP_FAMILY, uniforms
 from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
     kernel_algebra,
     line_projector,
     reference_self_adjoint,
+    reference_uniforms,
     rotated,
     unit,
 )
@@ -231,23 +233,38 @@ class TestSigmaOrthoadditivity:
                 assert comp_res <= 1e-9
 
 
-def reference_random_orthogonal_family(alg, seed, tol=DEFAULT_TOL):
-    """One family on public calls and one generator: the generator replays `random_projector`'s
-    element h and cut (so the kept clusters of h span the base p), then draws the d - 1 cut
-    bits; a loop over the kept clusters cuts them into consecutive members, each the projector
-    of its run of columns."""
-    base_seed = derive_seed(seed, STREAM_FAMILY_BASE, 0)
-    rng = np.random.default_rng(base_seed)
-    d = alg.ambient_dim
-    w, v = np.linalg.eigh(reference_self_adjoint(alg, rng, tol))
+def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
+    """One family on one row of uniforms `u`: the row's first 2k + 1 replay `random_projector`'s
+    element h and cut (so the kept clusters of h span the base p), the next d - 1 are the cut
+    bits (u < 1/2); a loop over the kept clusters cuts them into consecutive members, each the
+    projector of its run of columns."""
+    d, k = alg.ambient_dim, alg.dim
+    w, v = np.linalg.eigh(reference_self_adjoint(alg, u, tol))
     breaks = [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
-    kept = int(rng.integers(0, len(breaks) + 2))  # `random_projector`'s cut: 0 to all clusters
-    cut = rng.integers(0, 2, d - 1)
-    clusters = [0, *breaks][len(breaks) + 1 - kept:]  # the first column of each kept cluster
+    n = len(breaks) + 1  # `random_projector`'s cut: 1 to n - 1 of n >= 2 clusters, 0 or 1 of one
+    kept = 1 + int(u[2 * k] * (n - 1)) if n > 1 else int(u[2 * k] * 2)
+    cut = u[2 * k + 1:2 * k + d] < 0.5
+    clusters = [0, *breaks][n - kept:]  # the first column of each kept cluster
     p = range_projector(v[:, clusters[0]:]) if clusters else np.zeros((d, d), dtype=complex)
-    assert np.array_equal(p, random_projector(alg, base_seed))
+    assert np.array_equal(p, base_projector(alg, u))
     starts = clusters[:1] + [i for i in clusters[1:] if cut[i - 1]]
     return [range_projector(v[:, start:stop]) for start, stop in zip(starts, starts[1:] + [d])]
+
+
+def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
+    """Rows 0 .. count - 1 of `stream` under `seed`, as wide as a family draw reads."""
+    return uniforms(seed, stream, count, states_module._family_width(alg))
+
+
+def families_of(alg, seed, count, stream=STREAM_FAMILY):
+    """The families of rows 0 .. count - 1 of `stream` under `seed`, drawn as one stack."""
+    return states_module._random_orthogonal_families(
+        alg, family_uniforms(alg, seed, count, stream), DEFAULT_TOL)
+
+
+def base_projector(alg, u):
+    """The base p of the family of the uniform row `u`: `random_projector`'s draw on it."""
+    return logic_module._random_projectors(alg, u[None], DEFAULT_TOL)[0]
 
 
 class TestStackedFamilies:
@@ -256,13 +273,19 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_families_equal_the_one_family_loop(self, name):
         alg = kernel_algebra(name)
-        seeds = range(300, 320)
-        families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
-        for family, seed in zip(families, seeds):
-            for want in (reference_random_orthogonal_family(alg, seed),
-                         random_orthogonal_family(alg, seed)):
-                assert len(family) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(family, want))
+        width = states_module._family_width(alg)
+        families = families_of(alg, 300, 20, STREAM_SWEEP_FAMILY)
+        for i, family in enumerate(families):
+            want = reference_random_orthogonal_family(
+                alg, reference_uniforms(300, STREAM_SWEEP_FAMILY, i, width))
+            assert len(family) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(family, want))
+        for seed in range(300, 305):  # a public call is row 0 of its own stream
+            family = random_orthogonal_family(alg, seed)
+            want = reference_random_orthogonal_family(
+                alg, reference_uniforms(seed, STREAM_FAMILY, 0, width))
+            assert len(family) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(family, want))
 
     @pytest.mark.parametrize("gens", [build_weyl_finite(3), build_weyl_finite(5),
                                       build_weyl_finite(8), build_sectors([(2, 1), (3, 1)])],
@@ -270,24 +293,23 @@ class TestStackedFamilies:
     def test_a_one_member_family_is_its_base_projector(self, gens):
         # an uncut range is the run the base draw keeps: the same columns, the same bits
         alg = close(gens)
-        seeds = range(400)
-        families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
-        single = [(f[0], s) for f, s in zip(families, seeds) if len(f) == 1]
+        u = family_uniforms(alg, 0, 400)
+        families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+        single = [(f[0], row) for f, row in zip(families, u) if len(f) == 1]
         assert len(single) >= 20
-        for member, seed in single:
-            base = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
-            assert np.array_equal(member, base)
+        for member, row in single:
+            assert np.array_equal(member, base_projector(alg, row))
 
     @pytest.mark.parametrize("builder", [build_weyl_finite, build_classical])
     def test_a_draw_holds_no_d_by_d_copy_per_member(self, builder):
         # each member is formed from its own columns: a d x d gather of v and a full masked
         # product per member peaked at 96-109 MiB on these draws
         alg = close(builder(32))
-        seeds = derive_seeds(1, STREAM_SWEEP_FAMILY, np.arange(200))
-        states_module._random_orthogonal_families(alg, seeds[:2], DEFAULT_TOL)  # the sectors
+        u = family_uniforms(alg, 1, 200, STREAM_SWEEP_FAMILY)
+        states_module._random_orthogonal_families(alg, u[:2], DEFAULT_TOL)  # the sectors
         tracemalloc.start()
         try:
-            families = states_module._random_orthogonal_families(alg, seeds, DEFAULT_TOL)
+            families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,11 +317,11 @@ class TestStackedFamilies:
         assert peak < 48 * 2**20
 
     def test_no_seeds_no_families(self, two_blocks):
-        assert states_module._random_orthogonal_families(two_blocks, [], DEFAULT_TOL) == []
+        assert families_of(two_blocks, 1, 0) == []
 
     def test_families_of_a_joined_batch_equal_each_batch_alone(self, two_blocks):
         # the scenario runner draws its state checks' and its sweep's families in one call
-        batches = [derive_seeds(3, 23, np.arange(10)), derive_seeds(3, 22, np.arange(25))]
+        batches = [family_uniforms(two_blocks, 3, 10, 23), family_uniforms(two_blocks, 3, 25, 22)]
         joined = states_module._random_orthogonal_families(two_blocks, np.concatenate(batches),
                                                            DEFAULT_TOL)
         apart = [f for b in batches
@@ -329,9 +351,10 @@ class TestStackedFamilies:
             states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
 
     def test_stacked_joins_equal_each_case_alone(self, two_blocks):
-        # cases of every length, the empty family included: no zero padding
+        # cases of every length, the empty family included: no zero padding (a draw on an
+        # algebra whose elements have two clusters or more is never empty, so one is added)
         env = baire_envelope(two_blocks)
-        families = states_module._random_orthogonal_families(two_blocks, range(40), DEFAULT_TOL)
+        families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
         together = states_module._orthoadditivity(env, cases, DEFAULT_TOL)
@@ -340,8 +363,7 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_a_familys_join_is_the_fold_of_pair_joins(self, name):
         alg = kernel_algebra(name)
-        families = [f for f in states_module._random_orthogonal_families(alg, range(40),
-                                                                          DEFAULT_TOL) if f]
+        families = [f for f in families_of(alg, 2, 40) if f]
         assert families
         for family in families:
             fold = functools.reduce(join, family)
@@ -350,7 +372,7 @@ class TestStackedFamilies:
     def test_one_check_of_2n_plus_1_matrices_and_one_join_per_family_size(self, two_blocks,
                                                                           monkeypatch):
         env = baire_envelope(two_blocks)
-        families = states_module._random_orthogonal_families(two_blocks, range(40), DEFAULT_TOL)
+        families = families_of(two_blocks, 2, 40)
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
         checked, join_sizes = [], []
         ensure, join_ = states_module._ensure_projectors, states_module._join
@@ -371,10 +393,12 @@ class TestStackedFamilies:
 
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
         scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
-        empty = [s for s in range(20) if not random_orthogonal_family(scalars, s)]
+        u = family_uniforms(scalars, 0, 20)
+        families = states_module._random_orthogonal_families(scalars, u, DEFAULT_TOL)
+        empty = [row for row, family in zip(u, families) if not family]
         assert empty
-        for seed in empty:
-            assert not random_projector(scalars, derive_seed(seed, STREAM_FAMILY_BASE, 0)).any()
+        for row in empty:
+            assert not base_projector(scalars, row).any()
         # a full-rank state gives a nonzero projector a positive value, so a zero
         # additivity residual means the family's join is 0
         ls = restrict_logical(random_state(2, seed=3), scalars)
@@ -386,14 +410,15 @@ class TestRandomOrthogonalFamily:
                                       "haar-sectors-2+1x2"])
     def test_members_are_orthogonal_projectors_in_the_algebra_summing_to_the_base(self, name):
         alg = kernel_algebra(name)
-        families = [random_orthogonal_family(alg, seed) for seed in range(40)]
-        for seed, family in enumerate(families):
+        u = family_uniforms(alg, 0, 40)
+        families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+        for row, family in zip(u, families):
             for i, p in enumerate(family):
                 assert operator_norm(p @ p - p) <= 1e-12 and operator_norm(p - p.conj().T) == 0
                 assert contains(alg, p)
                 for q in family[i + 1:]:
                     assert operator_norm(p @ q) <= 1e-12
-            base = random_projector(alg, derive_seed(seed, STREAM_FAMILY_BASE, 0))
+            base = base_projector(alg, row)
             assert operator_norm(sum(family, np.zeros_like(base)) - base) <= 1e-12
         sizes = [len(f) for f in families]
         assert max(sizes) >= 2 and 1 in sizes
