@@ -19,12 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import AlgebraBasis
-from .errors import DimensionMismatch, NotProjector, PreconditionFailed
+from .algebra import AlgebraBasis, contains
+from .errors import DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
                        range_projector, require_count, run_projectors, singular_rank)
-from .sectors import _random_self_adjoint, block_decomposition, mvn_dimension
+from .sectors import _ambient, _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_PROJECTOR, uniforms)
 
@@ -102,14 +102,27 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # dif
     return lhs - rhs, (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
-def _ensure_projectors(stack: np.ndarray, label_of, tol: Tolerance) -> None:
-    """One `ensure_projector` over a stack; a failure names its first non-projector i's
-    ``label_of(i)``, which only a failure calls."""
-    try:
-        ensure_projector(stack, tol)
-    except NotProjector as exc:
-        bad = next((i for i, m in enumerate(stack) if not is_projector(m, tol)), None)
-        raise NotProjector(f"{'stack' if bad is None else label_of(bad)}: {exc}") from exc
+def _ensure_projectors(keyed, label_of, tol: Tolerance) -> None:
+    """One `ensure_projector` per ``(keys, stack)``, entry i of the ``(len(keys), ..., n, n)``
+    stack labelled by ``keys[i]``; a failure names the lowest failing key's ``label_of(key)``
+    (only a failure calls it) and that entry's first failing block."""
+    failed = [(keys[i], entry) for keys, stack in keyed
+              if stack.size and not is_projector(stack.reshape(-1, *stack.shape[-2:]), tol)
+              for i, entry in enumerate(stack.reshape(len(stack), -1, *stack.shape[-2:]))
+              if not is_projector(entry, tol)]
+    if failed:
+        key, entry = min(failed, key=lambda f: f[0])
+        try:
+            ensure_projector(entry, tol)
+        except NotProjector as exc:
+            raise NotProjector(f"{label_of(key)}: {exc}") from exc
+
+
+def _spot_check(alg: AlgebraBasis, mats: np.ndarray, label: str, tol: Tolerance) -> None:
+    """Ambient matrices entering or leaving the block form: projectors in the algebra, or raise."""
+    _ensure_projectors([([label], mats[None])], str, tol)
+    if len(mats) and not np.all(contains(alg, mats, tol)):
+        raise NotInAlgebra(f"{label}: projector not in the domain")
 
 
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -190,18 +203,17 @@ def is_atom(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> bool:
 def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Seeded random projector inside the algebra.
 
-    Draws a random self-adjoint element of the span, splits its spectrum
-    into eigenvalue clusters, and keeps a top segment of clusters as a
-    spectral projector: of n >= 2 clusters a uniform number from 1 to
-    n - 1, so the draw is never 0 or 1; of a single cluster none or all
-    (0 or 1, each with probability 1/2). Spectral projectors of an element
-    stay inside a product-closed span, and whole clusters must be kept
-    together so degenerate eigenvalues are never split. Deterministic
-    given the algebra basis and the seed: row 0 of `STREAM_PROJECTOR`
-    under it (`seeding.uniforms`), drawn by `_random_projectors`.
+    Draws a random self-adjoint element of the span, splits its spectrum into eigenvalue
+    clusters, and keeps a top segment of clusters as a spectral projector: of n >= 2 clusters a
+    uniform number from 1 to n - 1, so the draw is never 0 or 1; of a single cluster none or all
+    (0 or 1, each with probability 1/2). Spectral projectors of an element stay inside a
+    product-closed span, and whole clusters must be kept together so degenerate eigenvalues are
+    never split. Deterministic given the algebra basis and the seed: row 0 of `STREAM_PROJECTOR`
+    under it (`seeding.uniforms`), drawn in blocks (`_random_projectors`).
     """
     require_count("seed", seed)
-    return _random_projectors(alg, uniforms(seed, STREAM_PROJECTOR, 1, _draw_width(alg)), tol)[0]
+    drawn = _random_projectors(alg, uniforms(seed, STREAM_PROJECTOR, 1, _draw_width(alg)), tol)
+    return _ambient(block_decomposition(alg, tol).frame, drawn)[0]
 
 
 def _draw_width(alg: AlgebraBasis) -> int:
@@ -209,28 +221,51 @@ def _draw_width(alg: AlgebraBasis) -> int:
     return 2 * alg.dim + 1
 
 
-def _random_projectors(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """`random_projector` on each row of the uniforms `u`, as one ``(n, d, d)`` stack."""
-    v, _, first = _spectral_cuts(alg, u, tol)
-    return run_projectors(v, np.arange(len(v)), first, alg.ambient_dim)
+def _random_projectors(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> list:
+    """`random_projector` on each row of the uniforms `u`, per shape group its ``(rows, count,
+    n, n)`` sector blocks: the top clusters the row's cut keeps."""
+    *_, first = cuts = _spectral_cuts(alg, u, tol)
+    return _run_blocks(cuts, np.arange(len(u)), first, np.inf)
 
 
 def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
-    """The spectral draw of `random_projector` on each row of the uniforms `u`
-    (`_draw_width` columns or more): eigenvectors ``v`` of a random self-adjoint element
-    (ascending eigenvalues, one stacked ``eigh``) from the row's first 2k, its
-    `cluster_breaks`, and the first column of the top clusters kept (d when none is): of n >= 2
-    clusters ``1 + floor(u (n - 1))``, of one ``floor(2 u)``, u the row's next uniform."""
-    k = alg.dim
-    w, v = np.linalg.eigh(_random_self_adjoint(block_decomposition(alg, tol).frame, u[:, :2 * k]))
-    breaks = cluster_breaks(w, tol)
-    starts = np.ones((len(u), alg.ambient_dim + 1), dtype=bool)  # of each cluster, then d
+    """The spectral draw of `random_projector` on each row of the uniforms `u` (`_draw_width`
+    columns or more): a random self-adjoint element from the row's first 2k, one ``eigh`` per
+    shape group of its blocks, their eigenvalues merged (m ambient copies lie in one cluster)
+    and cut: of n >= 2 clusters the top ``1 + floor(u (n - 1))``, of one ``floor(2 u)``, u the
+    row's next uniform. Per group the eigenvectors and each eigenvalue's place in the merged
+    order; per place its copies, the `cluster_breaks`; the first kept place (or the end)."""
+    k, frame = alg.dim, block_decomposition(alg, tol).frame
+    w, v = zip(*map(np.linalg.eigh, _random_self_adjoint(frame, u[:, :2 * k])))
+    sizes = [c * n for n, _, c, _ in frame.groups]
+    flat = np.concatenate([x.reshape(len(u), size) for x, size in zip(w, sizes)], axis=1)
+    order = np.argsort(flat, axis=1, kind="stable")
+    merged, places = np.take_along_axis(flat, order, axis=1), np.argsort(order, axis=1)
+    copies = np.repeat([m for _, m, _, _ in frame.groups], sizes)[order]
+    breaks = cluster_breaks(merged, tol)
+    starts = np.ones((len(u), merged.shape[1] + 1), dtype=bool)  # of each cluster, then the end
     starts[:, 1:-1] = breaks
     seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one
     proper = seen[:, -1] > 2
     kept = proper + np.floor(u[:, 2 * k] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
-    # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at d)
-    return v, breaks, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
+    # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at the end)
+    first = np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
+    places = np.split(places, np.cumsum(sizes)[:-1], axis=1)
+    return v, [p.reshape(x.shape) for p, x in zip(places, w)], copies, breaks, first
+
+
+def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops) -> list:
+    """Per shape group, the ``(runs, count, n, n)`` blocks of run i: the spectral projector of
+    row ``rows[i]``'s places ``[starts[i], stops[i])`` of `_spectral_cuts`, in each block the
+    projector of its eigenvector columns there (`run_projectors`)."""
+    out = []
+    for v, places in zip(*cuts[:2]):
+        c, n = places.shape[1:]
+        a, b = (np.count_nonzero(places[rows] < np.reshape(x, (-1, 1, 1)), axis=-1).ravel()
+                for x in (starts, stops))
+        k = (np.asarray(rows)[:, None] * c + np.arange(c)).ravel()
+        out.append(run_projectors(v.reshape(-1, n, n), k, a, b).reshape(len(rows), c, n, n))
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,51 +293,53 @@ def lattice_report(
 ) -> LatticeReport:
     """Run the law-checking suite on one algebra.
 
-    Orthomodularity is sampled on `trials` constrained pairs (the smaller
-    projector is forced below the larger by taking a meet), and
-    distributivity on `trials` random triples, recording the first
-    counterexample. Each of the five draws (q and r, then p, q and r) is
-    one stage: trial i's projector is row i of the stage's stream under
-    `seed` (`seeding.uniforms`), so it does not depend on how many trials
-    run, and all five stages are one `_random_projectors` call. Each
-    stage of meets and joins is one stacked call over all trials. A meet
-    or join with no operand 0 or 1 has the bits of its public one-matrix
-    call; the others are settled by identity (see `_meet`).
-    Every projector drawn or derived is checked in one stacked
-    `ensure_projector` before any verdict (NotProjector names the lowest
-    failing trial). A law holds at a trial when its difference has operator
-    norm at most ``tol.law_tol`` (`norm_at_most`); `distributive` reports
-    what the sampling saw.
+    Orthomodularity is sampled on `trials` constrained pairs (the smaller projector is forced
+    below the larger by taking a meet), and distributivity on `trials` random triples, recording
+    the first counterexample. Each of the five draws (q and r, then p, q and r) is one stage:
+    trial i's projector is row i of the stage's stream under `seed` (`seeding.uniforms`), and
+    all five are one `_random_projectors` call. A proposition ``U (⊕ p_a (x) 1_m) U*`` is held
+    as its sector blocks p_a: each stage is one stacked call per shape group, and a block 0 or 1
+    (a 1 x 1 block always is) is settled by identity (see `_meet`). Every block is checked in
+    one stacked `ensure_projector` before any verdict (NotProjector names the lowest failing
+    trial), and trial 0's propositions once more in M_d, with `contains`. A law holds at a trial
+    when its difference has operator norm, its blocks' largest, at most ``tol.law_tol``
+    (`norm_at_most`); `distributive` reports what the sampling saw (a counterexample in M_d).
 
-    The rest is read off the memoized block decomposition:
-    `boolean_lattice` (a commutative algebra) is every sector of block
-    size 1, `factor` a single sector, `hilbertian` (lattice of all
-    subspaces) a single sector of multiplicity 1. `atomic` is always
-    true: each block ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of
-    rank 1, and `block_decomposition` certifies that form for every sector.
+    The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
+    algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
+    all subspaces) a single sector of multiplicity 1. `atomic` is always true: each block
+    ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and `block_decomposition`
+    certifies that form for every sector.
     """
     require_count("trials", trials)
     require_count("seed", seed)
     decomp = block_decomposition(alg, tol)
     pass_rate, counterexample = 1.0, None  # zero trials draw nothing
     if trials:
-        d = alg.ambient_dim
-        streams = (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R,
-                   STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
-        u = [uniforms(seed, s, trials, _draw_width(alg)) for s in streams]
-        q, r, dp, dq, dr = _random_projectors(alg, np.concatenate(u), tol).reshape(5, -1, d, d)
-        del u  # 16 MiB at weyl 32 with 200 trials, not held through the meets
-        p = _meet(r, q, tol=tol)
-        om_differences, om_derived = _orthomodularity(p, q, tol)
-        dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
-        om = np.stack([q, r, p, *om_derived], axis=1).reshape(-1, d, d)  # trial by trial
-        dist = np.stack([dp, dq, dr, *dist_derived], axis=1).reshape(-1, d, d)
-        _ensure_projectors(np.concatenate([om, dist]), lambda i: (
-            f"orthomodular trial {i // 5}" if i < 5 * trials
-            else f"distributive trial {(i - 5 * trials) // 8}"), tol)
-        failed = np.flatnonzero(~norm_at_most(dist_differences, tol.law_tol))
-        counterexample = (dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None
-        pass_rate = np.count_nonzero(norm_at_most(om_differences, tol.law_tol)) / trials
+        drawn = _random_projectors(alg, np.concatenate([uniforms(seed, s, trials, _draw_width(alg))
+            for s in (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_DISTRIBUTIVE_P,
+                      STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]), tol)
+        held, checked = np.ones((2, trials), dtype=bool), []  # per group, trial by trial
+        for b in drawn:
+            q, r, dp, dq, dr = b.reshape(5, trials, *b.shape[1:])
+            p = _meet(r, q, tol=tol)
+            om_differences, om_derived = _orthomodularity(p, q, tol)
+            dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
+            checked.append((np.stack([q, r, p, *om_derived], axis=1),
+                            np.stack([dp, dq, dr, *dist_derived], axis=1)))
+            held &= norm_at_most(np.stack([om_differences, dist_differences]),
+                                 tol.law_tol).all(axis=-1)
+        t = np.arange(trials)
+        _ensure_projectors([x for om, dist in checked for x in ((t, om), (trials + t, dist))],
+                           lambda i: (f"orthomodular trial {i}" if i < trials
+                                      else f"distributive trial {i - trials}"), tol)
+        _spot_check(alg, _ambient(decomp.frame, [np.concatenate([om[0], dist[0]])
+                                                 for om, dist in checked]), "trial 0", tol)
+        failed = np.flatnonzero(~held[1])
+        if failed.size:
+            counterexample = tuple(_ambient(decomp.frame, [dist[failed[0], :3]
+                                                           for _, dist in checked]))
+        pass_rate = np.count_nonzero(held[0]) / trials
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(

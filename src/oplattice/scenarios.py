@@ -332,7 +332,7 @@ def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Toleranc
         densities = [st.density for st in states for _ in range(_STATE_FAMILY_CHECKS)]
         densities += [st.density for st in _random_states(
             d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))]
-        results = _orthoadditivity(alg, list(zip(labels, densities, families)), tol)
+        results = _orthoadditivity(alg, list(zip(labels, densities)), families, tol)
         passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
         verdicts = [all(passed[i:i + _STATE_FAMILY_CHECKS])
                     for i in range(0, checks, _STATE_FAMILY_CHECKS)]

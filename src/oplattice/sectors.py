@@ -65,10 +65,10 @@ class Sector:
 class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
-    columns from ``start`` on. Membership (`contains`), the random draws
-    (`_random_self_adjoint`), the chain's certificate (`_outside`), `is_pure` and `is_separating`
-    read it, all through this module's readers; `mvn_dimension` reads each sector's isometry,
-    and `dirac_characters` and a scenario's sector values its central projector."""
+    columns from ``start`` on. Membership, the draws, the map to M_d (`_ambient`), the chain's
+    certificate, the reduced ranks, the sampled values, `is_pure` and `is_separating` read it,
+    all through this module's readers; `dirac_characters` and a scenario's sector values
+    read each sector's central projector."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -150,17 +150,28 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
     return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
 
 
-def _random_self_adjoint(frame: Frame, u: np.ndarray) -> np.ndarray:
-    """Per row of the uniforms `u` (``2k`` columns, k = sum n^2), ``U blockdiag(h (x) 1_m) U*``,
-    h the Hermitian part of a random beta: the row's k complex normals (`complex_normals`) over
-    sqrt(m) are the betas' entries, group by group. The units ``V (E_ab (x) 1_m) V* / sqrt(m)``
-    are HS-orthonormal, so this is the law of coefficients on any orthonormal basis."""
-    coeffs, y, at = complex_normals(u), np.zeros((len(u), *frame.u.shape), complex), 0
-    for (n, m, c, _), b in zip(frame.groups, _blocks(frame, y)):
+def _random_self_adjoint(frame: Frame, u: np.ndarray) -> list:
+    """Per row of the uniforms `u` (``2k`` columns, k = sum n^2) and shape group, the blocks h
+    of ``U blockdiag(h (x) 1_m) U*``, each the Hermitian part of a beta: the row's k complex
+    normals (`complex_normals`) over sqrt(m). The units ``V (E_ab (x) 1_m) V* / sqrt(m)`` are
+    HS-orthonormal: the law of coefficients on any orthonormal basis."""
+    coeffs, out, at = complex_normals(u), [], 0
+    for n, m, c, _ in frame.groups:
         beta = coeffs[:, at:at + c * n * n].reshape(-1, c, n, n) / np.sqrt(m)
-        b[...] = ((beta + beta.conj().swapaxes(-2, -1)) / 2.0)[..., None]
+        out.append((beta + beta.conj().swapaxes(-2, -1)) / 2.0)
         at += c * n * n
-    return frame.u @ y @ frame.uh  # a product per matrix: a draw's bits do not depend on the stack
+    return out
+
+
+def _ambient(frame: Frame, blocks: list) -> np.ndarray:
+    """``U blockdiag(x (x) 1_m) U*``, symmetrised, per entry of the per-group block stacks
+    ``(rows, count, n, n)``: a product per matrix, so an entry's bits do not depend on the
+    stack. The partial traces over m (`_partial_traces`), over m, map back."""
+    y = np.zeros((len(blocks[0]), *frame.u.shape), dtype=complex)
+    for x, b in zip(blocks, _blocks(frame, y)):
+        b[...] = x[..., None]
+    x = frame.u @ y @ frame.uh
+    return (x + x.conj().swapaxes(-2, -1)) / 2.0
 
 
 def _block_frame(w0: np.ndarray) -> np.ndarray:
@@ -395,10 +406,15 @@ def _validated_projector_in(alg: AlgebraBasis, p, tol: Tolerance) -> np.ndarray:
 def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray) -> list[int]:
     """Per sector, the center-valued trace ``tr(V* p V)`` over the multiplicity. The callers
     validate p as a projector in the algebra, so it commutes with ``z = V V*`` and ``V* p V``
-    is a projector within ``eq_tol``: its trace, rounded, is its rank."""
+    is a projector within ``eq_tol``: its trace, rounded, is its rank. One product over the
+    frame gives each column's ``<u_j, p u_j>``; a sector's trace is the sum over its columns."""
+    frame, sectors = decomp.frame, decomp.sectors
+    traces = np.add.reduceat(np.einsum("ij,ij->j", frame.u.conj(), p @ frame.u).real,  # frame order
+                             [at + n * m * a for n, m, c, at in frame.groups for a in range(c)])
+    rank = dict(zip(sorted(sectors, key=lambda s: (s.block_size, s.multiplicity)), traces.tolist()))
     out = []
-    for s in decomp.sectors:
-        r, m = round(np.vdot(s.isometry, p @ s.isometry).real), s.multiplicity
+    for s in sectors:
+        r, m = round(rank[s]), s.multiplicity
         if r % m:
             raise ReducedRankNotDivisible(f"blockwise rank {r} is not divisible by multiplicity "
                                           f"{m}", counts=(r, m))

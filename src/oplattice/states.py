@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, baire_envelope, contains
-from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotInAlgebra, NotNormalized,
+from .algebra import AlgebraBasis, baire_envelope
+from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import _complement, _draw_width, _ensure_projectors, _join, _leq, _spectral_cuts
+from .logic import (_draw_width, _ensure_projectors, _join, _run_blocks, _spectral_cuts,
+                    _spot_check)
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
-                       norm_at_most, operator_norm, rank_of, require_count, run_projectors)
-from .sectors import _partial_traces, _validated_projector_in, block_decomposition
+                       norm_at_most, operator_norm, rank_of, require_count)
+from .sectors import _ambient, _partial_traces, _validated_projector_in, block_decomposition
 from .seeding import STREAM_FAMILY, STREAM_STATE, complex_normals, uniforms
 
 
@@ -117,59 +118,62 @@ def restrict_logical(
 def sigma_orthoadditivity_residuals(
     ls: LogicalState, family, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[float, float]:
-    """(additivity residual, worst complement-law residual) for a family.
+    """(additivity residual, complement residual) for a family.
 
-    The additivity residual is ``|phi(∨ p_i) - sum phi(p_i)|``. The
-    family must be pairwise orthogonal, else NotOrthogonalFamily. Any
-    orthogonal family in M_d has at most d nonzero members, so finite
-    families capture the countable case here.
+    The additivity residual is ``|phi(∨ p_i) - sum phi(p_i)|``; the complement residual
+    ``|tr rho - 1|`` (0 for an empty family), up to which ``phi(1 - p) = 1 - phi(p)`` holds for
+    each member. The family must be pairwise orthogonal projectors in the domain, else
+    NotOrthogonalFamily, NotProjector or NotInAlgebra. Any orthogonal family in M_d has at most
+    d nonzero members, so finite families capture the countable case here.
     """
-    members = [as_matrix(p) for p in family]  # projector checks run once, stacked, below
-    if any(p.shape != (ls.domain.ambient_dim,) * 2 for p in members):
-        raise DimensionMismatch(f"family members must be in M_{ls.domain.ambient_dim}")
-    return _orthoadditivity(ls.domain, [("family", ls.underlying.density, members)], tol)[0]
+    members, d = [as_matrix(p) for p in family], ls.domain.ambient_dim  # checked below, stacked
+    if any(p.shape != (d, d) for p in members):
+        raise DimensionMismatch(f"family members must be in M_{d}")
+    stack = np.array(members, dtype=complex).reshape(-1, d, d)
+    _spot_check(ls.domain, stack, "family", tol)
+    frame = block_decomposition(ls.domain, tol).frame  # in the algebra: a member is its blocks
+    blocks = [t / m for (_, m, _, _), t in zip(frame.groups, _partial_traces(frame, stack))]
+    return _orthoadditivity(ls.domain, [("family", ls.underlying.density)],
+                            (np.array([len(stack)]), blocks), tol)[0]
 
 
-def _orthoadditivity(domain: AlgebraBasis, cases: list, tol: Tolerance) -> list:
-    """`sigma_orthoadditivity_residuals` of one or more ``(label, density, members)`` cases,
-    after one stacked check of each case's n members, their complements (one stacked
-    ``1 - p``) and its join: projectors in `domain`, each case's members pairwise orthogonal.
-    A failure names its case. The joins of the cases with n members are one n-ary `_join`
-    (zero padding would change their bits); an empty family's join is 0."""
-    d, count = domain.ambient_dim, len(cases)
-    sizes = np.array([len(members) for *_, members in cases])
-    starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
-    members = np.array([p for *_, ms in cases for p in ms], dtype=complex).reshape(total, d, d)
-    complements = _complement(members)
-    joins = np.zeros((count, d, d), dtype=complex)
+def _orthoadditivity(domain: AlgebraBasis, cases: list, families: tuple, tol: Tolerance) -> list:
+    """`sigma_orthoadditivity_residuals` of ``(label, density)`` cases, case i's family the
+    i-th of ``families = (sizes, blocks)`` (per group, every member's blocks in order). The
+    members and joins are checked as projectors, the members as orthogonal (``||p_b p_a|| <=
+    eq_tol``, block by block), and case 0's in M_d (`_spot_check`), before the values
+    ``tr(rho p) = sum tr(s p_a)``, s the partial traces; a failure names its case. The joins
+    of n members are one n-ary `_join` (zero padding would change their bits)."""
+    (sizes, blocks), count, frame = families, len(cases), block_decomposition(domain, tol).frame
+    starts, case = np.cumsum(sizes) - sizes, np.repeat(np.arange(count), sizes)  # per member
+    joins = [np.zeros((count, *b.shape[1:]), dtype=complex) for b in blocks]
     for size in set(sizes.tolist()) - {0}:
         sized = sizes == size
         at = starts[sized][:, None] + np.arange(size)  # (cases, size) member rows
-        joins[sized] = _join(*members[at].swapaxes(0, 1), tol=tol)
-    # case by case: its n members, their n complements and its join
-    checked = np.concatenate([x for c, (at, n) in enumerate(zip(starts.tolist(), sizes.tolist()))
-                              for x in (members[at:at + n], complements[at:at + n], joins[c:c + 1])])
-    case = np.repeat(np.arange(count), 2 * sizes + 1)
-    _ensure_projectors(checked, lambda i: cases[case[i]][0], tol)
+        for j, b in zip(joins, blocks):
+            j[sized] = _join(*b[at].swapaxes(0, 1), tol=tol)
+    _ensure_projectors([x for b, j in zip(blocks, joins) for x in ((case, b), (range(count), j))],
+                       lambda i: cases[i][0], tol)
     top = sizes.max(initial=0)
     apart = np.ones((count, top, top), dtype=bool)
-    for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per `_leq`
+    for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per product
         c, b = np.nonzero((np.arange(top) > a) & (np.arange(top) < sizes[:, None]))
-        apart[c, a, b] = _leq(members[starts[c] + a], complements[starts[c] + b], tol)
+        for x in blocks:
+            apart[c, a, b] &= norm_at_most(x[starts[c] + b] @ x[starts[c] + a],
+                                           tol.eq_tol).all(axis=-1)
     if not apart.all():  # the first failure in case, then itertools.combinations' order
         c, a, b = np.argwhere(~apart)[0].tolist()
         raise NotOrthogonalFamily(f"{cases[c][0]}: members {a} and {b} are not orthogonal")
-    inside = contains(domain, checked, tol)
-    if not np.all(inside):
-        raise NotInAlgebra(f"{cases[case[int(np.argmin(inside))]][0]}: projector not in the domain")
-    densities = np.stack([density for _, density, _ in cases])[case]
-    values = np.trace(densities @ checked, axis1=1, axis2=2)
-    v, out = iter(_probabilities(values, tol).tolist()), []
-    for size in sizes.tolist():
-        x = [next(v) for _ in range(2 * size + 1)]  # members, complements, join; summed in order
-        worst = max([0.0] + [abs(c - (1.0 - p)) for p, c in zip(x[:size], x[size : 2 * size])])
-        out.append((abs(x[2 * size] - sum(x[:size])), worst))
-    return out
+    _spot_check(domain, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
+                                         for b, j in zip(blocks, joins)]), cases[0][0], tol)
+    densities = np.stack([density for _, density in cases])
+    reduced = _partial_traces(frame, densities)  # per group (cases, count, n, n)
+    values = sum(np.einsum("icjk,ickj->i", s[case], b) for s, b in zip(reduced, blocks))
+    joined = sum(np.einsum("icjk,ickj->i", s, j) for s, j in zip(reduced, joins))
+    # each case's member values summed in order, as `sum` would
+    total = np.bincount(case, weights=_probabilities(values, tol), minlength=count)
+    off = np.where(sizes > 0, abs(np.trace(densities, axis1=1, axis2=2).real - 1.0), 0.0)
+    return list(zip(abs(_probabilities(joined, tol) - total).tolist(), off.tolist()))
 
 
 def check_sigma_orthoadditive(
@@ -270,17 +274,17 @@ def random_orthogonal_family(
 
     Draws the base projector p as `random_projector` does (the top clusters of a random
     self-adjoint element h of the span: 1 to n - 1 of n >= 2 clusters, 0 or all of one) and
-    groups those clusters into consecutive pieces, cut before each cluster with probability
-    1/2 (one uniform below 1/2 per eigenvalue gap, read after the base's). Each piece is the
-    projector of its own run of h's eigenvector columns, a spectral projector of h, so it lies
-    in the algebra; the pieces are orthogonal, sum to p and number at most ``rank p``, and a
-    single piece has the bits of p. Empty where p = 0, which only an element of one cluster
-    draws. Row 0 of `STREAM_FAMILY` under the seed (`seeding.uniforms`), drawn by
-    `_random_orthogonal_families`.
+    cuts those clusters into consecutive pieces, before each with probability 1/2 (one uniform
+    below 1/2 per ambient eigenvalue gap, read after the base's). Each piece is a spectral
+    projector of h, so it lies in the algebra; the pieces are orthogonal, sum to p and number
+    at most ``rank p``, and a single piece has the bits of p. Empty where p = 0, which only an
+    element of one cluster draws. Row 0 of `STREAM_FAMILY` under the seed
+    (`seeding.uniforms`), drawn in blocks by `_random_orthogonal_families`.
     """
     require_count("seed", seed)
-    return _random_orthogonal_families(
-        alg, uniforms(seed, STREAM_FAMILY, 1, _family_width(alg)), tol)[0]
+    (size,), blocks = _random_orthogonal_families(
+        alg, uniforms(seed, STREAM_FAMILY, 1, _family_width(alg)), tol)
+    return list(_ambient(block_decomposition(alg, tol).frame, blocks)) if size else []
 
 
 def _family_width(alg: AlgebraBasis) -> int:
@@ -288,21 +292,21 @@ def _family_width(alg: AlgebraBasis) -> int:
     return _draw_width(alg) + alg.ambient_dim - 1
 
 
-def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> list[list]:
-    """`random_orthogonal_family` on each row of the uniforms `u` (`_family_width` columns), in
-    stacked stages: the base's spectral cuts (one ``eigh``), the cut bits, and each member as
-    the projector of its own run of eigenvector columns (`run_projectors`)."""
-    d, count = alg.ambient_dim, len(u)
-    v, breaks, first = _spectral_cuts(alg, u, tol)
-    cut = u[:, _draw_width(alg):_family_width(alg)] < 0.5
-    edges = np.ones((count, d + 1), dtype=bool)  # each member's first column, then d
-    edges[:, :d] = np.arange(d) == first[:, None]
-    edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut
-    family, column = np.nonzero(edges)  # in order: each family's members, then its end d
-    run = np.flatnonzero(column < d)  # a member's first column; the next edge ends the member
-    members = run_projectors(v, family[run], column[run], column[run + 1])
-    bounds = np.searchsorted(family[run], np.arange(count + 1))
-    return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
+    """`random_orthogonal_family` on each row of the uniforms `u` (`_family_width` columns): the
+    member counts and per shape group every member's blocks. A gap of the base's merged
+    spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies below, less
+    one); each member is its run of places (`_run_blocks`)."""
+    _, _, copies, breaks, first = cuts = _spectral_cuts(alg, u, tol)
+    places, gaps = breaks.shape[1] + 1, np.cumsum(copies[:, :-1], axis=1) - 1
+    cut = np.take_along_axis(u[:, _draw_width(alg):_family_width(alg)], gaps, axis=1) < 0.5
+    edges = np.ones((len(u), places + 1), dtype=bool)  # each member's first place, then the end
+    edges[:, :places] = np.arange(places) == first[:, None]
+    edges[:, 1:places] |= (np.arange(1, places) > first[:, None]) & breaks & cut
+    family, place = np.nonzero(edges)  # in order: each family's members, then its end
+    run = np.flatnonzero(place < places)  # a member's first place; the next edge ends the member
+    blocks = _run_blocks(cuts, family[run], place[run], place[run + 1])
+    return np.bincount(family[run], minlength=len(u)), blocks
 
 
 def state_to_json(state: StateFunctional) -> dict:

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,16 @@ from oplattice import (
     rank_of,
     shift_matrix,
 )
+from oplattice import lattice_report
+from oplattice import logic as logic_module
 from oplattice import sectors as sectors_module
+from oplattice import states as states_module
 from oplattice.logic import _projectors
-from oplattice.numerics import norm_at_most, range_projector
+from oplattice.numerics import (cluster_breaks, ensure_projector, norm_at_most, range_projector,
+                                run_projectors)
+from oplattice.seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
+                               STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_STATE_CHECK,
+                               STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms)
 from oplattice.sectors import _validated_projector_in
 
 
@@ -216,23 +224,177 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
     return None
 
 
-def reference_self_adjoint(alg, u, tol=DEFAULT_TOL):
-    """One random self-adjoint algebra element as a loop over the sectors, the reference for
-    the package's frame draw on one row of uniforms `u`: its first 2k (k = alg.dim) are k
-    `reference_normals`, read n^2 at a time as a sector's ``beta sqrt(m)``, the sectors taken
-    by shape ``(n, m)`` ascending and in decomposition order within a shape; each block
-    ``Re(beta) (x) 1_m`` sits at its sector's columns of ``U = [V_1, V_2, ...]``."""
+def reference_spectrum(alg, u, tol=DEFAULT_TOL):
+    """One random self-adjoint algebra element in the sector frame as a loop over the sectors,
+    the reference for the package's draw on one row of uniforms `u`: its first 2k (k =
+    alg.dim) are k `reference_normals`, read n^2 at a time as a sector's ``beta sqrt(m)``, the
+    sectors taken by shape ``(n, m)`` ascending and in decomposition order within a shape.
+    Returns those sectors, each block ``Re(beta)``'s `eigh`, and the ambient spectrum: a
+    ``(value, sector, column)`` entry per eigenvalue and copy (m each), sorted by value."""
     sectors = sorted(sectors_module.block_decomposition(alg, tol).sectors,
                      key=lambda s: (s.block_size, s.multiplicity))
-    k, d = alg.dim, alg.ambient_dim
-    coeffs, b, at, col = reference_normals(u[:2 * k]), np.zeros((d, d), dtype=complex), 0, 0
+    coeffs, at, eig = reference_normals(u[:2 * alg.dim]), 0, []
     for s in sectors:
         n, m = s.block_size, s.multiplicity
         beta = coeffs[at:at + n * n].reshape(n, n) / np.sqrt(m)
-        b[col:col + n * m, col:col + n * m] = np.kron((beta + beta.conj().T) / 2.0, np.eye(m))
-        at, col = at + n * n, col + n * m
+        eig.append(np.linalg.eigh((beta + beta.conj().T) / 2.0))
+        at += n * n
+    spectrum = sorted(((float(w[j]), i, j) for i, (w, _) in enumerate(eig) for j in range(len(w))
+                       for _ in range(sectors[i].multiplicity)), key=lambda e: e[0])
+    return sectors, eig, spectrum
+
+
+def reference_ambient(sectors, blocks):
+    """``U blockdiag(p_i (x) 1_m) U*``, symmetrised, for one n_i x n_i block per sector (in
+    `reference_spectrum`'s order), ``U = [V_1, V_2, ...]``."""
+    d = sectors[0].isometry.shape[0]
+    y, col = np.zeros((d, d), dtype=complex), 0
+    for s, p in zip(sectors, blocks):
+        size = s.block_size * s.multiplicity
+        y[col:col + size, col:col + size] = np.kron(p, np.eye(s.multiplicity))
+        col += size
     u = np.hstack([s.isometry for s in sectors])
-    return u @ b @ u.conj().T
+    x = u @ y @ u.conj().T
+    return (x + x.conj().T) / 2.0
+
+
+def reference_run(sectors, eig, spectrum, start, stop):
+    """The spectral projector of the ambient run ``[start, stop)`` of `reference_spectrum`: in
+    each sector the projector of the eigenvector columns whose copies lie in the run."""
+    blocks = []
+    for i, (_, v) in enumerate(eig):
+        cols = sorted({j for place, (_, k, j) in enumerate(spectrum)
+                       if k == i and start <= place < stop})
+        a, b = (cols[0], cols[-1] + 1) if cols else (0, 0)
+        blocks.append(range_projector(v[:, a:b]))
+    return reference_ambient(sectors, blocks)
+
+
+def reference_clusters(spectrum, tol=DEFAULT_TOL):
+    """The ambient places where the clusters of a sorted `reference_spectrum` start."""
+    w = [value for value, _, _ in spectrum]
+    threshold = tol.rank_tol * max(1.0, w[-1] - w[0])
+    return [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > threshold]
+
+
+def ambient_cuts(alg, u, tol=DEFAULT_TOL):
+    """The ambient spectral draw the sector-frame one replaced, kept as an oracle: the element
+    mapped to M_d, one stacked ambient ``eigh``, its `cluster_breaks` and the first column of
+    the kept top clusters (d when none is)."""
+    frame = sectors_module.block_decomposition(alg, tol).frame
+    w, v = np.linalg.eigh(sectors_module._ambient(
+        frame, sectors_module._random_self_adjoint(frame, u[:, :2 * alg.dim])))
+    breaks = cluster_breaks(w, tol)
+    starts = np.ones((len(u), alg.ambient_dim + 1), dtype=bool)
+    starts[:, 1:-1] = breaks
+    seen = np.cumsum(starts, axis=1)
+    proper = seen[:, -1] > 2
+    kept = proper + np.floor(u[:, 2 * alg.dim] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
+    return v, breaks, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
+
+
+def ambient_families(alg, u, tol=DEFAULT_TOL):
+    """The ambient family draw, kept as an oracle: `ambient_cuts` and the cut bits at the
+    ambient eigenvalue gaps, each member a run of eigenvector columns."""
+    d, count = alg.ambient_dim, len(u)
+    v, breaks, first = ambient_cuts(alg, u, tol)
+    cut = u[:, 2 * alg.dim + 1:2 * alg.dim + d] < 0.5
+    edges = np.ones((count, d + 1), dtype=bool)
+    edges[:, :d] = np.arange(d) == first[:, None]
+    edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut
+    family, column = np.nonzero(edges)
+    run = np.flatnonzero(column < d)
+    members = run_projectors(v, family[run], column[run], column[run + 1])
+    bounds = np.searchsorted(family[run], np.arange(count + 1))
+    return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
+    """`lattice_report` on ambient d x d stacks, kept as an oracle: the five draws of
+    `ambient_cuts`, the stacked kernels on d x d matrices, every proposition checked in M_d
+    (`ensure_projector`, `contains`), each law's verdict by its ambient operator norm."""
+    report = lattice_report(alg, 0, seed, tol)  # the structural fields
+    if not trials:
+        return report
+    d = alg.ambient_dim
+    streams = (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_DISTRIBUTIVE_P,
+               STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
+    u = np.concatenate([uniforms(seed, s, trials, 2 * alg.dim + 1) for s in streams])
+    v, _, first = ambient_cuts(alg, u, tol)
+    q, r, dp, dq, dr = run_projectors(v, np.arange(len(v)), first, d).reshape(5, -1, d, d)
+    p = logic_module._meet(r, q, tol=tol)
+    om_differences, om_derived = logic_module._orthomodularity(p, q, tol)
+    dist_differences, dist_derived = logic_module._distributivity(dp, dq, dr, tol)
+    checked = np.concatenate([q, r, p, *om_derived, dp, dq, dr, *dist_derived])
+    ensure_projector(checked)
+    assert contains(alg, checked).all()
+    failed = np.flatnonzero(operator_norm(dist_differences) > tol.law_tol)
+    return replace(
+        report, trials=trials,
+        orthomodular_pass_rate=np.count_nonzero(
+            operator_norm(om_differences) <= tol.law_tol) / trials,
+        distributive=not failed.size,
+        counterexample=(dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None)
+
+
+def ambient_orthoadditivity_checks(alg, scenario, tol=DEFAULT_TOL):
+    """`scenarios._orthoadditivity_checks` on ambient families, kept as an oracle: each family
+    drawn by `ambient_families`, checked in M_d and valued as ``tr(rho p)``; the complement
+    law checked on each member's ``1 - p``."""
+    d, width = alg.ambient_dim, 2 * alg.dim + alg.ambient_dim
+    checks = 10 * len(scenario.states)
+    families = ambient_families(alg, np.concatenate([
+        uniforms(scenario.seed, STREAM_STATE_CHECK, checks, width),
+        uniforms(scenario.seed, STREAM_SWEEP_FAMILY, scenario.trials, width)]), tol)
+    densities = [st.density for st in scenario.states for _ in range(10)]
+    densities += [reference_random_state(d, reference_uniforms(scenario.seed, STREAM_SWEEP_STATE, i,
+                                                        2 * d * d))
+                  for i in range(scenario.trials)]
+    results = []
+    for rho, family in zip(densities, families):
+        one = np.eye(d)
+        join = logic_module._join(*family, tol=tol) if family else np.zeros((d, d))
+        for a, p in enumerate(family):
+            ensure_projector(p)
+            assert contains(alg, p)
+            assert all(operator_norm(q @ p) <= tol.eq_tol for q in family[a + 1:])
+        value = [np.trace(rho @ p).real for p in family]
+        complement = [abs(np.trace(rho @ (one - p)).real - (1.0 - x))
+                      for p, x in zip(family, value)]
+        results.append((abs(np.trace(rho @ join).real - sum(value)), max([0.0] + complement)))
+    passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
+    residuals = [max(r) for r in results[checks:]]
+    return [all(passed[i:i + 10]) for i in range(0, checks, 10)], {
+        "trials": scenario.trials,
+        "failures": sum(1 for r in residuals if r > tol.law_tol),
+        "max_residual": max(residuals, default=0.0),
+    }
+
+
+def reference_random_state(dim, u):
+    """The one-state sampler on one row of uniforms `u`: d^2 Box-Muller normals, one product."""
+    g = reference_normals(u[:2 * dim * dim]).reshape(dim, dim)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def drawn_projectors(alg, u, tol=DEFAULT_TOL):
+    """The package's stacked projector draw on the rows of the uniforms `u`
+    (`logic._random_projectors`, in the sector frame) mapped to M_d, as `random_projector` maps
+    its one row."""
+    frame = sectors_module.block_decomposition(alg, tol).frame
+    return sectors_module._ambient(frame, logic_module._random_projectors(alg, u, tol))
+
+
+def drawn_families(alg, u, tol=DEFAULT_TOL):
+    """The package's stacked family draw on the rows of the uniforms `u`
+    (`states._random_orthogonal_families`, in the sector frame), each family's members mapped
+    to M_d, as `random_orthogonal_family` maps its one row."""
+    sizes, blocks = states_module._random_orthogonal_families(alg, u, tol)
+    frame = sectors_module.block_decomposition(alg, tol).frame
+    members = list(sectors_module._ambient(frame, blocks)) if sizes.any() else []
+    bounds = np.cumsum([0, *sizes])
+    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def rational_clock_shift(d, p):

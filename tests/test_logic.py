@@ -12,6 +12,7 @@ from oplattice import (
     LatticeReport,
     PreconditionFailed,
     Tolerance,
+    block_decomposition,
     check_distributive,
     check_orthomodular,
     close,
@@ -49,14 +50,17 @@ from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
     NON_SQUARE,
+    drawn_projectors,
     MEET_MAX_ITER,
     IterationFailed,
     haar_unitary,
     kernel_algebra,
     line_projector,
     meet_iterative,
-    reference_normals,
-    reference_self_adjoint,
+    reference_clusters,
+    reference_random_state,
+    reference_run,
+    reference_spectrum,
     reference_uniforms,
     unit,
 )
@@ -511,14 +515,14 @@ class TestStackedChecks:
 
         def skewed(alg, u, tol=DEFAULT_TOL):
             calls.append(u)
-            ps = original(alg, u, tol)
-            if len(calls) == 1:  # the orthomodular q draws; skew trial 3's
-                ps[3] = ps[3] + 1e-6 * unit(2, 0, 1)
-            return ps
+            blocks = original(alg, u, tol)
+            blocks[0][3, 0] += 1e-6 * unit(2, 0, 1)  # the orthomodular q draws come first
+            return blocks
 
         monkeypatch.setattr(logic_module, "_random_projectors", skewed)
         with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
             lattice_report(full2, trials=5, seed=1)
+        assert len(calls) == 1
 
     def test_labels_are_made_only_for_a_failure(self):
         stack = np.stack([unit(2, 0, 0), unit(2, 1, 1), 0.5 * np.eye(2, dtype=complex)])
@@ -526,18 +530,31 @@ class TestStackedChecks:
         def never(i):
             raise AssertionError("a passing stack made a label")
 
-        logic_module._ensure_projectors(stack[:2], never, DEFAULT_TOL)
+        logic_module._ensure_projectors([(np.arange(2), stack[:2])], never, DEFAULT_TOL)
         made = []
-        with pytest.raises(NotProjector, match="^trial 2: stack entry 2 not idempotent"):
-            logic_module._ensure_projectors(stack, lambda i: made.append(i) or f"trial {i}",
-                                            DEFAULT_TOL)
+        with pytest.raises(NotProjector, match="^trial 2: stack entry 0 not idempotent"):
+            logic_module._ensure_projectors([(np.arange(3), stack)],
+                                            lambda i: made.append(i) or f"trial {i}", DEFAULT_TOL)
         assert made == [2]
-        # the label and the message name the same entry: entry 1 breaks idempotence only,
-        # entry 3 self-adjointness only
+        # the message names the failing entry's first bad block: in entry 1 block 1 breaks
+        # idempotence only, in entry 2 block 0 self-adjointness only
         p = unit(2, 0, 0)
-        stack = np.stack([p, 0.5 * np.eye(2, dtype=complex), p, p + unit(2, 0, 1)])
+        stack = np.stack([[p, p], [p, 0.5 * np.eye(2, dtype=complex)], [p + unit(2, 0, 1), p]])
         with pytest.raises(NotProjector, match="^trial 1: stack entry 1 not idempotent"):
-            logic_module._ensure_projectors(stack, lambda i: f"trial {i}", DEFAULT_TOL)
+            logic_module._ensure_projectors([(np.arange(3), stack)], lambda i: f"trial {i}",
+                                            DEFAULT_TOL)
+
+    def test_the_lowest_failing_key_of_all_stacks_is_named(self):
+        # each shape group is its own stack: the failure named is the lowest trial of them all
+        p, half = unit(2, 0, 0), 0.5 * np.eye(2, dtype=complex)
+        first = np.stack([p, p, half, p])[:, None]  # fails at key 2
+        second = np.stack([np.eye(1), 0.5 * np.eye(1), np.eye(1)])[:, None]  # fails at key 1
+        with pytest.raises(NotProjector, match="^trial 1: stack entry 0 not idempotent"):
+            logic_module._ensure_projectors([(np.arange(4), first), (np.arange(3), second)],
+                                            lambda i: f"trial {i}", DEFAULT_TOL)
+        with pytest.raises(NotProjector, match="^trial 2: "):
+            logic_module._ensure_projectors([(np.arange(4), first), (np.arange(3) + 3, second)],
+                                            lambda i: f"trial {i}", DEFAULT_TOL)
 
     def test_the_check_survives_optimized_python(self):
         # under -O an `assert` would vanish; the stacked check must not
@@ -562,31 +579,22 @@ class TestStackedChecks:
 
 
 def reference_random_projector(alg, u, tol=DEFAULT_TOL):
-    """The one-draw sampler on one row of uniforms `u`: a loop over the sectors, `eigh`, a
-    cluster loop; of n >= 2 clusters the top ``1 + floor(u (n - 1))``, of one ``floor(2 u)``,
-    u the row's entry after the element's 2k."""
-    d, k = alg.ambient_dim, alg.dim
-    w, v = np.linalg.eigh(reference_self_adjoint(alg, u, tol))
-    threshold = tol.rank_tol * max(1.0, float(w[-1] - w[0]))
-    starts = [0] + [i for i in range(1, d) if w[i] - w[i - 1] > threshold]
+    """The one-draw sampler on one row of uniforms `u`: a loop over the sectors, an `eigh` per
+    block, a cluster loop on the ambient spectrum; of n >= 2 clusters the top
+    ``1 + floor(u (n - 1))``, of one ``floor(2 u)``, u the row's entry after the element's 2k;
+    each sector keeps the columns of the kept clusters, mapped to M_d."""
+    sectors, eig, spectrum = reference_spectrum(alg, u, tol)
+    starts = reference_clusters(spectrum, tol)
     n = len(starts)
-    cut = 1 + int(u[2 * k] * (n - 1)) if n > 1 else int(u[2 * k] * 2)
-    if cut == 0:
-        return np.zeros((d, d), dtype=complex)
-    return range_projector(v[:, starts[n - cut] :])
-
-
-def reference_random_state(dim, u):
-    """The one-state sampler on one row of uniforms `u`: d^2 Box-Muller normals, one product."""
-    g = reference_normals(u[:2 * dim * dim]).reshape(dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    cut = 1 + int(u[2 * alg.dim] * (n - 1)) if n > 1 else int(u[2 * alg.dim] * 2)
+    return reference_run(sectors, eig, spectrum, starts[n - cut] if cut else len(spectrum),
+                         len(spectrum))
 
 
 def draws(alg, seed, count, stream=STREAM_PROJECTOR):
     """Rows 0 .. count - 1 of `stream` under `seed`, drawn as one stack."""
     u = uniforms(seed, stream, count, logic_module._draw_width(alg))
-    return logic_module._random_projectors(alg, u, DEFAULT_TOL)
+    return drawn_projectors(alg, u)
 
 
 def with_bounds(p):
@@ -655,9 +663,9 @@ class TestProperDraws:
         cuts, distributivity = logic_module._spectral_cuts, logic_module._distributivity
 
         def cuts_counted(alg, u, tol):
-            v, breaks, first = cuts(alg, u, tol)
-            clusters.append(1 + breaks.sum(axis=1))
-            return v, breaks, first
+            drawn = cuts(alg, u, tol)
+            clusters.append(1 + drawn[3].sum(axis=1))  # the breaks of the merged spectrum
+            return drawn
 
         def distributivity_recorded(p, q, r, tol):
             triples.append(np.stack([p, q, r]))
@@ -666,9 +674,13 @@ class TestProperDraws:
         monkeypatch.setattr(logic_module, "_spectral_cuts", cuts_counted)
         monkeypatch.setattr(logic_module, "_distributivity", distributivity_recorded)
         lattice_report(alg, trials=200, seed=1)
-        (count,), (triple,) = clusters, triples  # one draw of all five stages, one triple stack
+        (count,) = clusters  # one draw of all five stages, one triple stack per shape group
+        groups = block_decomposition(alg).frame.groups
+        assert len(triples) == len(groups)
         d = alg.ambient_dim
-        ranks = np.rint(np.trace(triple, axis1=-2, axis2=-1).real)  # (3, trials)
+        # a block sum's rank: each block's rounded trace, m times, summed: (3, trials)
+        ranks = sum(m * np.rint(np.trace(t, axis1=-2, axis2=-1).real).sum(axis=-1)
+                    for (_, m, _, _), t in zip(groups, triples))
         several = count.reshape(5, 200)[2:] >= 2  # the p, q and r draws
         assert several.all()  # no input here draws an element of one cluster
         assert ((ranks > 0) & (ranks < d))[several].all()
@@ -842,7 +854,7 @@ class TestStackedKernels:
         # u the row's entry after the span coefficient's two
         scalars = close(GeneratorSet(ambient_dim=3, generators=(np.eye(3),)))
         u = uniforms(0, STREAM_PROJECTOR, 20, logic_module._draw_width(scalars))
-        stack = logic_module._random_projectors(scalars, u, DEFAULT_TOL)
+        stack = drawn_projectors(scalars, u)
         cuts = [int(2 * row[2]) for row in u]
         assert 0 < sum(cuts) < len(cuts)
         for p, cut in zip(stack, cuts):

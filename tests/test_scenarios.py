@@ -36,16 +36,16 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
-from oplattice import DEFAULT_TOL, generated_algebra, random_state
+from oplattice import DEFAULT_TOL, generated_algebra, lattice_report, random_state
 from oplattice import logic as logic_module
 from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE
-from tests.conftest import (chain_changed, haar_unitary, rational_clock_shift,
-                            reference_commutant, reference_uniforms, rotated, star,
-                            two_orthogonal_real_lines, unit)
+from tests.conftest import (ambient_lattice_report, ambient_orthoadditivity_checks, chain_changed,
+                            drawn_families, haar_unitary, rational_clock_shift, reference_commutant,
+                            reference_uniforms, rotated, star, two_orthogonal_real_lines, unit)
 
 
 class TestBuildClassical:
@@ -445,12 +445,19 @@ class TestGeneratedAlgebraChecks:
 
 
 class TestOrthoadditivitySweepChecks:
-    """The sweep checks its families in one stack; each check must still fire."""
+    """The sweep checks its families in one stack of sector blocks per shape group; each check
+    must still fire: a non-projector or non-orthogonal block in the stage, a projector outside
+    the envelope where case 0's propositions are mapped back to M_d."""
 
     def run_with_family(self, monkeypatch, family):
-        monkeypatch.setattr(
-            scenarios_module, "_random_orthogonal_families", lambda alg, seeds, tol: [family] * len(seeds)
-        )
+        def drawn(alg, u, tol):  # `family` in every row, as its sector blocks
+            frame = block_decomposition(alg).frame
+            members = np.array(family * len(u), dtype=complex)
+            return np.full(len(u), len(family)), [
+                t / m for (_, m, _, _), t in zip(frame.groups,
+                                                 sectors_module._partial_traces(frame, members))]
+
+        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", drawn)
         return run_scenario(Scenario(name="s", kind="classical", dim=2,
                                      parameters={"point_count": 2}, trials=3))
 
@@ -460,8 +467,10 @@ class TestOrthoadditivitySweepChecks:
 
     def test_projector_outside_the_envelope(self, monkeypatch):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        outside = np.outer(v, v).astype(complex)
+        monkeypatch.setattr(states_module, "_ambient", lambda frame, blocks: outside[None])
         with pytest.raises(NotInAlgebra, match="orthoadditivity trial 0"):
-            self.run_with_family(monkeypatch, [np.outer(v, v).astype(complex)])
+            self.run_with_family(monkeypatch, [unit(2, 0, 0)])
 
     def test_non_orthogonal_pair(self, monkeypatch):
         with pytest.raises(NotOrthogonalFamily, match="trial 0: members 0 and 1"):
@@ -514,9 +523,9 @@ class TestConfiguredStateChecks:
         drawn = []
         draw = scenarios_module._random_orthogonal_families
 
-        def recorded(alg, u, tol):
-            drawn.extend(draw(alg, u, tol))
-            return drawn[-len(u):]
+        def recorded(alg, u, tol):  # each row's family, also mapped to M_d by the public route
+            drawn.extend(drawn_families(alg, u, tol))
+            return draw(alg, u, tol)
 
         monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", recorded)
         report = run_scenario(scenario)
@@ -590,7 +599,7 @@ class TestOneFamilyPass:
 
         def residuals(state, stream, row):
             u = reference_uniforms(13, stream, row, states_module._family_width(alg))
-            family = states_module._random_orthogonal_families(alg, u[None], DEFAULT_TOL)[0]
+            family = drawn_families(alg, u[None])[0]
             return sigma_orthoadditivity_residuals(restrict_logical(state, alg), family)
 
         def sweep_state(row):
@@ -605,11 +614,12 @@ class TestOneFamilyPass:
             assert entry["values"] == {f"sector_{i}": logical.value(s.central_projector)
                                        for i, s in enumerate(block_decomposition(alg).sectors)}
         sweep = [max(residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t)) for t in range(trials)]
-        assert report.orthoadditivity == {
-            "trials": trials,
-            "failures": sum(1 for r in sweep if r > DEFAULT_TOL.law_tol),
-            "max_residual": max(sweep, default=0.0),
-        }
+        # the public route maps each member to M_d and back to its blocks: the residuals agree
+        # within rounding, the verdicts exactly
+        got = report.orthoadditivity
+        assert (got["trials"], got["failures"]) == (
+            trials, sum(1 for r in sweep if r > DEFAULT_TOL.law_tol))
+        assert abs(got["max_residual"] - max(sweep, default=0.0)) <= 1e-14
 
 
 class TestCallBudget:
@@ -841,3 +851,95 @@ class TestRotationWithTrials:
         assert verdicts[3] is True
         assert [v[:2] for v in values] == [(1, 3), (2, 2)]
         assert np.allclose([v[2] for v in values], [0.0, 1.0], rtol=0, atol=1e-10)
+
+
+# the benchmark's 7 `lattice` inputs (blocks unpermuted), and Haar-rotated inputs whose frame
+# is no permutation: sectors with multiplicity, a clock-shift pair and the star units
+ORACLE_INPUTS = {
+    "classical-4": lambda: build_classical(4),
+    "classical-3": lambda: build_classical(3),
+    "weyl-3": lambda: build_weyl_finite(3),
+    "weyl-4": lambda: build_weyl_finite(4),
+    "sectors-2+1x2": lambda: build_sectors([(2, 1), (1, 2)]),
+    "sectors-1+2": lambda: build_sectors([(1, 1), (2, 1)]),
+    "sectors-1+1+2": lambda: build_sectors([(1, 1), (1, 1), (2, 1)]),
+}
+ROTATED_ORACLE_INPUTS = {
+    "sectors-2+1x2": lambda: build_sectors([(2, 1), (1, 2)]),
+    "sectors-1+1+2": lambda: build_sectors([(1, 1), (1, 1), (2, 1)]),
+    "sectors-2x2+1x3": lambda: build_sectors([(2, 2), (1, 3)]),
+    "sectors-3x2": lambda: build_sectors([(3, 2)]),
+    "classical-4": lambda: build_classical(4),
+    "weyl-3": lambda: build_weyl_finite(3),
+    "clock-shift-6": lambda: rational_clock_shift(6, 2),
+    "star-4": lambda: star(4),
+}
+
+
+class TestBlockFormOracle:
+    """The trial stages run on sector blocks; the ambient stages they replaced, kept in
+    conftest as oracles, must give the same report: pass rates, `distributive`, failures,
+    `pure` and `sigma_orthoadditive` equal, state values within 1e-12, the counterexample and
+    `max_residual` within rounding."""
+
+    @staticmethod
+    def compare(gens, seed, monkeypatch):
+        d = gens.ambient_dim
+        scenario = replace(_custom(gens), trials=100, seed=seed,
+                           states=(random_state(d, seed=seed),))
+        got = run_scenario(scenario)
+        with monkeypatch.context() as m:
+            m.setattr(scenarios_module, "lattice_report", ambient_lattice_report)
+            m.setattr(scenarios_module, "_orthoadditivity_checks", ambient_orthoadditivity_checks)
+            want = run_scenario(scenario)
+        for name in ("orthomodular_pass_rate", "distributive", "boolean_lattice", "sector_count"):
+            assert getattr(got.lattice, name) == getattr(want.lattice, name)
+        for a, b in zip(got.lattice.counterexample or (), want.lattice.counterexample or ()):
+            assert operator_norm(a - b) <= 1e-10
+        assert got.orthoadditivity["failures"] == want.orthoadditivity["failures"]
+        assert abs(got.orthoadditivity["max_residual"]
+                   - want.orthoadditivity["max_residual"]) <= 1e-14
+        (entry,), (oracle,) = got.states, want.states
+        assert (entry["pure"], entry["sigma_orthoadditive"]) == (
+            oracle["pure"], oracle["sigma_orthoadditive"])
+        assert entry["values"].keys() == oracle["values"].keys()
+        assert all(abs(entry["values"][k] - oracle["values"][k]) <= 1e-12 for k in entry["values"])
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ORACLE_INPUTS)
+    def test_the_lattice_inputs_agree_with_the_ambient_stages(self, name, seed, monkeypatch):
+        self.compare(ORACLE_INPUTS[name](), seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ROTATED_ORACLE_INPUTS)
+    def test_rotated_inputs_agree_with_the_ambient_stages(self, name, seed, monkeypatch):
+        self.compare(rotated(ROTATED_ORACLE_INPUTS[name](), seed), seed, monkeypatch)
+
+    def test_the_oracle_sees_counterexamples_and_failures(self, monkeypatch):
+        # the comparison has content: a noncommutative input fails distributivity
+        report = self.compare(build_weyl_finite(3), 1, monkeypatch)
+        assert not report.lattice.distributive
+
+
+class TestTrialStagesMemory:
+    """At d = 32 the trial stages hold sector blocks: Σ n² entries a proposition, not d²."""
+
+    @pytest.mark.parametrize("kind, parameters", [
+        ("classical", {"point_count": 32}),
+        ("sectors", {"blocks": [[2, 16]]}),
+    ], ids=["classical-32", "sectors-2x16"])
+    def test_both_stages_at_200_trials_stay_under_48_mib(self, kind, parameters):
+        scenario = Scenario(name="m", kind=kind, dim=32, parameters=parameters, trials=200,
+                            seed=1)
+        alg = generated_algebra(scenarios_module.build_generators(scenario))
+        block_decomposition(alg).frame  # built once, outside the stages
+        tracemalloc.start()
+        try:
+            report = lattice_report(alg, 200, 1)
+            _, sweep = scenarios_module._orthoadditivity_checks(alg, scenario, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == sweep["trials"] == 200
+        assert peak < 48 * 2**20

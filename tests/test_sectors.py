@@ -42,8 +42,8 @@ from oplattice import logic as logic_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.seeding import uniforms
-from tests.conftest import (equivalence_isometry, haar_unitary, rational_clock_shift,
-                            reference_close, rotated, star, unit)
+from tests.conftest import (drawn_families, drawn_projectors, equivalence_isometry, haar_unitary,
+                            rational_clock_shift, reference_close, rotated, star, unit)
 
 
 @pytest.fixture(scope="module")
@@ -557,11 +557,12 @@ class TestFrameCrossCheck:
         gens = FRAME_CASES[name]()
         alg, ref = close(gens), reference_close(gens)
         u = uniforms(1, 0, 40, states_module._family_width(alg))
-        families = states_module._random_orthogonal_families(alg, u[:20], DEFAULT_TOL)
+        families = drawn_families(alg, u[:20])
         frame = block_decomposition(alg).frame
         draws = np.stack([
-            *sectors_module._random_self_adjoint(frame, u[:, :2 * alg.dim]),
-            *logic_module._random_projectors(alg, u, DEFAULT_TOL),
+            *sectors_module._ambient(frame, sectors_module._random_self_adjoint(
+                frame, u[:, :2 * alg.dim])),
+            *drawn_projectors(alg, u),
             *(p for family in families for p in family)])
         outside = np.linalg.norm(draws - project_onto(ref, draws), axis=(1, 2))
         assert (outside <= 1e-12 * (1 + operator_norm(draws))).all()
@@ -570,8 +571,9 @@ class TestFrameCrossCheck:
         # the Hermitian part of a standard complex Gaussian on any HS-orthonormal basis has
         # E ||h||_F^2 = dim; without the 1 / sqrt(m) of the betas it would be m times that
         alg = close(build_sectors([(2, 3)]))
-        h = sectors_module._random_self_adjoint(block_decomposition(alg).frame,
-                                                uniforms(1, 0, 2000, 2 * alg.dim))
+        frame = block_decomposition(alg).frame
+        h = sectors_module._ambient(frame, sectors_module._random_self_adjoint(
+            frame, uniforms(1, 0, 2000, 2 * alg.dim)))
         mean = float(np.mean(np.linalg.norm(h, axis=(1, 2)) ** 2))
         assert abs(mean - alg.dim) <= 0.05 * alg.dim
 

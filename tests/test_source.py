@@ -288,19 +288,38 @@ def test_a_sector_is_its_isometry():
 
 
 def test_one_kernel_turns_eigenvector_columns_into_a_proposition():
-    # every sampled projector is `numerics.run_projectors` of a run of columns: the family draw
-    # forms no product of its own, so each member has the bits of its slice's `range_projector`
+    # every sampled projector is `numerics.run_projectors` of a run of block columns, made by
+    # one helper (`logic._run_blocks`) for both samplers: the family draws form no product of
+    # their own, so each member has the bits of its slices' `range_projector`
     named = {path.name: _named(path) for path in SOURCES}
     assert sorted(name for name, names in named.items() if "suffix_projectors" in names) == []
     assert sorted(name for name, names in named.items() if "run_projectors" in names) == [
-        "logic.py", "numerics.py", "states.py"]
+        "logic.py", "numerics.py"]
+    assert sorted(name for name, names in named.items() if "_run_blocks" in names) == [
+        "logic.py", "states.py"]
     states = next(path for path in SOURCES if path.name == "states.py")
-    (draw,) = [node for node in ast.parse(states.read_text()).body
-               if isinstance(node, ast.FunctionDef) and node.name == "_random_orthogonal_families"]
+    draws = [node for node in ast.parse(states.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_random_orthogonal_families", "random_orthogonal_family")]
+    assert len(draws) == 2
     assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-                   for node in ast.walk(draw))
-    assert "range_projector" not in {node.id for node in ast.walk(draw)
+                   for draw in draws for node in ast.walk(draw))
+    assert "range_projector" not in {node.id for draw in draws for node in ast.walk(draw)
                                      if isinstance(node, ast.Name)}
+
+
+def test_no_trial_stack_goes_through_an_ambient_product():
+    # the trial stages run on sector blocks: only `sectors` reads the frame's unitary, where
+    # `_ambient` maps blocks to M_d (the public samplers, a counterexample, one spot check per
+    # stage) and the partial traces map M_d to blocks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("logic.py", "states.py", "scenarios.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("u", "uh")
+    ]
+    assert found == []
 
 
 def test_no_function_imports_from_the_package():

@@ -40,6 +40,7 @@ from oplattice import (
     sigma_orthoadditivity_residuals,
 )
 from oplattice import logic as logic_module
+from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.algebra import contains
 from oplattice.numerics import range_projector
@@ -47,9 +48,13 @@ from oplattice.seeding import STREAM_FAMILY, STREAM_SWEEP_FAMILY, uniforms
 from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
+    drawn_families,
+    drawn_projectors,
     kernel_algebra,
     line_projector,
-    reference_self_adjoint,
+    reference_clusters,
+    reference_run,
+    reference_spectrum,
     reference_uniforms,
     rotated,
     unit,
@@ -233,22 +238,61 @@ class TestSigmaOrthoadditivity:
                 assert comp_res <= 1e-9
 
 
+class TestComplementResidual:
+    """The complement law ``phi(1 - p) = 1 - phi(p)`` holds for each member up to
+    ``|tr rho - 1|``, since ``phi(1) = tr rho``: that is the second residual."""
+
+    @pytest.mark.parametrize("name", ["weyl-4", "sectors-2+1x2", "haar-sectors-2+1x2"])
+    def test_it_is_the_trace_defect_and_the_member_wise_law_within_rounding(self, name):
+        alg = kernel_algebra(name)
+        d = alg.ambient_dim
+        for i in range(10):
+            rho = random_state(d, seed=i).density * (1.0 + 1e-10 * (i - 5))  # tr within eq_tol
+            ls = restrict_logical(make_state(rho), alg)
+            family = random_orthogonal_family(alg, seed=i)
+            assert family
+            _, complement = sigma_orthoadditivity_residuals(ls, family)
+            assert complement == abs(np.trace(rho).real - 1.0)
+            member_wise = max(abs(ls.value(orthocomplement(p)) - (1.0 - ls.value(p)))
+                              for p in family)
+            assert abs(member_wise - complement) <= 1e-14
+
+    def test_an_empty_family_has_none(self, full2):
+        ls = restrict_logical(make_state(np.diag([0.5 + 4e-10, 0.5])), full2)
+        assert sigma_orthoadditivity_residuals(ls, []) == (0.0, 0.0)
+        assert sigma_orthoadditivity_residuals(ls, [np.eye(2)])[1] == pytest.approx(4e-10)
+
+
 def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
     """One family on one row of uniforms `u`: the row's first 2k + 1 replay `random_projector`'s
     element h and cut (so the kept clusters of h span the base p), the next d - 1 are the cut
-    bits (u < 1/2); a loop over the kept clusters cuts them into consecutive members, each the
-    projector of its run of columns."""
+    bits (u < 1/2) at h's d - 1 ambient eigenvalue gaps; a loop over the kept clusters cuts
+    them into consecutive members, each the projector of its run of h's spectrum (in each
+    sector, the columns of its eigenvalues there)."""
     d, k = alg.ambient_dim, alg.dim
-    w, v = np.linalg.eigh(reference_self_adjoint(alg, u, tol))
-    breaks = [i for i in range(1, d) if w[i] - w[i - 1] > tol.rank_tol * max(1.0, w[-1] - w[0])]
-    n = len(breaks) + 1  # `random_projector`'s cut: 1 to n - 1 of n >= 2 clusters, 0 or 1 of one
+    sectors, eig, spectrum = reference_spectrum(alg, u, tol)
+    clusters = reference_clusters(spectrum, tol)
+    n = len(clusters)  # `random_projector`'s cut: 1 to n - 1 of n >= 2 clusters, 0 or 1 of one
     kept = 1 + int(u[2 * k] * (n - 1)) if n > 1 else int(u[2 * k] * 2)
     cut = u[2 * k + 1:2 * k + d] < 0.5
-    clusters = [0, *breaks][n - kept:]  # the first column of each kept cluster
-    p = range_projector(v[:, clusters[0]:]) if clusters else np.zeros((d, d), dtype=complex)
+    clusters = clusters[n - kept:]  # the first place of each kept cluster
+    p = reference_run(sectors, eig, spectrum, clusters[0] if clusters else d, d)
     assert np.array_equal(p, base_projector(alg, u))
     starts = clusters[:1] + [i for i in clusters[1:] if cut[i - 1]]
-    return [range_projector(v[:, start:stop]) for start, stop in zip(starts, starts[1:] + [d])]
+    return [reference_run(sectors, eig, spectrum, start, stop)
+            for start, stop in zip(starts, starts[1:] + [d])]
+
+
+def in_blocks(alg, cases):
+    """Ambient ``(label, density, members)`` cases as `states._orthoadditivity` takes them: the
+    ``(label, density)`` pairs, and the member counts with the members' sector blocks (the
+    partial traces over m, over m) in one stack per shape group."""
+    d, frame = alg.ambient_dim, block_decomposition(alg).frame
+    members = np.array([p for *_, f in cases for p in f], dtype=complex).reshape(-1, d, d)
+    blocks = [t / m for (_, m, _, _), t in zip(frame.groups,
+                                               sectors_module._partial_traces(frame, members))]
+    sizes = np.array([len(f) for *_, f in cases])
+    return [(label, rho) for label, rho, _ in cases], (sizes, blocks)
 
 
 def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
@@ -258,13 +302,12 @@ def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
 
 def families_of(alg, seed, count, stream=STREAM_FAMILY):
     """The families of rows 0 .. count - 1 of `stream` under `seed`, drawn as one stack."""
-    return states_module._random_orthogonal_families(
-        alg, family_uniforms(alg, seed, count, stream), DEFAULT_TOL)
+    return drawn_families(alg, family_uniforms(alg, seed, count, stream))
 
 
 def base_projector(alg, u):
     """The base p of the family of the uniform row `u`: `random_projector`'s draw on it."""
-    return logic_module._random_projectors(alg, u[None], DEFAULT_TOL)[0]
+    return drawn_projectors(alg, u[None])[0]
 
 
 class TestStackedFamilies:
@@ -294,7 +337,7 @@ class TestStackedFamilies:
         # an uncut range is the run the base draw keeps: the same columns, the same bits
         alg = close(gens)
         u = family_uniforms(alg, 0, 400)
-        families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+        families = drawn_families(alg, u)
         single = [(f[0], row) for f, row in zip(families, u) if len(f) == 1]
         assert len(single) >= 20
         for member, row in single:
@@ -303,17 +346,18 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("builder", [build_weyl_finite, build_classical])
     def test_a_draw_holds_no_d_by_d_copy_per_member(self, builder):
         # each member is formed from its own columns: a d x d gather of v and a full masked
-        # product per member peaked at 96-109 MiB on these draws
+        # product per member peaked at 96-109 MiB on these draws. The sweep's draw is the
+        # block form; the public sampler maps its one family to M_d
         alg = close(builder(32))
         u = family_uniforms(alg, 1, 200, STREAM_SWEEP_FAMILY)
         states_module._random_orthogonal_families(alg, u[:2], DEFAULT_TOL)  # the sectors
         tracemalloc.start()
         try:
-            families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+            sizes, _ = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(map(len, families)) >= 200
+        assert sizes.sum() >= 200
         assert peak < 48 * 2**20
 
     def test_no_seeds_no_families(self, two_blocks):
@@ -322,25 +366,23 @@ class TestStackedFamilies:
     def test_families_of_a_joined_batch_equal_each_batch_alone(self, two_blocks):
         # the scenario runner draws its state checks' and its sweep's families in one call
         batches = [family_uniforms(two_blocks, 3, 10, 23), family_uniforms(two_blocks, 3, 25, 22)]
-        joined = states_module._random_orthogonal_families(two_blocks, np.concatenate(batches),
-                                                           DEFAULT_TOL)
+        joined = drawn_families(two_blocks, np.concatenate(batches))
         apart = [f for b in batches
-                 for f in states_module._random_orthogonal_families(two_blocks, b, DEFAULT_TOL)]
+                 for f in drawn_families(two_blocks, b)]
         assert [len(f) for f in joined] == [len(f) for f in apart]
         assert all(np.array_equal(a, b) for f, g in zip(joined, apart) for a, b in zip(f, g))
 
     @pytest.mark.parametrize("second, error, message", [
         ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], NotOrthogonalFamily,
          "^b: members 0 and 2 are not orthogonal"),
-        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 6 "),
-        ([np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2], NotInAlgebra,
-         "^b: projector not in the domain"),
-    ], ids=["non-orthogonal", "non-projector", "outside"])
+        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 0 "),
+    ], ids=["non-orthogonal", "non-projector"])
     def test_a_failure_names_its_own_case(self, diag3, second, error, message):
-        # case a passes; the stacked checks must name case b and its own member indices
+        # case a passes; the stacked checks must name case b and its own member indices (a
+        # projector outside the algebra has no blocks: the public entry point refuses it)
         cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1)]), ("b", np.eye(3) / 3, second)]
         with pytest.raises(error, match=message):
-            states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
+            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
 
     def test_the_first_failing_case_is_named(self, diag3):
         # pairs are checked one lower index at a time over all cases; the failure named is
@@ -348,7 +390,19 @@ class TestStackedFamilies:
         cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1), unit(3, 1, 1)]),
                  ("b", np.eye(3) / 3, [unit(3, 2, 2), unit(3, 2, 2)])]
         with pytest.raises(NotOrthogonalFamily, match="^a: members 1 and 2 are not orthogonal"):
-            states_module._orthoadditivity(diag3, cases, DEFAULT_TOL)
+            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
+
+    def test_a_member_outside_the_domain_is_caught_where_it_enters(self, diag3, monkeypatch):
+        # block stacks lie in the algebra by construction: an outside projector can only enter
+        # as an ambient matrix, through the public call or case 0's map back to M_d
+        outside = np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2
+        ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
+        with pytest.raises(NotInAlgebra, match="^family: projector not in the domain"):
+            sigma_orthoadditivity_residuals(ls, [unit(3, 2, 2), outside])
+        monkeypatch.setattr(states_module, "_ambient", lambda frame, blocks: outside[None])
+        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0)]), ("b", np.eye(3) / 3, [unit(3, 1, 1)])]
+        with pytest.raises(NotInAlgebra, match="^a: projector not in the domain"):
+            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
 
     def test_stacked_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included: no zero padding (a draw on an
@@ -357,8 +411,15 @@ class TestStackedFamilies:
         families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        together = states_module._orthoadditivity(env, cases, DEFAULT_TOL)
-        assert together == [states_module._orthoadditivity(env, [c], DEFAULT_TOL)[0] for c in cases]
+        labelled, (sizes, blocks) = in_blocks(env, cases)
+        together = states_module._orthoadditivity(env, labelled, (sizes, blocks), DEFAULT_TOL)
+        at = np.cumsum(sizes) - sizes
+        alone = [states_module._orthoadditivity(
+            env, [c], (sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks]),
+            DEFAULT_TOL)[0] for i, c in enumerate(labelled)]
+        # the densities' partial traces are one GEMM over the stack, so a value's last bits
+        # may depend on the stack
+        assert np.allclose(together, alone, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_a_familys_join_is_the_fold_of_pair_joins(self, name):
@@ -369,17 +430,19 @@ class TestStackedFamilies:
             fold = functools.reduce(join, family)
             assert operator_norm(states_module._join(*family, tol=DEFAULT_TOL) - fold) <= 1e-12
 
-    def test_one_check_of_2n_plus_1_matrices_and_one_join_per_family_size(self, two_blocks,
-                                                                          monkeypatch):
+    def test_one_check_of_members_and_joins_and_one_join_per_family_size(self, two_blocks,
+                                                                         monkeypatch):
+        # a complement 1 - p has the defects of p and a value fixed by tr rho: only the members
+        # and each family's join are checked, once, in one stack per shape group each
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40)
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
         checked, join_sizes = [], []
         ensure, join_ = states_module._ensure_projectors, states_module._join
 
-        def ensure_counted(stack, label_of, tol):
-            checked.append(len(stack))
-            return ensure(stack, label_of, tol)
+        def ensure_counted(keyed, label_of, tol):
+            checked.append([len(keys) for keys, _ in keyed])
+            return ensure(keyed, label_of, tol)
 
         def join_counted(*ps, tol):
             join_sizes.append(len(ps))
@@ -387,14 +450,15 @@ class TestStackedFamilies:
 
         monkeypatch.setattr(states_module, "_ensure_projectors", ensure_counted)
         monkeypatch.setattr(states_module, "_join", join_counted)
-        states_module._orthoadditivity(env, cases, DEFAULT_TOL)
-        assert checked == [sum(2 * len(f) + 1 for f in families)]
-        assert sorted(join_sizes) == sorted({len(f) for f in families} - {0})
+        states_module._orthoadditivity(env, *in_blocks(env, cases), DEFAULT_TOL)
+        groups = len(block_decomposition(env).frame.groups)
+        assert checked == [[sum(map(len, families)), len(families)] * groups]
+        assert sorted(join_sizes) == sorted(list({len(f) for f in families} - {0}) * groups)
 
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
         scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
         u = family_uniforms(scalars, 0, 20)
-        families = states_module._random_orthogonal_families(scalars, u, DEFAULT_TOL)
+        families = drawn_families(scalars, u)
         empty = [row for row, family in zip(u, families) if not family]
         assert empty
         for row in empty:
@@ -411,7 +475,7 @@ class TestRandomOrthogonalFamily:
     def test_members_are_orthogonal_projectors_in_the_algebra_summing_to_the_base(self, name):
         alg = kernel_algebra(name)
         u = family_uniforms(alg, 0, 40)
-        families = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+        families = drawn_families(alg, u)
         for row, family in zip(u, families):
             for i, p in enumerate(family):
                 assert operator_norm(p @ p - p) <= 1e-12 and operator_norm(p - p.conj().T) == 0
