@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalError, ValidationError
 from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, as_matrix, is_int, matrix_from_json,
-                       matrix_to_json, norm_at_most)
+                       matrix_to_json, norm_at_most, require_count)
 from .sectors import (Sector, SectorDecomposition, _generated_sectors, _settled, _swapped, _units,
                       block_decomposition, contains)
 
@@ -30,9 +30,7 @@ class GeneratorSet:
     generators: tuple = field(repr=False)
 
     def __post_init__(self):
-        if not is_int(self.ambient_dim) or self.ambient_dim < 1:
-            raise ValidationError(f"ambient_dim must be a positive integer, got "
-                                  f"{self.ambient_dim!r}")
+        require_count("ambient_dim", self.ambient_dim, positive=True)
         object.__setattr__(self, "ambient_dim", int(self.ambient_dim))  # JSON writes Python ints
         gens = tuple(self.generators)
         if not gens:
@@ -204,8 +202,7 @@ def generator_set_from_json(data) -> GeneratorSet:
     if not isinstance(data, dict) or "dim" not in data or "generators" not in data:
         raise ValidationError('generator set JSON needs "dim" and "generators" keys')
     dim = data["dim"]
-    if not is_int(dim) or dim < 1:
-        raise ValidationError(f'"dim" must be a positive integer, got {dim!r}')
+    require_count('"dim"', dim, positive=True)
     gens = data["generators"]
     if not isinstance(gens, list) or not gens:
         raise ValidationError('"generators" must be a nonempty array')

@@ -140,12 +140,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        tol = Tolerance(eq_tol=args.tol_eq, rank_tol=args.tol_rank)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload, summary = _dispatch(args, tol)
+        payload, summary = _dispatch(args, Tolerance(eq_tol=args.tol_eq, rank_tol=args.tol_rank))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,8 @@ class OperatorAlgebraError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValidationError(OperatorAlgebraError):
-    """An input violates a documented contract."""
+class ValidationError(OperatorAlgebraError, ValueError):
+    """An input violates a documented contract; also a `ValueError`, which it refines."""
 
 
 class DimensionMismatch(ValidationError):

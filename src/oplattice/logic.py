@@ -20,13 +20,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import AlgebraBasis, contains
-from .errors import DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed
+from .errors import (DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed,
+                     ValidationError)
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
                        is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
                        range_projector, require_count, run_projectors, singular_rank)
 from .sectors import _ambient, _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
-                      STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_PROJECTOR, uniforms)
+                      STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms)
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
@@ -224,17 +225,18 @@ def _draw_width(alg: AlgebraBasis) -> int:
 def _random_projectors(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> list:
     """`random_projector` on each row of the uniforms `u`, per shape group its ``(rows, count,
     n, n)`` sector blocks: the top clusters the row's cut keeps."""
-    *_, first = cuts = _spectral_cuts(alg, u, tol)
-    return _run_blocks(cuts, np.arange(len(u)), first, np.inf)
+    cuts = _spectral_cuts(alg, u, tol)
+    return _run_blocks(cuts, np.arange(len(u)), _first_kept(*cuts[-2:]), np.inf)
 
 
-def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
+def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance, least=1) -> tuple:
     """The spectral draw of `random_projector` on each row of the uniforms `u` (`_draw_width`
     columns or more): a random self-adjoint element from the row's first 2k, one ``eigh`` per
     shape group of its blocks, their eigenvalues merged (m ambient copies lie in one cluster)
-    and cut: of n >= 2 clusters the top ``1 + floor(u (n - 1))``, of one ``floor(2 u)``, u the
-    row's next uniform. Per group the eigenvectors and each eigenvalue's place in the merged
-    order; per place its copies, the `cluster_breaks`; the first kept place (or the end)."""
+    and cut: of n >= 2 clusters the top ``least + floor(u (n - 1))`` (`least` 1, or 2 for the
+    orthomodular pair's q, per row), of one ``floor(2 u)``, u the row's next uniform. Per group
+    the eigenvectors and each eigenvalue's place in the merged order; per place its copies, the
+    `cluster_breaks` and the clusters seen up to it, with the end's column; the kept count."""
     k, frame = alg.dim, block_decomposition(alg, tol).frame
     w, v = zip(*map(np.linalg.eigh, _random_self_adjoint(frame, u[:, :2 * k])))
     sizes = [c * n for n, _, c, _ in frame.groups]
@@ -247,11 +249,14 @@ def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
     starts[:, 1:-1] = breaks
     seen = np.cumsum(starts, axis=1)  # the last column counts the clusters, plus one
     proper = seen[:, -1] > 2
-    kept = proper + np.floor(u[:, 2 * k] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
-    # the top `kept` clusters start where all starts but `kept` are seen (0 kept: at the end)
-    first = np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
+    kept = least * proper + np.floor(u[:, 2 * k] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
     places = np.split(places, np.cumsum(sizes)[:-1], axis=1)
-    return v, [p.reshape(x.shape) for p, x in zip(places, w)], copies, breaks, first
+    return v, [p.reshape(x.shape) for p, x in zip(places, w)], copies, breaks, seen, kept
+
+
+def _first_kept(seen: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Per row of `_spectral_cuts`, the first place of its top `kept` clusters (the end for 0)."""
+    return np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
 
 
 def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops) -> list:
@@ -285,7 +290,8 @@ class LatticeReport:
 
     def __post_init__(self):
         if (self.counterexample is None) == (not self.distributive):
-            raise ValueError("counterexample must be present exactly when distributive is false")
+            raise ValidationError("counterexample must be present exactly when distributive is "
+                                  "false")
 
 
 def lattice_report(
@@ -293,17 +299,20 @@ def lattice_report(
 ) -> LatticeReport:
     """Run the law-checking suite on one algebra.
 
-    Orthomodularity is sampled on `trials` constrained pairs (the smaller projector is forced
-    below the larger by taking a meet), and distributivity on `trials` random triples, recording
-    the first counterexample. Each of the five draws (q and r, then p, q and r) is one stage:
-    trial i's projector is row i of the stage's stream under `seed` (`seeding.uniforms`), and
-    all five are one `_random_projectors` call. A proposition ``U (⊕ p_a (x) 1_m) U*`` is held
-    as its sector blocks p_a: each stage is one stacked call per shape group, and a block 0 or 1
-    (a 1 x 1 block always is) is settled by identity (see `_meet`). Every block is checked in
-    one stacked `ensure_projector` before any verdict (NotProjector names the lowest failing
-    trial), and trial 0's propositions once more in M_d, with `contains`. A law holds at a trial
-    when its difference has operator norm, its blocks' largest, at most ``tol.law_tol``
-    (`norm_at_most`); `distributive` reports what the sampling saw (a counterexample in M_d).
+    Orthomodularity is sampled on `trials` pairs p < q cut from one element: q keeps the top
+    ``2 + floor(u (n - 1))`` of its n >= 2 clusters, p the top ``1 + floor(u' (k - 1))`` of q's
+    k (of one cluster q keeps ``floor(2 u)``, p none). Distributivity is sampled on `trials`
+    random triples, recording the first counterexample. Each of the four draws (the pair, then
+    p, q and r) is one stage: trial i's is row i of the stage's stream under `seed`
+    (`seeding.uniforms`), and all four are one `_spectral_cuts` call. A proposition ``U (⊕ p_a
+    (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per shape
+    group, and a block 0 or 1 (a 1 x 1 block always is) is settled by identity (see `_meet`).
+    Every block is checked in one stacked `ensure_projector` before any verdict (NotProjector
+    names the lowest failing trial), and trial 0's propositions once more in M_d, with
+    `contains`. A law holds at a trial when its differences have operator norm, their blocks'
+    largest, at most ``tol.law_tol`` (`norm_at_most`): orthomodularity's ``q - (p ∨ (p⊥ ∧ q))``
+    and the computed ``p⊥ ∧ q`` less the known ``q - p``. `distributive` reports what the
+    sampling saw (a counterexample in M_d).
 
     The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
     algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
@@ -316,30 +325,35 @@ def lattice_report(
     decomp = block_decomposition(alg, tol)
     pass_rate, counterexample = 1.0, None  # zero trials draw nothing
     if trials:
-        drawn = _random_projectors(alg, np.concatenate([uniforms(seed, s, trials, _draw_width(alg))
-            for s in (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_DISTRIBUTIVE_P,
-                      STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]), tol)
-        held, checked = np.ones((2, trials), dtype=bool), []  # per group, trial by trial
-        for b in drawn:
-            q, r, dp, dq, dr = b.reshape(5, trials, *b.shape[1:])
-            p = _meet(r, q, tol=tol)
-            om_differences, om_derived = _orthomodularity(p, q, tol)
-            dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
-            checked.append((np.stack([q, r, p, *om_derived], axis=1),
-                            np.stack([dp, dq, dr, *dist_derived], axis=1)))
-            held &= norm_at_most(np.stack([om_differences, dist_differences]),
-                                 tol.law_tol).all(axis=-1)
+        # one width for all four stages: 2k + 1 is odd, so its rows have the bits of 2k + 2's
+        u = np.concatenate([uniforms(seed, s, trials, _draw_width(alg) + 1) for s in (
+            STREAM_ORTHOMODULAR_Q, STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q,
+            STREAM_DISTRIBUTIVE_R)])
+        *cuts, seen, kept = _spectral_cuts(alg, u, tol, np.repeat([2, 1], [trials, 3 * trials]))
         t = np.arange(trials)
+        kept_p = (kept[t] > 1) * (1 + np.floor(u[t, -1] * (kept[t] - 1)).astype(int))
+        # p, then every row's kept run: the pair's q, and the triples
+        runs = np.concatenate([_first_kept(seen[t], kept_p), _first_kept(seen, kept)])
+        held, checked = np.ones((3, trials), dtype=bool), []  # per group, trial by trial
+        for b in _run_blocks(cuts, np.concatenate([t, np.arange(4 * trials)]), runs, np.inf):
+            p, q, dp, dq, dr = b.reshape(5, trials, *b.shape[1:])
+            om_differences, (inner, outer) = _orthomodularity(p, q, tol)
+            dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
+            checked.append((np.stack([q, p, inner, outer], axis=1),
+                            np.stack([dp, dq, dr, *dist_derived], axis=1)))
+            # p⊥ ∧ q is known: q's run below p's cut, q - p
+            held &= norm_at_most(np.stack([inner - (q - p), om_differences, dist_differences]),
+                                 tol.law_tol).all(axis=-1)
         _ensure_projectors([x for om, dist in checked for x in ((t, om), (trials + t, dist))],
                            lambda i: (f"orthomodular trial {i}" if i < trials
                                       else f"distributive trial {i - trials}"), tol)
         _spot_check(alg, _ambient(decomp.frame, [np.concatenate([om[0], dist[0]])
                                                  for om, dist in checked]), "trial 0", tol)
-        failed = np.flatnonzero(~held[1])
+        failed = np.flatnonzero(~held[2])
         if failed.size:
             counterexample = tuple(_ambient(decomp.frame, [dist[failed[0], :3]
                                                            for _, dist in checked]))
-        pass_rate = np.count_nonzero(held[0]) / trials
+        pass_rate = np.count_nonzero(held[0] & held[1]) / trials
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(

@@ -28,10 +28,10 @@ def is_int(x) -> bool:
 
 
 def require_count(name: str, value, positive: bool = False) -> None:
-    """ValueError unless `value` is an integer (`is_int`) that is nonnegative, or positive."""
+    """The one count check: ValidationError unless `value` is an integer (`is_int`) >= positive."""
     if not is_int(value) or value < int(positive):
         kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Tolerance:
         for name in ("eq_tol", "rank_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+                raise ValidationError(f"{name} must lie strictly between 0 and 1, got {value}")
 
     @property
     def law_tol(self) -> float:

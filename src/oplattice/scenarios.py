@@ -25,12 +25,13 @@ import numpy as np
 from .algebra import AlgebraBasis, GeneratorSet, generated_algebra
 from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
-from .numerics import DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json
+from .numerics import (DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json,
+                       require_count)
 from .sectors import block_decomposition
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms
-from .states import (_family_width, _orthoadditivity, _probabilities, _random_orthogonal_families,
-                     _random_states, dirac_characters, evaluate, is_pure, is_separating,
-                     state_from_json, state_to_json)
+from .states import (StateFunctional, _family_width, _orthoadditivity, _probabilities,
+                     _random_orthogonal_families, _random_states, dirac_characters, evaluate,
+                     is_pure, is_separating, state_from_json, state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -72,23 +73,20 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         for key in ("dim", "trials", "seed"):
-            if not is_int(getattr(self, key)):
-                raise ValidationError(f'"{key}" must be an integer, got {getattr(self, key)!r}')
-        if self.dim < 1:
-            raise ValidationError(f"dim must be positive, got {self.dim}")
-        if self.trials < 0:
-            raise ValidationError(f"trials must be nonnegative, got {self.trials}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        # NumPy integers pass `is_int`; the report writes Python ints only
-        for key in ("dim", "trials", "seed"):
+            require_count(key, getattr(self, key), positive=key == "dim")
+            # NumPy integers are counts too; the report writes Python ints only
             object.__setattr__(self, key, int(getattr(self, key)))
+        if not isinstance(self.parameters, dict):
+            raise ValidationError(f'"parameters" must be an object, got {self.parameters!r}')
         object.__setattr__(self, "parameters",
                            _validate_parameters(self.kind, self.dim, self.parameters))
         for st in self.states:
-            if st.dim != self.dim:
-                raise ValidationError("configured state dimension does not match scenario dim")
+            if not isinstance(st, StateFunctional) or st.dim != self.dim:
+                raise ValidationError(f"a configured state must be a StateFunctional of scenario "
+                                      f"dim {self.dim}, got {st!r}")
         for exp in self.expectations:
+            if not isinstance(exp, Expectation):
+                raise ValidationError(f"an expectation must be an Expectation, got {exp!r}")
             if exp.check not in EXPECTATION_CHECKS:
                 raise ValidationError(f"unknown expectation check {exp.check!r}")
 
@@ -96,39 +94,42 @@ class Scenario:
 def _validate_parameters(kind: str, dim: int, parameters: dict) -> dict:
     """A copy of the parameters, with each validated integer among them a Python int."""
     fixed = {}
-    if kind == "classical":
-        n = parameters.get("point_count")
+    if kind in ("classical", "weyl_finite"):
+        key = "point_count" if kind == "classical" else "modulus"
+        n = parameters.get(key)
         if n != dim or not is_int(n):
-            raise ValidationError(f"classical point_count {n!r} must equal dim {dim}")
-        fixed["point_count"] = int(n)
-    elif kind == "weyl_finite":
-        d = parameters.get("modulus")
-        if d != dim or not is_int(d):
-            raise ValidationError(f"weyl_finite modulus {d!r} must equal dim {dim}")
-        if dim < 2:
+            raise ValidationError(f"{kind} {key} {n!r} must equal dim {dim}")
+        if kind == "weyl_finite" and dim < 2:
             raise ValidationError("weyl_finite needs dim >= 2")
-        fixed["modulus"] = int(d)
+        fixed[key] = int(n)
     elif kind == "sectors":
-        blocks = parameters.get("blocks")
-        if not isinstance(blocks, (list, tuple)) or not blocks:
-            raise ValidationError('sectors scenarios need a nonempty "blocks" list')
-        total = 0
-        for entry in blocks:
-            try:
-                size, multiplicity = entry
-            except (TypeError, ValueError):
-                size = multiplicity = None  # reported as a bad block below
-            if not all(is_int(x) and x >= 1 for x in (size, multiplicity)):
-                raise ValidationError(f"bad sector block {entry!r}; need [size, multiplicity]")
-            total += size * multiplicity
+        fixed["blocks"] = [[n, m] for n, m in _sector_pairs(parameters.get("blocks"))]
+        total = sum(n * m for n, m in fixed["blocks"])
         if total != dim:
             raise ValidationError(f"sector blocks fill dimension {total}, scenario dim is {dim}")
-        fixed["blocks"] = [[int(n), int(m)] for n, m in blocks]
     elif kind == "custom":
         gens = parameters.get("generators")
         if not isinstance(gens, (list, tuple)) or not gens:
             raise ValidationError('custom scenarios need a nonempty "generators" list')
     return {**parameters, **fixed}
+
+
+def _sector_pairs(blocks) -> list:
+    """The sector blocks as ``(size, multiplicity)`` pairs of Python ints, each a positive
+    integer (`require_count`): `ValidationError` names the first block that is not."""
+    if not isinstance(blocks, (list, tuple)) or not blocks:
+        raise ValidationError(f'sectors need a nonempty "blocks" list, got {blocks!r}')
+    pairs = []
+    for entry in blocks:
+        try:
+            n, m = entry
+            require_count("size", n, positive=True)
+            require_count("multiplicity", m, positive=True)
+        except (TypeError, ValueError):  # not a pair, or not counts
+            raise ValidationError(
+                f"bad sector block {entry!r}; need [size, multiplicity]") from None
+        pairs.append((int(n), int(m)))
+    return pairs
 
 
 def clock_matrix(d: int) -> np.ndarray:
@@ -148,8 +149,7 @@ def shift_matrix(d: int) -> np.ndarray:
 def build_classical(point_count: int) -> GeneratorSet:
     """One generator with distinct eigenvalues; its closure is the full
     diagonal algebra on `point_count` points."""
-    if point_count < 1:
-        raise ValidationError(f"point_count must be positive, got {point_count}")
+    require_count("point_count", point_count, positive=True)
     diag = np.diag(np.arange(1, point_count + 1).astype(complex))
     return GeneratorSet(ambient_dim=point_count, generators=(diag,))
 
@@ -160,6 +160,7 @@ def build_weyl_finite(modulus: int) -> GeneratorSet:
     Their closure is all of M_d: the d^2 monomials U^a V^b are linearly
     independent.
     """
+    require_count("modulus", modulus, positive=True)
     if modulus < 2:
         raise ValidationError(f"modulus must be at least 2, got {modulus}")
     return GeneratorSet(
@@ -171,9 +172,7 @@ def build_weyl_finite(modulus: int) -> GeneratorSet:
 def build_sectors(blocks) -> GeneratorSet:
     """Generators whose closure is the block-diagonal sum of full matrix
     factors ``M_n (x) 1_m``, one block per (n, m) pair."""
-    pairs = [(int(n), int(m)) for n, m in blocks]
-    if not pairs or any(n < 1 or m < 1 for n, m in pairs):
-        raise ValidationError("every sector block needs size >= 1 and multiplicity >= 1")
+    pairs = _sector_pairs(blocks)
     d = sum(n * m for n, m in pairs)
     gens = []
     offset = 0
@@ -362,14 +361,11 @@ def scenario_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         expectations.append(
             Expectation(check=entry["check"], expect=entry["expect"], args=entry.get("args"))
         )
-    parameters = data.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ValidationError(f'"parameters" must be an object, got {parameters!r}')
     return Scenario(
         name=str(data["name"]),
         kind=data["kind"],
         dim=data["dim"],
-        parameters=dict(parameters),
+        parameters=data.get("parameters", {}),
         trials=data.get("trials", 200),
         seed=data.get("seed", 0),
         states=states,

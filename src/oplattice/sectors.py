@@ -108,12 +108,9 @@ def _blocks(frame: Frame, y: np.ndarray) -> list:
 
 
 def _in_frame(frame: Frame, x: np.ndarray) -> np.ndarray:
-    """``U* x U`` per matrix of a stack, as two GEMMs over the whole stack: a batched matmul
-    calls BLAS once per matrix, which at small d costs more than the products."""
-    if x.ndim == 2:
-        return frame.uh @ x @ frame.u
-    return np.tensordot(np.tensordot(frame.uh, x, axes=(1, 1)), frame.u,
-                        axes=(2, 0)).transpose(1, 0, 2)
+    """``U* x U``, per matrix of a stack: a product per matrix, as in `_ambient`, so an entry's
+    bits do not depend on the stack."""
+    return frame.uh @ x @ frame.u
 
 
 def _partial_traces(frame: Frame, x: np.ndarray) -> list:

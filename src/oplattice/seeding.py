@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 # logic.lattice_report
-STREAM_ORTHOMODULAR_Q = 1
-STREAM_ORTHOMODULAR_R = 2
+STREAM_ORTHOMODULAR_Q = 1  # the nested pair's element: q, and p cut inside it
 STREAM_DISTRIBUTIVE_P = 3
 STREAM_DISTRIBUTIVE_Q = 4
 STREAM_DISTRIBUTIVE_R = 5

@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import (_draw_width, _ensure_projectors, _join, _run_blocks, _spectral_cuts,
-                    _spot_check)
+from .logic import (_draw_width, _ensure_projectors, _first_kept, _join, _run_blocks,
+                    _spectral_cuts, _spot_check)
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
                        norm_at_most, operator_norm, rank_of, require_count)
@@ -297,7 +297,8 @@ def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance
     member counts and per shape group every member's blocks. A gap of the base's merged
     spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies below, less
     one); each member is its run of places (`_run_blocks`)."""
-    _, _, copies, breaks, first = cuts = _spectral_cuts(alg, u, tol)
+    _, _, copies, breaks, seen, kept = cuts = _spectral_cuts(alg, u, tol)
+    first = _first_kept(seen, kept)
     places, gaps = breaks.shape[1] + 1, np.cumsum(copies[:, :-1], axis=1) - 1
     cut = np.take_along_axis(u[:, _draw_width(alg):_family_width(alg)], gaps, axis=1) < 0.5
     edges = np.ones((len(u), places + 1), dtype=bool)  # each member's first place, then the end

@@ -30,8 +30,8 @@ from oplattice.logic import _projectors
 from oplattice.numerics import (cluster_breaks, ensure_projector, norm_at_most, range_projector,
                                 run_projectors)
 from oplattice.seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
-                               STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_STATE_CHECK,
-                               STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms)
+                               STREAM_ORTHOMODULAR_Q, STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY,
+                               STREAM_SWEEP_STATE, uniforms)
 from oplattice.sectors import _validated_projector_in
 
 
@@ -277,10 +277,12 @@ def reference_clusters(spectrum, tol=DEFAULT_TOL):
     return [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > threshold]
 
 
-def ambient_cuts(alg, u, tol=DEFAULT_TOL):
+def ambient_cuts(alg, u, tol=DEFAULT_TOL, least=1):
     """The ambient spectral draw the sector-frame one replaced, kept as an oracle: the element
-    mapped to M_d, one stacked ambient ``eigh``, its `cluster_breaks` and the first column of
-    the kept top clusters (d when none is)."""
+    mapped to M_d, one stacked ambient ``eigh``, its `cluster_breaks`, and a map from a count
+    of top clusters to their first column (d for none); of n >= 2 clusters it keeps ``least +
+    floor(u (n - 1))`` (`least` 2 for the orthomodular q), of one ``floor(2 u)``, and that
+    count."""
     frame = sectors_module.block_decomposition(alg, tol).frame
     w, v = np.linalg.eigh(sectors_module._ambient(
         frame, sectors_module._random_self_adjoint(frame, u[:, :2 * alg.dim])))
@@ -289,15 +291,21 @@ def ambient_cuts(alg, u, tol=DEFAULT_TOL):
     starts[:, 1:-1] = breaks
     seen = np.cumsum(starts, axis=1)
     proper = seen[:, -1] > 2
-    kept = proper + np.floor(u[:, 2 * alg.dim] * np.where(proper, seen[:, -1] - 2, 2)).astype(int)
-    return v, breaks, np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
+    kept = least * proper + np.floor(u[:, 2 * alg.dim] * np.where(proper, seen[:, -1] - 2,
+                                                                   2)).astype(int)
+
+    def first(count):
+        return np.argmax(seen >= seen[:, -1:] - count[:, None], axis=1)
+
+    return v, breaks, first, kept
 
 
 def ambient_families(alg, u, tol=DEFAULT_TOL):
     """The ambient family draw, kept as an oracle: `ambient_cuts` and the cut bits at the
     ambient eigenvalue gaps, each member a run of eigenvector columns."""
     d, count = alg.ambient_dim, len(u)
-    v, breaks, first = ambient_cuts(alg, u, tol)
+    v, breaks, top, kept = ambient_cuts(alg, u, tol)
+    first = top(kept)
     cut = u[:, 2 * alg.dim + 1:2 * alg.dim + d] < 0.5
     edges = np.ones((count, d + 1), dtype=bool)
     edges[:, :d] = np.arange(d) == first[:, None]
@@ -310,29 +318,34 @@ def ambient_families(alg, u, tol=DEFAULT_TOL):
 
 
 def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
-    """`lattice_report` on ambient d x d stacks, kept as an oracle: the five draws of
-    `ambient_cuts`, the stacked kernels on d x d matrices, every proposition checked in M_d
-    (`ensure_projector`, `contains`), each law's verdict by its ambient operator norm."""
+    """`lattice_report` on ambient d x d stacks, kept as an oracle: the nested pair and the three
+    draws of `ambient_cuts`, the stacked kernels on d x d matrices, every proposition checked
+    in M_d (`ensure_projector`, `contains`), each law's verdict by its ambient operator norm:
+    orthomodularity's on ``q - (p ∨ (p⊥ ∧ q))`` and on ``p⊥ ∧ q`` less q's columns below p."""
     report = lattice_report(alg, 0, seed, tol)  # the structural fields
     if not trials:
         return report
-    d = alg.ambient_dim
-    streams = (STREAM_ORTHOMODULAR_Q, STREAM_ORTHOMODULAR_R, STREAM_DISTRIBUTIVE_P,
-               STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)
-    u = np.concatenate([uniforms(seed, s, trials, 2 * alg.dim + 1) for s in streams])
-    v, _, first = ambient_cuts(alg, u, tol)
-    q, r, dp, dq, dr = run_projectors(v, np.arange(len(v)), first, d).reshape(5, -1, d, d)
-    p = logic_module._meet(r, q, tol=tol)
+    d, t, width = alg.ambient_dim, np.arange(trials), 2 * alg.dim + 2
+    u = uniforms(seed, STREAM_ORTHOMODULAR_Q, trials, width)
+    v, _, top, kept = ambient_cuts(alg, u, tol, least=2)
+    below = top(np.where(kept > 1, 1 + np.floor(u[:, -1] * (kept - 1)).astype(int), 0))
+    q, p, known = (run_projectors(v, t, a, b) for a, b in
+                   ((top(kept), d), (below, d), (top(kept), below)))
+    u = np.concatenate([uniforms(seed, s, trials, width) for s in (
+        STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)])
+    v, _, top, kept = ambient_cuts(alg, u, tol)
+    dp, dq, dr = run_projectors(v, np.arange(len(v)), top(kept), d).reshape(3, -1, d, d)
     om_differences, om_derived = logic_module._orthomodularity(p, q, tol)
     dist_differences, dist_derived = logic_module._distributivity(dp, dq, dr, tol)
-    checked = np.concatenate([q, r, p, *om_derived, dp, dq, dr, *dist_derived])
+    checked = np.concatenate([q, p, *om_derived, dp, dq, dr, *dist_derived])
     ensure_projector(checked)
     assert contains(alg, checked).all()
     failed = np.flatnonzero(operator_norm(dist_differences) > tol.law_tol)
+    held = ((operator_norm(om_differences) <= tol.law_tol)
+            & (operator_norm(om_derived[0] - known) <= tol.law_tol))
     return replace(
         report, trials=trials,
-        orthomodular_pass_rate=np.count_nonzero(
-            operator_norm(om_differences) <= tol.law_tol) / trials,
+        orthomodular_pass_rate=np.count_nonzero(held) / trials,
         distributive=not failed.size,
         counterexample=(dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None)
 

@@ -41,7 +41,6 @@ from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_Q,
     STREAM_DISTRIBUTIVE_R,
     STREAM_ORTHOMODULAR_Q,
-    STREAM_ORTHOMODULAR_R,
     STREAM_PROJECTOR,
     STREAM_STATE,
     uniforms,
@@ -474,8 +473,10 @@ def reference_lattice_report(alg, trials, seed):
 
     om = []
     for i in range(trials):
-        q, r = draw(STREAM_ORTHOMODULAR_Q, i), draw(STREAM_ORTHOMODULAR_R, i)
-        om.append(orthomodularity_residual(meet(r, q), q) <= DEFAULT_TOL.law_tol)
+        u = reference_uniforms(seed, STREAM_ORTHOMODULAR_Q, i, width + 1)
+        q, p, known = reference_nested_pair(alg, u)
+        om.append(orthomodularity_residual(p, q) <= DEFAULT_TOL.law_tol
+                  and operator_norm(meet(orthocomplement(p), q) - known) <= DEFAULT_TOL.law_tol)
     counterexample = None
     for i in range(trials):
         p, q, r = (draw(stream, i) for stream in
@@ -510,16 +511,16 @@ class TestStackedChecks:
             assert np.array_equal(got, want)
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
-        original = logic_module._random_projectors
+        original = logic_module._run_blocks
         calls = []
 
-        def skewed(alg, u, tol=DEFAULT_TOL):
-            calls.append(u)
-            blocks = original(alg, u, tol)
-            blocks[0][3, 0] += 1e-6 * unit(2, 0, 1)  # the orthomodular q draws come first
+        def skewed(*args):
+            calls.append(args)
+            blocks = original(*args)
+            blocks[0][3, 0] += 1e-6 * unit(2, 0, 1)  # the orthomodular p runs come first
             return blocks
 
-        monkeypatch.setattr(logic_module, "_random_projectors", skewed)
+        monkeypatch.setattr(logic_module, "_run_blocks", skewed)
         with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
             lattice_report(full2, trials=5, seed=1)
         assert len(calls) == 1
@@ -591,6 +592,21 @@ def reference_random_projector(alg, u, tol=DEFAULT_TOL):
                          len(spectrum))
 
 
+def reference_nested_pair(alg, u, tol=DEFAULT_TOL):
+    """The orthomodular pair on one row of uniforms `u` as a cluster loop: q the top ``2 +
+    floor(u (n - 1))`` of n >= 2 clusters (of one, ``floor(2 u)``), u the entry after the
+    element's 2k; p the top ``1 + floor(u' (k - 1))`` of q's k >= 2 clusters (else none), u'
+    the next entry. Returns q, p and q's run below p's cut."""
+    sectors, eig, spectrum = reference_spectrum(alg, u, tol)
+    starts = reference_clusters(spectrum, tol) + [len(spectrum)]  # a count c starts at n - c
+    n, k = len(starts) - 1, alg.dim
+    kept_q = 2 + int(u[2 * k] * (n - 1)) if n > 1 else int(u[2 * k] * 2)
+    kept_p = 1 + int(u[2 * k + 1] * (kept_q - 1)) if kept_q > 1 else 0
+    q_at, p_at, end = starts[n - kept_q], starts[n - kept_p], len(spectrum)
+    return tuple(reference_run(sectors, eig, spectrum, a, b)
+                 for a, b in ((q_at, end), (p_at, end), (q_at, p_at)))
+
+
 def draws(alg, seed, count, stream=STREAM_PROJECTOR):
     """Rows 0 .. count - 1 of `stream` under `seed`, drawn as one stack."""
     u = uniforms(seed, stream, count, logic_module._draw_width(alg))
@@ -652,9 +668,34 @@ LATTICE_INPUTS = {
 }
 
 
+def block_ranks(groups, stacks) -> np.ndarray:
+    """The ranks of block sums: per shape group each block's rounded trace, m times, summed."""
+    return sum(m * np.rint(np.trace(t, axis1=-2, axis2=-1).real).sum(axis=-1)
+               for (_, m, _, _), t in zip(groups, stacks))
+
+
 class TestProperDraws:
     """A drawn projector is proper (neither 0 nor 1) wherever its element has two clusters or
-    more, so no distributivity trial holds by the lattice's bounds alone."""
+    more, so no distributivity trial holds by the lattice's bounds alone, and the orthomodular
+    pair is strictly nested, so no trial holds by ``p = 0`` or ``p = q``."""
+
+    @pytest.mark.parametrize("name", LATTICE_INPUTS)
+    def test_every_orthomodular_pair_is_strictly_nested(self, name, monkeypatch):
+        alg = close(LATTICE_INPUTS[name]())
+        pairs, orthomodularity = [], logic_module._orthomodularity
+
+        def orthomodularity_recorded(p, q, tol):
+            pairs.append(np.stack([p, q]))
+            return orthomodularity(p, q, tol)
+
+        monkeypatch.setattr(logic_module, "_orthomodularity", orthomodularity_recorded)
+        lattice_report(alg, trials=200, seed=1)
+        groups = block_decomposition(alg).frame.groups
+        assert len(pairs) == len(groups)  # one pair stack per shape group
+        rank_p, rank_q = block_ranks(groups, pairs)
+        assert ((0 < rank_p) & (rank_p < rank_q)).all()
+        for p, q in pairs:  # p <= q, block by block
+            assert np.abs(q @ p - p).max() <= 1e-12
 
     @pytest.mark.parametrize("name", LATTICE_INPUTS)
     def test_no_distributivity_triple_has_a_bound_operand(self, name, monkeypatch):
@@ -662,8 +703,8 @@ class TestProperDraws:
         clusters, triples = [], []
         cuts, distributivity = logic_module._spectral_cuts, logic_module._distributivity
 
-        def cuts_counted(alg, u, tol):
-            drawn = cuts(alg, u, tol)
+        def cuts_counted(*args):
+            drawn = cuts(*args)
             clusters.append(1 + drawn[3].sum(axis=1))  # the breaks of the merged spectrum
             return drawn
 
@@ -674,14 +715,12 @@ class TestProperDraws:
         monkeypatch.setattr(logic_module, "_spectral_cuts", cuts_counted)
         monkeypatch.setattr(logic_module, "_distributivity", distributivity_recorded)
         lattice_report(alg, trials=200, seed=1)
-        (count,) = clusters  # one draw of all five stages, one triple stack per shape group
+        (count,) = clusters  # one draw of all four stages, one triple stack per shape group
         groups = block_decomposition(alg).frame.groups
         assert len(triples) == len(groups)
         d = alg.ambient_dim
-        # a block sum's rank: each block's rounded trace, m times, summed: (3, trials)
-        ranks = sum(m * np.rint(np.trace(t, axis1=-2, axis2=-1).real).sum(axis=-1)
-                    for (_, m, _, _), t in zip(groups, triples))
-        several = count.reshape(5, 200)[2:] >= 2  # the p, q and r draws
+        ranks = block_ranks(groups, triples)  # (3, trials)
+        several = count.reshape(4, 200)[1:] >= 2  # the p, q and r draws
         assert several.all()  # no input here draws an element of one cluster
         assert ((ranks > 0) & (ranks < d))[several].all()
 

@@ -13,6 +13,7 @@ from oplattice import (
     NotOrthogonalFamily,
     NotProjector,
     NumericalError,
+    OperatorAlgebraError,
     Scenario,
     SectorStructureError,
     Tolerance,
@@ -36,7 +37,7 @@ from oplattice import (
     scenario_from_json,
     scenario_to_json,
 )
-from oplattice import DEFAULT_TOL, generated_algebra, lattice_report, random_state
+from oplattice import DEFAULT_TOL, generated_algebra, lattice_report, random_projector, random_state
 from oplattice import logic as logic_module
 from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
@@ -112,7 +113,42 @@ class TestBuildSectors:
         assert recovered == sorted(blocks)
 
 
+# inputs that once escaped as a bare ValueError, a TypeError or a truncated count
+NOT_COUNTS = {
+    "trials-bool": lambda: lattice_report(close(build_weyl_finite(2)), True, 1),
+    "negative-seed": lambda: random_projector(close(build_weyl_finite(2)), -1),
+    "tolerance": lambda: Tolerance(eq_tol=2),
+    "fractional-blocks": lambda: build_sectors([[2.7, 1], [1.9, 1]]),
+    "block-not-a-pair": lambda: build_sectors([[2]]),
+    "no-blocks": lambda: build_sectors(None),
+    "string-modulus": lambda: build_weyl_finite("3"),
+    "fractional-modulus": lambda: build_weyl_finite(2.5),
+    "string-point-count": lambda: build_classical("3"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_COUNTS)
+def test_every_rejected_count_is_a_package_error(name):
+    # `ValidationError` is also a `ValueError`, so callers catching that still catch it
+    with pytest.raises(OperatorAlgebraError) as caught:
+        NOT_COUNTS[name]()
+    assert isinstance(caught.value, ValidationError) and isinstance(caught.value, ValueError)
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("change", [
+        {"parameters": [1]}, {"parameters": None}, {"states": (1,)}, {"expectations": ("a",)},
+    ], ids=["parameters-list", "parameters-none", "state-not-a-state", "not-an-expectation"])
+    def test_fields_of_the_wrong_type(self, change):
+        fields = {"name": "bad", "kind": "classical", "dim": 1, "parameters": {"point_count": 1}}
+        with pytest.raises(ValidationError):
+            Scenario(**{**fields, **change})
+
+    def test_sector_blocks_are_counts_not_truncated(self):
+        with pytest.raises(ValidationError, match=r"^bad sector block \[2\.7, 1\]"):
+            build_sectors([[2.7, 1], [1.9, 1]])
+        assert build_sectors([[np.int64(2), 1]]).ambient_dim == 2
+
     def test_classical_point_count_must_match_dim(self):
         with pytest.raises(ValidationError):
             Scenario(name="bad", kind="classical", dim=3, parameters={"point_count": 4})
@@ -657,7 +693,7 @@ class TestCallBudget:
                     (scenarios_module, "_random_orthogonal_families"),
                     (scenarios_module, "_orthoadditivity"),
                     (states_module, "_orthoadditivity"),
-                    (logic_module, "_random_projectors"),
+                    (logic_module, "_run_blocks"),  # the lattice's propositions, at once
                     (logic_module, "_spectral_cuts"),  # the lattice's draws, at once
                     (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
@@ -666,7 +702,7 @@ class TestCallBudget:
                 run_scenario(run)
             assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1, 1]
             stages.append([len(d) for d in drawn])
-        assert stages == [[5, 3], [5, 3]]  # lattice_report's 5 and the sweep's 3
+        assert stages == [[4, 3], [4, 3]]  # lattice_report's 4 and the sweep's 3
 
 
 # sector sets of the sweep: block size 2s at multiplicities 2 and 1 and s at 2, a doubled

@@ -14,6 +14,23 @@ def test_sources_were_found():
     assert any(path.name == "algebra.py" for path in SOURCES)
 
 
+def test_every_raise_names_a_package_error():
+    # `errors.OperatorAlgebraError` is the base of every error the package raises: a raise names
+    # a class of `errors`, but for `run_scenario` re-raising its error's own type with the
+    # scenario's name, and the CLI's exit
+    defined = {name for name, value in vars(oplattice.errors).items()
+               if isinstance(value, type) and issubclass(value, oplattice.OperatorAlgebraError)}
+    raised = [
+        (path.name, ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+    assert len(raised) > 50
+    assert sorted(r for r in raised if r[1] not in defined) == [
+        ("cli.py", "SystemExit"), ("scenarios.py", "type(exc)")]
+
+
 def test_no_assert_statements_in_the_package():
     # invariants raise NumericalError: `assert` disappears under `python -O`
     found = [
