@@ -22,9 +22,9 @@ import numpy as np
 from .algebra import AlgebraBasis, contains
 from .errors import (DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed,
                      ValidationError)
-from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector,
-                       is_projector, matrix_to_json, norm_at_most, null_space, operator_norm,
-                       range_projector, require_count, run_projectors, singular_rank)
+from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector, matrix_to_json,
+                       norm_at_most, null_space, operator_norm, range_projector, require_count,
+                       run_projectors, singular_rank)
 from .sectors import _ambient, _random_self_adjoint, block_decomposition, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms)
@@ -74,7 +74,8 @@ def _null_projectors(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     d = a.shape[-1]
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     v = vh.conj().swapaxes(-2, -1).reshape(-1, d, d)
-    return run_projectors(v, np.arange(len(v)), singular_rank(s, tol).ravel(), d).reshape(vh.shape)
+    return run_projectors(v, np.arange(len(v)), singular_rank(s, tol).ravel(), d,
+                          tol).reshape(vh.shape)
 
 
 def _join(*ps: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -103,26 +104,15 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # dif
     return lhs - rhs, (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
-def _ensure_projectors(keyed, label_of, tol: Tolerance) -> None:
-    """One `ensure_projector` per ``(keys, stack)``, entry i of the ``(len(keys), ..., n, n)``
-    stack labelled by ``keys[i]``; a failure names the lowest failing key's ``label_of(key)``
-    (only a failure calls it) and that entry's first failing block."""
-    failed = [(keys[i], entry) for keys, stack in keyed
-              if stack.size and not is_projector(stack.reshape(-1, *stack.shape[-2:]), tol)
-              for i, entry in enumerate(stack.reshape(len(stack), -1, *stack.shape[-2:]))
-              if not is_projector(entry, tol)]
-    if failed:
-        key, entry = min(failed, key=lambda f: f[0])
-        try:
-            ensure_projector(entry, tol)
-        except NotProjector as exc:
-            raise NotProjector(f"{label_of(key)}: {exc}") from exc
-
-
 def _spot_check(alg: AlgebraBasis, mats: np.ndarray, label: str, tol: Tolerance) -> None:
     """Ambient matrices entering or leaving the block form: projectors in the algebra, or raise."""
-    _ensure_projectors([([label], mats[None])], str, tol)
-    if len(mats) and not np.all(contains(alg, mats, tol)):
+    if not len(mats):
+        return
+    try:
+        ensure_projector(mats, tol)
+    except NotProjector as exc:
+        raise NotProjector(f"{label}: {exc}") from exc
+    if not np.all(contains(alg, mats, tol)):
         raise NotInAlgebra(f"{label}: projector not in the domain")
 
 
@@ -226,7 +216,7 @@ def _random_projectors(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> list
     """`random_projector` on each row of the uniforms `u`, per shape group its ``(rows, count,
     n, n)`` sector blocks: the top clusters the row's cut keeps."""
     cuts = _spectral_cuts(alg, u, tol)
-    return _run_blocks(cuts, np.arange(len(u)), _first_kept(*cuts[-2:]), np.inf)
+    return _run_blocks(cuts, np.arange(len(u)), _first_kept(*cuts[-2:]), np.inf, tol)
 
 
 def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance, least=1) -> tuple:
@@ -259,7 +249,7 @@ def _first_kept(seen: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.argmax(seen >= seen[:, -1:] - kept[:, None], axis=1)
 
 
-def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops) -> list:
+def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops, tol: Tolerance) -> list:
     """Per shape group, the ``(runs, count, n, n)`` blocks of run i: the spectral projector of
     row ``rows[i]``'s places ``[starts[i], stops[i])`` of `_spectral_cuts`, in each block the
     projector of its eigenvector columns there (`run_projectors`)."""
@@ -269,7 +259,7 @@ def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops) -> list:
         a, b = (np.count_nonzero(places[rows] < np.reshape(x, (-1, 1, 1)), axis=-1).ravel()
                 for x in (starts, stops))
         k = (np.asarray(rows)[:, None] * c + np.arange(c)).ravel()
-        out.append(run_projectors(v.reshape(-1, n, n), k, a, b).reshape(len(rows), c, n, n))
+        out.append(run_projectors(v.reshape(-1, n, n), k, a, b, tol).reshape(len(rows), c, n, n))
     return out
 
 
@@ -307,12 +297,13 @@ def lattice_report(
     (`seeding.uniforms`), and all four are one `_spectral_cuts` call. A proposition ``U (⊕ p_a
     (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per shape
     group, and a block 0 or 1 (a 1 x 1 block always is) is settled by identity (see `_meet`).
-    Every block is checked in one stacked `ensure_projector` before any verdict (NotProjector
-    names the lowest failing trial), and trial 0's propositions once more in M_d, with
-    `contains`. A law holds at a trial when its differences have operator norm, their blocks'
-    largest, at most ``tol.law_tol`` (`norm_at_most`): orthomodularity's ``q - (p ∨ (p⊥ ∧ q))``
-    and the computed ``p⊥ ∧ q`` less the known ``q - p``. `distributive` reports what the
-    sampling saw (a counterexample in M_d).
+    Each block is a `run_projectors` run, the complement of one or a settled copy: the kernel's
+    guard on every eigenbasis it reads covers them all (NumericalError), and trial 0's twelve
+    propositions are checked once more in M_d, with `ensure_projector` and `contains`. A law
+    holds at a trial when its differences have operator norm, their blocks' largest, at most
+    ``tol.law_tol`` (`norm_at_most`): orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` and the computed
+    ``p⊥ ∧ q`` less the known ``q - p``. `distributive` reports what the sampling saw (a
+    counterexample in M_d).
 
     The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
     algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
@@ -334,25 +325,21 @@ def lattice_report(
         kept_p = (kept[t] > 1) * (1 + np.floor(u[t, -1] * (kept[t] - 1)).astype(int))
         # p, then every row's kept run: the pair's q, and the triples
         runs = np.concatenate([_first_kept(seen[t], kept_p), _first_kept(seen, kept)])
-        held, checked = np.ones((3, trials), dtype=bool), []  # per group, trial by trial
-        for b in _run_blocks(cuts, np.concatenate([t, np.arange(4 * trials)]), runs, np.inf):
-            p, q, dp, dq, dr = b.reshape(5, trials, *b.shape[1:])
+        held, spot, triples = np.ones((3, trials), dtype=bool), [], []  # per group
+        for b in _run_blocks(cuts, np.concatenate([t, np.arange(4 * trials)]), runs, np.inf, tol):
+            p, q, dp, dq, dr = staged = b.reshape(5, trials, *b.shape[1:])
             om_differences, (inner, outer) = _orthomodularity(p, q, tol)
             dist_differences, dist_derived = _distributivity(dp, dq, dr, tol)
-            checked.append((np.stack([q, p, inner, outer], axis=1),
-                            np.stack([dp, dq, dr, *dist_derived], axis=1)))
+            # trial 0's propositions, copied, so the derived stacks go with this group
+            spot.append(np.concatenate([x[:1] for x in (*staged, inner, outer, *dist_derived)]))
+            triples.append(staged[2:])
             # p⊥ ∧ q is known: q's run below p's cut, q - p
             held &= norm_at_most(np.stack([inner - (q - p), om_differences, dist_differences]),
                                  tol.law_tol).all(axis=-1)
-        _ensure_projectors([x for om, dist in checked for x in ((t, om), (trials + t, dist))],
-                           lambda i: (f"orthomodular trial {i}" if i < trials
-                                      else f"distributive trial {i - trials}"), tol)
-        _spot_check(alg, _ambient(decomp.frame, [np.concatenate([om[0], dist[0]])
-                                                 for om, dist in checked]), "trial 0", tol)
+        _spot_check(alg, _ambient(decomp.frame, spot), "trial 0", tol)
         failed = np.flatnonzero(~held[2])
         if failed.size:
-            counterexample = tuple(_ambient(decomp.frame, [dist[failed[0], :3]
-                                                           for _, dist in checked]))
+            counterexample = tuple(_ambient(decomp.frame, [x[:, failed[0]] for x in triples]))
         pass_rate = np.count_nonzero(held[0] & held[1]) / trials
 
     factor = len(decomp.sectors) == 1

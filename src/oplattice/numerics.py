@@ -12,14 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotProjector,
-    ValidationError,
-)
+from .errors import DimensionMismatch, NotProjector, NumericalError, ValidationError
 
 
 def is_int(x) -> bool:
@@ -50,7 +47,7 @@ class Tolerance:
     def __post_init__(self):
         for name in ("eq_tol", "rank_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if not (isinstance(value, Real) and 0.0 < value < 1.0):
                 raise ValidationError(f"{name} must lie strictly between 0 and 1, got {value}")
 
     @property
@@ -65,7 +62,10 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 def as_matrix(m, square: bool = True) -> np.ndarray:
     """Coerce ``m`` to a read-only complex matrix, validating shape and finiteness."""
-    a = np.array(m, dtype=complex, order="C")
+    try:
+        a = np.array(m, dtype=complex, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:  # a non-number entry, ragged rows
+        raise ValidationError(f"matrix entries must be complex numbers: {exc}") from exc
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got array of shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -192,7 +192,10 @@ def ensure_projector(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _as_operators(m) -> np.ndarray:
     """`as_matrix` for one square matrix, or its checks on an ``(n, d, d)`` stack."""
-    a = np.asarray(m, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # `as_matrix` names what NumPy cannot convert
+        return as_matrix(m)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         return as_matrix(a)
     return as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), square=False).reshape(a.shape)
@@ -220,10 +223,18 @@ def range_projector(cols: np.ndarray) -> np.ndarray:
     return (p + p.conj().swapaxes(-2, -1)) / 2.0
 
 
-def run_projectors(v: np.ndarray, k, starts, stops) -> np.ndarray:
+def run_projectors(v: np.ndarray, k, starts, stops, tol: Tolerance) -> np.ndarray:
     """``range_projector(v[k[i]][:, starts[i]:stops[i]])`` per run i (the bounds broadcast to k's
-    n): one product per column range, so each run has its slice's bits (a masked one has not)."""
+    n): one product per column range, so each run has its slice's bits (a masked one has not).
+    The one maker of propositions, and their one guard: every basis of the ``(m, d, d)`` stack
+    `v` must be unitary, ``||v* v - 1|| <= eq_tol / 2``, else NumericalError with the worst."""
+    # p = C C* is symmetrised (exactly self-adjoint), and ||p^2 - p|| = max s^2 |s^2 - 1| <= (1 +
+    # e) e, s the singular values of C: e <= eq_tol / 2 keeps p and 1 - p within eq_tol
     d = v.shape[-1]
+    defect = v.conj().swapaxes(-2, -1) @ v - np.eye(d)
+    if not (unitary := norm_at_most(defect, tol.eq_tol / 2)).all():
+        residual = float(operator_norm(defect[~unitary]).max())
+        raise NumericalError(f"eigenbasis not unitary: ||v* v - 1|| = {residual:.3e}", residual)
     ranges = np.asarray(starts) * (d + 1) + stops  # columns [a, b) as a (d + 1) + b
     out = np.zeros((len(k), d, d), dtype=complex)
     for r in set(ranges.tolist()) - {a * (d + 2) for a in range(d + 1)}:  # an empty run is 0
@@ -283,7 +294,7 @@ def _array_text(m) -> list:
     return pieces.tolist()
 
 
-def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True) -> np.ndarray:
+def matrix_from_json(rows, expected_dim: int | None = None) -> np.ndarray:
     """Parse the ``[re, im]``-pair row format back into a complex matrix, checked in bulk."""
     if not isinstance(rows, list) or not rows:
         raise ValidationError("matrix JSON must be a nonempty array of rows")
@@ -303,7 +314,7 @@ def matrix_from_json(rows, expected_dim: int | None = None, square: bool = True)
     if len(set(map(len, rows))) != 1:
         raise ValidationError("matrix JSON rows must all have the same length")
     try:  # float64 pairs viewed as complex128 hold the bits of complex(re, im)
-        a = as_matrix(np.array(rows, dtype=float).view(complex).reshape(len(rows), -1), square)
+        a = as_matrix(np.array(rows, dtype=float).view(complex).reshape(len(rows), -1))
     except OverflowError as exc:
         raise ValidationError(f"matrix entries must lie in the float range: {exc}") from exc
     if expected_dim is not None and a.shape != (expected_dim, expected_dim):

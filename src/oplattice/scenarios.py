@@ -80,6 +80,9 @@ class Scenario:
             raise ValidationError(f'"parameters" must be an object, got {self.parameters!r}')
         object.__setattr__(self, "parameters",
                            _validate_parameters(self.kind, self.dim, self.parameters))
+        for key in ("states", "expectations"):
+            if not isinstance(getattr(self, key), (tuple, list)):
+                raise ValidationError(f'"{key}" must be a tuple, got {getattr(self, key)!r}')
         for st in self.states:
             if not isinstance(st, StateFunctional) or st.dim != self.dim:
                 raise ValidationError(f"a configured state must be a StateFunctional of scenario "

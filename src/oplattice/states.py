@@ -21,8 +21,7 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import (_draw_width, _ensure_projectors, _first_kept, _join, _run_blocks,
-                    _spectral_cuts, _spot_check)
+from .logic import _draw_width, _first_kept, _join, _run_blocks, _spectral_cuts, _spot_check
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
                        norm_at_most, operator_norm, rank_of, require_count)
@@ -140,10 +139,10 @@ def sigma_orthoadditivity_residuals(
 def _orthoadditivity(domain: AlgebraBasis, cases: list, families: tuple, tol: Tolerance) -> list:
     """`sigma_orthoadditivity_residuals` of ``(label, density)`` cases, case i's family the
     i-th of ``families = (sizes, blocks)`` (per group, every member's blocks in order). The
-    members and joins are checked as projectors, the members as orthogonal (``||p_b p_a|| <=
-    eq_tol``, block by block), and case 0's in M_d (`_spot_check`), before the values
-    ``tr(rho p) = sum tr(s p_a)``, s the partial traces; a failure names its case. The joins
-    of n members are one n-ary `_join` (zero padding would change their bits)."""
+    members are checked as orthogonal (``||p_b p_a|| <= eq_tol``, block by block), case 0's in
+    M_d (`_spot_check`), before the values ``tr(rho p) = sum tr(s p_a)``, s the partial traces;
+    a failure names its case. The joins of n members are one n-ary `_join` (zero padding would
+    change their bits); they and drawn members are guarded where made (`run_projectors`)."""
     (sizes, blocks), count, frame = families, len(cases), block_decomposition(domain, tol).frame
     starts, case = np.cumsum(sizes) - sizes, np.repeat(np.arange(count), sizes)  # per member
     joins = [np.zeros((count, *b.shape[1:]), dtype=complex) for b in blocks]
@@ -152,8 +151,6 @@ def _orthoadditivity(domain: AlgebraBasis, cases: list, families: tuple, tol: To
         at = starts[sized][:, None] + np.arange(size)  # (cases, size) member rows
         for j, b in zip(joins, blocks):
             j[sized] = _join(*b[at].swapaxes(0, 1), tol=tol)
-    _ensure_projectors([x for b, j in zip(blocks, joins) for x in ((case, b), (range(count), j))],
-                       lambda i: cases[i][0], tol)
     top = sizes.max(initial=0)
     apart = np.ones((count, top, top), dtype=bool)
     for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per product
@@ -306,7 +303,7 @@ def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance
     edges[:, 1:places] |= (np.arange(1, places) > first[:, None]) & breaks & cut
     family, place = np.nonzero(edges)  # in order: each family's members, then its end
     run = np.flatnonzero(place < places)  # a member's first place; the next edge ends the member
-    blocks = _run_blocks(cuts, family[run], place[run], place[run + 1])
+    blocks = _run_blocks(cuts, family[run], place[run], place[run + 1], tol)
     return np.bincount(family[run], minlength=len(u)), blocks
 
 

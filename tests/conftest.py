@@ -312,7 +312,7 @@ def ambient_families(alg, u, tol=DEFAULT_TOL):
     edges[:, 1:d] |= (np.arange(1, d) > first[:, None]) & breaks & cut
     family, column = np.nonzero(edges)
     run = np.flatnonzero(column < d)
-    members = run_projectors(v, family[run], column[run], column[run + 1])
+    members = run_projectors(v, family[run], column[run], column[run + 1], tol)
     bounds = np.searchsorted(family[run], np.arange(count + 1))
     return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -329,12 +329,12 @@ def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
     u = uniforms(seed, STREAM_ORTHOMODULAR_Q, trials, width)
     v, _, top, kept = ambient_cuts(alg, u, tol, least=2)
     below = top(np.where(kept > 1, 1 + np.floor(u[:, -1] * (kept - 1)).astype(int), 0))
-    q, p, known = (run_projectors(v, t, a, b) for a, b in
+    q, p, known = (run_projectors(v, t, a, b, tol) for a, b in
                    ((top(kept), d), (below, d), (top(kept), below)))
     u = np.concatenate([uniforms(seed, s, trials, width) for s in (
         STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)])
     v, _, top, kept = ambient_cuts(alg, u, tol)
-    dp, dq, dr = run_projectors(v, np.arange(len(v)), top(kept), d).reshape(3, -1, d, d)
+    dp, dq, dr = run_projectors(v, np.arange(len(v)), top(kept), d, tol).reshape(3, -1, d, d)
     om_differences, om_derived = logic_module._orthomodularity(p, q, tol)
     dist_differences, dist_derived = logic_module._distributivity(dp, dq, dr, tol)
     checked = np.concatenate([q, p, *om_derived, dp, dq, dr, *dist_derived])
@@ -509,5 +509,6 @@ INVALID_PROJECTORS = {
     "non_idempotent": (np.diag([0.5, 0.5]).astype(complex), NotProjector),
     "nan": (np.full((2, 2), np.nan, dtype=complex), ValidationError),
     "mismatched": (np.eye(3, dtype=complex), DimensionMismatch),
+    "string_entry": ([[1, 0], [0, "x"]], ValidationError),
 }
 NON_SQUARE = np.zeros((2, 3), dtype=complex)

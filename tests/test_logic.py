@@ -32,7 +32,7 @@ from oplattice import (
     random_projector,
     random_state,
 )
-from oplattice import NotProjector, build_classical, build_sectors, build_weyl_finite
+from oplattice import NumericalError, build_classical, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
 from oplattice.numerics import dumps, null_space, range_projector
@@ -511,63 +511,39 @@ class TestStackedChecks:
             assert np.array_equal(got, want)
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
-        original = logic_module._run_blocks
+        # every proposition is a run of eigenvector columns: the kernel's guard on each basis it
+        # reads catches a skewed one, and no stage checks the blocks it composes again
+        original = logic_module._spectral_cuts
         calls = []
 
         def skewed(*args):
             calls.append(args)
-            blocks = original(*args)
-            blocks[0][3, 0] += 1e-6 * unit(2, 0, 1)  # the orthomodular p runs come first
-            return blocks
+            cuts = original(*args)
+            cuts[0][0][3, 0, :, 0] *= 1 + 1e-6  # one column of trial 3's eigenbasis
+            return cuts
 
-        monkeypatch.setattr(logic_module, "_run_blocks", skewed)
-        with pytest.raises(NotProjector, match="orthomodular trial 3: .*self-adjoint"):
+        monkeypatch.setattr(logic_module, "_spectral_cuts", skewed)
+        with pytest.raises(NumericalError, match="not unitary") as caught:
             lattice_report(full2, trials=5, seed=1)
+        assert caught.value.residual == pytest.approx(2e-6, rel=1e-5)
         assert len(calls) == 1
 
-    def test_labels_are_made_only_for_a_failure(self):
-        stack = np.stack([unit(2, 0, 0), unit(2, 1, 1), 0.5 * np.eye(2, dtype=complex)])
-
-        def never(i):
-            raise AssertionError("a passing stack made a label")
-
-        logic_module._ensure_projectors([(np.arange(2), stack[:2])], never, DEFAULT_TOL)
-        made = []
-        with pytest.raises(NotProjector, match="^trial 2: stack entry 0 not idempotent"):
-            logic_module._ensure_projectors([(np.arange(3), stack)],
-                                            lambda i: made.append(i) or f"trial {i}", DEFAULT_TOL)
-        assert made == [2]
-        # the message names the failing entry's first bad block: in entry 1 block 1 breaks
-        # idempotence only, in entry 2 block 0 self-adjointness only
-        p = unit(2, 0, 0)
-        stack = np.stack([[p, p], [p, 0.5 * np.eye(2, dtype=complex)], [p + unit(2, 0, 1), p]])
-        with pytest.raises(NotProjector, match="^trial 1: stack entry 1 not idempotent"):
-            logic_module._ensure_projectors([(np.arange(3), stack)], lambda i: f"trial {i}",
-                                            DEFAULT_TOL)
-
-    def test_the_lowest_failing_key_of_all_stacks_is_named(self):
-        # each shape group is its own stack: the failure named is the lowest trial of them all
-        p, half = unit(2, 0, 0), 0.5 * np.eye(2, dtype=complex)
-        first = np.stack([p, p, half, p])[:, None]  # fails at key 2
-        second = np.stack([np.eye(1), 0.5 * np.eye(1), np.eye(1)])[:, None]  # fails at key 1
-        with pytest.raises(NotProjector, match="^trial 1: stack entry 0 not idempotent"):
-            logic_module._ensure_projectors([(np.arange(4), first), (np.arange(3), second)],
-                                            lambda i: f"trial {i}", DEFAULT_TOL)
-        with pytest.raises(NotProjector, match="^trial 2: "):
-            logic_module._ensure_projectors([(np.arange(4), first), (np.arange(3) + 3, second)],
-                                            lambda i: f"trial {i}", DEFAULT_TOL)
-
     def test_the_check_survives_optimized_python(self):
-        # under -O an `assert` would vanish; the stacked check must not
+        # under -O an `assert` would vanish; the kernel's guard must not
         code = (
-            "import numpy as np, oplattice as op\n"
+            "import oplattice as op\n"
             "from oplattice import logic\n"
             "alg = op.close(op.build_weyl_finite(2))\n"
-            "logic._meet = lambda p, q, tol: np.broadcast_to(np.diag([0.5, 0.5]), p.shape) + 0j\n"
+            "original = logic._spectral_cuts\n"
+            "def skewed(*args):\n"
+            "    cuts = original(*args)\n"
+            "    cuts[0][0][3, 0, :, 0] *= 1 + 1e-6\n"
+            "    return cuts\n"
+            "logic._spectral_cuts = skewed\n"
             "try:\n"
-            "    op.lattice_report(alg, trials=2, seed=1)\n"
-            "except op.NotProjector as exc:\n"
-            "    print(exc)\n"
+            "    op.lattice_report(alg, trials=5, seed=1)\n"
+            "except op.NumericalError as exc:\n"
+            "    print(exc.residual)\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
         )
@@ -576,7 +552,7 @@ class TestStackedChecks:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "orthomodular trial 0" in done.stdout
+        assert float(done.stdout) == pytest.approx(2e-6, rel=1e-5)
 
 
 def reference_random_projector(alg, u, tol=DEFAULT_TOL):

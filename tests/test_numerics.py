@@ -9,6 +9,7 @@ from oplattice import (
     DEFAULT_TOL,
     DimensionMismatch,
     NotProjector,
+    NumericalError,
     Tolerance,
     ValidationError,
     adjoint,
@@ -187,7 +188,7 @@ class TestRunProjectors:
         k = rng.integers(0, 4, 60)
         starts = rng.integers(0, 7, 60)
         stops = np.minimum(starts + rng.integers(0, 4, 60), 6)
-        out = run_projectors(v, k, starts, stops)
+        out = run_projectors(v, k, starts, stops, DEFAULT_TOL)
         assert out.shape == (60, 6, 6) and out.dtype == complex
         assert 0 < np.count_nonzero(starts == stops) < 60
         for p, i, a, b in zip(out, k, starts, stops):
@@ -196,9 +197,28 @@ class TestRunProjectors:
 
     def test_scalar_bounds_broadcast_and_no_runs_give_an_empty_stack(self):
         v = np.linalg.qr(random_matrix(np.random.default_rng(6), 5))[0][None]
-        assert np.array_equal(run_projectors(v, np.array([0, 0]), [1, 5], 5),
+        assert np.array_equal(run_projectors(v, np.array([0, 0]), [1, 5], 5, DEFAULT_TOL),
                               np.stack([range_projector(v[0][:, 1:]), np.zeros((5, 5))]))
-        assert run_projectors(v, np.array([], dtype=int), [], []).shape == (0, 5, 5)
+        assert run_projectors(v, np.array([], dtype=int), [], [], DEFAULT_TOL).shape == (0, 5, 5)
+
+    def test_a_basis_off_unitary_is_a_numerical_error_with_its_defect(self):
+        # the one guard of every proposition: ||v* v - 1|| <= eq_tol / 2 for each basis read,
+        # whether or not a run reads it; an empty k still checks the stack
+        v = np.stack([np.eye(3, dtype=complex), 1.001 * np.eye(3, dtype=complex)])
+        for k in (np.array([0, 1]), np.array([0]), np.array([], dtype=int)):
+            with pytest.raises(NumericalError, match="not unitary") as caught:
+                run_projectors(v, k, [0] * len(k), 2, DEFAULT_TOL)
+            assert caught.value.residual == pytest.approx(1.001**2 - 1, rel=1e-9)
+
+    def test_an_eigh_basis_passes_and_the_bound_is_half_eq_tol(self):
+        rng = np.random.default_rng(7)
+        h = random_matrix(rng, 8)
+        v = np.linalg.eigh(h + h.conj().T)[1][None]
+        assert run_projectors(v, np.array([0]), [0], 3, DEFAULT_TOL).shape == (1, 8, 8)
+        off = v * np.sqrt(1 + np.array([0.45, 0.55])[:, None, None, None] * DEFAULT_TOL.eq_tol)
+        run_projectors(off[:1], np.array([0]), [0], 3, DEFAULT_TOL)  # 0.45 eq_tol: passes
+        with pytest.raises(NumericalError):
+            run_projectors(off[1:], np.array([0]), [0], 3, DEFAULT_TOL)  # 0.55 eq_tol
 
 
 class TestNormAtMost:

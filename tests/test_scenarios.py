@@ -118,6 +118,8 @@ NOT_COUNTS = {
     "trials-bool": lambda: lattice_report(close(build_weyl_finite(2)), True, 1),
     "negative-seed": lambda: random_projector(close(build_weyl_finite(2)), -1),
     "tolerance": lambda: Tolerance(eq_tol=2),
+    "string-tolerance": lambda: Tolerance(eq_tol="a"),
+    "no-tolerance": lambda: Tolerance(rank_tol=None),
     "fractional-blocks": lambda: build_sectors([[2.7, 1], [1.9, 1]]),
     "block-not-a-pair": lambda: build_sectors([[2]]),
     "no-blocks": lambda: build_sectors(None),
@@ -138,7 +140,9 @@ def test_every_rejected_count_is_a_package_error(name):
 class TestScenarioValidation:
     @pytest.mark.parametrize("change", [
         {"parameters": [1]}, {"parameters": None}, {"states": (1,)}, {"expectations": ("a",)},
-    ], ids=["parameters-list", "parameters-none", "state-not-a-state", "not-an-expectation"])
+        {"states": None}, {"expectations": 5},
+    ], ids=["parameters-list", "parameters-none", "state-not-a-state", "not-an-expectation",
+            "states-none", "expectations-not-a-tuple"])
     def test_fields_of_the_wrong_type(self, change):
         fields = {"name": "bad", "kind": "classical", "dim": 1, "parameters": {"point_count": 1}}
         with pytest.raises(ValidationError):
@@ -960,6 +964,20 @@ class TestBlockFormOracle:
 
 class TestTrialStagesMemory:
     """At d = 32 the trial stages hold sector blocks: Σ n² entries a proposition, not d²."""
+
+    def test_the_lattice_stage_on_weyl_32_at_200_trials_stays_under_168_mib(self):
+        # a weyl factor is one n = d block: the stage keeps no copy of its blocks but trial 0's
+        scenario = Scenario(name="m", kind="weyl_finite", dim=32, parameters={"modulus": 32})
+        alg = generated_algebra(scenarios_module.build_generators(scenario))
+        block_decomposition(alg).frame  # built once, outside the stage
+        tracemalloc.start()
+        try:
+            report = lattice_report(alg, 200, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 200
+        assert peak < 168 * 2**20
 
     @pytest.mark.parametrize("kind, parameters", [
         ("classical", {"point_count": 32}),

@@ -16,8 +16,8 @@ from oplattice import (
     NotNormalized,
     NotOrthogonalFamily,
     NotPositive,
-    NotProjector,
     Tolerance,
+    ValidationError,
     baire_envelope,
     block_decomposition,
     build_classical,
@@ -111,6 +111,12 @@ class TestMakeState:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             make_state(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("rho", [[[1, 0], [0, "x"]], [[1, 0], [0]], {"a": 1}],
+                             ids=["string-entry", "ragged", "dict"])
+    def test_entries_numpy_cannot_convert_are_a_validation_error(self, rho):
+        with pytest.raises(ValidationError, match="^matrix entries must be complex numbers"):
+            make_state(rho)
 
 
 class TestEvaluate:
@@ -375,11 +381,11 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("second, error, message", [
         ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], NotOrthogonalFamily,
          "^b: members 0 and 2 are not orthogonal"),
-        ([unit(3, 1, 1), 0.5 * np.eye(3, dtype=complex)], NotProjector, "^b: stack entry 0 "),
-    ], ids=["non-orthogonal", "non-projector"])
+    ], ids=["non-orthogonal"])
     def test_a_failure_names_its_own_case(self, diag3, second, error, message):
-        # case a passes; the stacked checks must name case b and its own member indices (a
-        # projector outside the algebra has no blocks: the public entry point refuses it)
+        # case a passes; the stacked check must name case b and its own member indices (a
+        # non-projector or a projector outside the algebra has no blocks: the public entry
+        # point refuses it, and a drawn member is guarded by the kernel that makes it)
         cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1)]), ("b", np.eye(3) / 3, second)]
         with pytest.raises(error, match=message):
             states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
@@ -431,27 +437,20 @@ class TestStackedFamilies:
 
     def test_one_check_of_members_and_joins_and_one_join_per_family_size(self, two_blocks,
                                                                          monkeypatch):
-        # a complement 1 - p has the defects of p and a value fixed by tr rho: only the members
-        # and each family's join are checked, once, in one stack per shape group each
+        # the members and joins are runs of the guarded kernel, checked nowhere else; the joins
+        # of a family size are one n-ary join per shape group
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40)
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        checked, join_sizes = [], []
-        ensure, join_ = states_module._ensure_projectors, states_module._join
-
-        def ensure_counted(keyed, label_of, tol):
-            checked.append([len(keys) for keys, _ in keyed])
-            return ensure(keyed, label_of, tol)
+        join_sizes, join_ = [], states_module._join
 
         def join_counted(*ps, tol):
             join_sizes.append(len(ps))
             return join_(*ps, tol=tol)
 
-        monkeypatch.setattr(states_module, "_ensure_projectors", ensure_counted)
         monkeypatch.setattr(states_module, "_join", join_counted)
         states_module._orthoadditivity(env, *in_blocks(env, cases), DEFAULT_TOL)
         groups = len(block_decomposition(env).frame.groups)
-        assert checked == [[sum(map(len, families)), len(families)] * groups]
         assert sorted(join_sizes) == sorted(list({len(f) for f in families} - {0}) * groups)
 
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
