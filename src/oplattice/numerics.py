@@ -85,10 +85,18 @@ def adjoint(m) -> np.ndarray:
 
 def operator_norm(m):
     """Spectral norm (largest singular value); per matrix of an ``(n, d, d)`` stack."""
-    a = np.atleast_2d(np.asarray(m, dtype=complex))
+    try:
+        a = np.atleast_2d(np.asarray(m, dtype=complex))
+    except (TypeError, ValueError, OverflowError):  # `as_matrix` names what NumPy cannot convert
+        a = as_matrix(m, square=False)
     if a.ndim == 2 and a.size == 0:
         return 0.0
-    norms = np.linalg.svd(a, compute_uv=False)[..., 0]  # as norm(ord=2), without its overhead
+    try:
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]  # as norm(ord=2), without its overhead
+    except np.linalg.LinAlgError:  # NaN entries (NumPy reads None as NaN) are the input's fault
+        if np.isfinite(a).all():
+            raise
+        raise ValidationError("matrix entries must be finite (no NaN or Inf)") from None
     return float(norms) if a.ndim == 2 else norms
 
 
@@ -111,7 +119,10 @@ def norm_at_most(m, bound):
 
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
+    try:
+        return float(np.linalg.norm(a))
+    except (TypeError, ValueError, OverflowError):  # `as_matrix` names what NumPy cannot read
+        return float(np.linalg.norm(as_matrix(a, square=False)))
 
 
 def hs_unit(g: np.ndarray) -> tuple[np.ndarray, float]:

@@ -465,7 +465,8 @@ def reference_lattice_report(alg, trials, seed):
     """`lattice_report`'s sampling, rebuilt from one-row reference draws (trial i: row i of
     each stage's stream) and the public validated one-pair calls, which settle no bound by
     identity: distributivity's residual is composed from `meet` and `join`
-    (`distributivity_residual` runs the stacked kernel)."""
+    (`distributivity_residual` runs the stacked kernel). Returns the pass rate, the first
+    counterexample and its trial (None, None when every triple distributes)."""
     width = logic_module._draw_width(alg)
 
     def draw(stream, i):
@@ -477,14 +478,13 @@ def reference_lattice_report(alg, trials, seed):
         q, p, known = reference_nested_pair(alg, u)
         om.append(orthomodularity_residual(p, q) <= DEFAULT_TOL.law_tol
                   and operator_norm(meet(orthocomplement(p), q) - known) <= DEFAULT_TOL.law_tol)
-    counterexample = None
     for i in range(trials):
         p, q, r = (draw(stream, i) for stream in
                    (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
         residual = operator_norm(meet(p, join(q, r)) - join(meet(p, q), meet(p, r)))
-        if residual > DEFAULT_TOL.law_tol and counterexample is None:
-            counterexample = (p, q, r)
-    return sum(om) / trials, counterexample
+        if residual > DEFAULT_TOL.law_tol:
+            return sum(om) / trials, (p, q, r), i
+    return sum(om) / trials, None, None
 
 
 class TestStackedChecks:
@@ -492,7 +492,7 @@ class TestStackedChecks:
     def test_report_equals_the_validated_reference(self, name, request):
         alg = request.getfixturevalue(name)
         report = lattice_report(alg, trials=40, seed=3)
-        pass_rate, counterexample = reference_lattice_report(alg, trials=40, seed=3)
+        pass_rate, counterexample, _ = reference_lattice_report(alg, trials=40, seed=3)
         assert report.orthomodular_pass_rate == pass_rate
         assert report.distributive == (counterexample is None)
         assert (report.counterexample is None) == (counterexample is None)
@@ -504,11 +504,46 @@ class TestStackedChecks:
         # at d 3-4 most stacked meets have an operand 0 or 1 and are settled by identity
         alg = kernel_algebra(name)
         report = lattice_report(alg, trials=100, seed=5)
-        pass_rate, counterexample = reference_lattice_report(alg, trials=100, seed=5)
+        pass_rate, counterexample, _ = reference_lattice_report(alg, trials=100, seed=5)
         assert report.orthomodular_pass_rate == pass_rate
         assert (report.counterexample is None) == (counterexample is None)
         for got, want in zip(report.counterexample or (), counterexample or ()):
             assert np.array_equal(got, want)
+
+    def test_both_triple_chunks_equal_the_reference(self):
+        # the triples after the first chunk are drawn only if the first chunk all holds; six
+        # points beside an M_2 fail first at trial 8 at these seeds, and classical 4 never fails
+        sectors = close(build_sectors([(1, 1)] * 6 + [(2, 1)]))
+        firsts = []
+        for alg, seed in ((sectors, 3), (sectors, 14), (kernel_algebra("classical-4"), 3)):
+            report = lattice_report(alg, trials=40, seed=seed)
+            pass_rate, counterexample, first = reference_lattice_report(alg, trials=40, seed=seed)
+            assert report.orthomodular_pass_rate == pass_rate
+            assert (report.counterexample is None) == (counterexample is None)
+            for got, want in zip(report.counterexample or (), counterexample or ()):
+                assert np.array_equal(got, want)
+            firsts.append(first)
+        assert firsts[-1] is None  # every triple scanned
+        assert any(first is not None and first >= logic_module._FIRST_TRIPLES
+                   for first in firsts)  # a counterexample in the second chunk
+
+    @pytest.mark.parametrize("build, trials, rows", [
+        (lambda: build_weyl_finite(3), 100, [100 + 3 * 8]),  # fails in the first chunk
+        (lambda: build_classical(4), 100, [100 + 3 * 8, 3 * 92]),  # never fails
+        (lambda: build_classical(4), 8, [8 + 3 * 8]),
+        (lambda: build_classical(4), 5, [5 + 3 * 5]),
+    ])
+    def test_triples_after_a_first_chunk_counterexample_are_never_drawn(
+            self, build, trials, rows, monkeypatch):
+        original, drawn = logic_module._spectral_cuts, []
+
+        def counted(alg, u, *args):
+            drawn.append(len(u))
+            return original(alg, u, *args)
+
+        monkeypatch.setattr(logic_module, "_spectral_cuts", counted)
+        lattice_report(close(build()), trials=trials, seed=1)
+        assert drawn == rows
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
         # every proposition is a run of eigenvector columns: the kernel's guard on each basis it
@@ -675,28 +710,26 @@ class TestProperDraws:
 
     @pytest.mark.parametrize("name", LATTICE_INPUTS)
     def test_no_distributivity_triple_has_a_bound_operand(self, name, monkeypatch):
+        # all 200 triples, drawn by `lattice_report`'s helper (the report stops at a failure)
         alg = close(LATTICE_INPUTS[name]())
-        clusters, triples = [], []
-        cuts, distributivity = logic_module._spectral_cuts, logic_module._distributivity
+        clusters, cuts = [], logic_module._spectral_cuts
 
         def cuts_counted(*args):
             drawn = cuts(*args)
             clusters.append(1 + drawn[3].sum(axis=1))  # the breaks of the merged spectrum
             return drawn
 
-        def distributivity_recorded(p, q, r, tol):
-            triples.append(np.stack([p, q, r]))
-            return distributivity(p, q, r, tol)
-
         monkeypatch.setattr(logic_module, "_spectral_cuts", cuts_counted)
-        monkeypatch.setattr(logic_module, "_distributivity", distributivity_recorded)
-        lattice_report(alg, trials=200, seed=1)
-        (count,) = clusters  # one draw of all four stages, one triple stack per shape group
+        width = logic_module._draw_width(alg) + 1
+        streams = [uniforms(1, s, 200, width) for s in
+                   (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
+        drawn = logic_module._lattice_draws(alg, streams[0][:0], streams, DEFAULT_TOL)
+        (count,) = clusters  # one draw of the three stages, one triple stack per shape group
         groups = block_decomposition(alg).frame.groups
-        assert len(triples) == len(groups)
+        assert len(drawn) == len(groups)
         d = alg.ambient_dim
-        ranks = block_ranks(groups, triples)  # (3, trials)
-        several = count.reshape(4, 200)[1:] >= 2  # the p, q and r draws
+        ranks = block_ranks(groups, [triples for _, triples in drawn])  # (3, trials)
+        several = count.reshape(3, 200) >= 2  # the p, q and r draws
         assert several.all()  # no input here draws an element of one cluster
         assert ((ranks > 0) & (ranks < d))[several].all()
 

@@ -15,6 +15,7 @@ from oplattice import (
     adjoint,
     as_matrix,
     ensure_projector,
+    hs_norm,
     is_projector,
     matrix_from_json,
     matrix_to_json,
@@ -116,6 +117,34 @@ class TestOperatorNorm:
             a = random_matrix(rng, 4)
             b = random_matrix(rng, 4)
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+
+class TestExportedNormsValidate:
+    """`operator_norm` and `hs_norm` raise `ValidationError` for what NumPy cannot read as
+    complex numbers, and take 2-D matrices of any shape and stacks as before."""
+
+    @pytest.mark.parametrize("bad", [[[1, "x"]], [[1, 2], [3]], [[[1, 0], [0, 1]], [[1, 0]]]],
+                             ids=["string", "ragged", "ragged-stack"])
+    @pytest.mark.parametrize("norm", [operator_norm, hs_norm])
+    def test_unreadable_entries(self, norm, bad):
+        with pytest.raises(ValidationError, match="complex numbers"):
+            norm(bad)
+
+    @pytest.mark.parametrize("bad", [None, [[np.nan]], np.full((3, 2, 2), np.nan)],
+                             ids=["none", "nan", "nan-stack"])
+    def test_operator_norm_of_nan_entries(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            operator_norm(bad)
+
+    def test_shapes_still_taken(self):
+        rect = np.ones((2, 3))
+        assert operator_norm(rect) == pytest.approx(np.sqrt(6))
+        assert hs_norm(rect) == pytest.approx(np.sqrt(6))
+        stack = np.stack([np.eye(2), 2 * np.eye(2)])
+        assert np.allclose(operator_norm(stack), [1, 2])
+        assert hs_norm(stack) == pytest.approx(np.sqrt(10))
+        assert operator_norm([[3, 4j]]) == pytest.approx(5.0)
+        assert operator_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestRankAndNullSpace:

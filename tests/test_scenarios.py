@@ -664,8 +664,9 @@ class TestOneFamilyPass:
 
 class TestCallBudget:
     """One run makes no decomposition (the generated algebra carries its sectors), one family
-    draw, one orthoadditivity check and one lattice draw (one spectral draw each), and one
-    bulk draw of uniforms per stage whatever the trials."""
+    draw, one orthoadditivity check and one lattice draw (one spectral draw each: both inputs
+    fail distributivity among the first triples, so the rest are never drawn), and one bulk
+    draw of uniforms per stage whatever the trials."""
 
     @staticmethod
     def counted(monkeypatch, module, name) -> list:
@@ -698,7 +699,7 @@ class TestCallBudget:
                     (scenarios_module, "_orthoadditivity"),
                     (states_module, "_orthoadditivity"),
                     (logic_module, "_run_blocks"),  # the lattice's propositions, at once
-                    (logic_module, "_spectral_cuts"),  # the lattice's draws, at once
+                    (logic_module, "_spectral_cuts"),  # the pairs with the first triples
                     (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
                 drawn = [self.counted(m, module, "uniforms")
