@@ -96,7 +96,9 @@ def operator_norm(m):
     except np.linalg.LinAlgError:  # NaN entries (NumPy reads None as NaN) are the input's fault
         if np.isfinite(a).all():
             raise
-        raise ValidationError("matrix entries must be finite (no NaN or Inf)") from None
+        norms = np.nan
+    if not np.isfinite(norms).all() and not np.isfinite(a).all():  # a finite input may overflow
+        raise ValidationError("matrix entries must be finite (no NaN or Inf)")
     return float(norms) if a.ndim == 2 else norms
 
 
@@ -120,9 +122,12 @@ def norm_at_most(m, bound):
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     try:
-        return float(np.linalg.norm(a))
+        s = float(np.linalg.norm(a))
     except (TypeError, ValueError, OverflowError):  # `as_matrix` names what NumPy cannot read
         return float(np.linalg.norm(as_matrix(a, square=False)))
+    if np.isfinite(s) or np.isfinite(np.asarray(a, dtype=complex)).all():  # it may overflow
+        return s
+    raise ValidationError("matrix entries must be finite (no NaN or Inf)")
 
 
 def hs_unit(g: np.ndarray) -> tuple[np.ndarray, float]:

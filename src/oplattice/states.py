@@ -130,37 +130,27 @@ def sigma_orthoadditivity_residuals(
         raise DimensionMismatch(f"family members must be in M_{d}")
     stack = np.array(members, dtype=complex).reshape(-1, d, d)
     _spot_check(ls.domain, stack, "family", tol)
+    for a in range(len(stack) - 1):  # pairs (a, b > a) in itertools.combinations' order
+        if not (apart := norm_at_most(stack[a + 1:] @ stack[a], tol.eq_tol)).all():
+            raise NotOrthogonalFamily(f"family: members {a} and {a + 1 + np.argmin(apart)} are "
+                                      "not orthogonal")
     frame = block_decomposition(ls.domain, tol).frame  # in the algebra: a member is its blocks
     blocks = [t / m for (_, m, _, _), t in zip(frame.groups, _partial_traces(frame, stack))]
+    joins = [_join(*x[:, None], tol=tol) if len(x) else np.zeros((1, *x.shape[1:]), complex)
+             for x in blocks]  # one n-ary join per shape group
     return _orthoadditivity(ls.domain, [("family", ls.underlying.density)],
-                            (np.array([len(stack)]), blocks), tol)[0]
+                            (np.array([len(stack)]), blocks, joins), tol)[0]
 
 
 def _orthoadditivity(domain: AlgebraBasis, cases: list, families: tuple, tol: Tolerance) -> list:
     """`sigma_orthoadditivity_residuals` of ``(label, density)`` cases, case i's family the
-    i-th of ``families = (sizes, blocks)`` (per group, every member's blocks in order). The
-    members are checked as orthogonal (``||p_b p_a|| <= eq_tol``, block by block), case 0's in
-    M_d (`_spot_check`), before the values ``tr(rho p) = sum tr(s p_a)``, s the partial traces;
-    a failure names its case. The joins of n members are one n-ary `_join` (zero padding would
-    change their bits); they and drawn members are guarded where made (`run_projectors`)."""
-    (sizes, blocks), count, frame = families, len(cases), block_decomposition(domain, tol).frame
-    starts, case = np.cumsum(sizes) - sizes, np.repeat(np.arange(count), sizes)  # per member
-    joins = [np.zeros((count, *b.shape[1:]), dtype=complex) for b in blocks]
-    for size in set(sizes.tolist()) - {0}:
-        sized = sizes == size
-        at = starts[sized][:, None] + np.arange(size)  # (cases, size) member rows
-        for j, b in zip(joins, blocks):
-            j[sized] = _join(*b[at].swapaxes(0, 1), tol=tol)
-    top = sizes.max(initial=0)
-    apart = np.ones((count, top, top), dtype=bool)
-    for a in range(top - 1):  # pairs (a, b > a) of every case: one lower index a per product
-        c, b = np.nonzero((np.arange(top) > a) & (np.arange(top) < sizes[:, None]))
-        for x in blocks:
-            apart[c, a, b] &= norm_at_most(x[starts[c] + b] @ x[starts[c] + a],
-                                           tol.eq_tol).all(axis=-1)
-    if not apart.all():  # the first failure in case, then itertools.combinations' order
-        c, a, b = np.argwhere(~apart)[0].tolist()
-        raise NotOrthogonalFamily(f"{cases[c][0]}: members {a} and {b} are not orthogonal")
+    i-th of ``families = (sizes, blocks, joins)`` (per group, every member's blocks in order,
+    and each family's join). Case 0's members and join are checked in M_d (`_spot_check`, a
+    failure naming its case) before the values ``tr(rho p) = sum tr(s p_a)``, s the partial
+    traces. Members come orthogonal: a public family is checked, a drawn one's are runs of one
+    guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol``."""
+    (sizes, blocks, joins), count = families, len(cases)
+    frame, case = block_decomposition(domain, tol).frame, np.repeat(np.arange(count), sizes)
     _spot_check(domain, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
                                          for b, j in zip(blocks, joins)]), cases[0][0], tol)
     densities = np.stack([density for _, density in cases])
@@ -279,7 +269,7 @@ def random_orthogonal_family(
     (`seeding.uniforms`), drawn in blocks by `_random_orthogonal_families`.
     """
     require_count("seed", seed)
-    (size,), blocks = _random_orthogonal_families(
+    (size,), blocks, _ = _random_orthogonal_families(
         alg, uniforms(seed, STREAM_FAMILY, 1, _family_width(alg)), tol)
     return list(_ambient(block_decomposition(alg, tol).frame, blocks)) if size else []
 
@@ -291,9 +281,10 @@ def _family_width(alg: AlgebraBasis) -> int:
 
 def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
     """`random_orthogonal_family` on each row of the uniforms `u` (`_family_width` columns): the
-    member counts and per shape group every member's blocks. A gap of the base's merged
-    spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies below, less
-    one); each member is its run of places (`_run_blocks`)."""
+    member counts, and per shape group every member's blocks and each row's join. A gap of the
+    base's merged spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies
+    below, less one); each member is its run of places, and the join of the members is the
+    base, the run ``[first kept place, end)``: all runs of one `_run_blocks` call."""
     _, _, copies, breaks, seen, kept = cuts = _spectral_cuts(alg, u, tol)
     first = _first_kept(seen, kept)
     places, gaps = breaks.shape[1] + 1, np.cumsum(copies[:, :-1], axis=1) - 1
@@ -303,8 +294,11 @@ def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance
     edges[:, 1:places] |= (np.arange(1, places) > first[:, None]) & breaks & cut
     family, place = np.nonzero(edges)  # in order: each family's members, then its end
     run = np.flatnonzero(place < places)  # a member's first place; the next edge ends the member
-    blocks = _run_blocks(cuts, family[run], place[run], place[run + 1], tol)
-    return np.bincount(family[run], minlength=len(u)), blocks
+    n = len(run)  # the members' runs, then each row's base [first, end): their join
+    blocks = _run_blocks(cuts, np.r_[family[run], :len(u)], np.r_[place[run], first],
+                         np.r_[place[run + 1], [places] * len(u)], tol)
+    return (np.bincount(family[run], minlength=len(u)), [b[:n] for b in blocks],
+            [b[n:] for b in blocks])
 
 
 def state_to_json(state: StateFunctional) -> dict:

@@ -17,8 +17,11 @@ from oplattice import (
     close,
     contains,
     hs_norm,
+    join,
+    meet,
     null_space,
     operator_norm,
+    orthocomplement,
     rank_of,
     shift_matrix,
 )
@@ -366,7 +369,7 @@ def ambient_orthoadditivity_checks(alg, scenario, tol=DEFAULT_TOL):
     results = []
     for rho, family in zip(densities, families):
         one = np.eye(d)
-        join = logic_module._join(*family, tol=tol) if family else np.zeros((d, d))
+        joined = logic_module._join(*family, tol=tol) if family else np.zeros((d, d))
         for a, p in enumerate(family):
             ensure_projector(p)
             assert contains(alg, p)
@@ -374,7 +377,7 @@ def ambient_orthoadditivity_checks(alg, scenario, tol=DEFAULT_TOL):
         value = [np.trace(rho @ p).real for p in family]
         complement = [abs(np.trace(rho @ (one - p)).real - (1.0 - x))
                       for p, x in zip(family, value)]
-        results.append((abs(np.trace(rho @ join).real - sum(value)), max([0.0] + complement)))
+        results.append((abs(np.trace(rho @ joined).real - sum(value)), max([0.0] + complement)))
     passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
     residuals = [max(r) for r in results[checks:]]
     return [all(passed[i:i + 10]) for i in range(0, checks, 10)], {
@@ -399,15 +402,23 @@ def drawn_projectors(alg, u, tol=DEFAULT_TOL):
     return sectors_module._ambient(frame, logic_module._random_projectors(alg, u, tol))
 
 
-def drawn_families(alg, u, tol=DEFAULT_TOL):
+def drawn_families(alg, u, tol=DEFAULT_TOL, with_joins=False):
     """The package's stacked family draw on the rows of the uniforms `u`
     (`states._random_orthogonal_families`, in the sector frame), each family's members mapped
-    to M_d, as `random_orthogonal_family` maps its one row."""
-    sizes, blocks = states_module._random_orthogonal_families(alg, u, tol)
+    to M_d, as `random_orthogonal_family` maps its one row; `with_joins` also returns each
+    family's drawn join (its base) in M_d."""
+    sizes, blocks, joins = states_module._random_orthogonal_families(alg, u, tol)
     frame = sectors_module.block_decomposition(alg, tol).frame
     members = list(sectors_module._ambient(frame, blocks)) if sizes.any() else []
     bounds = np.cumsum([0, *sizes])
-    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    families = [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return (families, sectors_module._ambient(frame, joins)) if with_joins else families
+
+
+def reference_orthomodularity_residual(p, q, tol=DEFAULT_TOL):
+    """``||q - (p ∨ (p⊥ ∧ q))||`` with the join solved by the public `join`, as
+    `orthomodularity_residual` computed it before reading that join as a sum: an oracle."""
+    return operator_norm(q - join(p, meet(orthocomplement(p), q, tol), tol))
 
 
 def rational_clock_shift(d, p):

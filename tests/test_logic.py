@@ -57,6 +57,7 @@ from tests.conftest import (
     line_projector,
     meet_iterative,
     reference_clusters,
+    reference_orthomodularity_residual,
     reference_random_state,
     reference_run,
     reference_spectrum,
@@ -241,6 +242,19 @@ class TestOrthomodularLaw:
             r = random_projector(full4, 20_000 + i)
             p = meet(r, q)
             assert orthomodularity_residual(p, q) <= 1e-7
+
+    def test_the_summed_join_agrees_with_the_solved_join(self, full4):
+        # p ∨ (p⊥ ∧ q) is read as the sum p + (p⊥ ∧ q): the residual keeps the value of the
+        # join solved by `join`, and every verdict, on the pairs above and the fixed ones
+        pairs = [(np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])),
+                 (line_projector(0.9), line_projector(0.9))]
+        for i in range(500):
+            q = random_projector(full4, 10_000 + i)
+            pairs.append((meet(random_projector(full4, 20_000 + i), q), q))
+        for p, q in pairs:
+            want = reference_orthomodularity_residual(p, q)
+            assert abs(orthomodularity_residual(p, q) - want) <= 1e-12
+            assert check_orthomodular(p, q) is (want <= DEFAULT_TOL.law_tol) is True
 
 
 class TestDistributivity:

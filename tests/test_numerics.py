@@ -136,6 +136,23 @@ class TestExportedNormsValidate:
         with pytest.raises(ValidationError, match="finite"):
             operator_norm(bad)
 
+    @pytest.mark.parametrize("bad", [
+        [[np.inf, 0], [0, 1]], [[np.nan]], [[np.inf]], [[1, -np.inf]], [[complex(0, np.inf)]],
+        np.stack([np.eye(2), np.full((2, 2), np.inf)]),
+    ], ids=["inf-diagonal", "nan", "inf", "minus-inf-row", "imaginary-inf", "inf-stack"])
+    @pytest.mark.parametrize("norm", [operator_norm, hs_norm])
+    def test_non_finite_entries(self, norm, bad):
+        # a norm that comes out NaN or Inf sends the input to the finiteness check
+        with pytest.raises(ValidationError, match="finite"):
+            norm(bad)
+
+    def test_a_finite_input_may_overflow(self):
+        # only the entries are checked: a finite matrix whose norm exceeds the floats is inf
+        big = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            assert hs_norm(big) == np.inf
+        assert operator_norm(big) == np.inf
+
     def test_shapes_still_taken(self):
         rect = np.ones((2, 3))
         assert operator_norm(rect) == pytest.approx(np.sqrt(6))

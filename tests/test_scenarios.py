@@ -486,16 +486,19 @@ class TestGeneratedAlgebraChecks:
 
 class TestOrthoadditivitySweepChecks:
     """The sweep checks its families in one stack of sector blocks per shape group; each check
-    must still fire: a non-projector or non-orthogonal block in the stage, a projector outside
-    the envelope where case 0's propositions are mapped back to M_d."""
+    must still fire: a non-projector member where case 0's propositions are mapped back to M_d,
+    a projector outside the envelope there, members that do not add up to their join. A
+    non-orthogonal family can only enter from outside, where the public call refuses it."""
 
     def run_with_family(self, monkeypatch, family):
-        def drawn(alg, u, tol):  # `family` in every row, as its sector blocks
+        def drawn(alg, u, tol):  # `family` in every row with its sum as the join, as blocks
             frame = block_decomposition(alg).frame
             members = np.array(family * len(u), dtype=complex)
-            return np.full(len(u), len(family)), [
-                t / m for (_, m, _, _), t in zip(frame.groups,
-                                                 sectors_module._partial_traces(frame, members))]
+            joins = np.array([sum(family)] * len(u), dtype=complex)
+            return np.full(len(u), len(family)), *(
+                [t / m for (_, m, _, _), t in zip(frame.groups,
+                                                  sectors_module._partial_traces(frame, x))]
+                for x in (members, joins))
 
         monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", drawn)
         return run_scenario(Scenario(name="s", kind="classical", dim=2,
@@ -512,9 +515,35 @@ class TestOrthoadditivitySweepChecks:
         with pytest.raises(NotInAlgebra, match="orthoadditivity trial 0"):
             self.run_with_family(monkeypatch, [unit(2, 0, 0)])
 
-    def test_non_orthogonal_pair(self, monkeypatch):
-        with pytest.raises(NotOrthogonalFamily, match="trial 0: members 0 and 1"):
-            self.run_with_family(monkeypatch, [unit(2, 0, 0), unit(2, 0, 0)])
+    def test_non_orthogonal_pair(self):
+        # the sweep's drawn members are runs of one guarded eigenbasis; a family from outside
+        # is checked where it enters
+        alg = generated_algebra(scenarios_module.build_classical(2))
+        ls = restrict_logical(random_state(2, seed=1), alg)
+        for entry in (sigma_orthoadditivity_residuals, states_module.check_sigma_orthoadditive):
+            with pytest.raises(NotOrthogonalFamily, match="^family: members 0 and 1"):
+                entry(ls, [unit(2, 0, 0), unit(2, 0, 0)])
+
+    @pytest.mark.parametrize("kind, dim, parameters", [
+        ("weyl_finite", 3, {"modulus": 3}),
+        ("sectors", 4, {"blocks": [[2, 1], [1, 2]]}),
+    ])
+    def test_members_that_do_not_tile_their_join_fail(self, monkeypatch, kind, dim, parameters):
+        # each drawn family loses its first member after the draw, its join still the base:
+        # the sweep must see the value that went missing
+        draw = scenarios_module._random_orthogonal_families
+
+        def first_member_lost(alg, u, tol):
+            sizes, blocks, joins = draw(alg, u, tol)
+            first = (np.cumsum(sizes) - sizes)[sizes > 0]
+            for b in blocks:
+                b[first] = 0
+            return sizes, blocks, joins
+
+        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", first_member_lost)
+        got = run_scenario(Scenario(name="s", kind=kind, dim=dim, parameters=parameters,
+                                    trials=20, seed=3)).orthoadditivity
+        assert got["failures"] > 0 and got["max_residual"] > DEFAULT_TOL.law_tol
 
     def test_genuine_family_passes(self, monkeypatch):
         report = self.run_with_family(monkeypatch, [unit(2, 0, 0), unit(2, 1, 1)])

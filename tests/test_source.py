@@ -325,23 +325,41 @@ def test_one_kernel_turns_eigenvector_columns_into_a_proposition():
                                      if isinstance(node, ast.Name)}
 
 
-def test_no_trial_stage_validates_a_proposition_itself():
-    # a proposition is a run of `numerics.run_projectors`, which guards each eigenbasis it reads:
-    # the trial stages call no projector check, and in `logic` only the boundary (`_projectors`,
-    # `orthocomplement`) and the ambient spot check do
-    checks = {"ensure_projector", "is_projector"}
+def _calls_by_function() -> dict:
+    """Per source file, per top-level function, the set of what it calls (unparsed)."""
     callers = {}
     for path in SOURCES:
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(top, ast.FunctionDef):
                 callers.setdefault(path.name, {})[top.name] = {
                     ast.unparse(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+    return callers
+
+
+def test_no_trial_stage_validates_a_proposition_itself():
+    # a proposition is a run of `numerics.run_projectors`, which guards each eigenbasis it reads:
+    # the trial stages call no projector check, and in `logic` only the boundary (`_projectors`,
+    # `orthocomplement`) and the ambient spot check do
+    checks = {"ensure_projector", "is_projector"}
+    callers = _calls_by_function()
     stages = [callers["logic.py"]["lattice_report"], callers["states.py"]["_orthoadditivity"],
               callers["scenarios.py"]["_orthoadditivity_checks"]]
     assert [called & checks for called in stages] == [set()] * 3
     assert sorted(name for name, called in callers["logic.py"].items()
                   if "ensure_projector" in called) == ["_projectors", "_spot_check",
                                                         "orthocomplement"]
+
+
+def test_no_trial_stage_solves_a_join_it_knows():
+    # orthomodularity's p ∨ (p⊥ ∧ q) is the sum p + (p⊥ ∧ q), and a drawn family's join is its
+    # base, drawn with its members: only a family from outside has its join solved
+    callers = _calls_by_function()
+    stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_orthomodularity"],
+              callers["states.py"]["_orthoadditivity"],
+              callers["scenarios.py"]["_orthoadditivity_checks"]]
+    assert [called & {"_join", "join"} for called in stages] == [set()] * 4
+    assert sorted(name for name, called in callers["states.py"].items()
+                  if "_join" in called) == ["sigma_orthoadditivity_residuals"]
 
 
 def test_no_trial_stack_goes_through_an_ambient_product():

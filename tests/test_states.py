@@ -16,6 +16,7 @@ from oplattice import (
     NotNormalized,
     NotOrthogonalFamily,
     NotPositive,
+    Scenario,
     Tolerance,
     ValidationError,
     baire_envelope,
@@ -37,6 +38,7 @@ from oplattice import (
     random_projector,
     random_state,
     restrict_logical,
+    run_scenario,
     sigma_orthoadditivity_residuals,
 )
 from oplattice import logic as logic_module
@@ -292,13 +294,15 @@ def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
 def in_blocks(alg, cases):
     """Ambient ``(label, density, members)`` cases as `states._orthoadditivity` takes them: the
     ``(label, density)`` pairs, and the member counts with the members' sector blocks (the
-    partial traces over m, over m) in one stack per shape group."""
+    partial traces over m, over m) and each family's join, the sum of its orthogonal members,
+    in one stack per shape group."""
     d, frame = alg.ambient_dim, block_decomposition(alg).frame
     members = np.array([p for *_, f in cases for p in f], dtype=complex).reshape(-1, d, d)
-    blocks = [t / m for (_, m, _, _), t in zip(frame.groups,
-                                               sectors_module._partial_traces(frame, members))]
+    joins = np.array([sum(f, np.zeros((d, d))) for *_, f in cases], dtype=complex)
+    blocks, join_blocks = ([t / m for (_, m, _, _), t in zip(
+        frame.groups, sectors_module._partial_traces(frame, x))] for x in (members, joins))
     sizes = np.array([len(f) for *_, f in cases])
-    return [(label, rho) for label, rho, _ in cases], (sizes, blocks)
+    return [(label, rho) for label, rho, _ in cases], (sizes, blocks, join_blocks)
 
 
 def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
@@ -359,7 +363,7 @@ class TestStackedFamilies:
         states_module._random_orthogonal_families(alg, u[:2], DEFAULT_TOL)  # the sectors
         tracemalloc.start()
         try:
-            sizes, _ = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
+            sizes, *_ = states_module._random_orthogonal_families(alg, u, DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,25 +382,25 @@ class TestStackedFamilies:
         assert [len(f) for f in joined] == [len(f) for f in apart]
         assert all(np.array_equal(a, b) for f, g in zip(joined, apart) for a, b in zip(f, g))
 
-    @pytest.mark.parametrize("second, error, message", [
-        ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], NotOrthogonalFamily,
-         "^b: members 0 and 2 are not orthogonal"),
-    ], ids=["non-orthogonal"])
-    def test_a_failure_names_its_own_case(self, diag3, second, error, message):
-        # case a passes; the stacked check must name case b and its own member indices (a
-        # non-projector or a projector outside the algebra has no blocks: the public entry
-        # point refuses it, and a drawn member is guarded by the kernel that makes it)
-        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1)]), ("b", np.eye(3) / 3, second)]
-        with pytest.raises(error, match=message):
-            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
+    @pytest.mark.parametrize("family, message", [
+        ([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 0)], "^family: members 0 and 2 are not"),
+        ([unit(3, 0, 0), unit(3, 0, 0) + unit(3, 1, 1)], "^family: members 0 and 1 are not"),
+    ], ids=["repeated", "nested"])
+    def test_a_failure_names_its_own_case(self, diag3, family, message):
+        # a family from outside is checked where it enters, naming its member indices: the
+        # sweep's drawn members are runs of one guarded eigenbasis, orthogonal by construction
+        ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
+        for entry in (sigma_orthoadditivity_residuals, check_sigma_orthoadditive):
+            with pytest.raises(NotOrthogonalFamily, match=message):
+                entry(ls, family)
 
     def test_the_first_failing_case_is_named(self, diag3):
-        # pairs are checked one lower index at a time over all cases; the failure named is
-        # still the first case's first pair, though case b fails at a lower index
-        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0), unit(3, 1, 1), unit(3, 1, 1)]),
-                 ("b", np.eye(3) / 3, [unit(3, 2, 2), unit(3, 2, 2)])]
-        with pytest.raises(NotOrthogonalFamily, match="^a: members 1 and 2 are not orthogonal"):
-            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
+        # pairs are checked one lower index at a time, in itertools.combinations' order: the
+        # pair named is (1, 4), though (2, 3) has the lower upper index
+        family = [unit(3, 0, 0), unit(3, 1, 1), unit(3, 2, 2), unit(3, 2, 2), unit(3, 1, 1)]
+        ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
+        with pytest.raises(NotOrthogonalFamily, match="^family: members 1 and 4 are not"):
+            sigma_orthoadditivity_residuals(ls, family)
 
     def test_a_member_outside_the_domain_is_caught_where_it_enters(self, diag3, monkeypatch):
         # block stacks lie in the algebra by construction: an outside projector can only enter
@@ -411,18 +415,20 @@ class TestStackedFamilies:
             states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
 
     def test_stacked_joins_equal_each_case_alone(self, two_blocks):
-        # cases of every length, the empty family included: no zero padding (a draw on an
-        # algebra whose elements have two clusters or more is never empty, so one is added)
+        # cases of every length, the empty family included (a draw on an algebra whose
+        # elements have two clusters or more is never empty, so one is added)
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        labelled, (sizes, blocks) = in_blocks(env, cases)
-        together = states_module._orthoadditivity(env, labelled, (sizes, blocks), DEFAULT_TOL)
+        labelled, (sizes, blocks, joins) = in_blocks(env, cases)
+        together = states_module._orthoadditivity(env, labelled, (sizes, blocks, joins),
+                                                  DEFAULT_TOL)
         at = np.cumsum(sizes) - sizes
         alone = [states_module._orthoadditivity(
-            env, [c], (sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks]),
-            DEFAULT_TOL)[0] for i, c in enumerate(labelled)]
+            env, [c], (sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks],
+                       [j[i:i + 1] for j in joins]), DEFAULT_TOL)[0]
+            for i, c in enumerate(labelled)]
         # the densities' partial traces are a product per matrix: no bit depends on the stack
         assert together == alone
 
@@ -433,12 +439,27 @@ class TestStackedFamilies:
         assert families
         for family in families:
             fold = functools.reduce(join, family)
-            assert operator_norm(states_module._join(*family, tol=DEFAULT_TOL) - fold) <= 1e-12
+            assert operator_norm(logic_module._join(*family, tol=DEFAULT_TOL) - fold) <= 1e-12
 
-    def test_one_check_of_members_and_joins_and_one_join_per_family_size(self, two_blocks,
-                                                                         monkeypatch):
-        # the members and joins are runs of the guarded kernel, checked nowhere else; the joins
-        # of a family size are one n-ary join per shape group
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_the_join_kernel_gives_each_drawn_familys_base(self, name, seed):
+        # the sweep reads a drawn family's join as its base; the n-ary `_join` of the members,
+        # solved by SVD, must find the same projector: a check of the kernel that can fail
+        alg = kernel_algebra(name)
+        families, bases = drawn_families(alg, family_uniforms(alg, seed, 40), with_joins=True)
+        assert any(families)
+        for family, base in zip(families, bases):
+            solved = (logic_module._join(*family, tol=DEFAULT_TOL) if family
+                      else np.zeros_like(base))
+            assert operator_norm(solved - base) <= DEFAULT_TOL.law_tol
+            assert np.rint(np.trace(solved).real) == np.rint(np.trace(base).real) == sum(
+                np.rint(np.trace(p).real) for p in family)
+
+    def test_the_sweep_solves_no_join_and_a_public_family_one_per_shape_group(
+            self, two_blocks, monkeypatch):
+        # a drawn family's join is read, its base; a family from outside has its one n-ary
+        # join per shape group solved, of all its members at once
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40)
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
@@ -450,8 +471,13 @@ class TestStackedFamilies:
 
         monkeypatch.setattr(states_module, "_join", join_counted)
         states_module._orthoadditivity(env, *in_blocks(env, cases), DEFAULT_TOL)
+        run_scenario(Scenario(name="s", kind="sectors", dim=5, trials=40, seed=2,
+                              parameters={"blocks": [[2, 1], [1, 1], [2, 1]]}))
+        assert join_sizes == []
+        family = max(families, key=len)
+        sigma_orthoadditivity_residuals(restrict_logical(random_state(5, seed=1), env), family)
         groups = len(block_decomposition(env).frame.groups)
-        assert sorted(join_sizes) == sorted(list({len(f) for f in families} - {0}) * groups)
+        assert join_sizes == [len(family)] * groups
 
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
         scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
