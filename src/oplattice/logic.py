@@ -315,40 +315,42 @@ def lattice_report(
     p, q and r) is one stage: trial i's is row i of the stage's stream under `seed`
     (`seeding.uniforms`). Every pair and the first 8 triples are one `_spectral_cuts` call, the
     other triples one more, made only if those 8 distribute: a triple after a counterexample
-    among them is never drawn, so its guard cannot raise. Each stacked case has its own bits,
-    so the report is that of one draw of all trials. A proposition ``U (⊕ p_a
-    (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per shape
-    group, and a block 0 or 1 (a 1 x 1 block always is) is settled by identity (see `_meet`).
-    Each block is a `run_projectors` run, the complement of one or a settled copy: the kernel's
-    guard on every eigenbasis it reads covers them all (NumericalError), and trial 0's twelve
-    propositions are checked once more in M_d, with `ensure_projector` and `contains`. A law
-    holds at a trial when its differences have operator norm, their blocks' largest, at most
-    ``tol.law_tol`` (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one meet, its
-    join the sum ``p + (p⊥ ∧ q)``: the computed ``p⊥ ∧ q`` against the known ``q - p``, q's run
-    below p's cut. `distributive` reports what the sampling saw (a counterexample in M_d).
+    among them is never drawn, nor are its uniforms, so its guard cannot raise. Each stacked
+    case has its own bits, so the report is that of one draw of all trials. A proposition
+    ``U (⊕ p_a (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per
+    shape group, and a block 0 or 1 is settled by identity (see `_meet`). Each block is a
+    `run_projectors` run, the complement of one or a settled copy: the kernel's guard on every
+    eigenbasis it reads covers them all (NumericalError), and trial 0's twelve propositions are
+    checked once more in M_d, with `ensure_projector` and `contains`. A law holds at a trial
+    when its differences have operator norm, their blocks' largest, at most ``tol.law_tol``
+    (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one meet, its join the sum
+    ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a counterexample in M_d).
 
     The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
     algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
     all subspaces) a single sector of multiplicity 1. `atomic` is always true: each block
     ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and `block_decomposition`
-    certifies that form for every sector.
+    certifies that form for every sector. A Boolean lattice draws nothing and reports what zero
+    trials do, which its sampling gives exactly: a 1 x 1 block's `eigh` is v = 1, so each drawn
+    block is 0 or 1, `_meet` settles every case by identity, and every law difference is 0.
     """
     require_count("trials", trials)
     require_count("seed", seed)
     decomp = block_decomposition(alg, tol)
-    pass_rate, counterexample = 1.0, None  # zero trials draw nothing
-    if trials:
+    boolean = all(s.block_size == 1 for s in decomp.sectors)
+    pass_rate, counterexample = 1.0, None  # zero trials, and a Boolean algebra, draw nothing
+    if trials and not boolean:
         # one width for all four stages: 2k + 1 is odd, so its rows have the bits of 2k + 2's
-        pairs, *streams = (uniforms(seed, s, trials, _draw_width(alg) + 1) for s in (
-            STREAM_ORTHOMODULAR_Q, STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q,
-            STREAM_DISTRIBUTIVE_R))
+        pairs = uniforms(seed, STREAM_ORTHOMODULAR_Q, trials, width := _draw_width(alg) + 1)
         # every pair with the first triples; the other triples only if those all distribute
-        for pair_rows, rows in ((pairs, slice(0, _FIRST_TRIPLES)),
-                                (pairs[:0], slice(_FIRST_TRIPLES, trials))):
-            if counterexample is not None or rows.start >= trials:
+        for pair_rows, start, stop in ((pairs, 0, min(trials, _FIRST_TRIPLES)),
+                                       (pairs[:0], _FIRST_TRIPLES, trials)):
+            if counterexample is not None or start >= stop:
                 break
+            streams = [uniforms(seed, s, stop, width)[start:] for s in (
+                STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
             held, spot, triples = True, [], []  # per shape group
-            for (p, q), staged in _lattice_draws(alg, pair_rows, [u[rows] for u in streams], tol):
+            for (p, q), staged in _lattice_draws(alg, pair_rows, streams, tol):
                 differences, derived = _distributivity(*staged, tol)
                 if len(p):  # the pairs, and trial 0's propositions (copied: the stacks can go)
                     om_differences, om_derived = _orthomodularity(p, q, tol)
@@ -362,15 +364,14 @@ def lattice_report(
                 pass_rate = np.count_nonzero(held[:trials]) / trials
             failed = np.flatnonzero(~held[len(pair_rows):])
             if failed.size:
-                counterexample = tuple(_ambient(decomp.frame,
-                                                [x[:, failed[0]] for x in triples]))
+                counterexample = tuple(_ambient(decomp.frame, [x[:, failed[0]] for x in triples]))
 
     factor = len(decomp.sectors) == 1
     return LatticeReport(
         orthomodular_pass_rate=pass_rate,
         distributive=counterexample is None,
         counterexample=counterexample,
-        boolean_lattice=all(s.block_size == 1 for s in decomp.sectors),
+        boolean_lattice=boolean,
         atomic=True,
         hilbertian=factor and decomp.sectors[0].multiplicity == 1,
         factor=factor,

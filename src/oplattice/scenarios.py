@@ -330,11 +330,11 @@ def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Toleranc
         families = _random_orthogonal_families(alg, np.concatenate([
             uniforms(scenario.seed, STREAM_STATE_CHECK, checks, width),
             uniforms(scenario.seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
-        labels = ["family"] * checks + [f"orthoadditivity trial {i}" for i in range(trials)]
-        densities = [st.density for st in states for _ in range(_STATE_FAMILY_CHECKS)]
-        densities += [st.density for st in _random_states(
-            d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))]
-        results = _orthoadditivity(alg, list(zip(labels, densities)), families, tol)
+        densities = np.concatenate([
+            *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
+            _random_states(d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))])
+        results = _orthoadditivity(alg, densities, "family" if checks else
+                                   "orthoadditivity trial 0", families, tol)
         passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
         verdicts = [all(passed[i:i + _STATE_FAMILY_CHECKS])
                     for i in range(0, checks, _STATE_FAMILY_CHECKS)]

@@ -138,28 +138,27 @@ def sigma_orthoadditivity_residuals(
     blocks = [t / m for (_, m, _, _), t in zip(frame.groups, _partial_traces(frame, stack))]
     joins = [_join(*x[:, None], tol=tol) if len(x) else np.zeros((1, *x.shape[1:]), complex)
              for x in blocks]  # one n-ary join per shape group
-    return _orthoadditivity(ls.domain, [("family", ls.underlying.density)],
+    return _orthoadditivity(ls.domain, ls.underlying.density[None], "family",
                             (np.array([len(stack)]), blocks, joins), tol)[0]
 
 
-def _orthoadditivity(domain: AlgebraBasis, cases: list, families: tuple, tol: Tolerance) -> list:
-    """`sigma_orthoadditivity_residuals` of ``(label, density)`` cases, case i's family the
-    i-th of ``families = (sizes, blocks, joins)`` (per group, every member's blocks in order,
-    and each family's join). Case 0's members and join are checked in M_d (`_spot_check`, a
-    failure naming its case) before the values ``tr(rho p) = sum tr(s p_a)``, s the partial
+def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: Tolerance) -> list:
+    """`sigma_orthoadditivity_residuals` of the density stack `rho`, case i's family the i-th of
+    ``families = (sizes, blocks, joins)`` (per group, every member's blocks in order, and each
+    family's join). Case 0's members and join are checked in M_d (`_spot_check`, a failure
+    named by case 0's `label`) before the values ``tr(rho p) = sum tr(s p_a)``, s the partial
     traces. Members come orthogonal: a public family is checked, a drawn one's are runs of one
     guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol``."""
-    (sizes, blocks, joins), count = families, len(cases)
-    frame, case = block_decomposition(domain, tol).frame, np.repeat(np.arange(count), sizes)
-    _spot_check(domain, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
-                                         for b, j in zip(blocks, joins)]), cases[0][0], tol)
-    densities = np.stack([density for _, density in cases])
-    reduced = _partial_traces(frame, densities)  # per group (cases, count, n, n)
+    (sizes, blocks, joins), count = families, len(rho)
+    frame, case = block_decomposition(alg, tol).frame, np.repeat(np.arange(count), sizes)
+    _spot_check(alg, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
+                                      for b, j in zip(blocks, joins)]), label, tol)
+    reduced = _partial_traces(frame, rho)  # per group (cases, count, n, n)
     values = sum(np.einsum("icjk,ickj->i", s[case], b) for s, b in zip(reduced, blocks))
     joined = sum(np.einsum("icjk,ickj->i", s, j) for s, j in zip(reduced, joins))
     # each case's member values summed in order, as `sum` would
     total = np.bincount(case, weights=_probabilities(values, tol), minlength=count)
-    off = np.where(sizes > 0, abs(np.trace(densities, axis1=1, axis2=2).real - 1.0), 0.0)
+    off = np.where(sizes > 0, abs(np.trace(rho, axis1=1, axis2=2).real - 1.0), 0.0)
     return list(zip(abs(_probabilities(joined, tol) - total).tolist(), off.tolist()))
 
 
@@ -241,17 +240,17 @@ def random_state(dim: int, seed: int) -> StateFunctional:
     under the seed (`seeding.uniforms`), drawn by `_random_states`."""
     require_count("dim", dim, positive=True)
     require_count("seed", seed)
-    return _random_states(dim, uniforms(seed, STREAM_STATE, 1, 2 * dim * dim))[0]
+    return StateFunctional(_random_states(dim, uniforms(seed, STREAM_STATE, 1, 2 * dim * dim))[0])
 
 
-def _random_states(dim: int, u: np.ndarray) -> list[StateFunctional]:
-    """`random_state` on each row of the uniforms `u` (``2 d^2`` columns): ``g g* / tr(g g*)``,
-    g the row's d^2 complex normals (`complex_normals`) row-major, one stacked product."""
+def _random_states(dim: int, u: np.ndarray) -> np.ndarray:
+    """`random_state`'s density on each row of the uniforms `u` (``2 d^2`` columns), one read-only
+    stack: ``g g* / tr(g g*)``, g the row's d^2 complex normals (`complex_normals`) row-major."""
     g = complex_normals(u[:, :2 * dim * dim]).reshape(-1, dim, dim)
     rho = g @ g.conj().swapaxes(-2, -1)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     rho.setflags(write=False)
-    return [StateFunctional(density=r) for r in rho]
+    return rho
 
 
 def random_orthogonal_family(

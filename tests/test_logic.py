@@ -13,6 +13,7 @@ from oplattice import (
     PreconditionFailed,
     Tolerance,
     block_decomposition,
+    center,
     check_distributive,
     check_orthomodular,
     close,
@@ -49,6 +50,7 @@ from tests.conftest import (
     INVALID_PROJECTORS,
     KERNEL_ALGEBRAS,
     NON_SQUARE,
+    ambient_lattice_report,
     drawn_projectors,
     MEET_MAX_ITER,
     IterationFailed,
@@ -62,6 +64,7 @@ from tests.conftest import (
     reference_run,
     reference_spectrum,
     reference_uniforms,
+    rotated,
     unit,
 )
 
@@ -475,6 +478,12 @@ D3_D4_KERNEL_ALGEBRAS = [name for name, build in KERNEL_ALGEBRAS.items()
                          if build().ambient_dim in (3, 4)]
 
 
+def six_points_beside_m2():
+    """Six points beside an M_2: not Boolean, and at seeds 3 and 14 its first 8 triples
+    distribute, so its first counterexample is drawn in the second chunk."""
+    return build_sectors([(1, 1)] * 6 + [(2, 1)])
+
+
 def reference_lattice_report(alg, trials, seed):
     """`lattice_report`'s sampling, rebuilt from one-row reference draws (trial i: row i of
     each stage's stream) and the public validated one-pair calls, which settle no bound by
@@ -527,7 +536,7 @@ class TestStackedChecks:
     def test_both_triple_chunks_equal_the_reference(self):
         # the triples after the first chunk are drawn only if the first chunk all holds; six
         # points beside an M_2 fail first at trial 8 at these seeds, and classical 4 never fails
-        sectors = close(build_sectors([(1, 1)] * 6 + [(2, 1)]))
+        sectors = close(six_points_beside_m2())
         firsts = []
         for alg, seed in ((sectors, 3), (sectors, 14), (kernel_algebra("classical-4"), 3)):
             report = lattice_report(alg, trials=40, seed=seed)
@@ -537,27 +546,39 @@ class TestStackedChecks:
             for got, want in zip(report.counterexample or (), counterexample or ()):
                 assert np.array_equal(got, want)
             firsts.append(first)
-        assert firsts[-1] is None  # every triple scanned
-        assert any(first is not None and first >= logic_module._FIRST_TRIPLES
-                   for first in firsts)  # a counterexample in the second chunk
+        # sampled, not read off: the first counterexample is the second chunk's first triple;
+        # classical 4's report is read off, and every sampled triple distributes
+        assert firsts == [logic_module._FIRST_TRIPLES] * 2 + [None]
 
-    @pytest.mark.parametrize("build, trials, rows", [
-        (lambda: build_weyl_finite(3), 100, [100 + 3 * 8]),  # fails in the first chunk
-        (lambda: build_classical(4), 100, [100 + 3 * 8, 3 * 92]),  # never fails
-        (lambda: build_classical(4), 8, [8 + 3 * 8]),
-        (lambda: build_classical(4), 5, [5 + 3 * 5]),
+    @pytest.mark.parametrize("build, trials, seed, rows, triple_rows", [
+        (lambda: build_weyl_finite(3), 100, 1, [100 + 3 * 8], [8]),  # fails in the first chunk
+        (six_points_beside_m2, 100, 1, [100 + 3 * 8], [8]),  # fails in the first chunk
+        (six_points_beside_m2, 100, 3, [100 + 3 * 8, 3 * 92], [8, 100]),  # fails at trial 8
+        (six_points_beside_m2, 8, 3, [8 + 3 * 8], [8]),
+        (six_points_beside_m2, 5, 3, [5 + 3 * 5], [5]),
+        (lambda: build_classical(4), 100, 1, [], []),  # a Boolean lattice draws nothing
     ])
     def test_triples_after_a_first_chunk_counterexample_are_never_drawn(
-            self, build, trials, rows, monkeypatch):
-        original, drawn = logic_module._spectral_cuts, []
+            self, build, trials, seed, rows, triple_rows, monkeypatch):
+        # per chunk, each triple stream's uniforms are drawn up to the chunk's last row: the
+        # first chunk's 8 rows, then all `trials` (a row does not depend on the count)
+        cuts, uniforms_, drawn, streams = logic_module._spectral_cuts, logic_module.uniforms, [], []
 
         def counted(alg, u, *args):
             drawn.append(len(u))
-            return original(alg, u, *args)
+            return cuts(alg, u, *args)
+
+        def uniforms_counted(seed, stream, count, width):
+            streams.append((stream, count))
+            return uniforms_(seed, stream, count, width)
 
         monkeypatch.setattr(logic_module, "_spectral_cuts", counted)
-        lattice_report(close(build()), trials=trials, seed=1)
+        monkeypatch.setattr(logic_module, "uniforms", uniforms_counted)
+        lattice_report(close(build()), trials=trials, seed=seed)
         assert drawn == rows
+        assert streams == [(STREAM_ORTHOMODULAR_Q, trials)] * bool(rows) + [
+            (stream, count) for count in triple_rows for stream in
+            (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
         # every proposition is a run of eigenvector columns: the kernel's guard on each basis it
@@ -602,6 +623,46 @@ class TestStackedChecks:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
         assert float(done.stdout) == pytest.approx(2e-6, rel=1e-5)
+
+
+# Boolean lattices (every sector of block size 1): classical algebras, a Haar-rotated one,
+# and the center of M_2 + 1 (x) 1_2, whose two sectors have multiplicity 2
+BOOLEAN_INPUTS = {
+    **{f"classical-{d}": (lambda d=d: close(build_classical(d))) for d in (3, 4, 16)},
+    "haar-classical-8": lambda: close(rotated(build_classical(8), seed=3)),
+    "center-2+1x2": lambda: center(close(build_sectors([(2, 1), (1, 2)]))),
+}
+
+
+class TestBooleanReadOff:
+    """A Boolean lattice is read, not sampled: its report is the one the sampling gives."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-6, 1e-8, 1e-12])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", BOOLEAN_INPUTS)
+    def test_the_report_equals_the_sampled_oracle(self, name, seed, rank_tol):
+        alg, tol = BOOLEAN_INPUTS[name](), Tolerance(rank_tol=rank_tol)
+        report = lattice_report(alg, trials=40, seed=seed, tol=tol)
+        assert report.boolean_lattice
+        assert report == ambient_lattice_report(alg, 40, seed, tol)  # field by field
+        assert (report.trials, report.seed) == (40, seed)
+        if rank_tol == DEFAULT_TOL.rank_tol:  # the one-row public calls take the default
+            pass_rate, counterexample, _ = reference_lattice_report(alg, trials=40, seed=seed)
+            assert report.orthomodular_pass_rate == pass_rate and counterexample is None
+
+    @pytest.mark.parametrize("name", BOOLEAN_INPUTS)
+    def test_a_million_trials_draw_nothing(self, name, monkeypatch):
+        alg = BOOLEAN_INPUTS[name]()
+
+        def no_draws(*args):
+            raise AssertionError("a Boolean lattice drew a sample")
+
+        for fn in ("uniforms", "_spectral_cuts", "_run_blocks"):
+            monkeypatch.setattr(logic_module, fn, no_draws)
+        report = lattice_report(alg, trials=10**6, seed=1)
+        assert report.orthomodular_pass_rate == 1.0
+        assert report.distributive and report.counterexample is None
+        assert (report.trials, report.seed) == (10**6, 1)
 
 
 def reference_random_projector(alg, u, tol=DEFAULT_TOL):
@@ -714,7 +775,10 @@ class TestProperDraws:
             return orthomodularity(p, q, tol)
 
         monkeypatch.setattr(logic_module, "_orthomodularity", orthomodularity_recorded)
-        lattice_report(alg, trials=200, seed=1)
+        report = lattice_report(alg, trials=200, seed=1)
+        if report.boolean_lattice:  # not sampled: its 200 pairs, drawn by the report's helper
+            u = uniforms(1, STREAM_ORTHOMODULAR_Q, 200, logic_module._draw_width(alg) + 1)
+            pairs = [p for p, _ in logic_module._lattice_draws(alg, u, [u[:0]] * 3, DEFAULT_TOL)]
         groups = block_decomposition(alg).frame.groups
         assert len(pairs) == len(groups)  # one pair stack per shape group
         rank_p, rank_q = block_ranks(groups, pairs)
@@ -756,17 +820,18 @@ class TestStackedKernels:
     def test_states_equal_the_one_state_reference(self, dim):
         width = 2 * dim * dim
         u = uniforms(2**64 + 3, 21, 16, width)
-        states = states_module._random_states(dim, u)
-        assert len(states) == len(u)
-        for i, state in enumerate(states):
-            assert np.array_equal(state.density,
-                                  reference_random_state(dim, reference_uniforms(2**64 + 3, 21, i,
-                                                                                 width)))
-            assert not state.density.flags.writeable
-        assert states_module._random_states(dim, u[:0]) == []
+        densities = states_module._random_states(dim, u)  # one read-only stack
+        assert densities.shape == (len(u), dim, dim)
+        assert not densities.flags.writeable
+        for i, rho in enumerate(densities):
+            assert np.array_equal(rho, reference_random_state(
+                dim, reference_uniforms(2**64 + 3, 21, i, width)))
+        assert states_module._random_states(dim, u[:0]).shape == (0, dim, dim)
         for seed in (0, 5):  # a public call is row 0 of its own stream
             want = states_module._random_states(dim, uniforms(seed, STREAM_STATE, 1, width))[0]
-            assert np.array_equal(random_state(dim, seed).density, want.density)
+            state = random_state(dim, seed)
+            assert np.array_equal(state.density, want)
+            assert not state.density.flags.writeable
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_draws_equal_the_one_draw_reference(self, name):

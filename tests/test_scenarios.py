@@ -16,6 +16,7 @@ from oplattice import (
     OperatorAlgebraError,
     Scenario,
     SectorStructureError,
+    StateFunctional,
     Tolerance,
     ValidationError,
     block_decomposition,
@@ -673,7 +674,7 @@ class TestOneFamilyPass:
 
         def sweep_state(row):
             u = reference_uniforms(13, STREAM_SWEEP_STATE, row, 2 * dim * dim)
-            return states_module._random_states(dim, u[None])[0]
+            return StateFunctional(states_module._random_states(dim, u[None])[0])
 
         for index, (state, entry) in enumerate(zip(states, report.states)):
             checks = [residuals(state, STREAM_STATE_CHECK, 10 * index + j) for j in range(10)]

@@ -143,7 +143,11 @@ def test_reports_equal_the_row_by_row_reference(kind, seed, monkeypatch):
     stacked = report_to_json(run_scenario(scenario))
     called = _reference_uniforms(monkeypatch)
     assert report_to_json(run_scenario(scenario)) == stacked
-    assert sorted(called) == sorted([seeding.STREAM_ORTHOMODULAR_Q, seeding.STREAM_DISTRIBUTIVE_P,
-                                     seeding.STREAM_DISTRIBUTIVE_Q, seeding.STREAM_DISTRIBUTIVE_R,
-                                     seeding.STREAM_STATE_CHECK, seeding.STREAM_SWEEP_FAMILY,
-                                     seeding.STREAM_SWEEP_STATE])
+    # one call per stream: the other inputs fail among the first 8 triples at these seeds, so
+    # no triple stream is drawn a second time, and a Boolean lattice is not sampled at all
+    lattice = [] if kind == "classical" else [
+        seeding.STREAM_ORTHOMODULAR_Q, seeding.STREAM_DISTRIBUTIVE_P, seeding.STREAM_DISTRIBUTIVE_Q,
+        seeding.STREAM_DISTRIBUTIVE_R]
+    assert sorted(called) == sorted(lattice + [seeding.STREAM_STATE_CHECK,
+                                               seeding.STREAM_SWEEP_FAMILY,
+                                               seeding.STREAM_SWEEP_STATE])

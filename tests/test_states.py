@@ -293,7 +293,7 @@ def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
 
 def in_blocks(alg, cases):
     """Ambient ``(label, density, members)`` cases as `states._orthoadditivity` takes them: the
-    ``(label, density)`` pairs, and the member counts with the members' sector blocks (the
+    density stack, case 0's label, and the member counts with the members' sector blocks (the
     partial traces over m, over m) and each family's join, the sum of its orthogonal members,
     in one stack per shape group."""
     d, frame = alg.ambient_dim, block_decomposition(alg).frame
@@ -302,7 +302,8 @@ def in_blocks(alg, cases):
     blocks, join_blocks = ([t / m for (_, m, _, _), t in zip(
         frame.groups, sectors_module._partial_traces(frame, x))] for x in (members, joins))
     sizes = np.array([len(f) for *_, f in cases])
-    return [(label, rho) for label, rho, _ in cases], (sizes, blocks, join_blocks)
+    rho = np.array([density for _, density, _ in cases], dtype=complex)
+    return rho, cases[0][0], (sizes, blocks, join_blocks)
 
 
 def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
@@ -421,14 +422,13 @@ class TestStackedFamilies:
         families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        labelled, (sizes, blocks, joins) = in_blocks(env, cases)
-        together = states_module._orthoadditivity(env, labelled, (sizes, blocks, joins),
+        rho, label, (sizes, blocks, joins) = in_blocks(env, cases)
+        together = states_module._orthoadditivity(env, rho, label, (sizes, blocks, joins),
                                                   DEFAULT_TOL)
         at = np.cumsum(sizes) - sizes
-        alone = [states_module._orthoadditivity(
-            env, [c], (sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks],
-                       [j[i:i + 1] for j in joins]), DEFAULT_TOL)[0]
-            for i, c in enumerate(labelled)]
+        alone = [states_module._orthoadditivity(env, rho[i:i + 1], f"case {i}", (
+            sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks],
+            [j[i:i + 1] for j in joins]), DEFAULT_TOL)[0] for i in range(len(cases))]
         # the densities' partial traces are a product per matrix: no bit depends on the stack
         assert together == alone
 
