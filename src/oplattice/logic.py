@@ -108,6 +108,16 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # dif
     return lhs - rhs, (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
+def _settled_laws(p, q, dp, dq, dr) -> tuple:
+    """`_orthomodularity`'s and then `_distributivity`'s derived propositions where every block
+    is 0 or 1 (a group of 1 x 1 blocks): a meet is the product, the bits with which `_meet`
+    settles such operands by identity, and a complement is ``1 - x``."""
+    inner, q_or_r = _complement(p) * q, _complement(_complement(dq) * _complement(dr))
+    p_and_q, p_and_r = dp * dq, dp * dr
+    return (inner, p + inner, q_or_r, dp * q_or_r, p_and_q, p_and_r,
+            _complement(_complement(p_and_q) * _complement(p_and_r)))
+
+
 def _spot_check(alg: AlgebraBasis, mats: np.ndarray, label: str, tol: Tolerance) -> None:
     """Ambient matrices entering or leaving the block form: projectors in the algebra, or raise."""
     if not len(mats):
@@ -231,9 +241,12 @@ def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance, least=1) ->
     and cut: of n >= 2 clusters the top ``least + floor(u (n - 1))`` (`least` 1, or 2 for the
     orthomodular pair's q, per row), of one ``floor(2 u)``, u the row's next uniform. Per group
     the eigenvectors and each eigenvalue's place in the merged order; per place its copies, the
-    `cluster_breaks` and the clusters seen up to it, with the end's column; the kept count."""
+    `cluster_breaks` and the clusters seen up to it, with the end's column; the kept count. A
+    group of 1 x 1 blocks takes no ``eigh``: its eigenvalues are the blocks' real parts and its
+    eigenvectors are 1, the bits LAPACK returns, so none are held (None)."""
     k, frame = alg.dim, block_decomposition(alg, tol).frame
-    w, v = zip(*map(np.linalg.eigh, _random_self_adjoint(frame, u[:, :2 * k])))
+    w, v = zip(*[(h[..., 0].real, None) if h.shape[-1] == 1 else np.linalg.eigh(h)
+                 for h in _random_self_adjoint(frame, u[:, :2 * k])])
     sizes = [c * n for n, _, c, _ in frame.groups]
     flat = np.concatenate([x.reshape(len(u), size) for x, size in zip(w, sizes)], axis=1)
     order = np.argsort(flat, axis=1, kind="stable")
@@ -257,12 +270,15 @@ def _first_kept(seen: np.ndarray, kept: np.ndarray) -> np.ndarray:
 def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops, tol: Tolerance) -> list:
     """Per shape group, the ``(runs, count, n, n)`` blocks of run i: the spectral projector of
     row ``rows[i]``'s places ``[starts[i], stops[i])`` of `_spectral_cuts`, in each block the
-    projector of its eigenvector columns there (`run_projectors`)."""
-    out = []
+    projector of its eigenvector columns there (`run_projectors`). A 1 x 1 block is the 0/1
+    mask of its place in the run, the bits `run_projectors` forms from v = 1."""
+    out, starts, stops = [], np.reshape(starts, (-1, 1, 1)), np.reshape(stops, (-1, 1, 1))
     for v, places in zip(*cuts[:2]):
-        c, n = places.shape[1:]
-        a, b = (np.count_nonzero(places[rows] < np.reshape(x, (-1, 1, 1)), axis=-1).ravel()
-                for x in (starts, stops))
+        (c, n), at = places.shape[1:], places[rows]
+        if n == 1:
+            out.append(((starts <= at) & (at < stops)).astype(complex)[..., None])
+            continue
+        a, b = (np.count_nonzero(at < x, axis=-1).ravel() for x in (starts, stops))
         k = (np.asarray(rows)[:, None] * c + np.arange(c)).ravel()
         out.append(run_projectors(v.reshape(-1, n, n), k, a, b, tol).reshape(len(rows), c, n, n))
     return out
@@ -318,21 +334,23 @@ def lattice_report(
     among them is never drawn, nor are its uniforms, so its guard cannot raise. Each stacked
     case has its own bits, so the report is that of one draw of all trials. A proposition
     ``U (⊕ p_a (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per
-    shape group, and a block 0 or 1 is settled by identity (see `_meet`). Each block is a
-    `run_projectors` run, the complement of one or a settled copy: the kernel's guard on every
-    eigenbasis it reads covers them all (NumericalError), and trial 0's twelve propositions are
-    checked once more in M_d, with `ensure_projector` and `contains`. A law holds at a trial
-    when its differences have operator norm, their blocks' largest, at most ``tol.law_tol``
-    (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one meet, its join the sum
-    ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a counterexample in M_d).
+    shape group, and a block 0 or 1 is settled by identity (see `_meet`). Each block of size 2 or
+    more is a `run_projectors` run, the complement of one or a settled copy: the kernel's guard
+    on every eigenbasis it reads covers them all (NumericalError). A 1 x 1 block is exactly 0 or
+    1 (`_run_blocks`), so a group of them takes no law kernel: every difference there is 0, and
+    trial 0's derived blocks are 0/1 products and complements (`_settled_laws`). Trial 0's
+    twelve propositions are checked once more in M_d, with `ensure_projector` and `contains`. A
+    law holds at a trial when its differences have operator norm, their blocks' largest, at
+    most ``tol.law_tol`` (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one
+    meet, its join the sum ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a
+    counterexample in M_d).
 
     The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
     algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
     all subspaces) a single sector of multiplicity 1. `atomic` is always true: each block
     ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and `block_decomposition`
-    certifies that form for every sector. A Boolean lattice draws nothing and reports what zero
-    trials do, which its sampling gives exactly: a 1 x 1 block's `eigh` is v = 1, so each drawn
-    block is 0 or 1, `_meet` settles every case by identity, and every law difference is 0.
+    certifies that form for every sector. A Boolean lattice (every group 1 x 1) draws nothing
+    and reports what zero trials do, which its sampling gives exactly: every law difference is 0.
     """
     require_count("trials", trials)
     require_count("seed", seed)
@@ -351,14 +369,18 @@ def lattice_report(
                 STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
             held, spot, triples = True, [], []  # per shape group
             for (p, q), staged in _lattice_draws(alg, pair_rows, streams, tol):
-                differences, derived = _distributivity(*staged, tol)
-                if len(p):  # the pairs, and trial 0's propositions (copied: the stacks can go)
-                    om_differences, om_derived = _orthomodularity(p, q, tol)
-                    spot.append(np.concatenate([x[:1] for x in (p, q, *staged, *om_derived,
-                                                                  *derived)]))
-                    differences = np.concatenate([om_differences, differences])
                 triples.append(staged)
-                held &= norm_at_most(differences, tol.law_tol).all(axis=-1)
+                if p.shape[-1] == 1:  # blocks 0 or 1: every law difference is 0
+                    derived = _settled_laws(p[:1], q[:1], *staged[:, :1])
+                else:
+                    differences, derived = _distributivity(*staged, tol)
+                    if len(p):  # the pairs
+                        om_differences, om_derived = _orthomodularity(p, q, tol)
+                        derived = (*om_derived, *derived)
+                        differences = np.concatenate([om_differences, differences])
+                    held &= norm_at_most(differences, tol.law_tol).all(axis=-1)
+                if len(p):  # trial 0's propositions (copied: the stacks can go)
+                    spot.append(np.concatenate([x[:1] for x in (p, q, *staged, *derived)]))
             if spot:
                 _spot_check(alg, _ambient(decomp.frame, spot), "trial 0", tol)
                 pass_rate = np.count_nonzero(held[:trials]) / trials

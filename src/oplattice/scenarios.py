@@ -324,7 +324,7 @@ def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Toleranc
     families are one draw, and all cases go through one check."""
     states, trials = scenario.states, scenario.trials
     checks = _STATE_FAMILY_CHECKS * len(states)
-    verdicts, residuals = [], []
+    verdicts, failures, top = [], 0, 0.0  # 0.0 for the largest of no residuals
     if checks + trials:  # zero trials and no states draw nothing
         d, width = alg.ambient_dim, _family_width(alg)
         families = _random_orthogonal_families(alg, np.concatenate([
@@ -333,17 +333,15 @@ def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Toleranc
         densities = np.concatenate([
             *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
             _random_states(d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))])
-        results = _orthoadditivity(alg, densities, "family" if checks else
-                                   "orthoadditivity trial 0", families, tol)
-        passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
-        verdicts = [all(passed[i:i + _STATE_FAMILY_CHECKS])
-                    for i in range(0, checks, _STATE_FAMILY_CHECKS)]
-        residuals = [max(r) for r in results[checks:]]
-    return verdicts, {
-        "trials": trials,
-        "failures": sum(1 for r in residuals if r > tol.law_tol),
-        "max_residual": max(residuals, default=0.0),  # 0.0 for the largest of no residuals
-    }
+        additivity, complement = _orthoadditivity(alg, densities, "family" if checks else
+                                                  "orthoadditivity trial 0", families, tol)
+        passed = (additivity[:checks] <= tol.law_tol) & (complement[:checks] <= tol.eq_tol)
+        verdicts = passed.reshape(len(states), _STATE_FAMILY_CHECKS).all(axis=1).tolist()
+        if trials:
+            residuals = np.maximum(additivity[checks:], complement[checks:])
+            failures = int(np.count_nonzero(residuals > tol.law_tol))
+            top = float(residuals.max())
+    return verdicts, {"trials": trials, "failures": failures, "max_residual": top}
 
 
 def scenario_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Scenario:

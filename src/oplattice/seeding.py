@@ -3,12 +3,12 @@
 A sampling stage draws all of its trials in one call: `uniforms(seed, stream, count, width)`
 is a ``(count, width)`` array of doubles in [0, 1) from NumPy's Philox4x64-10 (Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011), keyed by
-``SeedSequence((seed, stream))`` and addressed by the trial. `Generator.random` takes one
-64-bit word per double, and the width is rounded up to whole 4-word blocks, so row i is the
-block run that starts at counter ``i w / 4``: it does not depend on how many rows are drawn,
-and no trial builds a generator. Stream identifiers are small integers kept unique across the
-package by the `STREAM_*` constants below. This module is the package's only caller of
-NumPy's seeding.
+``SeedSequence((seed, stream))`` (`Philox` reads its ``generate_state(2, np.uint64)``) and
+addressed by the trial. `Generator.random` takes one 64-bit word per double, and the width
+is rounded up to whole 4-word blocks, so row i is the block run that starts at counter
+``i w / 4``: it does not depend on how many rows are drawn, and no trial builds a generator.
+Stream identifiers are small integers kept unique across the package by the `STREAM_*`
+constants below. This module is the package's only caller of NumPy's seeding.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ _BLOCK = 4  # words per Philox4x64 block
 def uniforms(seed: int, stream: int, count: int, width: int) -> np.ndarray:
     """Rows ``0 .. count - 1`` of `stream` under `seed`: ``(count, width)`` doubles in [0, 1),
     each row the ``53``-bit doubles of its own run of whole Philox blocks."""
-    key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
+    # a `key=` Philox would first build, and drop, a SeedSequence of OS entropy
+    bits = np.random.Philox(np.random.SeedSequence((seed, stream)))
     blocks = -(-width // _BLOCK) * _BLOCK
-    return np.random.Generator(np.random.Philox(key=key)).random((count, blocks))[:, :width]
+    return np.random.Generator(bits).random((count, blocks))[:, :width]
 
 
 def complex_normals(u: np.ndarray) -> np.ndarray:

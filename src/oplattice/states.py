@@ -138,17 +138,20 @@ def sigma_orthoadditivity_residuals(
     blocks = [t / m for (_, m, _, _), t in zip(frame.groups, _partial_traces(frame, stack))]
     joins = [_join(*x[:, None], tol=tol) if len(x) else np.zeros((1, *x.shape[1:]), complex)
              for x in blocks]  # one n-ary join per shape group
-    return _orthoadditivity(ls.domain, ls.underlying.density[None], "family",
-                            (np.array([len(stack)]), blocks, joins), tol)[0]
+    additivity, complement = _orthoadditivity(ls.domain, ls.underlying.density[None], "family",
+                                              (np.array([len(stack)]), blocks, joins), tol)
+    return float(additivity[0]), float(complement[0])
 
 
-def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: Tolerance) -> list:
-    """`sigma_orthoadditivity_residuals` of the density stack `rho`, case i's family the i-th of
+def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: Tolerance) -> tuple:
+    """`sigma_orthoadditivity_residuals` of the density stack `rho`, per case as two arrays
+    (additivity, complement), case i's family the i-th of
     ``families = (sizes, blocks, joins)`` (per group, every member's blocks in order, and each
     family's join). Case 0's members and join are checked in M_d (`_spot_check`, a failure
     named by case 0's `label`) before the values ``tr(rho p) = sum tr(s p_a)``, s the partial
     traces. Members come orthogonal: a public family is checked, a drawn one's are runs of one
-    guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol``."""
+    guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol``
+    (1 x 1 blocks are masks of disjoint places: their products are 0)."""
     (sizes, blocks, joins), count = families, len(rho)
     frame, case = block_decomposition(alg, tol).frame, np.repeat(np.arange(count), sizes)
     _spot_check(alg, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
@@ -159,7 +162,7 @@ def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: T
     # each case's member values summed in order, as `sum` would
     total = np.bincount(case, weights=_probabilities(values, tol), minlength=count)
     off = np.where(sizes > 0, abs(np.trace(rho, axis1=1, axis2=2).real - 1.0), 0.0)
-    return list(zip(abs(_probabilities(joined, tol) - total).tolist(), off.tolist()))
+    return abs(_probabilities(joined, tol) - total), off
 
 
 def check_sigma_orthoadditive(

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -30,13 +31,15 @@ from oplattice import (
     orthocomplement,
     orthogonal,
     orthomodularity_residual,
+    random_orthogonal_family,
     random_projector,
     random_state,
 )
 from oplattice import NumericalError, build_classical, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
 from oplattice import states as states_module
-from oplattice.numerics import dumps, null_space, range_projector
+from oplattice.numerics import dumps, null_space, range_projector, run_projectors
+from oplattice.sectors import _random_self_adjoint
 from oplattice.seeding import (
     STREAM_DISTRIBUTIVE_P,
     STREAM_DISTRIBUTIVE_Q,
@@ -665,6 +668,101 @@ class TestBooleanReadOff:
         assert (report.trials, report.seed) == (10**6, 1)
 
 
+# algebras with a shape group of 1 x 1 blocks: classical, the three hybrid `lattice` bench
+# inputs, an abelian sector of multiplicity 3, and a Haar-rotated hybrid
+ONE_BY_ONE_INPUTS = {
+    **{f"classical-{d}": (lambda d=d: close(build_classical(d))) for d in (3, 4)},
+    "sectors-2+1x2": lambda: close(build_sectors([(2, 1), (1, 2)])),
+    "sectors-1+2": lambda: close(build_sectors([(1, 1), (2, 1)])),
+    "sectors-1+1+2": lambda: close(build_sectors([(1, 1), (1, 1), (2, 1)])),
+    "sectors-1x3+2": lambda: close(build_sectors([(1, 3), (2, 1)])),
+    "haar-sectors-2+1x2": lambda: close(rotated(build_sectors([(2, 1), (1, 2)]), seed=5)),
+}
+SPECTRAL_CUTS, RUN_BLOCKS = logic_module._spectral_cuts, logic_module._run_blocks
+
+
+def eigh_cuts(alg, u, tol, least=1):
+    """`_spectral_cuts` with the eigenvectors of every shape group from `eigh`, 1 x 1 blocks
+    too, whose eigenvalues are checked to be the blocks' real parts."""
+    cuts = SPECTRAL_CUTS(alg, u, tol, least)
+    frame = block_decomposition(alg, tol).frame
+    vectors = []
+    for h, v in zip(_random_self_adjoint(frame, u[:, :2 * alg.dim]), cuts[0]):
+        w, vectors_h = np.linalg.eigh(h)
+        assert v is None if h.shape[-1] == 1 else np.array_equal(v, vectors_h)
+        if h.shape[-1] == 1:
+            assert np.array_equal(w, h[..., 0].real) and (vectors_h == 1).all()
+        vectors.append(vectors_h)
+    return (vectors, *cuts[1:])
+
+
+def eigh_run_blocks(cuts, rows, starts, stops, tol):
+    """`_run_blocks` with every block a `run_projectors` run of `eigh_cuts`' eigenvectors."""
+    out = []
+    for v, places in zip(*cuts[:2]):
+        c, n = places.shape[1:]
+        a, b = (np.count_nonzero(places[rows] < np.reshape(x, (-1, 1, 1)), axis=-1).ravel()
+                for x in (starts, stops))
+        k = (np.asarray(rows)[:, None] * c + np.arange(c)).ravel()
+        out.append(run_projectors(v.reshape(-1, n, n), k, a, b, tol).reshape(len(rows), c, n, n))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: the signs of zeros too."""
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestOneByOneGroups:
+    """A shape group of 1 x 1 blocks is settled, not sampled: no `eigh`, `run_projectors` or law
+    kernel, with the bits of the route that takes them."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name", ONE_BY_ONE_INPUTS)
+    def test_draws_have_the_bits_of_eigh_and_run_projectors(self, name, seed, monkeypatch):
+        alg, tol = ONE_BY_ONE_INPUTS[name](), DEFAULT_TOL
+        assert any(n == 1 for n, *_ in block_decomposition(alg).frame.groups)
+        u = uniforms(seed, STREAM_PROJECTOR, 16, logic_module._draw_width(alg))
+        cuts = logic_module._spectral_cuts(alg, u, tol)
+        # every row's runs [a, b), empty ones included, from a seeded choice of bounds
+        places = len(cuts[2][0])
+        bounds = np.sort(np.random.default_rng(seed).integers(0, places + 1, (2, 4 * len(u))), 0)
+        rows = np.repeat(np.arange(len(u)), 4)
+        got = logic_module._run_blocks(cuts, rows, *bounds, tol)
+        want = eigh_run_blocks(eigh_cuts(alg, u, tol), rows, *bounds, tol)
+        assert len(got) == len(want) and all(map(same_bits, got, want))
+        projector, family = random_projector(alg, seed), random_orthogonal_family(alg, seed)
+        with monkeypatch.context() as m:
+            for module in (logic_module, states_module):
+                m.setattr(module, "_spectral_cuts", eigh_cuts)
+                m.setattr(module, "_run_blocks", eigh_run_blocks)
+            assert same_bits(random_projector(alg, seed), projector)
+            want_family = random_orthogonal_family(alg, seed)
+        assert len(family) == len(want_family) and all(map(same_bits, family, want_family))
+
+    def test_settled_laws_have_the_bits_of_the_law_kernels(self):
+        # every nested pair p <= q and every triple of 0/1 blocks, as one (cases, 1, 1, 1) stack
+        bits = np.array(list(itertools.product([0, 1], repeat=5)), dtype=complex)
+        p, q, dp, dq, dr = bits[bits[:, 0] <= bits[:, 1]].T.reshape(5, -1, 1, 1, 1)
+        want = (*logic_module._orthomodularity(p, q, DEFAULT_TOL)[1],
+                *logic_module._distributivity(dp, dq, dr, DEFAULT_TOL)[1])
+        got = logic_module._settled_laws(p, q, dp, dq, dr)
+        assert len(got) == len(want) == 7 and all(map(same_bits, got, want))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ONE_BY_ONE_INPUTS)
+    def test_the_report_equals_the_ambient_oracle(self, name, seed):
+        alg = ONE_BY_ONE_INPUTS[name]()
+        report, want = lattice_report(alg, 40, seed), ambient_lattice_report(alg, 40, seed)
+        assert (report.orthomodular_pass_rate, report.distributive, report.trials) == (
+            want.orthomodular_pass_rate, want.distributive, want.trials)
+        for a, b in zip(report.counterexample or (), want.counterexample or (), strict=True):
+            assert operator_norm(a - b) <= 1e-10
+        assert (report.boolean_lattice, report.sector_count) == (
+            want.boolean_lattice, want.sector_count)
+
+
 def reference_random_projector(alg, u, tol=DEFAULT_TOL):
     """The one-draw sampler on one row of uniforms `u`: a loop over the sectors, an `eigh` per
     block, a cluster loop on the ambient spectrum; of n >= 2 clusters the top
@@ -766,19 +864,12 @@ class TestProperDraws:
     pair is strictly nested, so no trial holds by ``p = 0`` or ``p = q``."""
 
     @pytest.mark.parametrize("name", LATTICE_INPUTS)
-    def test_every_orthomodular_pair_is_strictly_nested(self, name, monkeypatch):
+    def test_every_orthomodular_pair_is_strictly_nested(self, name):
+        # the 200 pairs of seed 1, drawn by `lattice_report`'s helper: the report reads a group
+        # of 1 x 1 blocks (and a Boolean algebra) without a law kernel that could show them
         alg = close(LATTICE_INPUTS[name]())
-        pairs, orthomodularity = [], logic_module._orthomodularity
-
-        def orthomodularity_recorded(p, q, tol):
-            pairs.append(np.stack([p, q]))
-            return orthomodularity(p, q, tol)
-
-        monkeypatch.setattr(logic_module, "_orthomodularity", orthomodularity_recorded)
-        report = lattice_report(alg, trials=200, seed=1)
-        if report.boolean_lattice:  # not sampled: its 200 pairs, drawn by the report's helper
-            u = uniforms(1, STREAM_ORTHOMODULAR_Q, 200, logic_module._draw_width(alg) + 1)
-            pairs = [p for p, _ in logic_module._lattice_draws(alg, u, [u[:0]] * 3, DEFAULT_TOL)]
+        u = uniforms(1, STREAM_ORTHOMODULAR_Q, 200, logic_module._draw_width(alg) + 1)
+        pairs = [p for p, _ in logic_module._lattice_draws(alg, u, [u[:0]] * 3, DEFAULT_TOL)]
         groups = block_decomposition(alg).frame.groups
         assert len(pairs) == len(groups)  # one pair stack per shape group
         rank_p, rank_q = block_ranks(groups, pairs)

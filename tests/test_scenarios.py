@@ -739,6 +739,36 @@ class TestCallBudget:
             stages.append([len(d) for d in drawn])
         assert stages == [[4, 3], [4, 3]]  # lattice_report's 4 and the sweep's 3
 
+    def test_a_group_of_one_by_one_blocks_takes_no_kernel(self, monkeypatch):
+        # sectors [[2, 1], [1, 2]]: a draw takes one `eigh`, of its 2 x 2 group; its 1 x 1
+        # blocks are 0 or 1, so no `run_projectors` run or law kernel is made of them
+        scenario = Scenario(name="budget", kind="sectors", dim=4, trials=40, seed=4,
+                            parameters={"blocks": [[2, 1], [1, 2]]}, states=(random_state(4, 0),))
+        run_scenario(scenario)
+        eigh, draws = np.linalg.eigh, []
+        with monkeypatch.context() as m:
+            for module in (logic_module, states_module):
+                def cuts_watched(*args, cuts=module._spectral_cuts, **kwargs):
+                    draws.append([])  # the block sizes of this draw's `eigh` calls
+                    with monkeypatch.context() as inner:
+                        inner.setattr(np.linalg, "eigh", lambda h: draws[-1].append(
+                            h.shape[-1]) or eigh(h))
+                        return cuts(*args, **kwargs)
+
+                m.setattr(module, "_spectral_cuts", cuts_watched)
+            sizes = {}
+            for name in ("run_projectors", "_meet", "_orthomodularity", "_distributivity"):
+                def sized(a, *args, fn=getattr(logic_module, name), seen=sizes.setdefault(
+                        name, []), **kwargs):
+                    seen.append(np.shape(a)[-1])
+                    return fn(a, *args, **kwargs)
+
+                m.setattr(logic_module, name, sized)
+            run_scenario(scenario)
+        assert draws == [[2], [2]]  # the lattice's pairs with its first triples, the families
+        assert {name: set(n) for name, n in sizes.items()} == {
+            "run_projectors": {2}, "_meet": {2}, "_orthomodularity": {2}, "_distributivity": {2}}
+
 
 # sector sets of the sweep: block size 2s at multiplicities 2 and 1 and s at 2, a doubled
 # qubit of multiplicity d/2 (h has two clusters of size d/2), and the scalars (one of size d)

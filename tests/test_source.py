@@ -307,7 +307,8 @@ def test_a_sector_is_its_isometry():
 def test_one_kernel_turns_eigenvector_columns_into_a_proposition():
     # every sampled projector is `numerics.run_projectors` of a run of block columns, made by
     # one helper (`logic._run_blocks`) for both samplers: the family draws form no product of
-    # their own, so each member has the bits of its slices' `range_projector`
+    # their own, so each member has the bits of its slices' `range_projector`. The one
+    # exception, made by that helper too: a 1 x 1 block is its place mask, `run_projectors`' bits
     named = {path.name: _named(path) for path in SOURCES}
     assert sorted(name for name, names in named.items() if "suffix_projectors" in names) == []
     assert sorted(name for name, names in named.items() if "run_projectors" in names) == [

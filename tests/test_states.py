@@ -428,9 +428,10 @@ class TestStackedFamilies:
         at = np.cumsum(sizes) - sizes
         alone = [states_module._orthoadditivity(env, rho[i:i + 1], f"case {i}", (
             sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks],
-            [j[i:i + 1] for j in joins]), DEFAULT_TOL)[0] for i in range(len(cases))]
+            [j[i:i + 1] for j in joins]), DEFAULT_TOL) for i in range(len(cases))]
         # the densities' partial traces are a product per matrix: no bit depends on the stack
-        assert together == alone
+        for residuals, one_each in zip(together, zip(*alone)):  # additivity, then complement
+            assert np.array_equal(residuals, np.concatenate(one_each))
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_a_familys_join_is_the_fold_of_pair_joins(self, name):
