@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError, ValidationError
-from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, as_matrix, is_int, matrix_from_json,
-                       matrix_to_json, norm_at_most, require_count)
+from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, as_matrix, matrix_from_json,
+                       matrix_to_json, require_count)
 from .sectors import (Sector, SectorDecomposition, _generated_sectors, _settled, _swapped, _units,
                       block_decomposition, contains)
 
@@ -57,16 +57,15 @@ class AlgebraBasis:
     and copied. An algebra read off sectors (`_with_sectors`: `generated_algebra`, `commutant`,
     `center`, `generator_commutant`) holds its own certified decomposition, reads `dim` (sum
     n^2) off it and builds `basis`, its matrix units (`sectors._units`), on first read. Only
-    `project_onto` (so `same_span`), `is_commutative`, `algebra_to_json` and the decomposition
-    of a basis passed in read `basis`. ``ambient_dim`` is a Python int.
+    `project_onto` (so `same_span`), `algebra_to_json` and the decomposition of a basis passed
+    in read `basis`. ``ambient_dim`` is a positive Python int (`require_count`).
 
     `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance` (the span is
     immutable); an algebra read off sectors holds the ones it was built from first.
     """
 
     def __init__(self, ambient_dim: int, basis):
-        if not is_int(ambient_dim):
-            raise ValidationError(f"ambient_dim must be an integer, got {ambient_dim!r}")
+        require_count("ambient_dim", ambient_dim, positive=True)
         b = _as_operators(basis)  # a read-only copy, its entries finite
         if b.ndim != 3 or b.shape[1:] != (ambient_dim, ambient_dim):
             raise DimensionMismatch(f"basis stack of shape {b.shape} does not match ambient "
@@ -184,10 +183,10 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 
 
 def is_commutative(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff all basis pairs commute within ``eq_tol``."""
-    b = alg.basis  # each element against the later ones, as one stack
-    return all(norm_at_most(a @ b[i + 1:] - b[i + 1:] @ a, tol.eq_tol).all()
-               for i, a in enumerate(b))
+    """True iff every sector of the memoized `sectors.block_decomposition` has block size 1:
+    the algebra is its own center. It reads no basis; a span that is no algebra raises
+    `CenterDiagonalizationFailed`, as every structural query does."""
+    return all(s.block_size == 1 for s in block_decomposition(alg, tol).sectors)
 
 
 def generator_set_to_json(gens: GeneratorSet) -> dict:

@@ -23,10 +23,10 @@ from .states import dirac_characters, evaluate, make_state, state_to_json
 
 # each algebra verb from the generators' bicommutant (names looked up per call)
 _ALGEBRA_VERBS = {
-    "close": lambda gens, tol: generated_algebra(gens, tol),
-    "envelope": lambda gens, tol: baire_envelope(generated_algebra(gens, tol), tol),
-    "commutant": lambda gens, tol: commutant(generated_algebra(gens, tol), tol),
-    "center": lambda gens, tol: center(generated_algebra(gens, tol), tol),
+    "close": lambda alg, tol: alg,
+    "envelope": lambda alg, tol: baire_envelope(alg, tol),
+    "commutant": lambda alg, tol: commutant(alg, tol),
+    "center": lambda alg, tol: center(alg, tol),
 }
 
 
@@ -77,34 +77,14 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
     for option in ("seed", "trials"):
         if getattr(args, option) < 0:
             raise ValidationError(f"--{option} must be nonnegative, got {getattr(args, option)}")
-    if args.verb in _ALGEBRA_VERBS:
-        result = _ALGEBRA_VERBS[args.verb](generator_set_from_json(_load_input(args)), tol)
-        summary = f"{args.verb}: span dimension {result.dim} inside M_{result.ambient_dim}"
-        return algebra_to_json(result), summary
-
-    if args.verb == "sectors":
-        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
-        decomp = block_decomposition(alg, tol)
-        blocks = ", ".join(
-            f"{s.block_size}x{s.block_size} (x{s.multiplicity})" for s in decomp.sectors
-        )
-        payload = {"ambient_dim": decomp.ambient_dim, "sectors": decomposition_to_json(decomp)}
-        return payload, f"sectors: {len(decomp.sectors)} block(s): {blocks}"
-
+    data = _load_input(args)
     if args.verb in ("meet", "join"):
-        p, q = _projector_pair(_load_input(args))
+        p, q = _projector_pair(data)
         op = meet if args.verb == "meet" else join
         result = op(p, q, tol)
         return {"result": result}, f"{args.verb}: done"
 
-    if args.verb == "characters":
-        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
-        chars = dirac_characters(alg, tol)
-        payload = {"characters": [state_to_json(c) for c in chars]}
-        return payload, f"characters: {len(chars)} point(s) in the spectrum"
-
     if args.verb == "eval-state":
-        data = _load_input(args)
         if not isinstance(data, dict) or "density" not in data or "observable" not in data:
             raise ValidationError('eval-state input needs "density" and "observable"')
         state = make_state(matrix_from_json(data["density"]), tol)
@@ -112,18 +92,8 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         payload = {"value": [value.real, value.imag]}
         return payload, f"eval-state: {value.real:+.6g}{value.imag:+.6g}i"
 
-    if args.verb == "report":
-        alg = generated_algebra(generator_set_from_json(_load_input(args)), tol)
-        report = lattice_report(alg, args.trials, args.seed, tol)
-        summary = (
-            f"report: orthomodular pass rate {report.orthomodular_pass_rate:.3f}, "
-            f"distributive={report.distributive}, factor={report.factor}, "
-            f"sectors={report.sector_count}"
-        )
-        return lattice_report_to_json(report), summary
-
     if args.verb == "run":
-        scenario = scenario_from_json(_load_input(args), tol)
+        scenario = scenario_from_json(data, tol)
         report = run_scenario(scenario, tol)
         expectations_ok = all(v["pass"] for v in report.expectations)
         summary = (
@@ -134,7 +104,33 @@ def _dispatch(args, tol: Tolerance) -> tuple[dict, str]:
         )
         return report_to_json_dict(report), summary
 
-    raise ValidationError(f"unhandled verb {args.verb!r}")
+    # every other verb reads generators
+    alg = generated_algebra(generator_set_from_json(data), tol)
+    if args.verb in _ALGEBRA_VERBS:
+        result = _ALGEBRA_VERBS[args.verb](alg, tol)
+        summary = f"{args.verb}: span dimension {result.dim} inside M_{result.ambient_dim}"
+        return algebra_to_json(result), summary
+
+    if args.verb == "sectors":
+        decomp = block_decomposition(alg, tol)
+        blocks = ", ".join(
+            f"{s.block_size}x{s.block_size} (x{s.multiplicity})" for s in decomp.sectors
+        )
+        payload = {"ambient_dim": decomp.ambient_dim, "sectors": decomposition_to_json(decomp)}
+        return payload, f"sectors: {len(decomp.sectors)} block(s): {blocks}"
+
+    if args.verb == "characters":
+        chars = dirac_characters(alg, tol)
+        payload = {"characters": [state_to_json(c) for c in chars]}
+        return payload, f"characters: {len(chars)} point(s) in the spectrum"
+
+    report = lattice_report(alg, args.trials, args.seed, tol)  # "report", the last verb
+    summary = (
+        f"report: orthomodular pass rate {report.orthomodular_pass_rate:.3f}, "
+        f"distributive={report.distributive}, factor={report.factor}, "
+        f"sectors={report.sector_count}"
+    )
+    return lattice_report_to_json(report), summary
 
 
 def main(argv=None) -> int:

@@ -19,13 +19,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import AlgebraBasis, contains
+from .algebra import AlgebraBasis, contains, is_commutative
 from .errors import (DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed,
                      ValidationError)
 from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector, matrix_to_json,
                        norm_at_most, null_space, operator_norm, range_projector, require_count,
                        run_projectors, singular_rank)
-from .sectors import _ambient, _random_self_adjoint, block_decomposition, mvn_dimension
+from .sectors import _ambient, _random_self_adjoint, block_decomposition, is_factor, mvn_dimension
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms)
 
@@ -345,9 +345,9 @@ def lattice_report(
     meet, its join the sum ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a
     counterexample in M_d).
 
-    The rest is read off the memoized block decomposition: `boolean_lattice` (a commutative
-    algebra) is every sector of block size 1, `factor` a single sector, `hilbertian` (lattice of
-    all subspaces) a single sector of multiplicity 1. `atomic` is always true: each block
+    The rest is read off the memoized block decomposition: `boolean_lattice` is `is_commutative`
+    (every sector of block size 1), `factor` is `is_factor` (a single sector), `hilbertian`
+    (lattice of all subspaces) a factor of multiplicity 1. `atomic` is always true: each block
     ``M_n (x) 1_m`` has the atoms ``e (x) 1_m``, e of rank 1, and `block_decomposition`
     certifies that form for every sector. A Boolean lattice (every group 1 x 1) draws nothing
     and reports what zero trials do, which its sampling gives exactly: every law difference is 0.
@@ -355,7 +355,7 @@ def lattice_report(
     require_count("trials", trials)
     require_count("seed", seed)
     decomp = block_decomposition(alg, tol)
-    boolean = all(s.block_size == 1 for s in decomp.sectors)
+    boolean = is_commutative(alg, tol)
     pass_rate, counterexample = 1.0, None  # zero trials, and a Boolean algebra, draw nothing
     if trials and not boolean:
         # one width for all four stages: 2k + 1 is odd, so its rows have the bits of 2k + 2's
@@ -388,7 +388,7 @@ def lattice_report(
             if failed.size:
                 counterexample = tuple(_ambient(decomp.frame, [x[:, failed[0]] for x in triples]))
 
-    factor = len(decomp.sectors) == 1
+    factor = is_factor(alg, tol)
     return LatticeReport(
         orthomodular_pass_rate=pass_rate,
         distributive=counterexample is None,

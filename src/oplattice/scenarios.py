@@ -27,11 +27,11 @@ from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import (DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json,
                        require_count)
-from .sectors import block_decomposition
+from .sectors import block_decomposition, minimal_central_projectors
 from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms
 from .states import (StateFunctional, _family_width, _orthoadditivity, _probabilities,
-                     _random_orthogonal_families, _random_states, dirac_characters, evaluate,
-                     is_pure, is_separating, state_from_json, state_to_json)
+                     _random_orthogonal_families, _random_states, dirac_characters, is_pure,
+                     is_separating, state_from_json, state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -262,7 +262,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
             "separating": is_separating(chars, alg, tol),
         }
 
-    zs = [s.central_projector for s in decomp.sectors]  # built here, so checked nowhere
+    zs = minimal_central_projectors(alg, tol)  # built by the package, so checked nowhere
     sector_entries = tuple(
         {
             "block_size": s.block_size,
@@ -280,7 +280,7 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
             "index": index,
             "pure": is_pure(st, alg, tol),
             "values": {f"sector_{i}": float(v) for i, v in enumerate(
-                _probabilities(np.array([evaluate(st, z) for z in zs]), tol))},
+                _probabilities(np.array([np.trace(st.density @ z) for z in zs]), tol))},
             "sigma_orthoadditive": verdict,
         }
         for index, (st, verdict) in enumerate(zip(scenario.states, additive))

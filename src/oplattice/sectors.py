@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -65,14 +66,15 @@ class Sector:
 class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
-    columns from ``start`` on. Membership, the draws, the map to M_d (`_ambient`), the chain's
-    certificate, the reduced ranks, the sampled values, `is_pure` and `is_separating` read it,
-    all through this module's readers; `dirac_characters` and a scenario's sector values
-    read each sector's central projector."""
+    columns from ``start`` on, and `sectors` the sectors in that frame order. Membership, the
+    draws, the map to M_d (`_ambient`), the chain's certificate, the reduced ranks, the sampled
+    values, `is_pure` and `is_separating` read it, all through this module's readers;
+    `dirac_characters` and a scenario's sector values read the central projectors."""
 
     u: np.ndarray
     uh: np.ndarray
     groups: tuple
+    sectors: tuple
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,14 @@ class SectorDecomposition:
     @cached_property
     def frame(self) -> Frame:
         """The sectors' `Frame`, built on first read."""
-        ordered = sorted(self.sectors, key=lambda s: (s.block_size, s.multiplicity))  # stable
+        shape = attrgetter("block_size", "multiplicity")
+        ordered = tuple(sorted(self.sectors, key=shape))  # stable
         groups, at = [], 0
-        for (n, m), same in itertools.groupby(ordered, lambda s: (s.block_size, s.multiplicity)):
+        for (n, m), same in itertools.groupby(ordered, shape):
             groups.append((n, m, len(list(same)), at))
             at += groups[-1][2] * n * m
         u = np.hstack([s.isometry for s in ordered])
-        return Frame(u, u.conj().T.copy(), tuple(groups))
+        return Frame(u, u.conj().T.copy(), tuple(groups), ordered)
 
 
 def minimal_central_projectors(
@@ -388,8 +391,8 @@ def _decompose(alg: AlgebraBasis, tol: Tolerance) -> SectorDecomposition:
 
 
 def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the center consists of multiples of the identity only,
-    i.e. the algebra has exactly one sector."""
+    """True iff the center consists of multiples of the identity only, i.e. the memoized
+    `block_decomposition` has exactly one sector."""
     return len(block_decomposition(alg, tol).sectors) == 1
 
 
@@ -405,12 +408,12 @@ def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray) -> list[int]:
     validate p as a projector in the algebra, so it commutes with ``z = V V*`` and ``V* p V``
     is a projector within ``eq_tol``: its trace, rounded, is its rank. One product over the
     frame gives each column's ``<u_j, p u_j>``; a sector's trace is the sum over its columns."""
-    frame, sectors = decomp.frame, decomp.sectors
+    frame = decomp.frame
     traces = np.add.reduceat(np.einsum("ij,ij->j", frame.u.conj(), p @ frame.u).real,  # frame order
                              [at + n * m * a for n, m, c, at in frame.groups for a in range(c)])
-    rank = dict(zip(sorted(sectors, key=lambda s: (s.block_size, s.multiplicity)), traces.tolist()))
+    rank = dict(zip(frame.sectors, traces.tolist()))
     out = []
-    for s in sectors:
+    for s in decomp.sectors:
         r, m = round(rank[s]), s.multiplicity
         if r % m:
             raise ReducedRankNotDivisible(f"blockwise rank {r} is not divisible by multiplicity "

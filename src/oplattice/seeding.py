@@ -13,8 +13,6 @@ constants below. This module is the package's only caller of NumPy's seeding.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 # logic.lattice_report
@@ -65,10 +63,4 @@ def derive_seed(seed: int, stream: int, index: int) -> int:
 
 def stream_generator(stream: int) -> np.random.Generator:
     """A fresh ``np.random.default_rng(stream)`` on every call."""
-    return np.random.Generator(np.random.PCG64(_stream_sequence(stream)))
-
-
-@lru_cache(maxsize=None)  # the package reads 2 streams
-def _stream_sequence(stream: int) -> np.random.SeedSequence:
-    """`stream_generator`'s seed sequence, built once; `PCG64` only reads it."""
-    return np.random.SeedSequence(stream)
+    return np.random.default_rng(stream)

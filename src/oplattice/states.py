@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, baire_envelope
+from .algebra import AlgebraBasis, baire_envelope, is_commutative
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
 from .logic import _draw_width, _first_kept, _join, _run_blocks, _spectral_cuts, _spot_check
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
                        norm_at_most, operator_norm, rank_of, require_count)
-from .sectors import _ambient, _partial_traces, _validated_projector_in, block_decomposition
+from .sectors import (_ambient, _partial_traces, _validated_projector_in, block_decomposition,
+                      minimal_central_projectors)
 from .seeding import STREAM_FAMILY, STREAM_STATE, complex_normals, uniforms
 
 
@@ -87,8 +88,8 @@ class LogicalState:
                                     f"M_{self.domain.ambient_dim}")
 
     def value(self, p, tol: Tolerance = DEFAULT_TOL) -> float:
-        pm = _validated_projector_in(self.domain, p, tol)
-        return float(_probabilities(np.array([evaluate(self.underlying, pm)]), tol)[0])
+        pm = _validated_projector_in(self.domain, p, tol)  # checked once, not by `evaluate`
+        return float(_probabilities(np.array([np.trace(self.underlying.density @ pm)]), tol)[0])
 
 
 def _probabilities(raw: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -200,16 +201,14 @@ def dirac_characters(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[St
     eigenspaces on which every element acts as a scalar; normalizing the
     eigenspace projectors gives states that read off those scalars, the
     finite analogue of evaluation at a point. Their count equals the
-    span dimension of the algebra. NotCommutative unless every sector
-    of the block decomposition has block size 1.
+    span dimension of the algebra. NotCommutative unless `is_commutative`.
     """
-    sectors = block_decomposition(alg, tol).sectors
-    if any(sector.block_size != 1 for sector in sectors):
+    if not is_commutative(alg, tol):
         raise NotCommutative("characters exist only for commutative algebras")
-    # a commutative algebra is its own center, so the central projectors
-    # of its sectors are exactly the joint eigenspace projectors: each z / tr z is a density by
-    # construction, so it is wrapped read-only without `make_state`'s checks
-    densities = [z / float(np.trace(z).real) for z in (s.central_projector for s in sectors)]
+    # a commutative algebra is its own center, so its minimal central projectors are exactly
+    # the joint eigenspace projectors: each z / tr z is a density by construction, so it is
+    # wrapped read-only without `make_state`'s checks
+    densities = [z / float(np.trace(z).real) for z in minimal_central_projectors(alg, tol)]
     for rho in densities:
         rho.setflags(write=False)
     return [StateFunctional(rho) for rho in densities]

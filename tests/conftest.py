@@ -97,6 +97,15 @@ def two_orthogonal_real_lines():
     return np.outer(v, v).astype(complex), np.outer(w, w).astype(complex)
 
 
+def reference_is_commutative(basis, tol=DEFAULT_TOL):
+    """Commutativity as the pairwise loop over a basis (an `AlgebraBasis` or a stack): each
+    element against the later ones, every commutator of operator norm at most ``eq_tol``. The
+    package reads it off the sectors instead (`is_commutative`)."""
+    b = getattr(basis, "basis", basis)
+    return all(norm_at_most(a @ b[i + 1:] - b[i + 1:] @ a, tol.eq_tol).all()
+               for i, a in enumerate(b))
+
+
 def reference_close(gens, tol=DEFAULT_TOL):
     """`close` as a plain loop: one `np.vdot` per basis vector, done twice.
 

@@ -41,11 +41,13 @@ from oplattice import algebra as algebra_module
 from oplattice import sectors as sectors_module
 from oplattice.numerics import hs_norm, hs_unit
 from tests.conftest import (
+    KERNEL_ALGEBRAS,
     chain_changed,
     chain_replaced,
     haar_unitary,
     reference_close,
     reference_commutant,
+    reference_is_commutative,
     rotated,
     star,
     two_orthogonal_real_lines,
@@ -172,7 +174,7 @@ class TestClose:
         p, q = two_orthogonal_real_lines()
         alg = close(GeneratorSet(ambient_dim=3, generators=(p, q)))
         assert alg.dim == 3
-        assert is_commutative(alg)
+        assert reference_is_commutative(alg)
 
 
 def random_unitary(kind, d, rng):
@@ -216,7 +218,8 @@ class TestUnitaryCovariance:
         assert rotated.dim == alg.dim
         assert sector_blocks(rotated) == sector_blocks(alg)
         # the structural verdict (every block of size 1) against the pairwise reference
-        assert lattice_report(rotated, 0, 0).boolean_lattice == is_commutative(rotated)
+        assert (lattice_report(rotated, 0, 0).boolean_lattice == is_commutative(rotated)
+                == reference_is_commutative(rotated))
         conjugated = AlgebraBasis(ambient_dim=d, basis=[u @ b @ u.conj().T for b in alg.basis])
         assert same_span(rotated, conjugated)
 
@@ -764,7 +767,7 @@ class TestCenter:
 
     def test_center_is_commutative_and_unital(self, two_blocks):
         ctr = center(two_blocks)
-        assert is_commutative(ctr)
+        assert reference_is_commutative(ctr)
         assert contains(ctr, np.eye(5))
 
 
@@ -796,6 +799,25 @@ class TestIsCommutative:
 
     def test_clock_shift_4(self, full4):
         assert not is_commutative(full4)
+
+    @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+    def test_agrees_with_the_pairwise_reference(self, name):
+        alg = close(KERNEL_ALGEBRAS[name]())
+        assert is_commutative(alg) == reference_is_commutative(alg)
+
+    def test_agrees_on_a_basis_passed_in(self, full2, two_blocks):
+        for alg in (full2, two_blocks, center(two_blocks)):
+            given = AlgebraBasis(alg.ambient_dim, alg.basis)
+            assert is_commutative(given) == reference_is_commutative(given)
+
+    def test_reads_no_basis(self):
+        # the verdict is the memoized decomposition's: classical 64 builds none of its 64 units
+        alg = close(build_classical(64))
+        assert is_commutative(alg) and alg._basis is None
+
+    def test_a_span_that_is_no_algebra_raises(self):
+        with pytest.raises(CenterDiagonalizationFailed):
+            is_commutative(AlgebraBasis(2, unit(2, 0, 0)[None]))
 
 
 class TestContains:
@@ -855,10 +877,10 @@ class TestAlgebraBasisValue:
         with pytest.raises(DimensionMismatch):
             AlgebraBasis(ambient_dim=3, basis=np.zeros((1, 2, 2)))
 
-    @pytest.mark.parametrize("dim, d", [(2.0, 2), (True, 1), ("2", 2)],
-                             ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("dim, d", [(2.0, 2), (True, 1), ("2", 2), (0, 1)],
+                             ids=["float", "bool", "str", "zero"])
     def test_ambient_dim_is_an_integer(self, dim, d):
-        with pytest.raises(ValidationError, match="ambient_dim must be an integer"):
+        with pytest.raises(ValidationError, match="ambient_dim must be a positive integer"):
             sectors_module.is_factor(AlgebraBasis(dim, np.eye(d)[None] / np.sqrt(d)))
 
     def test_a_numpy_integer_dim_is_stored_as_an_int(self):

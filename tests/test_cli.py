@@ -21,7 +21,6 @@ from oplattice import (
     generated_algebra,
     generator_commutant,
     generator_set_to_json,
-    is_commutative,
     join,
     matrix_from_json,
     matrix_to_json,
@@ -34,7 +33,7 @@ from oplattice import (
 from oplattice import algebra as algebra_module
 from oplattice import cli as cli_module
 from oplattice.cli import main
-from tests.conftest import haar_unitary, rotated
+from tests.conftest import haar_unitary, reference_is_commutative, rotated
 
 
 @pytest.fixture()
@@ -96,7 +95,7 @@ class TestAlgebraVerbs:
         payload = json.loads(out)
         assert (payload["ambient_dim"], payload["dim"]) == (d, d)
         written = AlgebraBasis(d, np.stack([matrix_from_json(b) for b in payload["basis"]]))
-        assert is_commutative(written)
+        assert reference_is_commutative(written)
         assert contains(written, np.stack(gens.generators)).all()
 
     @pytest.mark.parametrize("verb", ["close", "envelope", "commutant"])

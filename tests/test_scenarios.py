@@ -27,7 +27,6 @@ from oplattice import (
     close,
     commutant,
     generator_commutant,
-    is_commutative,
     is_factor,
     matrix_to_json,
     operator_norm,
@@ -47,7 +46,8 @@ from oplattice import states as states_module
 from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE
 from tests.conftest import (ambient_lattice_report, ambient_orthoadditivity_checks, chain_changed,
                             drawn_families, haar_unitary, rational_clock_shift, reference_commutant,
-                            reference_uniforms, rotated, star, two_orthogonal_real_lines, unit)
+                            reference_is_commutative, reference_uniforms, rotated, star,
+                            two_orthogonal_real_lines, unit)
 
 
 class TestBuildClassical:
@@ -58,7 +58,7 @@ class TestBuildClassical:
     def test_three_points(self):
         alg = close(build_classical(3))
         assert alg.dim == 3
-        assert is_commutative(alg)
+        assert reference_is_commutative(alg)
 
     def test_eight_point_lattice_is_boolean(self, diag8):
         from oplattice import lattice_report

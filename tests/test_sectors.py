@@ -535,6 +535,30 @@ FRAME_CASES = {
 }
 
 
+class TestFrameOrder:
+    """`Frame.sectors` is the frame's one sector order: each group's run of it has the group's
+    shape and count, keeps the decomposition's order, and holds the columns from its start."""
+
+    @pytest.mark.parametrize("gens", [*FRAME_CASES.values(), lambda: rotated(
+        build_sectors([(2, 1), (1, 2), (2, 1), (1, 1), (1, 2)]), seed=3)],
+        ids=[*FRAME_CASES, "interleaved-shapes"])
+    def test_each_group_is_its_run_of_the_frame_sectors(self, gens):
+        decomp = block_decomposition(close(gens()))
+        frame, place = decomp.frame, {id(s): i for i, s in enumerate(decomp.sectors)}
+        assert sorted(map(id, frame.sectors)) == sorted(place)
+        shapes, k = [], 0
+        for n, m, count, start in frame.groups:
+            run = frame.sectors[k:k + count]
+            assert len(run) == count and {(s.block_size, s.multiplicity) for s in run} == {(n, m)}
+            assert [place[id(s)] for s in run] == sorted(place[id(s)] for s in run)
+            for i, s in enumerate(run):
+                assert np.array_equal(frame.u[:, start + i * n * m:start + (i + 1) * n * m],
+                                      s.isometry)
+            shapes.append((n, m))
+            k += count
+        assert k == len(decomp.sectors) and shapes == sorted(set(shapes))
+
+
 class TestFrameCrossCheck:
     """Membership and the draws read and write the sectors' frame; `project_onto` on the word
     closure's basis (`reference_close`), which knows no sectors, is the independent check."""

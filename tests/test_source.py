@@ -413,3 +413,61 @@ def test_sectors_builds_on_no_algebra_at_run_time():
             and any(alias.name == "oplattice.algebra" for alias in node.names))
     ]
     assert found == [] and len(checked) > 1
+
+
+def _scopes(tree) -> list:
+    """Each top-level function and class method of a module, with its (dotted) name."""
+    return [(f"{top.name}.{node.name}" if isinstance(top, ast.ClassDef) else top.name, node)
+            for top in tree.body
+            for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+            if isinstance(node, ast.FunctionDef)]
+
+
+def structural_answers(source: str) -> list:
+    """``(function, line)`` of each structural decision a function makes itself: a
+    ``.block_size`` or a ``len(<...>.sectors)`` compared with 1, or a sort keyed in a function
+    that names ``block_size``."""
+    def one_of(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "block_size"
+                or isinstance(node, ast.Call) and ast.unparse(node.func) == "len"
+                and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "sectors")
+
+    found = []
+    for name, function in _scopes(ast.parse(source)):
+        nodes = list(ast.walk(function))
+        shaped = any(isinstance(n, ast.Attribute) and n.attr == "block_size"
+                     or isinstance(n, ast.Constant) and n.value == "block_size" for n in nodes)
+        for node in nodes:
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(one_of, operands)) and any(
+                        isinstance(o, ast.Constant) and o.value == 1 for o in operands):
+                    found.append((name, node.lineno))
+            elif (shaped and isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] in ("sorted", "sort")
+                  and any(k.arg == "key" for k in node.keywords)):
+                found.append((name, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_each_structural_question_has_one_answer():
+    # "commutative?" (every block size 1) is `algebra.is_commutative`, "a factor?" (one sector)
+    # `sectors.is_factor`, and the frame's shape order `SectorDecomposition.frame`, which keeps
+    # its sectors in that order: a module deciding one of them itself could drift from the owner
+    sample = (
+        "def report(alg, decomp):\n"
+        "    boolean = all(s.block_size == 1 for s in decomp.sectors)\n"
+        "    return boolean, len(decomp.sectors) == 1\n"
+        "def ranks(decomp):\n"
+        "    return sorted(decomp.sectors, key=lambda s: (s.block_size, s.multiplicity))\n"
+        "def pairs(decomp):\n"
+        "    return sorted([s.block_size, s.multiplicity] for s in decomp.sectors)\n"
+    )
+    assert structural_answers(sample) == [("report", 2), ("report", 3), ("ranks", 5)]
+    owners = {("algebra.py", "is_commutative"), ("sectors.py", "is_factor"),
+              ("sectors.py", "SectorDecomposition.frame")}
+    found = [(path.name, name, line)
+             for path in SOURCES
+             for name, line in structural_answers(path.read_text())]
+    assert sorted({(path, name) for path, name, _ in found}) == sorted(owners)
