@@ -55,7 +55,6 @@ from .algebra import (
     generator_set_from_json,
     generator_set_to_json,
     is_commutative,
-    project_onto,
     same_span,
 )
 from .sectors import (

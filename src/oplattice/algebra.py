@@ -2,12 +2,12 @@
 
 An algebra is its sectors: `sectors` owns their chain, frame, matrix units and membership
 (`contains`, bound here too), and this module, which imports it once, builds algebras on
-them. A Hilbert-Schmidt orthonormal basis of an algebra's span inside M_d is passed in, or
-built only when read (`same_span` compares two spans). `generated_algebra` (`close`) is the
-smallest unital *-algebra containing a set of matrices, their bicommutant, read off the
-sectors `sectors._generated_sectors` chains; `generator_commutant` holds those sectors
-swapped. `commutant` and `center` are read off the block decomposition, which also
-certifies an algebra as its own `baire_envelope`."""
+them. A basis of an algebra's span inside M_d is passed in, or built only when read.
+`generated_algebra` (`close`) is the smallest unital *-algebra containing a set of matrices,
+their bicommutant, read off the sectors `sectors._generated_sectors` chains;
+`generator_commutant` is its `commutant`. `commutant` and `center` are read off the block
+decomposition, which also certifies an algebra as its own `baire_envelope`, and `same_span`
+compares two algebras by their dimensions and membership."""
 
 from __future__ import annotations
 
@@ -48,17 +48,20 @@ class GeneratorSet:
 
 
 class AlgebraBasis:
-    """Hilbert-Schmidt orthonormal basis of a unital *-closed subspace of M_d.
+    """Basis of a unital *-closed subspace of M_d.
 
     `basis` is a read-only array of shape (k, d, d). The span is closed
     under products and adjoints and contains the identity; `close` and
     `commutant` only ever construct bases with these properties, and the
     test suite verifies them as invariants. A basis passed in is validated
-    and copied. An algebra read off sectors (`_with_sectors`: `generated_algebra`, `commutant`,
-    `center`, `generator_commutant`) holds its own certified decomposition, reads `dim` (sum
-    n^2) off it and builds `basis`, its matrix units (`sectors._units`), on first read. Only
-    `project_onto` (so `same_span`), `algebra_to_json` and the decomposition of a basis passed
-    in read `basis`. ``ambient_dim`` is a positive Python int (`require_count`).
+    and copied; nothing relies on it being Hilbert-Schmidt orthonormal, and its linear
+    independence is checked where it is decomposed (`sectors._certify`: sum n^2 = k). An
+    algebra read off sectors (`_with_sectors`: `generated_algebra`, `commutant`, `center`,
+    `generator_commutant`) holds its own certified decomposition, reads `dim` (sum n^2) off
+    it and builds `basis`, its HS-orthonormal matrix units (`sectors._units`), on first read.
+    Only `algebra_to_json`, `same_span` (the units of its smaller side) and the decomposition
+    of a basis passed in read `basis`. ``ambient_dim`` is a positive Python int
+    (`require_count`).
 
     `_decompositions` memoizes `sectors.block_decomposition` per `Tolerance` (the span is
     immutable); an algebra read off sectors holds the ones it was built from first.
@@ -100,28 +103,22 @@ def _with_sectors(decomposition, tol: Tolerance) -> AlgebraBasis:
     return alg
 
 
-def project_onto(alg: AlgebraBasis, m) -> np.ndarray:
-    """Hilbert-Schmidt orthogonal projection of ``m`` (or of a stack) onto the span of ``alg``."""
-    coeffs = np.tensordot(alg.basis.conj(), np.asarray(m, dtype=complex), axes=([1, 2], [-2, -1]))
-    return np.tensordot(coeffs, alg.basis, axes=(0, 0))
-
-
 def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Subspace equality: every basis vector of each side lies in the other.
-
-    Basis choices are non-canonical, so this is the meaningful notion of
-    equality between algebra values.
-    """
+    """Algebra equality, read off the sectors: unequal dimensions or unequal commutant
+    dimensions differ. Two algebras of equal dimension are equal iff one contains the other,
+    and A ⊆ B iff B' ⊆ A' (the bicommutant theorem), so the units of the smaller of A and A'
+    are tested against the other side's frame (`contains`). Weyl's commutant is the scalars:
+    its dense basis is never built. A span that is no algebra raises
+    `CenterDiagonalizationFailed` once the dimensions agree."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("cannot compare algebras in different ambient dimensions")
     if a.dim != b.dim:
         return False
-
-    def covered(x: AlgebraBasis, y: AlgebraBasis) -> bool:
-        residuals = np.linalg.norm(x.basis - project_onto(y, x.basis), axis=(1, 2))
-        return bool((residuals <= tol.eq_tol).all())
-
-    return covered(a, b) and covered(b, a)
+    ca, cb = commutant(a, tol), commutant(b, tol)
+    if ca.dim != cb.dim:
+        return False
+    x, y = (a, b) if a.dim <= ca.dim else (ca, cb)
+    return bool(np.all(contains(y, x.basis, tol)))
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -158,11 +155,10 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 
 
 def generator_commutant(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All of M_d commuting with every generator and its adjoint, without the closure: the
-    algebra of the `sectors._swapped` sectors `_generated_sectors` chains, which it holds in
-    `sectors.block_decomposition`'s order."""
-    sectors, _ = _generated_sectors(gens.ambient_dim, gens.generators, tol)
-    return _with_sectors(_settled(gens.ambient_dim, list(map(_swapped, sectors)), tol), tol)
+    """All of M_d commuting with every generator and its adjoint: the `commutant` of their
+    `generated_algebra`, which raises where that does. Its sectors are the generated
+    algebra's, swapped, in the same order: a swap keeps each central projector."""
+    return commutant(generated_algebra(gens, tol), tol)
 
 
 def baire_envelope(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

@@ -155,6 +155,29 @@ def reference_commutant(mats, d, tol=DEFAULT_TOL):
     return AlgebraBasis(ambient_dim=d, basis=kernel.T.reshape(-1, d, d).swapaxes(1, 2))
 
 
+def reference_project_onto(alg, m):
+    """Hilbert-Schmidt orthogonal projection of ``m`` (or of a stack) onto the span of an
+    HS-orthonormal basis (an `AlgebraBasis` or a stack): the coefficients ``<b, m>`` on each
+    basis element, combined again. It knows no sectors."""
+    b = getattr(alg, "basis", alg)
+    coeffs = np.tensordot(b.conj(), np.asarray(m, dtype=complex), axes=([1, 2], [-2, -1]))
+    return np.tensordot(coeffs, b, axes=(0, 0))
+
+
+def reference_same_span(a, b, tol=DEFAULT_TOL):
+    """Span equality of two HS-orthonormal bases by projection: equal dimensions, and every
+    basis element of each side within ``eq_tol`` (HS norm) of its projection onto the other.
+    The package decides it in the sector frame instead (`same_span`)."""
+    if a.dim != b.dim:
+        return False
+
+    def covered(x, y):
+        residuals = np.linalg.norm(x.basis - reference_project_onto(y, x.basis), axis=(1, 2))
+        return bool((residuals <= tol.eq_tol).all())
+
+    return covered(a, b) and covered(b, a)
+
+
 class IterationFailed(Exception):
     """`meet_iterative` found no limit within its iteration cap, or no gap to round across."""
 

@@ -45,9 +45,11 @@ from tests.conftest import (
     chain_changed,
     chain_replaced,
     haar_unitary,
+    kernel_algebra,
     reference_close,
     reference_commutant,
     reference_is_commutative,
+    reference_same_span,
     rotated,
     star,
     two_orthogonal_real_lines,
@@ -232,7 +234,7 @@ def assert_orthonormal(alg):
 def assert_matches_reference(gens):
     alg, ref = close(gens), reference_close(gens)
     assert alg.dim == ref.dim
-    assert same_span(alg, ref)
+    assert reference_same_span(alg, ref)
     assert_orthonormal(alg)
     return alg
 
@@ -310,19 +312,19 @@ class TestCommutantMatchesReference:
     def test_commutant(self, case):
         _, alg, ref = case
         com = commutant(alg)
-        assert same_span(com, ref)
+        assert reference_same_span(com, ref)
         assert_orthonormal(com)
 
     def test_generator_commutant(self, case):
         gens, _, ref = case
         com = generator_commutant(gens)
-        assert same_span(com, ref)
+        assert reference_same_span(com, ref)
         assert_orthonormal(com)
 
     def test_baire_envelope(self, case):
         _, alg, ref = case
         env = baire_envelope(alg)
-        assert same_span(env, reference_commutant(ref.basis, alg.ambient_dim))
+        assert reference_same_span(env, reference_commutant(ref.basis, alg.ambient_dim))
         assert same_span(env, alg)
         assert_orthonormal(env)
 
@@ -394,8 +396,8 @@ class TestGeneratorCommutantRoutes:
         alg = generated_algebra(gens)
         assert passes == [(3, 5)]  # h's zero cluster, 3-fold, splits once into singletons
         assert alg.dim == 25
-        assert same_span(alg, reference_close(gens))
-        assert same_span(generator_commutant(gens), star_commutant(5))
+        assert reference_same_span(alg, reference_close(gens))
+        assert reference_same_span(generator_commutant(gens), star_commutant(5))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_star_generators_decompose_nothing(self, monkeypatch, d):
@@ -406,7 +408,7 @@ class TestGeneratorCommutantRoutes:
         assert calls == {"_decompose": 0}
         assert alg.dim == d * d
         assert len(passes) == int(d > 3) and all(after > before for before, after in passes)
-        assert same_span(generator_commutant(star(d)), star_commutant(d))
+        assert reference_same_span(generator_commutant(star(d)), star_commutant(d))
         assert calls == {"_decompose": 0}
 
     @pytest.mark.parametrize("d", [24, 48])
@@ -448,7 +450,8 @@ class TestGeneratorCommutantRoutes:
             generator_commutant(gens)
         assert passes == [(2, 2)]
         assert got.value.residual == got.value.__cause__.residual > 2e-6  # sqrt(2) (2e-6 + 1e-12)
-        assert same_span(generator_commutant(gens), reference_commutant(gens.generators, 3))
+        assert reference_same_span(generator_commutant(gens),
+                                   reference_commutant(gens.generators, 3))
 
     def test_a_dropped_link_raises_with_its_miss(self, monkeypatch):
         # weyl 3's one sector, split after its first cluster: an orthonormal frame whose
@@ -466,7 +469,8 @@ class TestGeneratorCommutantRoutes:
             generator_commutant(gens)
         assert passes == [(3, 3)]
         assert got.value.residual > 0.1
-        assert same_span(generator_commutant(gens), reference_commutant(gens.generators, 3))
+        assert reference_same_span(generator_commutant(gens),
+                                   reference_commutant(gens.generators, 3))
 
     def test_a_count_failure_raises_with_its_counts(self, monkeypatch):
         # linked clusters of unequal size, on E_11 whose clusters no K splits: the certificate's
@@ -494,7 +498,7 @@ class TestGeneratorCommutantRoutes:
             for a, b in clusters])
         if splits:
             passes = split_passes(monkeypatch)
-            assert same_span(generator_commutant(star(5)), star_commutant(5))
+            assert reference_same_span(generator_commutant(star(5)), star_commutant(5))
             assert passes == [(3, 5)]
             return
         monkeypatch.setattr(sectors_module, "_refined",
@@ -636,10 +640,62 @@ class TestCanonicalUnits:
                                 (comm, sum(n * m * m for n, m in blocks), {n for n, _ in blocks})]:
             assert np.count_nonzero(x.basis) == count
             assert set(np.round(np.abs(x.basis[x.basis != 0]) ** -2, 9)) <= set(map(float, sizes))
-        assert same_span(comm, reference_commutant(gens.generators, gens.ambient_dim))
+        assert reference_same_span(comm, reference_commutant(gens.generators, gens.ambient_dim))
+
+
+def _on_factor(left):
+    """M_2 (x) 1_2 (``left``) or 1_2 (x) M_2 in M_4: dimension 4 and commutant dimension 4."""
+    eye = np.eye(2)
+    return close(GeneratorSet(4, tuple(np.kron(g, eye) if left else np.kron(eye, g)
+                                       for g in build_weyl_finite(2).generators)))
+
+
+def _kernel_pair(name, other):
+    """A kernel input rotated, against a second build of the same rotated generators
+    ("again"), the plain build ("plain") or a second Haar rotation ("rerotated")."""
+    gens = KERNEL_ALGEBRAS[name]()
+    second = {"again": rotated(gens, seed=21), "plain": gens, "rerotated": rotated(gens, seed=22)}
+    return close(rotated(gens, seed=21)), close(second[other])
+
+
+# (pair, same algebra): a rotated input is the plain or a second rotation only where both
+# sides generate M_d, as weyl does
+SAME_SPAN_PAIRS = {
+    **{f"{name}-{other}": (lambda name=name, other=other: _kernel_pair(name, other),
+                           other == "again" or name.startswith("weyl"))
+       for name in KERNEL_ALGEBRAS for other in ("again", "plain", "rerotated")},
+    "m2-left-vs-right": (lambda: (_on_factor(True), _on_factor(False)), False),
+}
 
 
 class TestSameSpan:
+    """`same_span` reads dimensions and membership off the sectors; the HS projections of
+    `reference_same_span`, which know no sectors, are the independent check."""
+
+    @pytest.mark.parametrize("name", SAME_SPAN_PAIRS)
+    def test_agrees_with_the_projection_reference(self, name):
+        pair, same = SAME_SPAN_PAIRS[name]
+        a, b = pair()
+        assert same_span(a, b) is same_span(b, a) is reference_same_span(a, b) is same
+
+    @pytest.mark.parametrize("name", ["classical-3", "weyl-3", "sectors-2+1x2", "sectors-2+3"])
+    def test_a_scaled_basis_of_the_same_algebra_is_the_same_algebra(self, name):
+        # `contains`' bound, not an HS residual: a basis need not be orthonormal
+        alg = kernel_algebra(name)
+        scaled = AlgebraBasis(alg.ambient_dim, 2 * alg.basis)
+        assert same_span(alg, scaled) and same_span(scaled, alg)
+
+    def test_weyl_builds_no_basis(self):
+        # weyl's commutant is the scalars: its unit is all that is tested
+        a, b = close(build_weyl_finite(32)), close(rotated(build_weyl_finite(32), seed=3))
+        assert same_span(a, b)
+        assert a._basis is None and b._basis is None
+
+    def test_a_span_that_is_no_algebra_is_refused(self):
+        scalars = close(GeneratorSet(2, (np.eye(2),)))
+        with pytest.raises(CenterDiagonalizationFailed):
+            same_span(AlgebraBasis(2, [unit(2, 0, 0)]), scalars)
+
     def test_a_rotated_basis_of_the_same_span_is_the_same_algebra(self, two_blocks):
         u = haar_unitary(two_blocks.dim, np.random.default_rng(3))
         mixed = AlgebraBasis(5, np.tensordot(u, two_blocks.basis, axes=(1, 0)))

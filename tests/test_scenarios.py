@@ -33,7 +33,6 @@ from oplattice import (
     report_to_json,
     report_to_json_dict,
     run_scenario,
-    same_span,
     scenario_from_json,
     scenario_to_json,
 )
@@ -46,8 +45,8 @@ from oplattice import states as states_module
 from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE
 from tests.conftest import (ambient_lattice_report, ambient_orthoadditivity_checks, chain_changed,
                             drawn_families, haar_unitary, rational_clock_shift, reference_commutant,
-                            reference_is_commutative, reference_uniforms, rotated, star,
-                            two_orthogonal_real_lines, unit)
+                            reference_is_commutative, reference_same_span, reference_uniforms,
+                            rotated, star, two_orthogonal_real_lines, unit)
 
 
 class TestBuildClassical:
@@ -841,7 +840,7 @@ class TestRotationToleranceSweep:
         d = gens.ambient_dim
         if d <= 16:
             mats = [m for g in gens.generators for m in (g, g.conj().T)]
-            assert same_span(generator_commutant(gens, tol), reference_commutant(mats, d))
+            assert reference_same_span(generator_commutant(gens, tol), reference_commutant(mats, d))
 
     @pytest.mark.xfail(strict=True, reason="rounding links the three M_8 sectors above a "
                                            "1e-12 cutoff; the certificate cannot see a merge")
@@ -874,7 +873,7 @@ class TestRotationToleranceSweep:
     def test_rotated_commutant_equals_the_kronecker_reference(self, kind, d, seed):
         gens = rotated(scenarios_module.build_generators(_sweep_scenario(kind, d)), seed)
         mats = [m for g in gens.generators for m in (g, g.conj().T)]
-        assert same_span(generator_commutant(gens), reference_commutant(mats, d))
+        assert reference_same_span(generator_commutant(gens), reference_commutant(mats, d))
 
 
 # inputs of the sampled sweep, each with one configured vector state

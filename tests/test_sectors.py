@@ -33,7 +33,6 @@ from oplattice import (
     mvn_dimension,
     operator_norm,
     orthocomplement,
-    project_onto,
     projectors_equivalent,
     random_projector,
     same_span,
@@ -43,7 +42,8 @@ from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.seeding import uniforms
 from tests.conftest import (drawn_families, drawn_projectors, equivalence_isometry, haar_unitary,
-                            rational_clock_shift, reference_close, rotated, star, unit)
+                            rational_clock_shift, reference_close, reference_project_onto,
+                            reference_same_span, rotated, star, unit)
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +518,7 @@ class TestBlockPart:
         def block_part(mats):
             return mats - frame.u @ sectors_module._residual(frame, mats) @ frame.uh
 
-        want = project_onto(comm, x)
+        want = reference_project_onto(comm, x)
         assert np.allclose(block_part(x), want, rtol=1e-10, atol=1e-12)
         outside = np.linalg.norm(x - want, axis=(1, 2))
         assert comm.dim == alg.ambient_dim ** 2 or (outside > 0.1).all()  # M_d holds every x
@@ -560,8 +560,9 @@ class TestFrameOrder:
 
 
 class TestFrameCrossCheck:
-    """Membership and the draws read and write the sectors' frame; `project_onto` on the word
-    closure's basis (`reference_close`), which knows no sectors, is the independent check."""
+    """Membership and the draws read and write the sectors' frame; `reference_project_onto` on
+    the word closure's basis (`reference_close`), which knows no sectors, is the independent
+    check."""
 
     @pytest.mark.parametrize("name", FRAME_CASES)
     def test_contains_gives_the_projection_residual_verdict(self, name):
@@ -571,7 +572,7 @@ class TestFrameCrossCheck:
         inside = np.tensordot(rng.standard_normal((10, ref.dim, 2)) @ [1, 1j], ref.basis, axes=1)
         noise = rng.standard_normal((10, d, d, 2)) @ [1, 1j]
         mats = np.concatenate([inside + scale * noise for scale in (0.0, 1e-13, 1e-5, 1.0)])
-        residual = mats - project_onto(ref, mats)
+        residual = mats - reference_project_onto(ref, mats)
         want = operator_norm(residual) <= DEFAULT_TOL.eq_tol * (1 + operator_norm(mats))
         assert contains(alg, mats).tolist() == want.tolist()
         assert want[:20].all() and (want[20:].all() if ref.dim == d * d else not want[20:].any())
@@ -588,7 +589,7 @@ class TestFrameCrossCheck:
                 frame, u[:, :2 * alg.dim])),
             *drawn_projectors(alg, u),
             *(p for family in families for p in family)])
-        outside = np.linalg.norm(draws - project_onto(ref, draws), axis=(1, 2))
+        outside = np.linalg.norm(draws - reference_project_onto(ref, draws), axis=(1, 2))
         assert (outside <= 1e-12 * (1 + operator_norm(draws))).all()
 
     def test_draws_have_the_law_of_coefficients_on_an_orthonormal_basis(self):
@@ -639,7 +640,7 @@ class TestGeneratedAlgebra:
     @pytest.mark.parametrize("name", sorted(GENERATED_CASES))
     def test_spans_the_word_closure_of_rotated_generators(self, name, seed):
         gens = rotated(GENERATED_CASES[name](), seed)
-        assert same_span(generated_algebra(gens), reference_close(gens))
+        assert reference_same_span(generated_algebra(gens), reference_close(gens))
 
     @pytest.mark.parametrize("route", ["generated", "commutant-of-close"])
     @pytest.mark.parametrize("blocks", [[(1, 3)], [(3, 1)], [(2, 2), (1, 1)], [(1, 2), (2, 1)]],
@@ -677,4 +678,4 @@ class TestGeneratedAlgebra:
         assert alg.dim == g * (d // g) ** 2
         w = np.linalg.matrix_power(gens.generators[1], d // g)
         powers = np.stack([np.linalg.matrix_power(w, k) for k in range(g)]) / np.sqrt(d)
-        assert same_span(center(alg), AlgebraBasis(d, powers))
+        assert reference_same_span(center(alg), AlgebraBasis(d, powers))

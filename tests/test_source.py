@@ -191,23 +191,23 @@ def test_scenarios_never_close_words():
     assert found == []
 
 
-def test_scenarios_never_read_a_basis():
+def test_only_the_named_functions_read_a_basis():
     # every scenario stage, draw and membership check reads the sectors' frame; an algebra
     # builds its basis only when read, so a stage that read one would pay for a (k, d, d) array
-    # no report holds. `sectors` reads a basis only to decompose a basis passed in
-    allowed = {"scenarios.py": set(), "logic.py": set(), "states.py": set(),
+    # no report holds. `sectors` reads a basis only to decompose a basis passed in, `same_span`
+    # the units of its smaller side, and `algebra_to_json` writes it; no other module reads one
+    allowed = {"algebra.py": {"same_span", "algebra_to_json"},
                "sectors.py": {"_decompose", "_certify"}}
-    readers = {}
-    for path in SOURCES:
-        if path.name in allowed:
-            tree = ast.parse(path.read_text(), filename=str(path))
-            readers[path.name] = {
-                top.name if isinstance(top, ast.FunctionDef) else f"line {node.lineno}"
-                for top in tree.body
-                for node in ast.walk(top)
-                if isinstance(node, ast.Attribute) and node.attr == "basis"
-            }
-    assert readers == allowed
+    readers = {
+        path.name: {
+            top.name if isinstance(top, ast.FunctionDef) else f"line {node.lineno}"
+            for top in ast.parse(path.read_text(), filename=str(path)).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "basis"
+        }
+        for path in SOURCES
+    }
+    assert readers == {path.name: allowed.get(path.name, set()) for path in SOURCES}
 
 
 def test_every_tolerance_field_has_a_reader():
