@@ -19,13 +19,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import AlgebraBasis, contains, is_commutative
-from .errors import (DimensionMismatch, NotInAlgebra, NotProjector, PreconditionFailed,
-                     ValidationError)
-from .numerics import (DEFAULT_TOL, Tolerance, cluster_breaks, ensure_projector, matrix_to_json,
-                       norm_at_most, null_space, operator_norm, range_projector, require_count,
-                       run_projectors, singular_rank)
-from .sectors import _ambient, _random_self_adjoint, block_decomposition, is_factor, mvn_dimension
+from .algebra import AlgebraBasis, is_commutative
+from .errors import DimensionMismatch, PreconditionFailed, ValidationError
+from .numerics import (DEFAULT_TOL, Tolerance, _one_matrix, cluster_breaks, ensure_projector,
+                       matrix_to_json, norm_at_most, null_space, operator_norm, range_projector,
+                       require_count, run_projectors, singular_rank)
+from .sectors import (_ambient, _projectors_in, _random_self_adjoint, block_decomposition,
+                      is_factor, mvn_dimension)
 from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                       STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms)
 
@@ -35,7 +35,7 @@ _FIRST_TRIPLES = 8
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
-    ms = [ensure_projector(p, tol) for p in ps]
+    ms = [ensure_projector(_one_matrix(p), tol) for p in ps]
     if len({m.shape for m in ms}) > 1:
         raise DimensionMismatch(f"projector shapes differ: {[m.shape for m in ms]}")
     return ms
@@ -118,21 +118,9 @@ def _settled_laws(p, q, dp, dq, dr) -> tuple:
             _complement(_complement(p_and_q) * _complement(p_and_r)))
 
 
-def _spot_check(alg: AlgebraBasis, mats: np.ndarray, label: str, tol: Tolerance) -> None:
-    """Ambient matrices entering or leaving the block form: projectors in the algebra, or raise."""
-    if not len(mats):
-        return
-    try:
-        ensure_projector(mats, tol)
-    except NotProjector as exc:
-        raise NotProjector(f"{label}: {exc}") from exc
-    if not np.all(contains(alg, mats, tol)):
-        raise NotInAlgebra(f"{label}: projector not in the domain")
-
-
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The negation ``1 - p``. Applying it twice returns ``p`` up to one rounding per entry."""
-    return _complement(ensure_projector(p, tol))
+    return _complement(*_projectors(p, tol=tol))
 
 
 def meet(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -202,8 +190,7 @@ def is_atom(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     Equivalently, its dimension vector has a single nonzero entry equal
     to 1 (the zero projector is not an atom).
     """
-    nonzero = [x for x in mvn_dimension(alg, p, tol) if x != 0]
-    return len(nonzero) == 1 and nonzero[0] == 1
+    return sum(mvn_dimension(alg, p, tol)) == 1  # the entries are nonnegative integers
 
 
 def random_projector(alg: AlgebraBasis, seed: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -339,11 +326,11 @@ def lattice_report(
     on every eigenbasis it reads covers them all (NumericalError). A 1 x 1 block is exactly 0 or
     1 (`_run_blocks`), so a group of them takes no law kernel: every difference there is 0, and
     trial 0's derived blocks are 0/1 products and complements (`_settled_laws`). Trial 0's
-    twelve propositions are checked once more in M_d, with `ensure_projector` and `contains`. A
-    law holds at a trial when its differences have operator norm, their blocks' largest, at
-    most ``tol.law_tol`` (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one
-    meet, its join the sum ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a
-    counterexample in M_d).
+    twelve propositions are mapped to M_d and checked there as projectors in the algebra
+    (`sectors._projectors_in`, a failure named "trial 0"). A law holds at a trial when its
+    differences have operator norm, their blocks' largest, at most ``tol.law_tol``
+    (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one meet, its join the sum
+    ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a counterexample in M_d).
 
     The rest is read off the memoized block decomposition: `boolean_lattice` is `is_commutative`
     (every sector of block size 1), `factor` is `is_factor` (a single sector), `hilbertian`
@@ -382,8 +369,8 @@ def lattice_report(
                 if len(p):  # trial 0's propositions (copied: the stacks can go)
                     spot.append(np.concatenate([x[:1] for x in (p, q, *staged, *derived)]))
             if spot:
-                _spot_check(alg, _ambient(decomp.frame, spot), "trial 0", tol)
-                pass_rate = np.count_nonzero(held[:trials]) / trials
+                _projectors_in(alg, _ambient(decomp.frame, spot), "trial 0", tol)
+                pass_rate = float(np.count_nonzero(held[:trials]) / trials)
             failed = np.flatnonzero(~held[len(pair_rows):])
             if failed.size:
                 counterexample = tuple(_ambient(decomp.frame, [x[:, failed[0]] for x in triples]))

@@ -217,6 +217,18 @@ def _as_operators(m) -> np.ndarray:
     return as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]), square=False).reshape(a.shape)
 
 
+def _one_matrix(m):
+    """``m``, unless it is an ``(n, d, d)`` stack: a call on one proposition refuses that with
+    DimensionMismatch before any check or kernel. No copy: an array's own ``ndim`` is read."""
+    try:
+        stacked = np.ndim(m) == 3
+    except ValueError:  # ragged rows, which `as_matrix` names
+        return m
+    if stacked:
+        raise DimensionMismatch(f"expected one matrix per proposition, got shape {np.shape(m)}")
+    return m
+
+
 def spectral_clusters(h, tol: Tolerance) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Eigenvectors ``v`` of the self-adjoint ``h`` (ascending eigenvalues) and the
     ``[start, stop)`` column runs of its eigenvalue clusters (see `cluster_breaks`)."""

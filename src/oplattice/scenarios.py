@@ -142,11 +142,8 @@ def clock_matrix(d: int) -> np.ndarray:
 
 
 def shift_matrix(d: int) -> np.ndarray:
-    """Cyclic shift sending basis vector e_j to e_(j-1 mod d)."""
-    v = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        v[(j - 1) % d, j] = 1.0
-    return v
+    """Cyclic shift sending basis vector e_j to e_(j-1 mod d): the identity's rows rolled up."""
+    return np.roll(np.eye(d, dtype=complex), -1, axis=0)
 
 
 def build_classical(point_count: int) -> GeneratorSet:

@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebra, NumericalError,
-                     ReducedRankNotDivisible, SectorDimensionMismatch, SectorStructureError,
-                     TensorFormDefect)
-from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, ensure_projector, hs_norm, hs_unit,
-                       matrix_to_json, norm_at_most, operator_norm, range_projector, singular_rank,
-                       spectral_clusters)
+from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebra, NotProjector,
+                     NumericalError, ReducedRankNotDivisible, SectorDimensionMismatch,
+                     SectorStructureError, TensorFormDefect)
+from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, _one_matrix, ensure_projector,
+                       hs_norm, hs_unit, matrix_to_json, norm_at_most, operator_norm,
+                       range_projector, singular_rank, spectral_clusters)
 from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, complex_normals, stream_generator
 
 if TYPE_CHECKING:
@@ -95,9 +95,7 @@ class SectorDecomposition:
         return Frame(u, u.conj().T.copy(), tuple(groups), ordered)
 
 
-def minimal_central_projectors(
-    alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
+def minimal_central_projectors(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Pairwise-orthogonal minimal projectors of the center, summing to 1: the
     sectors' central projectors, built from the memoized `block_decomposition`'s isometries."""
     return [s.central_projector for s in block_decomposition(alg, tol).sectors]
@@ -142,12 +140,25 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
     `CenterDiagonalizationFailed`."""
     a = _as_operators(m)
     if a.shape[-1] != alg.ambient_dim:
-        raise DimensionMismatch(
-            f"matrix of dimension {a.shape[-1]} vs algebra in M_{alg.ambient_dim}"
-        )
+        raise DimensionMismatch(f"matrix of dimension {a.shape[-1]} vs algebra in "
+                                f"M_{alg.ambient_dim}")
     residual = _residual(block_decomposition(alg, tol).frame, a)
     inside = norm_at_most(residual, tol.eq_tol)  # the bound is at least eq_tol: no norm of a
     return inside if np.all(inside) else norm_at_most(residual, tol.eq_tol * (1 + operator_norm(a)))
+
+
+def _projectors_in(alg: AlgebraBasis, p, label: str, tol: Tolerance) -> np.ndarray:
+    """The one check that ``p``, a matrix or each of a stack (none if empty), is a projector in
+    ``alg``: `ensure_projector`, then `contains`, a failure named by `label`; p read-only."""
+    if isinstance(p, np.ndarray) and p.ndim == 3 and not len(p):
+        return p
+    try:
+        mats = ensure_projector(p, tol)
+    except NotProjector as exc:
+        raise NotProjector(f"{label}: {exc}") from exc
+    if not (contains(alg, mats, tol) if mats.ndim == 2 else contains(alg, mats, tol).all()):
+        raise NotInAlgebra(f"{label}: projector not in the domain")
+    return mats
 
 
 def _random_self_adjoint(frame: Frame, u: np.ndarray) -> list:
@@ -355,9 +366,7 @@ def _certify(alg: AlgebraBasis, sectors: list, tol: Tolerance) -> None:
                                f"{defect:.3e}", residual=defect)
 
 
-def block_decomposition(
-    alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
-) -> SectorDecomposition:
+def block_decomposition(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> SectorDecomposition:
     """Full block structure of a closed algebra, computed once per tolerance.
 
     One generic pair of algebra elements, drawn once, generates the algebra, so the sectors
@@ -396,13 +405,6 @@ def is_factor(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     return len(block_decomposition(alg, tol).sectors) == 1
 
 
-def _validated_projector_in(alg: AlgebraBasis, p, tol: Tolerance) -> np.ndarray:
-    mat = ensure_projector(p, tol)
-    if not contains(alg, mat, tol):
-        raise NotInAlgebra("projector does not lie in the algebra span")
-    return mat
-
-
 def _reduced_ranks(decomp: SectorDecomposition, p: np.ndarray) -> list[int]:
     """Per sector, the center-valued trace ``tr(V* p V)`` over the multiplicity. The callers
     validate p as a projector in the algebra, so it commutes with ``z = V V*`` and ``V* p V``
@@ -432,7 +434,7 @@ def mvn_dimension(alg: AlgebraBasis, p, tol: Tolerance = DEFAULT_TOL) -> list[in
     equivalence invariant. Extending the single-factor dimension
     function to one entry per sector is a convention of this package.
     """
-    mat = _validated_projector_in(alg, p, tol)
+    mat = _projectors_in(alg, _one_matrix(p), "mvn_dimension", tol)
     return _reduced_ranks(block_decomposition(alg, tol), mat)
 
 

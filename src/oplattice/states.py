@@ -21,11 +21,11 @@ import numpy as np
 from .algebra import AlgebraBasis, baire_envelope, is_commutative
 from .errors import (DimensionMismatch, NotCommutative, NotHermitian, NotNormalized,
                      NotOrthogonalFamily, NotPositive, ValidationError)
-from .logic import _draw_width, _first_kept, _join, _run_blocks, _spectral_cuts, _spot_check
+from .logic import _draw_width, _first_kept, _join, _run_blocks, _spectral_cuts
 from .logic import meet  # noqa: F401  `meet` stays bound here for the benchmark's tracer test
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json,
-                       norm_at_most, operator_norm, rank_of, require_count)
-from .sectors import (_ambient, _partial_traces, _validated_projector_in, block_decomposition,
+from .numerics import (DEFAULT_TOL, Tolerance, _one_matrix, as_matrix, matrix_from_json,
+                       matrix_to_json, norm_at_most, operator_norm, rank_of, require_count)
+from .sectors import (_ambient, _partial_traces, _projectors_in, block_decomposition,
                       minimal_central_projectors)
 from .seeding import STREAM_FAMILY, STREAM_STATE, complex_normals, uniforms
 
@@ -88,7 +88,7 @@ class LogicalState:
                                     f"M_{self.domain.ambient_dim}")
 
     def value(self, p, tol: Tolerance = DEFAULT_TOL) -> float:
-        pm = _validated_projector_in(self.domain, p, tol)  # checked once, not by `evaluate`
+        pm = _projectors_in(self.domain, _one_matrix(p), "LogicalState.value", tol)
         return float(_probabilities(np.array([np.trace(self.underlying.density @ pm)]), tol)[0])
 
 
@@ -130,7 +130,7 @@ def sigma_orthoadditivity_residuals(
     if any(p.shape != (d, d) for p in members):
         raise DimensionMismatch(f"family members must be in M_{d}")
     stack = np.array(members, dtype=complex).reshape(-1, d, d)
-    _spot_check(ls.domain, stack, "family", tol)
+    _projectors_in(ls.domain, stack, "family", tol)
     for a in range(len(stack) - 1):  # pairs (a, b > a) in itertools.combinations' order
         if not (apart := norm_at_most(stack[a + 1:] @ stack[a], tol.eq_tol)).all():
             raise NotOrthogonalFamily(f"family: members {a} and {a + 1 + np.argmin(apart)} are "
@@ -146,17 +146,17 @@ def sigma_orthoadditivity_residuals(
 
 def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: Tolerance) -> tuple:
     """`sigma_orthoadditivity_residuals` of the density stack `rho`, per case as two arrays
-    (additivity, complement), case i's family the i-th of
-    ``families = (sizes, blocks, joins)`` (per group, every member's blocks in order, and each
-    family's join). Case 0's members and join are checked in M_d (`_spot_check`, a failure
-    named by case 0's `label`) before the values ``tr(rho p) = sum tr(s p_a)``, s the partial
-    traces. Members come orthogonal: a public family is checked, a drawn one's are runs of one
-    guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol``
-    (1 x 1 blocks are masks of disjoint places: their products are 0)."""
+    (additivity, complement), case i's family the i-th of ``families = (sizes, blocks, joins)``
+    (per group, every member's blocks in order, and each family's join). Case 0's members and
+    join are checked in M_d by `sectors._projectors_in` (a failure named by case 0's `label`)
+    before the values ``tr(rho p) = sum tr(s p_a)``, s the partial traces. Members come
+    orthogonal: a public family is checked, a drawn one's are runs of one guarded eigenbasis
+    (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol`` (1 x 1 blocks are
+    masks of disjoint places: their products are 0)."""
     (sizes, blocks, joins), count = families, len(rho)
     frame, case = block_decomposition(alg, tol).frame, np.repeat(np.arange(count), sizes)
-    _spot_check(alg, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
-                                      for b, j in zip(blocks, joins)]), label, tol)
+    _projectors_in(alg, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
+                                         for b, j in zip(blocks, joins)]), label, tol)
     reduced = _partial_traces(frame, rho)  # per group (cases, count, n, n)
     values = sum(np.einsum("icjk,ickj->i", s[case], b) for s, b in zip(reduced, blocks))
     joined = sum(np.einsum("icjk,ickj->i", s, j) for s, j in zip(reduced, joins))

@@ -9,6 +9,7 @@ from oplattice import (
     AlgebraBasis,
     DimensionMismatch,
     GeneratorSet,
+    NotInAlgebra,
     NotProjector,
     ValidationError,
     build_classical,
@@ -35,7 +36,6 @@ from oplattice.numerics import (cluster_breaks, ensure_projector, norm_at_most, 
 from oplattice.seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
                                STREAM_ORTHOMODULAR_Q, STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY,
                                STREAM_SWEEP_STATE, uniforms)
-from oplattice.sectors import _validated_projector_in
 
 
 def unit(d, i, j):
@@ -231,10 +231,13 @@ def equivalence_isometry(alg, p, q, tol=DEFAULT_TOL):
     The oracle for `projectors_equivalent`: takes the polar part of ``q w p`` for a generic
     algebra element w. When the projectors are equivalent, a generic w makes that
     compression full-rank and its polar part is the required isometry (and stays inside the
-    algebra); when they are not, no attempt can succeed.
+    algebra); when they are not, no attempt can succeed. The inputs are checked without the
+    package's gate: `ensure_projector`, and membership by the HS projection onto the basis.
     """
-    pm = _validated_projector_in(alg, p, tol)
-    qm = _validated_projector_in(alg, q, tol)
+    pm, qm = ensure_projector(p, tol), ensure_projector(q, tol)
+    for x in (pm, qm):
+        if np.linalg.norm(x - reference_project_onto(alg, x)) > tol.eq_tol:
+            raise NotInAlgebra("projector outside the algebra's span")
     rp = rank_of(pm, tol)
     if rank_of(qm, tol) != rp:
         return None
@@ -553,5 +556,7 @@ INVALID_PROJECTORS = {
     "nan": (np.full((2, 2), np.nan, dtype=complex), ValidationError),
     "mismatched": (np.eye(3, dtype=complex), DimensionMismatch),
     "string_entry": ([[1, 0], [0, "x"]], ValidationError),
+    "stack": (np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex),
+              DimensionMismatch),
 }
 NON_SQUARE = np.zeros((2, 3), dtype=complex)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from oplattice import (
     DEFAULT_TOL,
+    DimensionMismatch,
     GeneratorSet,
     LatticeReport,
     PreconditionFailed,
@@ -26,17 +28,22 @@ from oplattice import (
     lattice_report,
     lattice_report_to_json,
     leq,
+    make_state,
     meet,
+    mvn_dimension,
     operator_norm,
     orthocomplement,
     orthogonal,
     orthomodularity_residual,
+    projectors_equivalent,
     random_orthogonal_family,
     random_projector,
     random_state,
+    restrict_logical,
 )
 from oplattice import NumericalError, build_classical, build_sectors, build_weyl_finite
 from oplattice import logic as logic_module
+from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.numerics import dumps, null_space, range_projector, run_projectors
 from oplattice.sectors import _random_self_adjoint
@@ -391,6 +398,14 @@ class TestLatticeReport:
         assert dumps(lattice_report_to_json(report)) == dumps(
             lattice_report_to_json(lattice_report(full2, trials=3, seed=1)))
 
+    @pytest.mark.parametrize("build, trials", [(build_weyl_finite, 10), (build_classical, 10),
+                                               (build_weyl_finite, 0)],
+                             ids=["weyl-sampled", "classical-settled", "weyl-no-trials"])
+    def test_the_pass_rate_is_a_python_float(self, build, trials):
+        # whether it is sampled, settled or not drawn: a report field holds no NumPy scalar
+        report = lattice_report(close(build(3)), trials=trials, seed=1)
+        assert type(report.orthomodular_pass_rate) is float
+
     def test_classical_scenario_is_boolean(self, diag8):
         report = lattice_report(diag8, trials=60, seed=5)
         assert report.distributive
@@ -475,6 +490,42 @@ class TestBoundaryValidation:
             args[position] = bad
             with pytest.raises(error):
                 fn(*args)
+
+
+def _stack_calls():
+    """Every public call on one proposition per argument, each given a stack of two 3 x 3
+    projectors of ``close(build_classical(3))`` for every proposition."""
+    alg = close(build_classical(3))
+    state = restrict_logical(make_state(np.eye(3) / 3), alg)
+    calls = {name: (fn, arity) for name, (fn, arity) in ENTRY_POINTS.items()
+             if name != "meet_iterative"}
+    calls.update({
+        "mvn_dimension": (functools.partial(mvn_dimension, alg), 1),
+        "projectors_equivalent": (functools.partial(projectors_equivalent, alg), 2),
+        "is_atom": (functools.partial(is_atom, alg), 1),
+        "LogicalState.value": (state.value, 1),
+    })
+    return calls
+
+
+STACK_CALLS = _stack_calls()
+
+
+class TestOneMatrixPerProposition:
+    @pytest.mark.parametrize("name", sorted(STACK_CALLS))
+    def test_a_stack_is_refused_before_any_check(self, name, monkeypatch):
+        # a stack used to reach the kernels: stacks and arrays came back where one matrix, a
+        # bool or a float is promised, or NumPy raised ("truth value ... ambiguous")
+        def never(*args, **kwargs):
+            raise AssertionError("a projector check ran")
+
+        for module in (logic_module, sectors_module):
+            monkeypatch.setattr(module, "ensure_projector", never)
+        fn, arity = STACK_CALLS[name]
+        stack = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]).astype(complex)
+        assert len(STACK_CALLS) == 13
+        with pytest.raises(DimensionMismatch, match="one matrix per proposition"):
+            fn(*[stack] * arity)
 
 
 D3_D4_KERNEL_ALGEBRAS = [name for name, build in KERNEL_ALGEBRAS.items()

@@ -286,6 +286,11 @@ class TestRunScenario:
         )
         report = run_scenario(scenario)
         assert all(v["pass"] for v in report.expectations)
+        # sampled, the pass rate is a Python float, as zero trials and a Boolean algebra give
+        (rate,) = [v["actual"] for v in report.expectations
+                   if v["check"] == "orthomodular_pass_rate"]
+        assert type(rate) is float
+        assert type(report_to_json_dict(report)["lattice"]["orthomodular_pass_rate"]) is float
         assert {v["check"] for v in report.expectations} == {
             "factor",
             "distributive",

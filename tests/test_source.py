@@ -339,16 +339,28 @@ def _calls_by_function() -> dict:
 
 def test_no_trial_stage_validates_a_proposition_itself():
     # a proposition is a run of `numerics.run_projectors`, which guards each eigenbasis it reads:
-    # the trial stages call no projector check, and in `logic` only the boundary (`_projectors`,
-    # `orthocomplement`) and the ambient spot check do
+    # the trial stages call no projector check, and in `logic` only the boundary of the public
+    # lattice calls (`_projectors`) does; the ambient spot checks go through `sectors`' gate
     checks = {"ensure_projector", "is_projector"}
     callers = _calls_by_function()
     stages = [callers["logic.py"]["lattice_report"], callers["states.py"]["_orthoadditivity"],
               callers["scenarios.py"]["_orthoadditivity_checks"]]
     assert [called & checks for called in stages] == [set()] * 3
     assert sorted(name for name, called in callers["logic.py"].items()
-                  if "ensure_projector" in called) == ["_projectors", "_spot_check",
-                                                        "orthocomplement"]
+                  if "ensure_projector" in called) == ["_projectors"]
+
+
+def test_one_gate_checks_a_projector_in_an_algebra():
+    # "a projector in this algebra" is decided in one function, `sectors._projectors_in`: every
+    # caller (the dimension function, a logical state's value, a family, the spot checks) goes
+    # through it, so no second check can drift in its order, its labels or its message
+    pairs = [(path.name, name)
+             for path in SOURCES
+             for name, scope in _scopes(ast.parse(path.read_text(), filename=str(path)))
+             if {"ensure_projector", "contains"} <= {ast.unparse(node.func).split(".")[-1]
+                                                     for node in ast.walk(scope)
+                                                     if isinstance(node, ast.Call)}]
+    assert pairs == [("sectors.py", "_projectors_in")]
 
 
 def test_no_trial_stage_solves_a_join_it_knows():

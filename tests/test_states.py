@@ -32,6 +32,7 @@ from oplattice import (
     is_separating,
     join,
     make_state,
+    mvn_dimension,
     operator_norm,
     orthocomplement,
     random_orthogonal_family,
@@ -770,6 +771,19 @@ class TestBoundaryValidation:
         for family in ([bad, unit(2, 1, 1)], [unit(2, 0, 0), bad]):
             with pytest.raises(error):
                 fn(ls, family)
+
+    def test_one_message_for_a_projector_outside_the_algebra(self, diag3):
+        # the dimension function, a logical state's value and a family pass one gate, so they
+        # refuse an outside projector with one message, named by the call or the argument
+        outside = np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2
+        ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
+        calls = {"mvn_dimension": lambda: mvn_dimension(diag3, outside),
+                 "LogicalState.value": lambda: ls.value(outside),
+                 "family": lambda: sigma_orthoadditivity_residuals(ls, [unit(3, 2, 2), outside])}
+        for label, call in calls.items():
+            with pytest.raises(NotInAlgebra) as info:
+                call()
+            assert str(info.value) == f"{label}: projector not in the domain"
 
     def test_family_outside_the_domain_is_rejected(self, diag2):
         ls = restrict_logical(make_state(np.eye(2) / 2), diag2)
