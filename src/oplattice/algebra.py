@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalError, ValidationError
 from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, as_matrix, matrix_from_json,
                        matrix_to_json, require_count)
-from .sectors import (Sector, SectorDecomposition, _generated_sectors, _settled, _swapped, _units,
-                      block_decomposition, contains)
+from .sectors import (Sector, SectorDecomposition, _generated_sectors, _inside, _settled, _swapped,
+                      _units, block_decomposition, contains)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) ->
     """Algebra equality, read off the sectors: unequal dimensions or unequal commutant
     dimensions differ. Two algebras of equal dimension are equal iff one contains the other,
     and A ⊆ B iff B' ⊆ A' (the bicommutant theorem), so the units of the smaller of A and A'
-    are tested against the other side's frame (`contains`). Weyl's commutant is the scalars:
+    are tested against the other side's frame (`sectors._inside`). Weyl's commutant is the scalars:
     its dense basis is never built. A span that is no algebra raises
     `CenterDiagonalizationFailed` once the dimensions agree."""
     if a.ambient_dim != b.ambient_dim:
@@ -118,7 +118,7 @@ def same_span(a: AlgebraBasis, b: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) ->
     if ca.dim != cb.dim:
         return False
     x, y = (a, b) if a.dim <= ca.dim else (ca, cb)
-    return bool(np.all(contains(y, x.basis, tol)))
+    return bool(np.all(_inside(y, x.basis, tol)))
 
 
 def generated_algebra(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

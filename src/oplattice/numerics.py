@@ -36,7 +36,8 @@ class Tolerance:
     """Shared numerical policy.
 
     eq_tol
-        Operator-norm threshold below which two matrices count as equal.
+        Operator-norm threshold below which two matrices count as equal; above `_ROUNDING`,
+        which a sum of a few products of unit-norm matrices can reach by rounding alone.
     rank_tol
         Relative singular-value cutoff for rank and null-space decisions.
     """
@@ -45,10 +46,10 @@ class Tolerance:
     rank_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol"):
+        for name, floor in (("eq_tol", _ROUNDING), ("rank_tol", 0.0)):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and 0.0 < value < 1.0):
-                raise ValidationError(f"{name} must lie strictly between 0 and 1, got {value}")
+            if not (isinstance(value, Real) and floor < value < 1.0):
+                raise ValidationError(f"{name} must lie in ({floor:.3g}, 1), got {value}")
 
     @property
     def law_tol(self) -> float:
@@ -56,6 +57,7 @@ class Tolerance:
         return 10 * self.rank_tol
 
 
+_ROUNDING = 64 * float(np.finfo(float).eps)  # 1.4e-14: the package's one rounding floor
 DEFAULT_TOL = Tolerance()
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 

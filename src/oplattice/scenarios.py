@@ -22,16 +22,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, GeneratorSet, generated_algebra
+from .algebra import GeneratorSet, generated_algebra
 from .errors import NumericalError, OperatorAlgebraError, ValidationError
 from .logic import LatticeReport, lattice_report, lattice_report_to_json
 from .numerics import (DEFAULT_TOL, Tolerance, dumps, is_int, matrix_from_json, matrix_to_json,
                        require_count)
 from .sectors import block_decomposition, minimal_central_projectors
-from .seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms
-from .states import (StateFunctional, _family_width, _orthoadditivity, _probabilities,
-                     _random_orthogonal_families, _random_states, dirac_characters, is_pure,
-                     is_separating, state_from_json, state_to_json)
+from .states import (StateFunctional, _orthoadditivity_checks, _probabilities, dirac_characters,
+                     is_pure, is_separating, state_from_json, state_to_json)
 
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
@@ -46,9 +44,6 @@ COMPLETENESS_NOTE = (
     "non-complete lattices require a non-separable carrier and are "
     "not representable at this scale"
 )
-
-# families checked per configured state
-_STATE_FAMILY_CHECKS = 10
 
 
 @dataclass(frozen=True)
@@ -234,8 +229,8 @@ def run_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     reads off the generators' commutant, so no stage closes words. That algebra is
     the envelope (the generators' von Neumann algebra) and the states' domain; a
     commutant that is no algebra, or a generator outside its commutant, fails naming
-    the dimensions. The states' family checks and the orthoadditivity sweep share one
-    family draw and one stacked check. Everything downstream is
+    the dimensions. The states' family checks and the orthoadditivity sweep are one
+    `states` stage: one family draw and one stacked check. Everything downstream is
     seeded from the scenario seed, so identical scenarios give
     byte-identical JSON reports. Errors from the underlying modules are
     re-raised with the scenario name attached (and any residual or counts).
@@ -271,7 +266,8 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
         for s, z in zip(decomp.sectors, zs)
     )
 
-    additive, orthoadd = _orthoadditivity_checks(alg, scenario, tol)
+    additive, orthoadd = _orthoadditivity_checks(alg, scenario.states, scenario.trials,
+                                                 scenario.seed, tol)
     state_entries = [
         {
             "index": index,
@@ -311,34 +307,6 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
                       "pass": _values_match(exp.expect, actuals[exp.check])}
                      for exp in scenario.expectations)
     return replace(unchecked, expectations=verdicts)
-
-
-def _orthoadditivity_checks(alg: AlgebraBasis, scenario: Scenario, tol: Tolerance) -> tuple:
-    """Each configured state's `check_sigma_orthoadditive` verdict over its own families, and
-    the sweep's summary (trial i: a random family under a random state). Three stages, each
-    its own stream under the scenario seed (`seeding.uniforms`): state i's family j is row
-    ``10 i + j`` of the state checks', trial i's family and state row i of the sweep's. All
-    families are one draw, and all cases go through one check."""
-    states, trials = scenario.states, scenario.trials
-    checks = _STATE_FAMILY_CHECKS * len(states)
-    verdicts, failures, top = [], 0, 0.0  # 0.0 for the largest of no residuals
-    if checks + trials:  # zero trials and no states draw nothing
-        d, width = alg.ambient_dim, _family_width(alg)
-        families = _random_orthogonal_families(alg, np.concatenate([
-            uniforms(scenario.seed, STREAM_STATE_CHECK, checks, width),
-            uniforms(scenario.seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
-        densities = np.concatenate([
-            *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
-            _random_states(d, uniforms(scenario.seed, STREAM_SWEEP_STATE, trials, 2 * d * d))])
-        additivity, complement = _orthoadditivity(alg, densities, "family" if checks else
-                                                  "orthoadditivity trial 0", families, tol)
-        passed = (additivity[:checks] <= tol.law_tol) & (complement[:checks] <= tol.eq_tol)
-        verdicts = passed.reshape(len(states), _STATE_FAMILY_CHECKS).all(axis=1).tolist()
-        if trials:
-            residuals = np.maximum(additivity[checks:], complement[checks:])
-            failures = int(np.count_nonzero(residuals > tol.law_tol))
-            top = float(residuals.max())
-    return verdicts, {"trials": trials, "failures": failures, "max_residual": top}
 
 
 def scenario_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Scenario:

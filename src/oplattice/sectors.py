@@ -30,16 +30,13 @@ import numpy as np
 from .errors import (CenterDiagonalizationFailed, DimensionMismatch, NotInAlgebra, NotProjector,
                      NumericalError, ReducedRankNotDivisible, SectorDimensionMismatch,
                      SectorStructureError, TensorFormDefect)
-from .numerics import (DEFAULT_TOL, Tolerance, _as_operators, _one_matrix, ensure_projector,
-                       hs_norm, hs_unit, matrix_to_json, norm_at_most, operator_norm,
-                       range_projector, singular_rank, spectral_clusters)
+from .numerics import (_ROUNDING, DEFAULT_TOL, Tolerance, _as_operators, _one_matrix,
+                       ensure_projector, hs_norm, hs_unit, matrix_to_json, norm_at_most,
+                       operator_norm, range_projector, singular_rank, spectral_clusters)
 from .seeding import STREAM_BLOCK, STREAM_COMMUTANT, complex_normals, stream_generator
 
 if TYPE_CHECKING:
     from .algebra import AlgebraBasis
-
-_ROUNDING = 64 * float(np.finfo(float).eps)  # 1.4e-14: a smaller part of a matrix unit is rounding
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +64,9 @@ class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
     columns from ``start`` on, and `sectors` the sectors in that frame order. Membership, the
-    draws, the map to M_d (`_ambient`), the chain's certificate, the reduced ranks, the sampled
-    values, `is_pure` and `is_separating` read it, all through this module's readers;
-    `dirac_characters` and a scenario's sector values read the central projectors."""
+    draws, `_ambient`, the certificate, the reduced ranks, the sampled values and `is_pure` read
+    it through this module's readers; `logic._spectral_cuts`, `states.is_separating` and
+    `states.sigma_orthoadditivity_residuals` also unpack its `groups` themselves."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -138,7 +135,11 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
     residual in the frame of the memoized `block_decomposition` (`_residual`, the HS
     projection's) against ``eq_tol * (1 + ||m||)``. A span that is no algebra raises
     `CenterDiagonalizationFailed`."""
-    a = _as_operators(m)
+    return _inside(alg, _as_operators(m), tol)
+
+
+def _inside(alg: AlgebraBasis, a: np.ndarray, tol: Tolerance):
+    """`contains` on ``a``, a matrix or stack `_as_operators` has already converted."""
     if a.shape[-1] != alg.ambient_dim:
         raise DimensionMismatch(f"matrix of dimension {a.shape[-1]} vs algebra in "
                                 f"M_{alg.ambient_dim}")
@@ -149,14 +150,14 @@ def contains(alg: AlgebraBasis, m, tol: Tolerance = DEFAULT_TOL):
 
 def _projectors_in(alg: AlgebraBasis, p, label: str, tol: Tolerance) -> np.ndarray:
     """The one check that ``p``, a matrix or each of a stack (none if empty), is a projector in
-    ``alg``: `ensure_projector`, then `contains`, a failure named by `label`; p read-only."""
+    ``alg``: `ensure_projector`, then `_inside`, a failure named by `label`; p read-only."""
     if isinstance(p, np.ndarray) and p.ndim == 3 and not len(p):
         return p
     try:
         mats = ensure_projector(p, tol)
     except NotProjector as exc:
         raise NotProjector(f"{label}: {exc}") from exc
-    if not (contains(alg, mats, tol) if mats.ndim == 2 else contains(alg, mats, tol).all()):
+    if not np.all(_inside(alg, mats, tol)):
         raise NotInAlgebra(f"{label}: projector not in the domain")
     return mats
 

@@ -26,7 +26,7 @@ STREAM_FAMILY = 11
 STREAM_PROJECTOR = 12
 STREAM_STATE = 13
 
-# scenario runner
+# states._orthoadditivity_checks: the sweep's states and families, the configured states' families
 STREAM_SWEEP_STATE = 21
 STREAM_SWEEP_FAMILY = 22
 STREAM_STATE_CHECK = 23

@@ -27,7 +27,10 @@ from .numerics import (DEFAULT_TOL, Tolerance, _one_matrix, as_matrix, matrix_fr
                        matrix_to_json, norm_at_most, operator_norm, rank_of, require_count)
 from .sectors import (_ambient, _partial_traces, _projectors_in, block_decomposition,
                       minimal_central_projectors)
-from .seeding import STREAM_FAMILY, STREAM_STATE, complex_normals, uniforms
+from .seeding import (STREAM_FAMILY, STREAM_STATE, STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY,
+                      STREAM_SWEEP_STATE, complex_normals, uniforms)
+
+_STATE_FAMILY_CHECKS = 10  # families checked per configured state
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,32 @@ def check_sigma_orthoadditive(
     """
     additivity, complement = sigma_orthoadditivity_residuals(ls, family, tol)
     return additivity <= tol.law_tol and complement <= tol.eq_tol
+
+
+def _orthoadditivity_checks(alg: AlgebraBasis, states, trials, seed, tol: Tolerance) -> tuple:
+    """Each configured state's verdict over its own families, and the sweep's summary (trial
+    i: a random family under a random state), each case held by `check_sigma_orthoadditive`'s
+    rule and ``max_residual`` the sweep's largest residual. State i's family j is row ``10 i +
+    j`` of the state checks' stream under `seed` (`seeding.uniforms`), trial i's family and
+    state row i of the sweep's streams: all families are one draw, and all cases one check."""
+    checks = _STATE_FAMILY_CHECKS * len(states)
+    verdicts, failures, top = [], 0, 0.0  # 0.0 for the largest of no residuals
+    if checks + trials:  # zero trials and no states draw nothing
+        d, width = alg.ambient_dim, _family_width(alg)
+        families = _random_orthogonal_families(alg, np.concatenate([
+            uniforms(seed, STREAM_STATE_CHECK, checks, width),
+            uniforms(seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
+        densities = np.concatenate([
+            *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
+            _random_states(d, uniforms(seed, STREAM_SWEEP_STATE, trials, 2 * d * d))])
+        additivity, complement = _orthoadditivity(alg, densities, "family" if checks else
+                                                  "orthoadditivity trial 0", families, tol)
+        held = (additivity <= tol.law_tol) & (complement <= tol.eq_tol)
+        verdicts = held[:checks].reshape(len(states), _STATE_FAMILY_CHECKS).all(axis=1).tolist()
+        if trials:
+            failures = int(np.count_nonzero(~held[checks:]))
+            top = float(np.maximum(additivity[checks:], complement[checks:]).max())
+    return verdicts, {"trials": trials, "failures": failures, "max_residual": top}
 
 
 def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:

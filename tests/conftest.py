@@ -388,19 +388,20 @@ def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
         counterexample=(dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None)
 
 
-def ambient_orthoadditivity_checks(alg, scenario, tol=DEFAULT_TOL):
-    """`scenarios._orthoadditivity_checks` on ambient families, kept as an oracle: each family
+def ambient_orthoadditivity_checks(alg, states, trials, seed, tol=DEFAULT_TOL):
+    """`states._orthoadditivity_checks` on ambient families, kept as an oracle: each family
     drawn by `ambient_families`, checked in M_d and valued as ``tr(rho p)``; the complement
-    law checked on each member's ``1 - p``."""
+    law checked on each member's ``1 - p``; every case held by `check_sigma_orthoadditive`'s
+    rule."""
     d, width = alg.ambient_dim, 2 * alg.dim + alg.ambient_dim
-    checks = 10 * len(scenario.states)
+    checks = 10 * len(states)
     families = ambient_families(alg, np.concatenate([
-        uniforms(scenario.seed, STREAM_STATE_CHECK, checks, width),
-        uniforms(scenario.seed, STREAM_SWEEP_FAMILY, scenario.trials, width)]), tol)
-    densities = [st.density for st in scenario.states for _ in range(10)]
-    densities += [reference_random_state(d, reference_uniforms(scenario.seed, STREAM_SWEEP_STATE, i,
-                                                        2 * d * d))
-                  for i in range(scenario.trials)]
+        uniforms(seed, STREAM_STATE_CHECK, checks, width),
+        uniforms(seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
+    densities = [st.density for st in states for _ in range(10)]
+    densities += [reference_random_state(d, reference_uniforms(seed, STREAM_SWEEP_STATE, i,
+                                                               2 * d * d))
+                  for i in range(trials)]
     results = []
     for rho, family in zip(densities, families):
         one = np.eye(d)
@@ -413,12 +414,11 @@ def ambient_orthoadditivity_checks(alg, scenario, tol=DEFAULT_TOL):
         complement = [abs(np.trace(rho @ (one - p)).real - (1.0 - x))
                       for p, x in zip(family, value)]
         results.append((abs(np.trace(rho @ joined).real - sum(value)), max([0.0] + complement)))
-    passed = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results[:checks]]
-    residuals = [max(r) for r in results[checks:]]
-    return [all(passed[i:i + 10]) for i in range(0, checks, 10)], {
-        "trials": scenario.trials,
-        "failures": sum(1 for r in residuals if r > tol.law_tol),
-        "max_residual": max(residuals, default=0.0),
+    held = [a <= tol.law_tol and c <= tol.eq_tol for a, c in results]
+    return [all(held[i:i + 10]) for i in range(0, checks, 10)], {
+        "trials": trials,
+        "failures": held[checks:].count(False),
+        "max_residual": max((max(r) for r in results[checks:]), default=0.0),
     }
 
 

@@ -450,6 +450,10 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--tol-eq", "2.0", "--input", gens3_file, "close")
         assert code == 1
 
+    def test_an_eq_tol_below_the_rounding_floor_is_refused(self, capsys, gens3_file):
+        code, out, err = run_cli(capsys, "--tol-eq", "1e-15", "--input", gens3_file, "close")
+        assert (code, out) == (1, "") and err.startswith("error: eq_tol must lie in (1.42e-14, 1)")
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -46,6 +46,15 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(**bad)
 
+    @pytest.mark.parametrize("eq_tol", [1e-15, 64 * np.finfo(float).eps])
+    def test_eq_tol_must_exceed_the_rounding_floor(self, eq_tol):
+        # below 64 ε a Haar-rotated classical d = 8 fails its own projectors' idempotence
+        with pytest.raises(ValidationError, match=r"^eq_tol must lie in \(1.42e-14, 1\)"):
+            Tolerance(eq_tol=eq_tol)
+
+    def test_an_eq_tol_above_the_rounding_floor_is_accepted(self):
+        assert Tolerance(eq_tol=2e-14).eq_tol == 2e-14
+
     def test_law_tol_is_ten_rank_tols(self):
         assert DEFAULT_TOL.law_tol == 1e-7
         # 10 * 1e-6 is 9.999999999999999e-06 in binary floating point

@@ -42,7 +42,7 @@ from oplattice import restrict_logical, sigma_orthoadditivity_residuals
 from oplattice import scenarios as scenarios_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
-from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE
+from oplattice.seeding import STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY, STREAM_SWEEP_STATE, uniforms
 from tests.conftest import (ambient_lattice_report, ambient_orthoadditivity_checks, chain_changed,
                             drawn_families, haar_unitary, rational_clock_shift, reference_commutant,
                             reference_is_commutative, reference_same_span, reference_uniforms,
@@ -68,6 +68,15 @@ class TestBuildClassical:
 
 
 class TestBuildWeylFinite:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_clock_and_shift_obey_the_exchange_relation(self, d):
+        # V U = w U V with w = e^(2 pi i / d), and U^d = V^d = 1
+        u, v = scenarios_module.clock_matrix(d), scenarios_module.shift_matrix(d)
+        w = np.exp(2j * np.pi / d)
+        assert operator_norm(v @ u - w * u @ v) <= 1e-12
+        for x in (u, v):
+            assert operator_norm(np.linalg.matrix_power(x, d) - np.eye(d)) <= 1e-12
+
     def test_d2_is_the_pauli_pair(self):
         u, v = build_weyl_finite(2).generators
         assert operator_norm(u - np.diag([1.0, -1.0])) <= 1e-12
@@ -505,7 +514,7 @@ class TestOrthoadditivitySweepChecks:
                                                   sectors_module._partial_traces(frame, x))]
                 for x in (members, joins))
 
-        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", drawn)
+        monkeypatch.setattr(states_module, "_random_orthogonal_families", drawn)
         return run_scenario(Scenario(name="s", kind="classical", dim=2,
                                      parameters={"point_count": 2}, trials=3))
 
@@ -536,7 +545,7 @@ class TestOrthoadditivitySweepChecks:
     def test_members_that_do_not_tile_their_join_fail(self, monkeypatch, kind, dim, parameters):
         # each drawn family loses its first member after the draw, its join still the base:
         # the sweep must see the value that went missing
-        draw = scenarios_module._random_orthogonal_families
+        draw = states_module._random_orthogonal_families
 
         def first_member_lost(alg, u, tol):
             sizes, blocks, joins = draw(alg, u, tol)
@@ -545,7 +554,7 @@ class TestOrthoadditivitySweepChecks:
                 b[first] = 0
             return sizes, blocks, joins
 
-        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", first_member_lost)
+        monkeypatch.setattr(states_module, "_random_orthogonal_families", first_member_lost)
         got = run_scenario(Scenario(name="s", kind=kind, dim=dim, parameters=parameters,
                                     trials=20, seed=3)).orthoadditivity
         assert got["failures"] > 0 and got["max_residual"] > DEFAULT_TOL.law_tol
@@ -579,12 +588,12 @@ class TestNoTrials:
         def no_draws(*args):
             raise AssertionError("zero trials drew a sample")
 
-        # both modules bind the spectral draw; the sweep's samplers are bound in scenarios
+        # both modules bind the spectral draw; the sweep's samplers are `states`' own
         monkeypatch.setattr(logic_module, "_random_projectors", no_draws)
         monkeypatch.setattr(logic_module, "_spectral_cuts", no_draws)
         monkeypatch.setattr(states_module, "_spectral_cuts", no_draws)
-        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", no_draws)
-        monkeypatch.setattr(scenarios_module, "_random_states", no_draws)
+        monkeypatch.setattr(states_module, "_random_orthogonal_families", no_draws)
+        monkeypatch.setattr(states_module, "_random_states", no_draws)
         assert report_to_json(run_scenario(scenario)) == want
 
 
@@ -594,15 +603,18 @@ class TestConfiguredStateChecks:
         scenario = Scenario(name="s", kind="sectors", dim=4,
                             parameters={"blocks": [[2, 1], [1, 2]]}, trials=0, seed=3,
                             states=(states_module.random_state(4, seed=8),))
-        drawn = []
-        draw = scenarios_module._random_orthogonal_families
+        rows = []
+        draw = states_module._random_orthogonal_families
 
-        def recorded(alg, u, tol):  # each row's family, also mapped to M_d by the public route
-            drawn.extend(drawn_families(alg, u, tol))
+        def recorded(alg, u, tol):  # the rows of the one draw
+            rows.append((alg, u, tol))
             return draw(alg, u, tol)
 
-        monkeypatch.setattr(scenarios_module, "_random_orthogonal_families", recorded)
+        monkeypatch.setattr(states_module, "_random_orthogonal_families", recorded)
         report = run_scenario(scenario)
+        monkeypatch.undo()
+        (drawn_from,) = rows
+        drawn = drawn_families(*drawn_from)  # each row's family, mapped to M_d as in public calls
         assert len(drawn) == 10 and len({len(f) for f in drawn}) >= 2
         envelope = commutant(commutant(close(build_sectors([[2, 1], [1, 2]]))))
         logical = states_module.LogicalState(scenario.states[0], envelope)
@@ -687,13 +699,35 @@ class TestOneFamilyPass:
             logical = restrict_logical(state, alg)
             assert entry["values"] == {f"sector_{i}": logical.value(s.central_projector)
                                        for i, s in enumerate(block_decomposition(alg).sectors)}
-        sweep = [max(residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t)) for t in range(trials)]
+        sweep = [residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t) for t in range(trials)]
         # the public route maps each member to M_d and back to its blocks: the residuals agree
         # within rounding, the verdicts exactly
         got = report.orthoadditivity
-        assert (got["trials"], got["failures"]) == (
-            trials, sum(1 for r in sweep if r > DEFAULT_TOL.law_tol))
-        assert abs(got["max_residual"] - max(sweep, default=0.0)) <= 1e-14
+        held = [a <= DEFAULT_TOL.law_tol and c <= DEFAULT_TOL.eq_tol for a, c in sweep]
+        assert (got["trials"], got["failures"]) == (trials, held.count(False))
+        assert abs(got["max_residual"] - max(map(max, sweep), default=0.0)) <= 1e-14
+
+
+class TestOneVerdictRule:
+    def test_a_complement_residual_between_eq_tol_and_law_tol_fails_everywhere(self, monkeypatch):
+        # the sweep's states at trace 1 - 5e-9: each complement residual is 5e-9, above eq_tol
+        # and below law_tol, so every trial fails, as `check_sigma_orthoadditive` fails each of
+        # those families under its state
+        draw, short = states_module._random_states, 1.0 - 5e-9
+        monkeypatch.setattr(states_module, "_random_states", lambda d, u: draw(d, u) * short)
+        scenario = Scenario(name="s", kind="sectors", dim=4, trials=20, seed=3,
+                            parameters={"blocks": [[2, 1], [1, 2]]})
+        got = run_scenario(scenario).orthoadditivity
+        assert got["failures"] == 20
+        assert DEFAULT_TOL.eq_tol < got["max_residual"] < DEFAULT_TOL.law_tol
+        alg = generated_algebra(scenarios_module.build_generators(scenario))
+        families = drawn_families(alg, uniforms(3, STREAM_SWEEP_FAMILY, 20,
+                                                states_module._family_width(alg)))
+        densities = draw(4, uniforms(3, STREAM_SWEEP_STATE, 20, 32)) * short
+        verdicts = [states_module.check_sigma_orthoadditive(
+            states_module.LogicalState(StateFunctional(rho), alg), family)
+            for rho, family in zip(densities, families)]
+        assert all(families) and verdicts == [False] * 20
 
 
 class TestCallBudget:
@@ -729,17 +763,16 @@ class TestCallBudget:
             with monkeypatch.context() as m:
                 calls = [self.counted(m, *target) for target in [
                     (sectors_module, "_decompose"),
-                    (scenarios_module, "_random_orthogonal_families"),
-                    (scenarios_module, "_orthoadditivity"),
+                    (states_module, "_random_orthogonal_families"),
                     (states_module, "_orthoadditivity"),
                     (logic_module, "_run_blocks"),  # the lattice's propositions, at once
                     (logic_module, "_spectral_cuts"),  # the pairs with the first triples
                     (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
                 drawn = [self.counted(m, module, "uniforms")
-                         for module in (logic_module, scenarios_module)]
+                         for module in (logic_module, states_module)]
                 run_scenario(run)
-            assert [len(c) for c in calls] == [0, 1, 1, 0, 1, 1, 1]
+            assert [len(c) for c in calls] == [0, 1, 1, 1, 1, 1]
             stages.append([len(d) for d in drawn])
         assert stages == [[4, 3], [4, 3]]  # lattice_report's 4 and the sweep's 3
 
@@ -1056,7 +1089,7 @@ class TestTrialStagesMemory:
         tracemalloc.start()
         try:
             report = lattice_report(alg, 200, 1)
-            _, sweep = scenarios_module._orthoadditivity_checks(alg, scenario, DEFAULT_TOL)
+            _, sweep = states_module._orthoadditivity_checks(alg, (), 200, 1, DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -38,6 +38,7 @@ from oplattice import (
     same_span,
 )
 from oplattice import logic as logic_module
+from oplattice import numerics as numerics_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.seeding import uniforms
@@ -289,6 +290,20 @@ class TestMvnDimension:
             dp = mvn_dimension(full4, p)
             dq = mvn_dimension(full4, q)
             assert all(a <= b for a, b in zip(dp, dq))
+
+    def test_the_gate_converts_a_proposition_once(self, two_blocks, monkeypatch):
+        # `ensure_projector` converts p, and the gate hands its array to `_inside`: one
+        # `_as_operators` per public call, where `contains` would convert it again
+        p = minimal_central_projectors(two_blocks)[0]
+        value = states_module.LogicalState(states_module.random_state(5, 1), two_blocks).value
+        convert, calls = sectors_module._as_operators, []
+        for module in (numerics_module, sectors_module):
+            monkeypatch.setattr(module, "_as_operators", lambda m: calls.append(1) or convert(m))
+        for call in (lambda: mvn_dimension(two_blocks, p), lambda: value(p)):
+            call()  # the decomposition is memoized by the first call
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
     def test_commutative_algebra_has_boolean_dimensions(self, diag3):
         decomp = block_decomposition(diag3)

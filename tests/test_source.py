@@ -71,6 +71,23 @@ def test_the_sampling_stages_draw_from_no_generator():
     assert found == []
 
 
+def test_only_logic_and_states_call_uniforms():
+    # each sampling stage lives beside its draws and kernel: the lattice's in `logic`, the
+    # σ-orthoadditivity checks' in `states`; `scenarios` imports no stream, and from `states`
+    # no private name but that stage and `_probabilities`
+    calling = sorted({path.name for path in SOURCES
+                      for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "uniforms"})
+    assert calling == ["logic.py", "states.py"]
+    scenarios = next(path for path in SOURCES if path.name == "scenarios.py")
+    imported = [(node.module, alias.name) for node in ast.parse(scenarios.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert [name for module, name in imported if module == "seeding"] == []
+    assert sorted(name for module, name in imported
+                  if module == "states" and name.startswith("_")) == [
+        "_orthoadditivity_checks", "_probabilities"]
+
+
 def test_only_numerics_writes_json_text():
     # one home for the JSON text: a second writer could drift from the bytes `numerics.dumps`
     # writes, or bring back the per-entry formatting it replaced
@@ -344,7 +361,7 @@ def test_no_trial_stage_validates_a_proposition_itself():
     checks = {"ensure_projector", "is_projector"}
     callers = _calls_by_function()
     stages = [callers["logic.py"]["lattice_report"], callers["states.py"]["_orthoadditivity"],
-              callers["scenarios.py"]["_orthoadditivity_checks"]]
+              callers["states.py"]["_orthoadditivity_checks"]]
     assert [called & checks for called in stages] == [set()] * 3
     assert sorted(name for name, called in callers["logic.py"].items()
                   if "ensure_projector" in called) == ["_projectors"]
@@ -353,11 +370,12 @@ def test_no_trial_stage_validates_a_proposition_itself():
 def test_one_gate_checks_a_projector_in_an_algebra():
     # "a projector in this algebra" is decided in one function, `sectors._projectors_in`: every
     # caller (the dimension function, a logical state's value, a family, the spot checks) goes
-    # through it, so no second check can drift in its order, its labels or its message
+    # through it, so no second check can drift in its order, its labels or its message. It
+    # hands the array `ensure_projector` converted to `_inside`, which converts nothing again
     pairs = [(path.name, name)
              for path in SOURCES
              for name, scope in _scopes(ast.parse(path.read_text(), filename=str(path)))
-             if {"ensure_projector", "contains"} <= {ast.unparse(node.func).split(".")[-1]
+             if {"ensure_projector", "_inside"} <= {ast.unparse(node.func).split(".")[-1]
                                                      for node in ast.walk(scope)
                                                      if isinstance(node, ast.Call)}]
     assert pairs == [("sectors.py", "_projectors_in")]
@@ -369,7 +387,7 @@ def test_no_trial_stage_solves_a_join_it_knows():
     callers = _calls_by_function()
     stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_orthomodularity"],
               callers["states.py"]["_orthoadditivity"],
-              callers["scenarios.py"]["_orthoadditivity_checks"]]
+              callers["states.py"]["_orthoadditivity_checks"]]
     assert [called & {"_join", "join"} for called in stages] == [set()] * 4
     assert sorted(name for name, called in callers["states.py"].items()
                   if "_join" in called) == ["sigma_orthoadditivity_residuals"]

@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 import tracemalloc
 
@@ -41,12 +42,14 @@ from oplattice import (
     restrict_logical,
     run_scenario,
     sigma_orthoadditivity_residuals,
+    state_from_json,
+    state_to_json,
 )
 from oplattice import logic as logic_module
 from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.algebra import contains
-from oplattice.numerics import range_projector
+from oplattice.numerics import matrix_to_json, range_projector
 from oplattice.seeding import STREAM_FAMILY, STREAM_SWEEP_FAMILY, uniforms
 from tests.conftest import (
     INVALID_PROJECTORS,
@@ -120,6 +123,32 @@ class TestMakeState:
     def test_entries_numpy_cannot_convert_are_a_validation_error(self, rho):
         with pytest.raises(ValidationError, match="^matrix entries must be complex numbers"):
             make_state(rho)
+
+
+class TestStateFromJson:
+    @pytest.mark.parametrize("data", [[[[0.5, 0.0]]], "rho", None, {}, {"rho": [[[1.0, 0.0]]]}],
+                             ids=["list", "string", "null", "empty", "no-density"])
+    def test_an_object_with_a_density_is_required(self, data):
+        with pytest.raises(ValidationError, match='^state JSON needs a "density" key'):
+            state_from_json(data)
+
+    @pytest.mark.parametrize("error, rho, loose", [
+        (NotHermitian, [[0.5, 1e-7], [0.0, 0.5]], Tolerance(eq_tol=1e-6)),
+        (NotPositive, [[1.0 + 1e-7, 0.0], [0.0, -1e-7]], Tolerance(rank_tol=1e-6)),
+        (NotNormalized, [[0.5 + 1e-7, 0.0], [0.0, 0.5]], Tolerance(eq_tol=1e-6)),
+    ], ids=["hermitian", "positive", "normalized"])
+    def test_the_density_is_checked_under_the_tolerance_passed_in(self, error, rho, loose):
+        # each defect is 1e-7: refused at the defaults, accepted where the tolerance allows it
+        data = {"density": matrix_to_json(np.array(rho, dtype=complex))}
+        with pytest.raises(error):
+            state_from_json(data)
+        assert np.array_equal(state_from_json(data, loose).density, np.array(rho, dtype=complex))
+
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (3, 1), (8, 2)])
+    def test_a_round_trip_through_json_text_keeps_every_bit(self, dim, seed):
+        rho = random_state(dim, seed).density
+        back = state_from_json(json.loads(json.dumps(state_to_json(make_state(rho))))).density
+        assert back.tobytes() == rho.tobytes()
 
 
 class TestEvaluate:
