@@ -34,9 +34,9 @@ from .states import (StateFunctional, _orthoadditivity_checks, _probabilities, d
 SCENARIO_KINDS = ("classical", "weyl_finite", "sectors", "custom")
 
 EXPECTATION_CHECKS = (
-    "algebra_dim", "envelope_equals_algebra", "commutant_dim", "center_dim", "sector_count",
-    "factor", "atomic", "hilbertian", "boolean_lattice", "distributive",
-    "orthomodular_pass_rate", "is_commutative", "sector_blocks", "character_count",
+    "algebra_dim", "commutant_dim", "center_dim", "sector_count", "factor", "atomic",
+    "hilbertian", "boolean_lattice", "distributive", "orthomodular_pass_rate", "is_commutative",
+    "sector_blocks", "character_count",
 )
 
 COMPLETENESS_NOTE = (
@@ -199,7 +199,6 @@ def build_generators(scenario: Scenario) -> GeneratorSet:
 class ScenarioReport:
     scenario: dict
     algebra_dim: int
-    envelope_equals_algebra: bool
     commutant_dim: int
     center_dim: int
     lattice: LatticeReport
@@ -284,7 +283,6 @@ def _run_scenario_body(scenario: Scenario, tol: Tolerance) -> ScenarioReport:
     unchecked = ScenarioReport(
         scenario=echo,
         algebra_dim=alg.dim,
-        envelope_equals_algebra=True,
         commutant_dim=sum(s.multiplicity ** 2 for s in decomp.sectors),
         center_dim=len(decomp.sectors),
         lattice=report,

@@ -64,9 +64,9 @@ class Frame(NamedTuple):
     """The sectors' isometries side by side, ``u`` (a unitary) and ``uh = u*``, grouped by shape
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
     columns from ``start`` on, and `sectors` the sectors in that frame order. Membership, the
-    draws, `_ambient`, the certificate, the reduced ranks, the sampled values and `is_pure` read
-    it through this module's readers; `logic._spectral_cuts`, `states.is_separating` and
-    `states.sigma_orthoadditivity_residuals` also unpack its `groups` themselves."""
+    draws, `_ambient`, the certificate, the reduced ranks and `is_pure` read it through this
+    module's readers; `logic._spectral_cuts` and `states.is_separating` also unpack its
+    `groups` themselves."""
 
     u: np.ndarray
     uh: np.ndarray

@@ -31,6 +31,7 @@ from .seeding import (STREAM_FAMILY, STREAM_STATE, STREAM_STATE_CHECK, STREAM_SW
                       STREAM_SWEEP_STATE, complex_normals, uniforms)
 
 _STATE_FAMILY_CHECKS = 10  # families checked per configured state
+_SWEEP_CASES = 8  # trials the sweep checks: each solves its join, so a fixed count bounds memory
 
 
 @dataclass(frozen=True)
@@ -138,35 +139,31 @@ def sigma_orthoadditivity_residuals(
         if not (apart := norm_at_most(stack[a + 1:] @ stack[a], tol.eq_tol)).all():
             raise NotOrthogonalFamily(f"family: members {a} and {a + 1 + np.argmin(apart)} are "
                                       "not orthogonal")
-    frame = block_decomposition(ls.domain, tol).frame  # in the algebra: a member is its blocks
-    blocks = [t / m for (_, m, _, _), t in zip(frame.groups, _partial_traces(frame, stack))]
-    joins = [_join(*x[:, None], tol=tol) if len(x) else np.zeros((1, *x.shape[1:]), complex)
-             for x in blocks]  # one n-ary join per shape group
     additivity, complement = _orthoadditivity(ls.domain, ls.underlying.density[None], "family",
-                                              (np.array([len(stack)]), blocks, joins), tol)
+                                              np.array([len(stack)]), stack, tol)
     return float(additivity[0]), float(complement[0])
 
 
-def _orthoadditivity(alg: AlgebraBasis, rho, label: str, families: tuple, tol: Tolerance) -> tuple:
+def _orthoadditivity(alg: AlgebraBasis, rho, label: str, sizes, members, tol: Tolerance) -> tuple:
     """`sigma_orthoadditivity_residuals` of the density stack `rho`, per case as two arrays
-    (additivity, complement), case i's family the i-th of ``families = (sizes, blocks, joins)``
-    (per group, every member's blocks in order, and each family's join). Case 0's members and
-    join are checked in M_d by `sectors._projectors_in` (a failure named by case 0's `label`)
-    before the values ``tr(rho p) = sum tr(s p_a)``, s the partial traces. Members come
-    orthogonal: a public family is checked, a drawn one's are runs of one guarded eigenbasis
-    (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol`` (1 x 1 blocks are
-    masks of disjoint places: their products are 0)."""
-    (sizes, blocks, joins), count = families, len(rho)
-    frame, case = block_decomposition(alg, tol).frame, np.repeat(np.arange(count), sizes)
-    _projectors_in(alg, _ambient(frame, [np.concatenate([b[:sizes[0]], j[:1]])
-                                         for b, j in zip(blocks, joins)]), label, tol)
-    reduced = _partial_traces(frame, rho)  # per group (cases, count, n, n)
-    values = sum(np.einsum("icjk,ickj->i", s[case], b) for s, b in zip(reduced, blocks))
-    joined = sum(np.einsum("icjk,ickj->i", s, j) for s, j in zip(reduced, joins))
+    (additivity, complement), case i's family the next ``sizes[i]`` of the ``(n, d, d)`` stack
+    `members`. Each family's join is solved from its members in M_d, one `logic._join` of all
+    cases (a short family padded by 0: one thin SVD per case). Case 0's members and join are
+    checked by `sectors._projectors_in` (a failure named by `label`) before the values
+    ``tr(rho p)``. Members come orthogonal: a public family is checked, a drawn one's are runs of
+    one guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e <
+    eq_tol`` (1 x 1 blocks are masks of disjoint places: their products are 0)."""
+    count, case = len(rho), np.repeat(np.arange(len(rho)), sizes)
+    padded = np.zeros((np.max(sizes, initial=1), count, *rho.shape[1:]), dtype=complex)
+    padded[np.arange(len(case)) - np.repeat(np.cumsum(sizes) - sizes, sizes), case] = members
+    joins = _join(*padded, tol=tol)  # 0 where a family is empty
+    _projectors_in(alg, np.concatenate([members[:sizes[0]], joins[:1]]), label, tol)
+    values = np.einsum("ijk,ikj->i", rho[case], members)
     # each case's member values summed in order, as `sum` would
     total = np.bincount(case, weights=_probabilities(values, tol), minlength=count)
+    joined = _probabilities(np.einsum("ijk,ikj->i", rho, joins), tol)
     off = np.where(sizes > 0, abs(np.trace(rho, axis1=1, axis2=2).real - 1.0), 0.0)
-    return abs(_probabilities(joined, tol) - total), off
+    return abs(joined - total), off
 
 
 def check_sigma_orthoadditive(
@@ -183,29 +180,32 @@ def check_sigma_orthoadditive(
 
 
 def _orthoadditivity_checks(alg: AlgebraBasis, states, trials, seed, tol: Tolerance) -> tuple:
-    """Each configured state's verdict over its own families, and the sweep's summary (trial
-    i: a random family under a random state), each case held by `check_sigma_orthoadditive`'s
-    rule and ``max_residual`` the sweep's largest residual. State i's family j is row ``10 i +
-    j`` of the state checks' stream under `seed` (`seeding.uniforms`), trial i's family and
-    state row i of the sweep's streams: all families are one draw, and all cases one check."""
-    checks = _STATE_FAMILY_CHECKS * len(states)
+    """Each configured state's verdict over its own families, and the sweep's summary over its
+    first ``min(trials, 8)`` trials (trial i: a random family under a random state, its count
+    echoed as ``trials``), each case held by `check_sigma_orthoadditive`'s rule and
+    ``max_residual`` the sweep's largest residual. State i's family j is row ``10 i + j`` of the
+    state checks' stream under `seed` (`seeding.uniforms`), trial i's family and state row i of
+    the sweep's streams: all families are one draw, mapped to M_d once, and all cases one
+    `_orthoadditivity` call, so memory does not grow with `trials`."""
+    checks, cases = _STATE_FAMILY_CHECKS * len(states), min(trials, _SWEEP_CASES)
     verdicts, failures, top = [], 0, 0.0  # 0.0 for the largest of no residuals
-    if checks + trials:  # zero trials and no states draw nothing
+    if checks + cases:  # zero trials and no states draw nothing
         d, width = alg.ambient_dim, _family_width(alg)
-        families = _random_orthogonal_families(alg, np.concatenate([
+        sizes, blocks = _random_orthogonal_families(alg, np.concatenate([
             uniforms(seed, STREAM_STATE_CHECK, checks, width),
-            uniforms(seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
+            uniforms(seed, STREAM_SWEEP_FAMILY, cases, width)]), tol)
         densities = np.concatenate([
             *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
-            _random_states(d, uniforms(seed, STREAM_SWEEP_STATE, trials, 2 * d * d))])
-        additivity, complement = _orthoadditivity(alg, densities, "family" if checks else
-                                                  "orthoadditivity trial 0", families, tol)
+            _random_states(d, uniforms(seed, STREAM_SWEEP_STATE, cases, 2 * d * d))])
+        additivity, complement = _orthoadditivity(
+            alg, densities, "family" if checks else "orthoadditivity trial 0", sizes,
+            _ambient(block_decomposition(alg, tol).frame, blocks), tol)
         held = (additivity <= tol.law_tol) & (complement <= tol.eq_tol)
         verdicts = held[:checks].reshape(len(states), _STATE_FAMILY_CHECKS).all(axis=1).tolist()
-        if trials:
+        if cases:
             failures = int(np.count_nonzero(~held[checks:]))
             top = float(np.maximum(additivity[checks:], complement[checks:]).max())
-    return verdicts, {"trials": trials, "failures": failures, "max_residual": top}
+    return verdicts, {"trials": cases, "failures": failures, "max_residual": top}
 
 
 def is_pure(state: StateFunctional, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -299,9 +299,9 @@ def random_orthogonal_family(
     (`seeding.uniforms`), drawn in blocks by `_random_orthogonal_families`.
     """
     require_count("seed", seed)
-    (size,), blocks, _ = _random_orthogonal_families(
+    _, blocks = _random_orthogonal_families(
         alg, uniforms(seed, STREAM_FAMILY, 1, _family_width(alg)), tol)
-    return list(_ambient(block_decomposition(alg, tol).frame, blocks)) if size else []
+    return list(_ambient(block_decomposition(alg, tol).frame, blocks))
 
 
 def _family_width(alg: AlgebraBasis) -> int:
@@ -311,10 +311,9 @@ def _family_width(alg: AlgebraBasis) -> int:
 
 def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance) -> tuple:
     """`random_orthogonal_family` on each row of the uniforms `u` (`_family_width` columns): the
-    member counts, and per shape group every member's blocks and each row's join. A gap of the
-    base's merged spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies
-    below, less one); each member is its run of places, and the join of the members is the
-    base, the run ``[first kept place, end)``: all runs of one `_run_blocks` call."""
+    member counts, and per shape group every member's blocks. A gap of the base's merged
+    spectrum (`_spectral_cuts`) reads the cut bit of its ambient gap (the copies below, less
+    one); each member is its run of places, all runs of one `_run_blocks` call."""
     _, _, copies, breaks, seen, kept = cuts = _spectral_cuts(alg, u, tol)
     first = _first_kept(seen, kept)
     places, gaps = breaks.shape[1] + 1, np.cumsum(copies[:, :-1], axis=1) - 1
@@ -324,11 +323,8 @@ def _random_orthogonal_families(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance
     edges[:, 1:places] |= (np.arange(1, places) > first[:, None]) & breaks & cut
     family, place = np.nonzero(edges)  # in order: each family's members, then its end
     run = np.flatnonzero(place < places)  # a member's first place; the next edge ends the member
-    n = len(run)  # the members' runs, then each row's base [first, end): their join
-    blocks = _run_blocks(cuts, np.r_[family[run], :len(u)], np.r_[place[run], first],
-                         np.r_[place[run + 1], [places] * len(u)], tol)
-    return (np.bincount(family[run], minlength=len(u)), [b[:n] for b in blocks],
-            [b[n:] for b in blocks])
+    return (np.bincount(family[run], minlength=len(u)),
+            _run_blocks(cuts, family[run], place[run], place[run + 1], tol))
 
 
 def state_to_json(state: StateFunctional) -> dict:

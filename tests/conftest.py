@@ -392,9 +392,9 @@ def ambient_orthoadditivity_checks(alg, states, trials, seed, tol=DEFAULT_TOL):
     """`states._orthoadditivity_checks` on ambient families, kept as an oracle: each family
     drawn by `ambient_families`, checked in M_d and valued as ``tr(rho p)``; the complement
     law checked on each member's ``1 - p``; every case held by `check_sigma_orthoadditive`'s
-    rule."""
+    rule; the sweep's first ``min(trials, 8)`` trials checked, that count reported."""
     d, width = alg.ambient_dim, 2 * alg.dim + alg.ambient_dim
-    checks = 10 * len(states)
+    checks, trials = 10 * len(states), min(trials, 8)
     families = ambient_families(alg, np.concatenate([
         uniforms(seed, STREAM_STATE_CHECK, checks, width),
         uniforms(seed, STREAM_SWEEP_FAMILY, trials, width)]), tol)
@@ -437,17 +437,15 @@ def drawn_projectors(alg, u, tol=DEFAULT_TOL):
     return sectors_module._ambient(frame, logic_module._random_projectors(alg, u, tol))
 
 
-def drawn_families(alg, u, tol=DEFAULT_TOL, with_joins=False):
+def drawn_families(alg, u, tol=DEFAULT_TOL):
     """The package's stacked family draw on the rows of the uniforms `u`
     (`states._random_orthogonal_families`, in the sector frame), each family's members mapped
-    to M_d, as `random_orthogonal_family` maps its one row; `with_joins` also returns each
-    family's drawn join (its base) in M_d."""
-    sizes, blocks, joins = states_module._random_orthogonal_families(alg, u, tol)
-    frame = sectors_module.block_decomposition(alg, tol).frame
-    members = list(sectors_module._ambient(frame, blocks)) if sizes.any() else []
+    to M_d, as `random_orthogonal_family` maps its one row."""
+    sizes, blocks = states_module._random_orthogonal_families(alg, u, tol)
+    members = list(sectors_module._ambient(sectors_module.block_decomposition(alg, tol).frame,
+                                           blocks))
     bounds = np.cumsum([0, *sizes])
-    families = [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return (families, sectors_module._ambient(frame, joins)) if with_joins else families
+    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def reference_orthomodularity_residual(p, q, tol=DEFAULT_TOL):

@@ -226,7 +226,7 @@ class TestRunScenario:
         assert report.lattice.boolean_lattice
         assert report.lattice.sector_count == 4
         assert report.characters == {"count": 4, "separating": True}
-        assert report.envelope_equals_algebra
+        assert report.algebra_dim == 4
 
     def test_weyl_three(self):
         scenario = Scenario(
@@ -318,12 +318,17 @@ class TestRunScenario:
             Scenario(name="weyl2", kind="weyl_finite", dim=2, parameters={"modulus": 2},
                      trials=5, seed=3, expectations=(Expectation(check="no_such_check", expect=1),))
 
+    def test_the_removed_envelope_check_is_unknown(self):
+        # a report field that could only read true is no check: the report has no such field
+        with pytest.raises(ValidationError, match="unknown expectation check 'envelope_equals"):
+            Scenario(name="weyl2", kind="weyl_finite", dim=2, parameters={"modulus": 2},
+                     expectations=(Expectation(check="envelope_equals_algebra", expect=True),))
+
     def test_every_expectation_check_runs(self):
         expected = {
-            "algebra_dim": 3, "envelope_equals_algebra": True, "commutant_dim": 3,
-            "center_dim": 3, "sector_count": 3, "factor": False, "atomic": True,
-            "hilbertian": False, "boolean_lattice": True, "distributive": True,
-            "orthomodular_pass_rate": 1.0, "is_commutative": True,
+            "algebra_dim": 3, "commutant_dim": 3, "center_dim": 3, "sector_count": 3,
+            "factor": False, "atomic": True, "hilbertian": False, "boolean_lattice": True,
+            "distributive": True, "orthomodular_pass_rate": 1.0, "is_commutative": True,
             "sector_blocks": [[1, 1]] * 3, "character_count": 3,
         }
         assert sorted(expected) == sorted(scenarios_module.EXPECTATION_CHECKS)
@@ -349,7 +354,8 @@ class TestRunScenario:
                      trials=5, seed=0),
         ]
         for scenario in scenarios:
-            assert run_scenario(scenario).envelope_equals_algebra
+            gens = scenarios_module.build_generators(scenario)
+            assert run_scenario(scenario).algebra_dim == close(gens).dim
 
 
 class TestDeterminism:
@@ -390,9 +396,8 @@ class TestReportLayout:
     """The writers follow the reports' dataclass field order: the layout is pinned here, so a
     reordered field cannot reorder the bytes silently."""
 
-    TOP = ["scenario", "algebra_dim", "envelope_equals_algebra", "commutant_dim", "center_dim",
-           "lattice", "sectors", "completeness_note", "characters", "states", "orthoadditivity",
-           "expectations"]
+    TOP = ["scenario", "algebra_dim", "commutant_dim", "center_dim", "lattice", "sectors",
+           "completeness_note", "characters", "states", "orthoadditivity", "expectations"]
     LATTICE = ["orthomodular_pass_rate", "distributive", "counterexample", "boolean_lattice",
                "atomic", "hilbertian", "factor", "sector_count", "trials", "seed"]
 
@@ -499,20 +504,18 @@ class TestGeneratedAlgebraChecks:
 
 
 class TestOrthoadditivitySweepChecks:
-    """The sweep checks its families in one stack of sector blocks per shape group; each check
-    must still fire: a non-projector member where case 0's propositions are mapped back to M_d,
-    a projector outside the envelope there, members that do not add up to their join. A
+    """The sweep draws its families as sector blocks, maps them to M_d once and solves each
+    join from its members; each check must still fire: a non-projector member or a projector
+    outside the envelope in case 0, and a join kernel that disagrees with the members. A
     non-orthogonal family can only enter from outside, where the public call refuses it."""
 
     def run_with_family(self, monkeypatch, family):
-        def drawn(alg, u, tol):  # `family` in every row with its sum as the join, as blocks
+        def drawn(alg, u, tol):  # `family` in every row, as blocks
             frame = block_decomposition(alg).frame
             members = np.array(family * len(u), dtype=complex)
-            joins = np.array([sum(family)] * len(u), dtype=complex)
-            return np.full(len(u), len(family)), *(
-                [t / m for (_, m, _, _), t in zip(frame.groups,
-                                                  sectors_module._partial_traces(frame, x))]
-                for x in (members, joins))
+            return np.full(len(u), len(family)), [
+                t / m for (_, m, _, _), t in zip(frame.groups,
+                                                 sectors_module._partial_traces(frame, members))]
 
         monkeypatch.setattr(states_module, "_random_orthogonal_families", drawn)
         return run_scenario(Scenario(name="s", kind="classical", dim=2,
@@ -525,7 +528,8 @@ class TestOrthoadditivitySweepChecks:
     def test_projector_outside_the_envelope(self, monkeypatch):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
         outside = np.outer(v, v).astype(complex)
-        monkeypatch.setattr(states_module, "_ambient", lambda frame, blocks: outside[None])
+        monkeypatch.setattr(states_module, "_ambient", lambda frame, blocks: np.repeat(
+            outside[None], len(blocks[0]), axis=0))
         with pytest.raises(NotInAlgebra, match="orthoadditivity trial 0"):
             self.run_with_family(monkeypatch, [unit(2, 0, 0)])
 
@@ -542,21 +546,29 @@ class TestOrthoadditivitySweepChecks:
         ("weyl_finite", 3, {"modulus": 3}),
         ("sectors", 4, {"blocks": [[2, 1], [1, 2]]}),
     ])
-    def test_members_that_do_not_tile_their_join_fail(self, monkeypatch, kind, dim, parameters):
-        # each drawn family loses its first member after the draw, its join still the base:
-        # the sweep must see the value that went missing
-        draw = states_module._random_orthogonal_families
+    def test_a_join_kernel_that_drops_a_vector_fails_the_sweep(self, monkeypatch, kind, dim,
+                                                                 parameters):
+        # the meet's null projectors lose one vector in every case past the first, so those
+        # joins gain one: the sweep solves each join from the members it checks, and must see
+        # the value that was added
+        null_projectors = logic_module._null_projectors
 
-        def first_member_lost(alg, u, tol):
-            sizes, blocks, joins = draw(alg, u, tol)
-            first = (np.cumsum(sizes) - sizes)[sizes > 0]
-            for b in blocks:
-                b[first] = 0
-            return sizes, blocks, joins
+        def one_vector_dropped(a, tol):
+            out = null_projectors(a, tol)
+            for p in out.reshape(-1, *out.shape[-2:])[1:]:
+                j = np.argmax(p.diagonal().real)
+                if p[j, j].real > 0.5 / len(p):  # p is not 0: take out a unit vector of its range
+                    x = p[:, j] / np.sqrt(p[j, j].real)
+                    p -= np.outer(x, x.conj())
+            return out
 
-        monkeypatch.setattr(states_module, "_random_orthogonal_families", first_member_lost)
-        got = run_scenario(Scenario(name="s", kind=kind, dim=dim, parameters=parameters,
-                                    trials=20, seed=3)).orthoadditivity
+        scenario = Scenario(name="s", kind=kind, dim=dim, parameters=parameters, trials=20,
+                            seed=3)
+        alg = generated_algebra(scenarios_module.build_generators(scenario))
+        assert states_module._orthoadditivity_checks(alg, (), 20, 3, DEFAULT_TOL)[1][
+            "failures"] == 0
+        monkeypatch.setattr(logic_module, "_null_projectors", one_vector_dropped)
+        got = states_module._orthoadditivity_checks(alg, (), 20, 3, DEFAULT_TOL)[1]
         assert got["failures"] > 0 and got["max_residual"] > DEFAULT_TOL.law_tol
 
     def test_genuine_family_passes(self, monkeypatch):
@@ -699,35 +711,36 @@ class TestOneFamilyPass:
             logical = restrict_logical(state, alg)
             assert entry["values"] == {f"sector_{i}": logical.value(s.central_projector)
                                        for i, s in enumerate(block_decomposition(alg).sectors)}
-        sweep = [residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t) for t in range(trials)]
-        # the public route maps each member to M_d and back to its blocks: the residuals agree
+        cases = min(trials, 8)  # the sweep checks its first 8 trials
+        sweep = [residuals(sweep_state(t), STREAM_SWEEP_FAMILY, t) for t in range(cases)]
+        # the stage pads each family to the longest one in its join's SVD: the residuals agree
         # within rounding, the verdicts exactly
         got = report.orthoadditivity
         held = [a <= DEFAULT_TOL.law_tol and c <= DEFAULT_TOL.eq_tol for a, c in sweep]
-        assert (got["trials"], got["failures"]) == (trials, held.count(False))
+        assert (got["trials"], got["failures"]) == (cases, held.count(False))
         assert abs(got["max_residual"] - max(map(max, sweep), default=0.0)) <= 1e-14
 
 
 class TestOneVerdictRule:
     def test_a_complement_residual_between_eq_tol_and_law_tol_fails_everywhere(self, monkeypatch):
         # the sweep's states at trace 1 - 5e-9: each complement residual is 5e-9, above eq_tol
-        # and below law_tol, so every trial fails, as `check_sigma_orthoadditive` fails each of
-        # those families under its state
+        # and below law_tol, so every checked trial (the first 8) fails, as
+        # `check_sigma_orthoadditive` fails each of those families under its state
         draw, short = states_module._random_states, 1.0 - 5e-9
         monkeypatch.setattr(states_module, "_random_states", lambda d, u: draw(d, u) * short)
         scenario = Scenario(name="s", kind="sectors", dim=4, trials=20, seed=3,
                             parameters={"blocks": [[2, 1], [1, 2]]})
         got = run_scenario(scenario).orthoadditivity
-        assert got["failures"] == 20
+        assert got["trials"] == got["failures"] == 8
         assert DEFAULT_TOL.eq_tol < got["max_residual"] < DEFAULT_TOL.law_tol
         alg = generated_algebra(scenarios_module.build_generators(scenario))
-        families = drawn_families(alg, uniforms(3, STREAM_SWEEP_FAMILY, 20,
+        families = drawn_families(alg, uniforms(3, STREAM_SWEEP_FAMILY, 8,
                                                 states_module._family_width(alg)))
-        densities = draw(4, uniforms(3, STREAM_SWEEP_STATE, 20, 32)) * short
+        densities = draw(4, uniforms(3, STREAM_SWEEP_STATE, 8, 32)) * short
         verdicts = [states_module.check_sigma_orthoadditive(
             states_module.LogicalState(StateFunctional(rho), alg), family)
             for rho, family in zip(densities, families)]
-        assert all(families) and verdicts == [False] * 20
+        assert all(families) and verdicts == [False] * 8
 
 
 class TestCallBudget:
@@ -778,7 +791,8 @@ class TestCallBudget:
 
     def test_a_group_of_one_by_one_blocks_takes_no_kernel(self, monkeypatch):
         # sectors [[2, 1], [1, 2]]: a draw takes one `eigh`, of its 2 x 2 group; its 1 x 1
-        # blocks are 0 or 1, so no `run_projectors` run or law kernel is made of them
+        # blocks are 0 or 1, so no `run_projectors` run or law kernel is made of them (the
+        # families' joins are solved in M_d, from their members mapped there)
         scenario = Scenario(name="budget", kind="sectors", dim=4, trials=40, seed=4,
                             parameters={"blocks": [[2, 1], [1, 2]]}, states=(random_state(4, 0),))
         run_scenario(scenario)
@@ -804,7 +818,11 @@ class TestCallBudget:
             run_scenario(scenario)
         assert draws == [[2], [2]]  # the lattice's pairs with its first triples, the families
         assert {name: set(n) for name, n in sizes.items()} == {
-            "run_projectors": {2}, "_meet": {2}, "_orthomodularity": {2}, "_distributivity": {2}}
+            "run_projectors": {2, 4}, "_meet": {2, 4}, "_orthomodularity": {2},
+            "_distributivity": {2}}
+        # the one kernel in M_4: the σ-orthoadditivity stage solves its families' joins there,
+        # one `_meet` and the `run_projectors` run of its null projectors
+        assert sizes["_meet"].count(4) == sizes["run_projectors"].count(4) == 1
 
 
 # sector sets of the sweep: block size 2s at multiplicities 2 and 1 and s at 2, a doubled
@@ -1093,5 +1111,21 @@ class TestTrialStagesMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.trials == sweep["trials"] == 200
+        assert (report.trials, sweep["trials"]) == (200, 8)
         assert peak < 48 * 2**20
+
+    def test_the_orthoadditivity_stage_on_weyl_32_does_not_grow_with_trials(self):
+        # the sweep checks its first 8 trials: its traced peak at 1000 trials is within 1.1x
+        # of its peak at 200 (a sweep of every trial peaked at 59 MiB and 315 MiB)
+        alg = generated_algebra(build_weyl_finite(32))
+        block_decomposition(alg).frame  # built once, outside the stage
+        peaks = []
+        for trials in (200, 1000):
+            tracemalloc.start()
+            try:
+                _, sweep = states_module._orthoadditivity_checks(alg, (), trials, 1, DEFAULT_TOL)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (sweep["trials"], sweep["failures"]) == (8, 0)
+        assert peaks[1] <= 1.1 * peaks[0]

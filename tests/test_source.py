@@ -381,22 +381,25 @@ def test_one_gate_checks_a_projector_in_an_algebra():
     assert pairs == [("sectors.py", "_projectors_in")]
 
 
-def test_no_trial_stage_solves_a_join_it_knows():
-    # orthomodularity's p ∨ (p⊥ ∧ q) is the sum p + (p⊥ ∧ q), and a drawn family's join is its
-    # base, drawn with its members: only a family from outside has its join solved
+def test_every_family_join_is_solved_from_its_members_in_one_place():
+    # orthomodularity's p ∨ (p⊥ ∧ q) is the sum p + (p⊥ ∧ q): the lattice stage solves no
+    # join. Every family's join, drawn or from outside, is solved from its members by `_join`
+    # in `_orthoadditivity`, which the sweep and the public call both reach
     callers = _calls_by_function()
-    stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_orthomodularity"],
-              callers["states.py"]["_orthoadditivity"],
-              callers["states.py"]["_orthoadditivity_checks"]]
-    assert [called & {"_join", "join"} for called in stages] == [set()] * 4
+    stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_orthomodularity"]]
+    assert [called & {"_join", "join"} for called in stages] == [set()] * 2
     assert sorted(name for name, called in callers["states.py"].items()
-                  if "_join" in called) == ["sigma_orthoadditivity_residuals"]
+                  if called & {"_join", "join"}) == ["_orthoadditivity"]
+    assert sorted(name for name, called in callers["states.py"].items()
+                  if "_orthoadditivity" in called) == [
+        "_orthoadditivity_checks", "sigma_orthoadditivity_residuals"]
 
 
 def test_no_trial_stack_goes_through_an_ambient_product():
     # the trial stages run on sector blocks: only `sectors` reads the frame's unitary, where
-    # `_ambient` maps blocks to M_d (the public samplers, a counterexample, one spot check per
-    # stage) and the partial traces map M_d to blocks
+    # `_ambient` maps blocks to M_d (the public samplers, a counterexample, the lattice's spot
+    # check, the σ-orthoadditivity stage's drawn members) and the partial traces map M_d to
+    # blocks
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

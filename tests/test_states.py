@@ -46,7 +46,6 @@ from oplattice import (
     state_to_json,
 )
 from oplattice import logic as logic_module
-from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.algebra import contains
 from oplattice.numerics import matrix_to_json, range_projector
@@ -321,19 +320,13 @@ def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
             for start, stop in zip(starts, starts[1:] + [d])]
 
 
-def in_blocks(alg, cases):
+def stacked(cases):
     """Ambient ``(label, density, members)`` cases as `states._orthoadditivity` takes them: the
-    density stack, case 0's label, and the member counts with the members' sector blocks (the
-    partial traces over m, over m) and each family's join, the sum of its orthogonal members,
-    in one stack per shape group."""
-    d, frame = alg.ambient_dim, block_decomposition(alg).frame
+    density stack, case 0's label, the member counts and all members in one stack."""
+    d = len(cases[0][1])
     members = np.array([p for *_, f in cases for p in f], dtype=complex).reshape(-1, d, d)
-    joins = np.array([sum(f, np.zeros((d, d))) for *_, f in cases], dtype=complex)
-    blocks, join_blocks = ([t / m for (_, m, _, _), t in zip(
-        frame.groups, sectors_module._partial_traces(frame, x))] for x in (members, joins))
-    sizes = np.array([len(f) for *_, f in cases])
     rho = np.array([density for _, density, _ in cases], dtype=complex)
-    return rho, cases[0][0], (sizes, blocks, join_blocks)
+    return rho, cases[0][0], np.array([len(f) for *_, f in cases]), members
 
 
 def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
@@ -433,17 +426,16 @@ class TestStackedFamilies:
         with pytest.raises(NotOrthogonalFamily, match="^family: members 1 and 4 are not"):
             sigma_orthoadditivity_residuals(ls, family)
 
-    def test_a_member_outside_the_domain_is_caught_where_it_enters(self, diag3, monkeypatch):
-        # block stacks lie in the algebra by construction: an outside projector can only enter
-        # as an ambient matrix, through the public call or case 0's map back to M_d
+    def test_a_member_outside_the_domain_is_caught_where_it_enters(self, diag3):
+        # drawn members are mapped to M_d from blocks in the algebra: an outside projector can
+        # only enter as an ambient matrix, through the public call or case 0 of the kernel
         outside = np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2
         ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
         with pytest.raises(NotInAlgebra, match="^family: projector not in the domain"):
             sigma_orthoadditivity_residuals(ls, [unit(3, 2, 2), outside])
-        monkeypatch.setattr(states_module, "_ambient", lambda frame, blocks: outside[None])
-        cases = [("a", np.eye(3) / 3, [unit(3, 0, 0)]), ("b", np.eye(3) / 3, [unit(3, 1, 1)])]
+        cases = [("a", np.eye(3) / 3, [outside]), ("b", np.eye(3) / 3, [unit(3, 1, 1)])]
         with pytest.raises(NotInAlgebra, match="^a: projector not in the domain"):
-            states_module._orthoadditivity(diag3, *in_blocks(diag3, cases), DEFAULT_TOL)
+            states_module._orthoadditivity(diag3, *stacked(cases), DEFAULT_TOL)
 
     def test_stacked_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included (a draw on an algebra whose
@@ -452,16 +444,13 @@ class TestStackedFamilies:
         families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        rho, label, (sizes, blocks, joins) = in_blocks(env, cases)
-        together = states_module._orthoadditivity(env, rho, label, (sizes, blocks, joins),
-                                                  DEFAULT_TOL)
-        at = np.cumsum(sizes) - sizes
-        alone = [states_module._orthoadditivity(env, rho[i:i + 1], f"case {i}", (
-            sizes[i:i + 1], [b[at[i]:at[i] + sizes[i]] for b in blocks],
-            [j[i:i + 1] for j in joins]), DEFAULT_TOL) for i in range(len(cases))]
-        # the densities' partial traces are a product per matrix: no bit depends on the stack
+        together = states_module._orthoadditivity(env, *stacked(cases), DEFAULT_TOL)
+        alone = [states_module._orthoadditivity(env, *stacked([case]), DEFAULT_TOL)
+                 for case in cases]
+        # a short family's padding adds zero rows to its join's SVD: every case keeps the
+        # verdict, and its residuals agree within rounding
         for residuals, one_each in zip(together, zip(*alone)):  # additivity, then complement
-            assert np.array_equal(residuals, np.concatenate(one_each))
+            assert np.abs(residuals - np.concatenate(one_each)).max() <= 1e-15
 
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_a_familys_join_is_the_fold_of_pair_joins(self, name):
@@ -475,40 +464,43 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("seed", [2, 9])
     @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
     def test_the_join_kernel_gives_each_drawn_familys_base(self, name, seed):
-        # the sweep reads a drawn family's join as its base; the n-ary `_join` of the members,
-        # solved by SVD, must find the same projector: a check of the kernel that can fail
+        # the sweep solves a drawn family's join from its members: the n-ary `_join`, solved by
+        # SVD, must find the base the members cut, `random_projector`'s draw on the same row
         alg = kernel_algebra(name)
-        families, bases = drawn_families(alg, family_uniforms(alg, seed, 40), with_joins=True)
+        u = family_uniforms(alg, seed, 40)
+        families = drawn_families(alg, u)
         assert any(families)
-        for family, base in zip(families, bases):
+        for family, row in zip(families, u):
+            base = base_projector(alg, row)
             solved = (logic_module._join(*family, tol=DEFAULT_TOL) if family
                       else np.zeros_like(base))
             assert operator_norm(solved - base) <= DEFAULT_TOL.law_tol
             assert np.rint(np.trace(solved).real) == np.rint(np.trace(base).real) == sum(
                 np.rint(np.trace(p).real) for p in family)
 
-    def test_the_sweep_solves_no_join_and_a_public_family_one_per_shape_group(
-            self, two_blocks, monkeypatch):
-        # a drawn family's join is read, its base; a family from outside has its one n-ary
-        # join per shape group solved, of all its members at once
+    def test_the_sweep_and_a_public_family_each_solve_one_join(self, two_blocks, monkeypatch):
+        # every family's join is solved from its members in M_d: the sweep's cases in one
+        # n-ary join, each padded to the longest family, and a family from outside in one more
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40)
         cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        join_sizes, join_ = [], states_module._join
+        join_shapes, join_ = [], states_module._join
 
         def join_counted(*ps, tol):
-            join_sizes.append(len(ps))
+            join_shapes.append((len(ps), len(ps[0])))
             return join_(*ps, tol=tol)
 
         monkeypatch.setattr(states_module, "_join", join_counted)
-        states_module._orthoadditivity(env, *in_blocks(env, cases), DEFAULT_TOL)
+        states_module._orthoadditivity(env, *stacked(cases), DEFAULT_TOL)
+        assert join_shapes == [(max(map(len, families)), len(families))]
+        join_shapes.clear()
         run_scenario(Scenario(name="s", kind="sectors", dim=5, trials=40, seed=2,
                               parameters={"blocks": [[2, 1], [1, 1], [2, 1]]}))
-        assert join_sizes == []
+        assert [count for _, count in join_shapes] == [8]  # the sweep's first 8 trials
+        join_shapes.clear()
         family = max(families, key=len)
         sigma_orthoadditivity_residuals(restrict_logical(random_state(5, seed=1), env), family)
-        groups = len(block_decomposition(env).frame.groups)
-        assert join_sizes == [len(family)] * groups
+        assert join_shapes == [(len(family), 1)]
 
     def test_a_zero_base_gives_an_empty_family_with_join_0(self):
         scalars = close(GeneratorSet(ambient_dim=2, generators=(np.eye(2),)))
