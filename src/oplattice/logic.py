@@ -20,18 +20,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import AlgebraBasis, is_commutative
-from .errors import DimensionMismatch, PreconditionFailed, ValidationError
+from .errors import DimensionMismatch, NumericalError, PreconditionFailed, ValidationError
 from .numerics import (DEFAULT_TOL, Tolerance, _one_matrix, cluster_breaks, ensure_projector,
                        matrix_to_json, norm_at_most, null_space, operator_norm, range_projector,
                        require_count, run_projectors, singular_rank)
 from .sectors import (_ambient, _projectors_in, _random_self_adjoint, block_decomposition,
                       is_factor, mvn_dimension)
-from .seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
-                      STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms)
-
-# distributive triples `lattice_report` checks before the rest: on every non-distributive
-# `lattice` bench op at seeds 1-10 the first counterexample was trial 0, 1, 2 or 3
-_FIRST_TRIPLES = 8
+from .seeding import STREAM_ORTHOMODULAR_Q, STREAM_PROJECTOR, uniforms
 
 
 def _projectors(*ps, tol: Tolerance) -> list[np.ndarray]:
@@ -108,14 +103,12 @@ def _distributivity(p, q, r, tol: Tolerance) -> tuple[np.ndarray, tuple]:  # dif
     return lhs - rhs, (q_or_r, lhs, p_and_q, p_and_r, rhs)
 
 
-def _settled_laws(p, q, dp, dq, dr) -> tuple:
-    """`_orthomodularity`'s and then `_distributivity`'s derived propositions where every block
-    is 0 or 1 (a group of 1 x 1 blocks): a meet is the product, the bits with which `_meet`
-    settles such operands by identity, and a complement is ``1 - x``."""
-    inner, q_or_r = _complement(p) * q, _complement(_complement(dq) * _complement(dr))
-    p_and_q, p_and_r = dp * dq, dp * dr
-    return (inner, p + inner, q_or_r, dp * q_or_r, p_and_q, p_and_r,
-            _complement(_complement(p_and_q) * _complement(p_and_r)))
+def _settled_laws(p, q) -> tuple:
+    """`_orthomodularity`'s derived propositions where every block is 0 or 1 (a group of 1 x 1
+    blocks): the meet is the product, the bits with which `_meet` settles such operands by
+    identity, and the complement is ``1 - p``."""
+    inner = _complement(p) * q
+    return inner, p + inner
 
 
 def orthocomplement(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -226,7 +219,7 @@ def _spectral_cuts(alg: AlgebraBasis, u: np.ndarray, tol: Tolerance, least=1) ->
     columns or more): a random self-adjoint element from the row's first 2k, one ``eigh`` per
     shape group of its blocks, their eigenvalues merged (m ambient copies lie in one cluster)
     and cut: of n >= 2 clusters the top ``least + floor(u (n - 1))`` (`least` 1, or 2 for the
-    orthomodular pair's q, per row), of one ``floor(2 u)``, u the row's next uniform. Per group
+    orthomodular pair's q), of one ``floor(2 u)``, u the row's next uniform. Per group
     the eigenvectors and each eigenvalue's place in the merged order; per place its copies, the
     `cluster_breaks` and the clusters seen up to it, with the end's column; the kept count. A
     group of 1 x 1 blocks takes no ``eigh``: its eigenvalues are the blocks' real parts and its
@@ -271,23 +264,40 @@ def _run_blocks(cuts: tuple, rows: np.ndarray, starts, stops, tol: Tolerance) ->
     return out
 
 
-def _lattice_draws(alg: AlgebraBasis, pairs: np.ndarray, triples: list, tol: Tolerance) -> list:
-    """`lattice_report`'s draws, one `_spectral_cuts` and one `_run_blocks` call: per shape
-    group the nested pairs of the uniforms `pairs` as ``(2, rows, count, n, n)`` blocks (p, q),
-    and the triples of the three equal stacks `triples` as ``(3, rows, count, n, n)``."""
-    m, u = len(pairs), np.concatenate([pairs, *triples])
-    *cuts, seen, kept = _spectral_cuts(alg, u, tol, np.repeat([2, 1], [m, len(u) - m]))
-    t = np.arange(m)
-    kept_p = (kept[t] > 1) * (1 + np.floor(u[t, -1] * (kept[t] - 1)).astype(int))
-    # p, then every row's kept run: the pair's q, and the triples
-    runs = np.concatenate([_first_kept(seen[t], kept_p), _first_kept(seen, kept)])
-    return [(b[:2 * m].reshape(2, m, *b.shape[1:]), b[2 * m:].reshape(3, -1, *b.shape[1:]))
-            for b in _run_blocks(cuts, np.concatenate([t, np.arange(len(u))]), runs, np.inf, tol)]
+def _lattice_draws(alg: AlgebraBasis, pairs: np.ndarray, tol: Tolerance) -> list:
+    """`lattice_report`'s nested pairs on the uniforms `pairs`, one `_spectral_cuts` and one
+    `_run_blocks` call: per shape group the ``(2, rows, count, n, n)`` blocks (p, q)."""
+    *cuts, seen, kept = _spectral_cuts(alg, pairs, tol, 2)
+    kept_p = (kept > 1) * (1 + np.floor(pairs[:, -1] * (kept - 1)).astype(int))
+    runs = np.concatenate([_first_kept(seen, kept_p), _first_kept(seen, kept)])  # p, then q
+    return [b.reshape(2, len(pairs), *b.shape[1:])
+            for b in _run_blocks(cuts, np.tile(np.arange(len(pairs)), 2), runs, np.inf, tol)]
+
+
+def _witness(alg: AlgebraBasis, frame, tol: Tolerance) -> tuple:
+    """A distributivity counterexample in the first sector of block size n >= 2 (frame order),
+    V its isometry: ``p = V (e_0 e_0* (x) 1_m) V*``, q the same on e_1 and r on ``(e_0 + e_1) /
+    sqrt 2``, so ``p ∧ (q ∨ r) = p`` while ``p ∧ q = p ∧ r = 0``. Built as frame blocks, its
+    residual must exceed ``tol.law_tol`` (`_distributivity`, else NumericalError); mapped to
+    M_d, it is checked as projectors in the algebra (a failure named "witness")."""
+    blocks = [np.zeros((3, c, n, n), dtype=complex) for n, _, c, _ in frame.groups]
+    first = next(b for b in blocks if b.shape[-1] >= 2)
+    p, q, r = first[:, 0]
+    p[0, 0] = q[1, 1] = 1.0
+    r[:2, :2] = 0.5
+    differences = _distributivity(*first, tol)[0]
+    if norm_at_most(differences, tol.law_tol).all():
+        residual = float(operator_norm(differences).max())
+        raise NumericalError(f"the distributivity witness holds: residual {residual:.3e}",
+                             residual=residual)
+    return tuple(_projectors_in(alg, _ambient(frame, blocks), "witness", tol))
 
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Verdicts of the sampled and structural lattice checks on one algebra."""
+    """Verdicts of the sampled and structural lattice checks on one algebra. `distributive` is
+    `boolean_lattice`; `counterexample`, a triple (p, q, r) that breaks the distributive law, is
+    present exactly when the lattice is not distributive and ``trials > 0``."""
 
     orthomodular_pass_rate: float
     distributive: bool
@@ -301,9 +311,9 @@ class LatticeReport:
     seed: int
 
     def __post_init__(self):
-        if (self.counterexample is None) == (not self.distributive):
+        if (self.counterexample is None) == (not self.distributive and self.trials > 0):
             raise ValidationError("counterexample must be present exactly when distributive is "
-                                  "false")
+                                  "false and trials > 0")
 
 
 def lattice_report(
@@ -313,24 +323,24 @@ def lattice_report(
 
     Orthomodularity is sampled on `trials` pairs p < q cut from one element: q keeps the top
     ``2 + floor(u (n - 1))`` of its n >= 2 clusters, p the top ``1 + floor(u' (k - 1))`` of q's
-    k (of one cluster q keeps ``floor(2 u)``, p none). Distributivity is sampled on `trials`
-    random triples, recording the first counterexample. Each of the four draws (the pair, then
-    p, q and r) is one stage: trial i's is row i of the stage's stream under `seed`
-    (`seeding.uniforms`). Every pair and the first 8 triples are one `_spectral_cuts` call, the
-    other triples one more, made only if those 8 distribute: a triple after a counterexample
-    among them is never drawn, nor are its uniforms, so its guard cannot raise. Each stacked
-    case has its own bits, so the report is that of one draw of all trials. A proposition
-    ``U (⊕ p_a (x) 1_m) U*`` is held as its sector blocks p_a: each stage is one stacked call per
-    shape group, and a block 0 or 1 is settled by identity (see `_meet`). Each block of size 2 or
-    more is a `run_projectors` run, the complement of one or a settled copy: the kernel's guard
-    on every eigenbasis it reads covers them all (NumericalError). A 1 x 1 block is exactly 0 or
-    1 (`_run_blocks`), so a group of them takes no law kernel: every difference there is 0, and
-    trial 0's derived blocks are 0/1 products and complements (`_settled_laws`). Trial 0's
-    twelve propositions are mapped to M_d and checked there as projectors in the algebra
-    (`sectors._projectors_in`, a failure named "trial 0"). A law holds at a trial when its
-    differences have operator norm, their blocks' largest, at most ``tol.law_tol``
-    (`norm_at_most`). Orthomodularity's ``q - (p ∨ (p⊥ ∧ q))`` is one meet, its join the sum
-    ``p + (p⊥ ∧ q)``. `distributive` reports what the sampling saw (a counterexample in M_d).
+    k (of one cluster q keeps ``floor(2 u)``, p none). Trial i's pair is row i of
+    `STREAM_ORTHOMODULAR_Q` under `seed` (`seeding.uniforms`), all pairs one `_spectral_cuts`
+    call whose stacked cases have their own bits. A proposition ``U (⊕ p_a (x) 1_m) U*`` is
+    held as its sector blocks p_a: the law is one stacked call per shape group, a block 0 or 1
+    settled by identity (see `_meet`). Each block of size 2 or more is a `run_projectors` run,
+    the complement of one or a settled copy: the kernel's guard on every eigenbasis it reads
+    covers them all (NumericalError). A group of 1 x 1 blocks, each exactly 0 or 1
+    (`_run_blocks`), takes no law kernel: its differences are 0, and trial 0's derived blocks
+    are a 0/1 product and a sum (`_settled_laws`). Trial 0's p, q, ``p⊥ ∧ q`` and ``p + (p⊥ ∧
+    q)`` are mapped to M_d and checked there as projectors in the algebra
+    (`sectors._projectors_in`, a failure named "trial 0"). The law, ``q = p ∨ (p⊥ ∧ q)`` with
+    the join the sum ``p + (p⊥ ∧ q)``, holds at a trial when its differences' operator norm,
+    their blocks' largest, is at most ``tol.law_tol`` (`norm_at_most`).
+
+    Distributivity is read, not sampled: the projection lattice of a finite-dimensional
+    C*-algebra is distributive exactly when the algebra is commutative. Where trials > 0 and
+    the lattice is not Boolean, `counterexample` is a built, checked witness (`_witness`); at
+    zero trials none is built.
 
     The rest is read off the memoized block decomposition: `boolean_lattice` is `is_commutative`
     (every sector of block size 1), `factor` is `is_factor` (a single sector), `hilbertian`
@@ -345,40 +355,24 @@ def lattice_report(
     boolean = is_commutative(alg, tol)
     pass_rate, counterexample = 1.0, None  # zero trials, and a Boolean algebra, draw nothing
     if trials and not boolean:
-        # one width for all four stages: 2k + 1 is odd, so its rows have the bits of 2k + 2's
-        pairs = uniforms(seed, STREAM_ORTHOMODULAR_Q, trials, width := _draw_width(alg) + 1)
-        # every pair with the first triples; the other triples only if those all distribute
-        for pair_rows, start, stop in ((pairs, 0, min(trials, _FIRST_TRIPLES)),
-                                       (pairs[:0], _FIRST_TRIPLES, trials)):
-            if counterexample is not None or start >= stop:
-                break
-            streams = [uniforms(seed, s, stop, width)[start:] for s in (
-                STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
-            held, spot, triples = True, [], []  # per shape group
-            for (p, q), staged in _lattice_draws(alg, pair_rows, streams, tol):
-                triples.append(staged)
-                if p.shape[-1] == 1:  # blocks 0 or 1: every law difference is 0
-                    derived = _settled_laws(p[:1], q[:1], *staged[:, :1])
-                else:
-                    differences, derived = _distributivity(*staged, tol)
-                    if len(p):  # the pairs
-                        om_differences, om_derived = _orthomodularity(p, q, tol)
-                        derived = (*om_derived, *derived)
-                        differences = np.concatenate([om_differences, differences])
-                    held &= norm_at_most(differences, tol.law_tol).all(axis=-1)
-                if len(p):  # trial 0's propositions (copied: the stacks can go)
-                    spot.append(np.concatenate([x[:1] for x in (p, q, *staged, *derived)]))
-            if spot:
-                _projectors_in(alg, _ambient(decomp.frame, spot), "trial 0", tol)
-                pass_rate = float(np.count_nonzero(held[:trials]) / trials)
-            failed = np.flatnonzero(~held[len(pair_rows):])
-            if failed.size:
-                counterexample = tuple(_ambient(decomp.frame, [x[:, failed[0]] for x in triples]))
+        pairs = uniforms(seed, STREAM_ORTHOMODULAR_Q, trials, _draw_width(alg) + 1)
+        held, spot = True, []  # per shape group
+        for p, q in _lattice_draws(alg, pairs, tol):
+            if p.shape[-1] == 1:  # blocks 0 or 1: every law difference is 0
+                derived = _settled_laws(p[:1], q[:1])
+            else:
+                differences, derived = _orthomodularity(p, q, tol)
+                held &= norm_at_most(differences, tol.law_tol).all(axis=-1)
+            # trial 0's propositions (copied: the stacks can go)
+            spot.append(np.concatenate([x[:1] for x in (p, q, *derived)]))
+        _projectors_in(alg, _ambient(decomp.frame, spot), "trial 0", tol)
+        pass_rate = float(np.count_nonzero(held) / trials)
+        counterexample = _witness(alg, decomp.frame, tol)
 
     factor = is_factor(alg, tol)
     return LatticeReport(
         orthomodular_pass_rate=pass_rate,
-        distributive=counterexample is None,
+        distributive=boolean,
         counterexample=counterexample,
         boolean_lattice=boolean,
         atomic=True,

@@ -65,8 +65,8 @@ class Frame(NamedTuple):
     ascending and each group in sector order; per group ``(n, m, count, start)``, its sectors'
     columns from ``start`` on, and `sectors` the sectors in that frame order. Membership, the
     draws, `_ambient`, the certificate, the reduced ranks and `is_pure` read it through this
-    module's readers; `logic._spectral_cuts` and `states.is_separating` also unpack its
-    `groups` themselves."""
+    module's readers; `logic._spectral_cuts`, `logic._witness` and `states.is_separating` also
+    unpack its `groups` themselves."""
 
     u: np.ndarray
     uh: np.ndarray

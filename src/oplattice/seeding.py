@@ -17,9 +17,6 @@ import numpy as np
 
 # logic.lattice_report
 STREAM_ORTHOMODULAR_Q = 1  # the nested pair's element: q, and p cut inside it
-STREAM_DISTRIBUTIVE_P = 3
-STREAM_DISTRIBUTIVE_Q = 4
-STREAM_DISTRIBUTIVE_R = 5
 
 # the public samplers: each call is row 0 of its stream under its seed
 STREAM_FAMILY = 11

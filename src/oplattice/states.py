@@ -139,25 +139,30 @@ def sigma_orthoadditivity_residuals(
         if not (apart := norm_at_most(stack[a + 1:] @ stack[a], tol.eq_tol)).all():
             raise NotOrthogonalFamily(f"family: members {a} and {a + 1 + np.argmin(apart)} are "
                                       "not orthogonal")
-    additivity, complement = _orthoadditivity(ls.domain, ls.underlying.density[None], "family",
-                                              np.array([len(stack)]), stack, tol)
-    return float(additivity[0]), float(complement[0])
+    sizes = np.array([len(stack)])
+    joins = _projectors_in(ls.domain, _family_joins(sizes, stack, tol), "family", tol)
+    residuals = _orthoadditivity(ls.underlying.density[None], sizes, stack, joins, tol)
+    return float(residuals[0][0]), float(residuals[1][0])  # additivity, complement
 
 
-def _orthoadditivity(alg: AlgebraBasis, rho, label: str, sizes, members, tol: Tolerance) -> tuple:
+def _family_joins(sizes, members, tol: Tolerance) -> np.ndarray:
+    """Each family's join in M_d, solved from its members: case i's family the next ``sizes[i]``
+    of the ``(n, d, d)`` stack `members`; one `logic._join` of all cases, a short family padded
+    by 0 (one thin SVD per case), an empty family's join 0."""
+    case = np.repeat(np.arange(len(sizes)), sizes)
+    padded = np.zeros((np.max(sizes, initial=1), len(sizes), *members.shape[1:]), dtype=complex)
+    padded[np.arange(len(case)) - np.repeat(np.cumsum(sizes) - sizes, sizes), case] = members
+    return _join(*padded, tol=tol)
+
+
+def _orthoadditivity(rho, sizes, members, joins, tol: Tolerance) -> tuple:
     """`sigma_orthoadditivity_residuals` of the density stack `rho`, per case as two arrays
     (additivity, complement), case i's family the next ``sizes[i]`` of the ``(n, d, d)`` stack
-    `members`. Each family's join is solved from its members in M_d, one `logic._join` of all
-    cases (a short family padded by 0: one thin SVD per case). Case 0's members and join are
-    checked by `sectors._projectors_in` (a failure named by `label`) before the values
-    ``tr(rho p)``. Members come orthogonal: a public family is checked, a drawn one's are runs of
-    one guarded eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e <
-    eq_tol`` (1 x 1 blocks are masks of disjoint places: their products are 0)."""
+    `members` and its join ``joins[i]`` (`_family_joins`), valued as ``tr(rho p)``. Members
+    come orthogonal: a public family is checked, a drawn one's are runs of one guarded
+    eigenbasis (`run_projectors`) of defect e, so ``||p_b p_a|| <= (1 + e) e < eq_tol`` (1 x 1
+    blocks are masks of disjoint places: their products are 0)."""
     count, case = len(rho), np.repeat(np.arange(len(rho)), sizes)
-    padded = np.zeros((np.max(sizes, initial=1), count, *rho.shape[1:]), dtype=complex)
-    padded[np.arange(len(case)) - np.repeat(np.cumsum(sizes) - sizes, sizes), case] = members
-    joins = _join(*padded, tol=tol)  # 0 where a family is empty
-    _projectors_in(alg, np.concatenate([members[:sizes[0]], joins[:1]]), label, tol)
     values = np.einsum("ijk,ikj->i", rho[case], members)
     # each case's member values summed in order, as `sum` would
     total = np.bincount(case, weights=_probabilities(values, tol), minlength=count)
@@ -197,9 +202,11 @@ def _orthoadditivity_checks(alg: AlgebraBasis, states, trials, seed, tol: Tolera
         densities = np.concatenate([
             *(np.broadcast_to(st.density, (_STATE_FAMILY_CHECKS, d, d)) for st in states),
             _random_states(d, uniforms(seed, STREAM_SWEEP_STATE, cases, 2 * d * d))])
-        additivity, complement = _orthoadditivity(
-            alg, densities, "family" if checks else "orthoadditivity trial 0", sizes,
-            _ambient(block_decomposition(alg, tol).frame, blocks), tol)
+        members = _ambient(block_decomposition(alg, tol).frame, blocks)
+        joins = _family_joins(sizes, members, tol)
+        _projectors_in(alg, np.concatenate([members[:sizes[0]], joins[:1]]),
+                       "family" if checks else "orthoadditivity trial 0", tol)  # case 0
+        additivity, complement = _orthoadditivity(densities, sizes, members, joins, tol)
         held = (additivity <= tol.law_tol) & (complement <= tol.eq_tol)
         verdicts = held[:checks].reshape(len(states), _STATE_FAMILY_CHECKS).all(axis=1).tolist()
         if cases:

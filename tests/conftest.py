@@ -33,9 +33,11 @@ from oplattice import states as states_module
 from oplattice.logic import _projectors
 from oplattice.numerics import (cluster_breaks, ensure_projector, norm_at_most, range_projector,
                                 run_projectors)
-from oplattice.seeding import (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R,
-                               STREAM_ORTHOMODULAR_Q, STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY,
+from oplattice.seeding import (STREAM_ORTHOMODULAR_Q, STREAM_STATE_CHECK, STREAM_SWEEP_FAMILY,
                                STREAM_SWEEP_STATE, uniforms)
+
+# the oracle's own distributive triples (p, q, r): stream ids no package sampler reads
+ORACLE_TRIPLE_STREAMS = (31, 32, 33)
 
 
 def unit(d, i, j):
@@ -355,12 +357,29 @@ def ambient_families(alg, u, tol=DEFAULT_TOL):
     return [list(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def reference_witness(alg, tol=DEFAULT_TOL):
+    """The distributivity counterexample from the isometry V of the first sector of block size
+    n >= 2, sectors ordered by (n, m) (stable), its columns ``j m + s``: ``p = V (e_0 e_0* (x)
+    1_m) V*``, ``q`` the same on e_1, ``r`` on ``(e_0 + e_1) / sqrt 2``, each ``W W*``."""
+    sector = next(s for s in sorted(sectors_module.block_decomposition(alg, tol).sectors,
+                                    key=lambda s: (s.block_size, s.multiplicity))
+                  if s.block_size >= 2)
+    v, m = sector.isometry, sector.multiplicity
+    return tuple(w @ w.conj().T for w in (v[:, :m], v[:, m:2 * m],
+                                          (v[:, :m] + v[:, m:2 * m]) / np.sqrt(2.0)))
+
+
 def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
-    """`lattice_report` on ambient d x d stacks, kept as an oracle: the nested pair and the three
-    draws of `ambient_cuts`, the stacked kernels on d x d matrices, every proposition checked
-    in M_d (`ensure_projector`, `contains`), each law's verdict by its ambient operator norm:
-    orthomodularity's on ``q - (p ∨ (p⊥ ∧ q))`` and on ``p⊥ ∧ q`` less q's columns below p."""
-    report = lattice_report(alg, 0, seed, tol)  # the structural fields
+    """`lattice_report` on ambient d x d stacks, kept as an oracle: the nested pair of
+    `ambient_cuts`, the kernel on d x d matrices, every proposition checked in M_d
+    (`ensure_projector`, `contains`), orthomodularity's verdict by its ambient operator norm on
+    ``q - (p ∨ (p⊥ ∧ q))`` and on ``p⊥ ∧ q`` less q's columns below p. Distributivity is the
+    theorem, commutativity by the pairwise loop (`reference_is_commutative`), with
+    `reference_witness` as the counterexample where trials > 0; `trials` ambient triples drawn
+    from streams of its own (`ORACLE_TRIPLE_STREAMS`) cross-check it: a triple that fails means
+    the algebra is not commutative, and on a commutative one none fails."""
+    distributive = reference_is_commutative(alg, tol)
+    report = replace(lattice_report(alg, 0, seed, tol), distributive=distributive)  # structure
     if not trials:
         return report
     d, t, width = alg.ambient_dim, np.arange(trials), 2 * alg.dim + 2
@@ -369,8 +388,7 @@ def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
     below = top(np.where(kept > 1, 1 + np.floor(u[:, -1] * (kept - 1)).astype(int), 0))
     q, p, known = (run_projectors(v, t, a, b, tol) for a, b in
                    ((top(kept), d), (below, d), (top(kept), below)))
-    u = np.concatenate([uniforms(seed, s, trials, width) for s in (
-        STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)])
+    u = np.concatenate([uniforms(seed, s, trials, width) for s in ORACLE_TRIPLE_STREAMS])
     v, _, top, kept = ambient_cuts(alg, u, tol)
     dp, dq, dr = run_projectors(v, np.arange(len(v)), top(kept), d, tol).reshape(3, -1, d, d)
     om_differences, om_derived = logic_module._orthomodularity(p, q, tol)
@@ -378,14 +396,14 @@ def ambient_lattice_report(alg, trials, seed, tol=DEFAULT_TOL):
     checked = np.concatenate([q, p, *om_derived, dp, dq, dr, *dist_derived])
     ensure_projector(checked)
     assert contains(alg, checked).all()
-    failed = np.flatnonzero(operator_norm(dist_differences) > tol.law_tol)
+    failed = operator_norm(dist_differences) > tol.law_tol
+    assert not (distributive and failed.any())
     held = ((operator_norm(om_differences) <= tol.law_tol)
             & (operator_norm(om_derived[0] - known) <= tol.law_tol))
     return replace(
         report, trials=trials,
         orthomodular_pass_rate=np.count_nonzero(held) / trials,
-        distributive=not failed.size,
-        counterexample=(dp[failed[0]], dq[failed[0]], dr[failed[0]]) if failed.size else None)
+        counterexample=None if distributive else reference_witness(alg, tol))
 
 
 def ambient_orthoadditivity_checks(alg, states, trials, seed, tol=DEFAULT_TOL):

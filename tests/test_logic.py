@@ -13,6 +13,7 @@ from oplattice import (
     DimensionMismatch,
     GeneratorSet,
     LatticeReport,
+    NotInAlgebra,
     PreconditionFailed,
     Tolerance,
     block_decomposition,
@@ -48,9 +49,6 @@ from oplattice import states as states_module
 from oplattice.numerics import dumps, null_space, range_projector, run_projectors
 from oplattice.sectors import _random_self_adjoint
 from oplattice.seeding import (
-    STREAM_DISTRIBUTIVE_P,
-    STREAM_DISTRIBUTIVE_Q,
-    STREAM_DISTRIBUTIVE_R,
     STREAM_ORTHOMODULAR_Q,
     STREAM_PROJECTOR,
     STREAM_STATE,
@@ -69,11 +67,13 @@ from tests.conftest import (
     line_projector,
     meet_iterative,
     reference_clusters,
+    reference_is_commutative,
     reference_orthomodularity_residual,
     reference_random_state,
     reference_run,
     reference_spectrum,
     reference_uniforms,
+    reference_witness,
     rotated,
     unit,
 )
@@ -445,18 +445,23 @@ class TestLatticeReport:
         second = lattice_report(full2, trials=40, seed=9)
         assert lattice_report_to_json(first) == lattice_report_to_json(second)
 
-    def test_counterexample_presence_is_validated(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("distributive, counterexample, trials", [
+        (True, (np.eye(2),) * 3, 1),  # a distributive lattice has no counterexample
+        (False, None, 1),  # a sampled non-distributive one has one
+        (False, (np.eye(2),) * 3, 0),  # at zero trials none is built
+    ])
+    def test_counterexample_presence_is_validated(self, distributive, counterexample, trials):
+        with pytest.raises(ValueError, match="exactly when distributive is false and trials"):
             LatticeReport(
                 orthomodular_pass_rate=1.0,
-                distributive=True,
-                counterexample=(np.eye(2),) * 3,
-                boolean_lattice=True,
+                distributive=distributive,
+                counterexample=counterexample,
+                boolean_lattice=distributive,
                 atomic=True,
                 hilbertian=False,
                 factor=False,
                 sector_count=2,
-                trials=1,
+                trials=trials,
                 seed=0,
             )
 
@@ -532,36 +537,29 @@ D3_D4_KERNEL_ALGEBRAS = [name for name, build in KERNEL_ALGEBRAS.items()
                          if build().ambient_dim in (3, 4)]
 
 
-def six_points_beside_m2():
-    """Six points beside an M_2: not Boolean, and at seeds 3 and 14 its first 8 triples
-    distribute, so its first counterexample is drawn in the second chunk."""
-    return build_sectors([(1, 1)] * 6 + [(2, 1)])
-
-
-def reference_lattice_report(alg, trials, seed):
-    """`lattice_report`'s sampling, rebuilt from one-row reference draws (trial i: row i of
-    each stage's stream) and the public validated one-pair calls, which settle no bound by
-    identity: distributivity's residual is composed from `meet` and `join`
-    (`distributivity_residual` runs the stacked kernel). Returns the pass rate, the first
-    counterexample and its trial (None, None when every triple distributes)."""
+def reference_pass_rate(alg, trials, seed):
+    """`lattice_report`'s orthomodular pass rate, rebuilt from one-row reference draws (trial
+    i: row i of `STREAM_ORTHOMODULAR_Q`) and the public validated one-pair calls, which settle
+    no bound by identity."""
     width = logic_module._draw_width(alg)
-
-    def draw(stream, i):
-        return reference_random_projector(alg, reference_uniforms(seed, stream, i, width))
-
     om = []
     for i in range(trials):
         u = reference_uniforms(seed, STREAM_ORTHOMODULAR_Q, i, width + 1)
         q, p, known = reference_nested_pair(alg, u)
         om.append(orthomodularity_residual(p, q) <= DEFAULT_TOL.law_tol
                   and operator_norm(meet(orthocomplement(p), q) - known) <= DEFAULT_TOL.law_tol)
-    for i in range(trials):
-        p, q, r = (draw(stream, i) for stream in
-                   (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R))
-        residual = operator_norm(meet(p, join(q, r)) - join(meet(p, q), meet(p, r)))
-        if residual > DEFAULT_TOL.law_tol:
-            return sum(om) / trials, (p, q, r), i
-    return sum(om) / trials, None, None
+    return sum(om) / trials
+
+
+def assert_is_the_witness(report, alg):
+    """`report.counterexample` is `reference_witness`, within rounding, and it breaks the law:
+    the public `distributivity_residual`, composed from `meet` and `join` as well, is ~1."""
+    p, q, r = report.counterexample
+    for got, want in zip((p, q, r), reference_witness(alg), strict=True):
+        assert operator_norm(got - want) <= 1e-12
+    composed = operator_norm(meet(p, join(q, r)) - join(meet(p, q), meet(p, r)))
+    for residual in (distributivity_residual(p, q, r), composed):
+        assert residual >= 1 - DEFAULT_TOL.law_tol
 
 
 class TestStackedChecks:
@@ -569,53 +567,30 @@ class TestStackedChecks:
     def test_report_equals_the_validated_reference(self, name, request):
         alg = request.getfixturevalue(name)
         report = lattice_report(alg, trials=40, seed=3)
-        pass_rate, counterexample, _ = reference_lattice_report(alg, trials=40, seed=3)
-        assert report.orthomodular_pass_rate == pass_rate
-        assert report.distributive == (counterexample is None)
-        assert (report.counterexample is None) == (counterexample is None)
-        for got, want in zip(report.counterexample or (), counterexample or ()):
-            assert np.array_equal(got, want)
+        assert report.orthomodular_pass_rate == reference_pass_rate(alg, trials=40, seed=3)
+        assert not report.distributive
+        assert_is_the_witness(report, alg)
 
     @pytest.mark.parametrize("name", D3_D4_KERNEL_ALGEBRAS)
     def test_report_equals_the_reference_where_most_cases_are_bounds(self, name):
         # at d 3-4 most stacked meets have an operand 0 or 1 and are settled by identity
         alg = kernel_algebra(name)
         report = lattice_report(alg, trials=100, seed=5)
-        pass_rate, counterexample, _ = reference_lattice_report(alg, trials=100, seed=5)
-        assert report.orthomodular_pass_rate == pass_rate
-        assert (report.counterexample is None) == (counterexample is None)
-        for got, want in zip(report.counterexample or (), counterexample or ()):
-            assert np.array_equal(got, want)
+        assert report.orthomodular_pass_rate == reference_pass_rate(alg, trials=100, seed=5)
+        assert report.distributive == reference_is_commutative(alg)
+        if not report.distributive:
+            assert_is_the_witness(report, alg)
 
-    def test_both_triple_chunks_equal_the_reference(self):
-        # the triples after the first chunk are drawn only if the first chunk all holds; six
-        # points beside an M_2 fail first at trial 8 at these seeds, and classical 4 never fails
-        sectors = close(six_points_beside_m2())
-        firsts = []
-        for alg, seed in ((sectors, 3), (sectors, 14), (kernel_algebra("classical-4"), 3)):
-            report = lattice_report(alg, trials=40, seed=seed)
-            pass_rate, counterexample, first = reference_lattice_report(alg, trials=40, seed=seed)
-            assert report.orthomodular_pass_rate == pass_rate
-            assert (report.counterexample is None) == (counterexample is None)
-            for got, want in zip(report.counterexample or (), counterexample or ()):
-                assert np.array_equal(got, want)
-            firsts.append(first)
-        # sampled, not read off: the first counterexample is the second chunk's first triple;
-        # classical 4's report is read off, and every sampled triple distributes
-        assert firsts == [logic_module._FIRST_TRIPLES] * 2 + [None]
-
-    @pytest.mark.parametrize("build, trials, seed, rows, triple_rows", [
-        (lambda: build_weyl_finite(3), 100, 1, [100 + 3 * 8], [8]),  # fails in the first chunk
-        (six_points_beside_m2, 100, 1, [100 + 3 * 8], [8]),  # fails in the first chunk
-        (six_points_beside_m2, 100, 3, [100 + 3 * 8, 3 * 92], [8, 100]),  # fails at trial 8
-        (six_points_beside_m2, 8, 3, [8 + 3 * 8], [8]),
-        (six_points_beside_m2, 5, 3, [5 + 3 * 5], [5]),
-        (lambda: build_classical(4), 100, 1, [], []),  # a Boolean lattice draws nothing
+    @pytest.mark.parametrize("build, trials, seed, rows", [
+        (lambda: build_weyl_finite(3), 100, 1, [100]),
+        (lambda: build_sectors([(1, 1)] * 6 + [(2, 1)]), 100, 3, [100]),
+        (lambda: build_sectors([(1, 1)] * 6 + [(2, 1)]), 5, 3, [5]),
+        (lambda: build_weyl_finite(3), 0, 1, []),  # zero trials draw nothing
+        (lambda: build_classical(4), 100, 1, []),  # a Boolean lattice draws nothing
     ])
-    def test_triples_after_a_first_chunk_counterexample_are_never_drawn(
-            self, build, trials, seed, rows, triple_rows, monkeypatch):
-        # per chunk, each triple stream's uniforms are drawn up to the chunk's last row: the
-        # first chunk's 8 rows, then all `trials` (a row does not depend on the count)
+    def test_the_pairs_are_the_one_draw(self, build, trials, seed, rows, monkeypatch):
+        # one `uniforms` call and one `_spectral_cuts` call of all `trials` pairs; the witness
+        # is built, not drawn
         cuts, uniforms_, drawn, streams = logic_module._spectral_cuts, logic_module.uniforms, [], []
 
         def counted(alg, u, *args):
@@ -630,9 +605,7 @@ class TestStackedChecks:
         monkeypatch.setattr(logic_module, "uniforms", uniforms_counted)
         lattice_report(close(build()), trials=trials, seed=seed)
         assert drawn == rows
-        assert streams == [(STREAM_ORTHOMODULAR_Q, trials)] * bool(rows) + [
-            (stream, count) for count in triple_rows for stream in
-            (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
+        assert streams == [(STREAM_ORTHOMODULAR_Q, trials)] * bool(rows)
 
     def test_a_non_projector_in_a_trial_is_caught(self, full2, monkeypatch):
         # every proposition is a run of eigenvector columns: the kernel's guard on each basis it
@@ -688,6 +661,71 @@ BOOLEAN_INPUTS = {
 }
 
 
+class TestDistributivityIsRead:
+    """The projection lattice of a finite-dimensional C*-algebra is distributive exactly when the
+    algebra is commutative: `distributive` is read off the sectors, at every trial count and
+    seed, and a non-Boolean report with trials carries a built witness."""
+
+    @pytest.mark.parametrize("blocks", [[(1, 5), (2, 1)], [(1, 3), (2, 1), (1, 1)], [(2, 1)],
+                                        [(2, 3)]], ids=str)
+    def test_no_non_commutative_input_reports_distributive(self, blocks):
+        # at 1-3 trials a sampled triple distributes on these for up to half the seeds, and
+        # zero trials sample none: the verdict must not depend on either
+        alg = close(build_sectors(blocks))
+        for trials, seed in itertools.product(range(4), range(20)):
+            report = lattice_report(alg, trials=trials, seed=seed)
+            assert not report.distributive and not report.boolean_lattice
+            assert (report.counterexample is None) == (trials == 0)
+        assert_is_the_witness(report, alg)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5])
+    def test_weyl_factors_at_zero_trials_are_not_distributive(self, modulus):
+        report = lattice_report(close(build_weyl_finite(modulus)), trials=0, seed=1)
+        assert not report.distributive and report.counterexample is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: close(build_classical(3)), lambda: close(build_classical(6)),
+        lambda: close(rotated(build_classical(5), seed=2)),
+        lambda: close(build_sectors([(1, 3), (1, 1)])),
+        lambda: center(close(build_sectors([(2, 1), (1, 2)]))),
+    ], ids=["classical-3", "classical-6", "haar-classical-5", "sectors-1x3+1", "center-2+1x2"])
+    def test_every_commutative_input_reports_distributive(self, build):
+        alg = build()
+        for trials, seed in itertools.product(range(4), range(5)):
+            report = lattice_report(alg, trials=trials, seed=seed)
+            assert report.distributive and report.counterexample is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_weyl_finite(4), lambda: build_sectors([(1, 3), (2, 1), (1, 1)]),
+        lambda: build_sectors([(1, 5), (3, 2)]), lambda: build_sectors([(2, 3)]),
+    ], ids=["weyl-4", "sectors-1x3+2+1", "sectors-1x5+3x2", "sectors-2x3"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_witness_of_a_rotated_input_lies_in_the_algebra(self, build, seed):
+        alg = close(rotated(build(), seed))
+        report = lattice_report(alg, trials=1, seed=seed)
+        assert not report.distributive
+        assert contains(alg, np.stack(report.counterexample)).all()
+        assert_is_the_witness(report, alg)
+
+    def test_a_witness_that_distributes_raises(self, full2, monkeypatch):
+        # the built triple is checked by the law kernel, not trusted
+        monkeypatch.setattr(logic_module, "_distributivity",
+                            lambda p, q, r, tol: (np.zeros_like(p), ()))
+        with pytest.raises(NumericalError, match="witness holds") as caught:
+            lattice_report(full2, trials=1, seed=1)
+        assert caught.value.residual == 0.0
+
+    def test_a_witness_outside_the_algebra_is_named(self, two_blocks, monkeypatch):
+        # at one trial the spot check maps four propositions and the witness three: only the
+        # witness is replaced by a line across the two sectors
+        v = np.array([1.0, 0.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+        monkeypatch.setattr(logic_module, "_ambient", lambda frame, blocks: (
+            np.broadcast_to(np.outer(v, v).astype(complex), (len(blocks[0]), 5, 5))
+            if len(blocks[0]) == 3 else sectors_module._ambient(frame, blocks)))
+        with pytest.raises(NotInAlgebra, match="^witness: projector not in the domain"):
+            lattice_report(two_blocks, trials=1, seed=1)
+
+
 class TestBooleanReadOff:
     """A Boolean lattice is read, not sampled: its report is the one the sampling gives."""
 
@@ -701,8 +739,7 @@ class TestBooleanReadOff:
         assert report == ambient_lattice_report(alg, 40, seed, tol)  # field by field
         assert (report.trials, report.seed) == (40, seed)
         if rank_tol == DEFAULT_TOL.rank_tol:  # the one-row public calls take the default
-            pass_rate, counterexample, _ = reference_lattice_report(alg, trials=40, seed=seed)
-            assert report.orthomodular_pass_rate == pass_rate and counterexample is None
+            assert report.orthomodular_pass_rate == reference_pass_rate(alg, trials=40, seed=seed)
 
     @pytest.mark.parametrize("name", BOOLEAN_INPUTS)
     def test_a_million_trials_draw_nothing(self, name, monkeypatch):
@@ -793,13 +830,12 @@ class TestOneByOneGroups:
         assert len(family) == len(want_family) and all(map(same_bits, family, want_family))
 
     def test_settled_laws_have_the_bits_of_the_law_kernels(self):
-        # every nested pair p <= q and every triple of 0/1 blocks, as one (cases, 1, 1, 1) stack
-        bits = np.array(list(itertools.product([0, 1], repeat=5)), dtype=complex)
-        p, q, dp, dq, dr = bits[bits[:, 0] <= bits[:, 1]].T.reshape(5, -1, 1, 1, 1)
-        want = (*logic_module._orthomodularity(p, q, DEFAULT_TOL)[1],
-                *logic_module._distributivity(dp, dq, dr, DEFAULT_TOL)[1])
-        got = logic_module._settled_laws(p, q, dp, dq, dr)
-        assert len(got) == len(want) == 7 and all(map(same_bits, got, want))
+        # every nested pair p <= q of 0/1 blocks, as one (cases, 1, 1, 1) stack
+        bits = np.array(list(itertools.product([0, 1], repeat=2)), dtype=complex)
+        p, q = bits[bits[:, 0] <= bits[:, 1]].T.reshape(2, -1, 1, 1, 1)
+        want = logic_module._orthomodularity(p, q, DEFAULT_TOL)[1]
+        got = logic_module._settled_laws(p, q)
+        assert len(got) == len(want) == 2 and all(map(same_bits, got, want))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ONE_BY_ONE_INPUTS)
@@ -911,8 +947,8 @@ def block_ranks(groups, stacks) -> np.ndarray:
 
 class TestProperDraws:
     """A drawn projector is proper (neither 0 nor 1) wherever its element has two clusters or
-    more, so no distributivity trial holds by the lattice's bounds alone, and the orthomodular
-    pair is strictly nested, so no trial holds by ``p = 0`` or ``p = q``."""
+    more, and the orthomodular pair is strictly nested, so no trial holds by ``p = 0`` or
+    ``p = q``."""
 
     @pytest.mark.parametrize("name", LATTICE_INPUTS)
     def test_every_orthomodular_pair_is_strictly_nested(self, name):
@@ -920,7 +956,7 @@ class TestProperDraws:
         # of 1 x 1 blocks (and a Boolean algebra) without a law kernel that could show them
         alg = close(LATTICE_INPUTS[name]())
         u = uniforms(1, STREAM_ORTHOMODULAR_Q, 200, logic_module._draw_width(alg) + 1)
-        pairs = [p for p, _ in logic_module._lattice_draws(alg, u, [u[:0]] * 3, DEFAULT_TOL)]
+        pairs = logic_module._lattice_draws(alg, u, DEFAULT_TOL)
         groups = block_decomposition(alg).frame.groups
         assert len(pairs) == len(groups)  # one pair stack per shape group
         rank_p, rank_q = block_ranks(groups, pairs)
@@ -928,30 +964,14 @@ class TestProperDraws:
         for p, q in pairs:  # p <= q, block by block
             assert np.abs(q @ p - p).max() <= 1e-12
 
+
     @pytest.mark.parametrize("name", LATTICE_INPUTS)
-    def test_no_distributivity_triple_has_a_bound_operand(self, name, monkeypatch):
-        # all 200 triples, drawn by `lattice_report`'s helper (the report stops at a failure)
+    def test_no_drawn_projector_is_a_bound(self, name):
+        # `random_projector`'s draw law on 200 rows: no input here draws an element of one
+        # cluster, so every draw keeps 1 to n - 1 of its n clusters
         alg = close(LATTICE_INPUTS[name]())
-        clusters, cuts = [], logic_module._spectral_cuts
-
-        def cuts_counted(*args):
-            drawn = cuts(*args)
-            clusters.append(1 + drawn[3].sum(axis=1))  # the breaks of the merged spectrum
-            return drawn
-
-        monkeypatch.setattr(logic_module, "_spectral_cuts", cuts_counted)
-        width = logic_module._draw_width(alg) + 1
-        streams = [uniforms(1, s, 200, width) for s in
-                   (STREAM_DISTRIBUTIVE_P, STREAM_DISTRIBUTIVE_Q, STREAM_DISTRIBUTIVE_R)]
-        drawn = logic_module._lattice_draws(alg, streams[0][:0], streams, DEFAULT_TOL)
-        (count,) = clusters  # one draw of the three stages, one triple stack per shape group
-        groups = block_decomposition(alg).frame.groups
-        assert len(drawn) == len(groups)
-        d = alg.ambient_dim
-        ranks = block_ranks(groups, [triples for _, triples in drawn])  # (3, trials)
-        several = count.reshape(3, 200) >= 2  # the p, q and r draws
-        assert several.all()  # no input here draws an element of one cluster
-        assert ((ranks > 0) & (ranks < d))[several].all()
+        ranks = np.rint(np.trace(draws(alg, 1, 200), axis1=1, axis2=2).real)
+        assert ((ranks > 0) & (ranks < alg.ambient_dim)).all()
 
 
 class TestStackedKernels:
@@ -979,10 +999,10 @@ class TestStackedKernels:
     def test_draws_equal_the_one_draw_reference(self, name):
         alg = kernel_algebra(name)
         width = logic_module._draw_width(alg)
-        stack = draws(alg, 500, 40, stream=STREAM_DISTRIBUTIVE_Q)
+        stack = draws(alg, 500, 40, stream=STREAM_STATE)
         assert stack.shape == (40, alg.ambient_dim, alg.ambient_dim)
         for i, p in enumerate(stack):
-            u = reference_uniforms(500, STREAM_DISTRIBUTIVE_Q, i, width)
+            u = reference_uniforms(500, STREAM_STATE, i, width)
             assert np.array_equal(p, reference_random_projector(alg, u))
         for seed in range(500, 510):  # a public call is row 0 of its own stream
             u = reference_uniforms(seed, STREAM_PROJECTOR, 0, width)
@@ -1105,9 +1125,9 @@ class TestStackedKernels:
             out = kernel(empty, empty, tol=DEFAULT_TOL)
             assert out.shape == (0, 5, 5) and out.dtype == complex
         assert operator_norm(empty).shape == (0,)
-        report = lattice_report(two_blocks, trials=0, seed=4)
+        report = lattice_report(two_blocks, trials=0, seed=4)  # M_2 ⊕ M_3: not distributive
         assert report.orthomodular_pass_rate == 1.0
-        assert report.distributive and report.counterexample is None
+        assert not report.distributive and report.counterexample is None
 
     def test_zero_trials_draw_nothing(self, two_blocks, monkeypatch):
         want = lattice_report_to_json(lattice_report(two_blocks, trials=0, seed=4))

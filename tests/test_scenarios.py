@@ -587,7 +587,10 @@ class TestNoTrials:
                                        trials=0, seed=2))
         assert report.orthoadditivity == {"trials": 0, "failures": 0, "max_residual": 0.0}
         assert report.lattice.orthomodular_pass_rate == 1.0
-        assert report.lattice.distributive and report.lattice.counterexample is None
+        # read, not sampled: only the commutative input is distributive, and zero trials
+        # build no counterexample
+        assert report.lattice.distributive == (kind == "classical")
+        assert report.lattice.counterexample is None
 
     @pytest.mark.parametrize("kind, dim, parameters", [
         ("weyl_finite", 3, {"modulus": 3}),
@@ -779,7 +782,7 @@ class TestCallBudget:
                     (states_module, "_random_orthogonal_families"),
                     (states_module, "_orthoadditivity"),
                     (logic_module, "_run_blocks"),  # the lattice's propositions, at once
-                    (logic_module, "_spectral_cuts"),  # the pairs with the first triples
+                    (logic_module, "_spectral_cuts"),  # the lattice's pairs, at once
                     (states_module, "_spectral_cuts"),  # every family's element, at once
                 ]]
                 drawn = [self.counted(m, module, "uniforms")
@@ -787,7 +790,7 @@ class TestCallBudget:
                 run_scenario(run)
             assert [len(c) for c in calls] == [0, 1, 1, 1, 1, 1]
             stages.append([len(d) for d in drawn])
-        assert stages == [[4, 3], [4, 3]]  # lattice_report's 4 and the sweep's 3
+        assert stages == [[1, 3], [1, 3]]  # lattice_report's pairs and the sweep's 3
 
     def test_a_group_of_one_by_one_blocks_takes_no_kernel(self, monkeypatch):
         # sectors [[2, 1], [1, 2]]: a draw takes one `eigh`, of its 2 x 2 group; its 1 x 1
@@ -816,7 +819,8 @@ class TestCallBudget:
 
                 m.setattr(logic_module, name, sized)
             run_scenario(scenario)
-        assert draws == [[2], [2]]  # the lattice's pairs with its first triples, the families
+        assert draws == [[2], [2]]  # the lattice's pairs, the families
+        # the witness is built on the 2 x 2 group too
         assert {name: set(n) for name, n in sizes.items()} == {
             "run_projectors": {2, 4}, "_meet": {2, 4}, "_orthomodularity": {2},
             "_distributivity": {2}}
@@ -1050,7 +1054,8 @@ class TestBlockFormOracle:
             want = run_scenario(scenario)
         for name in ("orthomodular_pass_rate", "distributive", "boolean_lattice", "sector_count"):
             assert getattr(got.lattice, name) == getattr(want.lattice, name)
-        for a, b in zip(got.lattice.counterexample or (), want.lattice.counterexample or ()):
+        for a, b in zip(got.lattice.counterexample or (), want.lattice.counterexample or (),
+                        strict=True):
             assert operator_norm(a - b) <= 1e-10
         assert got.orthoadditivity["failures"] == want.orthoadditivity["failures"]
         assert abs(got.orthoadditivity["max_residual"]
@@ -1129,3 +1134,20 @@ class TestTrialStagesMemory:
                 tracemalloc.stop()
             assert (sweep["trials"], sweep["failures"]) == (8, 0)
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the lattice stage holds every "
+                       "trial's pair at once, so its traced peak grows with `trials`")
+    def test_the_lattice_stage_on_weyl_32_does_not_grow_with_trials(self):
+        # the traced peak of `lattice_report` at 1000 trials within 1.2x of its peak at 200
+        alg = generated_algebra(build_weyl_finite(32))
+        block_decomposition(alg).frame  # built once, outside the stage
+        peaks = []
+        for trials in (200, 1000):
+            tracemalloc.start()
+            try:
+                report = lattice_report(alg, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.orthomodular_pass_rate == 1.0
+        assert peaks[1] <= 1.2 * peaks[0]

@@ -360,9 +360,10 @@ def test_no_trial_stage_validates_a_proposition_itself():
     # lattice calls (`_projectors`) does; the ambient spot checks go through `sectors`' gate
     checks = {"ensure_projector", "is_projector"}
     callers = _calls_by_function()
-    stages = [callers["logic.py"]["lattice_report"], callers["states.py"]["_orthoadditivity"],
+    stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_witness"],
+              callers["states.py"]["_family_joins"], callers["states.py"]["_orthoadditivity"],
               callers["states.py"]["_orthoadditivity_checks"]]
-    assert [called & checks for called in stages] == [set()] * 3
+    assert [called & checks for called in stages] == [set()] * 5
     assert sorted(name for name, called in callers["logic.py"].items()
                   if "ensure_projector" in called) == ["_projectors"]
 
@@ -384,20 +385,21 @@ def test_one_gate_checks_a_projector_in_an_algebra():
 def test_every_family_join_is_solved_from_its_members_in_one_place():
     # orthomodularity's p ∨ (p⊥ ∧ q) is the sum p + (p⊥ ∧ q): the lattice stage solves no
     # join. Every family's join, drawn or from outside, is solved from its members by `_join`
-    # in `_orthoadditivity`, which the sweep and the public call both reach
+    # in `_family_joins`, which the sweep and the public call both call before `_orthoadditivity`
     callers = _calls_by_function()
     stages = [callers["logic.py"]["lattice_report"], callers["logic.py"]["_orthomodularity"]]
     assert [called & {"_join", "join"} for called in stages] == [set()] * 2
     assert sorted(name for name, called in callers["states.py"].items()
-                  if called & {"_join", "join"}) == ["_orthoadditivity"]
-    assert sorted(name for name, called in callers["states.py"].items()
-                  if "_orthoadditivity" in called) == [
-        "_orthoadditivity_checks", "sigma_orthoadditivity_residuals"]
+                  if called & {"_join", "join"}) == ["_family_joins"]
+    for kernel in ("_family_joins", "_orthoadditivity"):
+        assert sorted(name for name, called in callers["states.py"].items()
+                      if kernel in called) == [
+            "_orthoadditivity_checks", "sigma_orthoadditivity_residuals"]
 
 
 def test_no_trial_stack_goes_through_an_ambient_product():
     # the trial stages run on sector blocks: only `sectors` reads the frame's unitary, where
-    # `_ambient` maps blocks to M_d (the public samplers, a counterexample, the lattice's spot
+    # `_ambient` maps blocks to M_d (the public samplers, the witness, the lattice's spot
     # check, the σ-orthoadditivity stage's drawn members) and the partial traces map M_d to
     # blocks
     found = [

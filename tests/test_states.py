@@ -46,6 +46,7 @@ from oplattice import (
     state_to_json,
 )
 from oplattice import logic as logic_module
+from oplattice import sectors as sectors_module
 from oplattice import states as states_module
 from oplattice.algebra import contains
 from oplattice.numerics import matrix_to_json, range_projector
@@ -321,12 +322,20 @@ def reference_random_orthogonal_family(alg, u, tol=DEFAULT_TOL):
 
 
 def stacked(cases):
-    """Ambient ``(label, density, members)`` cases as `states._orthoadditivity` takes them: the
-    density stack, case 0's label, the member counts and all members in one stack."""
-    d = len(cases[0][1])
-    members = np.array([p for *_, f in cases for p in f], dtype=complex).reshape(-1, d, d)
-    rho = np.array([density for _, density, _ in cases], dtype=complex)
-    return rho, cases[0][0], np.array([len(f) for *_, f in cases]), members
+    """Ambient ``(density, members)`` cases as `states._family_joins` and
+    `states._orthoadditivity` take them: the density stack, the member counts and all members
+    in one stack."""
+    d = len(cases[0][0])
+    members = np.array([p for _, f in cases for p in f], dtype=complex).reshape(-1, d, d)
+    rho = np.array([density for density, _ in cases], dtype=complex)
+    return rho, np.array([len(f) for _, f in cases]), members
+
+
+def orthoadditivity(cases):
+    """`states._orthoadditivity` of the cases, each family's join solved by `_family_joins`."""
+    rho, sizes, members = stacked(cases)
+    joins = states_module._family_joins(sizes, members, DEFAULT_TOL)
+    return states_module._orthoadditivity(rho, sizes, members, joins, DEFAULT_TOL)
 
 
 def family_uniforms(alg, seed, count, stream=STREAM_FAMILY):
@@ -428,25 +437,38 @@ class TestStackedFamilies:
 
     def test_a_member_outside_the_domain_is_caught_where_it_enters(self, diag3):
         # drawn members are mapped to M_d from blocks in the algebra: an outside projector can
-        # only enter as an ambient matrix, through the public call or case 0 of the kernel
+        # only enter as an ambient matrix, through the public call (the sweep's case 0 is
+        # checked where it is mapped: `TestOrthoadditivitySweepChecks`)
         outside = np.outer([1, 1, 0], [1, 1, 0]).astype(complex) / 2
         ls = restrict_logical(make_state(np.eye(3) / 3), diag3)
         with pytest.raises(NotInAlgebra, match="^family: projector not in the domain"):
             sigma_orthoadditivity_residuals(ls, [unit(3, 2, 2), outside])
-        cases = [("a", np.eye(3) / 3, [outside]), ("b", np.eye(3) / 3, [unit(3, 1, 1)])]
-        with pytest.raises(NotInAlgebra, match="^a: projector not in the domain"):
-            states_module._orthoadditivity(diag3, *stacked(cases), DEFAULT_TOL)
+
+    def test_a_public_familys_members_reach_the_gate_once(self, two_blocks, monkeypatch):
+        # the members are checked where they enter, so the gate then sees the solved join alone
+        family = max(families_of(two_blocks, 2, 40), key=len)
+        assert len(family) >= 2
+        ls = restrict_logical(random_state(5, seed=1), two_blocks)
+        seen, inside = [], sectors_module._inside
+
+        def counted(alg, a, tol):
+            seen.extend(np.reshape(a, (-1, 5, 5)))
+            return inside(alg, a, tol)
+
+        monkeypatch.setattr(sectors_module, "_inside", counted)
+        sigma_orthoadditivity_residuals(ls, family)
+        assert len(seen) == len(family) + 1  # the members, then their join
+        for p in family:
+            assert sum(np.array_equal(p, x) for x in seen) == 1
 
     def test_stacked_joins_equal_each_case_alone(self, two_blocks):
         # cases of every length, the empty family included (a draw on an algebra whose
         # elements have two clusters or more is never empty, so one is added)
-        env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40) + [[]]
         assert len({len(f) for f in families}) >= 3 and [] in families
-        cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
-        together = states_module._orthoadditivity(env, *stacked(cases), DEFAULT_TOL)
-        alone = [states_module._orthoadditivity(env, *stacked([case]), DEFAULT_TOL)
-                 for case in cases]
+        cases = [(random_state(5, seed=i).density, f) for i, f in enumerate(families)]
+        together = orthoadditivity(cases)
+        alone = [orthoadditivity([case]) for case in cases]
         # a short family's padding adds zero rows to its join's SVD: every case keeps the
         # verdict, and its residuals agree within rounding
         for residuals, one_each in zip(together, zip(*alone)):  # additivity, then complement
@@ -483,7 +505,8 @@ class TestStackedFamilies:
         # n-ary join, each padded to the longest family, and a family from outside in one more
         env = baire_envelope(two_blocks)
         families = families_of(two_blocks, 2, 40)
-        cases = [(f"case {i}", random_state(5, seed=i).density, f) for i, f in enumerate(families)]
+        _, sizes, members = stacked([(random_state(5, seed=i).density, f)
+                                     for i, f in enumerate(families)])
         join_shapes, join_ = [], states_module._join
 
         def join_counted(*ps, tol):
@@ -491,7 +514,7 @@ class TestStackedFamilies:
             return join_(*ps, tol=tol)
 
         monkeypatch.setattr(states_module, "_join", join_counted)
-        states_module._orthoadditivity(env, *stacked(cases), DEFAULT_TOL)
+        states_module._family_joins(sizes, members, DEFAULT_TOL)
         assert join_shapes == [(max(map(len, families)), len(families))]
         join_shapes.clear()
         run_scenario(Scenario(name="s", kind="sectors", dim=5, trials=40, seed=2,
